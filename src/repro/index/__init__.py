@@ -20,7 +20,7 @@ Attach to a scorer with :func:`attach_index`; route selection is the
 :class:`repro.core.framework.Star` facade and the CLI.
 """
 
-from repro.index.bounds import QueryPlan, selected_node_weights
+from repro.index.bounds import QueryPlan
 from repro.index.csr import CSRAdjacency
 from repro.index.features import NodeFeatures
 from repro.index.graph_index import (
@@ -55,5 +55,4 @@ __all__ = [
     "attach_shared_index",
     "detach_index",
     "export_index",
-    "selected_node_weights",
 ]

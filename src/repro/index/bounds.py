@@ -35,33 +35,12 @@ from repro.index.features import HAS_MEASUREMENT, HAS_NUMBERS, NodeFeatures
 from repro.index.vocab import NO_TOKEN, Vocabulary
 from repro.similarity import ontology
 from repro.similarity.descriptors import CorpusContext, Descriptor
-from repro.similarity.functions import FAST_NODE_FUNCTION_NAMES, NODE_FUNCTIONS
 from repro.similarity.strings import edit_similarity, jaccard, soundex
 from repro.textutil import tokenize_tuple
 
 #: Sentinel for "query token absent from the vocabulary" -- compares
 #: unequal to every stored feature id including NO_TOKEN.
 _NO_QUERY_TOKEN = -1
-
-
-def selected_node_weights(config) -> Dict[str, float]:
-    """Normalized node-measure weights for *config*.
-
-    Mirrors ``ScoringFunction._select_node_measures`` exactly (same
-    selection, same normalization), keyed by measure name; names not
-    selected are absent (treated as weight 0 by the plan).
-    """
-    weights = config.node_weights
-    names = (
-        set(FAST_NODE_FUNCTION_NAMES) if config.fast else set(weights)
-    )
-    selected = [
-        (name, weights.get(name, 0.0))
-        for name, _fn in NODE_FUNCTIONS
-        if name in names and weights.get(name, 0.0) > 0.0
-    ]
-    total = sum(w for _name, w in selected)
-    return {name: w / total for name, w in selected}
 
 
 class QueryPlan:
@@ -72,7 +51,8 @@ class QueryPlan:
         probe_tokens: the expanded query tokens, in a fixed order; token
             *i* owns bit ``1 << i`` of every node mask.  Tokens missing
             from the vocabulary get no bit (no node can contain them).
-        weights: normalized measure weights (:func:`selected_node_weights`).
+        weights: normalized measure weights by name
+            (:func:`repro.similarity.scoring.selected_node_weights`).
         vocab: the index vocabulary (probe token ids + IDF array).
         features: per-node feature arrays.
         corpus: the scorer's corpus context (IDF for query-side tokens
@@ -134,7 +114,7 @@ class QueryPlan:
         # serves, so its weight never enters a bound.
 
         # -- probe tokens / per-bit constants ---------------------------
-        name_set = frozenset(desc.name_tokens)
+        name_set = desc.name_token_set
         name_mult: Dict[str, int] = {}
         for qt in desc.name_tokens:
             name_mult[qt] = name_mult.get(qt, 0) + 1

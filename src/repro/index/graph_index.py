@@ -43,7 +43,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro import obs
 from repro.core.candidates import expanded_query_tokens
-from repro.index.bounds import QueryPlan, selected_node_weights
+from repro.index.bounds import QueryPlan
 from repro.index.csr import CSRAdjacency
 from repro.index.features import NodeFeatures
 from repro.index.postings import PostingIndex
@@ -229,7 +229,7 @@ class GraphIndex:
             plan = QueryPlan(
                 desc,
                 sorted(expanded_query_tokens(desc)),
-                selected_node_weights(scorer.config),
+                scorer.node_weights,
                 self.vocab,
                 self.features,
                 scorer.corpus,

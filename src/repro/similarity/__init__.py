@@ -31,6 +31,8 @@ from repro.similarity.scoring import (
     DEFAULT_NODE_WEIGHTS,
     ScoringConfig,
     ScoringFunction,
+    selected_edge_weights,
+    selected_node_weights,
 )
 
 __all__ = [
@@ -54,4 +56,6 @@ __all__ = [
     "learn_weights",
     "load_config",
     "save_config",
+    "selected_edge_weights",
+    "selected_node_weights",
 ]

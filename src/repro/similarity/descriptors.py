@@ -85,7 +85,8 @@ class Descriptor:
 
     __slots__ = (
         "name", "type", "keywords", "degree", "is_wildcard", "name_lower",
-        "name_tokens", "token_set", "keyword_tokens", "type_tokens",
+        "name_tokens", "name_token_set", "token_set", "keyword_tokens",
+        "type_tokens",
         "bigrams", "trigrams", "soundex_first", "phonetic", "initials",
         "numbers", "_cache_key",
     )
@@ -104,12 +105,13 @@ class Descriptor:
         self.is_wildcard = name.strip() in ("", WILDCARD)
         self.name_lower = name.lower().strip()
         self.name_tokens: Tuple[str, ...] = tokenize_tuple(name)
+        self.name_token_set: FrozenSet[str] = frozenset(self.name_tokens)
         self.keyword_tokens: FrozenSet[str] = frozenset(
             t for kw in keywords for t in tokenize_tuple(kw)
         )
         self.type_tokens: FrozenSet[str] = frozenset(tokenize_tuple(type))
         self.token_set: FrozenSet[str] = (
-            frozenset(self.name_tokens) | self.keyword_tokens
+            self.name_token_set | self.keyword_tokens
         )
         self.bigrams = ngrams(self.name_lower, 2)
         self.trigrams = ngrams(self.name_lower, 3)

@@ -28,6 +28,22 @@ class Contribution:
     weighted: float   # after weight normalization (sums to the score)
 
 
+def _contributions(
+    catalog, weights, query, data, ctx, top
+) -> List[Contribution]:
+    """Positive weighted terms of the aggregate, largest first."""
+    contributions: List[Contribution] = []
+    for name, fn in catalog:
+        weight = weights.get(name)
+        if weight is None:
+            continue
+        raw = fn(query, data, ctx)
+        if raw > 0.0:
+            contributions.append(Contribution(name, raw, weight * raw))
+    contributions.sort(key=lambda c: -c.weighted)
+    return contributions[:top] if top else contributions
+
+
 def explain_node_score(
     scorer: ScoringFunction,
     query: Descriptor,
@@ -43,19 +59,10 @@ def explain_node_score(
     if query.is_wildcard:
         score = scorer.node_score(query, node_id)
         return [Contribution("wildcard_base_plus_popularity", score, score)]
-    data = scorer.descriptors.get(node_id)
-    ctx = scorer.corpus
-    weight_by_fn = {fn: w for fn, w in scorer._node_measures}
-    contributions: List[Contribution] = []
-    for name, fn in NODE_FUNCTIONS:
-        weight = weight_by_fn.get(fn)
-        if weight is None:
-            continue
-        raw = fn(query, data, ctx)
-        if raw > 0.0:
-            contributions.append(Contribution(name, raw, weight * raw))
-    contributions.sort(key=lambda c: -c.weighted)
-    return contributions[:top] if top else contributions
+    return _contributions(
+        NODE_FUNCTIONS, scorer.node_weights, query,
+        scorer.descriptors.get(node_id), scorer.corpus, top,
+    )
 
 
 def explain_relation_score(
@@ -65,19 +72,10 @@ def explain_relation_score(
     top: Optional[int] = None,
 ) -> List[Contribution]:
     """Per-measure breakdown of a direct edge's ``F_E``."""
-    data = Descriptor(relation)
-    ctx = scorer.corpus
-    weight_by_fn = {fn: w for fn, w in scorer._edge_measures}
-    contributions: List[Contribution] = []
-    for name, fn in EDGE_FUNCTIONS:
-        weight = weight_by_fn.get(fn)
-        if weight is None:
-            continue
-        raw = fn(query, data, ctx)
-        if raw > 0.0:
-            contributions.append(Contribution(name, raw, weight * raw))
-    contributions.sort(key=lambda c: -c.weighted)
-    return contributions[:top] if top else contributions
+    return _contributions(
+        EDGE_FUNCTIONS, scorer.edge_weights, query,
+        Descriptor(relation), scorer.corpus, top,
+    )
 
 
 def explain_match(

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.graph.knowledge_graph import KnowledgeGraph
 from repro.similarity.descriptors import CorpusContext, Descriptor, DescriptorCache
-from repro.similarity.functions import NODE_FUNCTIONS
+from repro.similarity.functions import NODE_FUNCTIONS, bind_measures
 from repro.similarity import ontology
 
 
@@ -191,9 +191,9 @@ def evaluate_weights(
     corpus = scorer.corpus
     correct = 0
     for ex in examples:
-        score = 0.0
-        for fn, weight in scorer._node_measures:
-            score += weight * fn(ex.query, ex.data, corpus)
+        score = bind_measures(
+            NODE_FUNCTIONS, scorer.node_weights, ex.query, corpus
+        )(ex.data)
         predicted = 1 if score >= 0.35 else 0
         correct += int(predicted == ex.label)
     return correct / len(examples)

@@ -17,13 +17,11 @@ algorithm pays for a score exactly once per query.
 from __future__ import annotations
 
 import hashlib
-import math
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ScoringError
-from repro.similarity import ontology
 from repro.graph.knowledge_graph import KnowledgeGraph
 from repro.similarity.descriptors import (
     CorpusContext,
@@ -35,7 +33,10 @@ from repro.similarity.functions import (
     EDGE_FUNCTIONS,
     FAST_NODE_FUNCTION_NAMES,
     NODE_FUNCTIONS,
+    BoundMeasure,
     SimilarityFn,
+    bind_measures,
+    bind_variable_score,
 )
 from repro.similarity.path_score import PathScore
 
@@ -165,6 +166,48 @@ class ScoringConfig:
         return hashlib.sha1(payload.encode("utf-8")).hexdigest()[:16]
 
 
+def _normalized_weights(
+    catalog: Sequence[Tuple[str, SimilarityFn]],
+    weights: Mapping[str, float],
+    kind: str,
+) -> Dict[str, float]:
+    selected = {
+        name: weights[name]
+        for name, _fn in catalog
+        if weights.get(name, 0.0) > 0.0
+    }
+    if not selected:
+        raise ScoringError(f"no {kind} measures selected (all weights zero?)")
+    total = sum(selected.values())
+    return {name: w / total for name, w in selected.items()}
+
+
+def selected_node_weights(config: ScoringConfig) -> Dict[str, float]:
+    """Normalized weight per selected node measure, in catalog order.
+
+    The one definition of which measures *config* scores with (positive
+    weight; under ``fast`` only the cheap subset) and how their weights
+    are normalized to sum to 1.  Names not selected are absent.
+    """
+    weights = config.node_weights
+    if config.fast:
+        weights = {
+            name: weights[name]
+            for name in FAST_NODE_FUNCTION_NAMES if name in weights
+        }
+    return _normalized_weights(NODE_FUNCTIONS, weights, "node")
+
+
+def selected_edge_weights(config: ScoringConfig) -> Dict[str, float]:
+    """Normalized weight per selected edge measure, in catalog order."""
+    return _normalized_weights(EDGE_FUNCTIONS, config.edge_weights, "edge")
+
+
+#: Bound evaluators kept per scorer; on overflow the table resets, which
+#: only costs re-binding (serve workers see unboundedly many descriptors).
+_EVALUATORS_MAX = 1024
+
+
 class ScoringFunction:
     """Online, memoized scoring of query elements against one graph.
 
@@ -187,8 +230,13 @@ class ScoringFunction:
         self._graph_version = graph.version
         self.descriptors = DescriptorCache(graph)
         self.path = PathScore(self.config.path_lambda)
-        self._node_measures = self._select_node_measures()
-        self._edge_measures = self._select_edge_measures()
+        #: Normalized weight per selected measure name (catalog order).
+        self.node_weights = selected_node_weights(self.config)
+        self.edge_weights = selected_edge_weights(self.config)
+        # Bound node evaluators per query descriptor content.  They hold
+        # hoisted corpus statistics (IDF, degree normalizer), so every
+        # path that replaces the corpus must drop them.
+        self._evaluators: Dict[DescriptorKey, BoundMeasure] = {}
         # Memos are keyed on descriptor *content* (interned, pre-hashed
         # DescriptorKey), so equal constraints from different query
         # objects -- the norm in template-generated workloads -- share
@@ -214,34 +262,6 @@ class ScoringFunction:
         self.semantic_tier = None
 
     # ------------------------------------------------------------------
-    def _select_node_measures(self) -> List[Tuple[SimilarityFn, float]]:
-        weights = self.config.node_weights
-        names = (
-            set(FAST_NODE_FUNCTION_NAMES) if self.config.fast else set(weights)
-        )
-        selected = [
-            (fn, weights.get(name, 0.0))
-            for name, fn in NODE_FUNCTIONS
-            if name in names and weights.get(name, 0.0) > 0.0
-        ]
-        if not selected:
-            raise ScoringError("no node measures selected (all weights zero?)")
-        total = sum(w for _fn, w in selected)
-        return [(fn, w / total) for fn, w in selected]
-
-    def _select_edge_measures(self) -> List[Tuple[SimilarityFn, float]]:
-        weights = self.config.edge_weights
-        selected = [
-            (fn, weights.get(name, 0.0))
-            for name, fn in EDGE_FUNCTIONS
-            if weights.get(name, 0.0) > 0.0
-        ]
-        if not selected:
-            raise ScoringError("no edge measures selected (all weights zero?)")
-        total = sum(w for _fn, w in selected)
-        return [(fn, w / total) for fn, w in selected]
-
-    # ------------------------------------------------------------------
     @property
     def corpus(self) -> CorpusContext:
         return self.descriptors.corpus
@@ -257,36 +277,37 @@ class ScoringFunction:
     def node_score(self, query: Descriptor, node_id: int) -> float:
         """``F_N(query, node_id)`` in [0, 1] (Eq. 1), memoized.
 
-        Wildcard ('?') query nodes bypass the aggregate: a variable matches
-        every node with a flat base score plus a small popularity prior
-        (``0.4 + 0.2 * normalized log-degree``).  An untyped variable would
-        otherwise zero out on 40+ of the 42 measures and drop below any
-        useful threshold.  A *typed* wildcard still consults the type
-        measures on top of the base, so "?:director" prefers directors.
+        A memo miss runs the query descriptor's *bound evaluator*: the
+        weighted catalog with the query side bound once (see
+        :func:`repro.similarity.functions.bind_measures`), built lazily
+        on the descriptor's first miss.  Wildcard ('?') query nodes
+        bypass the aggregate
+        (:func:`repro.similarity.functions.bind_variable_score`).
         """
-        key = (query.cache_key, node_id)
+        query_key = query.cache_key
+        key = (query_key, node_id)
         cached = self._node_cache.get(key)
         if cached is not None:
             return cached
         self.node_score_calls += 1
-        data = self.descriptors.get(node_id)
-        ctx = self.corpus
-        if query.is_wildcard:
-            score = 0.4 + 0.2 * min(
-                1.0, math.log1p(data.degree) / ctx.log_max_degree
-            )
-            if query.type:
-                if data.type and ontology.is_subtype(data.type, query.type):
-                    score += 0.2
-                elif data.type.lower() != query.type.lower():
-                    score -= 0.3
-        else:
-            score = 0.0
-            for fn, weight in self._node_measures:
-                score += weight * fn(query, data, ctx)
-        score = min(1.0, max(0.0, score))
+        evaluate = self._evaluators.get(query_key)
+        if evaluate is None:
+            evaluate = self._bind_node(query)
+        score = min(1.0, max(0.0, evaluate(self.descriptors.get(node_id))))
         self._node_cache[key] = score
         return score
+
+    def _bind_node(self, query: Descriptor) -> BoundMeasure:
+        if query.is_wildcard:
+            evaluate = bind_variable_score(query, self.corpus)
+        else:
+            evaluate = bind_measures(
+                NODE_FUNCTIONS, self.node_weights, query, self.corpus
+            )
+        if len(self._evaluators) >= _EVALUATORS_MAX:
+            self._evaluators.clear()
+        self._evaluators[query.cache_key] = evaluate
+        return evaluate
 
     def relation_score(self, query: Descriptor, relation: str) -> float:
         """``F_E`` for a direct edge with the given relation label, memoized."""
@@ -299,11 +320,10 @@ class ScoringFunction:
         if data is None:
             data = Descriptor(relation)
             self._relation_descriptors[relation] = data
-        ctx = self.corpus
-        score = 0.0
-        for fn, weight in self._edge_measures:
-            score += weight * fn(query, data, ctx)
-        score = min(1.0, max(0.0, score))
+        evaluate = bind_measures(
+            EDGE_FUNCTIONS, self.edge_weights, query, self.corpus
+        )
+        score = min(1.0, max(0.0, evaluate(data)))
         self._edge_cache[key] = score
         return score
 
@@ -337,9 +357,11 @@ class ScoringFunction:
         self.edge_score_calls = 0
 
     def clear_cache(self) -> None:
-        """Drop memoized scores (for cold-run measurements)."""
+        """Drop memoized scores and bound evaluators (for cold-run
+        measurements)."""
         self._node_cache.clear()
         self._edge_cache.clear()
+        self._evaluators.clear()
 
     def refresh(self) -> bool:
         """Resynchronize memoized state after graph mutations.
@@ -351,7 +373,8 @@ class ScoringFunction:
         * corpus statistics drifted (``stats_changed``: node count moved
           every IDF denominator, or the max-degree normalizer changed)
           or the journal no longer covers the span -- full rebuild of
-          the descriptor cache and both score memos;
+          the descriptor cache, both score memos and the bound
+          evaluators (which hold the old IDF and degree normalizer);
         * otherwise, only descriptors and node-score memo entries for
           the touched node ids, and edge-score memo entries for the
           touched relation labels, are dropped -- everything else is
@@ -368,8 +391,7 @@ class ScoringFunction:
         summary = graph.delta_since(self._graph_version)
         if summary is None or summary.stats_changed:
             self.descriptors = DescriptorCache(graph)
-            self._node_cache.clear()
-            self._edge_cache.clear()
+            self.clear_cache()
         else:
             if summary.nodes:
                 self.descriptors.invalidate(summary.nodes)

@@ -1,56 +1,102 @@
 """String-similarity primitives used by the similarity-function catalog.
 
-Implemented from scratch (no external dependencies): Levenshtein,
-Jaro-Winkler, character n-grams, Soundex and a simplified Metaphone.
-All similarity outputs are normalized to ``[0, 1]``.
+Implemented from scratch (no external dependencies): bit-parallel
+Levenshtein, Jaro-Winkler, character n-grams, Soundex and a simplified
+Metaphone.  All similarity outputs are normalized to ``[0, 1]``.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Sequence
+
+
+def _pattern_masks(pattern: str) -> Dict[str, int]:
+    """Per-character position bitmasks of *pattern*: bit *i* of
+    ``masks[ch]`` is set iff ``pattern[i] == ch``."""
+    masks: Dict[str, int] = {}
+    bit = 1
+    for ch in pattern:
+        masks[ch] = masks.get(ch, 0) | bit
+        bit <<= 1
+    return masks
+
+
+def _bit_parallel_distance(masks: Dict[str, int], m: int, text: str) -> int:
+    """Edit distance between a non-empty pattern (its :func:`_pattern_masks`
+    and length *m*) and *text*: Myers' bit-vector algorithm in Hyyrö's
+    global-distance form.
+
+    One DP column is held as two *m*-bit integers of vertical deltas
+    (``pv``: +1, ``mv``: -1); each text character advances the column
+    with a constant number of integer operations, so the cost is one
+    step per text character whatever the pattern length (Python ints
+    grow past the machine word).  The running cell ``D[m][j]`` is
+    tracked through the horizontal delta at the pattern's last row.
+    """
+    mask = (1 << m) - 1
+    last = 1 << (m - 1)
+    pv = mask
+    mv = 0
+    distance = m
+    eq_of = masks.get
+    for ch in text:
+        eq = eq_of(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            distance += 1
+        elif mh & last:
+            distance -= 1
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    return distance
 
 
 def levenshtein(a: str, b: str, cap: int = 0) -> int:
     """Edit distance between *a* and *b*.
 
     Args:
-        cap: if positive and the distance provably exceeds it, return
-            ``cap + 1`` early (keeps worst-case cost bounded for long names).
+        cap: if positive and the distance exceeds it, return ``cap + 1``
+            (a length gap beyond the cap is answered without any work).
     """
     if a == b:
         return 0
     la, lb = len(a), len(b)
-    if la == 0:
-        return lb
-    if lb == 0:
-        return la
     if cap and abs(la - lb) > cap:
         return cap + 1
-    if la > lb:
+    if la < lb:  # one step per text character: scan the shorter string
         a, b, la, lb = b, a, lb, la
-    prev = list(range(la + 1))
-    for j in range(1, lb + 1):
-        cur = [j] + [0] * la
-        bj = b[j - 1]
-        row_min = j
-        for i in range(1, la + 1):
-            cost = 0 if a[i - 1] == bj else 1
-            cur[i] = min(prev[i] + 1, cur[i - 1] + 1, prev[i - 1] + cost)
-            if cur[i] < row_min:
-                row_min = cur[i]
-        if cap and row_min > cap:
-            return cap + 1
-        prev = cur
-    return prev[la]
+    if lb == 0:
+        return la
+    distance = _bit_parallel_distance(_pattern_masks(a), la, b)
+    return cap + 1 if cap and distance > cap else distance
+
+
+def bind_edit_similarity(a: str) -> Callable[[str], float]:
+    """``edit_similarity(a, .)`` with *a*'s pattern bitmasks built once."""
+    la = len(a)
+    if la == 0:
+        return lambda b: 0.0 if b else 1.0
+    masks = _pattern_masks(a)
+
+    def similarity(b: str) -> float:
+        if a == b:
+            return 1.0
+        lb = len(b)
+        if lb == 0:
+            return 0.0
+        distance = _bit_parallel_distance(masks, la, b)
+        return 1.0 - distance / (la if la > lb else lb)
+
+    return similarity
 
 
 def edit_similarity(a: str, b: str) -> float:
     """``1 - dist / max_len``, in [0, 1]."""
-    if not a and not b:
-        return 1.0
-    max_len = max(len(a), len(b))
-    cap = max_len  # exact distance needed for the normalized score
-    return 1.0 - levenshtein(a, b, cap=cap) / max_len
+    return bind_edit_similarity(a)(b)
 
 
 def jaro(a: str, b: str) -> float:
@@ -63,28 +109,29 @@ def jaro(a: str, b: str) -> float:
     window = max(la, lb) // 2 - 1
     if window < 0:
         window = 0
-    match_a = [False] * la
-    match_b = [False] * lb
-    matches = 0
+    taken = 0  # bit j set: b[j] is matched
+    matched_a = []
     for i, ch in enumerate(a):
-        lo = max(0, i - window)
-        hi = min(lb, i + window + 1)
-        for j in range(lo, hi):
-            if not match_b[j] and b[j] == ch:
-                match_a[i] = match_b[j] = True
-                matches += 1
-                break
+        hi = i + window + 1
+        j = b.find(ch, i - window if i > window else 0, hi)
+        while j >= 0 and taken >> j & 1:
+            j = b.find(ch, j + 1, hi)
+        if j >= 0:
+            taken |= 1 << j
+            matched_a.append(ch)
+    matches = len(matched_a)
     if matches == 0:
         return 0.0
+    # The k-th matched character of a against the k-th matched of b.
     transpositions = 0
-    j = 0
-    for i in range(la):
-        if match_a[i]:
-            while not match_b[j]:
-                j += 1
-            if a[i] != b[j]:
+    k = j = 0
+    while taken:
+        if taken & 1:
+            if b[j] != matched_a[k]:
                 transpositions += 1
-            j += 1
+            k += 1
+        taken >>= 1
+        j += 1
     transpositions //= 2
     return (
         matches / la + matches / lb + (matches - transpositions) / matches

@@ -1,9 +1,10 @@
 """Unit tests for the string-similarity primitives."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.similarity.strings import (
+    bind_edit_similarity,
     common_prefix_ratio,
     common_suffix_ratio,
     dice,
@@ -19,7 +20,40 @@ from repro.similarity.strings import (
     soundex,
 )
 
+from tests.string_oracle import (
+    jaro_reference,
+    jaro_winkler_reference,
+    levenshtein_dp,
+)
+
 words = st.text(alphabet="abcdefgh", min_size=0, max_size=12)
+
+# Differential inputs: a tiny alphabet (many repeated characters and
+# near-equal strings), non-ASCII letters, and lengths past 64 on either
+# side so the pattern bitmask outgrows a machine word.
+_chars = st.sampled_from("aab éü中")
+_short = st.text(alphabet=_chars, max_size=12)
+_long = st.text(alphabet=_chars, min_size=65, max_size=140)
+_any_length = st.one_of(_short, _long)
+
+
+@st.composite
+def string_pairs(draw):
+    a = draw(_any_length)
+    if draw(st.booleans()):
+        return a, draw(_any_length)
+    # A few edits away from *a*: the interesting band for a cap.
+    b = list(a)
+    for _ in range(draw(st.integers(0, 4))):
+        pos = draw(st.integers(0, len(b)))
+        op = draw(st.integers(0, 2))
+        if op == 0:
+            b.insert(pos, draw(_chars))
+        elif b and op == 1:
+            b.pop(min(pos, len(b) - 1))
+        elif b:
+            b[min(pos, len(b) - 1)] = draw(_chars)
+    return a, "".join(b)
 
 
 class TestLevenshtein:
@@ -31,6 +65,19 @@ class TestLevenshtein:
 
     def test_cap_early_exit(self):
         assert levenshtein("aaaa", "bbbbbbbbbb", cap=2) == 3  # cap + 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(string_pairs())
+    def test_matches_reference_dp(self, pair):
+        a, b = pair
+        assert levenshtein(a, b) == levenshtein_dp(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(string_pairs(), st.integers(1, 8))
+    def test_cap_contract(self, pair, cap):
+        """Within the cap the exact distance, beyond it ``cap + 1``."""
+        a, b = pair
+        assert levenshtein(a, b, cap) == min(levenshtein_dp(a, b), cap + 1)
 
     @given(words, words)
     def test_symmetry(self, a, b):
@@ -55,6 +102,20 @@ class TestEditSimilarity:
     def test_bounds(self, a, b):
         assert 0.0 <= edit_similarity(a, b) <= 1.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(string_pairs())
+    def test_matches_reference_dp(self, pair):
+        a, b = pair
+        longest = max(len(a), len(b))
+        expected = 1.0 - levenshtein_dp(a, b) / longest if longest else 1.0
+        assert edit_similarity(a, b) == expected
+
+    @given(_any_length, st.lists(_any_length, max_size=4))
+    def test_bound_pattern_is_reusable(self, a, others):
+        similarity = bind_edit_similarity(a)
+        for b in others + others:
+            assert similarity(b) == edit_similarity(a, b)
+
 
 class TestJaro:
     def test_known_value(self):
@@ -69,6 +130,13 @@ class TestJaro:
     @given(words, words)
     def test_bounds(self, a, b):
         assert 0.0 <= jaro_winkler(a, b) <= 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(string_pairs())
+    def test_matches_reference(self, pair):
+        a, b = pair
+        assert jaro(a, b) == jaro_reference(a, b)
+        assert jaro_winkler(a, b) == jaro_winkler_reference(a, b)
 
 
 class TestSetMeasures:
