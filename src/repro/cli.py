@@ -50,8 +50,9 @@ from repro.graph import (
     summarize,
     yago2_like,
 )
+from repro.perf import build_engine
 from repro.query.parser import parse_query
-from repro.similarity import ScoringConfig, ScoringFunction
+from repro.similarity import ScoringConfig
 
 _GENERATORS = {
     "dbpedia": dbpedia_like,
@@ -434,20 +435,6 @@ def _load_graph(path: str, mmap: bool = False):
     return load_any(path)
 
 
-def _attach_mmap(scorer, graph, use_index: str,
-                 use_semantic: str = "off") -> None:
-    """Attach the store's index/ANN columns to ``scorer`` when eligible."""
-    if use_index != "off":
-        from repro.store import attach_mmap_index
-
-        scorer.graph_index = attach_mmap_index(graph, graph, mode=use_index)
-    if use_semantic != "off":
-        from repro.store import attach_mmap_semantic
-
-        scorer.semantic_tier = attach_mmap_semantic(
-            graph, graph, mode=use_semantic)
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
     graph = _GENERATORS[args.dataset](scale=args.scale, seed=args.seed)
     save_graph(graph, args.output)
@@ -512,10 +499,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         print(interp.describe())
     else:
         query = parse_query(args.query.replace(";", "\n"), name="cli")
-    config = _scoring_config(args)
-    scorer = ScoringFunction(graph, config)
-    if args.mmap:
-        _attach_mmap(scorer, graph, args.use_index, args.use_semantic)
     planner = None
     if args.plan != "static":
         from repro.plan import QueryPlanner
@@ -527,23 +510,17 @@ def _cmd_search(args: argparse.Namespace) -> int:
     elif args.experience_out:
         print("warning: --experience-out needs --plan=auto or "
               "--plan=learned; ignoring it", file=sys.stderr)
+    engine_opts = {
+        "d": args.d, "alpha": args.alpha,
+        "decomposition_method": args.method, "directed": args.directed,
+        "use_index": args.use_index, "use_semantic": args.use_semantic,
+        "algorithm": args.algorithm, "plan": args.plan, "planner": planner,
+    }
+    if args.mmap:
+        engine_opts["mmap_store"] = graph  # shares the graph's mapping
     if args.shards is not None:
-        from repro.shard import ShardedEngine
-
-        engine = ShardedEngine(
-            graph, scorer=scorer, shards=args.shards,
-            partition=args.partition, d=args.d, alpha=args.alpha,
-            decomposition_method=args.method, directed=args.directed,
-            use_index=args.use_index, use_semantic=args.use_semantic,
-            algorithm=args.algorithm, plan=args.plan, planner=planner,
-        )
-    else:
-        engine = Star(
-            graph, scorer=scorer, d=args.d, alpha=args.alpha,
-            decomposition_method=args.method, directed=args.directed,
-            use_index=args.use_index, use_semantic=args.use_semantic,
-            algorithm=args.algorithm, plan=args.plan, planner=planner,
-        )
+        engine_opts.update(shards=args.shards, partition=args.partition)
+    engine = build_engine(graph, engine_opts, _scoring_config(args))
     budget = None
     if args.timeout_ms is not None or args.budget_nodes is not None:
         from repro.runtime import Budget
@@ -595,22 +572,21 @@ def _cmd_search(args: argparse.Namespace) -> int:
         from repro.similarity.explain import explain_match
 
         print()
-        print(explain_match(scorer, query, matches[0]))
+        print(explain_match(engine.scorer, query, matches[0]))
     return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph, mmap=args.mmap)
     query = parse_query(args.query.replace(";", "\n"), name="cli")
-    config = _scoring_config(args)
-    scorer = ScoringFunction(graph, config)
+    engine_opts = {
+        "d": args.d, "alpha": args.alpha,
+        "decomposition_method": args.method, "directed": args.directed,
+        "use_index": args.use_index,
+    }
     if args.mmap:
-        _attach_mmap(scorer, graph, args.use_index)
-    engine = Star(
-        graph, scorer=scorer, d=args.d, alpha=args.alpha,
-        decomposition_method=args.method, directed=args.directed,
-        use_index=args.use_index,
-    )
+        engine_opts["mmap_store"] = graph  # shares the graph's mapping
+    engine = build_engine(graph, engine_opts, _scoring_config(args))
     with obs.capture() as tracer:
         start = time.perf_counter()
         matches = engine.search(query, args.k)

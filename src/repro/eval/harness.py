@@ -5,20 +5,10 @@ cold runs.  Fairness here means every algorithm sees the same graph, the
 same scoring function and the same candidate definitions, and pays the
 online scoring cost itself: the shared scorer's memo cache is cleared
 before each (algorithm, query) measurement.
-
-``workers > 1`` fans the workload over a fork-based process pool (each
-child inherits the graph and scorer through copy-on-write and measures
-its share of queries with the identical per-query protocol); per-query
-measurements are merged back in workload order.  Requires the ``fork``
-start method -- elsewhere the harness falls back to serial execution,
-because thread-pool timing under the GIL would not measure what the
-serial protocol measures.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -113,9 +103,6 @@ def make_matcher(
 #: Per-query measurement: (elapsed_s, matches, budget_exceeded, faults).
 _Measurement = Tuple[float, int, int, int]
 
-#: Copy-on-write context for fork workers (populated before the fork).
-_HARNESS_CTX: dict = {}
-
 
 def _measure_query(
     run: Callable,
@@ -146,31 +133,6 @@ def _measure_query(
     return elapsed, len(matches), exceeded, faults
 
 
-def _init_harness_worker() -> None:
-    """Reset the tracer a fork worker inherited, for per-run snapshots."""
-    tracer = obs.active_tracer()
-    if tracer is not None:
-        tracer.reset()
-
-
-def _harness_fork_task(index: int):
-    """Measure one query in a fork worker (context inherited pre-fork).
-
-    Returns the measurement plus this worker's (pid, cumulative obs
-    registry snapshot) so the parent can merge metrics exactly.
-    """
-    ctx = _HARNESS_CTX
-    run = make_matcher(
-        ctx["name"], ctx["scorer"], d=ctx["d"],
-        candidate_limit=ctx["candidate_limit"],
-    )
-    measurement = _measure_query(
-        run, ctx["scorer"], ctx["workload"][index], ctx["k"], ctx["cold"],
-        ctx["deadline_ms"], ctx["max_nodes"], ctx["anytime"],
-    )
-    return measurement, os.getpid(), obs.snapshot(include_samples=True)
-
-
 def time_algorithm(
     name: str,
     scorer: ScoringFunction,
@@ -182,7 +144,6 @@ def time_algorithm(
     deadline_ms: Optional[float] = None,
     max_nodes: Optional[int] = None,
     anytime: bool = True,
-    workers: int = 1,
 ) -> AlgorithmResult:
     """Measure one algorithm over a workload (cold scorer cache per query).
 
@@ -190,55 +151,17 @@ def time_algorithm(
     *max_nodes* is set.  In anytime mode (default) a budgeted query
     contributes its flagged best-so-far matches and bumps
     ``budget_exceeded``; in strict mode a trip counts the query as empty.
-
-    With ``workers > 1`` the per-query measurements run in a fork-based
-    process pool (serial fallback when forking is unavailable).  Each
-    child inherits the graph/scorer copy-on-write and applies the exact
-    per-query protocol above, so counts are identical to a serial run;
-    only wall-clock interleaving differs.
     """
-    if workers < 1:
-        raise SearchError(f"workers must be >= 1, got {workers}")
     run = make_matcher(name, scorer, d=d, candidate_limit=candidate_limit)
     result = AlgorithmResult(algorithm=name)
 
-    measurements: List[_Measurement]
-    use_fork = (
-        workers > 1 and len(workload) > 1
-        and "fork" in multiprocessing.get_all_start_methods()
-    )
-    if use_fork:
-        _HARNESS_CTX.update(
-            name=name, scorer=scorer, workload=list(workload), k=k, d=d,
-            candidate_limit=candidate_limit, cold=cold,
-            deadline_ms=deadline_ms, max_nodes=max_nodes, anytime=anytime,
+    measurements = [
+        _measure_query(
+            run, scorer, query, k, cold, deadline_ms, max_nodes, anytime
         )
-        ctx = multiprocessing.get_context("fork")
-        try:
-            with ctx.Pool(min(workers, len(workload)),
-                          initializer=_init_harness_worker) as pool:
-                rows = pool.map(
-                    _harness_fork_task, range(len(workload)), chunksize=1
-                )
-        finally:
-            _HARNESS_CTX.clear()
-        measurements = [row[0] for row in rows]
-        worker_snaps = {pid: snap for _m, pid, snap in rows}
-        collected = [s for s in worker_snaps.values() if s is not None]
-        if collected:
-            merged = obs.MetricsRegistry.merged(collected)
-            live = obs.registry()
-            if live is not None:
-                live.merge_snapshot(merged.as_dict(include_samples=True))
-            result.metrics = merged.as_dict()
-    else:
-        measurements = [
-            _measure_query(
-                run, scorer, query, k, cold, deadline_ms, max_nodes, anytime
-            )
-            for query in workload
-        ]
-        result.metrics = obs.snapshot()
+        for query in workload
+    ]
+    result.metrics = obs.snapshot()
 
     for elapsed, n_matches, exceeded, faults in measurements:
         result.runtimes.append(elapsed)
@@ -303,14 +226,12 @@ def run_star_workload(
     deadline_ms: Optional[float] = None,
     max_nodes: Optional[int] = None,
     anytime: bool = True,
-    workers: int = 1,
 ) -> Dict[str, AlgorithmResult]:
     """Measure several algorithms over a star-query workload."""
     return {
         name: time_algorithm(
             name, scorer, workload, k, d=d, candidate_limit=candidate_limit,
             deadline_ms=deadline_ms, max_nodes=max_nodes, anytime=anytime,
-            workers=workers,
         )
         for name in algorithms
     }

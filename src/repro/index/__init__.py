@@ -31,12 +31,6 @@ from repro.index.graph_index import (
     detach_index,
 )
 from repro.index.postings import PostingIndex
-from repro.index.shm import (
-    SharedIndexColumns,
-    ShmIndexHandle,
-    attach_shared_index,
-    export_index,
-)
 from repro.index.vocab import NO_TOKEN, Vocabulary
 
 __all__ = [
@@ -48,11 +42,7 @@ __all__ = [
     "NodeFootprint",
     "PostingIndex",
     "QueryPlan",
-    "SharedIndexColumns",
-    "ShmIndexHandle",
     "Vocabulary",
     "attach_index",
-    "attach_shared_index",
     "detach_index",
-    "export_index",
 ]

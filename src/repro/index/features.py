@@ -18,7 +18,7 @@ initials id).
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.index.vocab import NO_TOKEN, Vocabulary
 from repro.similarity.strings import initials, ngrams, rough_phonetic
@@ -27,6 +27,16 @@ from repro.textutil import tokenize_tuple
 #: Flag bits in :attr:`NodeFeatures.flags`.
 HAS_NUMBERS = 1
 HAS_MEASUREMENT = 2
+
+#: ``(attribute, array typecode)`` of every per-node column, in the order
+#: the RKGS2 store lays them out (:mod:`repro.store.format`).
+FEATURE_COLUMNS: Tuple[Tuple[str, str], ...] = (
+    ("first_tid", "I"), ("last_tid", "I"), ("name_token_count", "I"),
+    ("distinct_name_count", "I"), ("kw_count", "I"), ("name_len", "I"),
+    ("bigram_count", "I"), ("trigram_count", "I"), ("phon_len", "I"),
+    ("first_char", "I"), ("last_char", "I"), ("initials_id", "I"),
+    ("type_id", "I"), ("flags", "B"),
+)
 
 
 class NodeFeatures:

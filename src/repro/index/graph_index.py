@@ -190,19 +190,6 @@ class GraphIndex:
         """
         return self._version == self.graph.version
 
-    @classmethod
-    def attach_mmap(cls, source, graph, mode: str = "auto") -> "GraphIndex":
-        """Attach the index columns of an ``RKGS2`` store (zero-copy).
-
-        *source* is a store path, an open
-        :class:`~repro.store.StoreReader`, or an mmap-backed graph; see
-        :func:`repro.store.attach_mmap_index`.  The returned index is
-        read-only (pinned at the store's graph version).
-        """
-        from repro.store.attach import attach_mmap_index
-
-        return attach_mmap_index(source, graph, mode=mode)
-
     # -- candidate generation -------------------------------------------
     def eligible(self, scorer, desc, limit: Optional[int],
                  budget) -> bool:

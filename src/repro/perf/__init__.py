@@ -6,9 +6,11 @@ result*:
 * :class:`CandidateCache` -- LRU of scored candidate lists shared across
   queries, keyed on (graph uid+version, scoring-config fingerprint,
   canonical descriptor key, limit); see :mod:`repro.perf.cache`.
-* :func:`search_many` -- batch query execution over a fork-based process
-  pool (thread/serial fallback), merging per-query reports, engine
-  counters and cache stats; see :mod:`repro.perf.parallel`.
+* :func:`search_many` -- batch query execution over a supervised fork
+  worker pool (thread/serial fallback), merging per-query reports,
+  engine counters and cache stats; see :mod:`repro.perf.parallel`.
+* :func:`build_engine` -- the one place an options dict (``Star``
+  kwargs plus ``mmap_store`` / ``shards`` routing) becomes an engine.
 
 The headline invariant, asserted by ``tests/test_perf_parallel.py``:
 cached/parallel runs return byte-identical match lists and scores to
@@ -24,6 +26,7 @@ from repro.perf.cache import (
 from repro.perf.parallel import (
     BatchResult,
     QueryOutcome,
+    build_engine,
     dispatch_order,
     estimate_query_cost,
     fork_available,
@@ -37,6 +40,7 @@ __all__ = [
     "CandidateCache",
     "QueryOutcome",
     "attach_cache",
+    "build_engine",
     "detach_cache",
     "dispatch_order",
     "estimate_query_cost",

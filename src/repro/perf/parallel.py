@@ -5,21 +5,21 @@ serving heavy multi-user traffic as fast as the hardware allows.  This
 module fans a batch of queries over a pool of workers:
 
 * **fork backend** (default where available, i.e. Linux/macOS CPython):
-  a process pool created with the ``fork`` start method.  The read-only
-  graph, config and workload are captured in a module global *before*
-  forking, so children inherit them through copy-on-write memory --
-  nothing graph-sized is ever pickled.  Each worker builds its own
-  :class:`~repro.similarity.scoring.ScoringFunction` (scoring memos are
-  not shareable across processes) and, optionally, its own
+  a :class:`repro.runtime.workers.TaskPool`.  The read-only graph,
+  config and workload reach the children as fork-inherited arguments of
+  that one pool (copy-on-write memory) -- nothing graph-sized is ever
+  pickled, and concurrent batches share no state.  Each worker builds
+  its own :class:`~repro.similarity.scoring.ScoringFunction` (scoring
+  memos are not shareable across processes) and, optionally, its own
   :class:`~repro.perf.cache.CandidateCache`.
 * **thread backend**: a thread pool with one engine per worker thread.
   Correctness-equivalent; throughput-bound by the GIL, but the only pool
   option on platforms without ``fork``.
 * **serial backend**: plain loop, one engine (``workers <= 1``).
-* **sharded execution** (``shards=N``): queries run one at a time, but
-  each star query is split across N graph shards and merged exactly
-  (:class:`repro.shard.ShardedEngine`) -- parallelism *within* a query
-  instead of across queries, the right shape for small batches of
+* **sharded execution** (``shards=N``): the serial loop over a
+  :class:`repro.shard.ShardedEngine`, which splits each star query
+  across N graph shards and merges exactly -- parallelism *within* a
+  query instead of across queries, the right shape for small batches of
   heavy queries.
 
 Pool dispatch is cost-ordered (LPT): tasks are submitted to the shared
@@ -27,13 +27,15 @@ queue heaviest-first by :func:`estimate_query_cost`, so one expensive
 query landing last cannot serialize the tail of the batch while other
 workers idle.  Results are re-ordered by query index regardless.
 
-The fork backend is *supervised*: a worker process dying mid-batch (OOM
-kill, a ``crash`` fault spec, a segfault in native code) is detected,
-the batch's unfinished queries are re-run serially in the parent on a
-clean engine -- without fault injection, so a poisoned workload cannot
-kill the parent too -- and the crash is recorded in
-:attr:`BatchResult.worker_crashes` / :attr:`BatchResult.requeued`.
-Callers always get a complete, ordered result set.
+The fork backend is *supervised* by the pool's crash contract: a worker
+process dying mid-batch (OOM kill, a ``crash`` fault spec, a segfault in
+native code) loses exactly the query it was running, which is re-queued
+once on a replacement worker with crash and one-shot fault specs
+stripped, so a poisoned workload cannot kill its way through the fleet.
+Crashes are recorded in :attr:`BatchResult.worker_crashes` /
+:attr:`BatchResult.requeued`.  Callers always get a complete, ordered
+result set, or :class:`~repro.errors.WorkerCrashError` for a query that
+killed two workers.
 
 Every backend runs the exact same per-query code path, so results are
 byte-identical across backends and worker counts -- the parity suite
@@ -43,11 +45,15 @@ instantiated per query inside the worker; deterministic budgets
 backend.  Per-query :class:`~repro.runtime.budget.SearchReport`\\ s,
 engine counters and per-worker cache stats are merged into the
 :class:`BatchResult`.
+
+:func:`build_engine` is the one place an options dict becomes a
+:class:`Star` or a sharded engine; the batch workers here, the serve
+workers (:class:`repro.serve.EngineContext`) and the CLI all call it.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import functools
 import os
 import threading
 import time
@@ -61,12 +67,13 @@ from repro.errors import BudgetExceededError, SearchError
 from repro.perf.cache import CacheStats, CandidateCache, attach_cache
 from repro.query.model import Query, StarQuery
 from repro.runtime.budget import Budget, SearchReport
+from repro.runtime.faults import FaultSpec, faulty
+from repro.runtime.workers import TaskPool, fork_available
 from repro.similarity.scoring import ScoringConfig, ScoringFunction
 
-#: Engine-construction keyword arguments forwarded to :class:`Star`.
-ENGINE_OPTS = ("d", "alpha", "decomposition_method", "lam", "injective",
-               "candidate_limit", "directed", "use_index", "use_semantic",
-               "algorithm", "plan", "plan_model")
+#: ``engine_opts`` keys :func:`build_engine` consumes itself; every other
+#: key is a :class:`Star` keyword argument.
+ROUTING_OPTS = ("mmap_store", "shards", "partition", "shard_backend")
 
 
 @dataclass
@@ -98,13 +105,13 @@ class BatchResult:
     faults: int = 0
     #: Worker-death events detected during the run (fork backend only).
     worker_crashes: int = 0
-    #: Queries whose worker died and that were re-run serially in the
-    #: parent (each exactly once, on a clean engine).
+    #: Queries whose worker died mid-search and that the pool re-queued
+    #: on a replacement worker (crash and one-shot faults stripped).
     requeued: int = 0
     cache_stats: Optional[CacheStats] = None
     #: Merged :meth:`repro.obs.MetricsRegistry.as_dict` snapshot of the
     #: batch when observability was enabled around the call, else None.
-    #: Fork workers report their own registries (reset at worker init, so
+    #: Fork workers report their own registries (reset at worker start, so
     #: the merge covers exactly this batch); thread/serial backends share
     #: the caller's registry, so enable a fresh tracer around the batch
     #: for exact per-batch numbers.
@@ -140,56 +147,70 @@ class BatchResult:
                      f"{self.faults} fault(s)")
         if self.worker_crashes:
             line += (f", {self.worker_crashes} worker crash(es) "
-                     f"({self.requeued} quer(ies) recovered serially)")
+                     f"({self.requeued} quer(ies) re-queued)")
         if self.cache_stats is not None:
             line += f"; {self.cache_stats.summary()}"
         return line
 
 
-# ----------------------------------------------------------------------
-# Per-worker state.  For the fork backend this global is populated in the
-# parent before the pool is created, so children inherit it via fork; the
-# per-worker engine is then built once per process by _init_worker.  For
-# the thread backend each thread builds its engine into thread-local
-# storage.  Engines are never shared between workers.
-# ----------------------------------------------------------------------
-_FORK_CTX: Dict[str, Any] = {}
-_THREAD_LOCAL = threading.local()
+def build_engine(graph, engine_opts: Optional[Dict[str, Any]] = None,
+                 config: Optional[ScoringConfig] = None, scorer=None):
+    """The engine *engine_opts* describes: a :class:`Star`, or a
+    :class:`repro.shard.ShardedEngine` when ``shards`` is set.
 
+    Besides :class:`Star` keyword arguments, *engine_opts* may carry:
 
-def _build_engine(graph, scorer, config, engine_opts, cache_opts,
-                  fault_specs=None, mmap_store=None):
+    * ``mmap_store`` -- an ``RKGS2`` store (path, reader or mmap-backed
+      graph) whose index and ANN columns are attached to the scorer
+      zero-copy instead of being built, unless ``use_index`` /
+      ``use_semantic`` is ``off`` or the scorer already holds one;
+    * ``shards``, ``partition``, ``shard_backend`` -- sharded execution
+      (:class:`~repro.shard.ShardedEngine`'s ``shards``, ``partition``
+      and ``backend``).
+
+    *scorer* defaults to a fresh :class:`ScoringFunction` over *config*.
+    """
+    opts = dict(engine_opts or {})
+    routing = {key: opts.pop(key) for key in ROUTING_OPTS if key in opts}
+    mmap_store = routing.get("mmap_store")
     if scorer is None:
         scorer = ScoringFunction(graph, config)
-    if mmap_store is not None \
-            and engine_opts.get("use_index") != "off" \
-            and getattr(scorer, "graph_index", None) is None:
-        # Zero-copy path: attach the RKGS2 store's index columns instead
-        # of letting Star build (and each fork worker duplicate) one.
-        from repro.store.attach import attach_mmap_index
+    if mmap_store is not None:
+        from repro.store.attach import attach_mmap_index, attach_mmap_semantic
 
-        scorer.graph_index = attach_mmap_index(
-            mmap_store, graph, mode=engine_opts.get("use_index", "auto"))
-    if mmap_store is not None \
-            and engine_opts.get("use_semantic", "auto") != "off" \
-            and getattr(scorer, "semantic_tier", None) is None:
-        # Likewise for the semantic tier: the store's embedding columns
-        # are shared zero-copy instead of each worker re-embedding the
-        # graph on first engagement.
-        from repro.store.attach import attach_mmap_semantic
+        use_index = opts.get("use_index", "auto")
+        if use_index != "off" \
+                and getattr(scorer, "graph_index", None) is None:
+            scorer.graph_index = attach_mmap_index(
+                mmap_store, graph, mode=use_index)
+        use_semantic = opts.get("use_semantic", "auto")
+        if use_semantic != "off" \
+                and getattr(scorer, "semantic_tier", None) is None:
+            scorer.semantic_tier = attach_mmap_semantic(
+                mmap_store, graph, mode=use_semantic)
+    if routing.get("shards") is not None:
+        from repro.shard import ShardedEngine
 
-        scorer.semantic_tier = attach_mmap_semantic(
-            mmap_store, graph,
-            mode=engine_opts.get("use_semantic", "auto"))
-    if cache_opts is not None:
-        attach_cache(scorer, **cache_opts)
+        return ShardedEngine(
+            graph, scorer=scorer, shards=routing["shards"],
+            partition=routing.get("partition", "hash"),
+            backend=routing.get("shard_backend", "auto"), **opts)
+    return Star(graph, scorer=scorer, **opts)
+
+
+def _batch_engine(graph, config, engine_opts, cache, fault_specs=None,
+                  scorer=None):
+    """One batch worker's engine: scorer, its cache, its faults."""
+    if scorer is None:
+        scorer = ScoringFunction(graph, config)
+    if isinstance(cache, CandidateCache):
+        attach_cache(scorer, cache)
+    elif cache:
+        attach_cache(scorer)
     if fault_specs:
-        from repro.runtime.faults import FaultSpec, faulty
-
-        specs = [s if isinstance(s, FaultSpec) else FaultSpec.from_dict(s)
-                 for s in fault_specs]
-        scorer = faulty(scorer, specs=specs)
-    return Star(graph, scorer=scorer, **engine_opts)
+        scorer = faulty(
+            scorer, specs=[FaultSpec.from_dict(s) for s in fault_specs])
+    return build_engine(graph, engine_opts, scorer=scorer)
 
 
 def _search_one(engine: Star, index: int, query, k: int,
@@ -214,54 +235,44 @@ def _worker_token() -> str:
     return f"{os.getpid()}:{threading.get_ident()}"
 
 
-def _init_fork_worker() -> None:
-    ctx = _FORK_CTX
-    ctx["engine"] = _build_engine(
-        ctx["graph"], None, ctx["config"], ctx["engine_opts"],
-        ctx["cache_opts"], ctx.get("fault_specs"),
-        mmap_store=ctx.get("mmap_store"),
-    )
-    # The child inherited the parent's active tracer through the fork;
-    # reset it so this worker's snapshots cover exactly its batch share.
-    tracer = obs.active_tracer()
-    if tracer is not None:
-        tracer.reset()
+class _BatchWorker:
+    """What one pool worker (a fork child, or a thread) holds: the
+    batch's shared inputs plus its own engine.  Engines are never shared
+    between workers.  Called with a task payload ``{"index": i}`` (plus
+    ``fault_specs`` on the chaos path), returns the result row
+    ``(outcome, worker token, cache stats, obs snapshot)``.
+    """
 
+    def __init__(self, graph, config, engine_opts, cache, queries, k,
+                 budget_spec, own_registry: bool) -> None:
+        self._engine_args = (graph, config, engine_opts, cache)
+        self._queries = queries
+        self._k = k
+        self._budget_spec = budget_spec
+        #: Fork children own their (reset) registry and ship snapshots;
+        #: threads share the caller's, which the parent snapshots once.
+        self._own_registry = own_registry
+        self._engine: Optional[Star] = None
 
-def _obs_snapshot() -> Optional[Dict[str, dict]]:
-    return obs.snapshot(include_samples=True)
+    def _engine_for(self, fault_specs) -> Star:
+        if fault_specs:
+            # Chaos path: injector call counts are stateful, so faulted
+            # engines are never reused across tasks.
+            return _batch_engine(*self._engine_args, fault_specs)
+        if self._engine is None:
+            self._engine = _batch_engine(*self._engine_args)
+        return self._engine
 
-
-def _run_fork_task(index: int):
-    ctx = _FORK_CTX
-    engine: Star = ctx["engine"]
-    outcome = _search_one(
-        engine, index, ctx["queries"][index], ctx["k"], ctx["budget_spec"]
-    )
-    cache = engine.scorer.candidate_cache
-    snapshot = cache.stats.as_dict() if cache is not None else None
-    return outcome, _worker_token(), snapshot, _obs_snapshot()
-
-
-def _run_thread_task(args):
-    (graph, config, engine_opts, cache_opts, fault_specs, mmap_store,
-     index, query, k, budget_spec) = args
-    if fault_specs:
-        # Chaos path: injector call counts are stateful, so faulted
-        # engines are never reused across tasks or batches.
-        engine = _build_engine(graph, None, config, engine_opts, cache_opts,
-                               fault_specs, mmap_store=mmap_store)
-    else:
-        engine = getattr(_THREAD_LOCAL, "engine", None)
-        if engine is None or engine.graph is not graph:
-            engine = _build_engine(graph, None, config, engine_opts,
-                                   cache_opts, mmap_store=mmap_store)
-            _THREAD_LOCAL.engine = engine
-    outcome = _search_one(engine, index, query, k, budget_spec)
-    cache = engine.scorer.candidate_cache
-    snapshot = cache.stats.as_dict() if cache is not None else None
-    # Threads share the caller's registry; the parent snapshots it once.
-    return outcome, _worker_token(), snapshot, None
+    def __call__(self, payload: Dict[str, Any]):
+        engine = self._engine_for(payload.get("fault_specs"))
+        index = payload["index"]
+        outcome = _search_one(engine, index, self._queries[index], self._k,
+                              self._budget_spec)
+        cache = engine.scorer.candidate_cache
+        return (outcome, _worker_token(),
+                cache.stats.as_dict() if cache is not None else None,
+                obs.snapshot(include_samples=True)
+                if self._own_registry else None)
 
 
 def _merge_cache_stats(
@@ -420,11 +431,6 @@ def dispatch_order(graph, queries: Sequence[Union[Query, StarQuery]],
     return sorted(range(len(queries)), key=lambda i: (-costs[i], i))
 
 
-def fork_available() -> bool:
-    """True when the fork start method exists (Linux/macOS CPython)."""
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
 def resolve_backend(backend: str, workers: int) -> str:
     """Normalize a backend request against platform capabilities."""
     if backend not in ("auto", "fork", "thread", "serial"):
@@ -494,10 +500,11 @@ def search_many(
             per query inside the worker (picklable, deterministic).
         fault_specs: chaos-testing only -- a list of
             :class:`~repro.runtime.faults.FaultSpec` objects (or their
-            ``as_dict`` forms) injected into each *worker's* engine.
-            A ``"crash"`` spec kills worker processes; the supervised
-            fork backend detects the deaths and recovers the affected
-            queries serially on a clean (un-faulted) engine.
+            ``as_dict`` forms) injected into each *query's* engine on
+            the pool backends (each *worker's* when serial).  A
+            ``"crash"`` spec kills worker processes; the supervised fork
+            backend detects each death and re-queues that query on a
+            replacement worker with crash and one-shot specs stripped.
         backend: ``auto`` / ``fork`` / ``thread`` / ``serial``;
             ``auto`` picks fork where available, threads otherwise.
             A ``fork`` request degrades to threads on non-fork platforms.
@@ -527,6 +534,7 @@ def search_many(
         raise SearchError(f"k must be positive, got {k}")
     if workers < 1:
         raise SearchError(f"workers must be >= 1, got {workers}")
+    chosen = resolve_backend(backend, workers)
     engine_opts = {
         "d": d, "alpha": alpha, "decomposition_method": decomposition_method,
         "lam": lam, "injective": injective,
@@ -534,23 +542,24 @@ def search_many(
         "use_index": use_index, "use_semantic": use_semantic,
         "algorithm": algorithm, "plan": plan, "plan_model": plan_model,
     }
-    dispatch_model = None
-    if plan_model is not None:
-        from repro.plan.model import CostModel, PlanModelError
-
-        try:
-            dispatch_model = CostModel.load(plan_model)
-        except PlanModelError:
-            dispatch_model = None  # heuristic dispatch; workers re-raise
+    if mmap_store is not None:
+        engine_opts["mmap_store"] = mmap_store
     if shards is not None:
-        return _search_many_sharded(
-            graph, queries, k, shards=shards, partition=partition,
-            workers=workers, config=config, scorer=scorer, cache=cache,
-            budget_spec=budget_spec, fault_specs=fault_specs,
-            backend=backend, engine_opts=engine_opts,
-            mmap_store=mmap_store,
-        )
-    chosen = resolve_backend(backend, workers)
+        # Worker parallelism and fault injection are cross-*query*
+        # mechanisms and do not compose with per-query shard fan-out.
+        if workers > 1:
+            raise SearchError(
+                "shards= runs queries serially with per-query shard "
+                "parallelism; it cannot be combined with workers > 1"
+            )
+        if fault_specs:
+            raise SearchError(
+                "fault_specs target per-query worker engines and cannot be "
+                "combined with shards="
+            )
+        engine_opts.update(
+            shards=shards, partition=partition,
+            shard_backend="serial" if backend == "thread" else backend)
     if scorer is not None and chosen != "serial":
         raise SearchError(
             "a pre-built scorer is only usable with workers=1 "
@@ -561,95 +570,72 @@ def search_many(
             "a cache instance is only usable with workers=1; pass "
             "cache=True to give each worker its own cache"
         )
-    cache_opts: Optional[Dict[str, Any]] = {} if cache is True else None
+    if fault_specs:
+        fault_specs = [s.as_dict() if isinstance(s, FaultSpec) else dict(s)
+                       for s in fault_specs]
 
     queries = list(queries)
     start = time.perf_counter()
     if chosen == "serial":
-        engine = _build_engine(
-            graph, scorer,
-            config, engine_opts,
-            None if isinstance(cache, CandidateCache) else cache_opts,
-            fault_specs, mmap_store=mmap_store,
-        )
-        if isinstance(cache, CandidateCache):
-            attach_cache(engine.scorer, cache)
-        outcomes = [
-            _search_one(engine, i, query, k, budget_spec)
-            for i, query in enumerate(queries)
-        ]
+        engine = _batch_engine(graph, config, engine_opts, cache,
+                               fault_specs, scorer)
+        try:
+            outcomes = [
+                _search_one(engine, i, query, k, budget_spec)
+                for i, query in enumerate(queries)
+            ]
+        finally:
+            if shards is not None:
+                engine.close()
         attached = engine.scorer.candidate_cache
         snapshots = {
             _worker_token(): attached.stats.as_dict() if attached else None
         }
-        return _finalize(outcomes, 1, chosen, time.perf_counter() - start,
-                         snapshots, metrics=obs.snapshot())
+        if shards is not None:
+            workers, chosen = shards, f"shard-{engine.backend}"
+        return _finalize(outcomes, workers, chosen,
+                         time.perf_counter() - start, snapshots,
+                         metrics=obs.snapshot())
 
-    worker_crashes = 0
-    requeued = 0
-    if chosen == "fork":
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
+    dispatch_model = None
+    if plan_model is not None:
+        from repro.plan.model import CostModel, PlanModelError
 
-        _FORK_CTX.clear()
-        _FORK_CTX.update(
-            graph=graph, config=config, engine_opts=engine_opts,
-            cache_opts=cache_opts, queries=queries, k=k,
-            budget_spec=budget_spec, fault_specs=fault_specs,
-            mmap_store=mmap_store,
-        )
-        ctx = multiprocessing.get_context("fork")
-        rows = []
-        lost: List[int] = []
-        order = dispatch_order(graph, queries, model=dispatch_model, d=d, k=k)
         try:
-            pool = ProcessPoolExecutor(
-                max_workers=workers, mp_context=ctx,
-                initializer=_init_fork_worker,
-            )
-            try:
-                # LPT: heaviest queries hit the shared queue first, so
-                # the batch's tail is cheap work, not a straggler.
-                futures = {i: pool.submit(_run_fork_task, i)
-                           for i in order}
-                for i in range(len(queries)):
-                    try:
-                        rows.append(futures[i].result())
-                    except BrokenProcessPool:
-                        # A worker process died (crash fault, OOM kill,
-                        # segfault): this future's work is lost.  The
-                        # executor is broken from here on, so every
-                        # remaining future lands in the same branch.
-                        lost.append(i)
-            finally:
-                pool.shutdown(wait=True)
+            dispatch_model = CostModel.load(plan_model)
+        except PlanModelError:
+            dispatch_model = None  # heuristic dispatch; workers re-raise
+    # LPT: heaviest queries hit the shared queue first, so the batch's
+    # tail is cheap work, not a straggler.
+    order = dispatch_order(graph, queries, model=dispatch_model, d=d, k=k)
+    chaos = {"fault_specs": fault_specs} if fault_specs else {}
+    payloads = [{"index": i, **chaos} for i in range(len(queries))]
+    new_worker = functools.partial(
+        _BatchWorker, graph, config, engine_opts, bool(cache), queries, k,
+        budget_spec, chosen == "fork")
+    worker_crashes = requeued = 0
+    if chosen == "fork":
+        pool = TaskPool(
+            new_worker, size=max(1, min(workers, len(queries)))).start()
+        try:
+            futures = {i: pool.submit(payloads[i]) for i in order}
+            rows = [futures[i].result() for i in range(len(queries))]
         finally:
-            _FORK_CTX.clear()
-        if lost:
-            # Supervised recovery: the batch must still complete.  The
-            # lost queries re-run serially in the parent on a clean
-            # engine -- fault injection deliberately NOT reapplied, so
-            # a poisoned workload cannot take the parent down too.
-            worker_crashes = 1
-            requeued = len(lost)
-            engine = _build_engine(graph, None, config, engine_opts,
-                                   cache_opts, mmap_store=mmap_store)
-            for i in lost:
-                outcome = _search_one(engine, i, queries[i], k, budget_spec)
-                rows.append((outcome, _worker_token(), None, None))
+            pool.stop()
+        worker_crashes, requeued = pool.worker_crashes, pool.requeued
     else:  # thread
         from concurrent.futures import ThreadPoolExecutor
 
-        tasks = [
-            (graph, config, engine_opts, cache_opts, fault_specs,
-             mmap_store, i, query, k, budget_spec)
-            for i, query in enumerate(queries)
-        ]
-        order = dispatch_order(graph, queries, model=dispatch_model, d=d, k=k)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {i: pool.submit(_run_thread_task, tasks[i])
-                       for i in order}
-            rows = [futures[i].result() for i in range(len(tasks))]
+        local = threading.local()
+
+        def run(payload):
+            if not hasattr(local, "worker"):
+                local.worker = new_worker()
+            return local.worker(payload)
+
+        with ThreadPoolExecutor(max_workers=workers) as executor:
+            futures = {i: executor.submit(run, payloads[i]) for i in order}
+            rows = [futures[i].result() for i in range(len(queries))]
 
     outcomes = [row[0] for row in rows]
     snapshots = {token: snapshot for _o, token, snapshot, _m in rows}
@@ -660,82 +646,3 @@ def search_many(
                        worker_crashes=worker_crashes, requeued=requeued)
     result.dispatch_order = order
     return result
-
-
-def _search_many_sharded(
-    graph, queries, k, *, shards, partition, workers, config, scorer,
-    cache, budget_spec, fault_specs, backend, engine_opts,
-    mmap_store=None,
-) -> BatchResult:
-    """``search_many`` body for ``shards=N``: per-query shard parallelism.
-
-    Queries run one at a time through a single
-    :class:`~repro.shard.ShardedEngine`; each star query fans out over
-    the shard workers and merges exactly.  Worker parallelism and fault
-    injection are cross-*query* mechanisms and do not compose with this
-    mode.
-    """
-    from repro.shard import ShardedEngine
-
-    if workers > 1:
-        raise SearchError(
-            "shards= runs queries serially with per-query shard "
-            "parallelism; it cannot be combined with workers > 1"
-        )
-    if fault_specs:
-        raise SearchError(
-            "fault_specs target per-query worker engines and cannot be "
-            "combined with shards="
-        )
-    shard_backend = {"auto": "auto", "fork": "fork",
-                     "serial": "serial", "thread": "serial"}.get(backend)
-    if shard_backend is None:
-        raise SearchError(
-            f"unknown backend {backend!r} "
-            "(expected auto, fork, thread or serial)"
-        )
-    if mmap_store is not None \
-            and engine_opts.get("use_index") != "off" \
-            and getattr(scorer, "graph_index", None) is None:
-        # Attach before ShardedEngine construction: its _rebuild sees
-        # the mmap index on the scorer and has fork workers re-open the
-        # store file instead of exporting a shm segment.
-        from repro.store.attach import attach_mmap_index
-
-        if scorer is None:
-            scorer = ScoringFunction(graph, config)
-        scorer.graph_index = attach_mmap_index(
-            mmap_store, graph, mode=engine_opts.get("use_index", "auto"))
-    if mmap_store is not None \
-            and engine_opts.get("use_semantic", "auto") != "off" \
-            and getattr(scorer, "semantic_tier", None) is None:
-        from repro.store.attach import attach_mmap_semantic
-
-        if scorer is None:
-            scorer = ScoringFunction(graph, config)
-        scorer.semantic_tier = attach_mmap_semantic(
-            mmap_store, graph,
-            mode=engine_opts.get("use_semantic", "auto"))
-    start = time.perf_counter()
-    engine = ShardedEngine(
-        graph, scorer=scorer, config=config, shards=shards,
-        partition=partition, backend=shard_backend, **engine_opts,
-    )
-    try:
-        if cache is True:
-            attach_cache(engine.scorer)
-        elif isinstance(cache, CandidateCache):
-            attach_cache(engine.scorer, cache)
-        outcomes = [
-            _search_one(engine, i, query, k, budget_spec)
-            for i, query in enumerate(queries)
-        ]
-    finally:
-        engine.close()
-    attached = engine.scorer.candidate_cache
-    snapshots = {
-        _worker_token(): attached.stats.as_dict() if attached else None
-    }
-    return _finalize(outcomes, shards, f"shard-{engine.backend}",
-                     time.perf_counter() - start, snapshots,
-                     metrics=obs.snapshot())

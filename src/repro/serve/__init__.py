@@ -6,17 +6,18 @@ Layers (each importable and testable on its own):
 * :mod:`repro.serve.admission` -- rate limits, tenant slots and the
   degrade-before-shed pressure state machine;
 * :mod:`repro.serve.breaker` -- per-tenant circuit breakers;
-* :mod:`repro.serve.retry` -- backoff policy and transient-fault
-  stripping;
+* :mod:`repro.serve.retry` -- backoff policy and retryable kinds;
 * :mod:`repro.serve.scheduler` -- priority gate, retries, hedging;
-* :mod:`repro.serve.supervisor` -- supervised fork worker pools with
-  crash detection, re-queue and replenishment;
+* :mod:`repro.serve.supervisor` -- what a pool worker executes, on the
+  supervised :class:`repro.runtime.workers.TaskPool` (crash detection,
+  re-queue, replenishment) or the thread fallback;
 * :mod:`repro.serve.server` -- the application core and the stdlib
   HTTP layer;
 * :mod:`repro.serve.client` -- blocking HTTP client;
 * :mod:`repro.serve.chaos` -- overload/fault acceptance harness.
 """
 
+from repro.runtime.workers import strip_transient_faults
 from repro.serve.admission import AdmissionController, Decision, TokenBucket
 from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.serve.chaos import (
@@ -32,12 +33,7 @@ from repro.serve.protocol import (
     STATUSES,
     http_status_for,
 )
-from repro.serve.retry import (
-    BackoffPolicy,
-    RETRYABLE_KINDS,
-    is_retryable,
-    strip_transient_faults,
-)
+from repro.serve.retry import BackoffPolicy, RETRYABLE_KINDS, is_retryable
 from repro.serve.scheduler import PriorityGate, RequestScheduler
 from repro.serve.server import (
     BREAKER_FAULT_KINDS,
@@ -47,7 +43,6 @@ from repro.serve.server import (
 )
 from repro.serve.supervisor import (
     EngineContext,
-    ForkWorkerPool,
     ThreadWorkerPool,
     execute_payload,
     make_pool,
@@ -63,7 +58,6 @@ __all__ = [
     "CLOSED",
     "Decision",
     "EngineContext",
-    "ForkWorkerPool",
     "HALF_OPEN",
     "OPEN",
     "PriorityGate",

@@ -8,7 +8,8 @@ the RNG is injectable so tests see fixed delays.
 
 Transient-vs-persistent semantics: one-shot faults (``repeat=False``)
 model transient substrate failures, so a retry (or a crash re-queue)
-strips them and probes a clean path.  ``repeat=True`` specs model a
+strips them and probes a clean path
+(:func:`repro.runtime.workers.strip_transient_faults`).  ``repeat=True`` specs model a
 persistently broken dependency and survive the strip -- such requests
 exhaust their retries and feed the circuit breaker.
 """
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
 
 #: Error kinds (exception class names crossing the worker boundary)
 #: that a retry may plausibly fix.
@@ -56,22 +56,3 @@ class BackoffPolicy:
 
 def is_retryable(error_kind: str) -> bool:
     return error_kind in RETRYABLE_KINDS
-
-
-def strip_transient_faults(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Copy *payload* for a retry/re-queue, dropping transient faults.
-
-    Drops one-shot specs (``repeat=False``) and *every* crash spec --
-    a crash re-queue that re-crashes the survivor would let one poisoned
-    request serially kill the whole pool.  Persistent (``repeat=True``,
-    non-crash) specs are kept.
-    """
-    specs: List[Dict[str, Any]] = payload.get("fault_specs") or []
-    kept = [s for s in specs
-            if s.get("repeat", False) and s.get("mode") != "crash"]
-    out = dict(payload)
-    if kept:
-        out["fault_specs"] = kept
-    else:
-        out.pop("fault_specs", None)
-    return out

@@ -23,11 +23,8 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.errors import ReproError, WorkerCrashError
 from repro.runtime.slo import SLOClass
-from repro.serve.retry import (
-    BackoffPolicy,
-    is_retryable,
-    strip_transient_faults,
-)
+from repro.runtime.workers import strip_transient_faults
+from repro.serve.retry import BackoffPolicy, is_retryable
 
 
 class PriorityGate:

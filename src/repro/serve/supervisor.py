@@ -1,19 +1,11 @@
-"""Supervised worker pools: fork processes that may die, and recover.
+"""Serve workers: what a pool worker runs, and which pool runs it.
 
 The serving layer cannot trust a worker to stay alive: a poisoned
 request, an OOM kill or a plain bug can take a process down mid-search.
-This module supervises a pool of fork workers end to end:
-
-* each worker owns a private duplex :func:`multiprocessing.Pipe`; the
-  dispatcher thread multiplexes all of them (plus a wake socket) with
-  :func:`multiprocessing.connection.wait`;
-* a worker death is *detected* (its pipe reaches EOF), the task it was
-  running is **re-queued once** to a survivor -- with transient fault
-  specs stripped (see :func:`repro.serve.retry.strip_transient_faults`),
-  so one crashing request cannot serially kill the fleet -- and the pool
-  is **replenished** with a freshly forked replacement;
-* a task that outlives ``max_requeues`` crashes fails with the typed
-  :class:`~repro.errors.WorkerCrashError`.
+Supervision -- death detection, re-queue once with transient faults
+stripped, replenishment, :class:`~repro.errors.WorkerCrashError` past
+the limit -- is :class:`repro.runtime.workers.TaskPool`'s job; this
+module supplies what each of its workers does.
 
 Work execution inside a worker is the same code path as everywhere
 else: parse the query, instantiate the per-request
@@ -30,78 +22,45 @@ would kill the whole process; documented, not defended).
 from __future__ import annotations
 
 import dataclasses
-import itertools
-import multiprocessing
-import socket
+import functools
 import threading
 import traceback
-from collections import deque
 from concurrent.futures import Future
-from multiprocessing import connection
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.framework import Star
-from repro.errors import ReproError, WorkerCrashError
-from repro.perf.parallel import fork_available
+from repro.errors import ReproError
+from repro.perf.parallel import ROUTING_OPTS, build_engine
 from repro.runtime.budget import Budget
 from repro.runtime.faults import FaultSpec, faulty
-from repro.serve.retry import strip_transient_faults
-from repro.similarity.scoring import ScoringFunction
+from repro.runtime.workers import TaskPool, fork_available
 
 
 class EngineContext:
     """Per-process (or per-thread) engine state for payload execution.
 
-    ``engine_opts`` may carry sharding keys (``shards``, ``partition``,
-    ``shard_backend``) in addition to :class:`Star` kwargs: with
-    ``shards`` set, the context builds a
-    :class:`~repro.shard.ShardedEngine` instead.  The shard backend
-    defaults to ``serial`` here -- serve workers are already one process
-    per slot, so per-payload shard scoping (smaller pivot scans) is the
-    win, not nested process pools.
+    ``engine_opts`` is handed to :func:`repro.perf.build_engine`: besides
+    :class:`Star` kwargs it may carry ``mmap_store`` (every worker maps
+    the RKGS2 file's index/ANN columns after the fork instead of copying
+    index pages through fork CoW) and the sharding keys ``shards``,
+    ``partition``, ``shard_backend``.  The shard backend defaults to
+    ``serial`` here -- serve workers are already one process per slot,
+    so per-payload shard scoping (smaller pivot scans) is the win, not
+    nested process pools.
     """
 
     def __init__(self, graph, config=None,
                  engine_opts: Optional[Dict[str, Any]] = None) -> None:
         self.graph = graph
         self.config = config
-        self.engine_opts = dict(engine_opts or {})
-        self.scorer = ScoringFunction(graph, config)
-        # ``mmap_store``: attach the RKGS2 store's index columns to this
-        # worker's scorer (post-fork, so every worker maps the same file
-        # instead of copying index pages through fork CoW).
-        mmap_store = self.engine_opts.pop("mmap_store", None)
-        if mmap_store is not None \
-                and self.engine_opts.get("use_index") != "off":
-            from repro.store.attach import attach_mmap_index
-
-            self.scorer.graph_index = attach_mmap_index(
-                mmap_store, graph,
-                mode=self.engine_opts.get("use_index", "auto"))
-        if mmap_store is not None \
-                and self.engine_opts.get("use_semantic", "auto") != "off":
-            from repro.store.attach import attach_mmap_semantic
-
-            self.scorer.semantic_tier = attach_mmap_semantic(
-                mmap_store, graph,
-                mode=self.engine_opts.get("use_semantic", "auto"))
-        shards = self.engine_opts.pop("shards", None)
-        self.shard_opts: Optional[Dict[str, Any]] = None
-        if shards is not None:
-            self.shard_opts = {
-                "shards": shards,
-                "partition": self.engine_opts.pop("partition", "hash"),
-                "backend": self.engine_opts.pop("shard_backend", "serial"),
-            }
-            from repro.shard import ShardedEngine
-
-            self.engine = ShardedEngine(
-                graph, scorer=self.scorer, **self.shard_opts,
-                **self.engine_opts,
-            )
-        else:
-            self.engine = Star(graph, scorer=self.scorer,
-                               **self.engine_opts)
+        opts = dict(engine_opts or {})
+        if opts.get("shards") is not None:
+            opts.setdefault("shard_backend", "serial")
+        self.engine = build_engine(graph, opts, config)
+        self.scorer = self.engine.scorer
+        #: The :class:`Star` kwargs alone, for the chaos engines below.
+        self.engine_opts = {key: value for key, value in opts.items()
+                            if key not in ROUTING_OPTS}
 
     def engine_for(self, fault_specs: Optional[List[dict]]) -> Star:
         """The shared engine, or a faulty-wrapped one for chaos requests.
@@ -113,8 +72,8 @@ class EngineContext:
         if not fault_specs:
             return self.engine
         specs = [FaultSpec.from_dict(s) for s in fault_specs]
-        return Star(self.graph, scorer=faulty(self.scorer, specs=specs),
-                    **self.engine_opts)
+        return build_engine(self.graph, self.engine_opts,
+                            scorer=faulty(self.scorer, specs=specs))
 
 
 def execute_payload(ctx: EngineContext, payload: Dict[str, Any]) \
@@ -158,270 +117,11 @@ def execute_payload(ctx: EngineContext, payload: Dict[str, Any]) \
                 "traceback": traceback.format_exc(limit=8)}
 
 
-def _worker_main(conn, graph, config, engine_opts) -> None:
-    """Fork-worker loop: recv task, execute, send result, repeat."""
-    ctx = EngineContext(graph, config, engine_opts)
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            break
-        if msg is None:
-            break
-        task_id, payload = msg
-        result = execute_payload(ctx, payload)
-        try:
-            conn.send((task_id, result))
-        except (BrokenPipeError, OSError):
-            break
-
-
-class _Task:
-    __slots__ = ("task_id", "payload", "future", "crashes")
-
-    def __init__(self, task_id: int, payload: Dict[str, Any],
-                 future: Future) -> None:
-        self.task_id = task_id
-        self.payload = payload
-        self.future = future
-        self.crashes = 0
-
-
-class _Worker:
-    __slots__ = ("proc", "conn", "task")
-
-    def __init__(self, proc, conn) -> None:
-        self.proc = proc
-        self.conn = conn
-        self.task: Optional[_Task] = None
-
-
-class ForkWorkerPool:
-    """A supervised pool of fork worker processes.
-
-    Args:
-        graph / config / engine_opts: inherited by workers through fork
-            (never pickled) and used to build one engine per process.
-        size: worker process count.
-        max_requeues: crash re-queues one task may consume before its
-            future fails with :class:`WorkerCrashError`.
-    """
-
-    backend = "fork"
-
-    def __init__(self, graph, config=None,
-                 engine_opts: Optional[Dict[str, Any]] = None,
-                 size: int = 2, max_requeues: int = 1) -> None:
-        if size < 1:
-            raise ValueError(f"pool size must be >= 1, got {size}")
-        self._graph = graph
-        self._config = config
-        self._engine_opts = dict(engine_opts or {})
-        self.size = size
-        self.max_requeues = max_requeues
-        self._ctx = multiprocessing.get_context("fork")
-        self._lock = threading.Lock()
-        self._workers: List[_Worker] = []
-        self._pending: deque = deque()
-        self._ids = itertools.count()
-        self._closing = False
-        self._started = False
-        self._dispatcher: Optional[threading.Thread] = None
-        self._wake_r: Optional[socket.socket] = None
-        self._wake_w: Optional[socket.socket] = None
-        # Supervision counters (exported by stats()).
-        self.tasks_done = 0
-        self.worker_crashes = 0
-        self.requeued = 0
-        self.crash_failures = 0
-        self.replacements = 0
-
-    # ------------------------------------------------------------------
-    def start(self) -> "ForkWorkerPool":
-        if self._started:
-            return self
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._wake_r.setblocking(False)
-        for _ in range(self.size):
-            self._workers.append(self._spawn())
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="serve-pool-dispatcher",
-            daemon=True,
-        )
-        self._started = True
-        self._dispatcher.start()
-        return self
-
-    def _spawn(self) -> _Worker:
-        parent_conn, child_conn = self._ctx.Pipe()
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(child_conn, self._graph, self._config, self._engine_opts),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        return _Worker(proc, parent_conn)
-
-    def submit(self, payload: Dict[str, Any]) -> Future:
-        """Enqueue one task; thread-safe; resolves with the result dict."""
-        future: Future = Future()
-        with self._lock:
-            if self._closing or not self._started:
-                future.set_exception(ReproError("worker pool is not running"))
-                return future
-            self._pending.append(_Task(next(self._ids), payload, future))
-        self._wake()
-        return future
-
-    def _wake(self) -> None:
-        try:
-            self._wake_w.send(b"\x00")
-        except (BlockingIOError, OSError):
-            pass  # wake channel saturated or closing: dispatcher is awake
-
-    # ------------------------------------------------------------------
-    def _dispatch_loop(self) -> None:
-        while True:
-            with self._lock:
-                if self._closing:
-                    break
-                conns = {w.conn: w for w in self._workers}
-            ready = connection.wait(
-                list(conns) + [self._wake_r], timeout=0.5
-            )
-            with self._lock:
-                for obj in ready:
-                    if obj is self._wake_r:
-                        try:
-                            while self._wake_r.recv(4096):
-                                pass
-                        except (BlockingIOError, OSError):
-                            pass
-                        continue
-                    worker = conns.get(obj)
-                    if worker is None or worker not in self._workers:
-                        continue
-                    self._drain_worker(worker)
-                self._assign()
-        self._fail_pending(ReproError("worker pool stopped"))
-
-    def _drain_worker(self, worker: _Worker) -> None:
-        try:
-            task_id, result = worker.conn.recv()
-        except (EOFError, OSError):
-            self._handle_death(worker)
-            return
-        task = worker.task
-        worker.task = None
-        self.tasks_done += 1
-        if task is not None and task.task_id == task_id:
-            if not task.future.cancelled():
-                task.future.set_result(result)
-        # A result for a stale task id (pre-crash duplicate) is dropped.
-
-    def _handle_death(self, worker: _Worker) -> None:
-        """A worker's pipe hit EOF: account, re-queue, replenish."""
-        self.worker_crashes += 1
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
-        worker.proc.join(timeout=1.0)
-        if worker in self._workers:
-            self._workers.remove(worker)
-        task = worker.task
-        worker.task = None
-        if task is not None:
-            task.crashes += 1
-            if task.crashes <= self.max_requeues:
-                # Recovery path: strip transient/crash faults so the
-                # re-queued task cannot kill the survivor too.
-                task.payload = strip_transient_faults(task.payload)
-                self._pending.appendleft(task)
-                self.requeued += 1
-            else:
-                self.crash_failures += 1
-                if not task.future.cancelled():
-                    task.future.set_exception(WorkerCrashError(
-                        f"worker died {task.crashes} time(s) executing "
-                        f"task {task.task_id} "
-                        f"(exitcode {worker.proc.exitcode})"
-                    ))
-        if not self._closing:
-            self._workers.append(self._spawn())
-            self.replacements += 1
-
-    def _assign(self) -> None:
-        idle = [w for w in self._workers if w.task is None]
-        while self._pending and idle:
-            worker = idle.pop()
-            task = self._pending.popleft()
-            if task.future.cancelled():
-                idle.append(worker)
-                continue
-            worker.task = task
-            try:
-                worker.conn.send((task.task_id, task.payload))
-            except (BrokenPipeError, OSError):
-                self._handle_death(worker)
-                idle = [w for w in self._workers if w.task is None]
-
-    def _fail_pending(self, exc: Exception) -> None:
-        with self._lock:
-            tasks = list(self._pending)
-            self._pending.clear()
-            for worker in self._workers:
-                if worker.task is not None:
-                    tasks.append(worker.task)
-                    worker.task = None
-        for task in tasks:
-            if not task.future.done():
-                task.future.set_exception(exc)
-
-    # ------------------------------------------------------------------
-    def stop(self) -> None:
-        if not self._started or self._closing:
-            return
-        with self._lock:
-            self._closing = True
-        self._wake()
-        if self._dispatcher is not None:
-            self._dispatcher.join(timeout=5.0)
-        for worker in self._workers:
-            try:
-                worker.conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-            worker.proc.join(timeout=1.0)
-            if worker.proc.is_alive():
-                worker.proc.terminate()
-                worker.proc.join(timeout=1.0)
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
-        self._workers.clear()
-        for sock in (self._wake_r, self._wake_w):
-            if sock is not None:
-                sock.close()
-
-    def alive(self) -> int:
-        with self._lock:
-            return sum(1 for w in self._workers if w.proc.is_alive())
-
-    def stats(self) -> Dict[str, int]:
-        """JSON-safe supervision counters for ``/statz``."""
-        return {
-            "backend": self.backend,
-            "size": self.size,
-            "alive": self.alive(),
-            "tasks_done": self.tasks_done,
-            "worker_crashes": self.worker_crashes,
-            "requeued": self.requeued,
-            "crash_failures": self.crash_failures,
-            "replacements": self.replacements,
-        }
+def _engine_handler(graph, config, engine_opts) \
+        -> Callable[[Dict[str, Any]], Dict[str, Any]]:
+    """:class:`TaskPool` handler factory: one engine per worker process."""
+    return functools.partial(execute_payload,
+                             EngineContext(graph, config, engine_opts))
 
 
 class ThreadWorkerPool:
@@ -444,11 +144,8 @@ class ThreadWorkerPool:
         self.size = size
         self._local = threading.local()
         self._executor = None
+        self._count_lock = threading.Lock()
         self.tasks_done = 0
-        self.worker_crashes = 0
-        self.requeued = 0
-        self.crash_failures = 0
-        self.replacements = 0
 
     def start(self) -> "ThreadWorkerPool":
         if self._executor is None:
@@ -465,7 +162,8 @@ class ThreadWorkerPool:
             ctx = EngineContext(self._graph, self._config, self._engine_opts)
             self._local.ctx = ctx
         result = execute_payload(ctx, payload)
-        self.tasks_done += 1
+        with self._count_lock:  # += from N executor threads loses updates
+            self.tasks_done += 1
         return result
 
     def submit(self, payload: Dict[str, Any]) -> Future:
@@ -502,9 +200,9 @@ def make_pool(graph, config=None, engine_opts=None, size: int = 2,
     if backend not in ("auto", "fork", "thread"):
         raise ReproError(
             f"unknown pool backend {backend!r} (auto, fork or thread)")
-    use_fork = backend == "fork" or (backend == "auto" and fork_available())
-    if use_fork and not fork_available():
-        use_fork = False
-    cls = ForkWorkerPool if use_fork else ThreadWorkerPool
-    return cls(graph, config=config, engine_opts=engine_opts, size=size,
-               max_requeues=max_requeues)
+    if backend != "thread" and fork_available():
+        return TaskPool(
+            functools.partial(_engine_handler, graph, config, engine_opts),
+            size=size, max_requeues=max_requeues)
+    return ThreadWorkerPool(graph, config=config, engine_opts=engine_opts,
+                            size=size, max_requeues=max_requeues)

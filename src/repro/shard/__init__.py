@@ -9,8 +9,8 @@ This package makes that operational:
   partitioning with d-hop halo replication, so every star pivoted in a
   shard is answerable from local scope alone;
 * :mod:`repro.shard.executor` -- :class:`ShardedEngine`: per-shard fork
-  workers streaming scoped matches (index columns attached zero-copy
-  from shared memory), merged by the HRJN bound machinery shared with
+  workers streaming scoped matches (graph and index inherited through
+  the fork), merged by the HRJN bound machinery shared with
   ``starjoin`` (:mod:`repro.core.rankmerge`) into an exact global
   top-k, byte-identical to single-shard execution.
 
@@ -20,7 +20,7 @@ Entry points: :class:`ShardedEngine` for library use, ``--shards N
 the serve layer.
 """
 
-from repro.shard.executor import BACKENDS, ShardedEngine, ShardWorkerPool
+from repro.shard.executor import BACKENDS, ShardedEngine
 from repro.shard.partition import (
     STRATEGIES,
     GraphPartition,
@@ -32,6 +32,5 @@ __all__ = [
     "GraphPartition",
     "STRATEGIES",
     "ShardedEngine",
-    "ShardWorkerPool",
     "partition_graph",
 ]

@@ -4,11 +4,11 @@
 :class:`~repro.shard.partition.GraphPartition` and merges the per-shard
 monotone match streams back into one exact global top-k:
 
-* every worker holds the **full** graph (fork copy-on-write) plus the
-  parent's :class:`~repro.index.GraphIndex` numeric columns attached
-  zero-copy from shared memory (:mod:`repro.index.shm`), so scores --
-  IDF, degree normalizers, all corpus statistics -- are computed
-  globally and match single-process execution bit for bit;
+* every worker holds the **full** graph plus whatever
+  :class:`~repro.index.GraphIndex` the parent's scorer holds --
+  in-memory or mmap-attached -- by fork inheritance (copy-on-write), so
+  scores -- IDF, degree normalizers, all corpus statistics -- are
+  computed globally and match single-process execution bit for bit;
 * a worker's matcher is *scoped*: pivot candidates restricted to the
   shard's owned nodes, leaf candidates / propagation seeds to its halo
   (exactness argument in :mod:`repro.shard.partition`), so per-shard
@@ -24,19 +24,18 @@ and backends: disjoint pivot ownership makes shard outputs disjoint,
 and the merger ranks by the canonical ``(-score, match.key())`` order,
 which no arrival interleaving can perturb.
 
-Fault tolerance follows the serve supervisor's pattern: each worker is
-reached over a private duplex pipe, EOF/broken-pipe means death, the
-dead shard's stream is re-run inline in the parent (same scoped
-matcher, same results -- the merger dedups any half-delivered chunk),
-and the worker is respawned for the next query.  Shared-memory
-segments are unlinked on :meth:`ShardedEngine.close` and by a
-``weakref.finalize`` safety net, including after worker crashes.
+Fault tolerance: each shard's worker is a
+:class:`repro.runtime.workers.ForkWorker` (private duplex pipe,
+EOF/broken pipe means death).  A shard stream is stateful, so instead of
+the task pool's re-queue the dead shard's stream is re-run inline in
+the parent (same scoped matcher, same results -- the merger dedups any
+half-delivered chunk) and the worker is respawned for the next query.
+Workers are stopped on :meth:`ShardedEngine.close` and by a
+``weakref.finalize`` safety net.
 """
 
 from __future__ import annotations
 
-import itertools
-import multiprocessing
 import os
 import weakref
 from typing import Dict, List, Optional, Tuple, Union
@@ -48,29 +47,15 @@ from repro.core.rankmerge import RankMerger
 from repro.core.stard import StarDSearch
 from repro.core.stark import StarKSearch
 from repro.errors import SearchError
-from repro.index.shm import attach_shared_index, export_index
 from repro.query.model import Query, StarQuery
 from repro.runtime.budget import Budget, SearchReport
+from repro.runtime.workers import ForkWorker, WorkerDied, fork_available
 from repro.shard.partition import GraphPartition, partition_graph
 from repro.similarity.scoring import ScoringConfig, ScoringFunction
 
-__all__ = ["ShardedEngine", "ShardWorkerPool", "BACKENDS"]
+__all__ = ["ShardedEngine", "BACKENDS"]
 
 BACKENDS = ("auto", "fork", "serial")
-
-#: Fork-inherited execution contexts, keyed by registration id.  Entries
-#: exist in the parent before workers fork (children read their copy at
-#: startup) and are removed when the owning engine closes.
-_SHARD_CTX: Dict[int, dict] = {}
-_CTX_IDS = itertools.count(1)
-
-
-class _WorkerCrash(Exception):
-    """A shard worker died mid-conversation (EOF / broken pipe)."""
-
-    def __init__(self, shard_id: int) -> None:
-        super().__init__(f"shard worker {shard_id} died")
-        self.shard_id = shard_id
 
 
 def _scoped_matcher(scorer: ScoringFunction, opts: dict,
@@ -100,147 +85,42 @@ def _pull_chunk(stream, n: int) -> Tuple[List[Match], bool]:
     return out, False
 
 
-def _shard_worker_main(ctx_key: int, shard_id: int, conn) -> None:
-    ctx = _SHARD_CTX[ctx_key]
-    # The child inherited the parent's active tracer through the fork;
-    # its spans would double-count in the parent's registry.
-    tracer = obs.active_tracer()
-    if tracer is not None:
-        tracer.reset()
-    graph = ctx["graph"]
-    scorer = ScoringFunction(graph, ctx["config"])
-    attached = None
-    if ctx["shm_handle"] is not None:
-        attached = attach_shared_index(ctx["shm_handle"], graph)
-        scorer.graph_index = attached
-    elif ctx.get("store_path") is not None:
-        from repro.store.attach import attach_mmap_index
+def _shard_worker_main(conn, graph, config, index, partition, opts,
+                       shard_id: int) -> None:
+    """One shard's :class:`ForkWorker` target: serve its match stream.
 
-        attached = attach_mmap_index(
-            ctx["store_path"], graph, mode=ctx.get("store_mode", "auto"))
-        scorer.graph_index = attached
-    partition: GraphPartition = ctx["partition"]
+    Everything arrives by fork inheritance, *index* included: whichever
+    :class:`~repro.index.GraphIndex` the parent's scorer held at spawn.
+    """
+    scorer = ScoringFunction(graph, config)
+    scorer.graph_index = index
     matcher = _scoped_matcher(
-        scorer, ctx["opts"],
-        partition.owned[shard_id], partition.halos[shard_id],
+        scorer, opts, partition.owned[shard_id], partition.halos[shard_id],
     )
     stream = None
-    try:
-        while True:
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                break
-            kind = msg[0]
-            if kind == "search":
-                star, chunk = msg[1], msg[2]
-                stream = matcher.stream(star)
-                conn.send(_pull_chunk(stream, chunk))
-            elif kind == "more":
-                if stream is None:
-                    conn.send(([], True))
-                else:
-                    conn.send(_pull_chunk(stream, msg[1]))
-            elif kind == "stop":
-                stream = None
-            elif kind == "crash":
-                # Test hook: die without cleanup, exactly like a segfault
-                # would look from the parent's side of the pipe.
-                os._exit(msg[1])
-            elif kind == "shutdown":
-                break
-    finally:
-        if attached is not None:
-            attached.detach()
+    while True:
         try:
-            conn.close()
-        except OSError:  # pragma: no cover - defensive
-            pass
-
-
-class _WorkerHandle:
-    __slots__ = ("process", "conn", "shard_id")
-
-    def __init__(self, process, conn, shard_id: int) -> None:
-        self.process = process
-        self.conn = conn
-        self.shard_id = shard_id
-
-
-class ShardWorkerPool:
-    """One persistent fork worker per shard, reached over private pipes.
-
-    Death detection mirrors ``repro.serve``'s supervisor: every
-    conversation runs over a worker-private duplex pipe, so an EOF or a
-    broken pipe on either direction *is* the death signal -- no
-    polling, no shared queue another worker could mask the loss on.
-    Dead workers are respawned on demand via :meth:`respawn`.
-    """
-
-    def __init__(self, ctx_key: int, num_shards: int) -> None:
-        self.ctx_key = ctx_key
-        self.num_shards = num_shards
-        self.crashes = 0
-        self.closed = False
-        self._mp = multiprocessing.get_context("fork")
-        self._workers = [self._spawn(i) for i in range(num_shards)]
-
-    def _spawn(self, shard_id: int) -> _WorkerHandle:
-        parent_conn, child_conn = self._mp.Pipe(duplex=True)
-        process = self._mp.Process(
-            target=_shard_worker_main,
-            args=(self.ctx_key, shard_id, child_conn),
-            daemon=True,
-            name=f"repro-shard-{shard_id}",
-        )
-        process.start()
-        child_conn.close()
-        return _WorkerHandle(process, parent_conn, shard_id)
-
-    def send(self, shard_id: int, msg) -> None:
-        try:
-            self._workers[shard_id].conn.send(msg)
-        except (BrokenPipeError, OSError):
-            raise _WorkerCrash(shard_id) from None
-
-    def recv(self, shard_id: int):
-        try:
-            return self._workers[shard_id].conn.recv()
+            msg = conn.recv()
         except (EOFError, OSError):
-            raise _WorkerCrash(shard_id) from None
-
-    def respawn(self, shard_id: int) -> None:
-        """Replace a dead worker (joins the corpse, counts the crash)."""
-        self.crashes += 1
-        dead = self._workers[shard_id]
-        try:
-            dead.conn.close()
-        except OSError:  # pragma: no cover - defensive
-            pass
-        dead.process.join(timeout=5.0)
-        if dead.process.is_alive():  # pragma: no cover - defensive
-            dead.process.terminate()
-            dead.process.join(timeout=5.0)
-        self._workers[shard_id] = self._spawn(shard_id)
-
-    def shutdown(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        for worker in self._workers:
-            try:
-                worker.conn.send(("shutdown",))
-            except (BrokenPipeError, OSError):
-                pass
-            try:
-                worker.conn.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
-        for worker in self._workers:
-            worker.process.join(timeout=5.0)
-            if worker.process.is_alive():  # pragma: no cover - defensive
-                worker.process.terminate()
-                worker.process.join(timeout=5.0)
+            break
+        if msg is None:
+            break
+        kind = msg[0]
+        if kind == "search":
+            star, chunk = msg[1], msg[2]
+            stream = matcher.stream(star)
+            conn.send(_pull_chunk(stream, chunk))
+        elif kind == "more":
+            if stream is None:
+                conn.send(([], True))
+            else:
+                conn.send(_pull_chunk(stream, msg[1]))
+        elif kind == "stop":
+            stream = None
+        elif kind == "crash":
+            # Test hook: die without cleanup, exactly like a segfault
+            # would look from the parent's side of the pipe.
+            os._exit(msg[1])
 
 
 class _ShardStream:
@@ -271,19 +151,19 @@ class _ShardStream:
 
 
 class _ForkTransport:
-    def __init__(self, pool: ShardWorkerPool) -> None:
-        self.pool = pool
+    def __init__(self, workers: List[ForkWorker]) -> None:
+        self.workers = workers
 
     def request(self, state: _ShardStream, msg) -> None:
-        self.pool.send(state.shard_id, msg)
+        self.workers[state.shard_id].send(msg)
         state.requested = True
 
     def collect(self, state: _ShardStream) -> None:
-        matches, exhausted = self.pool.recv(state.shard_id)
+        matches, exhausted = self.workers[state.shard_id].recv()
         state.accept(matches, exhausted)
 
     def stop(self, state: _ShardStream) -> None:
-        self.pool.send(state.shard_id, ("stop",))
+        self.workers[state.shard_id].send(("stop",))
 
 
 class _SerialTransport:
@@ -316,18 +196,10 @@ class _SerialTransport:
         self._streams.pop(state.shard_id, None)
 
 
-def _finalize_engine(ctx_key: int, pool: Optional[ShardWorkerPool],
-                     columns) -> None:
-    if pool is not None:
-        pool.shutdown()
-    if columns is not None:
-        columns.unlink()
-    _SHARD_CTX.pop(ctx_key, None)
-
-
-def fork_available() -> bool:
-    """True when the fork start method exists (Linux/macOS CPython)."""
-    return "fork" in multiprocessing.get_all_start_methods()
+def _stop_workers(workers: List[ForkWorker]) -> None:
+    for worker in workers:
+        worker.stop()
+    workers.clear()
 
 
 class ShardedEngine:
@@ -414,79 +286,52 @@ class ShardedEngine:
         self._closed = False
 
         self._partition: Optional[GraphPartition] = None
-        self._columns = None
-        self._pool: Optional[ShardWorkerPool] = None
-        self._ctx_key: Optional[int] = None
-        self._finalizer = weakref.finalize(
-            self, _finalize_engine, -1, None, None
-        )
+        #: One fork worker per shard (empty on the serial backend); the
+        #: list object outlives every generation, so the safety net below
+        #: always sees the current one.
+        self._workers: List[ForkWorker] = []
+        weakref.finalize(self, _stop_workers, self._workers)
         self._rebuild()
 
     # ------------------------------------------------------------------
     def _rebuild(self) -> None:
         """(Re)partition and (re)start workers for the current graph
         version; the previous generation is torn down first."""
-        self._teardown()
+        _stop_workers(self._workers)
         self._partition = partition_graph(
             self.graph, self.num_shards, self.partition_strategy,
             replication_depth=self._opts["d"],
         )
         self._local_matchers = {}
-        index = self.scorer.graph_index
-        handle = None
-        store_path = None
         if self.backend == "fork":
+            index = self.scorer.graph_index
             if index is not None:
+                # Workers inherit the index as it is at the fork: sync it
+                # (and its IDF column) once here, not once per child.
                 index.refresh()
-                store_path = getattr(index, "store_path", None)
-                if store_path is None:
-                    self._columns = export_index(
-                        index, corpus=self.scorer.corpus)
-                    handle = self._columns.handle
-                # else: the index is mmap-attached to an RKGS2 store --
-                # workers re-open the file (one OS page cache machine-
-                # wide) instead of shipping a shm segment.
-            self._ctx_key = next(_CTX_IDS)
-            _SHARD_CTX[self._ctx_key] = {
-                "graph": self.graph,
-                "config": self.scorer.config,
-                "partition": self._partition,
-                "shm_handle": handle,
-                "store_path": store_path,
-                "store_mode": getattr(index, "mode", "auto"),
-                "opts": self._opts,
-            }
-            self._pool = ShardWorkerPool(self._ctx_key, self.num_shards)
+                if index.vocab.idf_stale:
+                    index.vocab.refresh_idf(self.scorer.corpus)
+            self._workers.extend(
+                ForkWorker(
+                    _shard_worker_main,
+                    (self.graph, self.scorer.config, index,
+                     self._partition, self._opts, shard_id),
+                    name=f"repro-shard-{shard_id}",
+                )
+                for shard_id in range(self.num_shards)
+            )
         obs.set_gauge("shard.count", self.num_shards)
         obs.set_gauge("shard.replication_factor",
                       self._partition.replication_factor)
-        self._finalizer.detach()
-        self._finalizer = weakref.finalize(
-            self, _finalize_engine,
-            self._ctx_key if self._ctx_key is not None else -1,
-            self._pool, self._columns,
-        )
-
-    def _teardown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-        if self._columns is not None:
-            self._columns.unlink()
-            self._columns = None
-        if self._ctx_key is not None:
-            _SHARD_CTX.pop(self._ctx_key, None)
-            self._ctx_key = None
 
     def close(self) -> None:
-        """Stop workers and unlink shared-memory segments (idempotent)."""
+        """Stop the shard workers (idempotent)."""
         self._closed = True
-        self._finalizer.detach()
-        self._teardown()
+        _stop_workers(self._workers)
 
     def refresh(self) -> None:
         """Resynchronize with a mutated graph: refresh the shared scorer,
-        re-partition, re-export and restart the worker generation."""
+        re-partition and restart the worker generation."""
         self.scorer.refresh()
         index = self.scorer.graph_index
         if index is not None:
@@ -544,7 +389,7 @@ class ShardedEngine:
     def _search_star(self, star: StarQuery, k: int) -> List[Match]:
         chunk = self.chunk_size or k
         transport = (
-            _ForkTransport(self._pool) if self.backend == "fork"
+            _ForkTransport(self._workers) if self.backend == "fork"
             else _SerialTransport(self)
         )
         states = [_ShardStream(i) for i in range(self.num_shards)]
@@ -578,11 +423,11 @@ class ShardedEngine:
                     if state.requested:
                         self._collect(transport, state, star, chunk, stats)
                 for state in states:
-                    while state.buffer:
-                        match = state.buffer.pop(0)
+                    for match in state.buffer:
                         stats["matches_pulled"][state.shard_id] += 1
                         if not merger.offer(match):
                             stats["dedup_hits"] += 1
+                    state.buffer.clear()
                 # HRJN bound per shard: the stream is monotone, so its
                 # last delivered score bounds everything still unseen.
                 for state in states:
@@ -591,7 +436,7 @@ class ShardedEngine:
                         stats["bound_terminated"] += 1
                         try:
                             transport.stop(state)
-                        except _WorkerCrash:
+                        except WorkerDied:
                             # Dying after being told to stop loses
                             # nothing; respawn for the next query.
                             self._note_crash(state, stats)
@@ -622,7 +467,7 @@ class ShardedEngine:
         stats["chunks"] += 1
         try:
             transport.request(state, msg)
-        except _WorkerCrash:
+        except WorkerDied:
             self._note_crash(state, stats)
             self._restart_inline(state, star, chunk, stats)
 
@@ -630,7 +475,7 @@ class ShardedEngine:
                  chunk: int, stats) -> None:
         try:
             transport.collect(state)
-        except _WorkerCrash:
+        except WorkerDied:
             self._note_crash(state, stats)
             self._restart_inline(state, star, chunk, stats)
 
@@ -647,8 +492,8 @@ class ShardedEngine:
     def _note_crash(self, state: _ShardStream, stats) -> None:
         stats["worker_crashes"] += 1
         obs.count("shard.worker_crashes")
-        if self._pool is not None:
-            self._pool.respawn(state.shard_id)
+        if self._workers:
+            self._workers[state.shard_id].respawn()
 
     def _run_inline(self, state: _ShardStream, msg, stats) -> None:
         """Serve one shard's request in-process after its worker died."""

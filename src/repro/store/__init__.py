@@ -3,7 +3,9 @@
 Write with :func:`write_store` (or ``repro compact``), open with
 :meth:`KnowledgeGraph.open_mmap` / :func:`open_graph`, and attach the
 index kernels with :func:`attach_mmap_index` /
-:meth:`GraphIndex.attach_mmap`.  See :mod:`repro.store.format` for the
+:func:`attach_mmap_semantic` (engines built from an options dict get
+both through ``mmap_store=`` on :func:`repro.perf.build_engine`).  See
+:mod:`repro.store.format` for the
 on-disk layout and :mod:`repro.store.lazygraph` for the copy-on-write
 overlay semantics.
 """

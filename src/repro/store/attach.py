@@ -1,26 +1,26 @@
 """Attach a read-only :class:`~repro.index.GraphIndex` to an RKGS2 file.
 
-The disk twin of :func:`repro.index.shm.attach_shared_index`: instead
-of a ``/dev/shm`` segment exported per engine, every process -- shard
-fork workers, serve pool workers, one-shot CLI runs -- maps the same
-store file, so the numeric columns occupy one set of OS page-cache
-pages machine-wide and attaching needs no owner, no export step and no
-unlink hygiene.  The attached index serves byte-identical candidates
-to one built in memory (same values, same orders) and refuses
-maintenance past its pinned version.
+The one zero-copy attach path for state that outlives a process: every
+process -- serve pool workers, batch workers, one-shot CLI runs -- maps
+the same store file, so the numeric columns occupy one set of OS
+page-cache pages machine-wide and attaching needs no owner, no export
+step and no unlink hygiene.  (In-memory state reaches fork workers by
+inheritance instead; a shard worker inherits its parent's index
+whether it was built or attached here.)  The attached index serves
+byte-identical candidates to one built in memory (same values, same
+orders) and refuses maintenance past its pinned version.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 from repro.ann.semantic import MODES as ANN_MODES
 from repro.ann.semantic import SemanticTier
 from repro.index.csr import CSRAdjacency
-from repro.index.features import NodeFeatures
+from repro.index.features import FEATURE_COLUMNS, NodeFeatures
 from repro.index.graph_index import MODES, GraphIndex
 from repro.index.postings import PostingIndex
-from repro.index.shm import _FEATURE_COLUMNS
 from repro.index.vocab import Vocabulary
 from repro.store.format import StoreReader
 from repro.store.lazygraph import MmapKnowledgeGraph
@@ -36,9 +36,9 @@ __all__ = [
 class MmapGraphIndex(GraphIndex):
     """A read-only :class:`GraphIndex` whose columns are mmap views.
 
-    Maintenance is disabled exactly as for the shared-memory attach:
-    the graph version is pinned at open; past it, callers re-compact
-    (``repro compact``) and re-attach instead of refreshing in place.
+    Maintenance is disabled: the graph version is pinned at open; past
+    it, callers re-compact (``repro compact``) and re-attach instead of
+    refreshing in place.
     """
 
     def __init__(self) -> None:  # constructed via attach_mmap_index only
@@ -56,8 +56,9 @@ class MmapGraphIndex(GraphIndex):
     def detach(self) -> None:
         """Drop every view (and the reader, when this attach opened it).
 
-        Mirrors :meth:`repro.index.shm.AttachedGraphIndex.detach`:
-        callers must drop retained ``NodeFootprint`` objects first.
+        Callers must drop retained ``NodeFootprint`` objects first --
+        footprints wrap posting views, and a live exported pointer keeps
+        the mapping open.
         """
         self.postings.postings = []
         self.postings.alive = bytearray()
@@ -65,19 +66,13 @@ class MmapGraphIndex(GraphIndex):
         self.vocab.idf = None
         self.csr.indptr = self.csr.indices = self.csr.rels = None
         self.csr.dirs = None
-        for attr, _code in _FEATURE_COLUMNS:
+        for attr, _code in FEATURE_COLUMNS:
             setattr(self.features, attr, None)
         reader = self._reader
         if reader is not None:
             self._reader = None
             if self._owns_reader:
                 reader.close()
-
-    @property
-    def store_path(self) -> Optional[str]:
-        """Backing store file; shard/serve workers re-attach via it."""
-        reader = self._reader
-        return None if reader is None else reader.path
 
 
 def attach_mmap_index(
@@ -149,7 +144,7 @@ def attach_mmap_index(
         csr.rel_ids = {rel: rid for rid, rel in enumerate(csr.rel_strings)}
 
         features = NodeFeatures()
-        for attr, _code in _FEATURE_COLUMNS:
+        for attr, _code in FEATURE_COLUMNS:
             setattr(features, attr, reader.section(f"feat.{attr}"))
         features.pool_strings = reader.strings(
             "pool", counts["pool"]).materialize()
@@ -213,12 +208,6 @@ class MmapSemanticTier(SemanticTier):
             self._reader = None
             if self._owns_reader:
                 reader.close()
-
-    @property
-    def store_path(self) -> Optional[str]:
-        """Backing store file; shard/serve workers re-attach via it."""
-        reader = self._reader
-        return None if reader is None else reader.path
 
 
 def attach_mmap_semantic(

@@ -67,9 +67,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.dynamic.journal import Delta
 from repro.dynamic.snapshot import _Reader, _Writer
 from repro.errors import DatasetError, SnapshotCorruptionError
-from repro.index.features import NodeFeatures
+from repro.index.features import FEATURE_COLUMNS, NodeFeatures
 from repro.index.postings import PostingIndex
-from repro.index.shm import _FEATURE_COLUMNS
 from repro.index.vocab import Vocabulary
 
 #: Distinguishes RKGS2 from RKGS v1: both start ``RKGS``, but v1's next
@@ -330,7 +329,7 @@ def _build_sections(graph) -> List[Tuple[str, int, bytes]]:
     sections.append(("csr.rels", ord("I"), csr_rels.tobytes()))
     sections.append(("csr.dirs", ord("B"), csr_dirs.tobytes()))
     sections.append(("csr.eids", ord("I"), csr_eids.tobytes()))
-    for attr, code in _FEATURE_COLUMNS:
+    for attr, code in FEATURE_COLUMNS:
         sections.append(
             (f"feat.{attr}", ord(code), getattr(features, attr).tobytes())
         )
@@ -635,7 +634,7 @@ class StoreReader:
             "ann.vecs": 4 * slots * counts["ann_dim"],
             "ann.sigs": 8 * slots * counts["ann_bands"],
         }
-        for attr, code in _FEATURE_COLUMNS:
+        for attr, code in FEATURE_COLUMNS:
             expected[f"feat.{attr}"] = (4 if code == "I" else 1) * slots
         for name, nbytes in expected.items():
             entry = self._entries.get(name)

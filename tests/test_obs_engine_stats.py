@@ -227,14 +227,3 @@ class TestHarnessMetrics:
     def test_harness_metrics_none_when_disabled(self, scorer):
         result = time_algorithm("stark", scorer, [_star_as_query()] * 2, k=3)
         assert result.metrics is None
-
-    @pytest.mark.skipif(not fork_available(), reason="needs fork")
-    def test_fork_harness_merges_worker_metrics(self, scorer):
-        with obs.capture():
-            result = time_algorithm(
-                "stark", scorer, [_star_as_query()] * 4, k=3, workers=2
-            )
-        assert result.metrics is not None
-        assert result.metrics["histograms"]["span.stark.search.ms"][
-            "count"
-        ] == 4

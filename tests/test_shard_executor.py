@@ -1,15 +1,13 @@
 """Tests for the sharded execution engine (workers, merge, recovery).
 
-Covers the fork backend end to end: scoped workers over shared-memory
-index columns, chunked pulls with bound-based stream termination,
-duplicate suppression for overlapping scopes, crash recovery via the
-inline fallback + respawn, and shared-memory hygiene after both clean
-shutdown and forced worker death.
+Covers the fork backend end to end: scoped workers over a
+fork-inherited index, chunked pulls with bound-based stream
+termination, duplicate suppression for overlapping scopes, crash
+recovery via the inline fallback + respawn, and that no worker process
+outlives ``close()``.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import pytest
 
@@ -20,25 +18,18 @@ from repro.perf import fork_available
 from repro.query import star_workload
 from repro.query.model import Query
 from repro.runtime.budget import Budget
+from repro.runtime.workers import WorkerDied
 from repro.shard import ShardedEngine
-from repro.shard.executor import _SerialTransport, _WorkerCrash
+from repro.shard.executor import _SerialTransport
 from repro.shard.partition import GraphPartition
 from repro.similarity import ScoringFunction
 
 from tests.conftest import build_movie_graph, build_random_graph
 from tests.oracle import assert_same_results
 
-SHM_DIR = Path("/dev/shm")
-
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable"
 )
-
-
-def stale_segments():
-    if not SHM_DIR.is_dir():
-        return []
-    return sorted(p.name for p in SHM_DIR.glob("reproshm*"))
 
 
 def star_queries(graph, n=4, seed=31):
@@ -176,7 +167,7 @@ class TestSerialBackend:
             def request(self, state, msg):
                 if msg[0] == "more" and not FlakyTransport.tripped:
                     FlakyTransport.tripped = True
-                    raise _WorkerCrash(state.shard_id)
+                    raise WorkerDied(state.shard_id)
                 super().request(state, msg)
 
         import repro.shard.executor as executor
@@ -215,7 +206,7 @@ class TestForkBackend:
         baseline = Star(graph, candidate_limit=8, use_index="on")
         with ShardedEngine(graph, shards=3, backend="fork",
                            candidate_limit=8, use_index="on") as engine:
-            assert engine._columns is not None  # index went to shm
+            assert engine.scorer.graph_index is not None
             for query in star_queries(graph, n=3):
                 assert_same_results(engine.search(query, 5),
                                     baseline.search(query, 5))
@@ -238,10 +229,11 @@ class TestForkBackend:
         with ShardedEngine(graph, scorer=scorer, shards=2,
                            backend="fork") as engine:
             engine.search(queries[0], 5)  # workers warm
-            victim = engine._pool._workers[0]
-            victim.conn.send(("crash", 11))
-            victim.process.join(timeout=10.0)
-            assert not victim.process.is_alive()
+            victim = engine._workers[0]
+            corpse = victim.proc
+            victim.send(("crash", 11))
+            corpse.join(timeout=10.0)
+            assert not corpse.is_alive()
             with obs.capture() as tracer:
                 got = engine.search(queries[1], 5)
             assert_same_results(got, baseline.search(queries[1], 5))
@@ -250,7 +242,7 @@ class TestForkBackend:
             assert stats["inline_fallbacks"] >= 1
             counters = tracer.registry.as_dict()["counters"]
             assert counters["shard.worker_crashes"] >= 1
-            assert engine._pool.crashes >= 1
+            assert victim.proc is not corpse and victim.proc.is_alive()
             # The respawned worker serves the next query normally.
             assert_same_results(engine.search(queries[0], 5),
                                 baseline.search(queries[0], 5))
@@ -271,45 +263,27 @@ class TestForkBackend:
 
 
 @needs_fork
-@pytest.mark.skipif(not SHM_DIR.is_dir(),
-                    reason="no /dev/shm on this platform")
-class TestShmHygiene:
-    def test_no_segment_leak_on_close(self):
-        before = stale_segments()
+class TestWorkerLifetime:
+    def test_no_worker_outlives_close_even_after_a_crash(self):
         graph = build_random_graph(10)
-        engine = ShardedEngine(graph, shards=2, backend="fork",
-                               use_index="on")
-        assert len(stale_segments()) == len(before) + 1
-        engine.search(star_queries(graph, n=1)[0], 3)
-        engine.close()
-        assert stale_segments() == before
-        engine.close()  # idempotent
-
-    def test_no_segment_leak_after_worker_crash(self):
-        """Forced worker death must not leave a stale segment behind:
-        the parent owns the unlink and the crash path preserves it."""
-        before = stale_segments()
-        graph = build_random_graph(11)
         engine = ShardedEngine(graph, shards=2, backend="fork",
                                use_index="on")
         query = star_queries(graph, n=1)[0]
         engine.search(query, 3)
-        victim = engine._pool._workers[1]
-        victim.conn.send(("crash", 9))
-        victim.process.join(timeout=10.0)
-        assert not victim.process.is_alive()
+        engine._workers[1].send(("crash", 9))
         engine.search(query, 3)  # recovers inline, respawns
-        assert engine._pool.crashes >= 1
+        procs = [worker.proc for worker in engine._workers]
+        assert all(proc.is_alive() for proc in procs)
         engine.close()
-        assert stale_segments() == before
+        assert not any(proc.is_alive() for proc in procs)
+        engine.close()  # idempotent
 
-    def test_no_segment_leak_when_engine_dropped(self):
+    def test_dropped_engine_stops_its_workers(self):
         import gc
 
-        before = stale_segments()
         graph = build_random_graph(12)
-        engine = ShardedEngine(graph, shards=2, backend="fork",
-                               use_index="on")
+        engine = ShardedEngine(graph, shards=2, backend="fork")
+        procs = [worker.proc for worker in engine._workers]
         del engine
         gc.collect()
-        assert stale_segments() == before
+        assert not any(proc.is_alive() for proc in procs)

@@ -128,7 +128,7 @@ class TestAttachContracts:
         with pytest.raises(RuntimeError, match="compact"):
             index.refresh()
         index.detach()
-        assert index.store_path is None
+        assert index._reader is None
 
     def test_constructor_blocked(self):
         with pytest.raises(TypeError, match="attach_mmap_index"):
@@ -148,11 +148,11 @@ class TestAttachContracts:
         with pytest.raises(TypeError, match="open_mmap"):
             MmapKnowledgeGraph()
 
-    def test_index_attach_mmap_classmethod(self, store_path):
-        from repro.index import GraphIndex
+    def test_attach_by_path_matches_in_memory(self, store_path):
+        from repro.store import attach_mmap_index
 
         graph = open_graph(store_path)
-        index = GraphIndex.attach_mmap(store_path, graph, mode="on")
+        index = attach_mmap_index(store_path, graph, mode="on")
         assert isinstance(index, MmapGraphIndex)
         scorer_engine = Star(graph, use_index="on")
         scorer_engine.scorer.graph_index = index
