@@ -43,28 +43,55 @@ class Match:
 
     def is_injective(self) -> bool:
         """True if distinct query nodes map to distinct data nodes."""
-        values = list(self.assignment.values())
-        return len(values) == len(set(values))
+        assignment = self.assignment
+        return len(set(assignment.values())) == len(assignment)
 
     def key(self) -> Tuple[Tuple[int, int], ...]:
         """Canonical hashable identity of the matching function."""
         return tuple(sorted(self.assignment.items()))
 
+    def consistent_with(self, other: "Match", injective: bool = False) -> bool:
+        """Can *other* be joined onto this match?
+
+        True when the two agree on every shared query node and -- with
+        *injective* -- the union still maps distinct query nodes to
+        distinct data nodes.  Decides exactly what ``merge`` followed by
+        ``is_injective`` would, without building the merged match.
+        """
+        mine = self.assignment
+        theirs = other.assignment
+        shared = 0
+        for qid, data_node in theirs.items():
+            existing = mine.get(qid)
+            if existing is not None:
+                if existing != data_node:
+                    return False
+                shared += 1
+        if not injective:
+            return True
+        values = set(mine.values())
+        values.update(theirs.values())
+        return len(values) == len(mine) + len(theirs) - shared
+
     def merge(self, other: "Match") -> Optional["Match"]:
         """Join two star matches into one (starjoin's combine step).
 
         Returns None if the matches disagree on a shared query node.
+        """
+        if not self.consistent_with(other):
+            return None
+        return self.merge_checked(other)
+
+    def merge_checked(self, other: "Match") -> "Match":
+        """:meth:`merge` for a pair already known :meth:`consistent_with`.
+
         Scores add up; under the alpha-scheme the shared-node weights sum
         to 1 across stars, so the sum is the complete match's ``F``.
         Unweighted per-element breakdowns are merged (shared elements keep
         one copy; they are equal by construction).
         """
-        merged_assignment = dict(self.assignment)
-        for qid, data_node in other.assignment.items():
-            existing = merged_assignment.get(qid)
-            if existing is not None and existing != data_node:
-                return None
-            merged_assignment[qid] = data_node
+        assignment = dict(self.assignment)
+        assignment.update(other.assignment)
         node_scores = dict(self.node_scores)
         node_scores.update(other.node_scores)
         edge_scores = dict(self.edge_scores)
@@ -73,7 +100,7 @@ class Match:
         edge_hops.update(other.edge_hops)
         return Match(
             self.score + other.score,
-            merged_assignment,
+            assignment,
             node_scores,
             edge_scores,
             edge_hops,

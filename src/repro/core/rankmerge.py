@@ -5,7 +5,8 @@ Two consumers share this module:
 * :mod:`repro.core.starjoin` -- the paper's HRJN rank join over star
   streams (Section VI-A).  It keeps its candidate joins in a
   :class:`ScoredPool` and terminates on the classic threshold test:
-  the k-th pooled score beats every live stream's upper bound.
+  the k-th pooled score beats every live stream's upper bound
+  (:func:`hrjn_bound`).
 * :mod:`repro.shard` -- the sharded execution layer.  Each shard's
   ``stark``/``stard`` stream is monotone non-increasing, so the union
   of per-shard streams is a degenerate (single-input) rank join per
@@ -20,18 +21,19 @@ Two consumers share this module:
 
 :class:`MonotoneStream` is the shared bookkeeping for one monotone
 match stream (top score, last score, exhaustion, drop flag); the join's
-``_StarStream`` extends it with the fetched list ``L_i``.
+``_StarStream`` extends it with the fetched list ``L_i`` and its hash
+index.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.matches import Match
 from repro.errors import SearchError
 
-__all__ = ["MonotoneStream", "RankMerger", "ScoredPool"]
+__all__ = ["MonotoneStream", "RankMerger", "ScoredPool", "hrjn_bound"]
 
 
 class MonotoneStream:
@@ -71,6 +73,27 @@ class MonotoneStream:
         return not (self.exhausted or self.dropped)
 
 
+def hrjn_bound(streams: Sequence[MonotoneStream]) -> Callable[[int], float]:
+    """The HRJN upper bound over *streams*, every one already primed.
+
+    Returns ``bound(i)``: no join that uses a match stream ``i`` has yet
+    to deliver can score above its last delivered score plus the other
+    streams' top scores (Eq. 4 generalized to m streams).  A top score
+    is fixed by the first pull, so each stream's sum over the others is
+    taken once, here, in stream order.
+    """
+    tops = [stream.top_score for stream in streams]
+    rest = [
+        sum(top for j, top in enumerate(tops) if j != i)
+        for i in range(len(tops))
+    ]
+
+    def bound(i: int) -> float:
+        return streams[i].last_score + rest[i]
+
+    return bound
+
+
 class ScoredPool:
     """Bounded top-k pool with arrival-order tie-breaking.
 
@@ -91,6 +114,15 @@ class ScoredPool:
 
     def __len__(self) -> int:
         return len(self._heap)
+
+    def admits(self, score: float) -> bool:
+        """Would :meth:`offer` keep an item of this *score*?
+
+        Lets a caller skip building an item the pool would discard; an
+        offer never made leaves the arrival order of the admitted ones
+        as it was.
+        """
+        return len(self._heap) < self.k or score > self._heap[0][0]
 
     def offer(self, score: float, item: Any) -> None:
         """Consider ``item`` for the pool (kept only if top-k so far)."""

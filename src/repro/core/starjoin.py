@@ -6,7 +6,9 @@ monotone non-increasing order of its *weighted* score ``F'``.  starjoin
 runs an HRJN-style loop (Fig. 9): fetch the next match of each active
 star, join it with the other stars' fetched lists, keep the best joins in
 a bounded priority pool, and terminate once the k-th best join beats every
-star's upper bound.
+star's upper bound.  The *H* is literal: each fetched list is hash-indexed
+on the data nodes its star's *joint* query nodes are bound to, so a new
+match meets only the partners that agree with it on a shared node.
 
 **Alpha-scheme** (Eq. 4): a joint node shared by several stars would have
 its ``F_N`` counted once per star, making Eq. 3's classic HRJN bound
@@ -25,11 +27,13 @@ was consumed) is the cost metric of Figs. 14(d)/15(b).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro import obs
 from repro.core.matches import Match
-from repro.core.rankmerge import MonotoneStream, ScoredPool
+from repro.core.rankmerge import MonotoneStream, ScoredPool, hrjn_bound
 from repro.core.stard import StarDSearch
 from repro.core.stark import StarKSearch
 from repro.errors import BudgetExceededError, SearchError
@@ -59,12 +63,8 @@ def alpha_weights(
     """
     if not (0.0 <= alpha <= 1.0):
         raise SearchError(f"alpha={alpha} must be in [0, 1]")
-    membership: Dict[int, List[int]] = {}
-    for star_idx, star in enumerate(decomposition.stars):
-        for qid in set(star.node_ids()):
-            membership.setdefault(qid, []).append(star_idx)
     weights: List[Dict[int, float]] = [dict() for _ in decomposition.stars]
-    for qid, star_idxs in membership.items():
+    for qid, star_idxs in decomposition.membership().items():
         t = len(star_idxs)
         if t == 1:
             weights[star_idxs[0]][qid] = 1.0
@@ -76,28 +76,68 @@ def alpha_weights(
     return weights
 
 
+_Entry = Tuple[int, Match]
+
+
 class _StarStream(MonotoneStream):
     """One star's monotone match stream plus its fetched list ``L_i``.
 
     The bound bookkeeping (top/last score, exhaustion, drop flag) lives
     in the shared :class:`~repro.core.rankmerge.MonotoneStream`; this
-    subclass adds the join-specific fetched list.  Fetched entries carry
-    a global sequence number so joins can pair a new match only with
-    strictly earlier ones.
+    subclass adds the join-specific fetched list and its hash index.
+    Fetched entries carry a global sequence number so joins can pair a
+    new match only with strictly earlier ones.
+
+    ``index[qid][data_node]`` lists, in sequence order, the entries that
+    bind joint query node *qid* (one this star shares with another) to
+    *data_node*.
     """
 
-    __slots__ = ("star", "fetched")
+    __slots__ = ("star", "fetched", "index")
 
-    def __init__(self, star: StarQuery, iterator: Iterator[Match]) -> None:
+    def __init__(
+        self,
+        star: StarQuery,
+        iterator: Iterator[Match],
+        joint_nodes: Iterable[int],
+    ) -> None:
         super().__init__(iterator)
         self.star = star
-        self.fetched: List[Tuple[int, Match]] = []
+        self.fetched: List[_Entry] = []
+        self.index: Dict[int, Dict[int, List[_Entry]]] = {
+            qid: {} for qid in joint_nodes
+        }
 
     def fetch(self, seq: int) -> Optional[Match]:
         match = self.pull()
         if match is not None:
-            self.fetched.append((seq, match))
+            entry = (seq, match)
+            self.fetched.append(entry)
+            assignment = match.assignment
+            for qid, buckets in self.index.items():
+                buckets.setdefault(assignment[qid], []).append(entry)
         return match
+
+    def probe(self, assignment: Mapping[int, int]) -> Optional[List[_Entry]]:
+        """The fetched entries that can agree with *assignment*.
+
+        The smallest bucket among this star's joint nodes *assignment*
+        binds; None when one of them holds a data node no fetched match
+        has (nothing here can join).  Only a star sharing no bound node
+        with *assignment* -- mid-chain, three or more stars -- falls
+        back to its whole fetched list.
+        """
+        best: Optional[List[_Entry]] = None
+        for qid, buckets in self.index.items():
+            data_node = assignment.get(qid)
+            if data_node is None:
+                continue
+            bucket = buckets.get(data_node)
+            if bucket is None:
+                return None
+            if best is None or len(bucket) < len(best):
+                best = bucket
+        return self.fetched if best is None else best
 
     @property
     def depth(self) -> int:
@@ -138,6 +178,9 @@ class StarJoin:
         # Filled by the last `join` call (Fig. 14(d) metrics).
         self.last_depths: List[int] = []
         self.last_joins_attempted = 0
+        #: complete combinations formed / probes that found no bucket
+        self.last_offered = 0
+        self.last_probe_misses = 0
         self.last_report: Optional[SearchReport] = None
 
     # ------------------------------------------------------------------
@@ -203,42 +246,37 @@ class StarJoin:
                 return results
 
             weights = alpha_weights(decomposition, self.alpha)
+            joint = decomposition.joint_nodes()
             streams = [
-                _StarStream(star, self._make_stream(star, w, budget=budget))
+                _StarStream(
+                    star, self._make_stream(star, w, budget=budget),
+                    sorted(joint.intersection(star.node_ids())),
+                )
                 for star, w in zip(stars, weights)
             ]
 
             # Bounded result pool: the best <= k joins so far, with
             # HRJN's theta threshold (see repro.core.rankmerge).
             pool = ScoredPool(k)
+            theta = pool.theta
             seq = 0
             self.last_joins_attempted = 0
-
-            def offer(match: Match) -> None:
-                pool.offer(match.score, match)
-
-            theta = pool.theta
+            self.last_offered = self.last_probe_misses = 0
 
             try:
                 # Prime every stream: a star with zero matches kills all
                 # joins.
-                primed = True
                 with obs.trace("starjoin.prime", stars=len(streams)):
-                    for stream in streams:
+                    for idx, stream in enumerate(streams):
                         if stream.fetch(seq) is None:
-                            primed = False
-                            break
-                        self._join_new(
-                            streams, streams.index(stream), seq, offer, budget
-                        )
+                            self.last_report = SearchReport.from_budget(
+                                "starjoin", budget, 0
+                            )
+                            return []
+                        self._join_new(streams, idx, seq, pool, budget)
                         seq += 1
-                if not primed:
-                    self.last_depths = [s.depth for s in streams]
-                    self.last_report = SearchReport.from_budget(
-                        "starjoin", budget, 0
-                    )
-                    return []
 
+                bound = hrjn_bound(streams)
                 progressed = True
                 with obs.trace("starjoin.rank_join", k=k) as join_span:
                     while progressed:
@@ -246,42 +284,37 @@ class StarJoin:
                             raise _AnytimeStop
                         progressed = False
                         for idx, stream in enumerate(streams):
-                            match = stream.fetch(seq)
-                            if match is None:
+                            if stream.fetch(seq) is None:
                                 continue
                             seq += 1
                             progressed = True
                             self._join_new(
-                                streams, idx, seq - 1, offer, budget
+                                streams, idx, seq - 1, pool, budget
                             )
                             # Per-star upper bound theta_i (Eq. 4
-                            # generalized): the just-fetched score plus the
-                            # other stars' top scores.
-                            bound = match.score + sum(
-                                s.top_score
-                                for j, s in enumerate(streams) if j != idx
-                            )
-                            if bound < theta():
+                            # generalized) at the just-fetched score.
+                            if bound(idx) < theta():
                                 stream.dropped = True
                         if len(pool) >= k:
-                            bounds = [
-                                s.last_score + sum(
-                                    o.top_score
-                                    for j, o in enumerate(streams) if j != i
-                                )
-                                for i, s in enumerate(streams)
-                                if not (s.dropped or s.exhausted)
+                            live = [
+                                bound(i)
+                                for i, s in enumerate(streams) if s.live
                             ]
-                            if not bounds or max(bounds) <= theta():
+                            if not live or max(live) <= theta():
                                 break
                     join_span.annotate(
                         joins=self.last_joins_attempted,
                         depth=sum(s.depth for s in streams),
+                        offered=self.last_offered,
+                        probe_misses=self.last_probe_misses,
                     )
             except _AnytimeStop:
                 pass
+            finally:
+                # Every exit, a strict budget trip included, reports how
+                # deep the streams were read.
+                self.last_depths = [s.depth for s in streams]
 
-            self.last_depths = [s.depth for s in streams]
             results = pool.ranked()
             self.last_report = SearchReport.from_budget(
                 "starjoin", budget, len(results)
@@ -299,31 +332,46 @@ class StarJoin:
         streams: Sequence[_StarStream],
         new_idx: int,
         new_seq: int,
-        offer,
+        pool: ScoredPool,
         budget: Optional[Budget] = None,
     ) -> None:
-        """Join star *new_idx*'s newest match against the other stars'
-        strictly earlier matches (all consistent combinations)."""
+        """Join star *new_idx*'s newest match with the other stars'
+        strictly earlier matches and offer every complete combination.
+
+        Partners are taken in stream order and each one's candidates in
+        fetch order, from the hash bucket its joint nodes select
+        (:meth:`_StarStream.probe`) -- the nested loop over whole fetched
+        lists minus the pairs that cannot agree, so combinations reach
+        the pool in that loop's order.
+        """
         new_match = streams[new_idx].fetched[-1][1]
-        others = [i for i in range(len(streams)) if i != new_idx]
+        partners = [s for i, s in enumerate(streams) if i != new_idx]
+        last = len(partners) - 1
+        injective = self.injective
         budget_on = budget is not None
 
         def recurse(pos: int, partial: Match) -> None:
-            if pos == len(others):
-                offer(partial)
+            bucket = partners[pos].probe(partial.assignment)
+            if bucket is None:
+                self.last_probe_misses += 1
                 return
-            for cand_seq, candidate in streams[others[pos]].fetched:
+            for cand_seq, candidate in bucket:
                 if cand_seq > new_seq:
-                    break  # fetched lists are in sequence order
+                    break  # buckets are in sequence order
                 if budget_on and budget.charge_join_steps():
                     raise _AnytimeStop
                 self.last_joins_attempted += 1
-                merged = partial.merge(candidate)
-                if merged is None:
+                if not partial.consistent_with(candidate, injective):
                     continue
-                if self.injective and not merged.is_injective():
+                if pos < last:
+                    recurse(pos + 1, partial.merge_checked(candidate))
                     continue
-                recurse(pos + 1, merged)
+                # A complete combination: build it only if it can enter
+                # the pool.
+                self.last_offered += 1
+                if pool.admits(partial.score + candidate.score):
+                    merged = partial.merge_checked(candidate)
+                    pool.offer(merged.score, merged)
 
         recurse(0, new_match)
 

@@ -41,6 +41,13 @@ class EngineStats:
     "stard", "starjoin", ...); it is carried as an attribute but excluded
     from :meth:`as_dict`, which stays numeric-only so snapshots from many
     queries (possibly different engines) merge by addition.
+
+    ``joins_attempted`` counts the candidate pairs the rank join
+    examined: a newly fetched star match against one earlier match of
+    another star, taken from the hash bucket of a joint node they share
+    (charged where ``Budget.join_steps`` is).  ``join_depth`` is the
+    total search depth ``D = sum_i |L_i|``, set on every exit of a join,
+    a strict budget trip included.
     """
 
     algorithm: str = ""

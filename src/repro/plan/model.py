@@ -35,6 +35,12 @@ from repro.plan.features import FEATURE_NAMES
 #: orders of magnitude cheaper; lazy message propagation and lattice
 #: bookkeeping sit in between; pivot evaluation carries per-pivot setup.
 #: Only deterministic counters appear -- never wall-clock.
+#: ``joins_attempted`` was weighted when an attempt was one pair of the
+#: rank join's nested loop over whole fetched lists; it now counts the
+#: candidate pairs probed from a joint-node hash bucket (same charge
+#: site as ``Budget.join_steps``), orders of magnitude fewer per query
+#: and each about as cheap.  The weight is left as calibrated; refitting
+#: it belongs to the planner re-validation.
 COST_WEIGHTS: Dict[str, float] = {
     "node_score_calls": 1.0,
     "edge_score_calls": 0.5,

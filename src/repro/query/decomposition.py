@@ -57,15 +57,22 @@ class Decomposition:
     def num_stars(self) -> int:
         return len(self.stars)
 
+    def membership(self) -> Dict[int, List[int]]:
+        """Query node id -> indices of the stars containing it, in
+        decomposition order (the alpha-scheme's "first star" is
+        ``membership[qid][0]``)."""
+        membership: Dict[int, List[int]] = {}
+        for star_idx, star in enumerate(self.stars):
+            for qid in set(star.node_ids()):
+                membership.setdefault(qid, []).append(star_idx)
+        return membership
+
     def joint_nodes(self) -> Set[int]:
         """Query nodes appearing in more than one star."""
-        seen: Set[int] = set()
-        joint: Set[int] = set()
-        for star in self.stars:
-            ids = set(star.node_ids())
-            joint |= seen & ids
-            seen |= ids
-        return joint
+        return {
+            qid for qid, star_idxs in self.membership().items()
+            if len(star_idxs) > 1
+        }
 
 
 class NodeStatisticsSampler:

@@ -5,24 +5,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import BeliefPropagation, GraphTA, brute_force_star
-from repro.core import HybridStarSearch, Star, StarDSearch, StarKSearch
+from repro.core import (
+    HybridStarSearch,
+    Star,
+    StarDSearch,
+    StarJoin,
+    StarKSearch,
+)
+from repro.core.rankmerge import ScoredPool
 from repro.errors import (
     BudgetExceededError,
     SearchError,
     SearchTimeoutError,
 )
-from repro.query import Query, star_query
+from repro.query import Query, decompose, star_query
 from repro.runtime import (
     MAX_DEGRADE_LEVEL,
     MODES,
     REASON_DEADLINE,
     REASON_FAULT,
+    REASON_JOIN_STEPS,
     REASON_NODES,
     SLO_CLASSES,
     Budget,
     SearchReport,
     derive_budget_spec,
 )
+
+from tests.join_oracle import ReferenceJoin
 
 
 class FakeClock:
@@ -243,6 +253,20 @@ class TestEngineBudgets:
         with pytest.raises(BudgetExceededError):
             engine.search(_cycle_query(), 3, budget=Budget(max_join_steps=1))
 
+    def test_framework_join_strict_trip_keeps_depth(
+        self, yago_graph, yago_scorer
+    ):
+        # The trip unwinds out of the join; the depth read so far and
+        # the attempts made must still reach the stats.
+        engine = Star(yago_graph, scorer=yago_scorer)
+        budget = Budget(max_join_steps=1)
+        with pytest.raises(BudgetExceededError):
+            engine.search(_cycle_query(), 3, budget=budget)
+        stats = engine.last_engine_stats
+        assert stats.join_depth >= 2  # one fetch per star, at least
+        assert stats.joins_attempted == 1
+        assert budget.join_steps == 2  # the tripping charge included
+
     def test_graphta_budget(self, movie_scorer):
         matcher = GraphTA(movie_scorer)
         budget = Budget(max_nodes=5, anytime=True)
@@ -272,6 +296,17 @@ class TestEngineBudgets:
         assert [m.score for m in got] == pytest.approx(
             [m.score for m in exact]
         )
+
+
+@pytest.fixture(scope="module")
+def unbudgeted_cycle_join(yago_scorer):
+    """The 4-cycle's join run to completion by the nested-loop
+    reference: ``(decomposition, reference, top-k)``; the reference
+    keeps every combination in the order it was offered."""
+    decomposition = decompose(_cycle_query(), "simsize")
+    reference = ReferenceJoin(yago_scorer)
+    return decomposition, reference, reference.join(
+        decomposition, TestAnytimeProperty.K)
 
 
 class TestAnytimeProperty:
@@ -308,6 +343,38 @@ class TestAnytimeProperty:
             assert report.reason is not None
         kth = exact[-1].score if len(exact) == self.K else float("-inf")
         assert report.degraded or all(s >= kth - 1e-9 for s in scores)
+
+
+    @given(max_join_steps=st.integers(min_value=0, max_value=450))
+    @settings(deadline=None, max_examples=25)
+    def test_anytime_join_stops_on_a_prefix_of_the_offers(
+        self, yago_scorer, unbudgeted_cycle_join, max_join_steps
+    ):
+        """The 4-cycle makes 411 attempts for 22 combinations, most of
+        them deep inside a bucket, so nearly every cap trips mid-scan.
+        Whatever the cap, the pool returned is the pool of the first
+        combinations the unbudgeted join forms -- never a later one
+        without an earlier one."""
+        decomposition, unbudgeted, exact = unbudgeted_cycle_join
+        join = StarJoin(yago_scorer)
+        budget = Budget(max_join_steps=max_join_steps, anytime=True)
+        got = join.join(decomposition, self.K, budget=budget)
+        report = join.last_report
+
+        prefix = ScoredPool(self.K)
+        for match in unbudgeted.offered[:join.last_offered]:
+            prefix.offer(match.score, match)
+        assert [(m.score, m.key()) for m in got] == [
+            (m.score, m.key()) for m in prefix.ranked()
+        ]
+        assert sum(join.last_depths) >= 2
+        if report.completed:
+            assert [m.key() for m in got] == [m.key() for m in exact]
+            assert budget.join_steps == join.last_joins_attempted
+        else:
+            assert report.reason == REASON_JOIN_STEPS
+            assert join.last_joins_attempted == max_join_steps
+            assert budget.join_steps == max_join_steps + 1
 
 
 class TestDegradationMonotonicity:
