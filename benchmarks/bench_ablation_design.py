@@ -71,7 +71,7 @@ def run_pivot_evaluation_ablation():
         considered += stark.stats.pivots_considered
         stard = StarDSearch(scorer, d=2)
         stard.search(star, K)
-        lazy += stard.pivots_evaluated
+        lazy += stard.stats.pivots_evaluated
     return [
         ["pivot candidates (total)", considered],
         ["stark-d exact evaluations", eager],

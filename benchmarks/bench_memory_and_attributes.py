@@ -43,7 +43,7 @@ def run_experiment():
         start = time.perf_counter()
         matches = matcher.search(star, K)
         search_time += time.perf_counter() - start
-        peak_messages = max(peak_messages, matcher.messages_propagated)
+        peak_messages = max(peak_messages, matcher.stats.messages_propagated)
         # Fetch the attribute payloads of the returned entities (what a
         # client rendering results would do).
         start = time.perf_counter()

@@ -15,10 +15,8 @@ from __future__ import annotations
 from typing import List, Optional, Union
 
 from repro import obs
-from repro.core.hybrid import HybridStarSearch
 from repro.core.matches import Match
-from repro.core.stard import StarDSearch
-from repro.core.stark import StarKSearch
+from repro.core.procedures import ALGORITHMS, star_matcher
 from repro.core.starjoin import StarJoin
 from repro.errors import DecompositionError, SearchError
 from repro.graph.knowledge_graph import KnowledgeGraph
@@ -26,14 +24,6 @@ from repro.query.decomposition import Decomposition, METHODS, decompose
 from repro.query.model import Query, StarQuery
 from repro.runtime.budget import Budget, SearchReport
 from repro.similarity.scoring import ScoringConfig, ScoringFunction
-
-#: Star-procedure choices ``Star(algorithm=...)`` accepts.  ``auto`` is
-#: the seed routing (stark at d = 1, stard at d >= 2); the explicit names
-#: pin one procedure regardless of ``d``.  All three are exact: they
-#: produce score-identical rankings (only exact-tie order may vary), so
-#: the choice is purely a performance decision, which is why the learned
-#: planner may pick it per query.
-ALGORITHMS = ("auto", "stark", "stard", "hybrid")
 
 #: Plan modes: ``static`` = fixed knobs (seed behavior, zero overhead);
 #: ``auto`` = a :class:`repro.plan.QueryPlanner` explores cold arms and
@@ -206,26 +196,6 @@ class Star:
         self.last_engine_stats: Optional[obs.EngineStats] = None
 
     # ------------------------------------------------------------------
-    def _star_matcher(self):
-        algorithm = self._algorithm_override or self.algorithm
-        if algorithm == "auto":
-            algorithm = "stark" if self.d == 1 else "stard"
-        if algorithm == "stark":
-            return StarKSearch(
-                self.scorer, injective=self.injective,
-                candidate_limit=self.candidate_limit,
-                directed=self.directed, d=self.d,
-            )
-        if algorithm == "hybrid":
-            return HybridStarSearch(
-                self.scorer, d=self.d, injective=self.injective,
-                candidate_limit=self.candidate_limit,
-            )
-        return StarDSearch(
-            self.scorer, d=self.d, injective=self.injective,
-            candidate_limit=self.candidate_limit,
-        )
-
     def _cache_marks(self):
         cache = self.scorer.candidate_cache
         if cache is None:
@@ -244,41 +214,20 @@ class Star:
     def search_star(
         self, star: StarQuery, k: int, budget: Optional[Budget] = None
     ) -> List[Match]:
-        """Top-k matches of a star query (procedures stark / stard)."""
-        matcher = self._star_matcher()
+        """Top-k matches of a star query (stark / stard / hybrid)."""
+        matcher = star_matcher(
+            self.scorer, self._algorithm_override or self.algorithm,
+            d=self.d, injective=self.injective,
+            candidate_limit=self.candidate_limit, directed=self.directed,
+        )
         cache, hits0, misses0 = self._cache_marks()
         try:
             return matcher.search(star, k, budget=budget)
         finally:
             self.last_report = matcher.last_report
-            counters = getattr(matcher, "stats", None)
-            if counters is not None:  # stark / hybrid: SearchStats counters
-                stats = obs.EngineStats(
-                    algorithm=("hybrid" if isinstance(
-                        matcher, HybridStarSearch) else "stark"),
-                    **{name: getattr(counters, name)
-                       for name in counters.__slots__},
-                )
-            else:  # stard: lazy-evaluation / propagation counters (its
-                # d=1 delegate accumulates the stark-side counters)
-                inner = matcher._stark.stats
-                stats = obs.EngineStats(
-                    algorithm="stard",
-                    pivots_considered=inner.pivots_considered,
-                    pivots_evaluated=(
-                        matcher.pivots_evaluated or inner.pivots_evaluated
-                    ),
-                    pivots_with_match=(
-                        matcher.pivots_with_match or inner.pivots_with_match
-                    ),
-                    pivots_sketch_pruned=inner.pivots_sketch_pruned,
-                    matches_emitted=(
-                        matcher.matches_emitted or inner.matches_emitted
-                    ),
-                    lattice_pops=inner.lattice_pops,
-                    nodes_traversed=inner.nodes_traversed,
-                    messages_propagated=matcher.messages_propagated,
-                )
+            stats = obs.EngineStats(
+                algorithm=matcher.name, **matcher.stats.as_dict()
+            )
             self._finish_stats(stats, cache, hits0, misses0)
 
     def search(

@@ -1,45 +1,34 @@
-"""Section V-C alternative: TA-guided two-stage star search.
+"""Section V-C alternative: TA-guided star search.
 
 The paper sketches (and leaves to "future study" -- implemented here as an
 ablation) a strategy combining graphTA's sorted access with stark's
-pivot-wise search:
+pivot-wise search: scan pivot candidates in decreasing node-score order,
+and bound every pivot not yet evaluated by its node score plus the best
+possible leaf contributions anywhere in the graph.  Once that bound falls
+to the best match already generated, no unseen pivot can supply the next
+answer (Lemma 1) and scanning pauses until the queue's best drops.
 
-* **Stage 1**: scan pivot candidates in decreasing node-score order,
-  computing each pivot's top-1 match; maintain the pseudo top-k set.  An
-  upper bound for every *unseen* pivot is its node score (the next list
-  entry) plus the global best possible leaf contributions; once that bound
-  falls below the current k-th best top-1, no unseen pivot can enter the
-  pivot set ``V_P`` (Lemma 1), so scanning stops.
-* **Stage 2**: exactly stark's lattice phase over the evaluated pivots.
-
-Compared to ``stark`` it avoids evaluating low-score pivots when node
-scores correlate with match scores; compared to ``stard`` its bound is
-global rather than per-pivot, so it scans more pivots on d-bounded
-queries.  The ablation benchmark quantifies both effects.
+That is the shared Lemma-1 loop (:meth:`repro.core.stark.StarKSearch.stream`)
+run with a *global* leaf bound, and this module is that bound.  Compared
+to ``stark`` it avoids evaluating low-score pivots when node scores
+correlate with match scores; compared to ``stard`` its bound is global
+rather than per-pivot, so it scans more pivots on d-bounded queries.  The
+ablation benchmark quantifies both effects.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.core.candidates import node_candidates
 from repro.core.matches import Match
-from repro.core.stark import (
-    _MIN_PIVOTS_AFTER_TRIP,
-    SearchStats,
-    StarKSearch,
-    bounded_leaf_provider,
-)
-from repro.errors import BudgetExceededError, SearchError
+from repro.core.stark import StarKSearch
 from repro.query.model import StarQuery
-from repro.runtime.budget import Budget, SearchReport
-from repro.runtime.faults import SUBSTRATE_ERRORS
+from repro.runtime.budget import Budget
 from repro.similarity.scoring import ScoringFunction
 
 
-class HybridStarSearch:
-    """The Section V-C two-stage alternative.
+class HybridStarSearch(StarKSearch):
+    """The Section V-C alternative.
 
     Args:
         scorer: shared :class:`ScoringFunction`.
@@ -48,6 +37,9 @@ class HybridStarSearch:
         candidate_limit: optional candidate cutoff.
     """
 
+    name = "hybrid"
+    eval_span = "hybrid.pivot_eval"
+
     def __init__(
         self,
         scorer: ScoringFunction,
@@ -55,165 +47,42 @@ class HybridStarSearch:
         injective: bool = True,
         candidate_limit: Optional[int] = None,
     ) -> None:
-        if d < 1:
-            raise SearchError(f"search bound d must be >= 1, got {d}")
-        self.scorer = scorer
-        self.d = d
-        self.injective = injective
-        self.candidate_limit = candidate_limit
-        self._stark = StarKSearch(
+        super().__init__(
             scorer, injective=injective, candidate_limit=candidate_limit,
             prop3=False, d=d,
         )
-        self.pivots_evaluated = 0
-        #: Counters under the same shape as stark's, so the framework
-        #: publishes hybrid runs through the unified stats path.
-        self.stats = SearchStats()
-        self.last_report: Optional[SearchReport] = None
 
-    # ------------------------------------------------------------------
-    def _global_leaf_bound(self, star: StarQuery) -> Optional[float]:
-        """Best possible total leaf contribution across any pivot.
+    def _bounds(
+        self,
+        star: StarQuery,
+        weights: Mapping[int, float],
+        pivot_cands: List[Tuple[int, float]],
+        leaf_maps: List[Dict[int, float]],
+    ) -> Optional[List[Optional[float]]]:
+        """Pivot score plus the best total leaf contribution anywhere.
 
-        Per leaf: its best candidate node score anywhere in the graph,
-        plus the best achievable edge score (1.0 caps relation scores; a
-        direct edge always beats the decay).  None when some leaf has no
-        admissible candidate at all.
+        Per leaf: its best candidate node score in the graph plus the
+        best achievable edge score (1.0 caps relation scores; a direct
+        edge always beats the decay), scaled by ``max(weight, 1)`` so an
+        alpha-weighted node part stays covered (stard's rule).  A leaf
+        with no admissible candidate leaves every pivot unmatchable.
         """
-        total = 0.0
-        for leaf, _edge in star.leaves:
-            cands = node_candidates(self.scorer, leaf, limit=1)
-            if not cands:
-                return None
-            total += cands[0][1] + 1.0
-        return total
+        if any(not leaf_scores for leaf_scores in leaf_maps):
+            return [None] * len(pivot_cands)
+        leaf_bound = sum(
+            max(weights.get(leaf.id, 1.0), 1.0)
+            * (max(leaf_scores.values()) + 1.0)
+            for (leaf, _edge), leaf_scores in zip(star.leaves, leaf_maps)
+        )
+        pivot_weight = weights.get(star.pivot.id, 1.0)
+        return [
+            pivot_weight * pivot_score + leaf_bound
+            for _pivot_node, pivot_score in pivot_cands
+        ]
 
-    # ------------------------------------------------------------------
     def search(
         self, star: StarQuery, k: int, budget: Optional[Budget] = None
     ) -> List[Match]:
-        """Top-k matches of *star* in decreasing score order.
-
-        With an anytime *budget*, a trip ends stage 1 early (after the
-        minimum-progress floor) and stage 2 drains the evaluated pivots'
-        current bests -- a flagged best-so-far answer.
-
-        Raises:
-            SearchError: for non-positive k.
-            SearchTimeoutError / BudgetExceededError: on a strict-mode
-                budget trip.
-        """
-        if k <= 0:
-            raise SearchError(f"k must be positive, got {k}")
-        try:
-            results = self._search(star, k, budget)
-        except BudgetExceededError as exc:
-            self.last_report = SearchReport.from_budget("hybrid", budget, 0)
-            if exc.report is None:
-                exc.report = self.last_report
-            raise
-        self.last_report = SearchReport.from_budget(
-            "hybrid", budget, len(results)
-        )
-        return results
-
-    def _search(
-        self, star: StarQuery, k: int, budget: Optional[Budget]
-    ) -> List[Match]:
-        self.pivots_evaluated = 0
-        stats = self.stats = SearchStats()
-        budget_on = budget is not None
-        anytime = budget_on and budget.anytime
-        weights: dict = {}
-        pivot_cands = node_candidates(
-            self.scorer, star.pivot, limit=self.candidate_limit, budget=budget
-        )
-        if not pivot_cands:
-            return []
-        leaf_bound = self._global_leaf_bound(star)
-        if leaf_bound is None:
-            return []
-        stats.pivots_considered = len(pivot_cands)
-        if self.d == 1:
-            provider = self._stark._leaf_provider(star, weights, budget=budget)
-        else:
-            provider = bounded_leaf_provider(
-                self.scorer, star, weights, self.d, self.injective,
-                traversal_stats=stats,
-            )
-
-        # Stage 1: sorted scan with early cutoff.
-        gen_entries: List[Tuple[float, int, Match, object]] = []
-        top1_scores: List[float] = []  # max-heap via sorted inserts not needed
-        serial = 0
-        tripped = False
-        for pivot_node, pivot_score in pivot_cands:  # decreasing score
-            if budget_on and budget.charge_nodes() and (
-                gen_entries or self.pivots_evaluated >= _MIN_PIVOTS_AFTER_TRIP
-            ):
-                tripped = True
-                break
-            if len(top1_scores) == k:
-                # top1_scores is a size-k min-heap: [0] is the k-th best.
-                if pivot_score + leaf_bound <= top1_scores[0]:
-                    break  # no unseen pivot can reach the pivot set V_P
-            self.pivots_evaluated += 1
-            stats.pivots_evaluated += 1
-            if anytime:
-                try:
-                    gen = self._stark.build_generator(
-                        star, pivot_node, pivot_score, weights, provider
-                    )
-                except SUBSTRATE_ERRORS as exc:
-                    budget.record_fault(f"pivot {pivot_node}: {exc}")
-                    continue
-            else:
-                gen = self._stark.build_generator(
-                    star, pivot_node, pivot_score, weights, provider
-                )
-            if gen is None:
-                continue
-            first = gen.next_match()
-            if first is None:
-                continue
-            serial += 1
-            stats.pivots_with_match += 1
-            heapq.heappush(gen_entries, (-first.score, serial, first, gen))
-            if len(top1_scores) < k:
-                heapq.heappush(top1_scores, first.score)
-            elif first.score > top1_scores[0]:
-                heapq.heapreplace(top1_scores, first.score)
-
-        # The scan can end without setting the flag (candidates exhausted
-        # before the floor); budget.check() is sticky, so ask it directly.
-        if not tripped and anytime and budget.check():
-            tripped = True
-        if tripped and anytime and not gen_entries:
-            # Truncated leaf shortlists starved every scanned pivot; score
-            # a few top pivots' neighborhoods directly for one genuine
-            # best-so-far match.
-            rescued = self._stark._anytime_rescue(
-                star, weights, pivot_cands, None, budget
-            )
-            if rescued is not None:
-                first, gen = rescued
-                serial += 1
-                heapq.heappush(gen_entries, (-first.score, serial, first, gen))
-
-        # Stage 2: stark's lattice phase over the evaluated pivots.
-        results: List[Match] = []
-        while gen_entries and len(results) < k:
-            if not tripped and budget_on and budget.check():
-                tripped = True
-            _neg, _s, match, gen = heapq.heappop(gen_entries)
-            results.append(match)
-            stats.matches_emitted += 1
-            stats.lattice_pops += gen.pops
-            gen.pops = 0
-            if tripped:
-                continue  # drain current bests, generate nothing new
-            nxt = gen.next_match()
-            if nxt is not None:
-                serial += 1
-                heapq.heappush(gen_entries, (-nxt.score, serial, nxt, gen))
-        return results
+        """Top-k matches of *star*: the contract of
+        :meth:`repro.core.stark.StarKSearch.search`."""
+        return self._top_k(star, k, budget)

@@ -10,51 +10,45 @@ match of *every* pivot candidate -- an eager d-hop traversal per pivot
    effect) leaf scores reachable by a walk of that length.
 2. **Pivot estimates**: combining the propagated scores with the monotone
    edge-path bound yields an *upper bound* on each pivot's top-1 match.
-3. **Lazy exact phase**: pivots are evaluated in decreasing estimate
-   order with an exact bounded-BFS traversal; a pivot is only traversed
-   when its estimate beats every already-generated match, so the stream
-   stays exact (Lemma 1) while traversing only the pivots that matter.
+3. **Lazy exact phase**: the shared Lemma-1 loop
+   (:meth:`repro.core.stark.StarKSearch.stream`) run with those bounds --
+   pivots are visited in decreasing estimate order and one is traversed
+   (exact bounded BFS) only when its estimate beats every
+   already-generated match, so the stream stays exact while traversing
+   only the pivots that matter.
 
-At ``d == 1`` stard degrades to ``stark`` (same runtime), as in Fig. 12.
+This module is steps 1 and 2.  At ``d == 1`` stard degrades to ``stark``
+(same runtime), as in Fig. 12.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import AbstractSet, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import AbstractSet, Dict, List, Mapping, Optional
 
 from repro import obs
 from repro.core.candidates import node_candidates
 from repro.core.matches import Match
 from repro.core.messages import Top2, estimate_leaf_bound, propagate
 from repro.core.stark import (
-    _MIN_PIVOTS_AFTER_TRIP,
+    PivotPlan,
     StarKSearch,
     bounded_leaf_provider,
     leaf_candidate_maps,
 )
-from repro.errors import BudgetExceededError, SearchError
 from repro.query.model import StarQuery
-from repro.runtime.budget import Budget, SearchReport
+from repro.runtime.budget import Budget
 from repro.runtime.faults import SUBSTRATE_ERRORS
-from repro.similarity.descriptors import Descriptor
 from repro.similarity.scoring import ScoringFunction
 
 
-class StarDSearch:
+class StarDSearch(StarKSearch):
     """The ``stard`` procedure bound to a graph + scoring function.
 
     Args:
         scorer: shared :class:`ScoringFunction`.
-        d: search bound (>= 1); 1 delegates to ``stark``.
+        d: search bound (>= 1); 1 runs as ``stark``.
         injective: enforce one-to-one matching.
         candidate_limit: optional pivot/leaf candidate cutoff.
-        engine: propagation backend -- ``"direct"`` (default, the
-            sequential loop of :mod:`repro.core.messages`) or
-            ``"vertex"`` (the Pregel-style formulation of the Section V-B
-            Remark, :mod:`repro.core.vertex_centric`).  Results are
-            identical; the vertex engine additionally accounts the
-            communication a distributed deployment would pay.
         pivot_scope / leaf_scope: optional node-id restrictions for
             sharded execution, with the same semantics as
             :class:`~repro.core.stark.StarKSearch`: the pivot scope is a
@@ -67,41 +61,26 @@ class StarDSearch:
             thing in every shard.
     """
 
+    name = "stard"
+    eval_span = "stard.pivot_eval"
+    # The rescue's work cap counts scoring calls, not traversal, so it
+    # stays in the direct neighborhood (d=1 matches are valid d-bounded
+    # matches).
+    rescue_d = 1
+
     def __init__(
         self,
         scorer: ScoringFunction,
         d: int = 2,
         injective: bool = True,
         candidate_limit: Optional[int] = None,
-        engine: str = "direct",
         pivot_scope: Optional[AbstractSet[int]] = None,
         leaf_scope: Optional[AbstractSet[int]] = None,
     ) -> None:
-        if d < 1:
-            raise SearchError(f"search bound d must be >= 1, got {d}")
-        if engine not in ("direct", "vertex"):
-            raise SearchError(
-                f"unknown propagation engine {engine!r} "
-                "(expected 'direct' or 'vertex')"
-            )
-        self.engine = engine
-        self.scorer = scorer
-        self.graph = scorer.graph
-        self.d = d
-        self.injective = injective
-        self.candidate_limit = candidate_limit
-        self.pivot_scope = pivot_scope
-        self.leaf_scope = leaf_scope
-        # Shares generator assembly (and the d=1 path) with stark.
-        self._stark = StarKSearch(
+        super().__init__(
             scorer, injective=injective, candidate_limit=candidate_limit,
-            prop3=False, d=1, pivot_scope=pivot_scope, leaf_scope=leaf_scope,
+            prop3=False, d=d, pivot_scope=pivot_scope, leaf_scope=leaf_scope,
         )
-        self.pivots_evaluated = 0
-        self.pivots_with_match = 0
-        self.matches_emitted = 0
-        self.messages_propagated = 0
-        self.last_report: Optional[SearchReport] = None
 
     # ------------------------------------------------------------------
     def _propagate_leaves(
@@ -124,7 +103,6 @@ class StarDSearch:
             desc = leaf.descriptor.cache_key
             if desc in results:
                 continue
-            before = self.messages_propagated
             with obs.trace("stard.propagate", leaf=leaf.id,
                            rounds=self.d) as span:
                 try:
@@ -138,23 +116,8 @@ class StarDSearch:
                             budget=budget, scope=seed_scope,
                         )
                     )
-                    if self.engine == "vertex":
-                        from repro.core.vertex_centric import (
-                            propagate_vertex_centric,
-                        )
-
-                        layers, engine = propagate_vertex_centric(
-                            self.graph, seeds, self.d
-                        )
-                        self.messages_propagated += engine.messages_sent
-                        if budget is not None:
-                            budget.charge_messages(engine.messages_sent)
-                    else:
-                        layers = propagate(self.graph, seeds, self.d,
-                                           budget=budget)
-                        self.messages_propagated += sum(
-                            len(layer) for layer in layers
-                        )
+                    layers = propagate(self.graph, seeds, self.d,
+                                       budget=budget)
                 except SUBSTRATE_ERRORS as exc:
                     if not anytime:
                         raise
@@ -162,7 +125,9 @@ class StarDSearch:
                         f"propagation for leaf {leaf.id}: {exc}"
                     )
                     layers = [{} for _ in range(self.d + 1)]
-                span.annotate(messages=self.messages_propagated - before)
+                messages = sum(len(layer) for layer in layers)
+                self.stats.messages_propagated += messages
+                span.annotate(messages=messages)
             results[desc] = layers
         return results
 
@@ -199,168 +164,40 @@ class StarDSearch:
         return total
 
     # ------------------------------------------------------------------
-    def stream(
+    def _plan(
         self,
         star: StarQuery,
-        node_weights: Optional[Mapping[int, float]] = None,
-        budget: Optional[Budget] = None,
-    ) -> Iterator[Match]:
-        """Yield matches of *star* in non-increasing score order.
-
-        With an anytime *budget*, a trip stops evaluating new pivots
-        (after the minimum-progress floor) and drains the already-built
-        generators' current bests, keeping the emitted suffix monotone --
-        a flagged best-so-far stream.
-        """
+        weights: Mapping[int, float],
+        budget: Optional[Budget],
+    ) -> PivotPlan:
+        """Propagate, then bound every pivot candidate by its estimate."""
         if self.d == 1:
-            yield from self._stark.stream(star, node_weights, budget=budget)
-            return
-        weights = node_weights or {}
-        budget_on = budget is not None
-        anytime = budget_on and budget.anytime
-        self.pivots_evaluated = 0
-        self.pivots_with_match = 0
-        self.matches_emitted = 0
-        self.messages_propagated = 0
-        self._stark.stats.nodes_traversed = 0
-
-        if anytime:
-            try:
-                leaf_layers = self._propagate_leaves(star, budget=budget)
-                pivot_cands = self._stark._pivot_candidates(
-                    star, budget=budget
-                )
-            except SUBSTRATE_ERRORS as exc:
-                budget.record_fault(f"stard candidate setup: {exc}")
-                return
-        else:
-            leaf_layers = self._propagate_leaves(star, budget=budget)
-            pivot_cands = self._stark._pivot_candidates(star, budget=budget)
+            return super()._plan(star, weights, budget)
+        leaf_layers = self._propagate_leaves(star, budget=budget)
+        pivot_cands = self._pivot_candidates(star, budget=budget)
         scoped_maps = (
             leaf_candidate_maps(self.scorer, star, scope=self.leaf_scope)
             if self.leaf_scope is not None else None
         )
         provider = bounded_leaf_provider(
             self.scorer, star, weights, self.d, self.injective,
-            leaf_maps=scoped_maps, traversal_stats=self._stark.stats,
+            leaf_maps=scoped_maps, traversal_stats=self.stats,
         )
-
-        est_heap: List[Tuple[float, int, int, float]] = []
         with obs.trace("stard.estimates", pivots=len(pivot_cands)) as span:
-            for serial, (pivot_node, pivot_score) in enumerate(pivot_cands):
-                estimate = self._pivot_estimate(
+            bounds = [
+                self._pivot_estimate(
                     star, pivot_node, pivot_score, weights, leaf_layers
                 )
-                if estimate is not None:
-                    heapq.heappush(
-                        est_heap, (-estimate, serial, pivot_node, pivot_score)
-                    )
-            span.annotate(viable=len(est_heap))
-
-        gen_heap: List[Tuple[float, int, Match, object]] = []
-        serial = len(pivot_cands)
-        tripped = False
-        emitted = False
-        while est_heap or gen_heap:
-            # Evaluate pivots whose upper bound beats every generated match.
-            while not tripped and est_heap and (
-                not gen_heap or -est_heap[0][0] > -gen_heap[0][0] + 1e-12
-            ):
-                if budget_on and budget.charge_nodes() and (
-                    gen_heap or self.pivots_evaluated >= _MIN_PIVOTS_AFTER_TRIP
-                ):
-                    tripped = True
-                    break
-                _neg_est, _s, pivot_node, pivot_score = heapq.heappop(est_heap)
-                self.pivots_evaluated += 1
-                with obs.trace("stard.pivot_eval", pivot=pivot_node):
-                    if anytime:
-                        try:
-                            gen = self._stark.build_generator(
-                                star, pivot_node, pivot_score, weights,
-                                provider,
-                            )
-                        except SUBSTRATE_ERRORS as exc:
-                            budget.record_fault(f"pivot {pivot_node}: {exc}")
-                            continue
-                    else:
-                        gen = self._stark.build_generator(
-                            star, pivot_node, pivot_score, weights, provider
-                        )
-                    if gen is None:
-                        continue
-                    first = gen.next_match()
-                    if first is None:
-                        continue
-                    self.pivots_with_match += 1
-                    serial += 1
-                    heapq.heappush(
-                        gen_heap, (-first.score, serial, first, gen)
-                    )
-            if not tripped and budget_on and budget.check():
-                tripped = True
-            if not gen_heap:
-                if tripped and anytime and not emitted:
-                    # Truncated shortlists starved every pivot; score a few
-                    # top pivots' neighborhoods directly (d=1 matches are
-                    # valid d-bounded matches).
-                    with obs.trace("stark.anytime_rescue"):
-                        rescued = self._stark._anytime_rescue(
-                            star, weights, pivot_cands, None, budget
-                        )
-                    if rescued is not None:
-                        self.matches_emitted += 1
-                        yield rescued[0]
-                return
-            _neg, _s, match, gen = heapq.heappop(gen_heap)
-            emitted = True
-            self.matches_emitted += 1
-            yield match
-            if tripped:
-                continue  # drain already-built generators' current bests
-            nxt = gen.next_match()
-            if nxt is not None:
-                serial += 1
-                heapq.heappush(gen_heap, (-nxt.score, serial, nxt, gen))
-        # Both heaps empty from the start (estimates starved by a trip
-        # during setup): budget.check() is sticky, so ask it directly.
-        if anytime and not emitted and budget.check():
-            with obs.trace("stark.anytime_rescue"):
-                rescued = self._stark._anytime_rescue(
-                    star, weights, pivot_cands, None, budget
-                )
-            if rescued is not None:
-                self.matches_emitted += 1
-                yield rescued[0]
+                for pivot_node, pivot_score in pivot_cands
+            ]
+            span.annotate(
+                viable=sum(bound is not None for bound in bounds)
+            )
+        return pivot_cands, bounds, provider, None
 
     def search(
         self, star: StarQuery, k: int, budget: Optional[Budget] = None
     ) -> List[Match]:
-        """Top-k matches of *star* in decreasing score order.
-
-        With an anytime *budget*, returns the flagged best-so-far list on
-        a trip; :attr:`last_report` describes the run either way.
-
-        Raises:
-            SearchError: for non-positive k.
-            SearchTimeoutError / BudgetExceededError: on a strict-mode
-                budget trip.
-        """
-        if k <= 0:
-            raise SearchError(f"k must be positive, got {k}")
-        results: List[Match] = []
-        with obs.trace("stard.search", k=k, d=self.d):
-            try:
-                for match in self.stream(star, budget=budget):
-                    results.append(match)
-                    if len(results) == k:
-                        break
-            except BudgetExceededError as exc:
-                self.last_report = SearchReport.from_budget(
-                    "stard", budget, len(results)
-                )
-                if exc.report is None:
-                    exc.report = self.last_report
-                raise
-        self.last_report = SearchReport.from_budget("stard", budget, len(results))
-        return results
+        """Top-k matches of *star*: the contract of
+        :meth:`repro.core.stark.StarKSearch.search`."""
+        return self._top_k(star, k, budget)

@@ -34,8 +34,7 @@ from typing import (
 from repro import obs
 from repro.core.matches import Match
 from repro.core.rankmerge import MonotoneStream, ScoredPool, hrjn_bound
-from repro.core.stard import StarDSearch
-from repro.core.stark import StarKSearch
+from repro.core.procedures import star_matcher
 from repro.errors import BudgetExceededError, SearchError
 from repro.query.decomposition import Decomposition
 from repro.query.model import Query, StarQuery
@@ -190,16 +189,9 @@ class StarJoin:
         node_weights: Mapping[int, float],
         budget: Optional[Budget] = None,
     ) -> Iterator[Match]:
-        if self.d == 1:
-            matcher = StarKSearch(
-                self.scorer, injective=self.injective,
-                candidate_limit=self.candidate_limit,
-                directed=self.directed,
-            )
-            return matcher.stream(star, node_weights, budget=budget)
-        matcher = StarDSearch(
-            self.scorer, d=self.d, injective=self.injective,
-            candidate_limit=self.candidate_limit,
+        matcher = star_matcher(
+            self.scorer, "auto", d=self.d, injective=self.injective,
+            candidate_limit=self.candidate_limit, directed=self.directed,
         )
         return matcher.stream(star, node_weights, budget=budget)
 

@@ -9,6 +9,14 @@ Steps (Fig. 5):
    emit it, and generate the next-best match for that pivot via the
    cursor lattice (:mod:`repro.core.lattice`).
 
+Steps 2 and 3 are :meth:`StarKSearch.stream`, the one lazy Lemma-1 loop
+of the code base.  ``stard`` (Section V-B) and the Section V-C hybrid are
+the same loop given an upper bound per pivot, which lets step 2 skip
+pivots that cannot beat a match already found; ``stark`` gives none and
+evaluates them all.  The loop also holds the one copy of the budget
+contract: a charge per pivot, the anytime minimum-progress floor, the
+rescue pass, and drain-after-trip.
+
 The stream of emitted matches is monotone non-increasing in score -- the
 property ``starjoin`` relies on (Section VI).  Proposition 3 pruning is
 applied to the leaf lists in the non-injective matching model (see
@@ -50,9 +58,18 @@ from repro.similarity.scoring import ScoringFunction
 #: return one raw-entry list per leaf position.
 LeafProvider = Callable[[int], List[List[Tuple[float, int, float, float, int]]]]
 
-#: After an anytime budget trips mid-scan, keep trying pivots (sorted by
-#: score, so the most promising come first) until one match exists or this
-#: many have been attempted -- the anytime minimum-progress guarantee.
+#: What a procedure's set-up hands the shared loop: scored pivot
+#: candidates, optionally one upper bound per candidate, the leaf
+#: provider, and the sketch's leaf signatures (or None).
+PivotPlan = Tuple[
+    List[Tuple[int, float]], Optional[List[Optional[float]]], LeafProvider,
+    Optional[list],
+]
+
+#: After an anytime budget trips mid-scan, keep trying pivots (visited by
+#: score or bound, so the most promising come first) until one match exists
+#: or this many have been attempted -- the anytime minimum-progress
+#: guarantee.
 _MIN_PIVOTS_AFTER_TRIP = 8
 
 #: Scoring calls the last-resort rescue pass may spend.  Index-only
@@ -62,7 +79,7 @@ _RESCUE_WORK_CAP = 400
 
 
 class SearchStats:
-    """Counters a search run exposes for the evaluation harness.
+    """Counters one star-search run exposes, whichever procedure ran it.
 
     ``repro.core.framework`` re-publishes these under the unified
     :class:`repro.obs.EngineStats` schema; the names match field-for-field.
@@ -70,16 +87,14 @@ class SearchStats:
 
     __slots__ = ("pivots_considered", "pivots_evaluated", "pivots_with_match",
                  "matches_emitted", "lattice_pops", "pivots_sketch_pruned",
-                 "nodes_traversed")
+                 "nodes_traversed", "messages_propagated")
 
     def __init__(self) -> None:
-        self.pivots_considered = 0
-        self.pivots_evaluated = 0
-        self.pivots_with_match = 0
-        self.matches_emitted = 0
-        self.lattice_pops = 0
-        self.pivots_sketch_pruned = 0
-        self.nodes_traversed = 0
+        for name in self.__slots__:
+            setattr(self, name, 0)
+
+    def as_dict(self) -> Dict[str, int]:
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class StarKSearch:
@@ -112,6 +127,15 @@ class StarKSearch:
             within d hops of them -- so every match pivoted at an owned
             node sees exactly the leaf candidates the unscoped run would.
     """
+
+    #: Procedure name: ``SearchReport.algorithm``, ``EngineStats.algorithm``
+    #: and the ``<name>.search`` span.
+    name = "stark"
+    #: Span around one batch of pivot evaluations (for stark, the scan).
+    eval_span = "stark.pivot_search"
+    #: Hops the anytime rescue looks around a pivot for leaves; None =
+    #: the search bound ``d``.
+    rescue_d: Optional[int] = None
 
     def __init__(
         self,
@@ -177,16 +201,12 @@ class StarKSearch:
         self,
         star: StarQuery,
         node_weights: Mapping[int, float],
-        leaf_maps: Optional[List[Dict[int, float]]] = None,
-        budget: Optional[Budget] = None,
+        leaf_maps: List[Dict[int, float]],
+        d: int,
     ) -> LeafProvider:
-        if leaf_maps is None:
-            leaf_maps = leaf_candidate_maps(
-                self.scorer, star, budget=budget, scope=self.leaf_scope
-            )
-        if self.d > 1:
+        if d > 1:
             return bounded_leaf_provider(
-                self.scorer, star, node_weights, self.d, self.injective,
+                self.scorer, star, node_weights, d, self.injective,
                 leaf_maps=leaf_maps, traversal_stats=self.stats,
             )
         scorer = self.scorer
@@ -279,8 +299,9 @@ class StarKSearch:
         could be built from the global maps.  This pass walks the *full*
         pivot index shortlist (already-scored candidates first, best
         score first), filters pivots by an index-only viability check --
-        every leaf position must have at least one d-hop neighbor in that
-        leaf's index shortlist, no scoring involved -- and only then
+        every leaf position must have at least one neighbor within
+        ``rescue_d`` hops in that leaf's index shortlist, no scoring
+        involved -- and only then
         scores the pivot and its neighborhood directly (exact scoring,
         same thresholds) to assemble one genuine best-so-far match.
         Deliberately ignores the (already-tripped) budget; scoring calls
@@ -290,6 +311,7 @@ class StarKSearch:
 
         scorer = self.scorer
         graph = self.graph
+        d = self.rescue_d or self.d
         threshold = scorer.config.node_threshold
         pivot_desc = star.pivot.descriptor
 
@@ -321,10 +343,10 @@ class StarKSearch:
         for pivot_node in candidates:
             if work >= _RESCUE_WORK_CAP:
                 break
-            if self.d == 1:
+            if d == 1:
                 nearby = {nbr for nbr, _eid in graph.neighbors(pivot_node)}
             else:
-                layers = bounded_bfs_layers(graph, pivot_node, self.d)
+                layers = bounded_bfs_layers(graph, pivot_node, d)
                 nearby = set()
                 for layer in layers[1:]:
                     nearby.update(layer)
@@ -377,7 +399,7 @@ class StarKSearch:
                 by_key_map[leaf.descriptor.cache_key]
                 for leaf, _edge in star.leaves
             ]
-            provider = self._leaf_provider(star, node_weights, leaf_maps=local_maps)
+            provider = self._leaf_provider(star, node_weights, local_maps, d)
             try:
                 gen = self.build_generator(
                     star, pivot_node, pivot_score, node_weights, provider,
@@ -430,6 +452,50 @@ class StarKSearch:
         )
 
     # ------------------------------------------------------------------
+    # Set-up: what a procedure decides before the shared loop runs
+    # ------------------------------------------------------------------
+    def _plan(
+        self,
+        star: StarQuery,
+        weights: Mapping[int, float],
+        budget: Optional[Budget],
+    ) -> PivotPlan:
+        """``(pivot candidates, bounds, leaf provider, sketch signatures)``.
+
+        *bounds* is what tells the procedures apart (see :meth:`stream`):
+        None, or one admissible upper bound on the pivot's top-1 score
+        per candidate (None for a pivot that provably has no match).
+        """
+        with obs.trace("stark.candidates"):
+            pivot_cands = self._pivot_candidates(star, budget=budget)
+        with obs.trace("stark.leaf_fetch", leaves=len(star.leaves)):
+            leaf_maps = leaf_candidate_maps(
+                self.scorer, star, budget=budget, scope=self.leaf_scope
+            )
+        signatures = None
+        if self.sketch is not None and self.d == 1:
+            signatures = [
+                self.sketch.candidate_signature(leaf_scores)
+                for leaf_scores in leaf_maps
+            ]
+        return (
+            pivot_cands,
+            self._bounds(star, weights, pivot_cands, leaf_maps),
+            self._leaf_provider(star, weights, leaf_maps, self.d),
+            signatures,
+        )
+
+    def _bounds(
+        self,
+        star: StarQuery,
+        weights: Mapping[int, float],
+        pivot_cands: List[Tuple[int, float]],
+        leaf_maps: List[Dict[int, float]],
+    ) -> Optional[List[Optional[float]]]:
+        """Section V-A: no bound -- every candidate pivot is evaluated."""
+        return None
+
+    # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def stream(
@@ -441,110 +507,116 @@ class StarKSearch:
     ) -> Iterator[Match]:
         """Yield matches of *star* in non-increasing score order.
 
-        Lemma 1 realized as a lazy scheme: every candidate pivot
-        contributes its top-1 match to a priority queue; popping the global
-        best and replacing it with that pivot's next-best match yields the
-        exact ranking.
+        Lemma 1 realized as a lazy scheme, shared by all three star
+        procedures: an evaluated pivot contributes its top-1 match to a
+        priority queue; popping the global best and replacing it with
+        that pivot's next-best match yields the exact ranking.  A pivot
+        is evaluated (sketch check, generator, top-1) only while its
+        upper bound beats the best queued match, pivots taken by
+        decreasing bound and candidate order among equals.  Without
+        bounds (``stark``) that is every candidate, in candidate order,
+        before the first emission.
 
-        With an anytime *budget*, a trip stops scanning new pivots (after
-        the minimum-progress floor) and the queue is drained as-is: the
-        remaining emissions stay monotone non-increasing, but the stream
-        is best-so-far rather than exact -- the caller's
-        :class:`SearchReport` flags it.
+        With an anytime *budget*, a trip stops evaluating new pivots
+        (after the minimum-progress floor) and the queue is drained
+        as-is: the remaining emissions stay monotone non-increasing, but
+        the stream is best-so-far rather than exact -- the caller's
+        :class:`SearchReport` flags it.  Substrate faults are recorded
+        on an anytime budget and re-raised otherwise.
         """
         weights = node_weights or {}
         stats = self.stats = SearchStats()
         budget_on = budget is not None
         anytime = budget_on and budget.anytime
-        if anytime:
-            try:
-                with obs.trace("stark.candidates"):
-                    pivot_cands = self._pivot_candidates(star, budget=budget)
-                with obs.trace("stark.leaf_fetch", leaves=len(star.leaves)):
-                    leaf_maps = leaf_candidate_maps(
-                        self.scorer, star, budget=budget,
-                        scope=self.leaf_scope,
-                    )
-            except SUBSTRATE_ERRORS as exc:
-                budget.record_fault(f"stark candidate setup: {exc}")
-                return
-        else:
-            with obs.trace("stark.candidates"):
-                pivot_cands = self._pivot_candidates(star, budget=budget)
-            with obs.trace("stark.leaf_fetch", leaves=len(star.leaves)):
-                leaf_maps = leaf_candidate_maps(
-                    self.scorer, star, budget=budget, scope=self.leaf_scope
-                )
+        try:
+            pivot_cands, bounds, provider, signatures = self._plan(
+                star, weights, budget
+            )
+        except SUBSTRATE_ERRORS as exc:
+            if not anytime:
+                raise
+            budget.record_fault(f"{self.name} candidate setup: {exc}")
+            return
         stats.pivots_considered = len(pivot_cands)
-        provider = self._leaf_provider(star, weights, leaf_maps)
-        leaf_signatures = None
-        if self.sketch is not None and self.d == 1:
-            leaf_signatures = [
-                self.sketch.candidate_signature(leaf_scores)
-                for leaf_scores in leaf_maps
-            ]
+        visit = pivot_cands
+        if bounds is not None:
+            ranked = sorted(
+                (-bound, index)
+                for index, bound in enumerate(bounds) if bound is not None
+            )
+            visit = [pivot_cands[index] for _neg, index in ranked]
+            bounds = [-neg for neg, _index in ranked]
+        total = len(visit)
+        build = self.build_generator
 
         queue: List[Tuple[float, int, Match, PivotMatchGenerator]] = []
-        serial = 0
+        serial = 0  # push order: the tie-break among equal scores
+        pos = 0  # visit[:pos] has been evaluated
         tripped = False
-        attempted = 0
-        with obs.trace("stark.pivot_search",
-                       pivots=len(pivot_cands)) as pivot_span:
-            for pivot_node, pivot_score in pivot_cands:
-                if budget_on and budget.charge_nodes() and (
-                    queue or attempted >= _MIN_PIVOTS_AFTER_TRIP
-                ):
-                    tripped = True
-                    break
-                attempted += 1
-                stats.pivots_evaluated += 1
-                if leaf_signatures is not None and not self.sketch.pivot_may_match(
-                    pivot_node, leaf_signatures
-                ):
-                    stats.pivots_sketch_pruned += 1
-                    continue
-                if anytime:
-                    try:
-                        gen = self.build_generator(
-                            star, pivot_node, pivot_score, weights, provider,
-                            prune_k,
-                        )
-                    except SUBSTRATE_ERRORS as exc:
-                        budget.record_fault(f"pivot {pivot_node}: {exc}")
-                        continue
-                else:
-                    gen = self.build_generator(
-                        star, pivot_node, pivot_score, weights, provider, prune_k
+        while True:
+            if not tripped and pos < total:
+                with obs.trace(self.eval_span, pivots=total - pos) as span:
+                    # Resume where the last batch stopped; a break leaves
+                    # pos on the first pivot not evaluated.
+                    for pos in range(pos, total):
+                        # Lemma 1's laziness: a pivot is worth its top-1
+                        # only while its bound beats every queued match.
+                        if bounds is not None and queue and (
+                            bounds[pos] <= -queue[0][0] + 1e-12
+                        ):
+                            break
+                        if budget_on and budget.charge_nodes() and (
+                            queue
+                            or stats.pivots_evaluated >= _MIN_PIVOTS_AFTER_TRIP
+                        ):
+                            tripped = True
+                            break
+                        pivot_node, pivot_score = visit[pos]
+                        stats.pivots_evaluated += 1
+                        if signatures is not None and (
+                            not self.sketch.pivot_may_match(
+                                pivot_node, signatures)
+                        ):
+                            stats.pivots_sketch_pruned += 1
+                            continue
+                        try:
+                            gen = build(
+                                star, pivot_node, pivot_score, weights,
+                                provider, prune_k,
+                            )
+                        except SUBSTRATE_ERRORS as exc:
+                            if not anytime:
+                                raise
+                            budget.record_fault(f"pivot {pivot_node}: {exc}")
+                            continue
+                        if gen is None:
+                            continue
+                        first = gen.next_match()
+                        if first is None:
+                            continue
+                        stats.pivots_with_match += 1
+                        heapq.heappush(queue, (-first.score, serial, first, gen))
+                        serial += 1
+                    else:
+                        pos = total  # every pivot has been evaluated
+                    span.annotate(evaluated=stats.pivots_evaluated,
+                                  with_match=stats.pivots_with_match)
+            # A batch can end without setting the flag (candidates ran out
+            # before the floor); budget.check() is sticky, so ask it.
+            if not tripped and budget_on and budget.check():
+                tripped = True
+            if not queue:
+                if stats.matches_emitted or not (tripped and anytime):
+                    return
+                with obs.trace("stark.anytime_rescue"):
+                    rescued = self._anytime_rescue(
+                        star, weights, pivot_cands, prune_k, budget
                     )
-                if gen is None:
-                    continue
-                first = gen.next_match()
-                if first is None:
-                    continue
-                stats.pivots_with_match += 1
-                heapq.heappush(queue, (-first.score, serial, first, gen))
-                serial += 1
-            pivot_span.annotate(evaluated=stats.pivots_evaluated,
-                                with_match=stats.pivots_with_match)
-
-        # The loop can end without setting the flag (candidates exhausted
-        # before the floor); budget.check() is sticky, so ask it directly.
-        if not tripped and anytime and budget.check():
-            tripped = True
-        if tripped and anytime and not queue:
-            with obs.trace("stark.anytime_rescue"):
-                rescued = self._anytime_rescue(
-                    star, weights, pivot_cands, prune_k, budget
-                )
-            if rescued is not None:
+                if rescued is None:
+                    return
                 first, gen = rescued
                 stats.pivots_with_match += 1
                 heapq.heappush(queue, (-first.score, serial, first, gen))
-                serial += 1
-
-        while queue:
-            if not tripped and budget_on and budget.check():
-                tripped = True
             _neg, _serial, match, gen = heapq.heappop(queue)
             stats.matches_emitted += 1
             stats.lattice_pops += gen.pops
@@ -565,6 +637,33 @@ class StarKSearch:
                 heapq.heappush(queue, (-nxt.score, serial, nxt, gen))
                 serial += 1
 
+    def _top_k(
+        self, star: StarQuery, k: int, budget: Optional[Budget]
+    ) -> List[Match]:
+        """The body of every procedure's :meth:`search`."""
+        if k <= 0:
+            raise SearchError(f"k must be positive, got {k}")
+        results: List[Match] = []
+        with obs.trace(f"{self.name}.search", k=k, d=self.d):
+            try:
+                for match in self.stream(star, prune_k=k, budget=budget):
+                    results.append(match)
+                    if len(results) == k:
+                        break
+            except BudgetExceededError as exc:
+                self.last_report = SearchReport.from_budget(
+                    self.name, budget, len(results)
+                )
+                if exc.report is None:
+                    exc.report = self.last_report
+                raise
+        self.last_report = SearchReport.from_budget(
+            self.name, budget, len(results)
+        )
+        return results
+
+    # Each procedure defines ``search`` in its own class body (profilers
+    # wrap it per class, see bench_e2e/tracing.py); the body is _top_k.
     def search(
         self, star: StarQuery, k: int, budget: Optional[Budget] = None
     ) -> List[Match]:
@@ -578,24 +677,7 @@ class StarKSearch:
             SearchTimeoutError / BudgetExceededError: on a strict-mode
                 budget trip (the partial report rides on the exception).
         """
-        if k <= 0:
-            raise SearchError(f"k must be positive, got {k}")
-        results: List[Match] = []
-        with obs.trace("stark.search", k=k, d=self.d):
-            try:
-                for match in self.stream(star, prune_k=k, budget=budget):
-                    results.append(match)
-                    if len(results) == k:
-                        break
-            except BudgetExceededError as exc:
-                self.last_report = SearchReport.from_budget(
-                    "stark", budget, len(results)
-                )
-                if exc.report is None:
-                    exc.report = self.last_report
-                raise
-        self.last_report = SearchReport.from_budget("stark", budget, len(results))
-        return results
+        return self._top_k(star, k, budget)
 
 
 def leaf_candidate_maps(

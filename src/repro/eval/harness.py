@@ -16,7 +16,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.baselines import BeliefPropagation, GraphTA
-from repro.core import HybridStarSearch, Star, StarDSearch, StarKSearch
+from repro.core import Star
+from repro.core.procedures import star_matcher
 from repro.errors import BudgetExceededError, SearchError
 from repro.query.model import Query, StarQuery
 from repro.runtime.budget import Budget
@@ -68,20 +69,10 @@ def make_matcher(
         SearchError: for unknown algorithm names.
     """
     name = name.lower()
-    if name == "stark":
+    if name in ("stark", "stard", "hybrid"):
         def run(query: Query, k: int, budget: Optional[Budget] = None) -> list:
-            matcher = StarKSearch(scorer, d=d, candidate_limit=candidate_limit)
-            return matcher.search(StarQuery.from_query(query), k, budget=budget)
-        return run
-    if name == "stard":
-        def run(query: Query, k: int, budget: Optional[Budget] = None) -> list:
-            matcher = StarDSearch(scorer, d=d, candidate_limit=candidate_limit)
-            return matcher.search(StarQuery.from_query(query), k, budget=budget)
-        return run
-    if name == "hybrid":
-        def run(query: Query, k: int, budget: Optional[Budget] = None) -> list:
-            matcher = HybridStarSearch(
-                scorer, d=d, candidate_limit=candidate_limit
+            matcher = star_matcher(
+                scorer, name, d=d, candidate_limit=candidate_limit
             )
             return matcher.search(StarQuery.from_query(query), k, budget=budget)
         return run

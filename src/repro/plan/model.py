@@ -41,6 +41,11 @@ from repro.plan.features import FEATURE_NAMES
 #: site as ``Budget.join_steps``), orders of magnitude fewer per query
 #: and each about as cheap.  The weight is left as calibrated; refitting
 #: it belongs to the planner re-validation.
+#: ``lattice_pops`` was calibrated while ``stard`` at d >= 2 reported it
+#: as 0 (it read an inner matcher that never ran); the real count is a
+#: few pops per emitted match at 0.05 a unit, against hundreds of units
+#: of traversal + messages per d=2 query, so no arm's ranking moves and
+#: the weights are not refitted for it.
 COST_WEIGHTS: Dict[str, float] = {
     "node_score_calls": 1.0,
     "edge_score_calls": 0.5,

@@ -43,9 +43,8 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro import obs
 from repro.core.framework import Star
 from repro.core.matches import Match
+from repro.core.procedures import star_matcher
 from repro.core.rankmerge import RankMerger
-from repro.core.stard import StarDSearch
-from repro.core.stark import StarKSearch
 from repro.errors import SearchError
 from repro.query.model import Query, StarQuery
 from repro.runtime.budget import Budget, SearchReport
@@ -60,16 +59,9 @@ BACKENDS = ("auto", "fork", "serial")
 
 def _scoped_matcher(scorer: ScoringFunction, opts: dict,
                     pivot_scope, leaf_scope):
-    if opts["d"] == 1:
-        return StarKSearch(
-            scorer, injective=opts["injective"],
-            candidate_limit=opts["candidate_limit"],
-            directed=opts["directed"],
-            pivot_scope=pivot_scope, leaf_scope=leaf_scope,
-        )
-    return StarDSearch(
-        scorer, d=opts["d"], injective=opts["injective"],
-        candidate_limit=opts["candidate_limit"],
+    return star_matcher(
+        scorer, "auto", d=opts["d"], injective=opts["injective"],
+        candidate_limit=opts["candidate_limit"], directed=opts["directed"],
         pivot_scope=pivot_scope, leaf_scope=leaf_scope,
     )
 

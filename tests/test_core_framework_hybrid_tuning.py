@@ -81,7 +81,33 @@ class TestHybrid:
             hybrid.search(star, 3)
             baseline = StarKSearch(yago_scorer)
             baseline.search(star, 3)
-            assert hybrid.pivots_evaluated <= baseline.stats.pivots_considered
+            assert hybrid.stats.pivots_evaluated <= baseline.stats.pivots_considered
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_bound_skips_pivots_stark_evaluates(self, d):
+        """The streaming rule prunes where the old k-th-top-1 stop test
+        never fired (2 of 19 pivots on the third query, both d)."""
+        from repro.core import StarKSearch
+        from repro.graph import dbpedia_like
+
+        graph = dbpedia_like(scale=0.3, seed=7)
+        scorer = ScoringFunction(graph)
+        saved = 0
+        for query in star_workload(graph, 6, seed=23)[:3]:
+            star = StarQuery.from_query(query)
+            hybrid = HybridStarSearch(scorer, d=d)
+            got = hybrid.search(star, 5)
+            baseline = StarKSearch(scorer, d=d)
+            baseline.search(star, 5)
+            want = brute_force_star(scorer, star, 5, d=d)
+            assert [m.score for m in got] == pytest.approx(
+                [m.score for m in want]
+            ), query.name
+            skipped = (baseline.stats.pivots_evaluated
+                       - hybrid.stats.pivots_evaluated)
+            assert skipped >= 0
+            saved += skipped
+        assert saved > 0
 
     def test_cutoff_skips_low_score_pivots(self):
         """When pivot scores are spread out, stage 1 stops early."""
@@ -101,7 +127,7 @@ class TestHybrid:
         hybrid = HybridStarSearch(scorer)
         matches = hybrid.search(star, 1)
         assert matches and matches[0].assignment[0] == exact
-        assert hybrid.pivots_evaluated < 31
+        assert hybrid.stats.pivots_evaluated < 31
 
     def test_k_validation(self, yago_scorer):
         star = star_query("Brad", [("acted_in", "?")])

@@ -188,6 +188,6 @@ class TestLaziness:
             matcher.search(star, 5)
             stark = StarKSearch(yago_scorer, d=2)
             stark.search(star, 5)
-            evaluated.append(matcher.pivots_evaluated)
+            evaluated.append(matcher.stats.pivots_evaluated)
             considered.append(stark.stats.pivots_considered)
         assert sum(evaluated) < sum(considered)

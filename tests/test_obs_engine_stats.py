@@ -82,6 +82,24 @@ class TestUnifiedSchema:
         assert stats["matches_emitted"] >= len(matches)
         assert stats["pivots_considered"] >= stats["pivots_with_match"]
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("algorithm", ["stark", "stard", "hybrid"])
+    def test_pivot_counters_are_the_run_s_own(self, scorer, algorithm, d):
+        """One stats object per run: at d >= 2 stard used to publish
+        ``pivots_considered`` and ``lattice_pops`` of an inner stark that
+        never ran (both 0)."""
+        from repro.core.candidates import node_candidates
+
+        engine = Star(scorer.graph, scorer=scorer, d=d, algorithm=algorithm)
+        engine.search(_star(), 3)
+        stats = engine.last_engine_stats
+        assert stats.algorithm == algorithm
+        assert stats.pivots_considered == len(
+            node_candidates(scorer, _star().pivot))
+        assert (stats.pivots_considered >= stats.pivots_evaluated
+                >= stats.pivots_with_match)
+        assert stats.lattice_pops >= stats.matches_emitted > 0
+
     def test_stard_populates_propagation_counters(self, scorer):
         engine = Star(scorer.graph, scorer=scorer, d=2)
         engine.search(_star(), 3)

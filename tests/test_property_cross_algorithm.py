@@ -61,6 +61,32 @@ class TestStarMatchersAgree:
         assert rounded(HybridStarSearch(scorer, d=d).search(star, k)) == want
 
 
+    @given(
+        seed=st.integers(min_value=0, max_value=60),
+        size_choice=st.integers(min_value=0, max_value=2),
+        d=st.integers(min_value=1, max_value=2),
+        node_weights=st.lists(
+            st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0, 1.5]),
+            min_size=4, max_size=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_hybrid_bound_admissible_under_node_weights(
+        self, seed, size_choice, d, node_weights
+    ):
+        """starjoin hands its streams alpha-scheme weights; a bound that
+        ignored them would skip pivots the weighted ranking needs."""
+        import itertools
+
+        scorer = scorer_for(seed)
+        star = star_of(size_choice)
+        weights = dict(zip(sorted(star.node_ids()), node_weights))
+        want = StarKSearch(scorer, d=d).stream(star, node_weights=weights)
+        got = HybridStarSearch(scorer, d=d).stream(
+            star, node_weights=weights)
+        assert rounded(itertools.islice(got, 8)) == rounded(
+            itertools.islice(want, 8))
+
+
 class TestGeneralMatchersAgree:
     @given(
         seed=st.integers(min_value=0, max_value=40),

@@ -3,13 +3,12 @@
 import pytest
 
 from repro.baselines import BeliefPropagation, GraphTA, brute_force_topk
-from repro.core import Star, StarDSearch, StarKSearch
+from repro.core import HybridStarSearch, Star, StarDSearch, StarKSearch
 from repro.errors import (
     DataCorruptionError,
     InjectedFaultError,
     QueryError,
     ReproError,
-    SearchError,
 )
 from repro.graph import KnowledgeGraph
 from repro.query import Query, StarQuery, star_query
@@ -145,10 +144,6 @@ class TestInvalidQueriesThroughFramework:
         with pytest.raises(QueryError):
             engine.search(q, 3)
 
-    def test_bad_engine_name(self, movie_scorer):
-        with pytest.raises(SearchError):
-            StarDSearch(movie_scorer, engine="gpu")
-
 
 class TestCandidateLimit:
     def test_limit_respected_and_results_valid(self, yago_graph, yago_scorer):
@@ -181,6 +176,14 @@ class TestFaultInjection:
 
     STAR = ("Brad", [("acted_in", "?")])
 
+    #: Every arm of the one Lemma-1 pivot loop, built on a given scorer.
+    PROCEDURES = (
+        lambda s: StarKSearch(s),
+        lambda s: StarDSearch(s, d=2),
+        lambda s: HybridStarSearch(s),
+        lambda s: HybridStarSearch(s, d=2),
+    )
+
     def _star(self):
         return star_query(self.STAR[0], self.STAR[1], pivot_type="actor")
 
@@ -206,25 +209,27 @@ class TestFaultInjection:
         assert not report.completed
 
     def test_adjacency_raise_strict_propagates(self, movie_scorer):
-        bad = faulty(
-            movie_scorer,
-            specs=[FaultSpec("graph.neighbors", at_call=0, mode="raise")],
-        )
-        with pytest.raises(InjectedFaultError):
-            StarKSearch(bad).search(self._star(), 3)
+        for make in self.PROCEDURES:
+            bad = faulty(
+                movie_scorer,
+                specs=[FaultSpec("graph.neighbors", at_call=0, mode="raise")],
+            )
+            with pytest.raises(InjectedFaultError):
+                make(bad).search(self._star(), 3)
 
     def test_adjacency_raise_anytime_flagged(self, movie_scorer):
-        bad = faulty(
-            movie_scorer,
-            specs=[FaultSpec("graph.neighbors", at_call=0, mode="raise")],
-        )
-        matcher = StarKSearch(bad)
-        budget = Budget(anytime=True)
-        got = matcher.search(self._star(), 3, budget=budget)
-        assert bad._injector.fired
-        assert matcher.last_report.degraded
-        for m in got:
-            assert m.is_injective()
+        for make in self.PROCEDURES:
+            bad = faulty(
+                movie_scorer,
+                specs=[FaultSpec("graph.neighbors", at_call=0, mode="raise")],
+            )
+            matcher = make(bad)
+            budget = Budget(anytime=True)
+            got = matcher.search(self._star(), 3, budget=budget)
+            assert bad._injector.fired
+            assert matcher.last_report.degraded
+            for m in got:
+                assert m.is_injective()
 
     def test_corrupt_score_detected(self, movie_scorer):
         bad = faulty(
@@ -297,17 +302,13 @@ class TestFaultInjection:
     def test_seeded_sweep_only_structured_errors(self, movie_scorer, seed):
         """No raw KeyError/RuntimeError may escape any engine."""
         star = self._star()
-        engines = [
-            lambda s: StarKSearch(s).search(star, 3),
-            lambda s: StarDSearch(s, d=2).search(star, 3),
-        ]
-        for run in engines:
+        for make in self.PROCEDURES:
             bad = faulty(
                 movie_scorer, seed=seed, n_faults=2,
                 modes=("raise", "corrupt"), window=30,
             )
             try:
-                result = run(bad)
+                result = make(bad).search(star, 3)
             except ReproError:
                 continue  # structured failure: acceptable without a budget
             assert isinstance(result, list)
@@ -316,10 +317,7 @@ class TestFaultInjection:
     def test_seeded_sweep_anytime_never_raises(self, movie_scorer, seed):
         """With an anytime budget, faults become flagged partials."""
         star = self._star()
-        for make in (
-            lambda s: StarKSearch(s),
-            lambda s: StarDSearch(s, d=2),
-        ):
+        for make in self.PROCEDURES:
             bad = faulty(
                 movie_scorer, seed=seed, n_faults=2,
                 modes=("raise", "corrupt"), window=30,

@@ -157,6 +157,15 @@ def _star():
     return star_query("Brad", [("acted_in", "?")], pivot_type="actor")
 
 
+#: Every arm of the one Lemma-1 pivot loop:
+#: ``(matcher class, d, SearchReport.algorithm)``.
+PROCEDURES = [
+    (StarKSearch, 1, "stark"), (StarKSearch, 2, "stark"),
+    (StarDSearch, 2, "stard"),
+    (HybridStarSearch, 1, "hybrid"), (HybridStarSearch, 2, "hybrid"),
+]
+
+
 def _general_query():
     q = Query(name="general")
     a = q.add_node("Brad", type="actor")
@@ -179,22 +188,25 @@ def _cycle_query():
 
 class TestEngineBudgets:
     def test_stark_strict_trip_raises_with_report(self, movie_scorer):
-        matcher = StarKSearch(movie_scorer)
-        with pytest.raises(BudgetExceededError) as info:
-            matcher.search(_star(), 3, budget=Budget(max_nodes=1))
-        assert info.value.report is not None
-        assert info.value.report.algorithm == "stark"
-        assert not info.value.report.completed
+        for cls, d, name in PROCEDURES:
+            matcher = cls(movie_scorer, d=d)
+            with pytest.raises(BudgetExceededError) as info:
+                matcher.search(_star(), 3, budget=Budget(max_nodes=1))
+            assert info.value.report is not None
+            assert info.value.report.algorithm == name
+            assert not info.value.report.completed
 
     def test_stark_anytime_flags_partial(self, movie_scorer):
-        matcher = StarKSearch(movie_scorer)
-        budget = Budget(max_nodes=1, anytime=True)
-        got = matcher.search(_star(), 3, budget=budget)
-        report = matcher.last_report
-        assert not report.completed
-        assert report.reason == REASON_NODES
-        scores = [m.score for m in got]
-        assert scores == sorted(scores, reverse=True)
+        for cls, d, name in PROCEDURES:
+            matcher = cls(movie_scorer, d=d)
+            budget = Budget(max_nodes=1, anytime=True)
+            got = matcher.search(_star(), 3, budget=budget)
+            report = matcher.last_report
+            assert report.algorithm == name
+            assert not report.completed
+            assert report.reason == REASON_NODES
+            scores = [m.score for m in got]
+            assert scores == sorted(scores, reverse=True)
 
     def test_stark_unbudgeted_report_is_complete(self, movie_scorer):
         matcher = StarKSearch(movie_scorer)
@@ -314,18 +326,20 @@ class TestAnytimeProperty:
 
     K = 3
 
-    @given(max_nodes=st.integers(min_value=0, max_value=60))
-    @settings(deadline=None, max_examples=25)
+    @given(max_nodes=st.integers(min_value=0, max_value=60),
+           procedure=st.sampled_from(PROCEDURES))
+    @settings(deadline=None, max_examples=75)
     def test_anytime_results_prefix_consistent(
-        self, movie_scorer, max_nodes
+        self, movie_scorer, max_nodes, procedure
     ):
+        cls, d, _name = procedure
         star = _star()
-        exact = StarKSearch(movie_scorer).search(star, self.K)
+        exact = cls(movie_scorer, d=d).search(star, self.K)
         universe = {
             round(m.score, 9)
-            for m in brute_force_star(movie_scorer, star, 1000)
+            for m in brute_force_star(movie_scorer, star, 1000, d=d)
         }
-        matcher = StarKSearch(movie_scorer)
+        matcher = cls(movie_scorer, d=d)
         budget = Budget(max_nodes=max_nodes, anytime=True)
         got = matcher.search(star, self.K, budget=budget)
         report = matcher.last_report
