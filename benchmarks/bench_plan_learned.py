@@ -154,7 +154,7 @@ def train_config(engine, work, model, arm_for, passes: int = 2):
     index = getattr(scorer, "graph_index", None)
     for _ in range(passes):
         for _name, query in work:
-            features = extract_features(scorer, query, K, d=engine.d)
+            features = extract_features(scorer, query, K, d=engine.options.d)
             arm = arm_for(features.class_key)
             if arm is None:
                 continue

@@ -23,6 +23,7 @@ from repro.baselines import BeliefPropagation, GraphTA, brute_force_topk
 from repro.core import (
     HybridStarSearch,
     Match,
+    SearchOptions,
     Star,
     StarDSearch,
     StarJoin,
@@ -101,6 +102,7 @@ __all__ = [
     "ScoringError",
     "ScoringFunction",
     "SearchError",
+    "SearchOptions",
     "SearchReport",
     "SearchTimeoutError",
     "SnapshotCorruptionError",

@@ -28,20 +28,25 @@ Commands:
 * ``client`` -- query a running service (one search, or health/stats).
 
 Every command that reads a graph accepts both the line-JSON format and
-the binary snapshot format (sniffed by magic bytes).
+the binary snapshot format (sniffed by magic bytes).  ``search``,
+``trace``, ``batch`` and ``serve`` share one engine flag group, generated
+from :class:`repro.core.options.SearchOptions`.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
+import typing
 from contextlib import nullcontext
 from typing import List, Optional
 
 from repro import obs
 from repro.core.framework import Star
+from repro.core.options import SearchOptions
 from repro.errors import ReproError
 from repro.graph import (
     dbpedia_like,
@@ -52,6 +57,7 @@ from repro.graph import (
 )
 from repro.perf import build_engine
 from repro.query.parser import parse_query
+from repro.runtime import Budget
 from repro.similarity import ScoringConfig
 
 _GENERATORS = {
@@ -59,6 +65,86 @@ _GENERATORS = {
     "yago2": yago2_like,
     "freebase": freebase_like,
 }
+
+
+#: The :class:`SearchOptions` fields that have a flag, and its spelling;
+#: type, default, choices and help text come from the record.
+_ENGINE_FLAGS = {
+    "d": "-d", "alpha": "--alpha", "decomposition_method": "--method",
+    "directed": "--directed", "use_index": "--use-index",
+    "use_semantic": "--semantic", "algorithm": "--algorithm",
+    "plan": "--plan", "plan_model": "--plan-model", "shards": "--shards",
+    "partition": "--partition",
+}
+
+
+def _engine_command(sub, name: str, summary: str) -> argparse.ArgumentParser:
+    """A subcommand that builds an engine over a saved graph: the graph
+    argument, how it is opened and scored, and the engine flag group,
+    generated from the :class:`SearchOptions` fields it sets."""
+    parser = sub.add_parser(name, help=summary)
+    parser.add_argument("graph", help="path to a saved graph")
+    parser.add_argument("--fast", action="store_true",
+                        help="use the fast scoring-measure subset")
+    parser.add_argument("--config", default=None,
+                        help="path to a saved scoring config (JSON)")
+    parser.add_argument("--mmap", action="store_true",
+                        help="open the graph zero-copy (requires an RKGS2 "
+                             "store; see 'compact'); the engine -- every "
+                             "worker's, under batch and serve -- attaches "
+                             "the store's index columns instead of "
+                             "building them")
+    group = parser.add_argument_group("engine options")
+    hints = typing.get_type_hints(SearchOptions)
+    for spec in dataclasses.fields(SearchOptions):
+        if spec.name not in _ENGINE_FLAGS:
+            continue
+        hint = hints[spec.name]  # T, or Optional[T]
+        kind = next(t for t in typing.get_args(hint) or (hint,)
+                    if t is not type(None))
+        typed = ({"action": "store_true"} if kind is bool else
+                 {"type": kind, "default": spec.default,
+                  "choices": spec.metadata["choices"]})
+        group.add_argument(_ENGINE_FLAGS[spec.name], dest=spec.name,
+                           help=spec.metadata["doc"], **typed)
+    return parser
+
+
+def options_from(args: argparse.Namespace, mmap_store=None) -> SearchOptions:
+    """The record an engine command's flags spell out; *mmap_store* is
+    the store opened under ``--mmap``, or its path for worker pools."""
+    return SearchOptions(
+        mmap_store=mmap_store,
+        **{name: getattr(args, name) for name in _ENGINE_FLAGS})
+
+
+def _add_budget_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--timeout-ms", type=float, default=None,
+                        help="per-query wall-clock deadline")
+    parser.add_argument("--budget-nodes", type=int, default=None,
+                        help="per-query cap on candidate nodes visited")
+    parser.add_argument("--anytime", action="store_true",
+                        help="on budget trip, return flagged best-so-far "
+                             "results instead of failing")
+
+
+def _budget_spec(args: argparse.Namespace) -> Optional[dict]:
+    """:class:`repro.runtime.Budget` kwargs, or None without a limit."""
+    if args.timeout_ms is None and args.budget_nodes is None:
+        return None
+    return {"deadline_ms": args.timeout_ms, "max_nodes": args.budget_nodes,
+            "anytime": args.anytime}
+
+
+def _add_metrics_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--metrics-out", default=None, metavar="PATH",
+                        help="run with observability on and write the "
+                             "metric/span snapshot as JSON to PATH")
+    parser.add_argument("--no-timing", action="store_true",
+                        help="omit wall-clock fields (elapsed, span "
+                             "timings, timing histograms) from what is "
+                             "written: byte-deterministic output for a "
+                             "fixed graph and query or workload")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,8 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
     stats = sub.add_parser("stats", help="summarize a saved graph")
     stats.add_argument("graph", help="path to a saved graph")
 
-    search = sub.add_parser("search", help="run a top-k query")
-    search.add_argument("graph", help="path to a saved graph")
+    search = _engine_command(sub, "search", "run a top-k query")
     search.add_argument(
         "query", nargs="?", default=None,
         help="query in the edge-pattern language, e.g. "
@@ -91,152 +176,30 @@ def _build_parser() -> argparse.ArgumentParser:
                              "instead of parsing an edge pattern; quote "
                              "multi-word phrases inside WORDS")
     search.add_argument("-k", type=int, default=5)
-    search.add_argument("-d", type=int, default=1, help="path bound")
-    search.add_argument("--alpha", type=float, default=None,
-                        help="alpha-scheme split (default: engine default "
-                             "0.5; an explicit value is pinned against "
-                             "planner tuning)")
-    search.add_argument(
-        "--method", default=None,
-        choices=("rand", "maxdeg", "simsize", "simtop", "simdec"),
-        help="decomposition method (default: engine default simdec; an "
-             "explicit value is pinned against planner tuning)",
-    )
-    search.add_argument("--algorithm", default="auto",
-                        choices=("auto", "stark", "stard", "hybrid"),
-                        help="star procedure (default: auto = stark at "
-                             "d=1, stard at d>=2; all are exact and "
-                             "produce score-identical rankings)")
-    search.add_argument("--plan", default="static",
-                        choices=("static", "auto", "learned"),
-                        help="per-query knob planning: static = fixed "
-                             "knobs (default), auto = explore + learn "
-                             "online, learned = exploit a model "
-                             "(see --plan-model); top-k scores are "
-                             "identical in every mode")
-    search.add_argument("--plan-model", default=None, metavar="PATH",
-                        help="fitted cost-model JSON for --plan "
-                             "(see 'plan-fit')")
     search.add_argument("--experience-out", default=None, metavar="PATH",
                         help="append planner experience records (JSONL) "
                              "for later 'plan-fit' training")
-    search.add_argument("--fast", action="store_true",
-                        help="use the fast scoring-measure subset")
     search.add_argument("--explain", action="store_true",
                         help="print a per-measure breakdown of the top match")
-    search.add_argument("--config", default=None,
-                        help="path to a saved scoring config (JSON)")
-    search.add_argument("--directed", action="store_true",
-                        help="enforce query-edge orientation (d=1 only)")
-    search.add_argument("--use-index", default="auto",
-                        choices=("auto", "on", "off"),
-                        help="route candidate generation through the "
-                             "upper-bound-pruned graph index (results "
-                             "are identical; default: auto)")
-    search.add_argument("--semantic", default="auto",
-                        choices=("auto", "on", "off"), dest="use_semantic",
-                        help="augment under-filled token shortlists with "
-                             "ANN-sourced, exactly-reranked candidates "
-                             "(default: auto = only when the shortlist "
-                             "finds nothing)")
-    search.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="run star queries sharded across N graph "
-                             "partitions (exact merged results)")
-    search.add_argument("--partition", default="hash",
-                        choices=("hash", "pivot-type"),
-                        help="shard partition strategy (default: hash)")
-    search.add_argument("--timeout-ms", type=float, default=None,
-                        help="wall-clock deadline for the search")
-    search.add_argument("--budget-nodes", type=int, default=None,
-                        help="cap on candidate nodes visited")
-    search.add_argument("--anytime", action="store_true",
-                        help="on budget trip, return flagged best-so-far "
-                             "results instead of failing")
-    search.add_argument("--metrics-out", default=None, metavar="PATH",
-                        help="run with observability on and write the "
-                             "metric/span snapshot as JSON to PATH")
-    search.add_argument("--no-timing", action="store_true",
-                        help="omit wall-clock fields (elapsed, span "
-                             "timings, timing histograms) from "
-                             "--metrics-out: byte-deterministic output "
-                             "for a fixed graph/query")
-    search.add_argument("--mmap", action="store_true",
-                        help="open the graph zero-copy (requires an RKGS2 "
-                             "store; see 'compact') and attach its index "
-                             "columns instead of building them")
+    _add_budget_options(search)
+    _add_metrics_options(search)
 
-    trace = sub.add_parser(
-        "trace", help="run a query traced; print the nested span tree"
-    )
-    trace.add_argument("graph", help="path to a saved graph")
+    trace = _engine_command(
+        sub, "trace", "run a query traced; print the nested span tree")
     trace.add_argument(
         "query",
         help="query in the edge-pattern language (see 'search')",
     )
     trace.add_argument("-k", type=int, default=5)
-    trace.add_argument("-d", type=int, default=1, help="path bound")
-    trace.add_argument("--alpha", type=float, default=None,
-                       help="alpha-scheme split (default: engine default "
-                            "0.5; an explicit value is pinned against "
-                            "planner tuning)")
-    trace.add_argument(
-        "--method", default=None,
-        choices=("rand", "maxdeg", "simsize", "simtop", "simdec"),
-        help="decomposition method (default: engine default simdec)",
-    )
-    trace.add_argument("--fast", action="store_true",
-                       help="use the fast scoring-measure subset")
-    trace.add_argument("--config", default=None,
-                       help="path to a saved scoring config (JSON)")
-    trace.add_argument("--directed", action="store_true",
-                       help="enforce query-edge orientation (d=1 only)")
-    trace.add_argument("--use-index", default="auto",
-                       choices=("auto", "on", "off"),
-                       help="route candidate generation through the "
-                            "upper-bound-pruned graph index (default: auto)")
     trace.add_argument("--jsonl", default=None, metavar="PATH",
-                       help="write the span stream as JSONL to PATH")
-    trace.add_argument("--no-timing", action="store_true",
-                       help="omit wall/CPU fields from --jsonl output "
-                            "(byte-deterministic traces)")
-    trace.add_argument("--metrics-out", default=None, metavar="PATH",
-                       help="write the metric/span snapshot as JSON to PATH")
-    trace.add_argument("--mmap", action="store_true",
-                       help="open the graph zero-copy (requires an RKGS2 "
-                            "store; see 'compact')")
+                       help="write the span stream as JSONL to PATH "
+                            "(honours --no-timing)")
+    _add_metrics_options(trace)
 
-    batch = sub.add_parser(
-        "batch", help="run a saved workload (parallel / cached)"
-    )
-    batch.add_argument("graph", help="path to a saved graph")
+    batch = _engine_command(
+        sub, "batch", "run a saved workload (parallel / cached)")
     batch.add_argument("workload", help="workload file (see 'workload')")
     batch.add_argument("-k", type=int, default=5)
-    batch.add_argument("-d", type=int, default=1, help="path bound")
-    batch.add_argument("--alpha", type=float, default=None,
-                       help="alpha-scheme split (default: engine default "
-                            "0.5; explicit values are pinned against "
-                            "planner tuning)")
-    batch.add_argument(
-        "--method", default=None,
-        choices=("rand", "maxdeg", "simsize", "simtop", "simdec"),
-        help="decomposition method (default: engine default simdec; "
-             "explicit values are pinned against planner tuning)",
-    )
-    batch.add_argument("--algorithm", default="auto",
-                       choices=("auto", "stark", "stard", "hybrid"),
-                       help="star procedure (default: auto)")
-    batch.add_argument("--plan", default="static",
-                       choices=("static", "auto", "learned"),
-                       help="per-query knob planning (per worker; "
-                            "top-k scores are identical in every mode)")
-    batch.add_argument("--plan-model", default=None, metavar="PATH",
-                       help="fitted cost-model JSON for --plan; also "
-                            "upgrades pool dispatch ordering from the "
-                            "posting-mass heuristic to learned costs")
-    batch.add_argument("--fast", action="store_true",
-                       help="use the fast scoring-measure subset")
-    batch.add_argument("--config", default=None,
-                       help="path to a saved scoring config (JSON)")
     batch.add_argument("--workers", type=int, default=1,
                        help="parallel query execution (fork-based pool)")
     batch.add_argument("--backend", default="auto",
@@ -244,42 +207,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="parallel backend (default: auto)")
     batch.add_argument("--cache", action="store_true",
                        help="enable the cross-query candidate cache")
-    batch.add_argument("--use-index", default="auto",
-                       choices=("auto", "on", "off"),
-                       help="route candidate generation through the "
-                            "upper-bound-pruned graph index (per worker; "
-                            "default: auto)")
-    batch.add_argument("--semantic", default="auto",
-                       choices=("auto", "on", "off"), dest="use_semantic",
-                       help="augment under-filled token shortlists with "
-                            "ANN-sourced, exactly-reranked candidates "
-                            "(per worker; default: auto)")
-    batch.add_argument("--shards", type=int, default=None, metavar="N",
-                       help="shard each star query across N graph "
-                            "partitions instead of parallelizing across "
-                            "queries (excludes --workers > 1)")
-    batch.add_argument("--partition", default="hash",
-                       choices=("hash", "pivot-type"),
-                       help="shard partition strategy (default: hash)")
-    batch.add_argument("--timeout-ms", type=float, default=None,
-                       help="per-query wall-clock deadline")
-    batch.add_argument("--budget-nodes", type=int, default=None,
-                       help="per-query cap on candidate nodes visited")
-    batch.add_argument("--anytime", action="store_true",
-                       help="on budget trip, return flagged best-so-far "
-                            "results instead of failing")
     batch.add_argument("--show", type=int, default=0, metavar="N",
                        help="print the top-N matches of each query")
-    batch.add_argument("--metrics-out", default=None, metavar="PATH",
-                       help="run with observability on and write the "
-                            "merged metric snapshot as JSON to PATH")
-    batch.add_argument("--no-timing", action="store_true",
-                       help="omit wall-clock fields from --metrics-out "
-                            "(byte-deterministic for a fixed workload)")
-    batch.add_argument("--mmap", action="store_true",
-                       help="open the graph zero-copy (requires an RKGS2 "
-                            "store; see 'compact'); every worker attaches "
-                            "the store's index columns")
+    _add_budget_options(batch)
+    _add_metrics_options(batch)
 
     workload = sub.add_parser("workload", help="generate a query workload")
     workload.add_argument("graph", help="path to a saved graph")
@@ -347,12 +278,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="re-open the written store and CRC-check "
                               "every section")
 
-    serve = sub.add_parser(
-        "serve",
-        help="run the async query service over a saved graph",
-    )
-    serve.add_argument("graph", help="path to a saved graph "
-                                     "(line-JSON or snapshot)")
+    serve = _engine_command(
+        sub, "serve", "run the async query service over a saved graph")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8571)
     serve.add_argument("--workers", type=int, default=2,
@@ -375,19 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--breaker-cooldown", type=float, default=1.0,
                        metavar="SECONDS",
                        help="open-breaker cooldown before half-open probes")
-    serve.add_argument("--fast", action="store_true",
-                       help="use the fast scoring-measure subset")
-    serve.add_argument("--config", default=None,
-                       help="path to a saved scoring config (JSON)")
-    serve.add_argument("--semantic", default="auto",
-                       choices=("auto", "on", "off"), dest="use_semantic",
-                       help="augment under-filled token shortlists with "
-                            "ANN-sourced, exactly-reranked candidates "
-                            "(per pool worker; default: auto)")
-    serve.add_argument("--mmap", action="store_true",
-                       help="open the graph zero-copy (requires an RKGS2 "
-                            "store; see 'compact'); every pool worker "
-                            "attaches the store's index columns")
 
     client = sub.add_parser(
         "client", help="query a running service"
@@ -466,23 +380,48 @@ def _scoring_config(args: argparse.Namespace) -> ScoringConfig:
     return ScoringConfig(fast=args.fast)
 
 
-def _strip_timing(metrics: Optional[dict]) -> Optional[dict]:
-    """Drop the wall-clock histogram block from a registry snapshot.
-
-    Counters and gauges are deterministic for a fixed graph/workload;
-    the ``span.*.ms`` histograms are not.
-    """
-    if metrics is None:
-        return None
-    return {key: value for key, value in metrics.items()
-            if key != "histograms"}
-
-
-def _write_metrics(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+def _write_metrics(args: argparse.Namespace, doc: dict, **timing) -> None:
+    """Write *doc* to ``--metrics-out``.  Under ``--no-timing`` the
+    *timing* fields and the registry's ``span.*.ms`` histograms are left
+    out: counters and gauges are deterministic for a fixed graph and
+    workload, wall-clock values are not."""
+    if not args.no_timing:
+        doc.update(timing)
+    elif doc["metrics"] is not None:
+        doc["metrics"] = {key: value for key, value in doc["metrics"].items()
+                          if key != "histograms"}
+    with open(args.metrics_out, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, sort_keys=True, indent=2)
         handle.write("\n")
-    print(f"wrote {path}")
+    print(f"wrote {args.metrics_out}")
+
+
+def _print_matches(graph, matches, indent: str = "") -> None:
+    for rank, match in enumerate(matches, start=1):
+        assigned = "  ".join(
+            f"{qid}={graph.describe(v)}"
+            for qid, v in sorted(match.assignment.items())
+        )
+        print(f"{indent}#{rank}  score={match.score:.3f}  {assigned}")
+
+
+def _run_query(args: argparse.Namespace, graph, query, planner=None,
+               budget=None, traced: bool = True):
+    """Build the engine the flags describe and search *query* on it once,
+    under a tracer when *traced*; ``(engine, matches, seconds, tracer)``."""
+    # Under --mmap the engine shares the graph's own mapping.
+    engine = build_engine(
+        graph, options_from(args, graph if args.mmap else None),
+        _scoring_config(args), planner=planner)
+    try:
+        with (obs.capture() if traced else nullcontext()) as tracer:
+            start = time.perf_counter()
+            matches = engine.search(query, args.k, budget=budget)
+            elapsed = time.perf_counter() - start
+    finally:
+        if args.shards is not None:
+            engine.close()
+    return engine, matches, elapsed, tracer
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
@@ -510,64 +449,32 @@ def _cmd_search(args: argparse.Namespace) -> int:
     elif args.experience_out:
         print("warning: --experience-out needs --plan=auto or "
               "--plan=learned; ignoring it", file=sys.stderr)
-    engine_opts = {
-        "d": args.d, "alpha": args.alpha,
-        "decomposition_method": args.method, "directed": args.directed,
-        "use_index": args.use_index, "use_semantic": args.use_semantic,
-        "algorithm": args.algorithm, "plan": args.plan, "planner": planner,
-    }
-    if args.mmap:
-        engine_opts["mmap_store"] = graph  # shares the graph's mapping
-    if args.shards is not None:
-        engine_opts.update(shards=args.shards, partition=args.partition)
-    engine = build_engine(graph, engine_opts, _scoring_config(args))
-    budget = None
-    if args.timeout_ms is not None or args.budget_nodes is not None:
-        from repro.runtime import Budget
-
-        budget = Budget(
-            deadline_ms=args.timeout_ms, max_nodes=args.budget_nodes,
-            anytime=args.anytime,
-        )
-    observed = obs.capture() if args.metrics_out else nullcontext()
+    spec = _budget_spec(args)
     try:
-        with observed as tracer:
-            start = time.perf_counter()
-            matches = engine.search(query, args.k, budget=budget)
-            elapsed = time.perf_counter() - start
+        engine, matches, elapsed, tracer = _run_query(
+            args, graph, query, planner, Budget(**spec) if spec else None,
+            traced=bool(args.metrics_out))
     finally:
-        if args.shards is not None:
-            engine.close()
         if planner is not None and planner.store is not None:
             planner.store.close()
     if args.metrics_out:
         inner = getattr(engine, "engine", engine)
         decision = (getattr(engine, "last_plan", None)
                     or getattr(inner, "last_plan", None))
-        doc = {
+        _write_metrics(args, {
             "command": "search",
             "engine_stats": engine.last_stats,
             "shard_stats": getattr(engine, "last_shard_stats", None),
             "plan": decision.as_dict() if decision is not None else None,
             "metrics": tracer.registry.as_dict(),
             "spans": tracer.to_dicts(include_timing=not args.no_timing),
-        }
-        if args.no_timing:
-            doc["metrics"] = _strip_timing(doc["metrics"])
-        else:
-            doc["elapsed_ms"] = round(elapsed * 1000.0, 3)
-        _write_metrics(args.metrics_out, doc)
+        }, elapsed_ms=round(elapsed * 1000.0, 3))
     report = engine.last_report
     if report is not None and report.degraded:
         print(f"warning: incomplete results ({report.summary()})",
               file=sys.stderr)
     print(f"{len(matches)} match(es) in {elapsed * 1000:.1f} ms")
-    for rank, match in enumerate(matches, start=1):
-        assigned = "  ".join(
-            f"{qid}={graph.describe(v)}"
-            for qid, v in sorted(match.assignment.items())
-        )
-        print(f"#{rank}  score={match.score:.3f}  {assigned}")
+    _print_matches(graph, matches)
     if args.explain and matches:
         from repro.similarity.explain import explain_match
 
@@ -579,18 +486,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph, mmap=args.mmap)
     query = parse_query(args.query.replace(";", "\n"), name="cli")
-    engine_opts = {
-        "d": args.d, "alpha": args.alpha,
-        "decomposition_method": args.method, "directed": args.directed,
-        "use_index": args.use_index,
-    }
-    if args.mmap:
-        engine_opts["mmap_store"] = graph  # shares the graph's mapping
-    engine = build_engine(graph, engine_opts, _scoring_config(args))
-    with obs.capture() as tracer:
-        start = time.perf_counter()
-        matches = engine.search(query, args.k)
-        elapsed = time.perf_counter() - start
+    engine, matches, elapsed, tracer = _run_query(args, graph, query)
     print(f"{len(matches)} match(es) in {elapsed * 1000:.1f} ms")
     print()
     print(tracer.format_tree())
@@ -606,13 +502,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             handle.write(tracer.export_jsonl(include_timing=not args.no_timing))
         print(f"wrote {args.jsonl}")
     if args.metrics_out:
-        _write_metrics(args.metrics_out, {
+        _write_metrics(args, {
             "command": "trace",
-            "elapsed_ms": round(elapsed * 1000.0, 3),
             "engine_stats": engine.last_stats,
             "metrics": tracer.registry.as_dict(),
-            "spans": tracer.to_dicts(),
-        })
+            "spans": tracer.to_dicts(include_timing=not args.no_timing),
+        }, elapsed_ms=round(elapsed * 1000.0, 3))
     return 0
 
 
@@ -622,28 +517,17 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
     graph = _load_graph(args.graph, mmap=args.mmap)
     queries = load_workload(args.workload)
-    config = _scoring_config(args)
-    budget_spec = None
-    if args.timeout_ms is not None or args.budget_nodes is not None:
-        budget_spec = {
-            "deadline_ms": args.timeout_ms,
-            "max_nodes": args.budget_nodes,
-            "anytime": args.anytime,
-        }
     observed = obs.capture() if args.metrics_out else nullcontext()
     with observed:
         result = search_many(
-            graph, queries, args.k, workers=args.workers, config=config,
-            cache=args.cache, budget_spec=budget_spec, backend=args.backend,
-            shards=args.shards, partition=args.partition,
-            d=args.d, alpha=args.alpha, decomposition_method=args.method,
-            use_index=args.use_index, use_semantic=args.use_semantic,
-            algorithm=args.algorithm, plan=args.plan,
-            plan_model=args.plan_model,
-            mmap_store=graph.store_path if args.mmap else None,
+            graph, queries, args.k, workers=args.workers,
+            config=_scoring_config(args), cache=args.cache,
+            budget_spec=_budget_spec(args), backend=args.backend,
+            options=options_from(
+                args, graph.store_path if args.mmap else None),
         )
     if args.metrics_out:
-        doc = {
+        _write_metrics(args, {
             "command": "batch",
             "backend": result.backend,
             "workers": result.workers,
@@ -652,12 +536,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             "metrics": result.metrics,
             "cache": (result.cache_stats.as_dict()
                       if result.cache_stats is not None else None),
-        }
-        if args.no_timing:
-            doc["metrics"] = _strip_timing(doc["metrics"])
-        else:
-            doc["wall_s"] = round(result.wall_s, 6)
-        _write_metrics(args.metrics_out, doc)
+        }, wall_s=round(result.wall_s, 6))
     print(result.summary())
     if result.degraded:
         print(f"warning: {result.degraded} quer(ies) returned incomplete "
@@ -668,12 +547,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             flag = "  [degraded]"
         print(f"query {outcome.index}: {len(outcome.matches)} match(es) "
               f"in {outcome.elapsed_s * 1000:.1f} ms{flag}")
-        for rank, match in enumerate(outcome.matches[: args.show], start=1):
-            assigned = "  ".join(
-                f"{qid}={graph.describe(v)}"
-                for qid, v in sorted(match.assignment.items())
-            )
-            print(f"  #{rank}  score={match.score:.3f}  {assigned}")
+        _print_matches(graph, outcome.matches[: args.show], "  ")
     return 0
 
 
@@ -690,12 +564,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     if not matches:
         print("no matches; try a larger --scale")
         return 1
-    for rank, match in enumerate(matches, start=1):
-        assigned = "  ".join(
-            f"{qid}={graph.describe(v)}"
-            for qid, v in sorted(match.assignment.items())
-        )
-        print(f"#{rank}  score={match.score:.3f}  {assigned}")
+    _print_matches(graph, matches)
     return 0
 
 
@@ -795,14 +664,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.server import serve_forever
 
     graph = _load_graph(args.graph, mmap=args.mmap)
-    config = _scoring_config(args)
-    engine_opts = {"use_semantic": args.use_semantic}
-    if args.mmap:
-        engine_opts["mmap_store"] = graph.store_path
     app = ServeApp(
         graph,
-        config=config,
-        engine_opts=engine_opts,
+        config=_scoring_config(args),
+        engine_opts=options_from(
+            args, graph.store_path if args.mmap else None),
         workers=args.workers,
         backend=args.backend,
         max_queue_depth=args.queue_depth,

@@ -4,6 +4,7 @@
 * :class:`StarDSearch` -- procedure ``stard`` (Section V-B).
 * :class:`StarJoin` -- procedure ``starjoin`` + alpha-scheme (Section VI-A).
 * :class:`Star` -- the full framework (Fig. 4).
+* :class:`SearchOptions` -- the engine's knobs, declared once.
 * :class:`HybridStarSearch` -- the Section V-C alternative.
 * :func:`tune_parameters` -- Section VI-C's offline grid search.
 """
@@ -18,6 +19,7 @@ from repro.core.matches import (
     is_monotone_non_increasing,
     scores_of,
 )
+from repro.core.options import SearchOptions
 from repro.core.stard import StarDSearch
 from repro.core.stark import StarKSearch, bounded_leaf_provider
 from repro.core.starjoin import StarJoin, alpha_weights
@@ -43,6 +45,7 @@ __all__ = [
     "Match",
     "PregelEngine",
     "PivotMatchGenerator",
+    "SearchOptions",
     "Star",
     "StarDSearch",
     "StarJoin",

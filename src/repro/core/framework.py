@@ -12,26 +12,22 @@ This is the class a library user instantiates::
 
 from __future__ import annotations
 
+import dataclasses
 from typing import List, Optional, Union
 
 from repro import obs
 from repro.core.matches import Match
-from repro.core.procedures import ALGORITHMS, star_matcher
+from repro.core.options import PLAN_MODES, SearchOptions
+from repro.core.procedures import star_matcher
 from repro.core.starjoin import StarJoin
-from repro.errors import DecompositionError, SearchError
+from repro.errors import SearchError
 from repro.graph.knowledge_graph import KnowledgeGraph
-from repro.query.decomposition import Decomposition, METHODS, decompose
+from repro.query.decomposition import Decomposition, decompose
 from repro.query.model import Query, StarQuery
 from repro.runtime.budget import Budget, SearchReport
 from repro.similarity.scoring import ScoringConfig, ScoringFunction
 
-#: Plan modes: ``static`` = fixed knobs (seed behavior, zero overhead);
-#: ``auto`` = a :class:`repro.plan.QueryPlanner` explores cold arms and
-#: learns online, exploiting once warm; ``learned`` = exploit only --
-#: the planner runs the static plan until its model is warm (usually a
-#: fitted model loaded via ``plan_model=``).  Every planned knob is
-#: result-preserving, so all three modes return identical matches.
-PLAN_MODES = ("static", "auto", "learned")
+__all__ = ["PLAN_MODES", "Star"]
 
 
 class Star:
@@ -42,29 +38,14 @@ class Star:
         scorer: a shared :class:`ScoringFunction`; built from *config* (or
             defaults) when omitted.
         config: scoring configuration used when *scorer* is omitted.
-        d: search bound -- a query edge may match a path of length <= d.
-        alpha: alpha-scheme split for rank joins.
-        decomposition_method: one of ``rand / maxdeg / simsize / simtop /
-            simdec`` (Section VI-B).
-        lam: Eq. 5's lambda trade-off for the optimized decompositions.
-        injective: enforce one-to-one matching.
-        candidate_limit: optional candidate cutoff for large graphs.
-        use_index: ``auto`` | ``on`` | ``off`` -- route candidate
-            generation through an upper-bound-pruned
-            :class:`repro.index.GraphIndex` (results are byte-identical
-            to the linear scan).  ``auto`` (default) engages it only for
-            calls with a candidate cutoff; ``off`` never builds one.  A
-            scorer with an index already attached keeps it regardless.
-        use_semantic: ``auto`` | ``on`` | ``off`` -- attach a
-            :class:`repro.ann.SemanticTier` adding ANN-sourced,
-            exactly-reranked candidates.  ``auto`` (default) engages
-            only when the token shortlist yields zero admissible
-            candidates (out-of-vocabulary queries), leaving
-            in-vocabulary searches byte-identical to the seed; ``on``
-            augments every non-wildcard candidate call; ``off`` never
-            attaches.  A scorer with a tier already attached keeps it
-            regardless (so callers can pre-tune probe limits or time
-            bounds via :func:`repro.ann.attach_semantic`).
+        planner: a ready :class:`repro.plan.QueryPlanner`; one is built
+            from ``plan`` / ``plan_model`` when omitted and ``plan`` is
+            not ``static``.
+        options: a ready :class:`~repro.core.options.SearchOptions`.
+
+    Keyword options: see :class:`~repro.core.options.SearchOptions`.
+    The validated record is :attr:`options`; its routing fields are
+    :func:`repro.perf.build_engine`'s to act on and are ignored here.
     """
 
     def __init__(
@@ -72,113 +53,45 @@ class Star:
         graph: KnowledgeGraph,
         scorer: Optional[ScoringFunction] = None,
         config: Optional[ScoringConfig] = None,
-        d: int = 1,
-        alpha: Optional[float] = None,
-        decomposition_method: Optional[str] = None,
-        lam: float = 1.0,
-        injective: bool = True,
-        candidate_limit: Optional[int] = None,
-        directed: bool = False,
-        use_index: str = "auto",
-        use_semantic: str = "auto",
-        algorithm: str = "auto",
-        plan: str = "static",
+        *,
         planner=None,
-        plan_model: Optional[str] = None,
+        options: Optional[SearchOptions] = None,
+        **knobs,
     ) -> None:
-        if d < 1:
-            raise SearchError(f"search bound d must be >= 1, got {d}")
-        if directed and d != 1:
-            raise SearchError("directed matching is defined for d == 1 only")
-        # An explicitly passed knob is *pinned*: the planner must never
-        # override it (the caller's choice always wins).  ``None`` means
-        # "engine default, planner may tune".
-        self._alpha_pinned = alpha is not None
-        if alpha is None:
-            alpha = 0.5
-        if not (0.0 <= alpha <= 1.0):
-            raise SearchError(f"alpha={alpha} must be in [0, 1]")
-        self._method_pinned = decomposition_method is not None
-        if decomposition_method is None:
-            decomposition_method = "simdec"
-        if decomposition_method not in METHODS:
-            # Typed, fail-fast validation: without it a bad method name
-            # only surfaces on the first *non-star* search, deep inside
-            # decompose (and never at all on star-only workloads).
-            raise DecompositionError(
-                f"unknown decomposition method {decomposition_method!r}; "
-                f"choose from {METHODS}"
-            )
-        if use_index not in ("auto", "on", "off"):
-            raise SearchError(
-                f"use_index must be auto, on or off, got {use_index!r}"
-            )
-        if use_semantic not in ("auto", "on", "off"):
-            raise SearchError(
-                f"use_semantic must be auto, on or off, got {use_semantic!r}"
-            )
-        if algorithm not in ALGORITHMS:
-            raise SearchError(
-                f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}"
-            )
-        if directed and algorithm not in ("auto", "stark"):
-            # stard/hybrid do not implement edge orientation; silently
-            # ignoring it would change results.
-            raise SearchError(
-                f"directed matching requires algorithm auto or stark, "
-                f"got {algorithm!r}"
-            )
-        if plan not in PLAN_MODES:
-            raise SearchError(
-                f"plan must be one of {PLAN_MODES}, got {plan!r}"
-            )
-        self.directed = directed
+        options = self.options = SearchOptions.coerce(options, knobs)
         self.graph = graph
         self.scorer = scorer or ScoringFunction(graph, config)
-        self.use_index = use_index
+        self.planner = planner
+        if options.plan != "static" and planner is None:
+            from repro.plan import QueryPlanner
+
+            self.planner = QueryPlanner.for_engine(
+                mode=options.plan, model_path=options.plan_model
+            )
         # ``auto`` only ever routes calls that carry a candidate cutoff,
         # so without one there is nothing to build; ``on`` always builds.
-        wants_index = use_index == "on" or (
-            use_index == "auto" and candidate_limit is not None
+        # A planner's per-query index routing needs an index to route
+        # *to*, so with one ``auto`` attaches too (inert without a
+        # cutoff: static-default behavior is unchanged).
+        wants_index = options.use_index == "on" or (
+            options.use_index == "auto" and (
+                options.candidate_limit is not None
+                or self.planner is not None
+            )
         )
         if wants_index and getattr(
                 self.scorer, "graph_index", None) is None:
             from repro.index import attach_index
 
-            attach_index(self.scorer, mode=use_index)
-        self.use_semantic = use_semantic
+            attach_index(self.scorer, mode=options.use_index)
         # The tier itself is lazy (the graph embeds on first engagement),
         # so attaching under ``auto``/``on`` costs nothing until a query
         # actually under-fills the token shortlist.
-        if use_semantic != "off" and getattr(
+        if options.use_semantic != "off" and getattr(
                 self.scorer, "semantic_tier", None) is None:
             from repro.ann import attach_semantic
 
-            attach_semantic(self.scorer, mode=use_semantic)
-        self.d = d
-        self.alpha = alpha
-        self.decomposition_method = decomposition_method
-        self.lam = lam
-        self.injective = injective
-        self.candidate_limit = candidate_limit
-        self.algorithm = algorithm
-        self._algorithm_override: Optional[str] = None
-        self.plan_mode = plan
-        self.planner = planner
-        if plan != "static" and self.planner is None:
-            from repro.plan import QueryPlanner
-
-            self.planner = QueryPlanner.for_engine(
-                mode=plan, model_path=plan_model
-            )
-        if self.planner is not None and use_index == "auto" and getattr(
-                self.scorer, "graph_index", None) is None:
-            # The planner's per-query index routing needs an index to
-            # route *to*; attach one in ``auto`` mode (inert without a
-            # cutoff, so static-default behavior is unchanged).
-            from repro.index import attach_index
-
-            attach_index(self.scorer, mode="auto")
+            attach_semantic(self.scorer, mode=options.use_semantic)
         #: The planner's decision for the last search (None under static
         #: planning) -- exposed for tests, tracing and the CLI.
         self.last_plan = None
@@ -212,14 +125,17 @@ class Star:
         self.last_stats = stats.as_dict()
 
     def search_star(
-        self, star: StarQuery, k: int, budget: Optional[Budget] = None
+        self,
+        star: StarQuery,
+        k: int,
+        budget: Optional[Budget] = None,
+        options: Optional[SearchOptions] = None,
     ) -> List[Match]:
-        """Top-k matches of a star query (stark / stard / hybrid)."""
-        matcher = star_matcher(
-            self.scorer, self._algorithm_override or self.algorithm,
-            d=self.d, injective=self.injective,
-            candidate_limit=self.candidate_limit, directed=self.directed,
-        )
+        """Top-k matches of a star query (stark / stard / hybrid).
+
+        *options* is this one search's plan (default: :attr:`options`).
+        """
+        matcher = star_matcher(self.scorer, options or self.options)
         cache, hits0, misses0 = self._cache_marks()
         try:
             return matcher.search(star, k, budget=budget)
@@ -243,14 +159,15 @@ class Star:
         are decomposed (unless a prebuilt *decomposition* is supplied) and
         rank-joined.
 
-        Under a non-static :attr:`plan_mode`, a
-        :class:`repro.plan.QueryPlanner` first chooses performance knobs
-        (star procedure, index routing, decomposition method, alpha) for
-        this query; explicitly pinned constructor knobs are never
-        overridden, and the guardrail falls back to the static defaults
-        whenever the model is cold or its predicted gain is within
-        noise.  Planned searches return the same rankings as static ones
-        -- every knob the planner may touch is result-preserving.
+        With a :attr:`planner`, a :class:`repro.plan.QueryPlanner` first
+        chooses performance knobs (star procedure, index routing,
+        decomposition method, alpha) for this query, which then runs on
+        ``dataclasses.replace(self.options, **overrides)``; pinned
+        options are never overridden, and the guardrail falls back to
+        the static defaults whenever the model is cold or its predicted
+        gain is within noise.  Planned searches return the same rankings
+        as static ones -- every knob the planner may touch is
+        result-preserving.
 
         With a :class:`Budget` the search runs under the runtime
         contract: a strict-mode trip raises (partial
@@ -269,23 +186,34 @@ class Star:
         planner = self.planner
         if planner is None:
             self.last_plan = None
-            return self._search_impl(query, k, decomposition, budget)
+            return self._search_impl(query, k, decomposition, budget,
+                                     self.options)
         decision = planner.plan(
             self, query, k, budget=budget,
             prebuilt_decomposition=decomposition is not None,
         )
         self.last_plan = decision
-        restore = self._apply_decision(decision)
+        overrides = dict(decision.overrides)
+        # The one override that is not an option: the routing mode is
+        # state on the (shared) index object, put back after the search.
+        index_mode = overrides.pop("index_mode", None)
+        options = self.options
+        if overrides:
+            options = dataclasses.replace(options, **overrides)
         scorer = self.scorer
         index = getattr(scorer, "graph_index", None)
         node_calls0 = scorer.node_score_calls
         edge_calls0 = scorer.edge_score_calls
         scanned0 = index.postings_scanned if index is not None else 0
+        reroute = index is not None and index_mode is not None
+        if reroute:
+            static_mode, index.mode = index.mode, index_mode
         try:
-            results = self._search_impl(query, k, decomposition, budget)
+            results = self._search_impl(query, k, decomposition, budget,
+                                        options)
         finally:
-            for obj, attr, value in reversed(restore):
-                setattr(obj, attr, value)
+            if reroute:
+                index.mode = static_mode
         planner.observe(
             decision, self.last_engine_stats,
             node_score_calls=scorer.node_score_calls - node_calls0,
@@ -296,59 +224,34 @@ class Star:
         )
         return results
 
-    def _apply_decision(self, decision) -> List[tuple]:
-        """Apply a plan decision's knob overrides; return restore ops."""
-        restore: List[tuple] = []
-        overrides = getattr(decision, "overrides", None) or {}
-        for attr in ("alpha", "decomposition_method", "candidate_limit"):
-            if attr in overrides:
-                restore.append((self, attr, getattr(self, attr)))
-                setattr(self, attr, overrides[attr])
-        if "algorithm" in overrides:
-            restore.append(
-                (self, "_algorithm_override", self._algorithm_override)
-            )
-            self._algorithm_override = overrides["algorithm"]
-        if "index_mode" in overrides:
-            index = getattr(self.scorer, "graph_index", None)
-            if index is not None:
-                restore.append((index, "mode", index.mode))
-                index.mode = overrides["index_mode"]
-        return restore
-
     def _search_impl(
         self,
         query: Union[Query, StarQuery],
         k: int,
-        decomposition: Optional[Decomposition] = None,
-        budget: Optional[Budget] = None,
+        decomposition: Optional[Decomposition],
+        budget: Optional[Budget],
+        options: SearchOptions,
     ) -> List[Match]:
-        """The static search body (planner overrides already applied)."""
+        """The search body under one (static or planned) *options*."""
         if isinstance(query, StarQuery):
-            return self.search_star(query, k, budget=budget)
+            return self.search_star(query, k, budget, options)
         query.validate()
         if decomposition is None and query.is_star():
             self.last_decomposition = None
             self.last_join = None
             return self.search_star(
-                StarQuery.from_query(query), k, budget=budget
+                StarQuery.from_query(query), k, budget, options
             )
+        options = options.resolved()
         if decomposition is None:
-            with obs.trace("framework.decompose",
-                           method=self.decomposition_method):
+            method = options.decomposition_method
+            with obs.trace("framework.decompose", method=method):
                 decomposition = decompose(
-                    query,
-                    method=self.decomposition_method,
-                    scorer=self.scorer,
-                    lam=self.lam,
+                    query, method=method, scorer=self.scorer,
+                    lam=options.lam,
                 )
         self.last_decomposition = decomposition
-        join = StarJoin(
-            self.scorer, d=self.d, alpha=self.alpha,
-            injective=self.injective, candidate_limit=self.candidate_limit,
-            directed=self.directed,
-        )
-        self.last_join = join
+        join = self.last_join = StarJoin(self.scorer, options)
         cache, hits0, misses0 = self._cache_marks()
         try:
             with obs.trace("starjoin.join",

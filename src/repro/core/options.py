@@ -1,0 +1,196 @@
+"""``SearchOptions``: the engine's options, declared once.
+
+The one place the parameters of Framework STAR (Fig. 4) and of the
+layers around it are named, defaulted and validated.  Every front door
+-- ``Star``, ``ShardedEngine``, ``search_many``, ``build_engine``, the
+serve workers, the CLI -- turns what it was given into one record
+through :meth:`SearchOptions.coerce` and hands the record itself down.
+It is frozen and hashable: a per-query plan is
+``dataclasses.replace(engine.options, **overrides)``, never a mutation.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from dataclasses import dataclass, field
+from typing import Any, Mapping, Optional, Union
+
+from repro.errors import DecompositionError, SearchError
+from repro.query.decomposition import METHODS
+
+#: Star procedures; all exact, so the choice is purely a performance
+#: decision -- which is why the learned planner may pick it per query.
+ALGORITHMS = ("auto", "stark", "stard", "hybrid")
+#: Plan modes; every planned knob is result-preserving, so all three
+#: return identical matches.
+PLAN_MODES = ("static", "auto", "learned")
+#: Shard transports.
+BACKENDS = ("auto", "fork", "serial")
+_TIER_MODES = ("auto", "on", "off")
+
+
+def _option(default, doc: str, choices=None):
+    """A field and its one description (``--help`` prints the same)."""
+    return field(default=default, metadata={"doc": doc, "choices": choices})
+
+
+@dataclass(frozen=True)
+class SearchOptions:
+    """Everything that configures an engine, validated on construction.
+
+    ``None`` (``alpha``, ``decomposition_method``) and ``auto``
+    (``algorithm``, ``use_index``) mean "engine default, the planner may
+    tune it per query"; an explicit value is pinned.  The last four
+    fields route construction (:func:`repro.perf.build_engine`,
+    :class:`repro.shard.ShardedEngine`); a plain ``Star`` ignores them.
+    Each field's description is its ``metadata["doc"]``.
+
+    Raises:
+        SearchError / DecompositionError: for an invalid value or
+            combination.
+    """
+
+    d: int = _option(
+        1, "search bound: a query edge may match a path of length <= d")
+    alpha: Optional[float] = _option(
+        None, "alpha-scheme split for rank joins, in [0, 1] (default: "
+        "engine default 0.5; an explicit value is pinned against planner "
+        "tuning)")
+    decomposition_method: Optional[str] = _option(
+        None, "decomposition method, Section VI-B (default: engine default "
+        "simdec; an explicit value is pinned against planner tuning)",
+        METHODS)
+    lam: float = _option(
+        1.0, "Eq. 5's lambda trade-off for the optimized decompositions")
+    injective: bool = _option(True, "enforce one-to-one matching")
+    candidate_limit: Optional[int] = _option(
+        None, "candidate cutoff for large graphs")
+    directed: bool = _option(
+        False, "enforce query-edge orientation (d=1, stark only)")
+    use_index: str = _option(
+        "auto", "route candidate generation through the upper-bound-pruned "
+        "graph index (identical results): 'on' always; 'auto' only for "
+        "calls that carry a candidate cutoff (candidate_limit, which no "
+        "CLI command sets) or that the planner routes there (plan auto or "
+        "learned); 'off' never builds one.  A scorer that already holds an "
+        "index keeps it", _TIER_MODES)
+    use_semantic: str = _option(
+        "auto", "augment token shortlists with ANN-sourced, exactly-"
+        "reranked candidates: 'auto' only when the shortlist finds "
+        "nothing (out-of-vocabulary queries), 'on' on every non-wildcard "
+        "candidate call, 'off' never attaches the tier.  A scorer that "
+        "already holds a tier (repro.ann.attach_semantic) keeps it",
+        _TIER_MODES)
+    algorithm: str = _option(
+        "auto", "star procedure, for direct star searches, starjoin's "
+        "streams and shard matchers alike (auto = the paper's routing: "
+        "stark at d=1, stard at d>=2; a name pins one at any d; all are "
+        "exact and score-identical, only exact-tie order may vary)",
+        ALGORITHMS)
+    plan: str = _option(
+        "static", "per-query knob planning: static = fixed knobs (zero "
+        "overhead), auto = explore cold arms and learn online, learned = "
+        "exploit only, static until the model is warm (see plan_model); "
+        "top-k scores are identical in every mode", PLAN_MODES)
+    plan_model: Optional[str] = _option(
+        None, "fitted cost-model JSON for plan (see 'repro plan-fit'); "
+        "batch runs also order pool dispatch by its predictions")
+    mmap_store: Any = _option(
+        None, "an RKGS2 store (path, reader or mmap-backed graph) whose "
+        "index and ANN columns are attached zero-copy instead of built, "
+        "unless the matching use_* is off or the scorer already holds one")
+    shards: Optional[int] = _option(
+        None, "run star queries sharded across N graph partitions (exact "
+        "merged results); batch runs then take the queries one at a time")
+    partition: str = _option(
+        "hash", "shard partition strategy: hash or pivot-type")
+    shard_backend: str = _option(
+        "auto", "shard transport (auto = fork where available, else "
+        "serial)", BACKENDS)
+
+    def __post_init__(self) -> None:
+        if self.d < 1:
+            raise SearchError(f"search bound d must be >= 1, got {self.d}")
+        if self.directed and self.d != 1:
+            raise SearchError("directed matching is defined for d == 1 only")
+        if self.alpha is not None and not (0.0 <= self.alpha <= 1.0):
+            raise SearchError(f"alpha={self.alpha} must be in [0, 1]")
+        method = self.decomposition_method
+        if method is not None and method not in METHODS:
+            # Fail fast: otherwise a bad name only surfaces on the first
+            # *non-star* search, deep inside decompose.
+            raise DecompositionError(
+                f"unknown decomposition method {method!r}; "
+                f"choose from {METHODS}"
+            )
+        for name in ("use_index", "use_semantic"):
+            if getattr(self, name) not in _TIER_MODES:
+                raise SearchError(
+                    f"{name} must be auto, on or off, "
+                    f"got {getattr(self, name)!r}"
+                )
+        if self.algorithm not in ALGORITHMS:
+            raise SearchError(
+                f"algorithm must be one of {ALGORITHMS}, "
+                f"got {self.algorithm!r}"
+            )
+        if self.directed and self.algorithm not in ("auto", "stark"):
+            # stard/hybrid do not implement edge orientation; silently
+            # ignoring it would change results.
+            raise SearchError(
+                f"directed matching requires algorithm auto or stark, "
+                f"got {self.algorithm!r}"
+            )
+        if self.plan not in PLAN_MODES:
+            raise SearchError(
+                f"plan must be one of {PLAN_MODES}, got {self.plan!r}"
+            )
+        if self.shards is not None and self.shards < 1:
+            raise SearchError(f"shards must be >= 1, got {self.shards}")
+        if self.shard_backend not in BACKENDS:
+            raise SearchError(
+                f"unknown shard backend {self.shard_backend!r}; "
+                f"expected one of {BACKENDS}"
+            )
+
+    @classmethod
+    def coerce(
+        cls,
+        options: Union["SearchOptions", Mapping[str, Any], None] = None,
+        knobs: Optional[Mapping[str, Any]] = None,
+    ) -> "SearchOptions":
+        """The record a front door was handed: *options* (a record, or a
+        mapping of field values) or keyword *knobs*, never both.
+
+        Raises:
+            SearchError: for both at once, or a key that is no field.
+        """
+        if options is not None and knobs:
+            raise SearchError(
+                f"pass options= or keyword options, not both "
+                f"(got options= and {sorted(knobs)})"
+            )
+        if isinstance(options, cls):
+            return options
+        values = dict(knobs or {}) if options is None else dict(options)
+        unknown = sorted(set(values).difference(FIELD_NAMES))
+        if unknown:
+            raise SearchError(
+                f"unknown search option {', '.join(map(repr, unknown))}; "
+                f"valid options: {', '.join(FIELD_NAMES)}"
+            )
+        return cls(**values)
+
+    def resolved(self) -> "SearchOptions":
+        """This record with the tunable ``None`` defaults filled in."""
+        if self.alpha is not None and self.decomposition_method is not None:
+            return self
+        return dataclasses.replace(
+            self,
+            alpha=0.5 if self.alpha is None else self.alpha,
+            decomposition_method=self.decomposition_method or "simdec",
+        )
+
+
+#: Every option name, in declaration order.
+FIELD_NAMES = tuple(f.name for f in dataclasses.fields(SearchOptions))

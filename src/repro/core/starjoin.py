@@ -33,6 +33,7 @@ from typing import (
 
 from repro import obs
 from repro.core.matches import Match
+from repro.core.options import SearchOptions
 from repro.core.rankmerge import MonotoneStream, ScoredPool, hrjn_bound
 from repro.core.procedures import star_matcher
 from repro.errors import BudgetExceededError, SearchError
@@ -148,32 +149,21 @@ class StarJoin:
 
     Args:
         scorer: shared :class:`ScoringFunction`.
-        d: search bound (d >= 2 uses ``stard`` streams).
-        alpha: the alpha-scheme split parameter.
-        injective: enforce one-to-one matching globally.
-        candidate_limit: pivot/leaf candidate cutoff passed to the star
-            matchers.
+        options: a :class:`~repro.core.options.SearchOptions` record, or
+            keyword options in its place.  Read here: ``alpha`` (the
+            alpha-scheme split) and ``injective`` (enforced globally);
+            the star streams are built from the whole record
+            (``d``, ``algorithm``, ``candidate_limit``, ``directed``).
     """
 
     def __init__(
         self,
         scorer: ScoringFunction,
-        d: int = 1,
-        alpha: float = 0.5,
-        injective: bool = True,
-        candidate_limit: Optional[int] = None,
-        directed: bool = False,
+        options: Optional[SearchOptions] = None,
+        **knobs,
     ) -> None:
-        if not (0.0 <= alpha <= 1.0):
-            raise SearchError(f"alpha={alpha} must be in [0, 1]")
-        if directed and d != 1:
-            raise SearchError("directed matching is defined for d == 1 only")
-        self.directed = directed
         self.scorer = scorer
-        self.d = d
-        self.alpha = alpha
-        self.injective = injective
-        self.candidate_limit = candidate_limit
+        self.options = SearchOptions.coerce(options, knobs).resolved()
         # Filled by the last `join` call (Fig. 14(d) metrics).
         self.last_depths: List[int] = []
         self.last_joins_attempted = 0
@@ -189,10 +179,7 @@ class StarJoin:
         node_weights: Mapping[int, float],
         budget: Optional[Budget] = None,
     ) -> Iterator[Match]:
-        matcher = star_matcher(
-            self.scorer, "auto", d=self.d, injective=self.injective,
-            candidate_limit=self.candidate_limit, directed=self.directed,
-        )
+        matcher = star_matcher(self.scorer, self.options)
         return matcher.stream(star, node_weights, budget=budget)
 
     # ------------------------------------------------------------------
@@ -237,7 +224,7 @@ class StarJoin:
                 )
                 return results
 
-            weights = alpha_weights(decomposition, self.alpha)
+            weights = alpha_weights(decomposition, self.options.alpha)
             joint = decomposition.joint_nodes()
             streams = [
                 _StarStream(
@@ -339,7 +326,7 @@ class StarJoin:
         new_match = streams[new_idx].fetched[-1][1]
         partners = [s for i, s in enumerate(streams) if i != new_idx]
         last = len(partners) - 1
-        injective = self.injective
+        injective = self.options.injective
         budget_on = budget is not None
 
         def recurse(pos: int, partial: Match) -> None:

@@ -17,6 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.baselines import BeliefPropagation, GraphTA
 from repro.core import Star
+from repro.core.options import SearchOptions
 from repro.core.procedures import star_matcher
 from repro.errors import BudgetExceededError, SearchError
 from repro.query.model import Query, StarQuery
@@ -70,10 +71,12 @@ def make_matcher(
     """
     name = name.lower()
     if name in ("stark", "stard", "hybrid"):
+        options = SearchOptions(
+            algorithm=name, d=d, candidate_limit=candidate_limit
+        )
+
         def run(query: Query, k: int, budget: Optional[Budget] = None) -> list:
-            matcher = star_matcher(
-                scorer, name, d=d, candidate_limit=candidate_limit
-            )
+            matcher = star_matcher(scorer, options)
             return matcher.search(StarQuery.from_query(query), k, budget=budget)
         return run
     if name == "graphta":

@@ -9,8 +9,9 @@ result*:
 * :func:`search_many` -- batch query execution over a supervised fork
   worker pool (thread/serial fallback), merging per-query reports,
   engine counters and cache stats; see :mod:`repro.perf.parallel`.
-* :func:`build_engine` -- the one place an options dict (``Star``
-  kwargs plus ``mmap_store`` / ``shards`` routing) becomes an engine.
+* :func:`build_engine` -- the one place engine options (a dict or a
+  :class:`~repro.core.options.SearchOptions`, ``mmap_store`` /
+  ``shards`` routing included) become an engine.
 
 The headline invariant, asserted by ``tests/test_perf_parallel.py``:
 cached/parallel runs return byte-identical match lists and scores to

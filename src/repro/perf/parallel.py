@@ -46,13 +46,15 @@ backend.  Per-query :class:`~repro.runtime.budget.SearchReport`\\ s,
 engine counters and per-worker cache stats are merged into the
 :class:`BatchResult`.
 
-:func:`build_engine` is the one place an options dict becomes a
+:func:`build_engine` is the one place engine options (a dict, or a
+:class:`~repro.core.options.SearchOptions` record) become a
 :class:`Star` or a sharded engine; the batch workers here, the serve
 workers (:class:`repro.serve.EngineContext`) and the CLI all call it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import os
 import threading
@@ -63,6 +65,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro import obs
 from repro.core.framework import Star
 from repro.core.matches import Match
+from repro.core.options import SearchOptions
 from repro.errors import BudgetExceededError, SearchError
 from repro.perf.cache import CacheStats, CandidateCache, attach_cache
 from repro.query.model import Query, StarQuery
@@ -70,11 +73,6 @@ from repro.runtime.budget import Budget, SearchReport
 from repro.runtime.faults import FaultSpec, faulty
 from repro.runtime.workers import TaskPool, fork_available
 from repro.similarity.scoring import ScoringConfig, ScoringFunction
-
-#: ``engine_opts`` keys :func:`build_engine` consumes itself; every other
-#: key is a :class:`Star` keyword argument.
-ROUTING_OPTS = ("mmap_store", "shards", "partition", "shard_backend")
-
 
 @dataclass
 class QueryOutcome:
@@ -153,49 +151,41 @@ class BatchResult:
         return line
 
 
-def build_engine(graph, engine_opts: Optional[Dict[str, Any]] = None,
-                 config: Optional[ScoringConfig] = None, scorer=None):
-    """The engine *engine_opts* describes: a :class:`Star`, or a
-    :class:`repro.shard.ShardedEngine` when ``shards`` is set.
+def build_engine(graph, engine_opts=None,
+                 config: Optional[ScoringConfig] = None, scorer=None,
+                 planner=None):
+    """The engine *engine_opts* (a :class:`SearchOptions` or a dict of
+    its fields) describes: a :class:`Star`, or a
+    :class:`repro.shard.ShardedEngine` when ``shards`` is set, with the
+    ``mmap_store``'s index and ANN columns attached to the scorer.
 
-    Besides :class:`Star` keyword arguments, *engine_opts* may carry:
+    *scorer* defaults to a fresh :class:`ScoringFunction` over *config*;
+    *planner* is handed to the engine as is.
 
-    * ``mmap_store`` -- an ``RKGS2`` store (path, reader or mmap-backed
-      graph) whose index and ANN columns are attached to the scorer
-      zero-copy instead of being built, unless ``use_index`` /
-      ``use_semantic`` is ``off`` or the scorer already holds one;
-    * ``shards``, ``partition``, ``shard_backend`` -- sharded execution
-      (:class:`~repro.shard.ShardedEngine`'s ``shards``, ``partition``
-      and ``backend``).
-
-    *scorer* defaults to a fresh :class:`ScoringFunction` over *config*.
+    Raises:
+        SearchError / DecompositionError: for an unknown or invalid
+            option.
     """
-    opts = dict(engine_opts or {})
-    routing = {key: opts.pop(key) for key in ROUTING_OPTS if key in opts}
-    mmap_store = routing.get("mmap_store")
+    options = SearchOptions.coerce(engine_opts)
     if scorer is None:
         scorer = ScoringFunction(graph, config)
-    if mmap_store is not None:
+    if options.mmap_store is not None:
         from repro.store.attach import attach_mmap_index, attach_mmap_semantic
 
-        use_index = opts.get("use_index", "auto")
-        if use_index != "off" \
+        if options.use_index != "off" \
                 and getattr(scorer, "graph_index", None) is None:
             scorer.graph_index = attach_mmap_index(
-                mmap_store, graph, mode=use_index)
-        use_semantic = opts.get("use_semantic", "auto")
-        if use_semantic != "off" \
+                options.mmap_store, graph, mode=options.use_index)
+        if options.use_semantic != "off" \
                 and getattr(scorer, "semantic_tier", None) is None:
             scorer.semantic_tier = attach_mmap_semantic(
-                mmap_store, graph, mode=use_semantic)
-    if routing.get("shards") is not None:
+                options.mmap_store, graph, mode=options.use_semantic)
+    if options.shards is not None:
         from repro.shard import ShardedEngine
 
-        return ShardedEngine(
-            graph, scorer=scorer, shards=routing["shards"],
-            partition=routing.get("partition", "hash"),
-            backend=routing.get("shard_backend", "auto"), **opts)
-    return Star(graph, scorer=scorer, **opts)
+        return ShardedEngine(graph, scorer=scorer, planner=planner,
+                             options=options)
+    return Star(graph, scorer=scorer, planner=planner, options=options)
 
 
 def _batch_engine(graph, config, engine_opts, cache, fault_specs=None,
@@ -459,21 +449,8 @@ def search_many(
     budget_spec: Optional[Dict[str, Any]] = None,
     fault_specs: Optional[Sequence[Any]] = None,
     backend: str = "auto",
-    shards: Optional[int] = None,
-    partition: str = "hash",
-    d: int = 1,
-    alpha: Optional[float] = None,
-    decomposition_method: Optional[str] = None,
-    lam: float = 1.0,
-    injective: bool = True,
-    candidate_limit: Optional[int] = None,
-    directed: bool = False,
-    use_index: str = "auto",
-    use_semantic: str = "auto",
-    algorithm: str = "auto",
-    plan: str = "static",
-    plan_model: Optional[str] = None,
-    mmap_store: Optional[str] = None,
+    options: Optional[SearchOptions] = None,
+    **knobs,
 ) -> BatchResult:
     """Run *queries* top-k and return per-query matches plus merged stats.
 
@@ -482,13 +459,6 @@ def search_many(
         queries: any mix of general and star queries.
         k: result size per query.
         workers: worker count; 1 = serial in-process execution.
-        shards: when set (>= 1), run queries one at a time on a
-            :class:`repro.shard.ShardedEngine` with this many graph
-            shards -- parallelism *within* each star query instead of
-            across queries.  Mutually exclusive with ``workers > 1``
-            and with ``fault_specs``.
-        partition: shard partition strategy (``hash`` / ``pivot-type``);
-            only meaningful with ``shards``.
         config: scoring configuration for per-worker scorers.
         scorer: serial-mode-only pre-built scorer (its memo state is
             reused; supplying one with ``workers > 1`` is an error --
@@ -508,23 +478,14 @@ def search_many(
         backend: ``auto`` / ``fork`` / ``thread`` / ``serial``;
             ``auto`` picks fork where available, threads otherwise.
             A ``fork`` request degrades to threads on non-fork platforms.
-        d, alpha, decomposition_method, lam, injective, candidate_limit,
-            directed, use_index, use_semantic, algorithm: forwarded to
-            :class:`repro.core.framework.Star` (each worker builds --
-            and, per ``use_index``/``use_semantic``, indexes -- its own
-            engine).  ``alpha``/``decomposition_method`` left as None
-            take the engine defaults *unpinned*, so a planner may tune
-            them per query; passing explicit values pins them.
-        plan, plan_model: per-worker planning mode and fitted cost-model
-            path (``Star(plan=..., plan_model=...)``); each worker gets
-            its own planner.  ``plan_model`` additionally upgrades pool
-            dispatch ordering from the posting-mass heuristic to the
-            learned cost model's predictions.
-        mmap_store: path of an ``RKGS2`` store (``repro compact``)
-            whose index columns each worker attaches zero-copy instead
-            of building an index -- every process maps the same file
-            (one OS page cache machine-wide).  Ignored when
-            ``use_index`` is ``off``.
+        options: a ready :class:`~repro.core.options.SearchOptions`.
+
+    Keyword options: see :class:`~repro.core.options.SearchOptions`;
+    each worker builds its own engine (index, planner, store attach
+    included) from the one record through :func:`build_engine`.
+    ``shards`` is mutually exclusive with ``workers > 1`` and with
+    ``fault_specs``, and its transport follows *backend* unless
+    ``shard_backend`` is set.
 
     The headline invariant: for any fixed inputs, the returned
     ``(assignment, score)`` lists are byte-identical across every
@@ -535,15 +496,8 @@ def search_many(
     if workers < 1:
         raise SearchError(f"workers must be >= 1, got {workers}")
     chosen = resolve_backend(backend, workers)
-    engine_opts = {
-        "d": d, "alpha": alpha, "decomposition_method": decomposition_method,
-        "lam": lam, "injective": injective,
-        "candidate_limit": candidate_limit, "directed": directed,
-        "use_index": use_index, "use_semantic": use_semantic,
-        "algorithm": algorithm, "plan": plan, "plan_model": plan_model,
-    }
-    if mmap_store is not None:
-        engine_opts["mmap_store"] = mmap_store
+    options = SearchOptions.coerce(options, knobs)
+    shards = options.shards
     if shards is not None:
         # Worker parallelism and fault injection are cross-*query*
         # mechanisms and do not compose with per-query shard fan-out.
@@ -557,9 +511,10 @@ def search_many(
                 "fault_specs target per-query worker engines and cannot be "
                 "combined with shards="
             )
-        engine_opts.update(
-            shards=shards, partition=partition,
-            shard_backend="serial" if backend == "thread" else backend)
+        if options.shard_backend == "auto":
+            options = dataclasses.replace(
+                options,
+                shard_backend="serial" if backend == "thread" else backend)
     if scorer is not None and chosen != "serial":
         raise SearchError(
             "a pre-built scorer is only usable with workers=1 "
@@ -577,7 +532,7 @@ def search_many(
     queries = list(queries)
     start = time.perf_counter()
     if chosen == "serial":
-        engine = _batch_engine(graph, config, engine_opts, cache,
+        engine = _batch_engine(graph, config, options, cache,
                                fault_specs, scorer)
         try:
             outcomes = [
@@ -598,20 +553,21 @@ def search_many(
                          metrics=obs.snapshot())
 
     dispatch_model = None
-    if plan_model is not None:
+    if options.plan_model is not None:
         from repro.plan.model import CostModel, PlanModelError
 
         try:
-            dispatch_model = CostModel.load(plan_model)
+            dispatch_model = CostModel.load(options.plan_model)
         except PlanModelError:
             dispatch_model = None  # heuristic dispatch; workers re-raise
     # LPT: heaviest queries hit the shared queue first, so the batch's
     # tail is cheap work, not a straggler.
-    order = dispatch_order(graph, queries, model=dispatch_model, d=d, k=k)
+    order = dispatch_order(graph, queries, model=dispatch_model,
+                           d=options.d, k=k)
     chaos = {"fault_specs": fault_specs} if fault_specs else {}
     payloads = [{"index": i, **chaos} for i in range(len(queries))]
     new_worker = functools.partial(
-        _BatchWorker, graph, config, engine_opts, bool(cache), queries, k,
+        _BatchWorker, graph, config, options, bool(cache), queries, k,
         budget_spec, chosen == "fork")
     worker_crashes = requeued = 0
     if chosen == "fork":

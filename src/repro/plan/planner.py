@@ -5,9 +5,10 @@ query's features, enumerates the admissible **arms** (knob combinations)
 for the query's class, and picks the arm with the lowest predicted cost
 under a safe-fallback guardrail:
 
-* knobs the caller pinned at construction (explicit ``alpha=``,
-  ``decomposition_method=``, ``algorithm=``, a forced index mode) are
-  never overridden -- the menu collapses to the pinned value;
+* options the caller pinned on ``engine.options`` (an ``alpha`` or
+  ``decomposition_method`` that is not ``None``, an ``algorithm`` or
+  ``use_index`` that is not ``auto``) are never overridden -- the menu
+  collapses to the pinned value;
 * while the model is **cold** for any relevant arm (< ``min_samples``
   observations), ``learned`` mode runs the static default plan, and
   ``auto`` mode deterministically explores the least-sampled arm;
@@ -159,26 +160,24 @@ class QueryPlanner:
         return cls(mode=mode, model=model, store=store)
 
     # ------------------------------------------------------------------
-    def _resolve_algorithm(self, engine) -> str:
-        if engine.algorithm != "auto":
-            return engine.algorithm
-        return "stark" if engine.d == 1 else "stard"
-
     def _index_choices(self, engine) -> List[str]:
         """``auto`` = leave the engine's routing alone (the static
         default); ``on`` = force index routing for this query."""
         index = getattr(engine.scorer, "graph_index", None)
-        if index is None or engine.use_index != "auto":
+        if index is None or engine.options.use_index != "auto":
             return ["auto"]
         return ["auto", "on"]
 
     def _star_menu(self, engine) -> Tuple[List[str], str]:
-        static_alg = self._resolve_algorithm(engine)
-        if engine.directed or engine.algorithm != "auto":
+        options = engine.options
+        static_alg = options.algorithm
+        if static_alg == "auto":
+            static_alg = "stark" if options.d == 1 else "stard"
+        if options.directed or options.algorithm != "auto":
             # Directed matching is stark-only; an explicit algorithm is a
             # pinned caller choice.  Either way: no switching.
             algs = [static_alg]
-        elif engine.d == 1:
+        elif options.d == 1:
             algs = ["stark", "hybrid"]
         else:
             algs = ["stark", "stard", "hybrid"]
@@ -190,27 +189,28 @@ class QueryPlanner:
         return arms, f"alg={static_alg}|idx=auto"
 
     def _general_menu(self, engine) -> Tuple[List[str], str]:
-        if engine._method_pinned:
-            methods = [engine.decomposition_method]
-        else:
-            methods = sorted({*PLAN_METHODS, engine.decomposition_method})
-        if engine._alpha_pinned:
-            alphas = [engine.alpha]
-        else:
-            alphas = sorted({*PLAN_ALPHAS, engine.alpha})
+        # ``None`` = free to tune; a value collapses that menu axis.
+        options = engine.options
+        static = options.resolved()
+        methods, alphas = [static.decomposition_method], [static.alpha]
+        if options.decomposition_method is None:
+            methods = sorted({*PLAN_METHODS, *methods})
+        if options.alpha is None:
+            alphas = sorted({*PLAN_ALPHAS, *alphas})
         arms = [
             f"method={m}|alpha={_fmt_alpha(a)}|idx={idx}"
             for m in methods
             for a in alphas
             for idx in self._index_choices(engine)
         ]
-        static = (
-            f"method={engine.decomposition_method}"
-            f"|alpha={_fmt_alpha(engine.alpha)}|idx=auto"
+        static_arm = (
+            f"method={static.decomposition_method}"
+            f"|alpha={_fmt_alpha(static.alpha)}|idx=auto"
         )
-        return arms, static
+        return arms, static_arm
 
-    def _overrides_for(self, engine, class_key: str, arm: str) -> Dict[str, object]:
+    def _overrides_for(self, engine, arm: str) -> Dict[str, object]:
+        static = engine.options.resolved()
         overrides: Dict[str, object] = {}
         for part in arm.split("|"):
             key, _, value = part.partition("=")
@@ -220,11 +220,11 @@ class QueryPlanner:
                 if value != "auto":
                     overrides["index_mode"] = value
             elif key == "method":
-                if value != engine.decomposition_method:
+                if value != static.decomposition_method:
                     overrides["decomposition_method"] = value
             elif key == "alpha":
                 alpha = float(value)
-                if alpha != engine.alpha:
+                if alpha != static.alpha:
                     overrides["alpha"] = alpha
         return overrides
 
@@ -245,7 +245,7 @@ class QueryPlanner:
                 class_key="", arm="", source="static", reason=reason
             )
         features = extract_features(
-            engine.scorer, query, k, d=engine.d, budget=budget
+            engine.scorer, query, k, d=engine.options.d, budget=budget
         )
         class_key = features.class_key
         if class_key == CLASS_GENERAL:
@@ -298,7 +298,7 @@ class QueryPlanner:
 
         overrides = (
             {} if chosen == static_arm and source == "static"
-            else self._overrides_for(engine, class_key, chosen)
+            else self._overrides_for(engine, chosen)
         )
         self.decisions[source] += 1
         return PlanDecision(

@@ -62,7 +62,9 @@ class ServeApp:
 
     Args:
         graph / config / engine_opts: search substrate, shared with pool
-            workers through fork.
+            workers through fork; *engine_opts* is a dict of
+            :class:`~repro.core.options.SearchOptions` fields or a ready
+            record, validated here, before any worker starts.
         workers: pool size; also the concurrency of the priority gate.
         backend: pool backend (``auto`` / ``fork`` / ``thread``).
         max_queue_depth / tenant_rate / tenant_burst / tenant_slots:

@@ -29,8 +29,9 @@ from concurrent.futures import Future
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.framework import Star
+from repro.core.options import SearchOptions
 from repro.errors import ReproError
-from repro.perf.parallel import ROUTING_OPTS, build_engine
+from repro.perf.parallel import build_engine
 from repro.runtime.budget import Budget
 from repro.runtime.faults import FaultSpec, faulty
 from repro.runtime.workers import TaskPool, fork_available
@@ -39,41 +40,39 @@ from repro.runtime.workers import TaskPool, fork_available
 class EngineContext:
     """Per-process (or per-thread) engine state for payload execution.
 
-    ``engine_opts`` is handed to :func:`repro.perf.build_engine`: besides
-    :class:`Star` kwargs it may carry ``mmap_store`` (every worker maps
-    the RKGS2 file's index/ANN columns after the fork instead of copying
-    index pages through fork CoW) and the sharding keys ``shards``,
-    ``partition``, ``shard_backend``.  The shard backend defaults to
-    ``serial`` here -- serve workers are already one process per slot,
-    so per-payload shard scoping (smaller pivot scans) is the win, not
-    nested process pools.
+    ``engine_opts`` (a dict, or a ready
+    :class:`~repro.core.options.SearchOptions`) becomes :attr:`options`
+    and is handed to :func:`repro.perf.build_engine`: with ``mmap_store``
+    every worker maps the RKGS2 file's index/ANN columns after the fork
+    instead of copying index pages through fork CoW; with ``shards`` an
+    ``auto`` shard backend means ``serial`` here -- serve workers are
+    already one process per slot, so per-payload shard scoping (smaller
+    pivot scans) is the win, not nested process pools.
     """
 
-    def __init__(self, graph, config=None,
-                 engine_opts: Optional[Dict[str, Any]] = None) -> None:
+    def __init__(self, graph, config=None, engine_opts=None) -> None:
         self.graph = graph
         self.config = config
-        opts = dict(engine_opts or {})
-        if opts.get("shards") is not None:
-            opts.setdefault("shard_backend", "serial")
-        self.engine = build_engine(graph, opts, config)
+        options = SearchOptions.coerce(engine_opts)
+        if options.shards is not None and options.shard_backend == "auto":
+            options = dataclasses.replace(options, shard_backend="serial")
+        self.options = options
+        self.engine = build_engine(graph, options, config)
         self.scorer = self.engine.scorer
-        #: The :class:`Star` kwargs alone, for the chaos engines below.
-        self.engine_opts = {key: value for key, value in opts.items()
-                            if key not in ROUTING_OPTS}
 
     def engine_for(self, fault_specs: Optional[List[dict]]) -> Star:
         """The shared engine, or a faulty-wrapped one for chaos requests.
 
         Chaos requests always run on a plain single-process engine:
         fault injection wraps the scorer, and a sharded engine's fork
-        workers would not see the wrapper.
+        workers would not see the wrapper.  The wrapped scorer is the
+        shared one: what it holds (an mmap-attached index) is reused.
         """
         if not fault_specs:
             return self.engine
         specs = [FaultSpec.from_dict(s) for s in fault_specs]
-        return build_engine(self.graph, self.engine_opts,
-                            scorer=faulty(self.scorer, specs=specs))
+        return Star(self.graph, scorer=faulty(self.scorer, specs=specs),
+                    options=self.options)
 
 
 def execute_payload(ctx: EngineContext, payload: Dict[str, Any]) \
@@ -140,7 +139,7 @@ class ThreadWorkerPool:
             raise ValueError(f"pool size must be >= 1, got {size}")
         self._graph = graph
         self._config = config
-        self._engine_opts = dict(engine_opts or {})
+        self._engine_opts = engine_opts
         self.size = size
         self._local = threading.local()
         self._executor = None
@@ -200,6 +199,8 @@ def make_pool(graph, config=None, engine_opts=None, size: int = 2,
     if backend not in ("auto", "fork", "thread"):
         raise ReproError(
             f"unknown pool backend {backend!r} (auto, fork or thread)")
+    # Here, not in each worker's factory: a bad option fails the caller.
+    engine_opts = SearchOptions.coerce(engine_opts)
     if backend != "thread" and fork_available():
         return TaskPool(
             functools.partial(_engine_handler, graph, config, engine_opts),

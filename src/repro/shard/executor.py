@@ -36,6 +36,7 @@ Workers are stopped on :meth:`ShardedEngine.close` and by a
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import weakref
 from typing import Dict, List, Optional, Tuple, Union
@@ -43,6 +44,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro import obs
 from repro.core.framework import Star
 from repro.core.matches import Match
+from repro.core.options import BACKENDS, SearchOptions
 from repro.core.procedures import star_matcher
 from repro.core.rankmerge import RankMerger
 from repro.errors import SearchError
@@ -53,17 +55,6 @@ from repro.shard.partition import GraphPartition, partition_graph
 from repro.similarity.scoring import ScoringConfig, ScoringFunction
 
 __all__ = ["ShardedEngine", "BACKENDS"]
-
-BACKENDS = ("auto", "fork", "serial")
-
-
-def _scoped_matcher(scorer: ScoringFunction, opts: dict,
-                    pivot_scope, leaf_scope):
-    return star_matcher(
-        scorer, "auto", d=opts["d"], injective=opts["injective"],
-        candidate_limit=opts["candidate_limit"], directed=opts["directed"],
-        pivot_scope=pivot_scope, leaf_scope=leaf_scope,
-    )
 
 
 def _pull_chunk(stream, n: int) -> Tuple[List[Match], bool]:
@@ -77,8 +68,8 @@ def _pull_chunk(stream, n: int) -> Tuple[List[Match], bool]:
     return out, False
 
 
-def _shard_worker_main(conn, graph, config, index, partition, opts,
-                       shard_id: int) -> None:
+def _shard_worker_main(conn, graph, config, index, partition,
+                       options: SearchOptions, shard_id: int) -> None:
     """One shard's :class:`ForkWorker` target: serve its match stream.
 
     Everything arrives by fork inheritance, *index* included: whichever
@@ -86,8 +77,8 @@ def _shard_worker_main(conn, graph, config, index, partition, opts,
     """
     scorer = ScoringFunction(graph, config)
     scorer.graph_index = index
-    matcher = _scoped_matcher(
-        scorer, opts, partition.owned[shard_id], partition.halos[shard_id],
+    matcher = star_matcher(
+        scorer, options, partition.owned[shard_id], partition.halos[shard_id],
     )
     stream = None
     while True:
@@ -205,14 +196,17 @@ class ShardedEngine:
     consistent either way.
 
     Args:
-        shards: shard count (>= 1).
-        partition: ``hash`` or ``pivot-type``.
-        backend: ``auto`` (fork where available, else serial), ``fork``
+        backend: the keyword spelling of the ``shard_backend`` option --
+            ``auto`` (fork where available, else serial), ``fork``
             (serial fallback where fork is missing) or ``serial``.
         chunk_size: matches pulled per shard round trip; defaults to
             each search's ``k`` (the global top-k is contained in the
             union of per-shard top-k, so one round usually suffices).
-        Remaining keyword arguments match :class:`Star`.
+        scorer, config, planner, options: as for :class:`Star`.
+
+    Keyword options: see :class:`~repro.core.options.SearchOptions`
+    (``shards`` defaults to 2 here); shard matchers and the fallback
+    :class:`Star` are built from the same record.
     """
 
     def __init__(
@@ -220,54 +214,31 @@ class ShardedEngine:
         graph,
         scorer: Optional[ScoringFunction] = None,
         config: Optional[ScoringConfig] = None,
-        shards: int = 2,
-        partition: str = "hash",
-        backend: str = "auto",
+        *,
+        backend: Optional[str] = None,
         chunk_size: Optional[int] = None,
-        d: int = 1,
-        alpha: Optional[float] = None,
-        decomposition_method: Optional[str] = None,
-        lam: float = 1.0,
-        injective: bool = True,
-        candidate_limit: Optional[int] = None,
-        directed: bool = False,
-        use_index: str = "auto",
-        use_semantic: str = "auto",
-        algorithm: str = "auto",
-        plan: str = "static",
         planner=None,
-        plan_model: Optional[str] = None,
+        options: Optional[SearchOptions] = None,
+        **knobs,
     ) -> None:
-        if shards < 1:
-            raise SearchError(f"shards must be >= 1, got {shards}")
-        if backend not in BACKENDS:
-            raise SearchError(
-                f"unknown shard backend {backend!r}; expected one of "
-                f"{BACKENDS}"
-            )
+        if backend is not None:
+            knobs["shard_backend"] = backend
+        options = SearchOptions.coerce(options, knobs)
+        if options.shards is None:
+            options = dataclasses.replace(options, shards=2)
         if chunk_size is not None and chunk_size < 1:
             raise SearchError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.engine = Star(
-            graph, scorer=scorer, config=config, d=d, alpha=alpha,
-            decomposition_method=decomposition_method, lam=lam,
-            injective=injective, candidate_limit=candidate_limit,
-            directed=directed, use_index=use_index,
-            use_semantic=use_semantic, algorithm=algorithm, plan=plan,
-            planner=planner, plan_model=plan_model,
-        )
+        self.options = options
+        self.engine = Star(graph, scorer=scorer, config=config,
+                           planner=planner, options=options)
         self.graph = graph
         self.scorer = self.engine.scorer
-        self.num_shards = shards
-        self.partition_strategy = partition
+        self.num_shards = options.shards
         self.chunk_size = chunk_size
         self.backend = (
-            "fork" if backend in ("auto", "fork") and fork_available()
-            else "serial"
+            "fork" if options.shard_backend in ("auto", "fork")
+            and fork_available() else "serial"
         )
-        self._opts = {
-            "d": d, "injective": injective,
-            "candidate_limit": candidate_limit, "directed": directed,
-        }
         self.last_report: Optional[SearchReport] = None
         self.last_stats: Optional[dict] = None
         self.last_engine_stats = None
@@ -291,10 +262,13 @@ class ShardedEngine:
         version; the previous generation is torn down first."""
         _stop_workers(self._workers)
         self._partition = partition_graph(
-            self.graph, self.num_shards, self.partition_strategy,
-            replication_depth=self._opts["d"],
+            self.graph, self.num_shards, self.options.partition,
+            replication_depth=self.options.d,
         )
         self._local_matchers = {}
+        # Built now, not on first use: a procedure without scopes
+        # (hybrid) fails the construction, before any worker is forked.
+        self._local_matcher(0)
         if self.backend == "fork":
             index = self.scorer.graph_index
             if index is not None:
@@ -307,7 +281,7 @@ class ShardedEngine:
                 ForkWorker(
                     _shard_worker_main,
                     (self.graph, self.scorer.config, index,
-                     self._partition, self._opts, shard_id),
+                     self._partition, self.options, shard_id),
                     name=f"repro-shard-{shard_id}",
                 )
                 for shard_id in range(self.num_shards)
@@ -334,8 +308,8 @@ class ShardedEngine:
     def _local_matcher(self, shard_id: int):
         matcher = self._local_matchers.get(shard_id)
         if matcher is None:
-            matcher = _scoped_matcher(
-                self.scorer, self._opts,
+            matcher = star_matcher(
+                self.scorer, self.options,
                 self._partition.owned[shard_id],
                 self._partition.halos[shard_id],
             )

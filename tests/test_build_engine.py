@@ -14,19 +14,26 @@ import re
 
 import pytest
 
+from repro import obs
 from repro.cli import main
 from repro.core.framework import Star
+from repro.errors import SearchError
 from repro.graph import save_graph
 from repro.perf import build_engine, search_many
 from repro.query import parse_query
 from repro.serve import EngineContext, execute_payload
 from repro.shard import ShardedEngine
+from repro.similarity import ScoringFunction
 from repro.store import MmapGraphIndex, MmapSemanticTier, open_graph, \
     write_store
 
 from tests.conftest import build_movie_graph
+from tests.oracle import oracle_matches, rounded_scores
 
 QUERY = "(Brad:actor) -[acted_in]- (?f:film)"
+#: a three-edge path: no node touches every edge, so it is rank-joined
+GENERAL = ("(Brad:actor) -[acted_in]- (?f:film); (?f) -[film_won]- "
+           "(?a:award); (?a) -[won]- (?d:director)")
 K = 3
 
 
@@ -53,22 +60,82 @@ def _cli_ranking(capsys, argv):
     return rows
 
 
+def _span_names(tracer):
+    return {span.name for span, _depth, _path in tracer.iter_spans()}
+
+
+#: (query, options, the same options as CLI flags, spans the run must
+#: emit, spans it must not) by name.  The pinned procedures must reach
+#: ``starjoin``'s star streams (general query) and the shard matchers
+#: (star query under ``shards``) -- not be replaced by ``auto`` there.
+CASES = {
+    "index-on": (QUERY, {"use_index": "on"}, ["--use-index", "on"],
+                 set(), set()),
+    "general-stark-d2": (
+        GENERAL, {"d": 2, "algorithm": "stark"},
+        ["-d", "2", "--algorithm", "stark"],
+        {"starjoin.join", "stark.pivot_search"},
+        {"stard.propagate", "stard.pivot_eval"}),
+    "general-hybrid": (
+        GENERAL, {"algorithm": "hybrid"}, ["--algorithm", "hybrid"],
+        {"starjoin.join", "hybrid.pivot_eval"}, {"stark.pivot_search"}),
+    "star-stard-d2": (
+        QUERY, {"d": 2, "algorithm": "stard"},
+        ["-d", "2", "--algorithm", "stard"],
+        {"stard.propagate", "stard.pivot_eval"}, {"stark.pivot_search"}),
+    "star-stark-d2": (
+        QUERY, {"d": 2, "algorithm": "stark"},
+        ["-d", "2", "--algorithm", "stark"],
+        {"stark.pivot_search"}, {"stard.propagate", "stard.pivot_eval"}),
+}
+
+
 @pytest.mark.parametrize("shards", [None, 2])
 @pytest.mark.parametrize("storage", ["memory", "mmap"])
 def test_same_options_rank_identically_through_every_door(
         paths, capsys, storage, shards):
+    # The options axis is a loop, not a parameter: the (storage, shards)
+    # cells keep their test ids.
+    for case in CASES:
+        _check_every_door(paths, capsys, storage, shards, *CASES[case])
+
+
+def _check_every_door(paths, capsys, storage, shards,
+                      text, options, flags, must, must_not):
     mmap = storage == "mmap"
     graph = open_graph(paths["mmap"]) if mmap else build_movie_graph()
-    opts = {"use_index": "on"}
-    cli = ["search", paths[storage], QUERY, "-k", str(K),
-           "--use-index", "on"]
+    opts = dict(options)
+    cli = ["search", paths[storage], text, "-k", str(K)] + flags
     if mmap:
         opts["mmap_store"] = paths["mmap"]
         cli.append("--mmap")
     if shards is not None:
         opts.update(shards=shards, partition="pivot-type")
         cli += ["--shards", str(shards), "--partition", "pivot-type"]
-    query = parse_query(QUERY, name="q")
+    # A general query under ``shards`` runs on the in-process fallback
+    # engine; a sharded star query is traceable on the serial transport
+    # only (the CLI has no flag for it: its fork workers go unobserved).
+    sharded_star = shards is not None and text is QUERY
+    if sharded_star and must:
+        opts["shard_backend"] = "serial"
+    query = parse_query(text.replace(";", "\n"), name="q")
+
+    def check_spans(tracer):
+        names = _span_names(tracer)
+        assert must <= names, (options, sorted(names))
+        assert not must_not & names, (options, sorted(must_not & names))
+
+    if shards is not None and options.get("algorithm") == "hybrid":
+        # hybrid implements no pivot/leaf scopes: rejected at
+        # construction, through every door, never swapped for ``auto``.
+        for build in (lambda: build_engine(graph, opts),
+                      lambda: EngineContext(graph, engine_opts=opts),
+                      lambda: search_many(graph, [query], K, **opts)):
+            with pytest.raises(SearchError, match="pivot/leaf scopes"):
+                build()
+        assert main(cli) == 2
+        assert "pivot/leaf scopes" in capsys.readouterr().err
+        return
 
     engine = build_engine(graph, opts)
     try:
@@ -76,33 +143,43 @@ def test_same_options_rank_identically_through_every_door(
         assert isinstance(engine.scorer.graph_index, MmapGraphIndex) == mmap
         assert isinstance(engine.scorer.semantic_tier,
                           MmapSemanticTier) == mmap
-        direct = engine.search(query, K)
+        with obs.capture() as tracer:
+            direct = engine.search(query, K)
     finally:
         if shards is not None:
             engine.close()
+    check_spans(tracer)
     expected = _ranking(direct)
     assert expected
 
-    served = execute_payload(EngineContext(graph, engine_opts=opts),
-                             {"query": QUERY, "k": K})
+    with obs.capture() as tracer:
+        served = execute_payload(EngineContext(graph, engine_opts=opts),
+                                 {"query": text, "k": K})
+    check_spans(tracer)
     assert served["ok"] is True
     assert [(sorted(m["assignment"].items()), round(m["score"], 9))
             for m in served["matches"]] == expected
 
-    batch = search_many(graph, [query], K, **opts)
+    with obs.capture() as tracer:
+        batch = search_many(graph, [query], K, **opts)
+    check_spans(tracer)
     assert _ranking(batch.matches[0]) == expected
 
-    assert _cli_ranking(capsys, cli) == [
+    with obs.capture() as tracer:
+        rows = _cli_ranking(capsys, cli)
+    if not sharded_star:
+        check_spans(tracer)
+    assert rows == [
         (f"{m.score:.3f}",
          "  ".join(f"{q}={graph.describe(v)}"
                    for q, v in sorted(m.assignment.items())))
         for m in direct
     ]
 
-    # ... and every cell agrees with the plain in-memory engine's scores.
-    baseline = Star(build_movie_graph()).search(query, K)
-    assert [score for _a, score in expected] \
-        == [round(m.score, 9) for m in baseline]
+    # ... and every cell agrees with the exhaustive oracle's scores.
+    want = oracle_matches(ScoringFunction(build_movie_graph()), query,
+                          d=opts.get("d", 1))[:K]
+    assert [score for _a, score in expected] == rounded_scores(want)
 
 
 def test_options_dict_is_not_consumed(paths):

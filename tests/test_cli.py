@@ -377,3 +377,52 @@ class TestPlanCLI:
         doc = json.loads(open(metrics).read())
         assert "wall_s" not in doc
         assert "histograms" not in doc["metrics"]
+
+
+class TestEngineOptionGroup:
+    """``search``, ``trace``, ``batch`` and ``serve`` carry one engine
+    flag group, generated from the ``SearchOptions`` record."""
+
+    COMMANDS = ("search", "trace", "batch", "serve")
+
+    def test_every_engine_command_has_the_generated_flags(self):
+        import dataclasses
+
+        from repro import cli
+        from repro.core.options import SearchOptions
+
+        fields = {f.name for f in dataclasses.fields(SearchOptions)}
+        assert set(cli._ENGINE_FLAGS) <= fields
+        expected = set(cli._ENGINE_FLAGS.values())
+        assert {"-d", "--algorithm", "--use-index", "--shards"} <= expected
+        commands = cli._build_parser()._subparsers._group_actions[0].choices
+        for name in self.COMMANDS:
+            on_command = {option
+                          for action in commands[name]._actions
+                          for option in action.option_strings}
+            assert on_command & expected == expected, (
+                name, sorted(expected - on_command))
+            # ... and each flag lands on the field it is generated from.
+            dests = {action.dest for action in commands[name]._actions
+                     if expected & set(action.option_strings)}
+            assert dests == set(cli._ENGINE_FLAGS), name
+
+    def test_serve_flags_reach_the_worker_engine(self, saved_graph,
+                                                 movie_graph):
+        from repro import cli
+        from repro.serve import EngineContext
+
+        args = cli._build_parser().parse_args(
+            ["serve", saved_graph, "-d", "2", "--algorithm", "stard",
+             "--use-index", "off"])
+        ctx = EngineContext(movie_graph, engine_opts=cli.options_from(args))
+        assert ctx.engine.options.d == 2
+        assert ctx.engine.options.algorithm == "stard"
+        assert ctx.scorer.graph_index is None
+
+    def test_use_index_help_says_when_auto_engages(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["search", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "which no CLI command sets" in text
+        assert "the planner routes there (plan auto or learned)" in text

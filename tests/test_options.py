@@ -1,0 +1,236 @@
+"""``SearchOptions``: one declaration, one validation, every front door.
+
+The record is the only place an engine knob is named, defaulted and
+checked, so each rule must raise the same typed error, with the same
+message, whichever door the value came through -- and a per-query plan
+must be a new record, never a change to the engine's own.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import pytest
+
+from repro.core.framework import Star
+from repro.core.options import FIELD_NAMES, SearchOptions
+from repro.core.starjoin import StarJoin
+from repro.errors import BudgetExceededError, DecompositionError, SearchError
+from repro.perf import build_engine, search_many
+from repro.query import parse_query, star_workload
+from repro.runtime import Budget
+from repro.serve import EngineContext
+from repro.shard import ShardedEngine
+from repro.similarity import ScoringFunction
+
+#: The parent's ``Star`` knob keywords followed by its ``ROUTING_OPTS``,
+#: with the defaults they had there.
+SEED_DEFAULTS = {
+    "d": 1, "alpha": None, "decomposition_method": None, "lam": 1.0,
+    "injective": True, "candidate_limit": None, "directed": False,
+    "use_index": "auto", "use_semantic": "auto", "algorithm": "auto",
+    "plan": "static", "plan_model": None,
+    "mmap_store": None, "shards": None, "partition": "hash",
+    "shard_backend": "auto",
+}
+
+#: Every way a caller can hand options in, as ``door(graph, **knobs)``.
+DOORS = {
+    "SearchOptions": lambda graph, **knobs: SearchOptions(**knobs),
+    "coerce": lambda graph, **knobs: SearchOptions.coerce(knobs),
+    "Star": lambda graph, **knobs: Star(graph, **knobs),
+    "ShardedEngine": lambda graph, **knobs: ShardedEngine(graph, **knobs),
+    "search_many": lambda graph, **knobs: search_many(graph, [], 1, **knobs),
+    "build_engine": lambda graph, **knobs: build_engine(graph, knobs),
+    "EngineContext":
+        lambda graph, **knobs: EngineContext(graph, engine_opts=knobs),
+    "StarJoin":
+        lambda graph, **knobs: StarJoin(ScoringFunction(graph), **knobs),
+}
+
+#: (invalid knobs, error type, the message's stable part).
+RULES = [
+    ({"d": 0}, SearchError, "search bound d must be >= 1, got 0"),
+    ({"directed": True, "d": 2}, SearchError,
+     "directed matching is defined for d == 1 only"),
+    ({"alpha": 1.5}, SearchError, "alpha=1.5 must be in [0, 1]"),
+    ({"alpha": -0.1}, SearchError, "alpha=-0.1 must be in [0, 1]"),
+    ({"decomposition_method": "simdek"}, DecompositionError,
+     "unknown decomposition method 'simdek'; choose from"),
+    ({"algorithm": "fastest"}, SearchError,
+     "algorithm must be one of ('auto', 'stark', 'stard', 'hybrid'), "
+     "got 'fastest'"),
+    ({"plan": "sometimes"}, SearchError,
+     "plan must be one of ('static', 'auto', 'learned'), got 'sometimes'"),
+    ({"use_index": "yes"}, SearchError,
+     "use_index must be auto, on or off, got 'yes'"),
+    ({"use_semantic": "yes"}, SearchError,
+     "use_semantic must be auto, on or off, got 'yes'"),
+    ({"directed": True, "algorithm": "stard"}, SearchError,
+     "directed matching requires algorithm auto or stark, got 'stard'"),
+    ({"directed": True, "algorithm": "hybrid"}, SearchError,
+     "directed matching requires algorithm auto or stark, got 'hybrid'"),
+    ({"shards": 0}, SearchError, "shards must be >= 1, got 0"),
+    ({"shard_backend": "threads"}, SearchError,
+     "unknown shard backend 'threads'; expected one of "
+     "('auto', 'fork', 'serial')"),
+    ({"usee_index": "on"}, SearchError,
+     "unknown search option 'usee_index'; valid options: d, alpha,"),
+]
+
+
+#: doors x rules; a misspelt keyword to the dataclass itself is Python's
+#: own TypeError, ``coerce`` is the door that names the key.
+MATRIX = [
+    pytest.param(
+        door, knobs, error, message,
+        id=door + "-" + ",".join(f"{k}={v}" for k, v in knobs.items()))
+    for door in sorted(DOORS) for knobs, error, message in RULES
+    if not (door == "SearchOptions" and "usee_index" in knobs)
+]
+
+
+class TestOneValidation:
+    @pytest.mark.parametrize("door, knobs, error, message", MATRIX)
+    def test_same_error_through_every_door(self, movie_graph, door, knobs,
+                                           error, message):
+        with pytest.raises(error) as raised:
+            DOORS[door](movie_graph, **knobs)
+        assert type(raised.value) is error
+        assert message in str(raised.value)
+        # Not just the same wording: the very message the record raises.
+        with pytest.raises(error) as reference:
+            SearchOptions.coerce(knobs)
+        assert str(raised.value) == str(reference.value)
+
+    def test_unknown_option_lists_the_valid_names(self):
+        with pytest.raises(SearchError) as raised:
+            SearchOptions.coerce({"usee_index": "on", "dd": 2})
+        text = str(raised.value)
+        assert "'dd'" in text and "'usee_index'" in text
+        assert all(name in text for name in FIELD_NAMES)
+
+    def test_partition_strategy_stays_the_partitioner_s_check(
+            self, movie_graph):
+        assert SearchOptions(partition="by-color").partition == "by-color"
+        with pytest.raises(SearchError, match="unknown partition strategy"):
+            ShardedEngine(movie_graph, partition="by-color",
+                          backend="serial")
+
+    def test_options_and_keywords_do_not_mix(self, movie_graph):
+        record = SearchOptions(d=2)
+        for door in ("Star", "ShardedEngine", "search_many", "StarJoin"):
+            with pytest.raises(SearchError, match="not both"):
+                DOORS[door](movie_graph, options=record, alpha=0.3)
+        with pytest.raises(SearchError, match="not both"):
+            # ``backend=`` is ShardedEngine's spelling of an option
+            ShardedEngine(movie_graph, options=record, backend="serial")
+
+
+class TestTheRecord:
+    def test_fields_and_defaults_are_the_seed_s(self, movie_graph):
+        fields = dataclasses.fields(SearchOptions)
+        assert len(fields) == 16
+        assert {f.name: f.default for f in fields} == SEED_DEFAULTS
+        assert FIELD_NAMES == tuple(SEED_DEFAULTS)
+        assert Star(movie_graph).options == SearchOptions()
+
+    def test_none_resolves_to_the_engine_defaults(self):
+        default = SearchOptions()
+        assert (default.alpha, default.decomposition_method) == (None, None)
+        resolved = default.resolved()
+        assert (resolved.alpha, resolved.decomposition_method) \
+            == (0.5, "simdec")
+        assert resolved.resolved() is resolved
+        pinned = SearchOptions(alpha=0.0, decomposition_method="rand")
+        assert pinned.resolved() is pinned  # 0.0 is a value, not "unset"
+
+    def test_frozen_and_hashable(self):
+        record = SearchOptions(d=2, algorithm="stard")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.d = 3
+        twin = SearchOptions(algorithm="stard", d=2)
+        assert record == twin and hash(record) == hash(twin)
+        assert {record: "plan"}[twin] == "plan"
+        assert record != dataclasses.replace(record, d=1)
+        with pytest.raises(SearchError, match="search bound d"):
+            dataclasses.replace(record, d=0)  # a replace re-validates
+
+    def test_a_record_a_dict_and_keywords_build_the_same_engine(
+            self, movie_graph):
+        record = SearchOptions(d=2, alpha=0.3, use_index="off")
+        knobs = {"d": 2, "alpha": 0.3, "use_index": "off"}
+        assert SearchOptions.coerce(record) is record
+        assert Star(movie_graph, options=record).options is record
+        assert Star(movie_graph, **knobs).options == record
+        assert build_engine(movie_graph, knobs).options == record
+        assert build_engine(movie_graph, record).options is record
+        assert EngineContext(movie_graph, engine_opts=record) \
+            .engine.options is record
+        join = StarJoin(ScoringFunction(movie_graph), options=record)
+        assert join.options == record.resolved()
+
+    def test_sharded_engine_reads_its_routing_from_the_record(
+            self, movie_graph):
+        with ShardedEngine(movie_graph, backend="serial") as engine:
+            assert engine.options.shards == 2  # the constructor's default
+            assert engine.options.shard_backend == "serial"
+            assert engine.engine.options is engine.options
+        with build_engine(movie_graph, {"shards": 3, "d": 2,
+                                        "shard_backend": "serial"}) as engine:
+            assert engine.num_shards == 3
+            assert engine.partition.replication_depth == 2
+
+
+class TestPlansAreValuesNotMutations:
+    GENERAL = ("(Brad:actor) -[acted_in]- (?f:film)\n"
+               "(?f) -[film_won]- (?a:award)\n(?a) -[won]- (?d:director)")
+
+    def test_planned_searches_leave_the_engine_s_options_alone(
+            self, movie_graph):
+        engine = Star(movie_graph, plan="auto")
+        before = engine.options
+        index = engine.scorer.graph_index
+        assert index is not None and index.mode == "auto"
+        queries = star_workload(movie_graph, 4, seed=5)
+        queries.append(parse_query(self.GENERAL, name="general"))
+        overridden = set()
+        for _ in range(3):
+            for query in queries:
+                engine.search(query, 3)
+                overridden.update(engine.last_plan.overrides)
+                assert engine.options is before
+                assert index.mode == "auto"
+        # The planner explored: procedure, index routing and the general
+        # query's knobs were all overridden for some search ...
+        assert {"algorithm", "index_mode"} <= overridden
+        assert overridden & {"alpha", "decomposition_method"}
+        # ... and a search that dies on a strict budget changes nothing.
+        with pytest.raises(BudgetExceededError):
+            engine.search(queries[-1], 3, budget=Budget(max_nodes=1))
+        assert engine.last_plan.overrides == {}
+        assert engine.options is before and before == SearchOptions(
+            plan="auto")
+        assert index.mode == "auto"
+
+    def test_a_planned_run_uses_the_planned_record(self, movie_graph,
+                                                   monkeypatch):
+        """What the planner chose is what the matcher is built from."""
+        from repro.core import framework
+
+        seen = []
+        real = framework.star_matcher
+
+        def spy(scorer, options, *scopes):
+            seen.append(options)
+            return real(scorer, options, *scopes)
+
+        monkeypatch.setattr(framework, "star_matcher", spy)
+        engine = Star(movie_graph, plan="auto")
+        for query in star_workload(movie_graph, 3, seed=5):
+            engine.search(query, 3)
+            planned = seen[-1]
+            assert planned.algorithm == engine.last_plan.overrides["algorithm"]
+            assert planned is not engine.options
+            assert dataclasses.replace(planned, algorithm="auto") \
+                == engine.options

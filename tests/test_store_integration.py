@@ -17,7 +17,9 @@ from repro.errors import DatasetError
 from repro.graph import KnowledgeGraph
 from repro.perf import search_many
 from repro.query import parse_query
+from repro.runtime import FaultSpec
 from repro.serve.supervisor import EngineContext, execute_payload
+from repro.shard import ShardedEngine
 from repro.store import MmapGraphIndex, open_graph, write_store
 
 from tests.conftest import build_movie_graph
@@ -33,13 +35,28 @@ def store_path(tmp_path_factory):
 
 
 class TestServeContext:
-    def test_engine_context_attaches_store(self, store_path):
+    def test_engine_context_attaches_store(self, store_path, monkeypatch):
         graph = open_graph(store_path)
         ctx = EngineContext(graph, engine_opts={
-            "mmap_store": str(store_path), "use_index": "on"})
+            "mmap_store": str(store_path), "use_index": "on", "shards": 2})
+        assert isinstance(ctx.engine, ShardedEngine)
         assert isinstance(ctx.scorer.graph_index, MmapGraphIndex)
-        assert "mmap_store" not in ctx.engine_opts  # consumed, not a Star kwarg
+
+        # A chaos request runs on a plain single-process engine over the
+        # shared scorer: the attached index is reused, never re-attached.
+        def reattached(*args, **kwargs):
+            raise AssertionError("the store was attached a second time")
+
+        monkeypatch.setattr("repro.store.attach.attach_mmap_index", reattached)
+        delay = FaultSpec("scorer.node_score", mode="delay").as_dict()
+        chaos = ctx.engine_for([delay])
+        assert type(chaos) is Star
+        assert chaos.scorer.graph_index is ctx.scorer.graph_index
+        chaotic = execute_payload(
+            ctx, {"query": QUERY, "k": 2, "fault_specs": [delay]})
         result = execute_payload(ctx, {"query": QUERY, "k": 2})
+        assert chaotic["ok"] is True
+        assert chaotic["matches"] == result["matches"]
         assert result["ok"] is True
         baseline = execute_payload(
             EngineContext(build_movie_graph()), {"query": QUERY, "k": 2})
