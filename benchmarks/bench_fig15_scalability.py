@@ -260,7 +260,7 @@ def test_fig15b_join_scalability(benchmark):
 
 
 # ----------------------------------------------------------------------
-# CLI: the shard-smoke CI gate + full shard-scaling sweep
+# CLI: the shard gate of the smoke-gates CI job + full shard-scaling sweep
 # ----------------------------------------------------------------------
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)

@@ -20,7 +20,7 @@ pivots), and decomposed general subgraph queries -- then:
    scores rank by rank (procedures may order exact score ties
    differently, so the hash covers scores, not assignments).
 
-The ``--smoke`` gate (plan-smoke CI) enforces the PR's acceptance
+The ``--smoke`` gate (smoke-gates CI job) enforces the PR's acceptance
 criteria:
 
 * learned-vs-best-static geomean latency speedup >= ``MIN_SPEEDUP``

@@ -1,19 +1,21 @@
-"""Cold-start benchmark: RKGS snapshot load vs RKGS2 zero-copy open.
+"""Cold-start benchmark: line-JSON load vs RKGS2 zero-copy open.
 
 Measures, in freshly forked children (so imports, allocator state and
 page cache warm-up never leak between variants):
 
-* **open** -- time from ``load_snapshot`` / ``KnowledgeGraph.open_mmap``
-  returning a usable graph;
+* **open** -- time to ``load_graph`` (line-JSON, the deserializing
+  loader left now that nothing writes ``RKGS`` v1) /
+  ``KnowledgeGraph.open_mmap`` returning a usable graph;
 * **first query** -- one stark search on the cold graph;
 * **RSS delta** -- resident-set growth attributable to the graph, read
   from ``/proc/self/statm`` (0 where procfs is unavailable);
 * **parity** -- a hash over the top-k (assignment, score) pairs, which
   must be identical across variants.
 
-The ``--smoke`` gate (wired into perf-smoke CI) enforces the PR's
-acceptance criterion: the mmap open must be at least ``MIN_SPEEDUP``
-(5x) faster than the snapshot load at full result parity.
+The ``--smoke`` gate (wired into the smoke-gates CI job) enforces the
+store's acceptance criterion: the mmap open must be at least
+``MIN_SPEEDUP`` (5x) faster than the deserializing load at full result
+parity.
 
 Usage::
 
@@ -34,7 +36,7 @@ import time
 from pathlib import Path
 
 from repro.eval import print_table
-from repro.graph import KnowledgeGraph, dbpedia_like
+from repro.graph import KnowledgeGraph, dbpedia_like, load_graph, save_graph
 from repro.query import parse_query
 
 RESULTS = Path(__file__).parent / "results" / "store_coldstart.json"
@@ -60,13 +62,12 @@ def _child_main(variant: str, path: str, conn) -> None:
     """One cold open + first query, timed inside a fresh process."""
     try:
         from repro.core import Star
-        from repro.dynamic.snapshot import load_snapshot
 
         query = parse_query(QUERY, name="coldstart")
         rss_before = _rss_kb()
         t0 = time.perf_counter()
-        if variant == "snapshot":
-            graph = load_snapshot(path)
+        if variant == "json":
+            graph = load_graph(path)
         else:
             graph = KnowledgeGraph.open_mmap(path)
         t_open = time.perf_counter() - t0
@@ -115,27 +116,26 @@ def _measure(variant: str, path: str, repeats: int) -> dict:
 
 
 def run_coldstart(scale: float, repeats: int) -> dict:
-    from repro.dynamic.snapshot import save_snapshot
     from repro.store import write_store
 
     graph = dbpedia_like(scale=scale)
-    tmp = tempfile.mkdtemp(prefix="repro-coldstart-")
-    snap = os.path.join(tmp, "graph.kgs")
-    store = os.path.join(tmp, "graph.rkgs2")
-    save_snapshot(graph, snap)
-    write_store(graph, store)
-    results = {
-        "graph": {"nodes": graph.num_nodes, "edges": graph.num_edges,
-                  "scale": scale},
-        "files": {"snapshot_bytes": os.path.getsize(snap),
-                  "store_bytes": os.path.getsize(store)},
-        "snapshot": _measure("snapshot", snap, repeats),
-        "mmap": _measure("mmap", store, repeats),
-    }
+    with tempfile.TemporaryDirectory(prefix="repro-coldstart-") as tmp:
+        line_json = os.path.join(tmp, "graph.kg")
+        store = os.path.join(tmp, "graph.rkgs2")
+        save_graph(graph, line_json)
+        write_store(graph, store)
+        results = {
+            "graph": {"nodes": graph.num_nodes, "edges": graph.num_edges,
+                      "scale": scale},
+            "files": {"json_bytes": os.path.getsize(line_json),
+                      "store_bytes": os.path.getsize(store)},
+            "json": _measure("json", line_json, repeats),
+            "mmap": _measure("mmap", store, repeats),
+        }
     results["open_speedup"] = round(
-        results["snapshot"]["open_ms"] / max(results["mmap"]["open_ms"],
-                                             1e-9), 2)
-    results["parity"] = results["snapshot"]["hash"] == results["mmap"]["hash"]
+        results["json"]["open_ms"] / max(results["mmap"]["open_ms"],
+                                         1e-9), 2)
+    results["parity"] = results["json"]["hash"] == results["mmap"]["hash"]
     return results
 
 
@@ -151,7 +151,7 @@ def main(argv=None) -> int:
 
     results = run_coldstart(scale, repeats)
     rows = []
-    for variant in ("snapshot", "mmap"):
+    for variant in ("json", "mmap"):
         r = results[variant]
         rows.append([
             variant,
@@ -173,7 +173,7 @@ def main(argv=None) -> int:
 
     failures = []
     if not results["parity"]:
-        failures.append("mmap top-k diverges from snapshot top-k")
+        failures.append("mmap top-k diverges from line-JSON top-k")
     if results["open_speedup"] < MIN_SPEEDUP:
         failures.append(
             f"mmap open speedup {results['open_speedup']}x < {MIN_SPEEDUP}x")

@@ -16,21 +16,22 @@ Commands:
   experience JSONL (``search --experience-out``).
 * ``learn``    -- train scoring weights on a graph, save the config.
 * ``demo``     -- generate a graph, run a sample query, print matches.
-* ``snapshot`` -- write a graph as a binary snapshot (ids, tombstones,
-  indexes, version and delta-journal tail preserved).
-* ``compact``  -- write a graph as an mmap-able ``RKGS2`` store: opening
-  one is zero-copy (``--mmap`` on search/trace/batch/serve), and every
-  process maps the same file through one OS page cache.
+* ``compact``  -- write a graph as an mmap-able ``RKGS2`` store (ids,
+  tombstones, version, delta-journal tail, index and ANN columns):
+  opening one is zero-copy, every process maps the same file through
+  one OS page cache, and engines attach its columns instead of building
+  them.  ``snapshot`` is an alias.
 * ``apply-delta`` -- replay a JSONL mutation stream onto a graph and
-  save the result as a snapshot.
+  save the result as a store (its own input file included).
 * ``serve``  -- run the async query service (admission control, priority
   classes, degrade-before-shed, supervised workers) over a saved graph.
 * ``client`` -- query a running service (one search, or health/stats).
 
-Every command that reads a graph accepts both the line-JSON format and
-the binary snapshot format (sniffed by magic bytes).  ``search``,
-``trace``, ``batch`` and ``serve`` share one engine flag group, generated
-from :class:`repro.core.options.SearchOptions`.
+Every command that reads a graph goes through
+:func:`repro.dynamic.load_any`, which tells an ``RKGS2`` store, an old
+``RKGS`` v1 snapshot and line-JSON apart by the file's first bytes.
+``search``, ``trace``, ``batch`` and ``serve`` share one engine flag
+group, generated from :class:`repro.core.options.SearchOptions`.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from typing import List, Optional
 from repro import obs
 from repro.core.framework import Star
 from repro.core.options import SearchOptions
+from repro.dynamic.snapshot import load_any
 from repro.errors import ReproError
 from repro.graph import (
     dbpedia_like,
@@ -83,17 +85,14 @@ def _engine_command(sub, name: str, summary: str) -> argparse.ArgumentParser:
     argument, how it is opened and scored, and the engine flag group,
     generated from the :class:`SearchOptions` fields it sets."""
     parser = sub.add_parser(name, help=summary)
-    parser.add_argument("graph", help="path to a saved graph")
+    parser.add_argument("graph", help="path to a saved graph; an RKGS2 "
+                                      "store (see 'compact') is opened "
+                                      "zero-copy and its index columns "
+                                      "are attached instead of built")
     parser.add_argument("--fast", action="store_true",
                         help="use the fast scoring-measure subset")
     parser.add_argument("--config", default=None,
                         help="path to a saved scoring config (JSON)")
-    parser.add_argument("--mmap", action="store_true",
-                        help="open the graph zero-copy (requires an RKGS2 "
-                             "store; see 'compact'); the engine -- every "
-                             "worker's, under batch and serve -- attaches "
-                             "the store's index columns instead of "
-                             "building them")
     group = parser.add_argument_group("engine options")
     hints = typing.get_type_hints(SearchOptions)
     for spec in dataclasses.fields(SearchOptions):
@@ -112,7 +111,8 @@ def _engine_command(sub, name: str, summary: str) -> argparse.ArgumentParser:
 
 def options_from(args: argparse.Namespace, mmap_store=None) -> SearchOptions:
     """The record an engine command's flags spell out; *mmap_store* is
-    the store opened under ``--mmap``, or its path for worker pools."""
+    the store-backed graph the command loaded, or its path for worker
+    pools (None for a graph that was deserialized)."""
     return SearchOptions(
         mmap_store=mmap_store,
         **{name: getattr(args, name) for name in _ENGINE_FLAGS})
@@ -245,35 +245,28 @@ def _build_parser() -> argparse.ArgumentParser:
     demo = sub.add_parser("demo", help="end-to-end demonstration")
     demo.add_argument("--scale", type=float, default=0.3)
 
-    snapshot = sub.add_parser(
-        "snapshot",
-        help="write a graph as a binary snapshot (preserves ids, "
-             "tombstones, indexes, version and the delta journal)",
-    )
-    snapshot.add_argument("graph", help="path to a saved graph "
-                                        "(line-JSON or snapshot)")
-    snapshot.add_argument("output", help="snapshot file to write")
-
     apply_delta = sub.add_parser(
         "apply-delta",
-        help="replay a JSONL mutation stream onto a graph and save a "
-             "snapshot of the result",
+        help="replay a JSONL mutation stream onto a graph and save the "
+             "result as an RKGS2 store",
     )
-    apply_delta.add_argument("graph", help="path to a saved graph "
-                                           "(line-JSON or snapshot)")
+    apply_delta.add_argument("graph", help="path to a saved graph")
     apply_delta.add_argument("delta", help="JSONL operation file "
                                            "(see repro.dynamic.ops)")
-    apply_delta.add_argument("output", help="snapshot file to write")
+    apply_delta.add_argument("output", help="RKGS2 store file to write "
+                                            "(may be the input graph)")
 
     compact = sub.add_parser(
-        "compact",
+        "compact", aliases=["snapshot"],
         help="write a graph as an mmap-able RKGS2 store (columnar, "
-             "page-aligned, CRC-guarded; opens zero-copy via --mmap)",
+             "page-aligned, CRC-guarded; preserves ids, tombstones, "
+             "version and the delta journal)",
     )
     compact.add_argument("graph", help="path to a saved graph (line-JSON, "
-                                       "snapshot, or an RKGS2 store whose "
-                                       "mutation overlay gets folded in)")
-    compact.add_argument("output", help="RKGS2 store file to write")
+                                       "RKGS v1 snapshot, or an RKGS2 "
+                                       "store)")
+    compact.add_argument("output", help="RKGS2 store file to write "
+                                        "(may be the input graph)")
     compact.add_argument("--verify", action="store_true",
                          help="re-open the written store and CRC-check "
                               "every section")
@@ -326,29 +319,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_graph(path: str, mmap: bool = False):
-    """Load a graph in any supported format (store, snapshot, line-JSON).
-
-    With ``mmap`` the file must be an RKGS2 store and is opened zero-copy.
-    """
-    if mmap:
-        from repro.errors import DatasetError, SnapshotCorruptionError
-        from repro.graph import KnowledgeGraph
-
-        try:
-            return KnowledgeGraph.open_mmap(path)
-        except SnapshotCorruptionError:
-            raise
-        except DatasetError as exc:
-            raise DatasetError(
-                f"{exc} (--mmap needs an RKGS2 store; build one with "
-                f"'repro compact')"
-            ) from exc
-    from repro.dynamic import load_any
-
-    return load_any(path)
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
     graph = _GENERATORS[args.dataset](scale=args.scale, seed=args.seed)
     save_graph(graph, args.output)
@@ -359,7 +329,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    stats = summarize(_load_graph(args.graph))
+    stats = summarize(load_any(args.graph))
     for field in ("name", "num_nodes", "num_edges", "num_types",
                   "num_relations", "max_degree"):
         print(f"{field:14s} {getattr(stats, field)}")
@@ -409,9 +379,10 @@ def _run_query(args: argparse.Namespace, graph, query, planner=None,
                budget=None, traced: bool = True):
     """Build the engine the flags describe and search *query* on it once,
     under a tracer when *traced*; ``(engine, matches, seconds, tracer)``."""
-    # Under --mmap the engine shares the graph's own mapping.
+    # A store-backed graph shares its own mapping with the engine.
     engine = build_engine(
-        graph, options_from(args, graph if args.mmap else None),
+        graph,
+        options_from(args, graph if hasattr(graph, "store_path") else None),
         _scoring_config(args), planner=planner)
     try:
         with (obs.capture() if traced else nullcontext()) as tracer:
@@ -429,7 +400,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         print("error: give a query in the edge-pattern language, or "
               "--keywords (not both)", file=sys.stderr)
         return 2
-    graph = _load_graph(args.graph, mmap=args.mmap)
+    graph = load_any(args.graph)
     if args.keywords is not None:
         from repro.query.keywords import synthesize_query
 
@@ -484,7 +455,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.graph, mmap=args.mmap)
+    graph = load_any(args.graph)
     query = parse_query(args.query.replace(";", "\n"), name="cli")
     engine, matches, elapsed, tracer = _run_query(args, graph, query)
     print(f"{len(matches)} match(es) in {elapsed * 1000:.1f} ms")
@@ -515,7 +486,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     from repro.perf import search_many
     from repro.query import load_workload
 
-    graph = _load_graph(args.graph, mmap=args.mmap)
+    graph = load_any(args.graph)
     queries = load_workload(args.workload)
     observed = obs.capture() if args.metrics_out else nullcontext()
     with observed:
@@ -523,8 +494,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             graph, queries, args.k, workers=args.workers,
             config=_scoring_config(args), cache=args.cache,
             budget_spec=_budget_spec(args), backend=args.backend,
-            options=options_from(
-                args, graph.store_path if args.mmap else None),
+            options=options_from(args, getattr(graph, "store_path", None)),
         )
     if args.metrics_out:
         _write_metrics(args, {
@@ -571,7 +541,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 def _cmd_workload(args: argparse.Namespace) -> int:
     from repro.query import complex_workload, save_workload, star_workload
 
-    graph = _load_graph(args.graph)
+    graph = load_any(args.graph)
     if args.shape:
         try:
             n, e = (int(part) for part in args.shape.split(","))
@@ -609,7 +579,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     from repro.similarity import evaluate_weights, learn_weights
     from repro.similarity.config_io import save_config
 
-    graph = _load_graph(args.graph)
+    graph = load_any(args.graph)
     weights = learn_weights(graph, num_pairs=args.pairs, seed=args.seed)
     accuracy = evaluate_weights(graph, weights, num_pairs=max(100, args.pairs // 2))
     save_config(ScoringConfig(node_weights=weights), args.output)
@@ -617,20 +587,10 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_snapshot(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.graph)
-    graph.save(args.output)
-    print(f"wrote {args.output}: |V|={graph.num_nodes} "
-          f"|E|={graph.num_edges} version={graph.version} "
-          f"journal={len(graph.journal)} entr(ies)"
-          f"{' (has tombstones)' if graph.has_tombstones else ''}")
-    return 0
-
-
 def _cmd_apply_delta(args: argparse.Namespace) -> int:
     from repro.dynamic import apply_operations, load_operations
 
-    graph = _load_graph(args.graph)
+    graph = load_any(args.graph)
     before = graph.version
     records = load_operations(args.delta)
     applied = apply_operations(graph, records)
@@ -645,7 +605,7 @@ def _cmd_apply_delta(args: argparse.Namespace) -> int:
 def _cmd_compact(args: argparse.Namespace) -> int:
     from repro.store import StoreReader, write_store
 
-    graph = _load_graph(args.graph)
+    graph = load_any(args.graph)
     nbytes = write_store(graph, args.output)
     print(f"wrote {args.output}: {nbytes} bytes |V|={graph.num_nodes} "
           f"|E|={graph.num_edges} version={graph.version}")
@@ -663,12 +623,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ServeApp
     from repro.serve.server import serve_forever
 
-    graph = _load_graph(args.graph, mmap=args.mmap)
+    graph = load_any(args.graph)
     app = ServeApp(
         graph,
         config=_scoring_config(args),
-        engine_opts=options_from(
-            args, graph.store_path if args.mmap else None),
+        engine_opts=options_from(args, getattr(graph, "store_path", None)),
         workers=args.workers,
         backend=args.backend,
         max_queue_depth=args.queue_depth,
@@ -730,9 +689,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "plan-fit": _cmd_plan_fit,
         "learn": _cmd_learn,
         "demo": _cmd_demo,
-        "snapshot": _cmd_snapshot,
         "apply-delta": _cmd_apply_delta,
         "compact": _cmd_compact,
+        "snapshot": _cmd_compact,
         "serve": _cmd_serve,
         "client": _cmd_client,
     }

@@ -1,4 +1,4 @@
-"""``repro.dynamic``: live-graph updates, delta journaling, snapshots.
+"""``repro.dynamic``: live-graph updates, delta journaling, loading.
 
 The production serving workload ROADMAP targets is a *continuously
 maintained* knowledge graph: edges arrive and disappear while templated
@@ -14,13 +14,15 @@ without discarding state a mutation cannot have affected:
   cached entry's dependency footprint against the journal and keeps
   every entry the delta provably missed; ``ScoringFunction.refresh()``
   does the same for descriptor/score memos.
-* snapshots -- :func:`save_snapshot` / :func:`load_snapshot`, a compact
-  versioned binary format preserving ids, tombstones, all derived
-  indexes, and the journal tail, so a serving process restarts warm
-  (:mod:`repro.dynamic.snapshot`); surfaced as ``repro snapshot``.
+* persistence -- :meth:`KnowledgeGraph.save` writes the ``RKGS2`` store
+  (:mod:`repro.store`), which preserves ids, tombstones, the journal
+  tail and the index columns, so a serving process restarts warm;
+  :func:`load_any` loads a store, a line-JSON file or -- through the
+  import-only :func:`load_snapshot` -- an old ``RKGS`` v1 snapshot by
+  the file's magic (:mod:`repro.dynamic.snapshot`).
 * mutation streams -- :func:`apply_operations` replays a JSONL delta
   file onto a graph (:mod:`repro.dynamic.ops`); surfaced as
-  ``repro apply-delta``.
+  ``repro apply-delta``, which may write onto its own input store.
 
 Correctness contract (anchored by ``tests/test_dynamic_property.py``):
 after any mutation sequence, search results are byte-identical to a
@@ -41,7 +43,6 @@ __all__ = [
     "load_operations",
     "load_snapshot",
     "save_operations",
-    "save_snapshot",
 ]
 
 # Snapshot/ops are imported lazily (PEP 562): ``repro.graph`` imports
@@ -49,7 +50,6 @@ __all__ = [
 # snapshot codec imports ``repro.graph`` back -- eager imports here
 # would close that cycle.
 _LAZY = {
-    "save_snapshot": "repro.dynamic.snapshot",
     "load_snapshot": "repro.dynamic.snapshot",
     "load_any": "repro.dynamic.snapshot",
     "apply_operation": "repro.dynamic.ops",

@@ -1,22 +1,28 @@
-"""Compact versioned binary snapshots of :class:`KnowledgeGraph`.
+"""The varint codec, the ``RKGS`` v1 importer, and :func:`load_any`.
 
-The line-JSON format in :mod:`repro.graph.io` identifies nodes by their
-*position* in the file, which breaks as soon as a graph has tombstones:
-ids with gaps cannot round-trip positionally.  Snapshots exist so a
-serving process can persist a *mutated* graph -- including removed
-slots, every derived index, the structural version and the journal tail
--- and restart warm: ids stay stable, warm caches keyed on those ids
-remain meaningful, and ``delta_since`` keeps answering across the
-restart for consumers whose state predates the snapshot.
+``RKGS`` v1 was the first binary format here: the whole graph in one
+zlib-compressed body.  Nothing writes it any more --
+:meth:`KnowledgeGraph.save`, ``repro compact`` (alias ``snapshot``) and
+``repro apply-delta`` write the mmap-able ``RKGS2`` store
+(:mod:`repro.store.format`), which holds the same state (slots with
+tombstones, structural version, journal tail) plus the index and ANN
+columns.  What stays here:
 
-Layout (all multi-byte integers are unsigned LEB128 varints; strings
-are UTF-8 with a varint byte-length prefix; id sets are delta-encoded
-ascending)::
+* :class:`_Writer` / :class:`_Reader` -- the bounds-checked varint
+  codec, journal tail included, that the store's ``meta`` section is
+  written and read with;
+* :func:`load_snapshot` -- a read-only importer, so existing v1 files
+  keep loading (``tests/data/movies_v1.kgs`` is the last one this code
+  base wrote);
+* :func:`load_any` -- the one loader: it reads the file's magic and
+  dispatches to the store, this importer or line-JSON.
+
+v1 layout (integers are unsigned LEB128 varints; strings are UTF-8 with
+a varint byte-length prefix; id sets are delta-encoded ascending)::
 
     magic  b"RKGS"
     u8     format version (currently 1)
     u32le  CRC-32 of the uncompressed body
-    varint uncompressed body length
     bytes  zlib-compressed body
 
     body := name  directed:u8  structural_version
@@ -24,17 +30,10 @@ ascending)::
             token_index type_index relation_refcounts max_degree
             journal_section
 
-Node and edge sections store *slots*: a presence byte per slot so
-tombstones survive.  Attribute maps are stored as canonical JSON
-(sorted keys), which makes ``save(load(save(g)))`` byte-identical --
-tested in ``tests/test_dynamic.py``.  The lazily-built subtype closure
-is deliberately *not* persisted: it derives from the ontology table,
-which may differ in the loading process.
-
-Loading a snapshot calls :func:`repro.textutil.clear_token_memo`:
-the token memo may be sized for the previous graph's vocabulary, and a
-graph swap is exactly the boundary where stale entries stop paying for
-themselves.
+Node and edge sections store *slots*, a presence byte each, so
+tombstones survive.  Loading calls
+:func:`repro.textutil.clear_token_memo`: a graph swap is the boundary
+where the previous graph's memoised tokens stop paying for themselves.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ _HEADER = struct.Struct("<4sBI")  # magic, format version, body CRC-32
 
 
 class _Writer:
-    """Append-only little encoder for the snapshot body."""
+    """Append-only little encoder (the store's ``meta`` section)."""
 
     def __init__(self) -> None:
         self._buf = bytearray()
@@ -78,14 +77,6 @@ class _Writer:
         self.varint(len(raw))
         self._buf += raw
 
-    def attrs(self, mapping: Dict[str, Any]) -> None:
-        # Canonical JSON so identical graphs produce identical bytes.
-        if mapping:
-            self.string(json.dumps(mapping, sort_keys=True,
-                                   separators=(",", ":")))
-        else:
-            self.string("")
-
     def id_set(self, ids) -> None:
         ordered = sorted(ids)
         self.varint(len(ordered))
@@ -99,6 +90,21 @@ class _Writer:
         self.varint(len(ordered))
         for value in ordered:
             self.string(value)
+
+    def journal(self, journal: DeltaJournal) -> None:
+        """Journal tail: limit, latest version, retained entries."""
+        self.varint(journal.limit)
+        self.varint(journal.latest_version)
+        entries = journal.entries()
+        self.varint(len(entries))
+        for delta in entries:
+            self.varint(delta.version)
+            self.string(delta.kind)
+            self.u8(1 if delta.stats_changed else 0)
+            self.id_set(delta.nodes)
+            self.string_set(delta.tokens)
+            self.string_set(delta.types)
+            self.string_set(delta.relations)
 
     def getvalue(self) -> bytes:
         return bytes(self._buf)
@@ -199,82 +205,39 @@ class _Reader:
     def string_set(self) -> List[str]:
         return [self.string() for _ in range(self.count())]
 
+    def journal(self, node_slots: int) -> Tuple[int, int, List[Delta]]:
+        """What :meth:`_Writer.journal` wrote: ``(limit, latest version,
+        entries)``.  Entries may name tombstoned nodes (that is what a
+        remove_node delta records) but never ids past *node_slots*."""
+        limit = self.varint()
+        latest = self.varint()
+        entries: List[Delta] = []
+        for _ in range(self.count()):
+            version = self.varint()
+            kind = self.string()
+            stats_changed = bool(self.u8())
+            nodes = frozenset(self.id_set())
+            for nid in nodes:
+                if nid >= node_slots:
+                    self._corrupt(
+                        f"journal delta v{version} references node {nid} "
+                        f">= {node_slots} slot(s)")
+            entries.append(Delta(
+                version, kind,
+                nodes=nodes,
+                tokens=frozenset(self.string_set()),
+                types=frozenset(self.string_set()),
+                relations=frozenset(self.string_set()),
+                stats_changed=stats_changed,
+            ))
+        return limit, latest, entries
+
     @property
     def exhausted(self) -> bool:
         return self._pos == len(self._data)
 
 
 # ----------------------------------------------------------------------
-def _encode(graph) -> bytes:
-    writer = _Writer()
-    writer.string(graph.name)
-    writer.u8(1 if graph.directed else 0)
-    writer.varint(graph.version)
-
-    # Node slots (presence byte preserves tombstones / stable ids).
-    writer.varint(graph.num_node_slots)
-    for data in graph._nodes:
-        if data is None:
-            writer.u8(0)
-            continue
-        writer.u8(1)
-        writer.string(data.name)
-        writer.string(data.type)
-        writer.varint(len(data.keywords))
-        for keyword in data.keywords:
-            writer.string(keyword)
-        writer.attrs(data.attrs)
-
-    writer.varint(graph.num_edge_slots)
-    for record in graph._edges:
-        if record is None:
-            writer.u8(0)
-            continue
-        writer.u8(1)
-        src, dst, edata = record
-        writer.varint(src)
-        writer.varint(dst)
-        writer.string(edata.relation)
-        writer.attrs(edata.attrs)
-
-    # Derived indexes.  Token postings are written sorted by token so the
-    # encoding is canonical; posting order is a set anyway.  The type
-    # index preserves dict insertion order -- template generation walks
-    # types() in first-seen order and a reload must not reorder it.
-    writer.varint(len(graph._token_index))
-    for token in sorted(graph._token_index):
-        writer.string(token)
-        writer.id_set(graph._token_index[token])
-    writer.varint(len(graph._type_index))
-    for type_name, members in graph._type_index.items():
-        writer.string(type_name)
-        writer.varint(len(members))
-        previous = 0
-        for node_id in members:  # insertion order is ascending (append-only)
-            writer.varint(node_id - previous)
-            previous = node_id
-    writer.varint(len(graph._relations))
-    for relation in sorted(graph._relations):
-        writer.string(relation)
-        writer.varint(graph._relations[relation])
-    writer.varint(graph.max_degree)
-
-    # Journal tail: limit, latest version, retained entries.
-    writer.varint(graph.journal.limit)
-    writer.varint(graph.journal.latest_version)
-    entries = graph.journal.entries()
-    writer.varint(len(entries))
-    for delta in entries:
-        writer.varint(delta.version)
-        writer.string(delta.kind)
-        writer.u8(1 if delta.stats_changed else 0)
-        writer.id_set(delta.nodes)
-        writer.string_set(delta.tokens)
-        writer.string_set(delta.types)
-        writer.string_set(delta.relations)
-    return writer.getvalue()
-
-
 def _decode(body: bytes):
     from repro.graph.knowledge_graph import EdgeData, KnowledgeGraph, NodeData
 
@@ -329,12 +292,7 @@ def _decode(body: bytes):
     type_index: Dict[str, List[int]] = {}
     for _ in range(reader.count()):
         type_name = reader.string()
-        count = reader.count()
-        members: List[int] = []
-        previous = 0
-        for _ in range(count):
-            previous += reader.varint()
-            members.append(previous)
+        members = reader.id_set()
         for nid in members:
             if nid >= node_slots or nodes[nid] is None:
                 raise SnapshotCorruptionError(
@@ -347,30 +305,8 @@ def _decode(body: bytes):
         relations[relation] = reader.varint()
     max_degree = reader.varint()
 
-    journal_limit = reader.varint()
-    journal_latest = reader.varint()
-    journal_entries: List[Delta] = []
-    for _ in range(reader.count()):
-        delta_version = reader.varint()
-        kind = reader.string()
-        stats_changed = bool(reader.u8())
-        delta_nodes = frozenset(reader.id_set())
-        # Journal entries may name tombstoned nodes (that is what a
-        # remove_node delta records) but never ids past the slot count.
-        for nid in delta_nodes:
-            if nid >= node_slots:
-                raise SnapshotCorruptionError(
-                    f"corrupt snapshot: journal delta v{delta_version} "
-                    f"references node {nid} >= {node_slots} slot(s)",
-                    offset=reader.offset)
-        journal_entries.append(Delta(
-            delta_version, kind,
-            nodes=delta_nodes,
-            tokens=frozenset(reader.string_set()),
-            types=frozenset(reader.string_set()),
-            relations=frozenset(reader.string_set()),
-            stats_changed=stats_changed,
-        ))
+    journal_limit, journal_latest, journal_entries = reader.journal(
+        node_slots)
     if not reader.exhausted:
         raise SnapshotCorruptionError(
             "corrupt snapshot: trailing bytes after body",
@@ -418,18 +354,9 @@ def _decode(body: bytes):
 
 
 # ----------------------------------------------------------------------
-def save_snapshot(graph, path) -> None:
-    """Write *graph* to *path* in the snapshot format described above."""
-    body = _encode(graph)
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, zlib.crc32(body) & 0xFFFFFFFF)
-    payload = zlib.compress(body, 6)
-    with open(path, "wb") as handle:
-        handle.write(header)
-        handle.write(payload)
-
-
 def load_snapshot(path):
-    """Load a graph written by :func:`save_snapshot`.
+    """Import an ``RKGS`` v1 snapshot (written by builds before the
+    ``RKGS2`` store became the only binary format).
 
     The loaded graph gets a fresh ``uid`` (it is a different in-process
     object; warm *in-process* caches key on uid and must not be fooled),

@@ -25,13 +25,13 @@ def save_graph(graph: KnowledgeGraph, path: Union[str, os.PathLike]) -> None:
             edges.  This format identifies nodes by file position, so a
             graph with id gaps cannot round-trip -- ids would silently
             renumber.  Use :meth:`KnowledgeGraph.save` (the binary
-            snapshot format) for mutated graphs.
+            store) for mutated graphs.
     """
     if graph.has_tombstones:
         raise DatasetError(
             "cannot save a graph with removed nodes/edges in the "
-            "positional line-JSON format (ids would renumber); use "
-            "KnowledgeGraph.save / repro.dynamic.save_snapshot instead"
+            "positional line-JSON format (ids would renumber); snapshot "
+            "it with KnowledgeGraph.save / `repro compact` instead"
         )
     with open(path, "w", encoding="utf-8") as fh:
         header = {

@@ -606,20 +606,22 @@ class KnowledgeGraph:
         return self.journal.since(version)
 
     def save(self, path) -> None:
-        """Write this graph as a compact binary snapshot (see
-        :mod:`repro.dynamic.snapshot`); preserves ids, tombstones,
-        indexes, version and the journal tail, so a serving process
-        restarts warm."""
-        from repro.dynamic.snapshot import save_snapshot
+        """Write this graph to *path* as an ``RKGS2`` store (see
+        :func:`repro.store.format.write_store`): ids, tombstones, index
+        and ANN columns, version and the journal tail are preserved, so
+        a serving process restarts warm.  *path* is replaced atomically
+        and may be the file this graph was loaded from."""
+        from repro.store.format import write_store
 
-        save_snapshot(self, path)
+        write_store(self, path)
 
     @classmethod
     def load(cls, path) -> "KnowledgeGraph":
-        """Load a binary snapshot written by :meth:`save`."""
-        from repro.dynamic.snapshot import load_snapshot
+        """Load *path* in whatever format its first bytes say it is (see
+        :func:`repro.dynamic.snapshot.load_any`)."""
+        from repro.dynamic.snapshot import load_any
 
-        return load_snapshot(path)
+        return load_any(path)
 
     @classmethod
     def open_mmap(cls, path, verify: bool = False) -> "KnowledgeGraph":

@@ -1,6 +1,7 @@
 """``repro.store``: the mmap-able zero-copy graph store (``RKGS2``).
 
-Write with :func:`write_store` (or ``repro compact``), open with
+Write with :func:`write_store` (= :meth:`KnowledgeGraph.save`, ``repro
+compact``; the target is replaced atomically), open with
 :meth:`KnowledgeGraph.open_mmap` / :func:`open_graph`, and attach the
 index kernels with :func:`attach_mmap_index` /
 :func:`attach_mmap_semantic` (engines built from an options dict get

@@ -13,7 +13,8 @@ orders) and refuses maintenance past its pinned version.
 
 from __future__ import annotations
 
-from typing import Union
+from contextlib import contextmanager
+from typing import Iterator, Tuple, Union
 
 from repro.ann.semantic import MODES as ANN_MODES
 from repro.ann.semantic import SemanticTier
@@ -75,6 +76,37 @@ class MmapGraphIndex(GraphIndex):
                 reader.close()
 
 
+@contextmanager
+def _store_of(source, graph) -> Iterator[Tuple[StoreReader, bool]]:
+    """Resolve *source* (see :func:`attach_mmap_index`) to ``(reader,
+    opened here?)`` once the store is known to hold *graph*: same name,
+    node-slot count and version.  A reader opened here is closed if
+    that check, or anything in the ``with`` body, fails."""
+    if isinstance(source, MmapKnowledgeGraph):
+        source = source._store
+    owns = not isinstance(source, StoreReader)
+    reader = StoreReader(source) if owns else source
+    try:
+        meta = reader.meta
+        if getattr(graph, "name", None) != meta.name:
+            raise ValueError(
+                f"store {reader.path} holds graph {meta.name!r}, "
+                f"not {graph.name!r}")
+        if graph.version != meta.version:
+            raise ValueError(
+                f"store {reader.path} was compacted at graph version "
+                f"{meta.version}, but the graph is at {graph.version}")
+        if graph.num_node_slots != meta.node_slots:
+            raise ValueError(
+                f"store {reader.path} lays out {meta.node_slots} node "
+                f"slot(s), but the graph has {graph.num_node_slots}")
+        yield reader, owns
+    except BaseException:
+        if owns:
+            reader.close()
+        raise
+
+
 def attach_mmap_index(
     source: Union[str, "StoreReader", MmapKnowledgeGraph],
     graph,
@@ -95,29 +127,8 @@ def attach_mmap_index(
     if mode not in MODES:
         raise ValueError(
             f"use_index mode must be one of {MODES}, got {mode!r}")
-    owns = False
-    if isinstance(source, MmapKnowledgeGraph):
-        reader = source._store
-    elif isinstance(source, StoreReader):
-        reader = source
-    else:
-        reader = StoreReader(source)
-        owns = True
-    try:
+    with _store_of(source, graph) as (reader, owns):
         meta = reader.meta
-        if getattr(graph, "name", None) != meta.name:
-            raise ValueError(
-                f"store {reader.path} holds graph {meta.name!r}, "
-                f"not {graph.name!r}")
-        if graph.version != meta.version:
-            raise ValueError(
-                f"store {reader.path} was compacted at graph version "
-                f"{meta.version}, but the graph is at {graph.version}")
-        if graph.num_node_slots != meta.node_slots:
-            raise ValueError(
-                f"store {reader.path} lays out {meta.node_slots} node "
-                f"slot(s), but the graph has {graph.num_node_slots}")
-
         counts = meta.counts
         vocab = Vocabulary()
         vocab.strings = reader.strings("vocab", counts["vocab"]).materialize()
@@ -149,10 +160,6 @@ def attach_mmap_index(
         features.pool_strings = reader.strings(
             "pool", counts["pool"]).materialize()
         features.pool = {v: i for i, v in enumerate(features.pool_strings)}
-    except BaseException:
-        if owns:
-            reader.close()
-        raise
 
     index = object.__new__(MmapGraphIndex)
     index.graph = graph
@@ -233,36 +240,12 @@ def attach_mmap_semantic(
     if mode not in ANN_MODES:
         raise ValueError(
             f"use_semantic mode must be one of {ANN_MODES}, got {mode!r}")
-    owns = False
-    if isinstance(source, MmapKnowledgeGraph):
-        reader = source._store
-    elif isinstance(source, StoreReader):
-        reader = source
-    else:
-        reader = StoreReader(source)
-        owns = True
-    try:
+    with _store_of(source, graph) as (reader, owns):
         meta = reader.meta
-        if getattr(graph, "name", None) != meta.name:
-            raise ValueError(
-                f"store {reader.path} holds graph {meta.name!r}, "
-                f"not {graph.name!r}")
-        if graph.version != meta.version:
-            raise ValueError(
-                f"store {reader.path} was compacted at graph version "
-                f"{meta.version}, but the graph is at {graph.version}")
-        if graph.num_node_slots != meta.node_slots:
-            raise ValueError(
-                f"store {reader.path} lays out {meta.node_slots} node "
-                f"slot(s), but the graph has {graph.num_node_slots}")
         counts = meta.counts
         vecs = reader.section("ann.vecs")
         sigs = reader.section("ann.sigs")
         alive = reader.section("node.alive")
-    except BaseException:
-        if owns:
-            reader.close()
-        raise
 
     tier = object.__new__(MmapSemanticTier)
     SemanticTier.__init__(

@@ -1,11 +1,11 @@
-"""``RKGS2``: the mmap-able columnar store format.
+"""``RKGS2``: the mmap-able columnar store, the one binary format written.
 
-The ``RKGS`` snapshot (:mod:`repro.dynamic.snapshot`) is a *serialized*
-graph: loading it deserializes every node, edge and index entry into
-Python objects, so cold-start is O(graph) and every process pays for its
-own copy.  ``RKGS2`` instead lays the graph and its :mod:`repro.index`
-kernels out as flat, page-aligned, CRC-guarded columns that are read
-*in place* through one ``mmap``::
+A *serialized* graph (line-JSON, or the import-only ``RKGS`` v1 of
+:mod:`repro.dynamic.snapshot`) is deserialized node by node on load, so
+cold-start is O(graph) and every process pays for its own copy.
+``RKGS2`` instead lays the graph and its :mod:`repro.index` kernels out
+as flat, page-aligned, CRC-guarded columns that are read *in place*
+through one ``mmap``::
 
     offset 0      fixed 64-byte header
                   magic b"RKGS2\\0", format version, page size,
@@ -17,7 +17,8 @@ Sections (``<name> [typecode]``; ``.blob``/``.offs`` pairs are UTF-8
 string tables -- string *i* is ``blob[offs[i]:offs[i+1]]``)::
 
     meta                varint-encoded scalars + relation refcounts +
-                        journal tail (reuses the hardened snapshot codec)
+                        journal tail (the hardened codec of
+                        :mod:`repro.dynamic.snapshot`)
     vocab.blob/offs     interned token spellings, dense-id order
     idf           [d]   per-token IDF (computed at write time)
     post.data     [I]   concatenated posting lists (ascending node ids)
@@ -52,6 +53,13 @@ CRC-32 verified on first access (and all at once via
 :class:`~repro.errors.SnapshotCorruptionError` carrying the section
 name and byte offset -- the corruption suite fuzzes truncations and
 byte flips over the whole file to hold that line.
+
+Atomic replace: :func:`write_store` never opens its target.  It writes a
+temporary file beside it, fsyncs, and renames it over the target, so a
+process that has the old file mapped keeps reading the old inode (saving
+a store over its own backing file is the normal ``apply-delta`` /
+``compact`` round trip), and a writer killed half way leaves the old
+file intact.
 """
 
 from __future__ import annotations
@@ -64,7 +72,6 @@ import zlib
 from array import array
 from typing import Dict, List, Optional, Tuple
 
-from repro.dynamic.journal import Delta
 from repro.dynamic.snapshot import _Reader, _Writer
 from repro.errors import DatasetError, SnapshotCorruptionError
 from repro.index.features import FEATURE_COLUMNS, NodeFeatures
@@ -150,18 +157,7 @@ def _encode_meta(graph, counts: Dict[str, int]) -> bytes:
     for relation in sorted(graph._relations):
         writer.string(relation)
         writer.varint(graph._relations[relation])
-    writer.varint(graph.journal.limit)
-    writer.varint(graph.journal.latest_version)
-    entries = graph.journal.entries()
-    writer.varint(len(entries))
-    for delta in entries:
-        writer.varint(delta.version)
-        writer.string(delta.kind)
-        writer.u8(1 if delta.stats_changed else 0)
-        writer.id_set(delta.nodes)
-        writer.string_set(delta.tokens)
-        writer.string_set(delta.types)
-        writer.string_set(delta.relations)
+    writer.journal(graph.journal)
     return writer.getvalue()
 
 
@@ -345,8 +341,13 @@ def write_store(graph, path) -> int:
 
     Compaction folds any copy-on-write overlay back into the frozen
     base: the writer walks the graph through its public structures, so
-    overlay mutations are simply part of what gets laid out.  Returns
-    the file size in bytes.
+    overlay mutations are simply part of what gets laid out.  *path* is
+    replaced atomically (see the module docstring) and may be the file
+    *graph* itself is mapped from.  Returns the file size in bytes.
+
+    Raises:
+        DatasetError: when *path* cannot be written (missing or
+            read-only directory, full disk); no temporary is left.
     """
     graph._resolve_max_degree()
     sections = _build_sections(graph)
@@ -366,17 +367,32 @@ def write_store(graph, path) -> int:
         dir_off, len(dir_bytes), _crc(dir_bytes),
     )
     header = base + _HEADER_CRC.pack(_crc(base))
-    with open(path, "wb") as handle:
-        handle.write(header)
-        for (name, off, _nbytes, _c, _t), (_n, _code, payload) in zip(
-            entries, sections
-        ):
-            handle.seek(off)
-            handle.write(payload)
-        handle.seek(dir_off)
-        handle.write(dir_bytes)
-        handle.flush()
-        total = handle.tell()
+    target = os.fspath(path)
+    temporary = f"{target}.tmp-{os.getpid()}-{os.urandom(4).hex()}"
+    try:
+        with open(temporary, "xb") as handle:
+            handle.write(header)
+            for (name, off, _nbytes, _c, _t), (_n, _code, payload) in zip(
+                entries, sections
+            ):
+                handle.seek(off)
+                handle.write(payload)
+            handle.seek(dir_off)
+            handle.write(dir_bytes)
+            handle.flush()
+            os.fsync(handle.fileno())
+            total = handle.tell()
+        os.replace(temporary, target)
+    except BaseException as exc:
+        try:
+            os.unlink(temporary)
+        except OSError:
+            pass
+        if isinstance(exc, OSError):
+            raise DatasetError(
+                f"cannot write graph store {target}: "
+                f"{exc.strerror or exc}") from exc
+        raise
     return total
 
 
@@ -413,22 +429,8 @@ def _decode_meta(payload: bytes) -> StoreMeta:
     for _ in range(reader.count()):
         relation = reader.string()
         meta.relations[relation] = reader.varint()
-    meta.journal_limit = reader.varint()
-    meta.journal_latest = reader.varint()
-    entries: List[Delta] = []
-    for _ in range(reader.count()):
-        version = reader.varint()
-        kind = reader.string()
-        stats_changed = bool(reader.u8())
-        entries.append(Delta(
-            version, kind,
-            nodes=frozenset(reader.id_set()),
-            tokens=frozenset(reader.string_set()),
-            types=frozenset(reader.string_set()),
-            relations=frozenset(reader.string_set()),
-            stats_changed=stats_changed,
-        ))
-    meta.journal_entries = entries
+    meta.journal_limit, meta.journal_latest, meta.journal_entries = \
+        reader.journal(meta.node_slots)
     if not reader.exhausted:
         raise SnapshotCorruptionError(
             "corrupt store: trailing bytes after meta",

@@ -17,7 +17,10 @@ process-local cache -- the mapping itself is never written (it is
 opened ``ACCESS_READ``; concurrent readers in other processes keep
 seeing the frozen base).  Versioning, the delta journal and
 ``delta_since`` behave exactly as on an in-memory graph; ``repro
-compact`` folds the overlay back into a fresh base file.
+compact`` (or :meth:`KnowledgeGraph.save`) folds the overlay back into a
+fresh base file -- onto the same path if asked, since
+:func:`~repro.store.format.write_store` replaces its target atomically
+and a reader's mapping keeps the inode it opened.
 """
 
 from __future__ import annotations

@@ -77,8 +77,8 @@ def clear_token_memo() -> None:
 
     Call on graph-swap boundaries (a fresh graph means a fresh
     vocabulary; entries for the old one are dead weight that the LRU
-    bound would only evict slowly).  :func:`repro.dynamic.load_snapshot`
-    calls this for you.
+    bound would only evict slowly).  :meth:`KnowledgeGraph.load` calls
+    this for you on a binary file.
     """
     _memo.cache_clear()
 

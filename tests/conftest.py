@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +38,25 @@ def build_movie_graph() -> KnowledgeGraph:
     g.add_edge(brad, richard, "collaborated_with")
     g.add_edge(brad, angelina, "married_to")
     return g
+
+
+def build_mutated_movie_graph() -> KnowledgeGraph:
+    """The movie graph after a few mutations: tombstoned node and edges,
+    a relabelled edge, an appended node, and the journal of all that."""
+    g = build_movie_graph()
+    g.remove_edge(1)
+    g.remove_node(6)
+    g.update_node_attrs(0, oscar=True)
+    g.update_edge(0, relation="starred_in")
+    g.add_node("Late Arrival", "director", keywords=("auteur",))
+    return g
+
+
+#: :func:`build_mutated_movie_graph` as the last build that had an
+#: ``RKGS`` v1 writer saved it (PR 19's ``save_snapshot``, 723 bytes).
+#: Nothing under ``src/`` can produce this file any more; it is what
+#: keeps the v1 importer tested.
+RKGS1_FIXTURE = Path(__file__).parent / "data" / "movies_v1.kgs"
 
 
 def build_random_graph(seed: int, num_nodes: int = 30, num_edges: int = 60) -> KnowledgeGraph:

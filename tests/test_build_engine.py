@@ -107,8 +107,8 @@ def _check_every_door(paths, capsys, storage, shards,
     opts = dict(options)
     cli = ["search", paths[storage], text, "-k", str(K)] + flags
     if mmap:
+        # The CLI works this out from the file it is given.
         opts["mmap_store"] = paths["mmap"]
-        cli.append("--mmap")
     if shards is not None:
         opts.update(shards=shards, partition="pivot-type")
         cli += ["--shards", str(shards), "--partition", "pivot-type"]

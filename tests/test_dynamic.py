@@ -7,7 +7,12 @@ import os
 
 import pytest
 
-from tests.conftest import build_movie_graph, build_random_graph
+from tests.conftest import (
+    RKGS1_FIXTURE,
+    build_movie_graph,
+    build_mutated_movie_graph,
+    build_random_graph,
+)
 from repro.core.framework import Star
 from repro.dynamic import (
     Delta,
@@ -18,9 +23,13 @@ from repro.dynamic import (
     load_operations,
     load_snapshot,
     save_operations,
-    save_snapshot,
 )
-from repro.errors import DatasetError, GraphError, ScoringError
+from repro.errors import (
+    DatasetError,
+    GraphError,
+    ScoringError,
+    SnapshotCorruptionError,
+)
 from repro.eval.harness import disjoint_edge_stream
 from repro.graph import KnowledgeGraph, load_graph, save_graph
 from repro.graph.sketch import NeighborhoodSketch
@@ -362,22 +371,16 @@ class TestScorerRefresh:
 
 
 # ----------------------------------------------------------------------
-# Snapshots
+# Save / load round trips (whatever the binary format; today RKGS2)
 # ----------------------------------------------------------------------
 class TestSnapshot:
-    def _mutated_graph(self):
-        g = build_movie_graph()
-        g.remove_edge(1)
-        g.remove_node(6)
-        g.update_node_attrs(0, oscar=True)
-        g.update_edge(0, relation="starred_in")
-        g.add_node("Late Arrival", "director", keywords=("auteur",))
-        return g
+    _mutated_graph = staticmethod(build_mutated_movie_graph)
 
     def test_round_trip_equality(self, tmp_path):
         g = self._mutated_graph()
         path = tmp_path / "graph.kgs"
         g.save(path)
+        assert path.read_bytes()[:6] == b"RKGS2\0"
         loaded = KnowledgeGraph.load(path)
         assert loaded.version == g.version
         assert list(loaded.nodes()) == list(g.nodes())
@@ -403,7 +406,7 @@ class TestSnapshot:
         g = self._mutated_graph()
         path = tmp_path / "graph.kgs"
         g.save(path)
-        loaded = load_snapshot(path)
+        loaded = KnowledgeGraph.load(path)
         query = parse_query("(?m:film) -[?]- (Brad Pitt:actor)", name="t")
         assert_same_results(
             Star(loaded, d=1).search(query, 5),
@@ -432,39 +435,62 @@ class TestSnapshot:
         assert textutil.token_memo_info().currsize == 0
 
     def test_corruption_detected(self, tmp_path):
-        g = build_movie_graph()
-        path = tmp_path / "graph.kgs"
-        g.save(path)
-        raw = bytearray(path.read_bytes())
+        raw = bytearray(RKGS1_FIXTURE.read_bytes())
         raw[len(raw) // 2] ^= 0xFF
         bad = tmp_path / "bad.kgs"
         bad.write_bytes(bytes(raw))
-        with pytest.raises(DatasetError):
+        with pytest.raises(SnapshotCorruptionError):
             load_snapshot(bad)
+        with pytest.raises(SnapshotCorruptionError):
+            load_any(bad)
         notmagic = tmp_path / "x.kgs"
         notmagic.write_bytes(b"NOPE" + bytes(raw[4:]))
-        with pytest.raises(DatasetError):
+        with pytest.raises(DatasetError, match="bad magic"):
             load_snapshot(notmagic)
-        with pytest.raises(DatasetError):
+        with pytest.raises(DatasetError, match="not found"):
             load_snapshot(tmp_path / "missing.kgs")
 
     def test_unsupported_format_version(self, tmp_path):
-        g = build_movie_graph()
-        path = tmp_path / "graph.kgs"
-        g.save(path)
-        raw = bytearray(path.read_bytes())
+        raw = bytearray(RKGS1_FIXTURE.read_bytes())
         raw[4] = 99  # format-version byte
+        path = tmp_path / "graph.kgs"
         path.write_bytes(bytes(raw))
-        with pytest.raises(DatasetError, match="format version"):
+        with pytest.raises(DatasetError, match="snapshot format version 99"):
             load_snapshot(path)
 
     def test_load_any_sniffs_both_formats(self, tmp_path):
-        g = build_movie_graph()
-        snap, json_path = tmp_path / "g.kgs", tmp_path / "g.kg"
-        g.save(snap)
-        save_graph(g, json_path)
-        assert list(load_any(snap).nodes()) == list(g.nodes())
-        assert list(load_any(json_path).nodes()) == list(g.nodes())
+        """One graph at rest three ways -- line-JSON, the RKGS v1
+        fixture, an RKGS2 store -- loads to equal graphs and rankings.
+        (A loop, not a parameter: the test keeps its id.)"""
+        g = self._mutated_graph()
+        query = parse_query("(?m:film) -[?]- (Brad Pitt:actor)", name="t")
+        assert Star(g, d=1).search(query, 5)
+        store = tmp_path / "g.rkgs2"
+        g.save(store)
+        # Line-JSON is positional, so it holds the same graph compacted:
+        # ids renumber, names and rankings by name do not.
+        dense, dense_path = build_movie_graph(), tmp_path / "g.kg"
+        save_graph(dense, dense_path)
+        loaded = {}
+        for path, magic, source in ((RKGS1_FIXTURE, b"RKGS\x01", g),
+                                    (store, b"RKGS2", g),
+                                    (dense_path, b'{"ver', dense)):
+            assert path.read_bytes()[:5] == magic
+            got = loaded[magic] = load_any(path)
+            assert list(got.nodes()) == list(source.nodes())
+            assert list(got.edges()) == list(source.edges())
+            assert [got.node(v) for v in got.nodes()] == \
+                [source.node(v) for v in source.nodes()]
+            assert got.version == source.version
+            assert_same_results(Star(got, d=1).search(query, 5),
+                                Star(source, d=1).search(query, 5))
+        # ... and the two binary files agree with each other past the
+        # node lists: tombstones and the journal tail.
+        old, new = loaded[b"RKGS\x01"], loaded[b"RKGS2"]
+        assert old.has_tombstones and new.has_tombstones
+        assert old.num_node_slots == new.num_node_slots
+        assert [d.as_record() for d in old.journal.entries()] == \
+            [d.as_record() for d in new.journal.entries()]
 
     def test_line_json_refuses_tombstones(self, tmp_path):
         g = self._mutated_graph()
@@ -615,9 +641,13 @@ class TestCli:
         g = build_movie_graph()
         json_path = tmp_path / "g.kg"
         save_graph(g, json_path)
-        snap = tmp_path / "g.kgs"
+        snap, store = tmp_path / "g.kgs", tmp_path / "g.rkgs2"
         assert main(["snapshot", str(json_path), str(snap)]) == 0
-        assert snap.read_bytes()[:4] == b"RKGS"
+        assert snap.read_bytes()[:6] == b"RKGS2\0"
+        # ``snapshot`` is ``compact`` under its old name.
+        assert main(["compact", str(json_path), str(store)]) == 0
+        assert snap.read_bytes() == store.read_bytes()
+        capsys.readouterr()
         assert main([
             "search", str(snap), "(?m:film) -[?]- (Brad Pitt:actor)", "-k", "3",
         ]) == 0
@@ -645,3 +675,16 @@ class TestCli:
         assert mutated.has_tombstones
         out = capsys.readouterr().out
         assert "applied 2 operation(s)" in out
+
+        # A second delta lands on its own input store, which ``mutated``
+        # still has mapped: the file is replaced, not rewritten in place.
+        save_operations([["remove_edge", 1]], ops_path)
+        assert main([
+            "apply-delta", str(out_path), str(ops_path), str(out_path),
+        ]) == 0
+        again = KnowledgeGraph.load(out_path)
+        assert again.num_edges == g.num_edges - 2
+        assert again.version == mutated.version + 1
+        assert again.delta_since(mutated.version).count == 1
+        assert mutated.num_edges == g.num_edges - 1  # the old mapping holds
+        assert [p.name for p in tmp_path.iterdir() if ".tmp" in p.name] == []

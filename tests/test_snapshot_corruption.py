@@ -1,5 +1,8 @@
-"""Snapshot decode hardening: corruption always surfaces typed.
+"""RKGS v1 import hardening: corruption always surfaces typed.
 
+The bytes come from ``tests/data/movies_v1.kgs`` -- the mutated movie
+graph (tombstones, a relabelled edge, a journal) as the last build with
+a v1 writer saved it; the importer is all that is left of the format.
 The contract under test: whatever bytes :func:`load_snapshot` is fed,
 the only exceptions that escape are :class:`DatasetError` (not a
 snapshot at all / unsupported version / missing file) and its subclass
@@ -17,22 +20,16 @@ import zlib
 
 import pytest
 
-from repro.dynamic.snapshot import (
-    _HEADER,
-    MAGIC,
-    load_snapshot,
-    save_snapshot,
-)
+from repro.dynamic.snapshot import _HEADER, MAGIC, load_any, load_snapshot
 from repro.errors import DatasetError, SnapshotCorruptionError
+from repro.graph import KnowledgeGraph
 
-from .conftest import build_movie_graph
+from .conftest import RKGS1_FIXTURE
 
 
 @pytest.fixture(scope="module")
-def snapshot_bytes(tmp_path_factory):
-    path = tmp_path_factory.mktemp("snap") / "graph.kgs"
-    save_snapshot(build_movie_graph(), path)
-    return path.read_bytes()
+def snapshot_bytes():
+    return RKGS1_FIXTURE.read_bytes()
 
 
 def _load(tmp_path, blob: bytes):
@@ -145,9 +142,17 @@ class TestBodyCorruption:
             except (SnapshotCorruptionError, DatasetError):
                 continue
 
-    def test_loaded_graph_round_trips_after_clean_load(self, tmp_path,
-                                                       snapshot_bytes):
-        graph = _load(tmp_path, snapshot_bytes)
-        again = tmp_path / "again.kgs"
-        save_snapshot(graph, again)
-        assert load_snapshot(again).num_nodes == graph.num_nodes
+    def test_loaded_graph_round_trips_after_clean_load(self, tmp_path):
+        graph = load_any(RKGS1_FIXTURE)
+        assert graph.has_tombstones and len(graph.journal) == graph.version
+        again = tmp_path / "again.rkgs2"
+        graph.save(again)
+        loaded = KnowledgeGraph.load(again)
+        assert list(loaded.nodes()) == list(graph.nodes())
+        assert list(loaded.edges()) == list(graph.edges())
+        assert [loaded.node(v) for v in loaded.nodes()] == \
+            [graph.node(v) for v in graph.nodes()]
+        assert [loaded.neighbors(v) for v in loaded.nodes()] == \
+            [graph.neighbors(v) for v in graph.nodes()]
+        assert loaded.version == graph.version
+        assert loaded.delta_since(0).count == graph.delta_since(0).count

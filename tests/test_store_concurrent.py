@@ -3,7 +3,9 @@
 The isolation contract of the zero-copy store: any number of processes
 may map the same file read-only while the owner mutates its private
 copy-on-write overlay -- readers keep serving the frozen base version,
-bit-for-bit, including after a reader is killed mid-flight.
+bit-for-bit, including after a reader is killed mid-flight and after
+the owner compacts its overlay back *onto the same path* (the file is
+replaced, never rewritten under a mapping).
 """
 
 from __future__ import annotations
@@ -16,7 +18,12 @@ import pytest
 from repro.core.framework import Star
 from repro.query import star_query
 from repro.similarity import ScoringFunction
-from repro.store import attach_mmap_index, open_graph, write_store
+from repro.store import (
+    StoreReader,
+    attach_mmap_index,
+    open_graph,
+    write_store,
+)
 
 from tests.conftest import build_movie_graph
 
@@ -44,6 +51,21 @@ def _reader_main(path, conn, barrier):
         conn.send(("error", repr(exc), None))
     finally:
         conn.close()
+
+
+class _Gate:
+    """Stands in for :func:`_reader_main`'s barrier where the order
+    matters: tells the test the reader has mapped the file, then holds
+    the reader until the test lets it search."""
+
+    def __init__(self, ctx):
+        self.mapped = ctx.Event()
+        self.search = ctx.Event()
+
+    def wait(self, timeout):
+        self.mapped.set()
+        if not self.search.wait(timeout):
+            raise TimeoutError("the test never released the reader")
 
 
 class TestFrozenBaseIsolation:
@@ -85,6 +107,64 @@ class TestFrozenBaseIsolation:
         assert owner.version > base_version
         assert owner.node(nid).name == "Fury"
         owner.close()
+
+    @pytest.mark.parametrize("owner_dies", [False, True])
+    def test_compaction_onto_a_mapped_file_replaces_it(self, tmp_path,
+                                                       owner_dies):
+        """The owner shrinks the graph through its overlay and writes it
+        back over the file a reader has mapped.  The reader keeps its
+        old mapping and ranking; a fresh open sees the compacted graph.
+        With *owner_dies* the writer is killed between finishing its
+        temporary and the rename: the original file is untouched."""
+        ctx = mp.get_context("fork")
+        graph = build_movie_graph()
+        path = tmp_path / "shared.rkgs2"
+        write_store(graph, path)
+        original = path.read_bytes()
+        expected = [
+            (m.key(), round(m.score, 9))
+            for m in Star(graph, use_index="on").search(_query(), 5)
+        ]
+        gate = _Gate(ctx)
+        recv, send = ctx.Pipe(duplex=False)
+        reader = ctx.Process(target=_reader_main,
+                             args=(str(path), send, gate))
+        reader.start()
+        send.close()
+
+        def owner_main():
+            if owner_dies:
+                os.replace = lambda src, dst: os._exit(9)
+            owner = open_graph(path)
+            for node_id in range(3, owner.num_node_slots):
+                owner.remove_node(node_id)
+            write_store(owner, path)
+            os._exit(0)
+
+        assert gate.mapped.wait(timeout=30)
+        owner = ctx.Process(target=owner_main)
+        owner.start()
+        owner.join(timeout=30)
+        assert owner.exitcode == (9 if owner_dies else 0)
+        gate.search.set()
+        version, num_nodes, matches = recv.recv()
+        reader.join(timeout=30)
+        assert reader.exitcode == 0
+        assert (version, num_nodes) == (graph.version, graph.num_nodes)
+        assert matches == expected
+
+        StoreReader(path, verify=True).close()
+        fresh = open_graph(path)
+        leftovers = [p.name for p in tmp_path.iterdir() if ".tmp" in p.name]
+        if owner_dies:
+            assert path.read_bytes() == original
+            assert fresh.num_nodes == graph.num_nodes
+            assert len(leftovers) == 1  # what a kill cannot clean up
+        else:
+            assert fresh.num_nodes == 3 and fresh.version > graph.version
+            assert list(fresh.nodes()) == [0, 1, 2]
+            assert leftovers == []
+        fresh.close()
 
     def test_sharded_engine_over_store_skips_shm(self, tmp_path):
         """Shard workers inherit the parent's mmap-attached index through

@@ -24,7 +24,7 @@ from repro.graph import KnowledgeGraph
 from repro.store import MAGIC2, StoreReader, open_graph, write_store
 from repro.store.format import _ENTRY, _HEADER_BASE, HEADER_SIZE
 
-from tests.conftest import build_movie_graph
+from tests.conftest import RKGS1_FIXTURE, build_movie_graph
 
 
 @pytest.fixture(scope="module")
@@ -72,12 +72,8 @@ class TestHeader:
             _open(tmp_path, blob)
 
     def test_rkgs1_snapshot_refused_with_hint(self, tmp_path):
-        from repro.dynamic.snapshot import save_snapshot
-
-        snap = tmp_path / "old.kgs"
-        save_snapshot(build_movie_graph(), snap)
         with pytest.raises(DatasetError, match="magic"):
-            StoreReader(snap)
+            StoreReader(RKGS1_FIXTURE)
         # ...and the reverse direction names the right entry point.
         store = tmp_path / "new.rkgs2"
         write_store(build_movie_graph(), store)

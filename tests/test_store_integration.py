@@ -3,8 +3,8 @@
 Covers the thin glue the differential/concurrent suites reach only
 through subprocesses: ``EngineContext`` attaching ``mmap_store`` for
 serve workers, ``search_many(..., mmap_store=...)`` for batch pools,
-``load_any`` format sniffing, and the ``repro compact`` /
-``--mmap`` CLI paths -- all against in-memory ground truth.
+``load_any`` format sniffing, and the ``repro compact`` CLI path with
+the store attach it implies -- all against in-memory ground truth.
 """
 
 from __future__ import annotations
@@ -14,15 +14,15 @@ import pytest
 from repro.core.framework import Star
 from repro.dynamic import load_any
 from repro.errors import DatasetError
-from repro.graph import KnowledgeGraph
-from repro.perf import search_many
+from repro.graph import KnowledgeGraph, save_graph
+from repro.perf import build_engine, search_many
 from repro.query import parse_query
 from repro.runtime import FaultSpec
 from repro.serve.supervisor import EngineContext, execute_payload
 from repro.shard import ShardedEngine
-from repro.store import MmapGraphIndex, open_graph, write_store
+from repro.store import MmapGraphIndex, StoreReader, open_graph, write_store
 
-from tests.conftest import build_movie_graph
+from tests.conftest import RKGS1_FIXTURE, build_movie_graph
 
 QUERY = "(?m:director) -[collaborated_with]- (Brad:actor)"
 
@@ -97,13 +97,26 @@ class TestFormatSniffing:
             load_snapshot(store_path)
 
     def test_open_mmap_rejects_snapshot_and_jsonl(self, tmp_path):
-        from repro.dynamic.snapshot import save_snapshot
+        json_path = tmp_path / "graph.kg"
+        save_graph(build_movie_graph(), json_path)
+        for path in (RKGS1_FIXTURE, json_path):
+            with pytest.raises(DatasetError, match="not an RKGS2 store"):
+                KnowledgeGraph.open_mmap(path)
 
-        graph = build_movie_graph()
-        snap = tmp_path / "graph.kgs"
-        save_snapshot(graph, snap)
-        with pytest.raises(DatasetError):
-            KnowledgeGraph.open_mmap(snap)
+    def test_unwritable_target_is_a_dataset_error(self, tmp_path, store_path):
+        """A missing directory, or a path under a plain file, is a typed
+        error naming the target -- through the writer and ``save``
+        alike -- and leaves no temporary behind."""
+        (tmp_path / "plain-file").write_text("not a directory")
+        for target in (tmp_path / "no" / "such" / "dir" / "out.rkgs2",
+                       tmp_path / "plain-file" / "out.rkgs2"):
+            for write in (lambda: write_store(build_movie_graph(), target),
+                          lambda: build_movie_graph().save(target),
+                          lambda: open_graph(store_path).save(target)):
+                with pytest.raises(DatasetError, match="cannot write") as info:
+                    write()
+                assert str(target) in str(info.value)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plain-file"]
 
 
 class TestCli:
@@ -111,27 +124,57 @@ class TestCli:
                                                            capsys):
         from repro.cli import main
 
-        graph = build_movie_graph()
-        snap = tmp_path / "graph.kgs"
-        graph.save(snap)
         store = tmp_path / "graph.rkgs2"
-        assert main(["compact", str(snap), str(store), "--verify"]) == 0
+        assert main(["compact", str(RKGS1_FIXTURE), str(store),
+                     "--verify"]) == 0
         capsys.readouterr()
-        assert main(["search", str(snap), QUERY, "-k", "3"]) == 0
+        assert main(["search", str(RKGS1_FIXTURE), QUERY, "-k", "3"]) == 0
         plain = capsys.readouterr().out.splitlines()[1:]
-        assert main(["search", str(store), QUERY, "-k", "3", "--mmap"]) == 0
+        assert main(["search", str(store), QUERY, "-k", "3"]) == 0
         mapped = capsys.readouterr().out.splitlines()[1:]
         assert mapped == plain
         assert any(line.startswith("#1") for line in plain)
 
-    def test_mmap_flag_on_wrong_format_names_compact(self, tmp_path,
-                                                     capsys):
+    def test_store_is_attached_exactly_when_the_file_is_one(
+            self, tmp_path, store_path, capsys, monkeypatch):
+        """What ``--mmap`` used to select is read off the file: an RKGS2
+        path attaches its index columns, any other format builds."""
+        from repro import cli
+
+        engines = []
+
+        def recording(*args, **kwargs):
+            engines.append(build_engine(*args, **kwargs))
+            return engines[-1]
+
+        monkeypatch.setattr(cli, "build_engine", recording)
+        json_path = tmp_path / "graph.kg"
+        save_graph(build_movie_graph(), json_path)
+        for path, attached in ((RKGS1_FIXTURE, False), (json_path, False),
+                               (store_path, True)):
+            assert cli.main(["search", str(path), QUERY, "-k", "1",
+                             "--use-index", "on"]) == 0
+            assert "#1" in capsys.readouterr().out
+            engine = engines.pop()
+            assert (engine.options.mmap_store is not None) == attached
+            assert isinstance(engine.scorer.graph_index,
+                              MmapGraphIndex) == attached
+
+    @pytest.mark.parametrize("command", ["compact", "snapshot", "apply-delta"])
+    def test_unwritable_output_exits_2_without_traceback(
+            self, tmp_path, store_path, capsys, command):
         from repro.cli import main
 
-        snap = tmp_path / "graph.kgs"
-        build_movie_graph().save(snap)
-        assert main(["search", str(snap), QUERY, "-k", "1", "--mmap"]) == 2
-        assert "repro compact" in capsys.readouterr().err
+        ops = tmp_path / "ops.jsonl"
+        ops.write_text('["add_node", "X", "film"]\n')
+        target = tmp_path / "no" / "such" / "dir" / "out.rkgs2"
+        argv = [command, str(store_path)]
+        argv += [str(ops)] if command == "apply-delta" else []
+        assert main(argv + [str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and str(target) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ops.jsonl"]
+        StoreReader(store_path, verify=True).close()  # the input is intact
 
 
 class TestAttachContracts:
