@@ -16,6 +16,7 @@ because scores only decrease along the lattice.
 from __future__ import annotations
 
 import heapq
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.matches import Match
@@ -37,14 +38,29 @@ class LeafEntry:
         self.hops = hops
 
 
+_raw_score = itemgetter(0)
+_raw_node = itemgetter(1)
+
+
 def make_leaf_list(
-    entries: Sequence[Tuple[float, int, float, float, int]]
+    entries: Sequence[Tuple[float, int, float, float, int]],
+    keep: Optional[int] = None,
 ) -> List[LeafEntry]:
     """Build a sorted leaf list from raw ``(combined, node, node_score,
-    edge_score, hops)`` tuples (decreasing combined score, ties by node)."""
-    leaf = [LeafEntry(*raw) for raw in entries]
-    leaf.sort(key=lambda e: (-e.combined, e.node))
-    return leaf
+    edge_score, hops)`` tuples (decreasing combined score, ties by node).
+
+    *keep* bounds the list to its first *keep* entries in that order (a
+    prefix of the full list), selected before any entry object is made.
+    """
+    if keep is not None and len(entries) > keep:
+        # Only the keep-th best score and what beats or ties it is ranked.
+        cut = sorted(map(_raw_score, entries), reverse=True)[keep - 1]
+        entries = [raw for raw in entries if raw[0] >= cut]
+    # Two stable passes: by node, then by score with equal scores left
+    # in node order.
+    ranked = sorted(sorted(entries, key=_raw_node),
+                    key=_raw_score, reverse=True)
+    return [LeafEntry(*raw) for raw in ranked[:keep]]
 
 
 class PivotMatchGenerator:

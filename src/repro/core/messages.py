@@ -17,7 +17,7 @@ the paper's bound.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Collection, Dict, List, Mapping, Optional
 
 from repro.graph.knowledge_graph import KnowledgeGraph
 from repro.runtime.budget import Budget
@@ -46,6 +46,12 @@ class Top2:
         elif score > self.s2 and origin != self.o1:
             self.s2, self.o2 = score, origin
 
+    def copy(self) -> "Top2":
+        """An independent top-2 holding the same two messages."""
+        clone = Top2(self.s1, self.o1)
+        clone.s2, clone.o2 = self.s2, self.o2
+        return clone
+
     def merge(self, other: "Top2") -> None:
         """Merge another node's top-2 (one propagation step)."""
         self.offer(other.s1, other.o1)
@@ -64,11 +70,23 @@ class Top2:
         return f"Top2({self.s1:.3f}@{self.o1}, {self.s2:.3f}@{self.o2})"
 
 
+def pulls_last_round(
+    targets: Optional[Collection[int]], frontier: Mapping[int, Top2]
+) -> bool:
+    """Whether :func:`propagate` pulls its last round at *targets*.
+
+    Pulling costs the targets' degrees, pushing the frontier's; the
+    smaller side is walked.
+    """
+    return targets is not None and len(targets) <= len(frontier)
+
+
 def propagate(
     graph: KnowledgeGraph,
     seeds: Mapping[int, float],
     d: int,
     budget: Optional[Budget] = None,
+    targets: Optional[Collection[int]] = None,
 ) -> List[Dict[int, Top2]]:
     """Run *d* rounds of message propagation from *seeds*.
 
@@ -81,29 +99,48 @@ def propagate(
             preserved), which makes the downstream pivot estimates
             under-estimates -- the stard stream then degrades to a
             flagged best-so-far answer instead of an exact one.
+        targets: the only nodes ``B[d]`` will be read at (stard's pivot
+            candidates).  When they are no more than ``B[d-1]`` holds,
+            the last round is *pulled*: each target merges ``B[d-1]``
+            over its own neighbours and no other node gets an entry.
+            Adjacency is symmetric and a :class:`Top2` does not depend
+            on merge order, so ``B[d][v]`` is the pushed one for every
+            target ``v``.
 
     Returns:
         ``B`` with ``B[h][v]`` = top-2 seed scores reachable from ``v`` by
-        a walk of exactly ``h`` hops (``B[0]`` = the seeds themselves).
+        a walk of exactly ``h`` hops (``B[0]`` = the seeds themselves);
+        ``B[d]`` covers *targets* only when they were given.
     """
     layers: List[Dict[int, Top2]] = []
     current: Dict[int, Top2] = {}
     for node, score in seeds.items():
         current[node] = Top2(score, node)
     layers.append(current)
-    for _round in range(d):
+    for round_ in range(1, d + 1):
         if budget is not None and budget.check():
             break
+        previous = layers[-1]
         nxt: Dict[int, Top2] = {}
-        for node, top2 in layers[-1].items():
-            for nbr, _eid in graph.neighbors(node):
-                existing = nxt.get(nbr)
-                if existing is None:
-                    copy = Top2(top2.s1, top2.o1)
-                    copy.s2, copy.o2 = top2.s2, top2.o2
-                    nxt[nbr] = copy
-                else:
-                    existing.merge(top2)
+        if round_ == d and pulls_last_round(targets, previous):
+            for node in targets:
+                merged: Optional[Top2] = None
+                for nbr, _eid in graph.neighbors(node):
+                    top2 = previous.get(nbr)
+                    if top2 is None:
+                        continue
+                    if merged is None:
+                        merged = nxt[node] = top2.copy()
+                    elif top2.s1 > merged.s2:  # else neither slot can change
+                        merged.merge(top2)
+        else:
+            for node, top2 in previous.items():
+                for nbr, _eid in graph.neighbors(node):
+                    existing = nxt.get(nbr)
+                    if existing is None:
+                        nxt[nbr] = top2.copy()
+                    elif top2.s1 > existing.s2:
+                        existing.merge(top2)
         layers.append(nxt)
         if budget is not None and budget.charge_messages(len(nxt)):
             break

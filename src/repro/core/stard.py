@@ -23,12 +23,17 @@ This module is steps 1 and 2.  At ``d == 1`` stard degrades to ``stark``
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, List, Mapping, Optional
+from typing import AbstractSet, Collection, Dict, List, Mapping, Optional
 
 from repro import obs
 from repro.core.candidates import node_candidates
 from repro.core.matches import Match
-from repro.core.messages import Top2, estimate_leaf_bound, propagate
+from repro.core.messages import (
+    Top2,
+    estimate_leaf_bound,
+    propagate,
+    pulls_last_round,
+)
 from repro.core.stark import (
     PivotPlan,
     StarKSearch,
@@ -84,7 +89,11 @@ class StarDSearch(StarKSearch):
 
     # ------------------------------------------------------------------
     def _propagate_leaves(
-        self, star: StarQuery, budget: Optional[Budget] = None
+        self,
+        star: StarQuery,
+        budget: Optional[Budget] = None,
+        leaf_maps: Optional[List[Dict[int, float]]] = None,
+        targets: Optional[Collection[int]] = None,
     ) -> Dict[object, List[Dict[int, Top2]]]:
         """Phase 1: one propagation per *distinct* leaf constraint.
 
@@ -93,31 +102,41 @@ class StarDSearch(StarKSearch):
         constraint -- common in template queries -- share one
         propagation instead of paying it twice.
 
+        *leaf_maps* (one per leaf position, as ``_plan`` built them) are
+        the seeds unless a ``candidate_limit`` is set: a cutoff forces
+        globally truncated, unscoped seeds (see class doc).  *targets*
+        are the pivot candidates, the only nodes the last layer is read
+        at (:func:`repro.core.messages.propagate`).
+
         Under an anytime budget, a substrate fault during one leaf's
         propagation leaves that leaf with empty layers (its pivot
         estimates vanish) and the run continues, flagged.
         """
         anytime = budget is not None and budget.anytime
         results: Dict[object, List[Dict[int, Top2]]] = {}
-        for leaf, _edge in star.leaves:
+        for position, (leaf, _edge) in enumerate(star.leaves):
             desc = leaf.descriptor.cache_key
             if desc in results:
                 continue
             with obs.trace("stard.propagate", leaf=leaf.id,
                            rounds=self.d) as span:
+                pulled = 0
                 try:
-                    # Scoped seeds stay exact for owned pivots (see class
-                    # doc); a global cutoff forces global seeds.
-                    seed_scope = (self.leaf_scope
-                                  if self.candidate_limit is None else None)
-                    seeds = dict(
-                        node_candidates(
+                    if leaf_maps is not None and self.candidate_limit is None:
+                        seeds = leaf_maps[position]
+                    else:
+                        # Scoped seeds stay exact for owned pivots (see
+                        # class doc); a global cutoff forces global seeds.
+                        seed_scope = (self.leaf_scope
+                                      if self.candidate_limit is None else None)
+                        seeds = dict(node_candidates(
                             self.scorer, leaf, limit=self.candidate_limit,
                             budget=budget, scope=seed_scope,
-                        )
-                    )
+                        ))
                     layers = propagate(self.graph, seeds, self.d,
-                                       budget=budget)
+                                       budget=budget, targets=targets)
+                    if pulls_last_round(targets, layers[-2]):
+                        pulled = len(layers[-1])
                 except SUBSTRATE_ERRORS as exc:
                     if not anytime:
                         raise
@@ -127,7 +146,7 @@ class StarDSearch(StarKSearch):
                     layers = [{} for _ in range(self.d + 1)]
                 messages = sum(len(layer) for layer in layers)
                 self.stats.messages_propagated += messages
-                span.annotate(messages=messages)
+                span.annotate(messages=messages, pulled=pulled)
             results[desc] = layers
         return results
 
@@ -170,18 +189,25 @@ class StarDSearch(StarKSearch):
         weights: Mapping[int, float],
         budget: Optional[Budget],
     ) -> PivotPlan:
-        """Propagate, then bound every pivot candidate by its estimate."""
+        """Propagate towards the pivot candidates, then bound each of
+        them by its estimate.
+
+        The leaf maps are scored once, under the budget: they seed the
+        propagation and are the candidates the exact phase looks for.
+        """
         if self.d == 1:
             return super()._plan(star, weights, budget)
-        leaf_layers = self._propagate_leaves(star, budget=budget)
         pivot_cands = self._pivot_candidates(star, budget=budget)
-        scoped_maps = (
-            leaf_candidate_maps(self.scorer, star, scope=self.leaf_scope)
-            if self.leaf_scope is not None else None
+        leaf_maps = leaf_candidate_maps(
+            self.scorer, star, budget=budget, scope=self.leaf_scope
+        )
+        leaf_layers = self._propagate_leaves(
+            star, budget=budget, leaf_maps=leaf_maps,
+            targets=[pivot_node for pivot_node, _score in pivot_cands],
         )
         provider = bounded_leaf_provider(
             self.scorer, star, weights, self.d, self.injective,
-            leaf_maps=scoped_maps, traversal_stats=self.stats,
+            leaf_maps=leaf_maps, traversal_stats=self.stats,
         )
         with obs.trace("stard.estimates", pivots=len(pivot_cands)) as span:
             bounds = [

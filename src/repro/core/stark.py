@@ -20,7 +20,8 @@ rescue pass, and drain-after-trip.
 The stream of emitted matches is monotone non-increasing in score -- the
 property ``starjoin`` relies on (Section VI).  Proposition 3 pruning is
 applied to the leaf lists in the non-injective matching model (see
-:mod:`repro.core.topk`).
+:mod:`repro.core.topk`); when a top-k is asked for, every pivot's leaf
+lists keep their best ``k + s`` entries in either model.
 
 Leaf node scores can be *weighted* (the alpha-scheme of Section VI-A):
 ``node_weights`` maps query-node ids to multipliers applied to their
@@ -438,7 +439,13 @@ class StarKSearch:
             ]
             pruned = prop3_prune(scored, prune_k)
             raw_lists = [[payload for _s, payload in entries] for entries in pruned]
-        leaf_lists = [make_leaf_list(entries) for entries in raw_lists]
+        # Prop. 3 with collision slack: a match using rank r of one list
+        # is preceded, in the lattice's pop order, by the r cursors that
+        # swap in a better entry there; at most s of them collide (s - 1
+        # other leaves, the pivot), so the first prune_k valid matches
+        # stay within the first prune_k + s entries of every list.
+        keep = None if prune_k is None else prune_k + len(raw_lists)
+        leaf_lists = [make_leaf_list(entries, keep) for entries in raw_lists]
         pivot_weight = node_weights.get(star.pivot.id, 1.0)
         positions = [(leaf.id, edge.id) for leaf, edge in star.leaves]
         return PivotMatchGenerator(
@@ -728,9 +735,20 @@ def bounded_leaf_provider(
     :mod:`repro.similarity.path_score`).  Shared by ``stark`` with
     ``d >= 2`` (eager traversal per pivot) and by ``stard``'s exact
     per-pivot phase (lazy, estimate-ordered).
+
+    Interior path nodes may be anything, so hops ``1 .. d-1`` are a BFS
+    over the full adjacency; only leaf candidates matter at hop ``d``, so
+    that hop is read off an inverted adjacency ``v -> leaf candidates
+    adjacent to v`` (built on first use, once per distinct leaf map of
+    this provider, i.e. of one query): the candidates next to the
+    ``d-1`` frontier that the BFS has not seen are exactly those at
+    shortest distance ``d``.  The pivot is at distance 0, so it is never
+    its own leaf, injective or not.
     """
     from repro.graph.traversal import bounded_bfs_layers
 
+    if d < 2:
+        raise SearchError(f"bounded leaf provider needs d >= 2, got {d}")
     graph = scorer.graph
     edge_threshold = scorer.config.edge_threshold
     if leaf_maps is None:
@@ -739,29 +757,50 @@ def bounded_leaf_provider(
         (leaf_scores, edge.descriptor, node_weights.get(leaf.id, 1.0))
         for (leaf, edge), leaf_scores in zip(star.leaves, leaf_maps)
     ]
+    # A hop-d path scores the pure decay: below the edge threshold no
+    # candidate at that distance can match.
+    decay_d = scorer.path.decay(d)
+    last_hop_matches = decay_d >= edge_threshold
+    inverted: Dict[int, Dict[int, List[int]]] = {}  # by id(leaf map)
+
+    def candidates_next_to(leaf_scores: Dict[int, float]) -> Dict[int, List[int]]:
+        adjacent = inverted.get(id(leaf_scores))
+        if adjacent is None:
+            adjacent = inverted[id(leaf_scores)] = {}
+            for w in leaf_scores:
+                for nbr, _eid in graph.neighbors(w):
+                    adjacent.setdefault(nbr, []).append(w)
+        return adjacent
 
     def provide(pivot_node: int) -> List[List[Tuple[float, int, float, float, int]]]:
-        layers = bounded_bfs_layers(graph, pivot_node, d)
-        if traversal_stats is not None:
-            # The eager d-hop traversal is this path's dominant cost and
-            # produces no scorer calls (leaf scores are map lookups), so
-            # it must be accounted separately for cost attribution.
-            traversal_stats.nodes_traversed += sum(
-                len(layer) for layer in layers
-            )
+        layers = bounded_bfs_layers(graph, pivot_node, d - 1)
+        seen = set().union(*layers)
+        # Traversal is this path's dominant cost and produces no scorer
+        # calls (leaf scores are map lookups), so it is accounted
+        # separately: inner-BFS nodes plus last-hop candidates reached.
+        traversed = len(seen)
         direct_relations: Dict[int, List[str]] = {}
         for nbr, eid in graph.neighbors(pivot_node):
             direct_relations.setdefault(nbr, []).append(
                 graph.edge(eid)[2].relation
             )
+        at_d_by_map: Dict[int, Set[int]] = {}
         lists: List[List[Tuple[float, int, float, float, int]]] = []
         for leaf_scores, edge_desc, weight in leaf_info:
+            at_d = at_d_by_map.get(id(leaf_scores))
+            if at_d is None:
+                at_d = set()
+                if last_hop_matches:
+                    adjacent = candidates_next_to(leaf_scores)
+                    for v in layers[-1]:
+                        at_d.update(adjacent.get(v, ()))
+                    at_d -= seen
+                at_d_by_map[id(leaf_scores)] = at_d
+                traversed += len(at_d)
             entries: List[Tuple[float, int, float, float, int]] = []
-            for hops in range(1, d + 1):
+            for hops in range(1, d):
                 decay = scorer.path.decay(hops)
                 for w in layers[hops]:
-                    if injective and w == pivot_node:
-                        continue  # pragma: no cover - BFS never revisits
                     node_score = leaf_scores.get(w)
                     if node_score is None:
                         continue
@@ -776,7 +815,14 @@ def bounded_leaf_provider(
                         continue
                     combined = weight * node_score + edge_score
                     entries.append((combined, w, node_score, edge_score, hops))
+            entries.extend([
+                (weight * (node_score := leaf_scores[w]) + decay_d, w,
+                 node_score, decay_d, d)
+                for w in at_d
+            ])
             lists.append(entries)
+        if traversal_stats is not None:
+            traversal_stats.nodes_traversed += traversed
         return lists
 
     return provide

@@ -9,11 +9,15 @@
   per-list keep-sets, which lets ``stark`` retain only ``k + s - 1``
   leaf-candidate entries instead of sorting whole neighbor lists.
 
-The pruning is valid when list entries combine independently -- i.e. the
-non-injective matching model the paper analyzes.  Under injective matching
-a pruned entry may be needed as a collision replacement, so ``stark``
-enables it only when ``injective=False`` (see DESIGN.md Section 4);
-:func:`prop3_margin` adds slack for callers that want both.
+The keep-sets are valid when list entries combine independently -- i.e.
+the non-injective matching model the paper analyzes -- so ``stark`` uses
+them only when ``injective=False`` (see DESIGN.md Section 4).  Injective
+matching prunes too, by rank instead of by deficit: a kept entry may be
+needed as a collision replacement, but at most ``s`` better entries of
+its list can collide, so the best ``k + s`` entries of every list carry
+a pivot's first ``k`` matches
+(:func:`repro.core.lattice.make_leaf_list` with ``keep``; the argument is
+in docs/architecture.md, "Exactness architecture of stard").
 """
 
 from __future__ import annotations

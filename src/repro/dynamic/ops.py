@@ -100,9 +100,19 @@ def apply_operations(graph, records: Iterable[Sequence[Any]]) -> int:
 
 
 def load_operations(path) -> List[List[Any]]:
-    """Read a JSONL operation file (blank lines and ``#`` comments ok)."""
+    """Read a JSONL operation file (blank lines and ``#`` comments ok).
+
+    Raises:
+        DatasetError: naming the path when it cannot be opened, or the
+            line that is not a JSON array.
+    """
+    try:
+        handle = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise DatasetError(
+            f"cannot read operation file {path}: {exc}") from exc
     records: List[List[Any]] = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -48,6 +48,11 @@ class EngineStats:
     (charged where ``Budget.join_steps`` is).  ``join_depth`` is the
     total search depth ``D = sum_i |L_i|``, set on every exit of a join,
     a strict budget trip included.
+
+    At ``d >= 2``, ``nodes_traversed`` counts per evaluated pivot the
+    nodes of its (d-1)-hop BFS plus the leaf candidates reached at hop
+    d, and ``messages_propagated`` the entries of the seed and pushed
+    layers plus the pivot candidates the last round was pulled at.
     """
 
     algorithm: str = ""

@@ -46,6 +46,13 @@ from repro.plan.features import FEATURE_NAMES
 #: few pops per emitted match at 0.05 a unit, against hundreds of units
 #: of traversal + messages per d=2 query, so no arm's ranking moves and
 #: the weights are not refitted for it.
+#: ``nodes_traversed`` and ``messages_propagated`` were calibrated when
+#: every evaluated pivot walked its full d-hop ball and every round
+#: pushed to every neighbour; they now count the inner (d-1)-hop BFS
+#: plus the leaf candidates reached at hop d, and the pushed layers plus
+#: the targets the last round was pulled at -- about 3x and 2x fewer
+#: units per d=2 query, each still an adjacency lookup or a top-2 merge.
+#: Every d >= 2 arm shrinks alike; the weights are left as calibrated.
 COST_WEIGHTS: Dict[str, float] = {
     "node_score_calls": 1.0,
     "edge_score_calls": 0.5,

@@ -110,12 +110,24 @@ def assert_against_oracle(
 
     Returns ``(got, oracle_full)`` for further inspection.
     """
-    injective = opts.get("injective", True)
     got = run_algorithm(name, scorer, query, k, d=d, **opts)
+    full = assert_matches_meet_oracle(
+        got, scorer, query, k, d=d, injective=opts.get("injective", True),
+        label=f"{name}(k={k}, d={d})",
+    )
+    return got, full
+
+
+def assert_matches_meet_oracle(
+    got, scorer, query, k: int, d: int = 1, injective: bool = True,
+    label: str = "engine",
+):
+    """The three checks of :func:`assert_against_oracle` on a result list
+    any engine produced; returns the oracle's full enumeration."""
     full = oracle_matches(scorer, query, d=d, injective=injective)
     want = full[:k]
     assert rounded_scores(got) == rounded_scores(want), (
-        f"{name}(k={k}, d={d}) scores diverge from oracle: "
+        f"{label} scores diverge from oracle: "
         f"{rounded_scores(got)} != {rounded_scores(want)}"
     )
     by_score: Dict[float, Set[Tuple]] = defaultdict(set)
@@ -124,9 +136,9 @@ def assert_against_oracle(
     for m in got:
         key, score = m.key(), round(m.score, ROUND)
         assert key in by_score[score], (
-            f"{name} returned assignment {key} with score {score} "
+            f"{label} returned assignment {key} with score {score} "
             "that the oracle never produced"
         )
     keys = [m.key() for m in got]
-    assert len(keys) == len(set(keys)), f"{name} emitted a duplicate match"
-    return got, full
+    assert len(keys) == len(set(keys)), f"{label} emitted a duplicate match"
+    return full

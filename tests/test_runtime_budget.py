@@ -220,6 +220,65 @@ class TestEngineBudgets:
         matcher.search(_star(), 3, budget=budget)
         assert not matcher.last_report.completed
 
+    def test_stard_scores_no_leaf_outside_the_budget(
+        self, yago_graph, monkeypatch
+    ):
+        """A trip while the seeds are being scored: the exact phase must
+        reuse the seeded candidates, not rescore the whole leaf
+        shortlist with no budget (as it did while ``_plan`` left the
+        provider's ``leaf_maps`` unset)."""
+        from repro.core import stard, stark
+        from repro.core.candidates import node_candidates
+        from repro.core.messages import propagate
+        from repro.similarity import ScoringFunction
+
+        def neighbor_types(n):
+            return sorted({yago_graph.node(v).type
+                           for v, _eid in yago_graph.neighbors(n)})
+
+        # "person" has the widest shortlist (every subtype counts).
+        pivot = next(n for n in yago_graph.nodes()
+                     if "person" in neighbor_types(n)
+                     and len(neighbor_types(n)) >= 2)
+        other = next(t for t in neighbor_types(pivot) if t != "person")
+        star = star_query(yago_graph.node(pivot).name,
+                          [("?", "?"), ("?", "?")],
+                          leaf_types=["person", other])
+
+        budgets, seeded, provided = [], [], []
+
+        def spy_candidates(scorer, qnode, **kwargs):
+            budgets.append(kwargs.get("budget"))
+            return node_candidates(scorer, qnode, **kwargs)
+
+        def spy_propagate(graph, seeds, d, **kwargs):
+            seeded.append(seeds)
+            return propagate(graph, seeds, d, **kwargs)
+
+        def spy_provider(*args, **kwargs):
+            provided.extend(kwargs["leaf_maps"] or ())
+            return stark.bounded_leaf_provider(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(stark, "node_candidates", spy_candidates)
+            patch.setattr(stard, "node_candidates", spy_candidates)
+            patch.setattr(stard, "propagate", spy_propagate)
+            patch.setattr(stard, "bounded_leaf_provider", spy_provider)
+            cold = ScoringFunction(yago_graph)
+            matcher = StarDSearch(cold, d=2)
+            budget = Budget(max_nodes=20, anytime=True)
+            got = matcher.search(star, 5, budget=budget)
+            tripped_calls = cold.node_score_calls
+
+        assert budget.exceeded_reason == REASON_NODES
+        assert not matcher.last_report.completed
+        assert got  # minimum-progress floor
+        assert budgets and all(b is budget for b in budgets)
+        assert [id(m) for m in provided] == [id(m) for m in seeded]
+        unbudgeted = ScoringFunction(yago_graph)
+        StarDSearch(unbudgeted, d=2).search(star, 5)
+        assert tripped_calls < unbudgeted.node_score_calls
+
     def test_stard_strict_deadline_zero(self, movie_scorer):
         matcher = StarDSearch(movie_scorer, d=2)
         with pytest.raises(SearchTimeoutError):

@@ -176,6 +176,18 @@ class TestCli:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ops.jsonl"]
         StoreReader(store_path, verify=True).close()  # the input is intact
 
+    def test_missing_ops_file_exits_2_without_traceback(
+            self, tmp_path, store_path, capsys):
+        from repro.cli import main
+
+        ops = tmp_path / "no-such.jsonl"
+        target = tmp_path / "out.rkgs2"
+        assert main(["apply-delta", str(store_path), str(ops),
+                     str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read") and str(ops) in err
+        assert not target.exists()
+
 
 class TestAttachContracts:
     def test_refresh_pins_version(self, store_path):
