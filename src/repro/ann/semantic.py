@@ -12,14 +12,10 @@ scores (>= the node threshold) join the candidate list.  Cosine is
 never a score -- it only decides who gets scored -- so every returned
 pair is exactly what the linear scan would have produced for that node.
 
-Engagement mirrors ``use_index``:
-
-* ``off``   -- never engages; byte-identical to a detached scorer.
-* ``auto``  -- engages only when the token shortlist produced *zero*
-  admissible candidates (the out-of-vocabulary case the tier exists
-  for).  In-vocabulary queries keep the seed path untouched.
-* ``on``    -- engages on every non-wildcard, unscoped call (recall
-  benchmarking; the candidate union still dedupes).
+The ``mode`` (``off`` | ``auto``: only when the token shortlist admits
+nothing, the out-of-vocabulary case | ``on``) is read by
+:func:`repro.core.candidates.candidate_route`, the one place that
+decides when the tier runs (docs/architecture.md, "Candidate pipeline").
 
 Cost control is two-layered: a **percentile skip** reranks only the top
 ``1 - rerank_percentile`` fraction of probed candidates by cosine
@@ -33,7 +29,7 @@ its deadline.
 from __future__ import annotations
 
 from array import array
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from repro import obs
 from repro.ann.embedding import DEFAULT_DIM, NgramEmbedder
@@ -89,7 +85,7 @@ def build_columns(graph, dim: int = DEFAULT_DIM, bands: int = DEFAULT_BANDS,
 
 
 class SemanticTier:
-    """Per-graph ANN structure + engagement policy + exact rerank.
+    """Per-graph ANN structure + exact rerank.
 
     Attached to a scorer (``scorer.semantic_tier``) exactly like the
     candidate cache and the graph index: a detached scorer keeps the
@@ -215,7 +211,6 @@ class SemanticTier:
     def synced(self) -> bool:
         return self._built and self._version == self.graph.version
 
-    # -- engagement ------------------------------------------------------
     @property
     def cache_token(self) -> Tuple:
         """Hashable identity of this tier's observable configuration.
@@ -228,29 +223,11 @@ class SemanticTier:
                 self.index.band_bits, self.index.seed, self.probe_limit,
                 self.rerank_percentile, self.time_bound_ms)
 
-    def should_engage(self, scorer, desc, scored, budget) -> bool:
-        """Does this call get a semantic augmentation pass?
-
-        Wildcards never engage (they already scan every node), foreign
-        graphs never engage, an exhausted budget never engages (no time
-        left to spend), and ``auto`` engages only when the token
-        shortlist produced zero admissible candidates.
-        """
-        if self.mode == "off" or desc.is_wildcard:
-            return False
-        if scorer.graph is not self.graph:
-            return False
-        if budget is not None and budget.exhausted:
-            return False
-        if self.mode == "on":
-            return True
-        return not scored
-
     # -- probe + rerank --------------------------------------------------
     def augment(
         self, scorer, qnode, scored: List[Tuple[int, float]],
         budget: Optional[Budget] = None,
-        exclude: Optional[FrozenSet[int]] = None,
+        exclude: Optional[Iterable[int]] = None,
     ) -> Tuple[List[Tuple[int, float]], FrozenSet[int], bool]:
         """Probe the ANN index and exactly rerank the best neighbors.
 

@@ -8,25 +8,18 @@ index (ontology subtypes); wildcards fall back to a full scan.  Every
 shortlisted node is scored with the full ranking function and kept only
 above the node threshold -- so all matchers see identical candidate sets.
 
-When a :class:`repro.ann.SemanticTier` is attached to the scorer, calls
-the token shortlist cannot serve (out-of-vocabulary paraphrases, in
-``auto`` mode) are augmented with ANN-sourced candidates reranked by the
-same scoring function under the same threshold -- recall changes,
-scoring semantics never do.  Scoped (sharded) calls skip the tier: the
-scoped result must stay a pure filter of the unscoped one.
-
-Both entry points consult the scorer's optional cross-query
-:class:`repro.perf.CandidateCache`: repeated query-node constraints (the
-norm in template workloads) return memoized scored lists.  Budgeted calls
-bypass the scored-list entries -- budget charging is observable behavior,
-and anytime-degraded partial lists must never be cached -- but still use
-shortlist entries, which are unscored, charge nothing, and preserve
-iteration order (see ``repro.perf.cache`` for the contract).
+:func:`node_candidates` is one pass over ordered stages -- cache probe,
+universe (the :class:`repro.index.GraphIndex` bound walk or the shortlist
+scoring loop), :class:`repro.ann.SemanticTier` augmentation, sort and
+cut, cache put -- and :func:`candidate_route` alone decides which of them
+run.  Stage order, route table and why each stage is exact: see
+docs/architecture.md, "Candidate pipeline".
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, FrozenSet, List, Optional, Set, Tuple
+from typing import (AbstractSet, Callable, FrozenSet, Iterable, Iterator,
+                    List, NamedTuple, Optional, Set, Tuple)
 
 from repro import obs
 from repro.query.model import QueryNode
@@ -56,6 +49,14 @@ def expanded_query_tokens(desc) -> FrozenSet[str]:
         if long_form:
             expanded.add(long_form)
     return frozenset(expanded)
+
+
+def _remember(cache, key, value, scorer, qnode, nodes, tokens) -> None:
+    """The one write into the candidate cache: *value* stamped with the
+    graph version and the ``(nodes, tokens, query type)`` footprint a
+    delta must miss for the entry to survive (see ``repro.perf.cache``)."""
+    cache.put(key, value, graph=scorer.graph,
+              deps=(nodes, tokens, qnode.type))
 
 
 def shortlist(scorer: ScoringFunction, qnode: QueryNode) -> Set[int]:
@@ -89,9 +90,99 @@ def shortlist(scorer: ScoringFunction, qnode: QueryNode) -> Set[int]:
         # runs return the stored object (the anytime-order contract).
         candidates = set(graph.nodes())
     if key is not None:
-        cache.put(key, candidates, graph=graph,
-                  deps=(frozenset(candidates), expanded, qnode.type))
+        _remember(cache, key, candidates, scorer, qnode,
+                  frozenset(candidates), expanded)
     return candidates
+
+
+class CandidateRoute(NamedTuple):
+    """Which stages one :func:`node_candidates` call runs: the scored-list
+    *cache* to probe and put, the *index* whose bound walk is the universe
+    (None: the shortlist loop), the *tier* that may augment, and why."""
+
+    cache: Optional[object]
+    index: Optional[object]
+    tier: Optional[object]
+    reason: str
+
+    def wants_tier(self, budget: Optional[Budget],
+                   admits: Callable[[], bool]) -> bool:
+        """The tier's part of the route read after the universe: never on
+        an exhausted budget, ``auto`` only when nothing *admits*."""
+        tier = self.tier
+        if tier is None or (budget is not None and budget.exhausted):
+            return False
+        return tier.mode == "on" or not admits()
+
+
+def live_index(scorer):
+    """The scorer's graph index, unless it is ``off`` or over another
+    graph: what may replace the shortlist, and stark's CSR leaf fetch."""
+    index = getattr(scorer, "graph_index", None)
+    live = index is not None and index.mode != "off"
+    return index if live and index.graph is scorer.graph else None
+
+
+def candidate_route(scorer: ScoringFunction, desc, limit: Optional[int],
+                    budget: Optional[Budget],
+                    scope: Optional[AbstractSet[int]]) -> CandidateRoute:
+    """Every engagement rule of the candidate pipeline (the route table
+    and the reason for each rule: docs/architecture.md)."""
+    bypass = "scoped" if scope is not None else (
+        "budgeted" if budget is not None else "")
+    cache = None if bypass else scorer.candidate_cache
+    index = None
+    if bypass:
+        universe = f"shortlist ({bypass})"
+    elif desc.is_wildcard:
+        universe = "shortlist (wildcard)"
+    else:
+        index = live_index(scorer)
+        if index is None:
+            universe = "shortlist (no index)"
+        elif index.mode == "auto" and limit is None:
+            index, universe = None, "shortlist (auto without cutoff)"
+        else:
+            universe = f"index ({index.mode})"
+    tier = getattr(scorer, "semantic_tier", None)
+    if tier is not None and (tier.mode == "off" or desc.is_wildcard
+                             or tier.graph is not scorer.graph):
+        tier = None
+    reason = (f"{'cache' if cache is not None else 'no cache'}, {universe}, "
+              f"tier {tier.mode if tier is not None else 'none'}")
+    return CandidateRoute(cache, index, tier, reason)
+
+
+def _admissible(scorer: ScoringFunction, desc, nodes: Iterable[int],
+                budget: Optional[Budget]) -> Iterator[Tuple[int, float]]:
+    """``(node, F_N)`` for the admissible *nodes*, in their order.
+
+    Under a budget each node charges one visit; after an anytime trip a
+    short prefix is still scored (minimum progress) and the scan stops,
+    and substrate faults skip the node and are recorded on the budget.
+    """
+    threshold = scorer.config.node_threshold
+    node_score = scorer.node_score
+    if budget is None:
+        for node_id in nodes:
+            score = node_score(desc, node_id)
+            if score >= threshold:
+                yield node_id, score
+        return
+    processed = 0
+    for node_id in nodes:
+        if budget.charge_nodes() and processed >= _ANYTIME_FLOOR:
+            return
+        processed += 1
+        try:
+            score = node_score(desc, node_id)
+        except SUBSTRATE_ERRORS as exc:
+            if not budget.anytime:
+                raise
+            budget.record_fault(f"node_score({node_id}): {exc}")
+            continue
+        if score >= threshold:
+            yield node_id, score
 
 
 def node_candidates(
@@ -110,123 +201,70 @@ def node_candidates(
         limit: optional cutoff keeping only the best *limit* candidates
             ("a cutoff threshold will be applied to retain a few candidate
             nodes", Section V-A).  None keeps everything above threshold.
-        budget: optional :class:`Budget`.  Each scored node charges one
-            node visit; online scoring is the dominant per-query cost, so
-            this is where deadlines usually bind.  After an anytime trip
-            the scan still covers a small shortlist prefix
-            (minimum-progress) and then stops, returning a partial -- but
-            correctly scored and ordered -- candidate list.  Under an
-            anytime budget, substrate faults skip the affected node and
-            are recorded on the budget.
+        budget: optional :class:`Budget`; each scored node charges one
+            node visit.  An anytime trip returns a partial -- but
+            correctly scored and ordered -- list.
         scope: optional node-id set restricting the candidate universe
-            (the sharded execution layer's ownership/halo restriction).
-            Scoped calls never touch the cross-query cache or the index
-            routing: the scoped result is ``[(n, s) for n, s in
-            unscoped if n in scope]`` by construction, the exactness
-            argument shards rely on.  Combining ``scope`` with ``limit``
-            changes which nodes survive the cutoff, so callers needing
-            global-truncation parity must apply the limit globally and
-            filter afterwards (see ``repro.core.stark``).
+            (a shard's ownership/halo).  The result is the unscoped one
+            filtered to the scope, ANN extras included.  Combining
+            ``scope`` with ``limit`` changes which nodes survive the
+            cutoff, so callers needing global-truncation parity apply the
+            limit globally and filter afterwards (see
+            ``repro.core.stark``).
     """
     scorer.assert_graph_unchanged()
-    cache = scorer.candidate_cache
-    key = None
-    if cache is not None and budget is None and scope is None:
+    desc = qnode.descriptor
+    route = candidate_route(scorer, desc, limit, budget, scope)
+    cache = route.cache
+    if cache is not None:
         key = cache.candidate_key(scorer, qnode, limit)
         hit = cache.get(key, graph=scorer.graph)
         if hit is not None:
             return list(hit)
-    desc = qnode.descriptor
-    index = getattr(scorer, "graph_index", None)
-    if index is not None and scope is None and index.eligible(
-            scorer, desc, limit, budget):
-        # Indexed path: same candidate universe, same memoized scores,
-        # evaluated in decreasing upper-bound order with an early cutoff
-        # -- provably identical output (see repro.index.graph_index).
+    index = route.index
+    if index is not None:
         index.refresh()
-        with obs.trace("candidates.indexed", qnode=qnode.id) as span:
-            indexed, footprint = index.candidates(scorer, qnode, limit)
-            span.annotate(admissible=len(indexed))
-        tier = getattr(scorer, "semantic_tier", None)
-        ann_truncated = False
-        if tier is not None and tier.should_engage(
-                scorer, desc, indexed, budget):
-            extra, probed, ann_truncated = tier.augment(
-                scorer, qnode, indexed, budget=budget)
-            if extra:
-                indexed.extend(extra)
-            if probed:
-                # Probed nodes join the dependency footprint: a delta
-                # touching one must invalidate the cached union even if
-                # it never appeared in any posting list.
-                footprint = frozenset(footprint) | probed
-        indexed.sort(key=lambda t: (-t[1], t[0]))
-        if limit is not None and len(indexed) > limit:
-            indexed = indexed[:limit]
-        if key is not None and not ann_truncated:
-            cache.put(key, tuple(indexed), graph=scorer.graph,
-                      deps=(footprint, expanded_query_tokens(desc),
-                            qnode.type))
-        return indexed
-    threshold = scorer.config.node_threshold
-    scored: List[Tuple[int, float]] = []
-    base: Optional[Set[int]] = None
-    with obs.trace("candidates.score", qnode=qnode.id) as span:
-        if budget is None:
-            base = shortlist(scorer, qnode)
-            for node_id in base:
-                if scope is not None and node_id not in scope:
-                    continue
-                score = scorer.node_score(desc, node_id)
-                if score >= threshold:
-                    scored.append((node_id, score))
-        else:
-            anytime = budget.anytime
-            processed = 0
-            for node_id in shortlist(scorer, qnode):
-                if scope is not None and node_id not in scope:
-                    continue
-                if budget.charge_nodes() and processed >= _ANYTIME_FLOOR:
-                    break
-                processed += 1
-                if anytime:
-                    try:
-                        score = scorer.node_score(desc, node_id)
-                    except SUBSTRATE_ERRORS as exc:
-                        budget.record_fault(f"node_score({node_id}): {exc}")
-                        continue
-                else:
-                    score = scorer.node_score(desc, node_id)
-                if score >= threshold:
-                    scored.append((node_id, score))
-        span.annotate(admissible=len(scored))
-    tier = getattr(scorer, "semantic_tier", None)
-    ann_probed: FrozenSet[int] = frozenset()
-    ann_truncated = False
-    if tier is not None and scope is None and tier.should_engage(
-            scorer, desc, scored, budget):
-        # Semantic augmentation: ANN-probe the embedding index, rerank
-        # the best neighbors with the real scorer, and fold admissible
-        # extras into the same (-score, node_id) ordering.  The linear
-        # path excludes the whole shortlist (every member already got an
-        # exact score above); budgeted calls exclude only the scored
-        # prefix, since anytime trips leave the shortlist tail unscored.
-        extra, ann_probed, ann_truncated = tier.augment(
+        with obs.trace("candidates.indexed", qnode=qnode.id,
+                       route=route.reason) as span:
+            scored, footprint = index.candidates(scorer, qnode, limit)
+            span.annotate(admissible=len(scored))
+    else:
+        with obs.trace("candidates.score", qnode=qnode.id,
+                       route=route.reason) as span:
+            footprint = shortlist(scorer, qnode)
+            nodes = footprint if scope is None else (
+                n for n in footprint if n in scope)
+            scored = list(_admissible(scorer, desc, nodes, budget))
+            span.annotate(admissible=len(scored))
+
+    def admits() -> bool:
+        # Globally: an empty scoped list must not engage ``auto`` where
+        # the unscoped call would not.  The first admit settles it.
+        if scored or scope is None:
+            return bool(scored)
+        outside = (n for n in footprint if n not in scope)
+        return next(_admissible(scorer, desc, outside, budget),
+                    None) is not None
+
+    probed: FrozenSet[int] = frozenset()
+    truncated = False
+    if route.wants_tier(budget, admits):
+        # The probe skips the whole universe, scored above -- unless a
+        # budget trip may have left its tail unscored.
+        extra, probed, truncated = route.tier.augment(
             scorer, qnode, scored, budget=budget,
-            exclude=frozenset(base) if base is not None else None)
-        scored.extend(extra)
+            exclude=footprint if budget is None else None)
+        scored.extend(extra if scope is None
+                      else [pair for pair in extra if pair[0] in scope])
     scored.sort(key=lambda t: (-t[1], t[0]))
     if limit is not None and len(scored) > limit:
-        scored = scored[:limit]
-    if key is not None and not ann_truncated:
-        # The dependency footprint is the *shortlist* (a superset of the
-        # scored list) plus every ANN-probed node: a delta touching a
-        # shortlisted node that scored below threshold could push it
-        # above, so survival must consider those nodes too.  Results
-        # truncated by the tier's internal time bound are partial and
-        # never cached.
-        cache.put(key, tuple(scored), graph=scorer.graph,
-                  deps=(frozenset(base if base is not None else ())
-                        | ann_probed,
-                        expanded_query_tokens(desc), qnode.type))
+        del scored[limit:]
+    if cache is not None and not truncated:
+        # The footprint covers every shortlisted node, not only the
+        # admitted ones (a delta may lift one above threshold), plus
+        # every probed node.  A tier pass cut short by its own time
+        # bound is partial and never cached.
+        _remember(cache, key, tuple(scored), scorer, qnode,
+                  frozenset(footprint) | probed if probed else footprint,
+                  expanded_query_tokens(desc))
     return scored

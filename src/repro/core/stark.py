@@ -45,7 +45,7 @@ from typing import (
 )
 
 from repro import obs
-from repro.core.candidates import node_candidates, shortlist
+from repro.core.candidates import live_index, node_candidates, shortlist
 from repro.core.lattice import LeafEntry, PivotMatchGenerator, make_leaf_list
 from repro.core.matches import Match
 from repro.core.topk import prop3_prune
@@ -213,9 +213,7 @@ class StarKSearch:
         scorer = self.scorer
         graph = self.graph
         edge_threshold = scorer.config.edge_threshold
-        index = getattr(scorer, "graph_index", None)
-        if index is not None and index.mode == "off":
-            index = None
+        index = live_index(scorer)
         # Per-leaf direction: +1 = edge points pivot -> leaf, -1 = leaf ->
         # pivot, 0 = orientation ignored (undirected matching).
         leaf_info = [

@@ -14,8 +14,8 @@ bundles the four array-backed structures of :mod:`repro.index` --
 dirty CSR rows, and compaction/rebuild thresholds bound the garbage.
 
 :meth:`candidates` is the WAND-style generator that replaces the linear
-shortlist scan in ``repro.core.candidates`` when a :class:`GraphIndex`
-is attached to a scorer (:func:`attach_index`): it walks the posting
+shortlist scan in ``repro.core.candidates`` when the candidate route
+picks it (docs/architecture.md, "Candidate pipeline"): it walks the posting
 lists of the expanded query tokens accumulating per-node probe masks,
 upper-bounds every candidate with the :class:`~repro.index.bounds.
 QueryPlan`, and evaluates candidates in decreasing-bound order until
@@ -49,9 +49,8 @@ from repro.index.features import NodeFeatures
 from repro.index.postings import PostingIndex
 from repro.index.vocab import Vocabulary
 
-#: Valid ``use_index`` modes: ``auto`` routes limited (top-k) unbudgeted
-#: calls through the index, ``on`` routes every unbudgeted non-wildcard
-#: call, ``off`` disables routing (linear scan, the seed path).
+#: Valid ``use_index`` modes; what each routes is
+#: :func:`repro.core.candidates.candidate_route`'s to decide.
 MODES = ("auto", "on", "off")
 
 _PLAN_CACHE_MAX = 1024
@@ -191,22 +190,6 @@ class GraphIndex:
         return self._version == self.graph.version
 
     # -- candidate generation -------------------------------------------
-    def eligible(self, scorer, desc, limit: Optional[int],
-                 budget) -> bool:
-        """Should this call route through the index?
-
-        Budgeted calls stay linear (budget charging is observable
-        behavior tied to shortlist iteration), wildcards stay linear
-        (they scan every node with a flat formula -- nothing to prune),
-        and ``auto`` only engages when a top-``limit`` cutoff gives the
-        bound walk something to beat.
-        """
-        if self.mode == "off" or budget is not None or desc.is_wildcard:
-            return False
-        if scorer.graph is not self.graph:
-            return False
-        return self.mode == "on" or limit is not None
-
     def _plan_for(self, scorer, desc) -> QueryPlan:
         key = (scorer.fingerprint, desc.cache_key)
         plan = self._plans.get(key)

@@ -49,13 +49,10 @@ Correctness contract (asserted by the parity suite):
 
 * a cache hit returns a defensive copy of a list computed by the exact
   uncached code path -- byte-identical scores and ordering;
-* **budgeted runs bypass the scored-candidate entries** (reads and
-  writes): budget charging is part of the observable result under
-  deadlines, and a partial, anytime-degraded candidate list must never
-  poison the cache.  Unscored *shortlist* entries are still served --
-  building a shortlist charges nothing and is budget-independent, and a
-  hit returns the identical set object, preserving the iteration order
-  that anytime truncation depends on;
+* which calls read and write scored entries is the candidate route's
+  decision (docs/architecture.md, "Candidate pipeline"); unscored
+  *shortlist* entries serve every call, and a hit returns the identical
+  set object, preserving the order anytime truncation depends on;
 * a detached cache (``scorer.candidate_cache is None``, the default) is
   a single ``is None`` test on the hot path -- the seed behavior.
 """
@@ -157,8 +154,8 @@ class CandidateCache:
         max_bytes: approximate byte bound on cached payloads.
 
     Attach to a scorer with :func:`attach_cache` (or by assigning
-    ``scorer.candidate_cache``); ``repro.core.candidates`` consults it on
-    every unbudgeted call.  One instance may serve many scorers and
+    ``scorer.candidate_cache``); ``repro.core.candidates`` consults it
+    where its route says so.  One instance may serve many scorers and
     graphs -- keys carry graph uid and config fingerprint.
     """
 

@@ -5,8 +5,9 @@
 monotone match streams back into one exact global top-k:
 
 * every worker holds the **full** graph plus whatever
-  :class:`~repro.index.GraphIndex` the parent's scorer holds --
-  in-memory or mmap-attached -- by fork inheritance (copy-on-write), so
+  :class:`~repro.index.GraphIndex` and semantic tier the parent's scorer
+  holds -- in-memory or mmap-attached -- by fork inheritance
+  (copy-on-write), so
   scores -- IDF, degree normalizers, all corpus statistics -- are
   computed globally and match single-process execution bit for bit;
 * a worker's matcher is *scoped*: pivot candidates restricted to the
@@ -68,15 +69,17 @@ def _pull_chunk(stream, n: int) -> Tuple[List[Match], bool]:
     return out, False
 
 
-def _shard_worker_main(conn, graph, config, index, partition,
+def _shard_worker_main(conn, graph, config, index, tier, partition,
                        options: SearchOptions, shard_id: int) -> None:
     """One shard's :class:`ForkWorker` target: serve its match stream.
 
-    Everything arrives by fork inheritance, *index* included: whichever
-    :class:`~repro.index.GraphIndex` the parent's scorer held at spawn.
+    Everything arrives by fork inheritance, *index* and *tier* included:
+    whatever the parent's scorer held at spawn (a tier still unbuilt is
+    built in the worker, on first need).
     """
     scorer = ScoringFunction(graph, config)
     scorer.graph_index = index
+    scorer.semantic_tier = tier
     matcher = star_matcher(
         scorer, options, partition.owned[shard_id], partition.halos[shard_id],
     )
@@ -281,7 +284,8 @@ class ShardedEngine:
                 ForkWorker(
                     _shard_worker_main,
                     (self.graph, self.scorer.config, index,
-                     self._partition, self.options, shard_id),
+                     self.scorer.semantic_tier, self._partition,
+                     self.options, shard_id),
                     name=f"repro-shard-{shard_id}",
                 )
                 for shard_id in range(self.num_shards)

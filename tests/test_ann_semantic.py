@@ -125,7 +125,7 @@ class TestBandIndex:
 
 
 # ----------------------------------------------------------------------
-# SemanticTier: engagement policy
+# SemanticTier: construction (when it engages: test_candidate_pipeline)
 # ----------------------------------------------------------------------
 class TestEngagement:
     def make(self, mode="auto", **options):
@@ -146,41 +146,6 @@ class TestEngagement:
     def test_attach_is_lazy(self):
         _, _, tier = self.make()
         assert not tier.built
-
-    def test_off_never_engages(self):
-        _, scorer, tier = self.make(mode="off")
-        desc = qnode("bradpitt").descriptor
-        assert not tier.should_engage(scorer, desc, [], None)
-
-    def test_wildcard_never_engages(self):
-        _, scorer, tier = self.make(mode="on")
-        assert not tier.should_engage(
-            scorer, qnode("?").descriptor, [], None)
-
-    def test_foreign_graph_never_engages(self):
-        _, _, tier = self.make(mode="on")
-        other = ScoringFunction(build_movie_graph(), LOW)
-        assert not tier.should_engage(
-            other, qnode("bradpitt").descriptor, [], None)
-
-    def test_exhausted_budget_never_engages(self):
-        _, scorer, tier = self.make(mode="on")
-        budget = Budget(max_nodes=0, anytime=True)
-        budget.charge_nodes()
-        assert budget.exhausted
-        assert not tier.should_engage(
-            scorer, qnode("bradpitt").descriptor, [], budget)
-
-    def test_auto_engages_only_on_empty_shortlist(self):
-        _, scorer, tier = self.make(mode="auto")
-        desc = qnode("bradpitt").descriptor
-        assert tier.should_engage(scorer, desc, [], None)
-        assert not tier.should_engage(scorer, desc, [(0, 0.9)], None)
-
-    def test_on_engages_despite_candidates(self):
-        _, scorer, tier = self.make(mode="on")
-        desc = qnode("bradpitt").descriptor
-        assert tier.should_engage(scorer, desc, [(0, 0.9)], None)
 
 
 # ----------------------------------------------------------------------

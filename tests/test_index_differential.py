@@ -7,7 +7,8 @@ seed's linear shortlist scan -- across random graphs, query shapes,
 cutoffs, scoring configs, and graph mutations maintained through the
 delta journal.  Hypothesis drives the differential; unit tests pin the
 individual kernels (vocabulary, postings, CSR, features, footprint) and
-the routing/eligibility contract.
+the attach/routing surface (the route table itself is
+``tests/test_candidate_pipeline.py``'s).
 """
 
 from __future__ import annotations
@@ -242,26 +243,6 @@ class TestEligibilityAndRouting:
                     candidate_limit=5).scorer.graph_index is not None
         assert Star(graph, use_index="on").scorer.graph_index is not None
         assert Star(graph, use_index="off").scorer.graph_index is None
-
-    def test_eligibility_matrix(self):
-        graph = build_movie_graph()
-        scorer = ScoringFunction(graph)
-        index = attach_index(scorer, mode="auto")
-        desc = QueryNode(0, "Brad Pitt", "actor").descriptor
-        wild = QueryNode(1, "?").descriptor
-        budget = Budget(max_nodes=10)
-        assert index.eligible(scorer, desc, 5, None)
-        assert not index.eligible(scorer, desc, None, None)  # auto needs limit
-        assert not index.eligible(scorer, desc, 5, budget)
-        assert not index.eligible(scorer, wild, 5, None)
-        index.mode = "on"
-        assert index.eligible(scorer, desc, None, None)
-        index.mode = "off"
-        assert not index.eligible(scorer, desc, 5, None)
-        # A scorer over a different graph never routes through this index.
-        other = ScoringFunction(build_movie_graph())
-        index.mode = "on"
-        assert not index.eligible(other, desc, 5, None)
 
     def test_attach_detach(self):
         graph = build_movie_graph()
