@@ -5,15 +5,12 @@ Commands:
 * ``generate`` -- create a synthetic knowledge graph and save it.
 * ``stats``    -- print the Table-I style summary of a saved graph.
 * ``search``   -- run a top-k query (edge-pattern language, or keyword
-  synthesis via ``--keywords``) over a graph; ``--plan`` turns on the
-  learned per-query planner.
+  synthesis via ``--keywords``) over a graph.
 * ``trace``    -- run a query with observability on and print the nested
   span tree (per-phase wall/CPU times) plus the metric registry.
 * ``batch``    -- run a saved workload, optionally parallel (``--workers``)
   and with the cross-query candidate cache (``--cache``).
 * ``workload`` -- generate a star/complex query workload file.
-* ``plan-fit`` -- fit the learned planner's cost model from an
-  experience JSONL (``search --experience-out``).
 * ``learn``    -- train scoring weights on a graph, save the config.
 * ``demo``     -- generate a graph, run a sample query, print matches.
 * ``compact``  -- write a graph as an mmap-able ``RKGS2`` store (ids,
@@ -75,8 +72,7 @@ _ENGINE_FLAGS = {
     "d": "-d", "alpha": "--alpha", "decomposition_method": "--method",
     "directed": "--directed", "use_index": "--use-index",
     "use_semantic": "--semantic", "algorithm": "--algorithm",
-    "plan": "--plan", "plan_model": "--plan-model", "shards": "--shards",
-    "partition": "--partition",
+    "shards": "--shards", "partition": "--partition",
 }
 
 
@@ -176,9 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "instead of parsing an edge pattern; quote "
                              "multi-word phrases inside WORDS")
     search.add_argument("-k", type=int, default=5)
-    search.add_argument("--experience-out", default=None, metavar="PATH",
-                        help="append planner experience records (JSONL) "
-                             "for later 'plan-fit' training")
     search.add_argument("--explain", action="store_true",
                         help="print a per-measure breakdown of the top match")
     _add_budget_options(search)
@@ -221,20 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--shape", default=None,
         help="complex queries of shape N,E (default: star templates)",
     )
-
-    plan_fit = sub.add_parser(
-        "plan-fit",
-        help="fit the learned planner's cost model from an experience "
-             "JSONL (see 'search --experience-out') and write it as "
-             "JSON, e.g. alongside a graph snapshot",
-    )
-    plan_fit.add_argument("experience", help="experience JSONL file")
-    plan_fit.add_argument("output", help="cost-model JSON to write")
-    plan_fit.add_argument("--ridge", type=float, default=1.0,
-                          help="ridge regularization strength")
-    plan_fit.add_argument("--min-samples", type=int, default=8,
-                          help="observations per arm below which the "
-                               "planner falls back to the static plan")
 
     learn = sub.add_parser("learn", help="train scoring weights")
     learn.add_argument("graph", help="path to a saved graph")
@@ -375,15 +354,15 @@ def _print_matches(graph, matches, indent: str = "") -> None:
         print(f"{indent}#{rank}  score={match.score:.3f}  {assigned}")
 
 
-def _run_query(args: argparse.Namespace, graph, query, planner=None,
-               budget=None, traced: bool = True):
+def _run_query(args: argparse.Namespace, graph, query, budget=None,
+               traced: bool = True):
     """Build the engine the flags describe and search *query* on it once,
     under a tracer when *traced*; ``(engine, matches, seconds, tracer)``."""
     # A store-backed graph shares its own mapping with the engine.
     engine = build_engine(
         graph,
         options_from(args, graph if hasattr(graph, "store_path") else None),
-        _scoring_config(args), planner=planner)
+        _scoring_config(args))
     try:
         with (obs.capture() if traced else nullcontext()) as tracer:
             start = time.perf_counter()
@@ -409,34 +388,15 @@ def _cmd_search(args: argparse.Namespace) -> int:
         print(interp.describe())
     else:
         query = parse_query(args.query.replace(";", "\n"), name="cli")
-    planner = None
-    if args.plan != "static":
-        from repro.plan import QueryPlanner
-
-        planner = QueryPlanner.for_engine(
-            mode=args.plan, model_path=args.plan_model,
-            experience_path=args.experience_out,
-        )
-    elif args.experience_out:
-        print("warning: --experience-out needs --plan=auto or "
-              "--plan=learned; ignoring it", file=sys.stderr)
     spec = _budget_spec(args)
-    try:
-        engine, matches, elapsed, tracer = _run_query(
-            args, graph, query, planner, Budget(**spec) if spec else None,
-            traced=bool(args.metrics_out))
-    finally:
-        if planner is not None and planner.store is not None:
-            planner.store.close()
+    engine, matches, elapsed, tracer = _run_query(
+        args, graph, query, Budget(**spec) if spec else None,
+        traced=bool(args.metrics_out))
     if args.metrics_out:
-        inner = getattr(engine, "engine", engine)
-        decision = (getattr(engine, "last_plan", None)
-                    or getattr(inner, "last_plan", None))
         _write_metrics(args, {
             "command": "search",
             "engine_stats": engine.last_stats,
             "shard_stats": getattr(engine, "last_shard_stats", None),
-            "plan": decision.as_dict() if decision is not None else None,
             "metrics": tracer.registry.as_dict(),
             "spans": tracer.to_dicts(include_timing=not args.no_timing),
         }, elapsed_ms=round(elapsed * 1000.0, 3))
@@ -558,23 +518,6 @@ def _cmd_workload(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_plan_fit(args: argparse.Namespace) -> int:
-    from repro.plan import CostModel, ExperienceStore
-
-    store = ExperienceStore.load(args.experience)
-    model = CostModel(ridge=args.ridge, min_samples=args.min_samples)
-    consumed = model.fit_store(store)
-    model.save(args.output)
-    print(f"wrote {args.output}: {consumed} record(s)")
-    classes = sorted({record.class_key for record in store})
-    for class_key in classes:
-        for arm in model.arms_for(class_key):
-            n = model.samples(class_key, arm)
-            warm = "warm" if n >= model.min_samples else "cold"
-            print(f"  {class_key:10s} {arm:32s} {n:5d} sample(s)  [{warm}]")
-    return 0
-
-
 def _cmd_learn(args: argparse.Namespace) -> int:
     from repro.similarity import evaluate_weights, learn_weights
     from repro.similarity.config_io import save_config
@@ -686,7 +629,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "trace": _cmd_trace,
         "batch": _cmd_batch,
         "workload": _cmd_workload,
-        "plan-fit": _cmd_plan_fit,
         "learn": _cmd_learn,
         "demo": _cmd_demo,
         "apply-delta": _cmd_apply_delta,

@@ -12,12 +12,11 @@ This is the class a library user instantiates::
 
 from __future__ import annotations
 
-import dataclasses
 from typing import List, Optional, Union
 
 from repro import obs
 from repro.core.matches import Match
-from repro.core.options import PLAN_MODES, SearchOptions
+from repro.core.options import SearchOptions
 from repro.core.procedures import star_matcher
 from repro.core.starjoin import StarJoin
 from repro.errors import SearchError
@@ -27,7 +26,7 @@ from repro.query.model import Query, StarQuery
 from repro.runtime.budget import Budget, SearchReport
 from repro.similarity.scoring import ScoringConfig, ScoringFunction
 
-__all__ = ["PLAN_MODES", "Star"]
+__all__ = ["Star"]
 
 
 class Star:
@@ -38,9 +37,6 @@ class Star:
         scorer: a shared :class:`ScoringFunction`; built from *config* (or
             defaults) when omitted.
         config: scoring configuration used when *scorer* is omitted.
-        planner: a ready :class:`repro.plan.QueryPlanner`; one is built
-            from ``plan`` / ``plan_model`` when omitted and ``plan`` is
-            not ``static``.
         options: a ready :class:`~repro.core.options.SearchOptions`.
 
     Keyword options: see :class:`~repro.core.options.SearchOptions`.
@@ -54,30 +50,17 @@ class Star:
         scorer: Optional[ScoringFunction] = None,
         config: Optional[ScoringConfig] = None,
         *,
-        planner=None,
         options: Optional[SearchOptions] = None,
         **knobs,
     ) -> None:
         options = self.options = SearchOptions.coerce(options, knobs)
         self.graph = graph
         self.scorer = scorer or ScoringFunction(graph, config)
-        self.planner = planner
-        if options.plan != "static" and planner is None:
-            from repro.plan import QueryPlanner
-
-            self.planner = QueryPlanner.for_engine(
-                mode=options.plan, model_path=options.plan_model
-            )
         # ``auto`` only ever routes calls that carry a candidate cutoff,
         # so without one there is nothing to build; ``on`` always builds.
-        # A planner's per-query index routing needs an index to route
-        # *to*, so with one ``auto`` attaches too (inert without a
-        # cutoff: static-default behavior is unchanged).
         wants_index = options.use_index == "on" or (
-            options.use_index == "auto" and (
-                options.candidate_limit is not None
-                or self.planner is not None
-            )
+            options.use_index == "auto"
+            and options.candidate_limit is not None
         )
         if wants_index and getattr(
                 self.scorer, "graph_index", None) is None:
@@ -92,9 +75,6 @@ class Star:
             from repro.ann import attach_semantic
 
             attach_semantic(self.scorer, mode=options.use_semantic)
-        #: The planner's decision for the last search (None under static
-        #: planning) -- exposed for tests, tracing and the CLI.
-        self.last_plan = None
         self.last_decomposition: Optional[Decomposition] = None
         self.last_join: Optional[StarJoin] = None
         self.last_report: Optional[SearchReport] = None
@@ -129,13 +109,9 @@ class Star:
         star: StarQuery,
         k: int,
         budget: Optional[Budget] = None,
-        options: Optional[SearchOptions] = None,
     ) -> List[Match]:
-        """Top-k matches of a star query (stark / stard / hybrid).
-
-        *options* is this one search's plan (default: :attr:`options`).
-        """
-        matcher = star_matcher(self.scorer, options or self.options)
+        """Top-k matches of a star query (stark / stard / hybrid)."""
+        matcher = star_matcher(self.scorer, self.options)
         cache, hits0, misses0 = self._cache_marks()
         try:
             return matcher.search(star, k, budget=budget)
@@ -159,16 +135,6 @@ class Star:
         are decomposed (unless a prebuilt *decomposition* is supplied) and
         rank-joined.
 
-        With a :attr:`planner`, a :class:`repro.plan.QueryPlanner` first
-        chooses performance knobs (star procedure, index routing,
-        decomposition method, alpha) for this query, which then runs on
-        ``dataclasses.replace(self.options, **overrides)``; pinned
-        options are never overridden, and the guardrail falls back to
-        the static defaults whenever the model is cold or its predicted
-        gain is within noise.  Planned searches return the same rankings
-        as static ones -- every knob the planner may touch is
-        result-preserving.
-
         With a :class:`Budget` the search runs under the runtime
         contract: a strict-mode trip raises (partial
         :class:`SearchReport` attached to the exception); an anytime trip
@@ -183,75 +149,22 @@ class Star:
         """
         if k <= 0:
             raise SearchError(f"k must be positive, got {k}")
-        planner = self.planner
-        if planner is None:
-            self.last_plan = None
-            return self._search_impl(query, k, decomposition, budget,
-                                     self.options)
-        decision = planner.plan(
-            self, query, k, budget=budget,
-            prebuilt_decomposition=decomposition is not None,
-        )
-        self.last_plan = decision
-        overrides = dict(decision.overrides)
-        # The one override that is not an option: the routing mode is
-        # state on the (shared) index object, put back after the search.
-        index_mode = overrides.pop("index_mode", None)
-        options = self.options
-        if overrides:
-            options = dataclasses.replace(options, **overrides)
-        scorer = self.scorer
-        index = getattr(scorer, "graph_index", None)
-        node_calls0 = scorer.node_score_calls
-        edge_calls0 = scorer.edge_score_calls
-        scanned0 = index.postings_scanned if index is not None else 0
-        reroute = index is not None and index_mode is not None
-        if reroute:
-            static_mode, index.mode = index.mode, index_mode
-        try:
-            results = self._search_impl(query, k, decomposition, budget,
-                                        options)
-        finally:
-            if reroute:
-                index.mode = static_mode
-        planner.observe(
-            decision, self.last_engine_stats,
-            node_score_calls=scorer.node_score_calls - node_calls0,
-            edge_score_calls=scorer.edge_score_calls - edge_calls0,
-            postings_scanned=(
-                index.postings_scanned - scanned0 if index is not None else 0
-            ),
-        )
-        return results
-
-    def _search_impl(
-        self,
-        query: Union[Query, StarQuery],
-        k: int,
-        decomposition: Optional[Decomposition],
-        budget: Optional[Budget],
-        options: SearchOptions,
-    ) -> List[Match]:
-        """The search body under one (static or planned) *options*."""
         if isinstance(query, StarQuery):
-            return self.search_star(query, k, budget, options)
+            return self.search_star(query, k, budget)
         query.validate()
         if decomposition is None and query.is_star():
             self.last_decomposition = None
             self.last_join = None
-            return self.search_star(
-                StarQuery.from_query(query), k, budget, options
-            )
-        options = options.resolved()
+            return self.search_star(StarQuery.from_query(query), k, budget)
         if decomposition is None:
-            method = options.decomposition_method
+            method = self.options.decomposition_method
             with obs.trace("framework.decompose", method=method):
                 decomposition = decompose(
                     query, method=method, scorer=self.scorer,
-                    lam=options.lam,
+                    lam=self.options.lam,
                 )
         self.last_decomposition = decomposition
-        join = self.last_join = StarJoin(self.scorer, options)
+        join = self.last_join = StarJoin(self.scorer, self.options)
         cache, hits0, misses0 = self._cache_marks()
         try:
             with obs.trace("starjoin.join",

@@ -5,7 +5,7 @@ layers around it are named, defaulted and validated.  Every front door
 -- ``Star``, ``ShardedEngine``, ``search_many``, ``build_engine``, the
 serve workers, the CLI -- turns what it was given into one record
 through :meth:`SearchOptions.coerce` and hands the record itself down.
-It is frozen and hashable: a per-query plan is
+It is frozen and hashable: a variant is
 ``dataclasses.replace(engine.options, **overrides)``, never a mutation.
 """
 
@@ -19,11 +19,8 @@ from repro.errors import DecompositionError, SearchError
 from repro.query.decomposition import METHODS
 
 #: Star procedures; all exact, so the choice is purely a performance
-#: decision -- which is why the learned planner may pick it per query.
+#: decision.  ``auto`` is the paper's routing (Fig. 4).
 ALGORITHMS = ("auto", "stark", "stard", "hybrid")
-#: Plan modes; every planned knob is result-preserving, so all three
-#: return identical matches.
-PLAN_MODES = ("static", "auto", "learned")
 #: Shard transports.
 BACKENDS = ("auto", "fork", "serial")
 _TIER_MODES = ("auto", "on", "off")
@@ -38,10 +35,7 @@ def _option(default, doc: str, choices=None):
 class SearchOptions:
     """Everything that configures an engine, validated on construction.
 
-    ``None`` (``alpha``, ``decomposition_method``) and ``auto``
-    (``algorithm``, ``use_index``) mean "engine default, the planner may
-    tune it per query"; an explicit value is pinned.  The last four
-    fields route construction (:func:`repro.perf.build_engine`,
+    The last four fields route construction (:func:`repro.perf.build_engine`,
     :class:`repro.shard.ShardedEngine`); a plain ``Star`` ignores them.
     Each field's description is its ``metadata["doc"]``.
 
@@ -52,14 +46,10 @@ class SearchOptions:
 
     d: int = _option(
         1, "search bound: a query edge may match a path of length <= d")
-    alpha: Optional[float] = _option(
-        None, "alpha-scheme split for rank joins, in [0, 1] (default: "
-        "engine default 0.5; an explicit value is pinned against planner "
-        "tuning)")
-    decomposition_method: Optional[str] = _option(
-        None, "decomposition method, Section VI-B (default: engine default "
-        "simdec; an explicit value is pinned against planner tuning)",
-        METHODS)
+    alpha: float = _option(
+        0.5, "alpha-scheme split for rank joins, in [0, 1]")
+    decomposition_method: str = _option(
+        "simdec", "decomposition method, Section VI-B", METHODS)
     lam: float = _option(
         1.0, "Eq. 5's lambda trade-off for the optimized decompositions")
     injective: bool = _option(True, "enforce one-to-one matching")
@@ -71,8 +61,7 @@ class SearchOptions:
         "auto", "route candidate generation through the upper-bound-pruned "
         "graph index (identical results): 'on' always; 'auto' only for "
         "calls that carry a candidate cutoff (candidate_limit, which no "
-        "CLI command sets) or that the planner routes there (plan auto or "
-        "learned); 'off' never builds one.  A scorer that already holds an "
+        "CLI command sets); 'off' never builds one.  A scorer that already holds an "
         "index keeps it", _TIER_MODES)
     use_semantic: str = _option(
         "auto", "augment token shortlists with ANN-sourced, exactly-"
@@ -87,14 +76,6 @@ class SearchOptions:
         "stark at d=1, stard at d>=2; a name pins one at any d; all are "
         "exact and score-identical, only exact-tie order may vary)",
         ALGORITHMS)
-    plan: str = _option(
-        "static", "per-query knob planning: static = fixed knobs (zero "
-        "overhead), auto = explore cold arms and learn online, learned = "
-        "exploit only, static until the model is warm (see plan_model); "
-        "top-k scores are identical in every mode", PLAN_MODES)
-    plan_model: Optional[str] = _option(
-        None, "fitted cost-model JSON for plan (see 'repro plan-fit'); "
-        "batch runs also order pool dispatch by its predictions")
     mmap_store: Any = _option(
         None, "an RKGS2 store (path, reader or mmap-backed graph) whose "
         "index and ANN columns are attached zero-copy instead of built, "
@@ -113,10 +94,10 @@ class SearchOptions:
             raise SearchError(f"search bound d must be >= 1, got {self.d}")
         if self.directed and self.d != 1:
             raise SearchError("directed matching is defined for d == 1 only")
-        if self.alpha is not None and not (0.0 <= self.alpha <= 1.0):
+        if not (0.0 <= self.alpha <= 1.0):
             raise SearchError(f"alpha={self.alpha} must be in [0, 1]")
         method = self.decomposition_method
-        if method is not None and method not in METHODS:
+        if method not in METHODS:
             # Fail fast: otherwise a bad name only surfaces on the first
             # *non-star* search, deep inside decompose.
             raise DecompositionError(
@@ -140,10 +121,6 @@ class SearchOptions:
             raise SearchError(
                 f"directed matching requires algorithm auto or stark, "
                 f"got {self.algorithm!r}"
-            )
-        if self.plan not in PLAN_MODES:
-            raise SearchError(
-                f"plan must be one of {PLAN_MODES}, got {self.plan!r}"
             )
         if self.shards is not None and self.shards < 1:
             raise SearchError(f"shards must be >= 1, got {self.shards}")
@@ -180,16 +157,6 @@ class SearchOptions:
                 f"valid options: {', '.join(FIELD_NAMES)}"
             )
         return cls(**values)
-
-    def resolved(self) -> "SearchOptions":
-        """This record with the tunable ``None`` defaults filled in."""
-        if self.alpha is not None and self.decomposition_method is not None:
-            return self
-        return dataclasses.replace(
-            self,
-            alpha=0.5 if self.alpha is None else self.alpha,
-            decomposition_method=self.decomposition_method or "simdec",
-        )
 
 
 #: Every option name, in declaration order.

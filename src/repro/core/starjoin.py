@@ -163,7 +163,7 @@ class StarJoin:
         **knobs,
     ) -> None:
         self.scorer = scorer
-        self.options = SearchOptions.coerce(options, knobs).resolved()
+        self.options = SearchOptions.coerce(options, knobs)
         # Filled by the last `join` call (Fig. 14(d) metrics).
         self.last_depths: List[int] = []
         self.last_joins_attempted = 0

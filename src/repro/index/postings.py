@@ -59,8 +59,12 @@ class PostingIndex:
             index.alive[node_id] = 1
             index.live_nodes += 1
         by_tid: Dict[int, array] = {}
-        for token, members in graph._token_index.items():
-            by_tid[vocab.intern(token)] = array("I", sorted(members))
+        # Spelling order, not the token index's: that one follows
+        # per-node token-set iteration, i.e. PYTHONHASHSEED.
+        token_index = graph._token_index
+        for token in sorted(token_index):
+            members = sorted(token_index[token])
+            by_tid[vocab.intern(token)] = array("I", members)
         size = len(vocab)
         index.postings = [by_tid.get(tid, array("I")) for tid in range(size)]
         return index

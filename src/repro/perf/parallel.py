@@ -152,15 +152,13 @@ class BatchResult:
 
 
 def build_engine(graph, engine_opts=None,
-                 config: Optional[ScoringConfig] = None, scorer=None,
-                 planner=None):
+                 config: Optional[ScoringConfig] = None, scorer=None):
     """The engine *engine_opts* (a :class:`SearchOptions` or a dict of
     its fields) describes: a :class:`Star`, or a
     :class:`repro.shard.ShardedEngine` when ``shards`` is set, with the
     ``mmap_store``'s index and ANN columns attached to the scorer.
 
-    *scorer* defaults to a fresh :class:`ScoringFunction` over *config*;
-    *planner* is handed to the engine as is.
+    *scorer* defaults to a fresh :class:`ScoringFunction` over *config*.
 
     Raises:
         SearchError / DecompositionError: for an unknown or invalid
@@ -183,9 +181,8 @@ def build_engine(graph, engine_opts=None,
     if options.shards is not None:
         from repro.shard import ShardedEngine
 
-        return ShardedEngine(graph, scorer=scorer, planner=planner,
-                             options=options)
-    return Star(graph, scorer=scorer, planner=planner, options=options)
+        return ShardedEngine(graph, scorer=scorer, options=options)
+    return Star(graph, scorer=scorer, options=options)
 
 
 def _batch_engine(graph, config, engine_opts, cache, fault_specs=None,
@@ -345,10 +342,6 @@ def estimate_query_cost(graph, query: Union[Query, StarQuery]) -> int:
     constraint -- i.e. the shortlist volume the scorer will walk.  Pure
     index lookups, no scoring; used only to *order* pool dispatch (LPT),
     so it needs to rank, not to be exact.
-
-    This is the cold-start fallback: when a fitted
-    :class:`repro.plan.CostModel` is available, :func:`dispatch_order`
-    prefers its per-query cost predictions over this proxy.
     """
     from repro.core.candidates import expanded_query_tokens
 
@@ -370,53 +363,15 @@ def estimate_query_cost(graph, query: Union[Query, StarQuery]) -> int:
     return cost
 
 
-class _FeatureScorer:
-    """The minimal scorer surface feature extraction needs (graph +
-    cache-warmth flag) -- lets dispatch ordering cost queries without
-    building a full :class:`ScoringFunction` per batch."""
-
-    __slots__ = ("graph", "_node_cache")
-
-    def __init__(self, graph) -> None:
-        self.graph = graph
-        self._node_cache: Dict = {}
-
-
-def dispatch_order(graph, queries: Sequence[Union[Query, StarQuery]],
-                   model=None, d: int = 1, k: int = 10) -> List[int]:
+def dispatch_order(graph,
+                   queries: Sequence[Union[Query, StarQuery]]) -> List[int]:
     """Query indexes sorted heaviest-first (longest-processing-time).
 
     With a shared task queue, LPT submission bounds the idle-worker
     skew a heavy tail query causes: the expensive work starts first and
     cheap queries pack around it, instead of every other worker idling
     while the last-submitted heavy query runs alone.
-
-    With a warm fitted :class:`repro.plan.CostModel` (*model*), ordering
-    uses its predicted per-query cost of the static default plan -- the
-    learned estimate subsumes the posting-mass proxy (it knows, e.g.,
-    that a broad-pivot d=2 star is propagation-bound, not
-    shortlist-bound).  Any cold prediction falls the whole ordering back
-    to the heuristic, keeping ranks comparable.
     """
-    if model is not None:
-        from repro.plan.features import extract_features
-        from repro.plan.planner import default_static_arm
-
-        shim = _FeatureScorer(graph)
-        predicted: List[float] = []
-        for query in queries:
-            features = extract_features(shim, query, k, d=d)
-            pred = model.predict(
-                features.class_key, default_static_arm(features.class_key),
-                features.vector,
-            )
-            if pred is None:  # cold arm: mixed scales would misrank
-                predicted = []
-                break
-            predicted.append(pred)
-        if len(predicted) == len(queries) and predicted:
-            return sorted(range(len(queries)),
-                          key=lambda i: (-predicted[i], i))
     costs = [estimate_query_cost(graph, query) for query in queries]
     return sorted(range(len(queries)), key=lambda i: (-costs[i], i))
 
@@ -481,7 +436,7 @@ def search_many(
         options: a ready :class:`~repro.core.options.SearchOptions`.
 
     Keyword options: see :class:`~repro.core.options.SearchOptions`;
-    each worker builds its own engine (index, planner, store attach
+    each worker builds its own engine (index and store attach
     included) from the one record through :func:`build_engine`.
     ``shards`` is mutually exclusive with ``workers > 1`` and with
     ``fault_specs``, and its transport follows *backend* unless
@@ -552,18 +507,9 @@ def search_many(
                          time.perf_counter() - start, snapshots,
                          metrics=obs.snapshot())
 
-    dispatch_model = None
-    if options.plan_model is not None:
-        from repro.plan.model import CostModel, PlanModelError
-
-        try:
-            dispatch_model = CostModel.load(options.plan_model)
-        except PlanModelError:
-            dispatch_model = None  # heuristic dispatch; workers re-raise
     # LPT: heaviest queries hit the shared queue first, so the batch's
     # tail is cheap work, not a straggler.
-    order = dispatch_order(graph, queries, model=dispatch_model,
-                           d=options.d, k=k)
+    order = dispatch_order(graph, queries)
     chaos = {"fault_specs": fault_specs} if fault_specs else {}
     payloads = [{"index": i, **chaos} for i in range(len(queries))]
     new_worker = functools.partial(

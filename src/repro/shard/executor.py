@@ -205,7 +205,7 @@ class ShardedEngine:
         chunk_size: matches pulled per shard round trip; defaults to
             each search's ``k`` (the global top-k is contained in the
             union of per-shard top-k, so one round usually suffices).
-        scorer, config, planner, options: as for :class:`Star`.
+        scorer, config, options: as for :class:`Star`.
 
     Keyword options: see :class:`~repro.core.options.SearchOptions`
     (``shards`` defaults to 2 here); shard matchers and the fallback
@@ -220,7 +220,6 @@ class ShardedEngine:
         *,
         backend: Optional[str] = None,
         chunk_size: Optional[int] = None,
-        planner=None,
         options: Optional[SearchOptions] = None,
         **knobs,
     ) -> None:
@@ -233,7 +232,7 @@ class ShardedEngine:
             raise SearchError(f"chunk_size must be >= 1, got {chunk_size}")
         self.options = options
         self.engine = Star(graph, scorer=scorer, config=config,
-                           planner=planner, options=options)
+                           options=options)
         self.graph = graph
         self.scorer = self.engine.scorer
         self.num_shards = options.shards

@@ -169,7 +169,8 @@ def _build_sections(graph) -> List[Tuple[str, int, bytes]]:
     eslots = graph.num_edge_slots
 
     # Index kernels, rebuilt from the live graph: vocabulary ids follow
-    # the token-index iteration order, postings come out sorted, feature
+    # sorted token spellings (so the bytes do not depend on the hash
+    # seed), postings come out sorted, feature
     # rows mirror Descriptor derivations.  IDF is resolved at write time
     # so attached readers never need to write it.
     vocab = Vocabulary()

@@ -259,6 +259,35 @@ class TestMetricsOutFlag:
         assert doc["metrics"]["counters"]["cache.misses"] == \
             doc["cache"]["misses"]
 
+    def test_search_metrics_no_timing_deterministic(self, saved_graph,
+                                                     tmp_path, capsys):
+        paths = [str(tmp_path / name) for name in ("a.json", "b.json")]
+        for path in paths:
+            assert main([
+                "search", saved_graph, "(?m:director) -[?]- (Brad:actor)",
+                "-k", "3", "--metrics-out", path, "--no-timing",
+            ]) == 0
+        capsys.readouterr()
+        blobs = [open(p, "rb").read() for p in paths]
+        assert blobs[0] == blobs[1]
+        doc = json.loads(blobs[0])
+        assert "elapsed_ms" not in doc
+        assert "histograms" not in doc["metrics"]
+        assert "plan" not in doc
+
+    def test_batch_metrics_no_timing(self, saved_graph, tmp_path, capsys):
+        workload = str(tmp_path / "queries.jsonl")
+        assert main(["workload", saved_graph, workload, "--count", "3"]) == 0
+        metrics = str(tmp_path / "metrics.json")
+        assert main([
+            "batch", saved_graph, workload, "-k", "2",
+            "--metrics-out", metrics, "--no-timing",
+        ]) == 0
+        assert "3 quer(ies)" in capsys.readouterr().out
+        doc = json.loads(open(metrics).read())
+        assert "wall_s" not in doc
+        assert "histograms" not in doc["metrics"]
+
 
 class TestDirectedFlag:
     def test_search_directed(self, saved_graph, capsys):
@@ -304,81 +333,6 @@ class TestKeywordSearch:
     def test_neither_query_nor_keywords_rejected(self, saved_graph, capsys):
         assert main(["search", saved_graph]) == 2
         assert "give a query" in capsys.readouterr().err
-
-
-class TestPlanCLI:
-    QUERY = "(?m:director) -[?]- (Brad:actor)"
-
-    def test_plan_auto_matches_static(self, saved_graph, capsys):
-        assert main(["search", saved_graph, self.QUERY, "-k", "3"]) == 0
-        static_out = capsys.readouterr().out
-        assert main([
-            "search", saved_graph, self.QUERY, "-k", "3", "--plan", "auto",
-        ]) == 0
-        planned_out = capsys.readouterr().out
-        static_scores = [l.split("score=")[1].split()[0]
-                         for l in static_out.splitlines() if "score=" in l]
-        planned_scores = [l.split("score=")[1].split()[0]
-                          for l in planned_out.splitlines() if "score=" in l]
-        assert planned_scores == static_scores
-
-    def test_experience_out_and_plan_fit(self, saved_graph, tmp_path, capsys):
-        exp = str(tmp_path / "exp.jsonl")
-        for _ in range(3):
-            assert main([
-                "search", saved_graph, self.QUERY, "-k", "3",
-                "--plan", "auto", "--experience-out", exp,
-            ]) == 0
-        assert sum(1 for _ in open(exp)) == 3
-        model = str(tmp_path / "model.json")
-        assert main([
-            "plan-fit", exp, model, "--min-samples", "2",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "3 record(s)" in out and "warm" in out
-        assert main([
-            "search", saved_graph, self.QUERY, "-k", "3",
-            "--plan", "learned", "--plan-model", model,
-        ]) == 0
-        assert "match(es)" in capsys.readouterr().out
-
-    def test_experience_without_plan_warns(self, saved_graph, tmp_path,
-                                           capsys):
-        exp = str(tmp_path / "exp.jsonl")
-        assert main([
-            "search", saved_graph, self.QUERY, "-k", "2",
-            "--experience-out", exp,
-        ]) == 0
-        assert "--experience-out needs" in capsys.readouterr().err
-
-    def test_metrics_no_timing_deterministic(self, saved_graph, tmp_path,
-                                             capsys):
-        paths = [str(tmp_path / name) for name in ("a.json", "b.json")]
-        for path in paths:
-            assert main([
-                "search", saved_graph, self.QUERY, "-k", "3",
-                "--plan", "auto", "--metrics-out", path, "--no-timing",
-            ]) == 0
-        capsys.readouterr()
-        blobs = [open(p, "rb").read() for p in paths]
-        assert blobs[0] == blobs[1]
-        doc = json.loads(blobs[0])
-        assert "elapsed_ms" not in doc
-        assert "histograms" not in doc["metrics"]
-        assert doc["plan"]["source"] in ("explore", "learned", "static")
-
-    def test_batch_plan_modes(self, saved_graph, tmp_path, capsys):
-        workload = str(tmp_path / "queries.jsonl")
-        assert main(["workload", saved_graph, workload, "--count", "3"]) == 0
-        metrics = str(tmp_path / "metrics.json")
-        assert main([
-            "batch", saved_graph, workload, "-k", "2", "--plan", "auto",
-            "--metrics-out", metrics, "--no-timing",
-        ]) == 0
-        assert "3 quer(ies)" in capsys.readouterr().out
-        doc = json.loads(open(metrics).read())
-        assert "wall_s" not in doc
-        assert "histograms" not in doc["metrics"]
 
 
 class TestEngineOptionGroup:
@@ -427,4 +381,19 @@ class TestEngineOptionGroup:
             main(["search", "--help"])
         text = " ".join(capsys.readouterr().out.split())
         assert "which no CLI command sets" in text
-        assert "the planner routes there (plan auto or learned)" in text
+        assert "planner" not in text
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "{graph}", "(?m) -[?]- (Brad)", "--plan", "auto"],
+        ["search", "{graph}", "(?m) -[?]- (Brad)", "--plan-model", "m.json"],
+        ["search", "{graph}", "(?m) -[?]- (Brad)", "--experience-out", "e"],
+        ["batch", "{graph}", "w.jsonl", "--plan", "learned"],
+        ["plan-fit", "exp.jsonl", "model.json"],
+    ], ids=["plan", "plan-model", "experience-out", "batch-plan", "plan-fit"])
+    def test_planner_flags_and_plan_fit_are_gone(self, saved_graph, capsys,
+                                                 argv):
+        with pytest.raises(SystemExit) as raised:
+            main([arg.format(graph=saved_graph) for arg in argv])
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err or "invalid choice" in err

@@ -5,7 +5,7 @@ import pytest
 from repro.baselines import brute_force_star, brute_force_topk
 from repro.core import HybridStarSearch, Star, tune_parameters
 from repro.core.tuning import aggregate_depth
-from repro.errors import SearchError
+from repro.errors import DecompositionError, SearchError
 from repro.query import StarQuery, complex_workload, star_query, star_workload
 from repro.similarity import ScoringFunction
 
@@ -163,3 +163,16 @@ class TestTuning:
         workload = complex_workload(yago_graph, 1, shape=(4, 4), seed=58)
         with pytest.raises(SearchError):
             tune_parameters(yago_scorer, workload, alphas=[])
+
+    def test_tune_parameters_rejects_unknown_method(self, yago_scorer,
+                                                    yago_graph):
+        workload = complex_workload(yago_graph, 1, shape=(4, 4), seed=58)
+        with pytest.raises(DecompositionError, match="unknown decomposition"):
+            tune_parameters(yago_scorer, workload, method="simdek")
+
+    def test_aggregate_depth_rejects_unknown_method(self, yago_scorer,
+                                                    yago_graph):
+        workload = complex_workload(yago_graph, 1, shape=(4, 4), seed=58)
+        with pytest.raises(DecompositionError, match="unknown decomposition"):
+            aggregate_depth(yago_scorer, workload, alpha=0.5, lam=1.0,
+                            method="nope")

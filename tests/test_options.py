@@ -2,8 +2,7 @@
 
 The record is the only place an engine knob is named, defaulted and
 checked, so each rule must raise the same typed error, with the same
-message, whichever door the value came through -- and a per-query plan
-must be a new record, never a change to the engine's own.
+message, whichever door the value came through.
 """
 
 from __future__ import annotations
@@ -15,21 +14,18 @@ import pytest
 from repro.core.framework import Star
 from repro.core.options import FIELD_NAMES, SearchOptions
 from repro.core.starjoin import StarJoin
-from repro.errors import BudgetExceededError, DecompositionError, SearchError
+from repro.errors import DecompositionError, SearchError
 from repro.perf import build_engine, search_many
-from repro.query import parse_query, star_workload
-from repro.runtime import Budget
 from repro.serve import EngineContext
 from repro.shard import ShardedEngine
 from repro.similarity import ScoringFunction
 
-#: The parent's ``Star`` knob keywords followed by its ``ROUTING_OPTS``,
-#: with the defaults they had there.
+#: Every option in declaration order, with its default: the search
+#: knobs, then the four that route construction.
 SEED_DEFAULTS = {
-    "d": 1, "alpha": None, "decomposition_method": None, "lam": 1.0,
+    "d": 1, "alpha": 0.5, "decomposition_method": "simdec", "lam": 1.0,
     "injective": True, "candidate_limit": None, "directed": False,
     "use_index": "auto", "use_semantic": "auto", "algorithm": "auto",
-    "plan": "static", "plan_model": None,
     "mmap_store": None, "shards": None, "partition": "hash",
     "shard_backend": "auto",
 }
@@ -60,8 +56,6 @@ RULES = [
     ({"algorithm": "fastest"}, SearchError,
      "algorithm must be one of ('auto', 'stark', 'stard', 'hybrid'), "
      "got 'fastest'"),
-    ({"plan": "sometimes"}, SearchError,
-     "plan must be one of ('static', 'auto', 'learned'), got 'sometimes'"),
     ({"use_index": "yes"}, SearchError,
      "use_index must be auto, on or off, got 'yes'"),
     ({"use_semantic": "yes"}, SearchError,
@@ -76,6 +70,11 @@ RULES = [
      "('auto', 'fork', 'serial')"),
     ({"usee_index": "on"}, SearchError,
      "unknown search option 'usee_index'; valid options: d, alpha,"),
+    # The learned planner's two options are gone, not ignored.
+    ({"plan": "sometimes"}, SearchError,
+     "unknown search option 'plan'; valid options: d, alpha,"),
+    ({"plan_model": "model.json"}, SearchError,
+     "unknown search option 'plan_model'; valid options: d, alpha,"),
 ]
 
 
@@ -86,7 +85,7 @@ MATRIX = [
         door, knobs, error, message,
         id=door + "-" + ",".join(f"{k}={v}" for k, v in knobs.items()))
     for door in sorted(DOORS) for knobs, error, message in RULES
-    if not (door == "SearchOptions" and "usee_index" in knobs)
+    if not (door == "SearchOptions" and set(knobs) - set(FIELD_NAMES))
 ]
 
 
@@ -130,20 +129,10 @@ class TestOneValidation:
 class TestTheRecord:
     def test_fields_and_defaults_are_the_seed_s(self, movie_graph):
         fields = dataclasses.fields(SearchOptions)
-        assert len(fields) == 16
+        assert len(fields) == 14
         assert {f.name: f.default for f in fields} == SEED_DEFAULTS
         assert FIELD_NAMES == tuple(SEED_DEFAULTS)
         assert Star(movie_graph).options == SearchOptions()
-
-    def test_none_resolves_to_the_engine_defaults(self):
-        default = SearchOptions()
-        assert (default.alpha, default.decomposition_method) == (None, None)
-        resolved = default.resolved()
-        assert (resolved.alpha, resolved.decomposition_method) \
-            == (0.5, "simdec")
-        assert resolved.resolved() is resolved
-        pinned = SearchOptions(alpha=0.0, decomposition_method="rand")
-        assert pinned.resolved() is pinned  # 0.0 is a value, not "unset"
 
     def test_frozen_and_hashable(self):
         record = SearchOptions(d=2, algorithm="stard")
@@ -151,7 +140,7 @@ class TestTheRecord:
             record.d = 3
         twin = SearchOptions(algorithm="stard", d=2)
         assert record == twin and hash(record) == hash(twin)
-        assert {record: "plan"}[twin] == "plan"
+        assert {record: "engine"}[twin] == "engine"
         assert record != dataclasses.replace(record, d=1)
         with pytest.raises(SearchError, match="search bound d"):
             dataclasses.replace(record, d=0)  # a replace re-validates
@@ -168,7 +157,7 @@ class TestTheRecord:
         assert EngineContext(movie_graph, engine_opts=record) \
             .engine.options is record
         join = StarJoin(ScoringFunction(movie_graph), options=record)
-        assert join.options == record.resolved()
+        assert join.options is record
 
     def test_sharded_engine_reads_its_routing_from_the_record(
             self, movie_graph):
@@ -181,56 +170,3 @@ class TestTheRecord:
             assert engine.num_shards == 3
             assert engine.partition.replication_depth == 2
 
-
-class TestPlansAreValuesNotMutations:
-    GENERAL = ("(Brad:actor) -[acted_in]- (?f:film)\n"
-               "(?f) -[film_won]- (?a:award)\n(?a) -[won]- (?d:director)")
-
-    def test_planned_searches_leave_the_engine_s_options_alone(
-            self, movie_graph):
-        engine = Star(movie_graph, plan="auto")
-        before = engine.options
-        index = engine.scorer.graph_index
-        assert index is not None and index.mode == "auto"
-        queries = star_workload(movie_graph, 4, seed=5)
-        queries.append(parse_query(self.GENERAL, name="general"))
-        overridden = set()
-        for _ in range(3):
-            for query in queries:
-                engine.search(query, 3)
-                overridden.update(engine.last_plan.overrides)
-                assert engine.options is before
-                assert index.mode == "auto"
-        # The planner explored: procedure, index routing and the general
-        # query's knobs were all overridden for some search ...
-        assert {"algorithm", "index_mode"} <= overridden
-        assert overridden & {"alpha", "decomposition_method"}
-        # ... and a search that dies on a strict budget changes nothing.
-        with pytest.raises(BudgetExceededError):
-            engine.search(queries[-1], 3, budget=Budget(max_nodes=1))
-        assert engine.last_plan.overrides == {}
-        assert engine.options is before and before == SearchOptions(
-            plan="auto")
-        assert index.mode == "auto"
-
-    def test_a_planned_run_uses_the_planned_record(self, movie_graph,
-                                                   monkeypatch):
-        """What the planner chose is what the matcher is built from."""
-        from repro.core import framework
-
-        seen = []
-        real = framework.star_matcher
-
-        def spy(scorer, options, *scopes):
-            seen.append(options)
-            return real(scorer, options, *scopes)
-
-        monkeypatch.setattr(framework, "star_matcher", spy)
-        engine = Star(movie_graph, plan="auto")
-        for query in star_workload(movie_graph, 3, seed=5):
-            engine.search(query, 3)
-            planned = seen[-1]
-            assert planned.algorithm == engine.last_plan.overrides["algorithm"]
-            assert planned is not engine.options
-            assert dataclasses.replace(planned, algorithm="auto") \
-                == engine.options

@@ -9,6 +9,11 @@ the store attach it implies -- all against in-memory ground truth.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.framework import Star
@@ -187,6 +192,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read") and str(ops) in err
         assert not target.exists()
+
+
+    def test_store_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        """Vocabulary ids follow token spelling, not the iteration order
+        of per-node token sets: two processes under different hash seeds
+        write the same line-JSON graph to the same bytes."""
+        json_path = tmp_path / "graph.kg"
+        save_graph(build_movie_graph(), json_path)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        blobs = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"seed{seed}.rkgs2"
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            subprocess.run(
+                [sys.executable, "-m", "repro", "compact", str(json_path),
+                 str(out)], env=env, check=True, capture_output=True)
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
 
 
 class TestAttachContracts:
