@@ -140,7 +140,7 @@ def test_ablation_sketch(benchmark):
 
 def run_vertex_engine_ablation():
     from repro.core.candidates import node_candidates
-    from repro.core.vertex_centric import propagate_vertex_centric
+    from vertex_centric import propagate_vertex_centric
 
     graph = benchmark_graph("yago2")
     scorer = benchmark_scorer(graph)

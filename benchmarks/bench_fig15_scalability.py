@@ -124,18 +124,16 @@ def _timed_pass(search, workload):
     return (time.perf_counter() - start) * 1000.0 / len(workload)
 
 
-def run_shard_experiment(graph, shard_counts, strategies=("hash",),
-                         backend="auto", num_queries=NUM_QUERIES,
-                         collect_counters=True):
+def run_shard_experiment(graph, shard_counts, backend="auto",
+                         num_queries=NUM_QUERIES, collect_counters=True):
     """Baseline vs sharded timings + parity on the fig15 star workload.
 
     Returns a JSON-safe dict: baseline avg ms/query, then one record per
-    (strategy, shard count) with avg ms, speedup, parity verdict and the
-    partition's replication factor.  The first full pass over the
-    workload warms each engine (partition + shm export + worker spawn for
-    the fork backend) and yields the reference/parity results; the second
-    pass is the timed one, so setup cost is excluded exactly as engine
-    reuse excludes it in a real deployment.
+    shard count with avg ms, speedup and parity verdict.  The first full
+    pass over the workload warms each engine (partition + worker spawn
+    for the fork backend) and yields the reference/parity results; the
+    second pass is the timed one, so setup cost is excluded exactly as
+    engine reuse excludes it in a real deployment.
     """
     scorer = ScoringFunction(graph, ScoringConfig(fast=True))
     workload = star_workload(graph, num_queries, seed=152)
@@ -146,40 +144,30 @@ def run_shard_experiment(graph, shard_counts, strategies=("hash",),
 
     runs = []
     counters = {}
-    for strategy in strategies:
-        for shards in shard_counts:
-            engine = ShardedEngine(
-                graph, scorer=scorer, shards=shards, partition=strategy,
-                backend=backend, d=D,
-            )
-            try:
-                gate_run = (collect_counters
-                            and shards == max(shard_counts)
-                            and strategy == strategies[0])
-                if gate_run:
-                    with obs.capture() as tracer:
-                        got = [_match_keys(engine.search(q, K))
-                               for q in workload]
-                    snap = tracer.registry.as_dict()
-                    counters = {name: value for name, value
-                                in snap["counters"].items()
-                                if name.startswith("shard.")}
-                else:
+    for shards in shard_counts:
+        engine = ShardedEngine(graph, scorer=scorer, shards=shards,
+                               backend=backend, d=D)
+        try:
+            if collect_counters and shards == max(shard_counts):
+                with obs.capture() as tracer:
                     got = [_match_keys(engine.search(q, K))
                            for q in workload]
-                avg_ms = _timed_pass(engine.search, workload)
-                runs.append({
-                    "shards": shards,
-                    "strategy": strategy,
-                    "backend": engine.backend,
-                    "avg_ms": round(avg_ms, 3),
-                    "speedup": round(baseline_ms / max(avg_ms, 1e-9), 3),
-                    "parity": got == reference,
-                    "replication_factor": round(
-                        engine.partition.replication_factor, 3),
-                })
-            finally:
-                engine.close()
+                snap = tracer.registry.as_dict()
+                counters = {name: value for name, value
+                            in snap["counters"].items()
+                            if name.startswith("shard.")}
+            else:
+                got = [_match_keys(engine.search(q, K)) for q in workload]
+            avg_ms = _timed_pass(engine.search, workload)
+            runs.append({
+                "shards": shards,
+                "backend": engine.backend,
+                "avg_ms": round(avg_ms, 3),
+                "speedup": round(baseline_ms / max(avg_ms, 1e-9), 3),
+                "parity": got == reference,
+            })
+        finally:
+            engine.close()
 
     return {
         "nodes": graph.num_nodes,
@@ -196,22 +184,21 @@ def test_fig15c_shard_scaling(benchmark):
     result = benchmark.pedantic(
         run_shard_experiment,
         args=(graph, SMOKE_SHARD_COUNTS),
-        kwargs={"strategies": ("hash", "pivot-type"), "backend": "serial",
-                "collect_counters": False},
+        kwargs={"backend": "serial", "collect_counters": False},
         rounds=1, iterations=1,
     )
-    labels = [f"{r['strategy']}/{r['shards']}" for r in result["runs"]]
+    labels = [str(r["shards"]) for r in result["runs"]]
     print_series(
         f"Figure 15(c) -- sharded star search on freebase-like G1 "
         f"(k={K}, d={D}, serial backend, avg ms/query; "
         f"baseline {format_ms(result['baseline_avg_ms'])})",
-        "partition/shards",
+        "shards",
         labels,
         [("avg ms", [format_ms(r["avg_ms"]) for r in result["runs"]]),
          ("parity", [str(r["parity"]) for r in result["runs"]])],
         save_as="fig15c_scalability_shard",
     )
-    # Sharded execution is exact at every shard count and strategy.
+    # Sharded execution is exact at every shard count.
     assert all(r["parity"] for r in result["runs"])
 
 
@@ -290,29 +277,26 @@ def main() -> int:
         graph = benchmark_graph("freebase", scale=args.scale)
         shard_counts = SMOKE_SHARD_COUNTS
         graphs = {"smoke": graph}
-        strategies = ("hash", "pivot-type")
     else:
         shard_counts = SHARD_COUNTS
         graphs = {f"G{i}": g for i, g in enumerate(graph_series(), start=1)}
-        strategies = ("hash",)
 
     for label, graph in graphs.items():
         print(f"{label}: |V|={graph.num_nodes} |E|={graph.num_edges}, "
               f"{backend} backend, {cpu_count} core(s)")
-        experiment = run_shard_experiment(
-            graph, shard_counts, strategies=strategies, backend=backend)
+        experiment = run_shard_experiment(graph, shard_counts,
+                                          backend=backend)
         results["graphs"][label] = experiment
         print(f"  baseline: {experiment['baseline_avg_ms']:.1f} ms/query")
         for run in experiment["runs"]:
-            print(f"  {run['strategy']:>10}/{run['shards']} shards "
+            print(f"  {run['shards']} shards "
                   f"({run['backend']}): {run['avg_ms']:>8.1f} ms/query, "
                   f"speedup {run['speedup']:.2f}x, "
-                  f"parity={'OK' if run['parity'] else 'BROKEN'}, "
-                  f"replication {run['replication_factor']:.2f}")
+                  f"parity={'OK' if run['parity'] else 'BROKEN'}")
             # Gate 1 (unconditional): sharded == single-process results.
             if not run["parity"]:
                 failures.append(
-                    f"{label}: {run['strategy']}/{run['shards']} shards "
+                    f"{label}: {run['shards']} shards "
                     f"diverged from the single-process engine")
 
     # Gate 2: >= 1.5x at 4 shards -- only meaningful given >= 4 cores

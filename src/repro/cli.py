@@ -72,7 +72,7 @@ _ENGINE_FLAGS = {
     "d": "-d", "alpha": "--alpha", "decomposition_method": "--method",
     "directed": "--directed", "use_index": "--use-index",
     "use_semantic": "--semantic", "algorithm": "--algorithm",
-    "shards": "--shards", "partition": "--partition",
+    "shards": "--shards",
 }
 
 

@@ -32,27 +32,18 @@ from repro.core.topk import (
     top_k_sorted,
 )
 from repro.core.tuning import TuningResult, aggregate_depth, tune_parameters
-from repro.core.vertex_centric import (
-    PregelEngine,
-    StardPropagation,
-    VertexProgram,
-    propagate_vertex_centric,
-)
 
 __all__ = [
     "HybridStarSearch",
     "LeafEntry",
     "Match",
-    "PregelEngine",
     "PivotMatchGenerator",
     "SearchOptions",
     "Star",
     "StarDSearch",
     "StarJoin",
     "StarKSearch",
-    "StardPropagation",
     "TuningResult",
-    "VertexProgram",
     "aggregate_depth",
     "alpha_weights",
     "bounded_leaf_provider",
@@ -63,7 +54,6 @@ __all__ = [
     "node_candidates",
     "prop3_keep_sets",
     "prop3_prune",
-    "propagate_vertex_centric",
     "scores_of",
     "shortlist",
     "top_k",

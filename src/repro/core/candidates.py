@@ -128,7 +128,7 @@ def candidate_route(scorer: ScoringFunction, desc, limit: Optional[int],
                     scope: Optional[AbstractSet[int]]) -> CandidateRoute:
     """Every engagement rule of the candidate pipeline (the route table
     and the reason for each rule: docs/architecture.md)."""
-    bypass = "scoped" if scope is not None else (
+    bypass = "a shard's owned pivots" if scope is not None else (
         "budgeted" if budget is not None else "")
     cache = None if bypass else scorer.candidate_cache
     index = None
@@ -205,7 +205,7 @@ def node_candidates(
             node visit.  An anytime trip returns a partial -- but
             correctly scored and ordered -- list.
         scope: optional node-id set restricting the candidate universe
-            (a shard's ownership/halo).  The result is the unscoped one
+            (a shard's owned pivots).  The result is the unscoped one
             filtered to the scope, ANN extras included.  Combining
             ``scope`` with ``limit`` changes which nodes survive the
             cutoff, so callers needing global-truncation parity apply the

@@ -18,7 +18,7 @@ ablation benchmark quantifies both effects.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import AbstractSet, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.matches import Match
 from repro.core.stark import StarKSearch
@@ -35,6 +35,9 @@ class HybridStarSearch(StarKSearch):
         d: search bound.
         injective: enforce one-to-one matching.
         candidate_limit: optional candidate cutoff.
+        pivot_scope: optional pivot restriction (a shard's owned pivots),
+            as for :class:`~repro.core.stark.StarKSearch`.  The global
+            leaf bound reads full leaf maps, so it stays exact under it.
     """
 
     name = "hybrid"
@@ -46,10 +49,11 @@ class HybridStarSearch(StarKSearch):
         d: int = 1,
         injective: bool = True,
         candidate_limit: Optional[int] = None,
+        pivot_scope: Optional[AbstractSet[int]] = None,
     ) -> None:
         super().__init__(
             scorer, injective=injective, candidate_limit=candidate_limit,
-            prop3=False, d=d,
+            prop3=False, d=d, pivot_scope=pivot_scope,
         )
 
     def _bounds(

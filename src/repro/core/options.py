@@ -35,7 +35,7 @@ def _option(default, doc: str, choices=None):
 class SearchOptions:
     """Everything that configures an engine, validated on construction.
 
-    The last four fields route construction (:func:`repro.perf.build_engine`,
+    The last three fields route construction (:func:`repro.perf.build_engine`,
     :class:`repro.shard.ShardedEngine`); a plain ``Star`` ignores them.
     Each field's description is its ``metadata["doc"]``.
 
@@ -83,8 +83,6 @@ class SearchOptions:
     shards: Optional[int] = _option(
         None, "run star queries sharded across N graph partitions (exact "
         "merged results); batch runs then take the queries one at a time")
-    partition: str = _option(
-        "hash", "shard partition strategy: hash or pivot-type")
     shard_backend: str = _option(
         "auto", "shard transport (auto = fork where available, else "
         "serial)", BACKENDS)

@@ -15,7 +15,6 @@ from repro.core.hybrid import HybridStarSearch
 from repro.core.options import ALGORITHMS, SearchOptions
 from repro.core.stard import StarDSearch
 from repro.core.stark import StarKSearch
-from repro.errors import SearchError
 from repro.similarity.scoring import ScoringFunction
 
 __all__ = ["ALGORITHMS", "star_matcher"]
@@ -25,15 +24,12 @@ def star_matcher(
     scorer: ScoringFunction,
     options: SearchOptions,
     pivot_scope: Optional[AbstractSet[int]] = None,
-    leaf_scope: Optional[AbstractSet[int]] = None,
 ):
-    """Build the matcher ``options.algorithm`` names at ``options.d``.
+    """Build the matcher ``options.algorithm`` names at ``options.d``,
+    its pivots restricted to *pivot_scope* (a shard's owned pivots).
 
-    Raises:
-        SearchError: for a scoped hybrid matcher (hybrid has no scopes;
-            silently dropping them would change results).  What a
-            procedure does not implement among the *options* (edge
-            orientation) the record has already rejected.
+    What a procedure does not implement among the *options* (edge
+    orientation) the record has already rejected.
     """
     algorithm = options.algorithm
     if algorithm == "auto":
@@ -42,18 +38,10 @@ def star_matcher(
         return StarKSearch(
             scorer, injective=options.injective,
             candidate_limit=options.candidate_limit, d=options.d,
-            directed=options.directed,
-            pivot_scope=pivot_scope, leaf_scope=leaf_scope,
+            directed=options.directed, pivot_scope=pivot_scope,
         )
-    if algorithm == "stard":
-        return StarDSearch(
-            scorer, d=options.d, injective=options.injective,
-            candidate_limit=options.candidate_limit,
-            pivot_scope=pivot_scope, leaf_scope=leaf_scope,
-        )
-    if pivot_scope is not None or leaf_scope is not None:
-        raise SearchError("hybrid does not implement pivot/leaf scopes")
-    return HybridStarSearch(
+    cls = StarDSearch if algorithm == "stard" else HybridStarSearch
+    return cls(
         scorer, d=options.d, injective=options.injective,
-        candidate_limit=options.candidate_limit,
+        candidate_limit=options.candidate_limit, pivot_scope=pivot_scope,
     )

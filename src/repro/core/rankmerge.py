@@ -15,9 +15,9 @@ Two consumers share this module:
   soon as the k-th global score beats that bound.  The
   :class:`RankMerger` implements that merge with canonical
   ``(-score, match.key())`` tie-breaking -- which makes the merged
-  top-k invariant under the number of shards and the partition
-  strategy -- plus duplicate suppression for matches that more than
-  one shard can produce (overlapping scopes / replicated cut regions).
+  top-k invariant under the number of shards -- plus duplicate
+  suppression for matches offered twice (a crashed shard's stream
+  re-run inline re-offers what it already delivered).
 
 :class:`MonotoneStream` is the shared bookkeeping for one monotone
 match stream (top score, last score, exhaustion, drop flag); the join's
@@ -155,7 +155,7 @@ class RankMerger:
     and resolves ties canonically by ``(-score, match.key())``, so the
     final ranking is a pure function of the offered match *set* -- the
     property that makes sharded results byte-identical regardless of
-    shard count, partition strategy or stream arrival order.  The
+    shard count or stream arrival order.  The
     bounded memory argument still holds: callers stop offering from a
     stream once :meth:`wants` rejects its bound, so at most
     ``O(k + ties)`` matches per stream are ever gathered.

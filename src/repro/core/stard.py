@@ -54,16 +54,10 @@ class StarDSearch(StarKSearch):
         d: search bound (>= 1); 1 runs as ``stark``.
         injective: enforce one-to-one matching.
         candidate_limit: optional pivot/leaf candidate cutoff.
-        pivot_scope / leaf_scope: optional node-id restrictions for
-            sharded execution, with the same semantics as
-            :class:`~repro.core.stark.StarKSearch`: the pivot scope is a
-            shard's owned set, the leaf scope its d-hop halo.  Scoped
-            propagation seeds are exact for owned pivots because a seed
-            outside the halo is more than d hops from every owned node
-            and its messages can never reach them; when a
-            ``candidate_limit`` is set, seeds keep their *global*
-            truncation (and stay unscoped) so the cutoff means the same
-            thing in every shard.
+        pivot_scope: optional pivot restriction (a shard's owned
+            pivots), as for :class:`~repro.core.stark.StarKSearch`.
+            Propagation seeds are never scoped, so every owned pivot's
+            estimate is the one the unscoped run computes.
     """
 
     name = "stard"
@@ -80,11 +74,10 @@ class StarDSearch(StarKSearch):
         injective: bool = True,
         candidate_limit: Optional[int] = None,
         pivot_scope: Optional[AbstractSet[int]] = None,
-        leaf_scope: Optional[AbstractSet[int]] = None,
     ) -> None:
         super().__init__(
             scorer, injective=injective, candidate_limit=candidate_limit,
-            prop3=False, d=d, pivot_scope=pivot_scope, leaf_scope=leaf_scope,
+            prop3=False, d=d, pivot_scope=pivot_scope,
         )
 
     # ------------------------------------------------------------------
@@ -104,9 +97,9 @@ class StarDSearch(StarKSearch):
 
         *leaf_maps* (one per leaf position, as ``_plan`` built them) are
         the seeds unless a ``candidate_limit`` is set: a cutoff forces
-        globally truncated, unscoped seeds (see class doc).  *targets*
-        are the pivot candidates, the only nodes the last layer is read
-        at (:func:`repro.core.messages.propagate`).
+        truncated seeds.  *targets* are the pivot candidates, the only
+        nodes the last layer is read at
+        (:func:`repro.core.messages.propagate`).
 
         Under an anytime budget, a substrate fault during one leaf's
         propagation leaves that leaf with empty layers (its pivot
@@ -125,13 +118,9 @@ class StarDSearch(StarKSearch):
                     if leaf_maps is not None and self.candidate_limit is None:
                         seeds = leaf_maps[position]
                     else:
-                        # Scoped seeds stay exact for owned pivots (see
-                        # class doc); a global cutoff forces global seeds.
-                        seed_scope = (self.leaf_scope
-                                      if self.candidate_limit is None else None)
                         seeds = dict(node_candidates(
                             self.scorer, leaf, limit=self.candidate_limit,
-                            budget=budget, scope=seed_scope,
+                            budget=budget,
                         ))
                     layers = propagate(self.graph, seeds, self.d,
                                        budget=budget, targets=targets)
@@ -198,9 +187,7 @@ class StarDSearch(StarKSearch):
         if self.d == 1:
             return super()._plan(star, weights, budget)
         pivot_cands = self._pivot_candidates(star, budget=budget)
-        leaf_maps = leaf_candidate_maps(
-            self.scorer, star, budget=budget, scope=self.leaf_scope
-        )
+        leaf_maps = leaf_candidate_maps(self.scorer, star, budget=budget)
         leaf_layers = self._propagate_leaves(
             star, budget=budget, leaf_maps=leaf_maps,
             targets=[pivot_node for pivot_node, _score in pivot_cands],

@@ -119,14 +119,12 @@ class StarKSearch:
         directed: enforce query-edge orientation (RDF/SPARQL-style);
             requires ``d == 1`` (see ``edge_match``).
         pivot_scope: optional node-id set the pivot may match within --
-            the sharded execution layer's ownership restriction.  Without
-            a ``candidate_limit`` the scope is pushed into candidate
-            generation; with one, candidates are generated globally (so
-            the cutoff keeps its global meaning) and filtered afterwards.
-        leaf_scope: optional node-id set leaves may match within.  For a
-            shard this is the *halo* -- owned nodes plus everything
-            within d hops of them -- so every match pivoted at an owned
-            node sees exactly the leaf candidates the unscoped run would.
+            a shard's owned pivots.  Without a ``candidate_limit`` the
+            scope is pushed into candidate generation; with one,
+            candidates are generated globally (so the cutoff keeps its
+            global meaning) and filtered afterwards.  Leaves are never
+            scoped, so every match pivoted in the scope sees exactly the
+            leaf candidates the unscoped run would.
     """
 
     #: Procedure name: ``SearchReport.algorithm``, ``EngineStats.algorithm``
@@ -148,7 +146,6 @@ class StarKSearch:
         sketch=None,
         directed: bool = False,
         pivot_scope: Optional[AbstractSet[int]] = None,
-        leaf_scope: Optional[AbstractSet[int]] = None,
     ) -> None:
         if d < 1:
             raise SearchError(f"search bound d must be >= 1, got {d}")
@@ -167,7 +164,6 @@ class StarKSearch:
             sketch = NeighborhoodSketch(scorer.graph)
         self.sketch = sketch
         self.pivot_scope = pivot_scope
-        self.leaf_scope = leaf_scope
         self.stats = SearchStats()
         self.last_report: Optional[SearchReport] = None
 
@@ -474,9 +470,7 @@ class StarKSearch:
         with obs.trace("stark.candidates"):
             pivot_cands = self._pivot_candidates(star, budget=budget)
         with obs.trace("stark.leaf_fetch", leaves=len(star.leaves)):
-            leaf_maps = leaf_candidate_maps(
-                self.scorer, star, budget=budget, scope=self.leaf_scope
-            )
+            leaf_maps = leaf_candidate_maps(self.scorer, star, budget=budget)
         signatures = None
         if self.sketch is not None and self.d == 1:
             signatures = [
@@ -689,7 +683,6 @@ def leaf_candidate_maps(
     scorer: ScoringFunction,
     star: StarQuery,
     budget: Optional[Budget] = None,
-    scope: Optional[AbstractSet[int]] = None,
 ) -> List[Dict[int, float]]:
     """Admissible candidates (node -> ``F_N``) per leaf position.
 
@@ -697,10 +690,6 @@ def leaf_candidate_maps(
     threshold, :func:`repro.core.candidates.node_candidates`), so stark,
     stard, graphTA, BP and the brute-force oracle agree on which node may
     match which leaf.  Leaves with identical constraints share one map.
-
-    ``scope`` restricts the maps to a node subset (a shard's halo);
-    because leaf maps carry no cutoff, the scoped map is exactly the
-    unscoped map restricted to the scope.
     """
     by_constraint: Dict[object, Dict[int, float]] = {}
     maps: List[Dict[int, float]] = []
@@ -708,9 +697,7 @@ def leaf_candidate_maps(
         key = leaf.descriptor.cache_key
         cached = by_constraint.get(key)
         if cached is None:
-            cached = dict(
-                node_candidates(scorer, leaf, budget=budget, scope=scope)
-            )
+            cached = dict(node_candidates(scorer, leaf, budget=budget))
             by_constraint[key] = cached
         maps.append(cached)
     return maps

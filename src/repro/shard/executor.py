@@ -1,4 +1,4 @@
-"""Sharded star-search execution: scoped workers + global rank merge.
+"""Sharded star-search execution: pivot-scoped workers + global rank merge.
 
 ``ShardedEngine`` splits a star query across the shards of a
 :class:`~repro.shard.partition.GraphPartition` and merges the per-shard
@@ -10,27 +10,28 @@ monotone match streams back into one exact global top-k:
   (copy-on-write), so
   scores -- IDF, degree normalizers, all corpus statistics -- are
   computed globally and match single-process execution bit for bit;
-* a worker's matcher is *scoped*: pivot candidates restricted to the
-  shard's owned nodes, leaf candidates / propagation seeds to its halo
+* a worker's matcher is *pivot-scoped*: its pivot candidates are the
+  shard's owned nodes, while leaves and propagation read the whole graph
   (exactness argument in :mod:`repro.shard.partition`), so per-shard
-  work shrinks roughly linearly in the shard count;
+  pivot work shrinks roughly linearly in the shard count;
 * the parent treats each shard stream as a rank-join input
   (:class:`~repro.core.rankmerge.RankMerger`): streams are pulled in
   chunks, the k-th pooled score is the HRJN threshold, and a shard
   whose last score can no longer reach the threshold is *stopped*
   without draining (``shard.bound_terminated``).
 
-Results are byte-identical across shard counts, partition strategies
-and backends: disjoint pivot ownership makes shard outputs disjoint,
-and the merger ranks by the canonical ``(-score, match.key())`` order,
-which no arrival interleaving can perturb.
+Results are byte-identical across shard counts and backends: disjoint
+pivot ownership makes shard outputs disjoint, and the merger ranks by
+the canonical ``(-score, match.key())`` order, which no arrival
+interleaving can perturb.
 
 Fault tolerance: each shard's worker is a
 :class:`repro.runtime.workers.ForkWorker` (private duplex pipe,
 EOF/broken pipe means death).  A shard stream is stateful, so instead of
 the task pool's re-queue the dead shard's stream is re-run inline in
-the parent (same scoped matcher, same results -- the merger dedups any
-half-delivered chunk) and the worker is respawned for the next query.
+the parent (same pivot-scoped matcher, same results -- the merger dedups
+the re-offered half-delivered chunk) and the worker is respawned for the
+next query.
 Workers are stopped on :meth:`ShardedEngine.close` and by a
 ``weakref.finalize`` safety net.
 """
@@ -80,9 +81,7 @@ def _shard_worker_main(conn, graph, config, index, tier, partition,
     scorer = ScoringFunction(graph, config)
     scorer.graph_index = index
     scorer.semantic_tier = tier
-    matcher = star_matcher(
-        scorer, options, partition.owned[shard_id], partition.halos[shard_id],
-    )
+    matcher = star_matcher(scorer, options, partition.owned[shard_id])
     stream = None
     while True:
         try:
@@ -263,14 +262,8 @@ class ShardedEngine:
         """(Re)partition and (re)start workers for the current graph
         version; the previous generation is torn down first."""
         _stop_workers(self._workers)
-        self._partition = partition_graph(
-            self.graph, self.num_shards, self.options.partition,
-            replication_depth=self.options.d,
-        )
+        self._partition = partition_graph(self.graph, self.num_shards)
         self._local_matchers = {}
-        # Built now, not on first use: a procedure without scopes
-        # (hybrid) fails the construction, before any worker is forked.
-        self._local_matcher(0)
         if self.backend == "fork":
             index = self.scorer.graph_index
             if index is not None:
@@ -311,11 +304,8 @@ class ShardedEngine:
     def _local_matcher(self, shard_id: int):
         matcher = self._local_matchers.get(shard_id)
         if matcher is None:
-            matcher = star_matcher(
-                self.scorer, self.options,
-                self._partition.owned[shard_id],
-                self._partition.halos[shard_id],
-            )
+            matcher = star_matcher(self.scorer, self.options,
+                                   self._partition.owned[shard_id])
             self._local_matchers[shard_id] = matcher
         return matcher
 

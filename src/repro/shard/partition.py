@@ -1,45 +1,24 @@
-"""Graph partitioning for sharded star search.
+"""Pivot ownership for sharded star search.
 
 A partition assigns every live node to exactly one *owner* shard
-(disjoint, exhaustive), then extends each shard with a *halo*: the
-owned set plus every node within ``replication_depth`` hops of it.
-Replication depth mirrors the engine's search bound ``d``: a star
-pivoted at an owned node only ever binds leaves reachable within ``d``
-hops (``stark``'s adjacency fetch at d = 1, ``stard``'s message
-passing at d >= 2), so restricting a shard's pivot candidates to its
-owned set and its leaf candidates / propagation seeds to its halo is
-*exact* -- the shard produces precisely the global matches whose pivot
-it owns, with globally computed scores (workers share the full graph
-and its corpus statistics).  Disjoint ownership then makes shard
-outputs disjoint, so the global merge is a duplicate-free rank join.
-
-Two strategies:
-
-* ``hash`` -- splitmix64-mixed node id modulo shard count.  Uniform,
-  oblivious, and stable under graph growth of unrelated regions; the
-  halo is typically large on well-connected graphs (most nodes are
-  within d hops of every shard).
-* ``pivot-type`` -- greedy bin packing of *type groups* (largest
-  first) onto the least-loaded shard, untyped nodes hashed.  Queries
-  pivot on typed constraints far more often than not, so co-locating a
-  type puts all plausible pivots of a query on few shards and shrinks
-  per-shard halos to each type's neighborhood.
-
-Cut statistics (``cut_edges``, ``replication_factor``) quantify the
-replication cost the halo rule implies; ``repro.obs`` exposes them as
-``shard.*`` gauges.
+(disjoint, exhaustive) by a splitmix64-mixed hash of its id, and that is
+all it decides.  Every shard worker reads the whole graph (fork
+inheritance), so a shard scores leaves and propagates over exactly what
+a single process would; restricting only its *pivot* candidates to its
+owned set then makes it produce precisely the global matches whose pivot
+it owns (Lemma 1 applies per pivot), with globally computed scores.
+Disjoint ownership makes shard outputs disjoint, so the global merge is
+a duplicate-free rank join.  A node's owner depends on its id and the
+shard count alone, so a mutation never moves an existing node.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, FrozenSet, List, Tuple
+from typing import FrozenSet, Tuple
 
 from repro.errors import SearchError
 
-__all__ = ["GraphPartition", "partition_graph", "STRATEGIES"]
-
-STRATEGIES = ("hash", "pivot-type")
+__all__ = ["GraphPartition", "partition_graph"]
 
 _M64 = (1 << 64) - 1
 
@@ -53,151 +32,39 @@ def _mix(x: int) -> int:
 
 
 class GraphPartition:
-    """An immutable shard assignment over one graph version."""
+    """An immutable pivot-ownership assignment over one graph version."""
 
-    __slots__ = ("num_shards", "strategy", "replication_depth",
-                 "graph_uid", "graph_version", "owned", "halos",
-                 "cut_edges", "num_nodes")
+    __slots__ = ("num_shards", "graph_uid", "graph_version", "owned",
+                 "num_nodes")
 
-    def __init__(self, num_shards: int, strategy: str,
-                 replication_depth: int, graph_uid: int,
-                 graph_version: int, owned: Tuple[FrozenSet[int], ...],
-                 halos: Tuple[FrozenSet[int], ...],
-                 cut_edges: int, num_nodes: int) -> None:
+    def __init__(self, num_shards: int, graph_uid: int, graph_version: int,
+                 owned: Tuple[FrozenSet[int], ...], num_nodes: int) -> None:
         self.num_shards = num_shards
-        self.strategy = strategy
-        self.replication_depth = replication_depth
         self.graph_uid = graph_uid
         self.graph_version = graph_version
         #: Disjoint, exhaustive owner sets (pivot scopes).
         self.owned = owned
-        #: ``owned[i]`` plus its ``replication_depth``-hop ball (leaf /
-        #: seed scopes).
-        self.halos = halos
-        #: Edges whose endpoints land in different owner sets.
-        self.cut_edges = cut_edges
         self.num_nodes = num_nodes
 
     @property
     def replication_factor(self) -> float:
-        """``sum(|halo_i|) / |V|`` -- 1.0 means zero replication."""
-        if not self.num_nodes:
-            return 1.0
-        return sum(len(h) for h in self.halos) / self.num_nodes
-
-    def shard_of(self, node_id: int) -> int:
-        for shard_id, members in enumerate(self.owned):
-            if node_id in members:
-                return shard_id
-        raise KeyError(node_id)
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "num_shards": self.num_shards,
-            "strategy": self.strategy,
-            "replication_depth": self.replication_depth,
-            "owned_sizes": [len(s) for s in self.owned],
-            "halo_sizes": [len(h) for h in self.halos],
-            "cut_edges": self.cut_edges,
-            "replication_factor": round(self.replication_factor, 4),
-        }
+        """Graph copies read per node: every worker reads the whole
+        graph, so this is the shard count."""
+        return float(self.num_shards)
 
 
-def _halo(graph, owned: FrozenSet[int], depth: int) -> FrozenSet[int]:
-    """*owned* plus every node within *depth* hops of it (BFS)."""
-    if depth <= 0:
-        return owned
-    seen = set(owned)
-    frontier = deque((node, 0) for node in owned)
-    while frontier:
-        node, dist = frontier.popleft()
-        if dist == depth:
-            continue
-        for nbr, _eid in graph.neighbors(node):
-            if nbr not in seen:
-                seen.add(nbr)
-                frontier.append((nbr, dist + 1))
-    return frozenset(seen)
-
-
-def _assign_hash(graph, num_shards: int) -> List[set]:
-    owned: List[set] = [set() for _ in range(num_shards)]
-    for node_id in graph.nodes():
-        owned[_mix(node_id) % num_shards].add(node_id)
-    return owned
-
-
-def _assign_pivot_type(graph, num_shards: int) -> List[set]:
-    groups: Dict[str, List[int]] = {}
-    untyped: List[int] = []
-    for node_id in graph.nodes():
-        node_type = graph.node(node_id).type
-        if node_type:
-            groups.setdefault(node_type, []).append(node_id)
-        else:
-            untyped.append(node_id)
-    owned: List[set] = [set() for _ in range(num_shards)]
-    loads = [0] * num_shards
-    # Largest group first onto the least-loaded shard (name breaks size
-    # ties so the assignment is deterministic across runs).
-    for name in sorted(groups, key=lambda t: (-len(groups[t]), t)):
-        members = groups[name]
-        target = min(range(num_shards), key=lambda s: (loads[s], s))
-        owned[target].update(members)
-        loads[target] += len(members)
-    for node_id in untyped:
-        owned[_mix(node_id) % num_shards].add(node_id)
-    return owned
-
-
-def partition_graph(graph, num_shards: int, strategy: str = "hash",
-                    replication_depth: int = 1) -> GraphPartition:
-    """Partition *graph* into *num_shards* owner sets plus halos.
-
-    Args:
-        strategy: ``hash`` or ``pivot-type`` (see module docstring).
-        replication_depth: halo radius; must be >= the engine's search
-            bound ``d`` for sharded answers to be exact.
+def partition_graph(graph, num_shards: int) -> GraphPartition:
+    """Hash the live nodes of *graph* into *num_shards* owner sets.
 
     Raises:
-        SearchError: for a non-positive shard count, unknown strategy,
-            or negative replication depth.
+        SearchError: for a non-positive shard count.
     """
     if num_shards < 1:
         raise SearchError(f"num_shards must be >= 1, got {num_shards}")
-    if strategy not in STRATEGIES:
-        raise SearchError(
-            f"unknown partition strategy {strategy!r}; "
-            f"expected one of {STRATEGIES}"
-        )
-    if replication_depth < 0:
-        raise SearchError(
-            f"replication_depth must be >= 0, got {replication_depth}"
-        )
-    if num_shards == 1:
-        everything = frozenset(graph.nodes())
-        return GraphPartition(
-            1, strategy, replication_depth, graph.uid, graph.version,
-            (everything,), (everything,), 0, len(everything),
-        )
-    if strategy == "hash":
-        owned_sets = _assign_hash(graph, num_shards)
-    else:
-        owned_sets = _assign_pivot_type(graph, num_shards)
-
-    shard_by_node: Dict[int, int] = {}
-    for shard_id, members in enumerate(owned_sets):
-        for node_id in members:
-            shard_by_node[node_id] = shard_id
-    cut = 0
-    for node_id, home in shard_by_node.items():
-        for nbr, _eid in graph.neighbors(node_id):
-            if nbr > node_id and shard_by_node.get(nbr, home) != home:
-                cut += 1
-
-    owned = tuple(frozenset(s) for s in owned_sets)
-    halos = tuple(_halo(graph, s, replication_depth) for s in owned)
+    owned = [set() for _ in range(num_shards)]
+    for node_id in graph.nodes():
+        owned[_mix(node_id) % num_shards].add(node_id)
     return GraphPartition(
-        num_shards, strategy, replication_depth, graph.uid, graph.version,
-        owned, halos, cut, len(shard_by_node),
+        num_shards, graph.uid, graph.version,
+        tuple(frozenset(s) for s in owned), sum(map(len, owned)),
     )

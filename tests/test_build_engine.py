@@ -17,7 +17,6 @@ import pytest
 from repro import obs
 from repro.cli import main
 from repro.core.framework import Star
-from repro.errors import SearchError
 from repro.graph import save_graph
 from repro.perf import build_engine, search_many
 from repro.query import parse_query
@@ -87,6 +86,9 @@ CASES = {
         QUERY, {"d": 2, "algorithm": "stark"},
         ["-d", "2", "--algorithm", "stark"],
         {"stark.pivot_search"}, {"stard.propagate", "stard.pivot_eval"}),
+    "star-hybrid": (
+        QUERY, {"algorithm": "hybrid"}, ["--algorithm", "hybrid"],
+        {"hybrid.pivot_eval"}, {"stark.pivot_search"}),
 }
 
 
@@ -110,8 +112,8 @@ def _check_every_door(paths, capsys, storage, shards,
         # The CLI works this out from the file it is given.
         opts["mmap_store"] = paths["mmap"]
     if shards is not None:
-        opts.update(shards=shards, partition="pivot-type")
-        cli += ["--shards", str(shards), "--partition", "pivot-type"]
+        opts["shards"] = shards
+        cli += ["--shards", str(shards)]
     # A general query under ``shards`` runs on the in-process fallback
     # engine; a sharded star query is traceable on the serial transport
     # only (the CLI has no flag for it: its fork workers go unobserved).
@@ -124,18 +126,6 @@ def _check_every_door(paths, capsys, storage, shards,
         names = _span_names(tracer)
         assert must <= names, (options, sorted(names))
         assert not must_not & names, (options, sorted(must_not & names))
-
-    if shards is not None and options.get("algorithm") == "hybrid":
-        # hybrid implements no pivot/leaf scopes: rejected at
-        # construction, through every door, never swapped for ``auto``.
-        for build in (lambda: build_engine(graph, opts),
-                      lambda: EngineContext(graph, engine_opts=opts),
-                      lambda: search_many(graph, [query], K, **opts)):
-            with pytest.raises(SearchError, match="pivot/leaf scopes"):
-                build()
-        assert main(cli) == 2
-        assert "pivot/leaf scopes" in capsys.readouterr().err
-        return
 
     engine = build_engine(graph, opts)
     try:

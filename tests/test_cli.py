@@ -397,3 +397,10 @@ class TestEngineOptionGroup:
         assert raised.value.code == 2
         err = capsys.readouterr().err
         assert "unrecognized arguments" in err or "invalid choice" in err
+
+    def test_partition_flag_is_gone(self, saved_graph, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["search", saved_graph, "(?m) -[?]- (Brad)",
+                  "--shards", "2", "--partition", "hash"])
+        assert raised.value.code == 2
+        assert "unrecognized arguments: --partition" in capsys.readouterr().err

@@ -1,14 +1,15 @@
-"""Tests for the vertex-centric (Pregel-style) propagation engine."""
+"""Tests for the vertex-centric (Pregel-style) propagation engine that
+``benchmarks/bench_ablation_design.py`` measures."""
 
 import pytest
 
-from repro.core.messages import propagate
-from repro.core.vertex_centric import (
+from benchmarks.vertex_centric import (
     PregelEngine,
     StardPropagation,
     VertexProgram,
     propagate_vertex_centric,
 )
+from repro.core.messages import propagate
 from repro.errors import SearchError
 from repro.graph import KnowledgeGraph
 

@@ -21,13 +21,12 @@ from repro.shard import ShardedEngine
 from repro.similarity import ScoringFunction
 
 #: Every option in declaration order, with its default: the search
-#: knobs, then the four that route construction.
+#: knobs, then the three that route construction.
 SEED_DEFAULTS = {
     "d": 1, "alpha": 0.5, "decomposition_method": "simdec", "lam": 1.0,
     "injective": True, "candidate_limit": None, "directed": False,
     "use_index": "auto", "use_semantic": "auto", "algorithm": "auto",
-    "mmap_store": None, "shards": None, "partition": "hash",
-    "shard_backend": "auto",
+    "mmap_store": None, "shards": None, "shard_backend": "auto",
 }
 
 #: Every way a caller can hand options in, as ``door(graph, **knobs)``.
@@ -75,6 +74,9 @@ RULES = [
      "unknown search option 'plan'; valid options: d, alpha,"),
     ({"plan_model": "model.json"}, SearchError,
      "unknown search option 'plan_model'; valid options: d, alpha,"),
+    # Shards own hash slices of the pivots; there is no strategy to pick.
+    ({"partition": "hash"}, SearchError,
+     "unknown search option 'partition'; valid options: d, alpha,"),
 ]
 
 
@@ -109,13 +111,6 @@ class TestOneValidation:
         assert "'dd'" in text and "'usee_index'" in text
         assert all(name in text for name in FIELD_NAMES)
 
-    def test_partition_strategy_stays_the_partitioner_s_check(
-            self, movie_graph):
-        assert SearchOptions(partition="by-color").partition == "by-color"
-        with pytest.raises(SearchError, match="unknown partition strategy"):
-            ShardedEngine(movie_graph, partition="by-color",
-                          backend="serial")
-
     def test_options_and_keywords_do_not_mix(self, movie_graph):
         record = SearchOptions(d=2)
         for door in ("Star", "ShardedEngine", "search_many", "StarJoin"):
@@ -129,7 +124,7 @@ class TestOneValidation:
 class TestTheRecord:
     def test_fields_and_defaults_are_the_seed_s(self, movie_graph):
         fields = dataclasses.fields(SearchOptions)
-        assert len(fields) == 14
+        assert len(fields) == 13
         assert {f.name: f.default for f in fields} == SEED_DEFAULTS
         assert FIELD_NAMES == tuple(SEED_DEFAULTS)
         assert Star(movie_graph).options == SearchOptions()
@@ -168,5 +163,6 @@ class TestTheRecord:
         with build_engine(movie_graph, {"shards": 3, "d": 2,
                                         "shard_backend": "serial"}) as engine:
             assert engine.num_shards == 3
-            assert engine.partition.replication_depth == 2
+            # every worker reads the whole graph, whatever d is
+            assert engine.partition.replication_factor == 3.0
 

@@ -366,18 +366,18 @@ def test_skewed_batch_fork_parity_and_lpt_order(movie_graph):
 
 def test_search_many_sharded_invariant_across_shard_counts(yago_graph,
                                                            star_queries):
-    """shards=N rankings are byte-identical for every shard count and
-    strategy (the canonical merge order is shard-oblivious)."""
+    """shards=N rankings are byte-identical for every shard count (the
+    canonical merge order is shard-oblivious)."""
     reference = None
-    for shards, partition in ((1, "hash"), (3, "hash"), (3, "pivot-type")):
+    for shards in (1, 3):
         result = search_many(yago_graph, star_queries, 5, shards=shards,
-                             partition=partition, backend="serial")
+                             backend="serial")
         got = [tuple((m.key(), m.score) for m in row)
                for row in result.matches]
         if reference is None:
             reference = got
         else:
-            assert got == reference, f"{partition}/{shards} diverged"
+            assert got == reference, f"{shards} shards diverged"
         assert result.workers == shards
         assert result.backend == "shard-serial"
 

@@ -3,12 +3,13 @@
 The headline invariant of ``repro.shard``: for every star query,
 :class:`~repro.shard.ShardedEngine` returns the same top-k as the
 single-process :class:`~repro.core.framework.Star` -- across random
-graphs, both partition strategies, shard counts 1..8, d in {1, 2}, and
-after graph mutations (which trigger an automatic re-partition).  The
-comparison is tie-tolerant in the oracle's style (rank-by-rank score
-equality plus assignment validity at that score); across *shard counts*
-the stronger claim holds -- byte-identical rankings -- because the
-merger's canonical ``(-score, key)`` order is shard-oblivious.
+graphs, every star procedure (``ALGORITHMS``, hybrid included), shard
+counts 1..8, d in {1, 2}, and after graph mutations (which trigger an
+automatic re-partition).  The comparison is tie-tolerant in the
+oracle's style (rank-by-rank score equality plus assignment validity at
+that score); across *shard counts* the stronger claim holds --
+byte-identical rankings -- because the merger's canonical
+``(-score, key)`` order is shard-oblivious.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from collections import defaultdict
 from hypothesis import given, settings, strategies as st
 
 from repro.core.framework import Star
+from repro.core.options import ALGORITHMS
 from repro.query import star_workload
-from repro.shard import STRATEGIES, ShardedEngine
+from repro.shard import ShardedEngine
 from repro.similarity import ScoringFunction
 
 from tests.conftest import build_random_graph
@@ -66,14 +68,14 @@ class TestShardedDifferential:
     @given(
         seed=st.integers(min_value=0, max_value=10),
         shards=st.integers(min_value=1, max_value=8),
-        strategy=st.sampled_from(STRATEGIES),
+        algorithm=st.sampled_from(ALGORITHMS),
         d=st.sampled_from((1, 2)),
     )
     @settings(max_examples=40, deadline=None)
-    def test_sharded_equals_single_process(self, seed, shards, strategy, d):
+    def test_sharded_equals_single_process(self, seed, shards, algorithm, d):
         graph, scorer, expected = baseline_for(seed, d)
         engine = ShardedEngine(
-            graph, scorer=scorer, shards=shards, partition=strategy,
+            graph, scorer=scorer, shards=shards, algorithm=algorithm,
             backend="serial", d=d,
         )
         try:
@@ -85,10 +87,10 @@ class TestShardedDifferential:
 
     @given(
         seed=st.integers(min_value=0, max_value=8),
-        strategy=st.sampled_from(STRATEGIES),
+        algorithm=st.sampled_from(ALGORITHMS),
     )
     @settings(max_examples=15, deadline=None)
-    def test_ranking_invariant_across_shard_counts(self, seed, strategy):
+    def test_ranking_invariant_across_shard_counts(self, seed, algorithm):
         """Sharded rankings are byte-identical for every shard count."""
         graph = build_random_graph(seed)
         scorer = ScoringFunction(graph)
@@ -96,7 +98,7 @@ class TestShardedDifferential:
         rankings = {}
         for shards in (1, 2, 4, 7):
             engine = ShardedEngine(
-                graph, scorer=scorer, shards=shards, partition=strategy,
+                graph, scorer=scorer, shards=shards, algorithm=algorithm,
                 backend="serial", d=1,
             )
             try:
@@ -111,16 +113,16 @@ class TestShardedDifferential:
     @given(
         seed=st.integers(min_value=0, max_value=6),
         shards=st.integers(min_value=2, max_value=5),
-        strategy=st.sampled_from(STRATEGIES),
+        algorithm=st.sampled_from(ALGORITHMS),
     )
     @settings(max_examples=15, deadline=None)
     def test_mutation_triggers_exact_repartition(self, seed, shards,
-                                                 strategy):
+                                                 algorithm):
         graph = build_random_graph(seed)
         scorer = ScoringFunction(graph)
         queries = star_workload(graph, 2, seed=seed + 50)
         engine = ShardedEngine(
-            graph, scorer=scorer, shards=shards, partition=strategy,
+            graph, scorer=scorer, shards=shards, algorithm=algorithm,
             backend="serial", d=1,
         )
         try:

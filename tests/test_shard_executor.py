@@ -1,10 +1,10 @@
 """Tests for the sharded execution engine (workers, merge, recovery).
 
-Covers the fork backend end to end: scoped workers over a
-fork-inherited index, chunked pulls with bound-based stream
-termination, duplicate suppression for overlapping scopes, crash
-recovery via the inline fallback + respawn, and that no worker process
-outlives ``close()``.
+Covers the fork backend end to end: pivot-scoped workers over a
+fork-inherited graph and index, every star procedure, chunked pulls
+with bound-based stream termination, duplicate suppression for
+re-offered matches, crash recovery via the inline fallback + respawn,
+and that no worker process outlives ``close()``.
 """
 
 from __future__ import annotations
@@ -13,10 +13,11 @@ import pytest
 
 from repro import obs
 from repro.core.framework import Star
+from repro.core.options import ALGORITHMS
 from repro.errors import SearchError
 from repro.perf import fork_available
 from repro.query import star_workload
-from repro.query.model import Query
+from repro.query.model import Query, StarQuery
 from repro.runtime.budget import Budget
 from repro.runtime.workers import WorkerDied
 from repro.shard import ShardedEngine
@@ -25,7 +26,7 @@ from repro.shard.partition import GraphPartition
 from repro.similarity import ScoringFunction
 
 from tests.conftest import build_movie_graph, build_random_graph
-from tests.oracle import assert_same_results
+from tests.oracle import assert_matches_meet_oracle, assert_same_results
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable"
@@ -92,8 +93,9 @@ class TestSerialBackend:
             assert sum(stats["matches_pulled"]) >= 2
 
     def test_overlapping_scopes_are_deduplicated(self):
-        """With fully overlapping shard scopes every match arrives once
-        per shard; the merger must suppress the duplicates exactly."""
+        """With fully overlapping pivot scopes every match arrives once
+        per shard -- what a crashed shard's inline re-run re-offers; the
+        merger must suppress the duplicates exactly."""
         graph = build_movie_graph()
         scorer = ScoringFunction(graph)
         baseline = Star(graph, scorer=scorer)
@@ -102,9 +104,8 @@ class TestSerialBackend:
                            backend="serial") as engine:
             everything = frozenset(graph.nodes())
             engine._partition = GraphPartition(
-                2, "hash", 1, graph.uid, graph.version,
-                (everything, everything), (everything, everything),
-                0, graph.num_nodes,
+                2, graph.uid, graph.version, (everything, everything),
+                graph.num_nodes,
             )
             engine._local_matchers = {}
             got = engine.search(query, 5)
@@ -221,6 +222,20 @@ class TestForkBackend:
                 assert_tie_equivalent(engine.search(query, 4),
                                       baseline, query, 4)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_every_procedure_meets_the_oracle(self, d):
+        graph = build_random_graph(3)
+        scorer = ScoringFunction(graph)
+        queries = star_queries(graph, n=2)
+        for algorithm in ALGORITHMS:
+            with ShardedEngine(graph, scorer=scorer, shards=2, d=d,
+                               backend="fork", algorithm=algorithm) as engine:
+                for query in queries:
+                    assert_matches_meet_oracle(
+                        engine.search(query, 4), scorer,
+                        StarQuery.from_query(query), 4, d=d,
+                        label=f"{algorithm} sharded (d={d})")
+
     def test_crash_recovery_and_respawn(self):
         graph = build_random_graph(8)
         scorer = ScoringFunction(graph)
@@ -259,7 +274,7 @@ class TestForkBackend:
             assert snap["counters"]["shard.streams_opened"] == 2
             assert snap["counters"]["shard.matches_pulled"] >= 0
             assert snap["gauges"]["shard.count"] == 2
-            assert snap["gauges"]["shard.replication_factor"] >= 1.0
+            assert snap["gauges"]["shard.replication_factor"] == 2.0
 
 
 @needs_fork

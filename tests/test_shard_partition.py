@@ -1,45 +1,27 @@
-"""Tests for the graph partitioner behind sharded execution.
+"""Tests for the pivot ownership behind sharded execution.
 
-The exactness of sharded search rests on two structural invariants
-checked here: owner sets are disjoint and exhaustive (shard outputs are
-then disjoint), and every halo contains the full ``replication_depth``-
-hop ball of its owned set (every star pivoted in the shard is locally
-answerable).
+The exactness of sharded search rests on one structural invariant
+checked here: owner sets are disjoint and exhaustive, so shard outputs
+are disjoint and together cover every pivot (each worker reads the
+whole graph for everything else).
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 import pytest
 
 from repro.errors import SearchError
-from repro.shard import STRATEGIES, partition_graph
+from repro.shard import partition_graph
 
 from tests.conftest import build_movie_graph, build_random_graph
 
 
-def ball(graph, sources, depth):
-    """All nodes within *depth* hops of *sources* (reference BFS)."""
-    seen = set(sources)
-    frontier = deque((node, 0) for node in sources)
-    while frontier:
-        node, dist = frontier.popleft()
-        if dist == depth:
-            continue
-        for nbr, _eid in graph.neighbors(node):
-            if nbr not in seen:
-                seen.add(nbr)
-                frontier.append((nbr, dist + 1))
-    return seen
-
-
 class TestInvariants:
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    @pytest.mark.parametrize("num_shards", (1, 2, 3, 5))
-    def test_owned_disjoint_and_exhaustive(self, strategy, num_shards):
+    @pytest.mark.parametrize("num_shards", (1, 2, 3, 5),
+                             ids=lambda n: f"{n}-hash")
+    def test_owned_disjoint_and_exhaustive(self, num_shards):
         graph = build_random_graph(4)
-        part = partition_graph(graph, num_shards, strategy)
+        part = partition_graph(graph, num_shards)
         nodes = set(graph.nodes())
         union = set()
         total = 0
@@ -48,91 +30,41 @@ class TestInvariants:
             total += len(members)
         assert union == nodes
         assert total == len(nodes)  # disjoint: sizes add up exactly
-
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    @pytest.mark.parametrize("depth", (0, 1, 2))
-    def test_halo_covers_depth_ball(self, strategy, depth):
-        graph = build_random_graph(2)
-        part = partition_graph(graph, 3, strategy,
-                               replication_depth=depth)
-        for owned, halo in zip(part.owned, part.halos):
-            assert owned <= halo
-            assert halo == ball(graph, owned, depth)
+        assert part.num_nodes == len(nodes)
 
     def test_deterministic(self):
         graph = build_random_graph(6)
-        a = partition_graph(graph, 4, "hash", replication_depth=2)
-        b = partition_graph(graph, 4, "hash", replication_depth=2)
-        assert a.owned == b.owned and a.halos == b.halos
-        assert a.cut_edges == b.cut_edges
+        a = partition_graph(graph, 4)
+        b = partition_graph(graph, 4)
+        assert a.owned == b.owned
+
+    def test_a_mutation_moves_no_existing_node(self):
+        graph = build_random_graph(6)
+        before = partition_graph(graph, 3)
+        fresh = graph.add_node("fresh node", "actor")
+        after = partition_graph(graph, 3)
+        for old, new in zip(before.owned, after.owned):
+            assert old <= new and new - old <= {fresh}
 
     def test_single_shard_fast_path(self):
         graph = build_movie_graph()
-        part = partition_graph(graph, 1, "hash", replication_depth=2)
-        everything = frozenset(graph.nodes())
-        assert part.owned == (everything,)
-        assert part.halos == (everything,)
-        assert part.cut_edges == 0
+        part = partition_graph(graph, 1)
+        assert part.owned == (frozenset(graph.nodes()),)
         assert part.replication_factor == 1.0
 
-    def test_cut_and_replication_statistics(self):
-        graph = build_random_graph(3)
-        part = partition_graph(graph, 4, "hash")
-        # A connected-ish random graph split 4 ways must cut something,
-        # and halos then replicate nodes across shards.
-        assert part.cut_edges > 0
-        assert part.replication_factor > 1.0
-        described = part.describe()
-        assert described["num_shards"] == 4
-        assert described["owned_sizes"] == [len(s) for s in part.owned]
-        assert described["halo_sizes"] == [len(h) for h in part.halos]
-
-    def test_shard_of(self):
-        graph = build_movie_graph()
-        part = partition_graph(graph, 3, "hash")
-        for node_id in graph.nodes():
-            assert node_id in part.owned[part.shard_of(node_id)]
-        with pytest.raises(KeyError):
-            part.shard_of(10_000)
-
-
-class TestPivotTypeStrategy:
-    def test_types_are_colocated(self):
-        graph = build_random_graph(8)
-        part = partition_graph(graph, 3, "pivot-type")
-        for node_id in graph.nodes():
-            node_type = graph.node(node_id).type
-            if not node_type:
-                continue
-            home = part.shard_of(node_id)
-            peers = [other for other in graph.nodes()
-                     if graph.node(other).type == node_type]
-            assert all(part.shard_of(p) == home for p in peers)
-
-    def test_untyped_nodes_fall_back_to_hash(self):
-        graph = build_movie_graph()
-        untyped = graph.add_node("mystery thing", "")
-        hash_part = partition_graph(graph, 3, "hash")
-        type_part = partition_graph(graph, 3, "pivot-type")
-        assert type_part.shard_of(untyped) == hash_part.shard_of(untyped)
+    def test_replication_factor_is_the_shard_count(self):
+        # Every worker reads the whole graph: one copy per shard.
+        part = partition_graph(build_random_graph(3), 4)
+        assert part.replication_factor == 4.0
 
 
 class TestValidation:
     def test_bad_shard_count(self):
         with pytest.raises(SearchError):
-            partition_graph(build_movie_graph(), 0, "hash")
-
-    def test_unknown_strategy(self):
-        with pytest.raises(SearchError, match="strategy"):
-            partition_graph(build_movie_graph(), 2, "metis")
-
-    def test_negative_depth(self):
-        with pytest.raises(SearchError, match="replication_depth"):
-            partition_graph(build_movie_graph(), 2, "hash",
-                            replication_depth=-1)
+            partition_graph(build_movie_graph(), 0)
 
     def test_version_recorded(self):
         graph = build_movie_graph()
-        part = partition_graph(graph, 2, "hash")
+        part = partition_graph(graph, 2)
         assert part.graph_uid == graph.uid
         assert part.graph_version == graph.version

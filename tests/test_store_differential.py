@@ -127,8 +127,7 @@ class TestIndexParity:
 
 
 class TestShardedParity:
-    @pytest.mark.parametrize("partition", ["hash", "pivot-type"])
-    def test_sharded_mmap_matches_single_process(self, tmp_path, partition):
+    def test_sharded_mmap_matches_single_process(self, tmp_path):
         from repro.shard import ShardedEngine
 
         graph = build_random_graph(3, num_nodes=40, num_edges=90)
@@ -140,8 +139,8 @@ class TestShardedParity:
         got_single = single.search(query, 6)
         scorer = ScoringFunction(mgraph)
         scorer.graph_index = attach_mmap_index(mgraph, mgraph, mode="on")
-        engine = ShardedEngine(mgraph, scorer=scorer, shards=3,
-                               partition=partition, d=2, use_index="on")
+        engine = ShardedEngine(mgraph, scorer=scorer, shards=3, d=2,
+                               use_index="on")
         try:
             got_sharded = engine.search(query, 6)
         finally:
