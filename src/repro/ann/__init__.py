@@ -8,8 +8,8 @@ the surfaced candidates are reranked with the real
 :class:`~repro.similarity.scoring.ScoringFunction` before anything
 reaches the search algorithms, so the tier changes recall, never
 scoring semantics.  :class:`SemanticTier` packages both stages plus
-the engagement policy (``use_semantic=auto|on|off``), the delta-journal
-refresh, and the response-time bound.
+the engagement policy (``use_semantic=auto|on|off``) and the
+delta-journal refresh; it embeds the graph in memory on its first probe.
 """
 
 from repro.ann.embedding import DEFAULT_DIM, NgramEmbedder

@@ -6,11 +6,11 @@ or external dependency.  Feature hashing over character trigrams plus
 word tokens does exactly that: trigrams capture fuzzy surface overlap
 ("nite" vs "night"), tokens capture shared vocabulary, and hashing them
 into a fixed ``dim``-dimensional space keeps every vector a flat
-``array('f')`` column the RKGS2 store can lay out verbatim.
+``array('f')`` column.
 
-Determinism is a hard requirement -- embeddings are written into
-byte-compared store files and rebuilt across processes -- so features
-hash with :func:`zlib.crc32` (stable across runs, platforms and
+Determinism is a hard requirement -- every process embeds the graph
+for itself and must probe the same neighbors -- so features hash with
+:func:`zlib.crc32` (stable across runs, platforms and
 ``PYTHONHASHSEED``), never Python's randomized ``hash()``.  The sign
 trick (feature hashing's variance reducer) takes the hash's top bit,
 which is independent of the ``h % dim`` bucket for any ``dim`` well
@@ -93,9 +93,8 @@ class NgramEmbedder:
         zero norm as "no semantic signal" and skip the probe.
 
         Accumulation happens in float64 and rounds to float32 once at
-        the end, so an embedding computed here is bit-identical to the
-        same embedding read back from a store file's ``ann.vecs``
-        column.
+        the end, so the query side and the stored float32 columns see
+        the same values.
         """
         acc = [0.0] * self.dim
         dim = self.dim

@@ -9,10 +9,7 @@ ranks the union by exact cosine against the stored columns.
 
 Everything here is deterministic: hyperplanes come from a seeded
 ``random.Random``, bucket tables are built by ascending node id, and
-probe results sort by ``(-cosine, node_id)``.  The same structure backs
-both the in-memory tier and the mmap tier -- the only difference is
-where the ``vecs``/``sigs`` flat arrays live (heap ``array`` vs store
-``memoryview``), which this module never needs to know.
+probe results sort by ``(-cosine, node_id)``.
 """
 
 from __future__ import annotations
@@ -32,9 +29,8 @@ def hyperplanes(dim: int, bands: int, band_bits: int,
                 seed: int) -> List[List[float]]:
     """The ``bands * band_bits`` Gaussian hyperplanes, seed-determined.
 
-    Builder and mmap reader both call this with the parameters stored in
-    the file's meta section, so signatures computed at attach time match
-    signatures computed at build time bit for bit.
+    Data side and query side share one :class:`BandIndex`, so node and
+    query signatures come from the same planes.
     """
     rng = random.Random(seed)
     return [
@@ -74,9 +70,8 @@ class BandIndex:
 
     The index does not own its data: ``vecs`` is any flat float sequence
     of ``slots * dim`` values and ``sigs`` any flat int sequence of
-    ``slots * bands`` band signatures (heap arrays or store
-    memoryviews).  ``alive`` maps slot -> liveness; dead slots
-    (tombstoned nodes) never leave a probe.
+    ``slots * bands`` band signatures.  ``alive`` maps slot -> liveness;
+    dead slots (tombstoned nodes) never leave a probe.
 
     Bucket tables are rebuilt lazily from the flat signature column --
     iterating slots in ascending order -- whenever the owner marks them

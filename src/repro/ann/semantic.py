@@ -17,13 +17,13 @@ nothing, the out-of-vocabulary case | ``on``) is read by
 :func:`repro.core.candidates.candidate_route`, the one place that
 decides when the tier runs (docs/architecture.md, "Candidate pipeline").
 
-Cost control is two-layered: a **percentile skip** reranks only the top
-``1 - rerank_percentile`` fraction of probed candidates by cosine
-(the rest are counted ``ann.skipped``), and a **time bound** charges
-every rerank against the caller's :class:`~repro.runtime.budget.Budget`
-or, when the caller passed none, an internal anytime budget of
-``time_bound_ms`` -- so an engaged tier can never stall a query past
-its deadline.
+The tier has one layout and no knobs: the embedding width, banding and
+seed are :mod:`repro.ann`'s constants, and the graph is embedded in
+memory on the first probe of the process (no store carries the
+columns).  Cost control: a **percentile skip** reranks only the top
+``1 - DEFAULT_RERANK_PERCENTILE`` fraction of probed candidates by
+cosine (the rest are counted ``ann.skipped``), and every rerank charges
+the caller's :class:`~repro.runtime.budget.Budget` when one was passed.
 """
 
 from __future__ import annotations
@@ -33,14 +33,7 @@ from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from repro import obs
 from repro.ann.embedding import DEFAULT_DIM, NgramEmbedder
-from repro.ann.lsh import (
-    DEFAULT_BAND_BITS,
-    DEFAULT_BANDS,
-    DEFAULT_SEED,
-    BandIndex,
-    hyperplanes,
-    signatures,
-)
+from repro.ann.lsh import BandIndex
 from repro.runtime.budget import Budget
 from repro.runtime.faults import SUBSTRATE_ERRORS
 
@@ -55,35 +48,6 @@ DEFAULT_PROBE_LIMIT = 64
 DEFAULT_RERANK_PERCENTILE = 0.5
 
 
-def build_columns(graph, dim: int = DEFAULT_DIM, bands: int = DEFAULT_BANDS,
-                  band_bits: int = DEFAULT_BAND_BITS,
-                  seed: int = DEFAULT_SEED):
-    """Embed every live node of *graph* into flat columns.
-
-    Returns ``(vecs, sigs, alive)``: ``array('f')`` of ``slots * dim``
-    values, ``array('Q')`` of ``slots * bands`` band signatures, and a
-    per-slot liveness bytearray.  Tombstoned slots stay zero.  This is
-    the single source of truth for the column layout -- the in-memory
-    tier builds through it and the RKGS2 store writer serializes its
-    output verbatim, which is what makes mmap-attached probes
-    bit-identical to in-memory ones.
-    """
-    embedder = NgramEmbedder(dim)
-    planes = hyperplanes(dim, bands, band_bits, seed)
-    slots = graph.num_node_slots
-    vecs = array("f", bytes(4 * dim * slots))
-    sigs = array("Q", bytes(8 * bands * slots))
-    alive = bytearray(slots)
-    for nid in graph.nodes():
-        data = graph.node(nid)
-        vec = embedder.embed(data.name, data.type, data.keywords)
-        vecs[nid * dim:(nid + 1) * dim] = vec
-        for b, sig in enumerate(signatures(vec, planes, bands, band_bits)):
-            sigs[nid * bands + b] = sig
-        alive[nid] = 1
-    return vecs, sigs, alive
-
-
 class SemanticTier:
     """Per-graph ANN structure + exact rerank.
 
@@ -94,31 +58,15 @@ class SemanticTier:
     attaching the tier to a query that never under-fills costs nothing.
     """
 
-    def __init__(self, graph, mode: str = "auto", dim: int = DEFAULT_DIM,
-                 bands: int = DEFAULT_BANDS,
-                 band_bits: int = DEFAULT_BAND_BITS,
-                 seed: int = DEFAULT_SEED,
-                 probe_limit: int = DEFAULT_PROBE_LIMIT,
-                 rerank_percentile: float = DEFAULT_RERANK_PERCENTILE,
-                 time_bound_ms: Optional[float] = None) -> None:
+    def __init__(self, graph, mode: str = "auto") -> None:
         if mode not in MODES:
             raise ValueError(
                 f"use_semantic mode must be one of {MODES}, got {mode!r}"
             )
-        if not 0.0 <= rerank_percentile < 1.0:
-            raise ValueError(
-                f"rerank_percentile must be in [0, 1), got {rerank_percentile}"
-            )
-        if probe_limit < 1:
-            raise ValueError(f"probe_limit must be >= 1, got {probe_limit}")
         self.graph = graph
         self.mode = mode
-        self.embedder = NgramEmbedder(dim)
-        self.index = BandIndex(dim, bands=bands, band_bits=band_bits,
-                               seed=seed)
-        self.probe_limit = probe_limit
-        self.rerank_percentile = rerank_percentile
-        self.time_bound_ms = time_bound_ms
+        self.embedder = NgramEmbedder(DEFAULT_DIM)
+        self.index = BandIndex(DEFAULT_DIM)
         self.vecs = array("f")
         self.sigs = array("Q")
         self.alive = bytearray()
@@ -140,9 +88,10 @@ class SemanticTier:
             self._rebuild()
 
     def _rebuild(self) -> None:
-        self.vecs, self.sigs, self.alive = build_columns(
-            self.graph, self.embedder.dim, self.index.bands,
-            self.index.band_bits, self.index.seed)
+        self.vecs, self.sigs, self.alive = array("f"), array("Q"), bytearray()
+        self._grow(self.graph.num_node_slots)
+        for nid in self.graph.nodes():
+            self._set_node(nid, self.graph.node(nid))
         self.index.bind(self.vecs, self.sigs, self.alive, len(self.alive))
         self._version = self.graph.version
         self._built = True
@@ -216,37 +165,30 @@ class SemanticTier:
         """Hashable identity of this tier's observable configuration.
 
         Joins the candidate-cache key so entries computed with the tier
-        engaged can never serve a differently-configured (or detached)
-        scorer, and vice versa.
+        engaged can never serve a scorer in another mode (or a detached
+        one), and vice versa.
         """
-        return ("ann", self.mode, self.embedder.dim, self.index.bands,
-                self.index.band_bits, self.index.seed, self.probe_limit,
-                self.rerank_percentile, self.time_bound_ms)
+        return ("ann", self.mode)
 
     # -- probe + rerank --------------------------------------------------
     def augment(
         self, scorer, qnode, scored: List[Tuple[int, float]],
         budget: Optional[Budget] = None,
         exclude: Optional[Iterable[int]] = None,
-    ) -> Tuple[List[Tuple[int, float]], FrozenSet[int], bool]:
+    ) -> Tuple[List[Tuple[int, float]], FrozenSet[int]]:
         """Probe the ANN index and exactly rerank the best neighbors.
 
-        Returns ``(extra, probed_ids, truncated)``:
+        Returns ``(extra, probed_ids)``:
 
         * ``extra`` -- admissible ``(node_id, score)`` pairs for nodes
           not already in *scored* (or *exclude*), scored by the real
           scorer under the normal node threshold;
         * ``probed_ids`` -- every node id the probe surfaced, for the
           caller's cache-dependency footprint (a delta touching any of
-          them must invalidate the cached union);
-        * ``truncated`` -- True when the tier's *internal* time bound
-          tripped before all kept candidates were reranked; such
-          results are partial and must not be cached.
+          them must invalidate the cached union).
 
-        Reranks charge the caller's budget when one was passed
-        (deadline semantics, strict or anytime, are the caller's);
-        otherwise an internal anytime budget of ``time_bound_ms``
-        bounds the pass.
+        Each rerank charges the caller's *budget* when one was passed
+        (deadline semantics, strict or anytime, are the caller's).
         """
         self.ensure_built()
         self.refresh()
@@ -256,39 +198,32 @@ class SemanticTier:
         if exclude:
             seen.update(exclude)
         with obs.trace("ann.probe", qnode=qnode.id) as span:
-            ranked = self.index.probe(qvec, self.probe_limit)
+            ranked = self.index.probe(qvec, DEFAULT_PROBE_LIMIT)
             probed = [(cos, nid) for cos, nid in ranked if nid not in seen]
             span.annotate(probed=len(probed))
         self.probed += len(probed)
         obs.count("ann.probed", len(probed))
         if not probed:
-            return [], frozenset(), False
+            return [], frozenset()
         probed_ids = frozenset(nid for _, nid in probed)
-        keep_n = max(
-            1, len(probed) - int(len(probed) * self.rerank_percentile))
+        keep_n = max(1, len(probed)
+                     - int(len(probed) * DEFAULT_RERANK_PERCENTILE))
         skipped = len(probed) - keep_n
         if skipped:
             self.skipped += skipped
             obs.count("ann.skipped", skipped)
-        local = budget
-        internal = False
-        if local is None and self.time_bound_ms is not None:
-            local = Budget(deadline_ms=self.time_bound_ms, anytime=True)
-            internal = True
         threshold = scorer.config.node_threshold
         extra: List[Tuple[int, float]] = []
         reranked = 0
-        truncated = False
         for cos, nid in probed[:keep_n]:
-            if local is not None and local.charge_nodes():
-                truncated = internal
+            if budget is not None and budget.charge_nodes():
                 break
             reranked += 1
-            if local is not None and local.anytime:
+            if budget is not None and budget.anytime:
                 try:
                     score = scorer.node_score(desc, nid)
                 except SUBSTRATE_ERRORS as exc:
-                    local.record_fault(f"ann_rerank({nid}): {exc}")
+                    budget.record_fault(f"ann_rerank({nid}): {exc}")
                     continue
             else:
                 score = scorer.node_score(desc, nid)
@@ -296,7 +231,7 @@ class SemanticTier:
                 extra.append((nid, score))
         self.reranked += reranked
         obs.count("ann.reranked", reranked)
-        return extra, probed_ids, truncated
+        return extra, probed_ids
 
     def __repr__(self) -> str:
         state = "built" if self._built else "lazy"
@@ -305,8 +240,22 @@ class SemanticTier:
                 f"{state}, v{self._version})")
 
 
+def build_columns(graph):
+    """Embed every live node of *graph* into flat columns.
+
+    Returns ``(vecs, sigs, alive)``: ``array('f')`` of
+    ``slots * DEFAULT_DIM`` values, ``array('Q')`` of ``slots *
+    DEFAULT_BANDS`` band signatures, and a per-slot liveness bytearray
+    (tombstoned slots stay zero) -- what :class:`SemanticTier` builds in
+    memory on its first probe.
+    """
+    tier = SemanticTier(graph)
+    tier.ensure_built()
+    return tier.vecs, tier.sigs, tier.alive
+
+
 def attach_semantic(scorer, tier: Optional[SemanticTier] = None,
-                    mode: str = "auto", **options) -> SemanticTier:
+                    mode: str = "auto") -> SemanticTier:
     """Attach a :class:`SemanticTier` to *scorer* and return it.
 
     Builds a lazy tier over the scorer's graph when none is supplied.
@@ -315,7 +264,7 @@ def attach_semantic(scorer, tier: Optional[SemanticTier] = None,
     seed's exact code path.
     """
     if tier is None:
-        tier = SemanticTier(scorer.graph, mode=mode, **options)
+        tier = SemanticTier(scorer.graph, mode=mode)
     scorer.semantic_tier = tier
     return tier
 

@@ -14,10 +14,10 @@ Commands:
 * ``learn``    -- train scoring weights on a graph, save the config.
 * ``demo``     -- generate a graph, run a sample query, print matches.
 * ``compact``  -- write a graph as an mmap-able ``RKGS2`` store (ids,
-  tombstones, version, delta-journal tail, index and ANN columns):
-  opening one is zero-copy, every process maps the same file through
-  one OS page cache, and engines attach its columns instead of building
-  them.  ``snapshot`` is an alias.
+  tombstones, version, delta-journal tail, index columns): opening one
+  is zero-copy, every process maps the same file through one OS page
+  cache, and engines attach its index instead of building it.
+  ``snapshot`` is an alias.
 * ``apply-delta`` -- replay a JSONL mutation stream onto a graph and
   save the result as a store (its own input file included).
 * ``serve``  -- run the async query service (admission control, priority

@@ -247,11 +247,10 @@ def node_candidates(
                     None) is not None
 
     probed: FrozenSet[int] = frozenset()
-    truncated = False
     if route.wants_tier(budget, admits):
         # The probe skips the whole universe, scored above -- unless a
         # budget trip may have left its tail unscored.
-        extra, probed, truncated = route.tier.augment(
+        extra, probed = route.tier.augment(
             scorer, qnode, scored, budget=budget,
             exclude=footprint if budget is None else None)
         scored.extend(extra if scope is None
@@ -259,11 +258,10 @@ def node_candidates(
     scored.sort(key=lambda t: (-t[1], t[0]))
     if limit is not None and len(scored) > limit:
         del scored[limit:]
-    if cache is not None and not truncated:
+    if cache is not None:
         # The footprint covers every shortlisted node, not only the
         # admitted ones (a delta may lift one above threshold), plus
-        # every probed node.  A tier pass cut short by its own time
-        # bound is partial and never cached.
+        # every probed node.
         _remember(cache, key, tuple(scored), scorer, qnode,
                   frozenset(footprint) | probed if probed else footprint,
                   expanded_query_tokens(desc))

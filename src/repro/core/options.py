@@ -78,8 +78,8 @@ class SearchOptions:
         ALGORITHMS)
     mmap_store: Any = _option(
         None, "an RKGS2 store (path, reader or mmap-backed graph) whose "
-        "index and ANN columns are attached zero-copy instead of built, "
-        "unless the matching use_* is off or the scorer already holds one")
+        "index columns are attached zero-copy instead of built, unless "
+        "use_index is off or the scorer already holds an index")
     shards: Optional[int] = _option(
         None, "run star queries sharded across N graph partitions (exact "
         "merged results); batch runs then take the queries one at a time")

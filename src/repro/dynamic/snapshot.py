@@ -5,8 +5,8 @@ zlib-compressed body.  Nothing writes it any more --
 :meth:`KnowledgeGraph.save`, ``repro compact`` (alias ``snapshot``) and
 ``repro apply-delta`` write the mmap-able ``RKGS2`` store
 (:mod:`repro.store.format`), which holds the same state (slots with
-tombstones, structural version, journal tail) plus the index and ANN
-columns.  What stays here:
+tombstones, structural version, journal tail) plus the index columns.
+What stays here:
 
 * :class:`_Writer` / :class:`_Reader` -- the bounds-checked varint
   codec, journal tail included, that the store's ``meta`` section is

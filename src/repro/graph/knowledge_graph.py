@@ -608,8 +608,8 @@ class KnowledgeGraph:
     def save(self, path) -> None:
         """Write this graph to *path* as an ``RKGS2`` store (see
         :func:`repro.store.format.write_store`): ids, tombstones, index
-        and ANN columns, version and the journal tail are preserved, so
-        a serving process restarts warm.  *path* is replaced atomically
+        columns, version and the journal tail are preserved, so a
+        serving process restarts warm.  *path* is replaced atomically
         and may be the file this graph was loaded from."""
         from repro.store.format import write_store
 

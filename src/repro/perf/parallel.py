@@ -156,7 +156,7 @@ def build_engine(graph, engine_opts=None,
     """The engine *engine_opts* (a :class:`SearchOptions` or a dict of
     its fields) describes: a :class:`Star`, or a
     :class:`repro.shard.ShardedEngine` when ``shards`` is set, with the
-    ``mmap_store``'s index and ANN columns attached to the scorer.
+    ``mmap_store``'s index columns attached to the scorer.
 
     *scorer* defaults to a fresh :class:`ScoringFunction` over *config*.
 
@@ -167,17 +167,12 @@ def build_engine(graph, engine_opts=None,
     options = SearchOptions.coerce(engine_opts)
     if scorer is None:
         scorer = ScoringFunction(graph, config)
-    if options.mmap_store is not None:
-        from repro.store.attach import attach_mmap_index, attach_mmap_semantic
+    if options.mmap_store is not None and options.use_index != "off" \
+            and getattr(scorer, "graph_index", None) is None:
+        from repro.store.attach import attach_mmap_index
 
-        if options.use_index != "off" \
-                and getattr(scorer, "graph_index", None) is None:
-            scorer.graph_index = attach_mmap_index(
-                options.mmap_store, graph, mode=options.use_index)
-        if options.use_semantic != "off" \
-                and getattr(scorer, "semantic_tier", None) is None:
-            scorer.semantic_tier = attach_mmap_semantic(
-                options.mmap_store, graph, mode=options.use_semantic)
+        scorer.graph_index = attach_mmap_index(
+            options.mmap_store, graph, mode=options.use_index)
     if options.shards is not None:
         from repro.shard import ShardedEngine
 

@@ -43,7 +43,7 @@ class EngineContext:
     ``engine_opts`` (a dict, or a ready
     :class:`~repro.core.options.SearchOptions`) becomes :attr:`options`
     and is handed to :func:`repro.perf.build_engine`: with ``mmap_store``
-    every worker maps the RKGS2 file's index/ANN columns after the fork
+    every worker maps the RKGS2 file's index columns after the fork
     instead of copying index pages through fork CoW; with ``shards`` an
     ``auto`` shard backend means ``serial`` here -- serve workers are
     already one process per slot, so per-payload shard scoping (smaller

@@ -5,8 +5,8 @@
 monotone match streams back into one exact global top-k:
 
 * every worker holds the **full** graph plus whatever
-  :class:`~repro.index.GraphIndex` and semantic tier the parent's scorer
-  holds -- in-memory or mmap-attached -- by fork inheritance
+  :class:`~repro.index.GraphIndex` (in-memory or mmap-attached) and
+  semantic tier the parent's scorer holds, by fork inheritance
   (copy-on-write), so
   scores -- IDF, degree normalizers, all corpus statistics -- are
   computed globally and match single-process execution bit for bit;

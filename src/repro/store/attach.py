@@ -16,8 +16,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Tuple, Union
 
-from repro.ann.semantic import MODES as ANN_MODES
-from repro.ann.semantic import SemanticTier
 from repro.index.csr import CSRAdjacency
 from repro.index.features import FEATURE_COLUMNS, NodeFeatures
 from repro.index.graph_index import MODES, GraphIndex
@@ -26,12 +24,7 @@ from repro.index.vocab import Vocabulary
 from repro.store.format import StoreReader
 from repro.store.lazygraph import MmapKnowledgeGraph
 
-__all__ = [
-    "MmapGraphIndex",
-    "MmapSemanticTier",
-    "attach_mmap_index",
-    "attach_mmap_semantic",
-]
+__all__ = ["MmapGraphIndex", "attach_mmap_index"]
 
 
 class MmapGraphIndex(GraphIndex):
@@ -176,88 +169,3 @@ def attach_mmap_index(
     index._reader = reader
     index._owns_reader = owns
     return index
-
-
-class MmapSemanticTier(SemanticTier):
-    """A read-only :class:`SemanticTier` whose columns are mmap views.
-
-    Same contract as :class:`MmapGraphIndex`: the embedding and
-    signature columns come straight out of the store file (zero copy),
-    the version is pinned at open, and refresh past it demands a
-    re-compact + re-attach.  Probes are bit-identical to an in-memory
-    tier because both sides index float32 values -- the store column is
-    the in-memory ``array('f')`` laid out verbatim.
-    """
-
-    def __init__(self) -> None:  # constructed via attach_mmap_semantic only
-        raise TypeError("use repro.store.attach_mmap_semantic")
-
-    def ensure_built(self) -> None:
-        pass  # columns are the store's; there is nothing to build
-
-    def refresh(self) -> bool:
-        if self.graph.version == self._version:
-            return False
-        raise RuntimeError(
-            "mmap-attached semantic tier cannot refresh past graph "
-            f"version {self._version} (graph is at {self.graph.version}); "
-            "run `repro compact` and re-attach instead"
-        )
-
-    def detach(self) -> None:
-        """Drop every view (and the reader, when this attach opened it)."""
-        self.vecs = ()
-        self.sigs = ()
-        self.alive = b""
-        self.index.bind((), (), b"", 0)
-        reader = self._reader
-        if reader is not None:
-            self._reader = None
-            if self._owns_reader:
-                reader.close()
-
-
-def attach_mmap_semantic(
-    source: Union[str, "StoreReader", MmapKnowledgeGraph],
-    graph,
-    mode: str = "auto",
-    **options,
-) -> MmapSemanticTier:
-    """Attach the semantic-tier columns of an RKGS2 store to *graph*.
-
-    Args:
-        source: a store path, an open :class:`StoreReader`, or an
-            :class:`MmapKnowledgeGraph` (reader shared with the graph).
-        graph: the graph the tier will generate candidates for; must
-            match the store's graph exactly as for
-            :func:`attach_mmap_index`.
-        mode: ``use_semantic`` engagement mode for the attached tier.
-        options: runtime knobs forwarded to :class:`SemanticTier`
-            (``probe_limit``, ``rerank_percentile``, ``time_bound_ms``).
-            Structural parameters (dim, banding, seed) always come from
-            the store's meta section -- they determined the columns.
-    """
-    if mode not in ANN_MODES:
-        raise ValueError(
-            f"use_semantic mode must be one of {ANN_MODES}, got {mode!r}")
-    with _store_of(source, graph) as (reader, owns):
-        meta = reader.meta
-        counts = meta.counts
-        vecs = reader.section("ann.vecs")
-        sigs = reader.section("ann.sigs")
-        alive = reader.section("node.alive")
-
-    tier = object.__new__(MmapSemanticTier)
-    SemanticTier.__init__(
-        tier, graph, mode=mode, dim=counts["ann_dim"],
-        bands=counts["ann_bands"], band_bits=counts["ann_band_bits"],
-        seed=counts["ann_seed"], **options)
-    tier.vecs = vecs
-    tier.sigs = sigs
-    tier.alive = alive
-    tier.index.bind(vecs, sigs, alive, meta.node_slots)
-    tier._built = True
-    tier._version = meta.version
-    tier._reader = reader
-    tier._owns_reader = owns
-    return tier

@@ -81,9 +81,11 @@ from repro.index.vocab import Vocabulary
 #: Distinguishes RKGS2 from RKGS v1: both start ``RKGS``, but v1's next
 #: byte is the format version (0x01), never ASCII ``"2"``.
 MAGIC2 = b"RKGS2\x00"
-#: Format 2 adds the semantic-tier columns (``ann.vecs`` / ``ann.sigs``)
-#: and their banding parameters in the meta counts.
-STORE_VERSION = 2
+#: The format written.  Format 2 also carried semantic-tier columns and
+#: four banding counts in ``meta``; format 3 dropped them (the tier
+#: embeds in memory on its first probe).  The reader accepts both.
+STORE_VERSION = 3
+READ_VERSIONS = (2, 3)
 PAGE_SIZE = 4096
 
 #: ``0xFFFFFFFF`` -- "no entry" in u32 id columns (untyped node,
@@ -102,6 +104,9 @@ HEADER_SIZE = _HEADER_BASE.size + _HEADER_CRC.size  # 64
 _ENTRY = struct.Struct("<24sQQII")
 
 _CODES = frozenset(b"BIQdf")
+
+#: The ``meta`` section's section-size counts, in encoding order.
+_COUNTS = ("vocab", "post", "types", "tmem", "rels", "csr", "pool")
 
 
 def _align(offset: int) -> int:
@@ -150,8 +155,7 @@ def _encode_meta(graph, counts: Dict[str, int]) -> bytes:
     writer.varint(graph._removed_nodes)
     writer.varint(graph._removed_edges)
     writer.varint(graph.max_degree)
-    for key in ("vocab", "post", "types", "tmem", "rels", "csr", "pool",
-                "ann_dim", "ann_bands", "ann_band_bits", "ann_seed"):
+    for key in _COUNTS:
         writer.varint(counts[key])
     writer.varint(len(graph._relations))
     for relation in sorted(graph._relations):
@@ -283,21 +287,11 @@ def _build_sections(graph) -> List[Tuple[str, int, bytes]]:
     for value in features.pool_strings:
         pool_blob.add(value)
 
-    # Semantic-tier columns: per-slot embedding vectors and LSH band
-    # signatures, laid out exactly as repro.ann builds them in memory,
-    # so an mmap-attached tier probes bit-identically to a built one.
-    from repro import ann as ann_mod
-
-    ann_vecs, ann_sigs, _ann_alive = ann_mod.build_columns(graph)
-
     counts = {
         "vocab": len(vocab), "post": post_offs[-1],
         "types": len(type_keys), "tmem": len(tmem_data),
         "rels": len(rel_ids), "csr": len(indices),
         "pool": len(features.pool_strings),
-        "ann_dim": ann_mod.DEFAULT_DIM, "ann_bands": ann_mod.DEFAULT_BANDS,
-        "ann_band_bits": ann_mod.DEFAULT_BAND_BITS,
-        "ann_seed": ann_mod.DEFAULT_SEED,
     }
 
     sections: List[Tuple[str, int, bytes]] = [
@@ -331,8 +325,6 @@ def _build_sections(graph) -> List[Tuple[str, int, bytes]]:
             (f"feat.{attr}", ord(code), getattr(features, attr).tobytes())
         )
     sections += pool_blob.sections("pool")
-    sections.append(("ann.vecs", ord("f"), ann_vecs.tobytes()))
-    sections.append(("ann.sigs", ord("Q"), ann_sigs.tobytes()))
     return sections
 
 
@@ -410,7 +402,7 @@ class StoreMeta:
     )
 
 
-def _decode_meta(payload: bytes) -> StoreMeta:
+def _decode_meta(payload: bytes, fmt: int) -> StoreMeta:
     reader = _Reader(payload)
     meta = StoreMeta()
     meta.name = reader.string()
@@ -421,11 +413,10 @@ def _decode_meta(payload: bytes) -> StoreMeta:
     meta.removed_nodes = reader.varint()
     meta.removed_edges = reader.varint()
     meta.max_degree = reader.varint()
-    meta.counts = {
-        key: reader.varint()
-        for key in ("vocab", "post", "types", "tmem", "rels", "csr", "pool",
-                    "ann_dim", "ann_bands", "ann_band_bits", "ann_seed")
-    }
+    meta.counts = {key: reader.varint() for key in _COUNTS}
+    if fmt == 2:
+        for _ in range(4):  # the dropped semantic-tier banding counts
+            reader.varint()
     meta.relations = {}
     for _ in range(reader.count()):
         relation = reader.string()
@@ -538,10 +529,10 @@ class StoreReader:
             self.corrupt("header CRC mismatch", section="header", offset=0)
         (_magic, fmt, page, nsections, dir_off, dir_nbytes,
          dir_crc) = _HEADER_BASE.unpack_from(header, 0)
-        if fmt != STORE_VERSION:
+        if fmt not in READ_VERSIONS:
             raise DatasetError(
                 f"{self.path}: unsupported store format version {fmt} "
-                f"(this build reads {STORE_VERSION})")
+                f"(this build reads {' and '.join(map(str, READ_VERSIONS))})")
         if page != PAGE_SIZE:
             self.corrupt(f"unsupported page size {page}",
                          section="header", offset=0)
@@ -579,16 +570,16 @@ class StoreReader:
                     f"section [{off}, {off + nbytes}) outside file of "
                     f"{self._size} byte(s)", section=name, offset=off)
             self._entries[name] = (off, nbytes, crc, code)
-        self.meta = self._decode_meta_section()
+        self.meta = self._decode_meta_section(fmt)
         self._check_layout()
         if verify:
             self.verify()
 
-    def _decode_meta_section(self) -> StoreMeta:
+    def _decode_meta_section(self, fmt: int) -> StoreMeta:
         off = self._entries.get("meta", (0,))[0]
         payload = bytes(self.section("meta"))
         try:
-            return _decode_meta(payload)
+            return _decode_meta(payload, fmt)
         except SnapshotCorruptionError as exc:
             if exc.path is not None:
                 raise
@@ -634,8 +625,6 @@ class StoreReader:
             "csr.dirs": counts["csr"],
             "csr.eids": 4 * counts["csr"],
             "pool.offs": 8 * (counts["pool"] + 1),
-            "ann.vecs": 4 * slots * counts["ann_dim"],
-            "ann.sigs": 8 * slots * counts["ann_bands"],
         }
         for attr, code in FEATURE_COLUMNS:
             expected[f"feat.{attr}"] = (4 if code == "I" else 1) * slots

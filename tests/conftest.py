@@ -58,6 +58,11 @@ def build_mutated_movie_graph() -> KnowledgeGraph:
 #: keeps the v1 importer tested.
 RKGS1_FIXTURE = Path(__file__).parent / "data" / "movies_v1.kgs"
 
+#: :func:`build_mutated_movie_graph` as the last build that wrote RKGS2
+#: format 2 saved it (with the semantic-tier ``ann.*`` sections and meta
+#: counts format 3 dropped).  It keeps the format-2 read path tested.
+RKGS2_V2_FIXTURE = Path(__file__).parent / "data" / "movies_v2.rkgs2"
+
 
 def build_random_graph(seed: int, num_nodes: int = 30, num_edges: int = 60) -> KnowledgeGraph:
     """A small random typed graph for property tests (deterministic)."""

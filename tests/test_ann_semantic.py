@@ -1,13 +1,12 @@
 """Tests for ``repro.ann``: the two-stage semantic candidate tier."""
 
-from array import array
-
 import pytest
 
 from repro.ann import (
     DEFAULT_BAND_BITS,
     DEFAULT_BANDS,
     DEFAULT_DIM,
+    DEFAULT_RERANK_PERCENTILE,
     DEFAULT_SEED,
     BandIndex,
     NgramEmbedder,
@@ -24,7 +23,7 @@ from repro.errors import SearchError
 from repro.query import Query
 from repro.runtime.budget import Budget
 from repro.similarity import ScoringConfig, ScoringFunction
-from repro.store import MmapSemanticTier, attach_mmap_semantic, open_graph, write_store
+from repro.store import open_graph, write_store
 
 from tests.conftest import build_movie_graph
 
@@ -128,20 +127,19 @@ class TestBandIndex:
 # SemanticTier: construction (when it engages: test_candidate_pipeline)
 # ----------------------------------------------------------------------
 class TestEngagement:
-    def make(self, mode="auto", **options):
+    def make(self, mode="auto"):
         g = build_movie_graph()
         scorer = ScoringFunction(g, LOW)
-        tier = attach_semantic(scorer, mode=mode, **options)
+        tier = attach_semantic(scorer, mode=mode)
         return g, scorer, tier
 
     def test_mode_validated(self):
         g = build_movie_graph()
-        with pytest.raises(ValueError):
-            SemanticTier(g, mode="always")
-        with pytest.raises(ValueError):
-            SemanticTier(g, rerank_percentile=1.0)
-        with pytest.raises(ValueError):
-            SemanticTier(g, probe_limit=0)
+        for mode in ("always", "", None):
+            with pytest.raises(ValueError, match="use_semantic mode"):
+                SemanticTier(g, mode=mode)
+        for mode in ("auto", "on", "off"):
+            assert SemanticTier(g, mode=mode).mode == mode
 
     def test_attach_is_lazy(self):
         _, _, tier = self.make()
@@ -176,7 +174,7 @@ class TestAugment:
     def test_counters_move(self):
         g = build_movie_graph()
         scorer = ScoringFunction(g, LOW)
-        tier = attach_semantic(scorer, mode="auto", rerank_percentile=0.5)
+        tier = attach_semantic(scorer, mode="auto")
         node_candidates(scorer, qnode("bradpitt"))
         assert tier.probed > 0
         assert tier.reranked > 0
@@ -185,46 +183,40 @@ class TestAugment:
     def test_percentile_skip_bounds_rerank(self):
         g = build_movie_graph()
         scorer = ScoringFunction(g, LOW)
-        tier = attach_semantic(scorer, mode="auto", rerank_percentile=0.9)
-        extra, probed, truncated = tier.augment(scorer, qnode("bradpitt"), [])
-        assert not truncated
-        keep_n = max(1, len(probed) - int(len(probed) * 0.9))
-        assert tier.reranked == keep_n
+        tier = attach_semantic(scorer, mode="auto")
+        _, probed = tier.augment(scorer, qnode("linklater boyhood"), [])
+        assert len(probed) > 1
+        keep_n = max(1, len(probed)
+                     - int(len(probed) * DEFAULT_RERANK_PERCENTILE))
+        assert tier.reranked == keep_n < len(probed)
+        assert tier.skipped == len(probed) - keep_n
 
     def test_exclude_and_scored_are_deduped(self):
         g = build_movie_graph()
         scorer = ScoringFunction(g, LOW)
         tier = attach_semantic(scorer, mode="on")
-        extra, _, _ = tier.augment(
+        extra, _ = tier.augment(
             scorer, qnode("bradpitt"), [(0, 0.9)], exclude=frozenset({1}))
         ids = {nid for nid, _ in extra}
         assert 0 not in ids and 1 not in ids
-
-    def test_internal_time_bound_marks_truncated(self):
-        g = build_movie_graph()
-        scorer = ScoringFunction(g, LOW)
-        tier = attach_semantic(scorer, mode="on", time_bound_ms=0.0)
-        extra, probed, truncated = tier.augment(scorer, qnode("bradpitt"), [])
-        assert truncated
-        assert extra == []
-        assert probed  # the probe itself still ran
 
     def test_caller_budget_trip_is_not_internal_truncation(self):
         g = build_movie_graph()
         scorer = ScoringFunction(g, LOW)
         tier = attach_semantic(scorer, mode="on")
         budget = Budget(max_nodes=0, anytime=True)
-        extra, _, truncated = tier.augment(
+        extra, probed = tier.augment(
             scorer, qnode("bradpitt"), [], budget=budget)
         assert extra == []
-        assert not truncated  # the caller's anytime semantics own this
+        assert probed  # the probe ran; the caller's budget stopped reranks
+        assert tier.reranked == 0
         assert budget.exhausted
 
     def test_cache_token_tracks_configuration(self):
         g = build_movie_graph()
         a = SemanticTier(g)
-        b = SemanticTier(g)
-        c = SemanticTier(g, probe_limit=8)
+        b = SemanticTier(g, mode="auto")
+        c = SemanticTier(g, mode="on")
         assert a.cache_token == b.cache_token
         assert a.cache_token != c.cache_token
 
@@ -299,55 +291,17 @@ class TestEngineIntegration:
 
 
 # ----------------------------------------------------------------------
-# Mmap attach
+# Store-backed graphs: the tier embeds them in memory like any other
 # ----------------------------------------------------------------------
 class TestMmapTier:
-    @pytest.fixture()
-    def store_path(self, tmp_path):
-        path = tmp_path / "movies.rkgs2"
-        write_store(build_movie_graph(), path)
-        return path
-
-    def test_direct_construction_rejected(self):
-        with pytest.raises(TypeError):
-            MmapSemanticTier()
-
-    def test_parity_with_in_memory(self, store_path):
-        graph = open_graph(store_path)
+    def test_parity_with_in_memory(self, tmp_path):
+        store_path = tmp_path / "movies.rkgs2"
+        write_store(build_movie_graph(), store_path)
         mem_scorer = ScoringFunction(build_movie_graph(), LOW)
         mem_tier = attach_semantic(mem_scorer, mode="on")
-        mmap_scorer = ScoringFunction(graph, LOW)
-        mmap_tier = attach_mmap_semantic(store_path, graph, mode="on")
-        mmap_scorer.semantic_tier = mmap_tier
+        mmap_scorer = ScoringFunction(open_graph(store_path), LOW)
+        mmap_tier = attach_semantic(mmap_scorer, mode="on")
         q = qnode("bradpitt")
-        mem = mem_tier.augment(mem_scorer, q, [])
         via_mmap = mmap_tier.augment(mmap_scorer, q, [])
-        assert mem == via_mmap
-        mmap_tier.detach()
-
-    def test_refresh_pinned_at_store_version(self, store_path):
-        graph = open_graph(store_path)
-        tier = attach_mmap_semantic(store_path, graph)
-        assert tier.refresh() is False  # same version: clean no-op
-        graph.add_node("New Node", "person")
-        with pytest.raises(RuntimeError, match="re-attach"):
-            tier.refresh()
-        tier.detach()
-
-    def test_bad_mode_rejected(self, store_path):
-        graph = open_graph(store_path)
-        with pytest.raises(ValueError):
-            attach_mmap_semantic(store_path, graph, mode="never")
-
-    def test_store_columns_match_build_columns(self, store_path):
-        # The store column must be build_columns() laid out verbatim --
-        # this is what makes mmap probes bit-identical to in-memory.
-        from repro.store import StoreReader
-        g = build_movie_graph()
-        vecs, sigs, _alive = build_columns(g)
-        reader = StoreReader(store_path)
-        try:
-            assert array("f", bytes(reader.section("ann.vecs"))) == vecs
-            assert array("Q", bytes(reader.section("ann.sigs"))) == sigs
-        finally:
-            reader.close()
+        assert via_mmap[0]
+        assert mem_tier.augment(mem_scorer, q, []) == via_mmap

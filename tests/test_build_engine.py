@@ -1,8 +1,9 @@
 """One options dict, one engine builder, four front doors.
 
 ``build_engine`` is the only place an options dict becomes a ``Star``
-or a ``ShardedEngine`` (and the only place a store's index/ANN columns
-get attached).  The same dict must therefore rank identically whether
+or a ``ShardedEngine`` (and the only place a store's index columns get
+attached; the semantic tier is always the in-memory one, built on its
+first out-of-vocabulary probe).  The same dict must therefore rank identically whether
 it arrives through ``build_engine`` itself, a serve ``EngineContext``,
 ``search_many`` or ``repro search`` -- over an in-memory and an
 mmap-opened graph, single-process and sharded.
@@ -15,6 +16,7 @@ import re
 import pytest
 
 from repro import obs
+from repro.ann import SemanticTier
 from repro.cli import main
 from repro.core.framework import Star
 from repro.graph import save_graph
@@ -23,8 +25,7 @@ from repro.query import parse_query
 from repro.serve import EngineContext, execute_payload
 from repro.shard import ShardedEngine
 from repro.similarity import ScoringFunction
-from repro.store import MmapGraphIndex, MmapSemanticTier, open_graph, \
-    write_store
+from repro.store import MmapGraphIndex, open_graph, write_store
 
 from tests.conftest import build_movie_graph
 from tests.oracle import oracle_matches, rounded_scores
@@ -131,10 +132,13 @@ def _check_every_door(paths, capsys, storage, shards,
     try:
         assert isinstance(engine, ShardedEngine if shards else Star)
         assert isinstance(engine.scorer.graph_index, MmapGraphIndex) == mmap
-        assert isinstance(engine.scorer.semantic_tier,
-                          MmapSemanticTier) == mmap
+        tier = engine.scorer.semantic_tier
+        assert type(tier) is SemanticTier
         with obs.capture() as tracer:
             direct = engine.search(query, K)
+        # Every label resolves through the token shortlist: nothing
+        # under-fills, so nothing embeds the graph.
+        assert not tier.built
     finally:
         if shards is not None:
             engine.close()

@@ -10,6 +10,7 @@ the store attach it implies -- all against in-memory ground truth.
 from __future__ import annotations
 
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -19,17 +20,24 @@ import pytest
 from repro.core.framework import Star
 from repro.dynamic import load_any
 from repro.errors import DatasetError
-from repro.graph import KnowledgeGraph, save_graph
+from repro.graph import KnowledgeGraph, dbpedia_like, save_graph
 from repro.perf import build_engine, search_many
 from repro.query import parse_query
 from repro.runtime import FaultSpec
 from repro.serve.supervisor import EngineContext, execute_payload
 from repro.shard import ShardedEngine
+from repro.similarity import ScoringConfig
 from repro.store import MmapGraphIndex, StoreReader, open_graph, write_store
 
-from tests.conftest import RKGS1_FIXTURE, build_movie_graph
+from tests.conftest import (RKGS1_FIXTURE, RKGS2_V2_FIXTURE,
+                            build_movie_graph, build_mutated_movie_graph)
+from tests.test_store_corruption import _reseal_header
 
 QUERY = "(?m:director) -[collaborated_with]- (Brad:actor)"
+
+
+def _ranking(matches):
+    return [(m.key(), round(m.score, 9)) for m in matches]
 
 
 @pytest.fixture(scope="module")
@@ -255,5 +263,80 @@ class TestAttachContracts:
             parse_query(QUERY, name="q"), 3)
         baseline = Star(build_movie_graph(), use_index="on").search(
             parse_query(QUERY, name="q"), 3)
-        assert ([(m.key(), round(m.score, 9)) for m in matches]
-                == [(m.key(), round(m.score, 9)) for m in baseline])
+        assert _ranking(matches) == _ranking(baseline)
+
+
+class TestFormat2:
+    """Stores written before format 3 keep loading: the reader skips
+    their four semantic-tier meta counts and ignores their ``ann.*``
+    sections."""
+
+    def test_fixture_ranks_like_the_in_memory_graph(self):
+        graph = load_any(RKGS2_V2_FIXTURE)
+        assert graph.store_path == str(RKGS2_V2_FIXTURE)
+        assert any(name.startswith("ann.")
+                   for name in graph._store.entries)
+        query = parse_query(QUERY, name="q")
+        want = _ranking(Star(build_mutated_movie_graph()).search(query, 3))
+        assert want
+        assert _ranking(Star(graph).search(query, 3)) == want
+        engine = build_engine(graph, {"mmap_store": graph,
+                                      "use_index": "on"})
+        assert isinstance(engine.scorer.graph_index, MmapGraphIndex)
+        assert _ranking(engine.search(query, 3)) == want
+
+    def test_compact_rewrites_it_as_format_3(self, tmp_path):
+        from repro.cli import main
+
+        out = tmp_path / "movies.rkgs2"
+        assert main(["compact", str(RKGS2_V2_FIXTURE), str(out),
+                     "--verify"]) == 0
+        assert struct.unpack_from("<H", out.read_bytes(), 6) == (3,)
+        reader = StoreReader(out, verify=True)
+        try:
+            assert not [name for name in reader.entries
+                        if name.startswith("ann.")]
+        finally:
+            reader.close()
+        direct = _write(build_mutated_movie_graph(), tmp_path / "d.rkgs2")
+        assert out.read_bytes() == direct.read_bytes()
+
+    @pytest.mark.parametrize("fmt", [1, 4])
+    def test_other_versions_are_refused(self, tmp_path, fmt):
+        for source in (RKGS2_V2_FIXTURE,
+                       _write(build_movie_graph(), tmp_path / "v3.rkgs2")):
+            blob = bytearray(Path(source).read_bytes())
+            struct.pack_into("<H", blob, 6, fmt)
+            _reseal_header(blob)
+            bad = tmp_path / f"v{fmt}.rkgs2"
+            bad.write_bytes(bytes(blob))
+            with pytest.raises(DatasetError, match="this build reads"):
+                StoreReader(bad)
+
+
+def _write(graph, path):
+    write_store(graph, path)
+    return path
+
+
+class TestMutatedStore:
+    def test_out_of_vocabulary_search_after_a_mutation(self, tmp_path):
+        """A store-backed graph mutated after open answers an
+        out-of-vocabulary pivot like the in-memory graph: the tier
+        embeds what it serves, overlay included, in memory."""
+        config = ScoringConfig(node_threshold=0.1)
+        path = _write(dbpedia_like(0.15, 7), tmp_path / "g.rkgs2")
+        mapped = KnowledgeGraph.open_mmap(path)
+        engine = build_engine(mapped, {"mmap_store": mapped}, config=config)
+        memory = dbpedia_like(0.15, 7)
+        for graph in (mapped, memory):
+            graph.add_node("Late Arrival", "person")
+        engine.scorer.refresh()
+        # No token of the glued, clipped name is in the vocabulary.
+        name = memory.node(0).name
+        query = parse_query(
+            f"({name.replace(' ', '').lower()[:-1]}) -[?]- (?x)", name="q")
+        want = _ranking(Star(memory, config=config).search(query, 3))
+        assert want
+        assert _ranking(engine.search(query, 3)) == want
+        assert engine.scorer.semantic_tier.built
