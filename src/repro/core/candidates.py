@@ -117,7 +117,7 @@ class CandidateRoute(NamedTuple):
 
 def live_index(scorer):
     """The scorer's graph index, unless it is ``off`` or over another
-    graph: what may replace the shortlist, and stark's CSR leaf fetch."""
+    graph: what may replace the shortlist."""
     index = getattr(scorer, "graph_index", None)
     live = index is not None and index.mode != "off"
     return index if live and index.graph is scorer.graph else None

@@ -45,7 +45,7 @@ from typing import (
 )
 
 from repro import obs
-from repro.core.candidates import live_index, node_candidates, shortlist
+from repro.core.candidates import node_candidates, shortlist
 from repro.core.lattice import LeafEntry, PivotMatchGenerator, make_leaf_list
 from repro.core.matches import Match
 from repro.core.topk import prop3_prune
@@ -207,11 +207,11 @@ class StarKSearch:
                 leaf_maps=leaf_maps, traversal_stats=self.stats,
             )
         scorer = self.scorer
-        graph = self.graph
+        grouped_relations = self.graph.grouped_relations
         edge_threshold = scorer.config.edge_threshold
-        index = live_index(scorer)
         # Per-leaf direction: +1 = edge points pivot -> leaf, -1 = leaf ->
-        # pivot, 0 = orientation ignored (undirected matching).
+        # pivot, 0 = orientation ignored (undirected matching) -- the
+        # orientation argument of grouped_relations.
         leaf_info = [
             (
                 leaf_scores,
@@ -224,52 +224,21 @@ class StarKSearch:
         ]
 
         def provide(pivot_node: int) -> List[List[Tuple[float, int, float, float, int]]]:
-            # Group parallel edges per orientation: nbr -> relation labels.
-            if index is not None and index.synced():
-                # Packed CSR row; entries in graph.neighbors() order, so
-                # the maps match the live-graph path byte-for-byte.
-                grouped, out_grouped, in_grouped = (
-                    index.csr.grouped_relations(
-                        graph, pivot_node, self.directed
-                    )
-                )
-                if self.injective:
-                    grouped.pop(pivot_node, None)
-            else:
-                grouped = {}
-                out_grouped = {}
-                in_grouped = {}
-                for nbr, eid in graph.neighbors(pivot_node):
-                    if self.injective and nbr == pivot_node:
-                        continue
-                    grouped.setdefault(nbr, []).append(
-                        graph.edge(eid)[2].relation
-                    )
-                if self.directed:
-                    for nbr, eid in graph.out_neighbors(pivot_node):
-                        out_grouped.setdefault(nbr, []).append(
-                            graph.edge(eid)[2].relation
-                        )
-                    for nbr, eid in graph.in_neighbors(pivot_node):
-                        in_grouped.setdefault(nbr, []).append(
-                            graph.edge(eid)[2].relation
-                        )
+            # No injectivity filter: add_edge rejects self-loops, and the
+            # lattice skips a leaf equal to the pivot anyway.
+            rows: Dict[int, List[Tuple[int, object]]] = {}
             lists: List[List[Tuple[float, int, float, float, int]]] = []
             for leaf_scores, edge_desc, weight, orientation in leaf_info:
-                if orientation == 1:
-                    pool = out_grouped
-                elif orientation == -1:
-                    pool = in_grouped
-                else:
-                    pool = grouped
+                row = rows.get(orientation)
+                if row is None:
+                    row = rows[orientation] = grouped_relations(
+                        pivot_node, orientation)
                 entries: List[Tuple[float, int, float, float, int]] = []
-                for nbr, relations in pool.items():
+                for nbr, labels in row:
                     node_score = leaf_scores.get(nbr)
                     if node_score is None:
                         continue
-                    edge_score = max(
-                        scorer.relation_score(edge_desc, rel) for rel in relations
-                    )
+                    edge_score = _label_score(scorer, edge_desc, labels)
                     if edge_score < edge_threshold:
                         continue
                     combined = weight * node_score + edge_score
@@ -679,6 +648,14 @@ class StarKSearch:
         return self._top_k(star, k, budget)
 
 
+def _label_score(scorer: ScoringFunction, edge_desc, labels) -> float:
+    """Relation-aware ``F_E`` of one ``grouped_relations`` entry: its
+    edge's label, or the best label of its parallel edges (a tuple)."""
+    if labels.__class__ is str:
+        return scorer.relation_score(edge_desc, labels)
+    return max(scorer.relation_score(edge_desc, rel) for rel in labels)
+
+
 def leaf_candidate_maps(
     scorer: ScoringFunction,
     star: StarQuery,
@@ -764,11 +741,7 @@ def bounded_leaf_provider(
         # calls (leaf scores are map lookups), so it is accounted
         # separately: inner-BFS nodes plus last-hop candidates reached.
         traversed = len(seen)
-        direct_relations: Dict[int, List[str]] = {}
-        for nbr, eid in graph.neighbors(pivot_node):
-            direct_relations.setdefault(nbr, []).append(
-                graph.edge(eid)[2].relation
-            )
+        direct_relations = dict(graph.grouped_relations(pivot_node))
         at_d_by_map: Dict[int, Set[int]] = {}
         lists: List[List[Tuple[float, int, float, float, int]]] = []
         for leaf_scores, edge_desc, weight in leaf_info:
@@ -790,10 +763,8 @@ def bounded_leaf_provider(
                     if node_score is None:
                         continue
                     if hops == 1:
-                        edge_score = max(
-                            scorer.relation_score(edge_desc, rel)
-                            for rel in direct_relations[w]
-                        )
+                        edge_score = _label_score(
+                            scorer, edge_desc, direct_relations[w])
                     else:
                         edge_score = decay
                     if edge_score < edge_threshold:

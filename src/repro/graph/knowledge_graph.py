@@ -9,6 +9,8 @@ structure with the access paths every algorithm in the library needs:
 * undirected adjacency view (knowledge-graph matching treats relationship
   direction as irrelevant for path matching; a ``directed`` flag preserves
   orientation for callers that want it),
+* relation-grouped neighbour rows (:meth:`KnowledgeGraph.grouped_relations`)
+  for the leaf fetch of the star procedures,
 * an inverted token index (name tokens, keywords, type names) used for
   online candidate generation -- the paper computes match scores online and
   uses keyword indices only to shortlist candidates,
@@ -31,7 +33,9 @@ graph *while* querying; mutate between searches and call
 from __future__ import annotations
 
 import itertools
+import threading
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -128,6 +132,20 @@ class KnowledgeGraph:
         self._adj: List[List[Tuple[int, int]]] = []
         self._out: List[List[Tuple[int, int]]] = []
         self._in: List[List[Tuple[int, int]]] = []
+        # Relation-grouped rows (see grouped_relations), packed on first
+        # read: one arena holding, per row, its pair count and then
+        # (neighbor, label id) pairs; ``_row_at`` maps a row key to its
+        # offset.  Flat ints only, so packing every row of a large graph
+        # adds nothing for the garbage collector to walk.
+        self._rows = array("I")
+        self._row_at: Dict[int, int] = {}
+        self._rows_dead = 0
+        # label id -> relation label, or a tuple of parallel-edge labels.
+        self._labels: List[Any] = []
+        self._label_ids: Dict[Any, int] = {}
+        # Engines share one graph across threads (search_many's thread
+        # backend, serve's thread pool): packing is check-then-append.
+        self._rows_lock = threading.Lock()
         # token -> sorted-insertion list of node ids (deduplicated via set).
         self._token_index: Dict[str, Set[int]] = {}
         self._type_index: Dict[str, List[int]] = {}
@@ -234,6 +252,7 @@ class KnowledgeGraph:
         self._adj[dst].append((src, edge_id))
         self._out[src].append((dst, edge_id))
         self._in[dst].append((src, edge_id))
+        self._drop_rows(src, dst)
         new_max = max(len(self._adj[src]), len(self._adj[dst]))
         # Endpoint degrees changed (their descriptors / degree priors are
         # stale); everything else survives unless the max-degree
@@ -380,6 +399,8 @@ class KnowledgeGraph:
                 )
         new_data = EdgeData(relation=new_relation, attrs=merged)
         self._edges[edge_id] = (src, dst, new_data)
+        if new_relation != data.relation:
+            self._drop_rows(src, dst)
         self._record("update_edge", relations=frozenset(touched))
         return new_data
 
@@ -394,8 +415,28 @@ class KnowledgeGraph:
         self._adj[dst].remove((src, edge_id))
         self._out[src].remove((dst, edge_id))
         self._in[dst].remove((src, edge_id))
+        self._drop_rows(src, dst)
         if data.relation:
             self._relation_decref(data.relation)
+
+    def _drop_rows(self, *nodes: int) -> None:
+        """Forget the packed rows of *nodes*, whose edges or labels just
+        changed; the next read repacks them.  Once the arena holds more
+        dead than live entries it starts over empty."""
+        row_at = self._row_at
+        if not row_at:
+            return
+        with self._rows_lock:
+            rows = self._rows
+            for v in nodes:
+                for key in (3 * v, 3 * v + 1, 3 * v + 2):
+                    start = row_at.pop(key, None)
+                    if start is not None:
+                        self._rows_dead += 1 + 2 * rows[start]
+            if 2 * self._rows_dead > len(rows):
+                self._rows = array("I")
+                row_at.clear()
+                self._rows_dead = 0
 
     def _relation_decref(self, relation: str) -> None:
         count = self._relations.get(relation, 0) - 1
@@ -512,6 +553,68 @@ class KnowledgeGraph:
     def in_neighbors(self, node_id: int) -> List[Tuple[int, int]]:
         """Directed in-neighbor list."""
         return self._in[self._check_node(node_id)]
+
+    def grouped_relations(
+        self, node_id: int, orientation: int = 0
+    ) -> List[Tuple[int, Any]]:
+        """*node_id*'s distinct neighbors, each with its relation label.
+
+        *orientation* picks the list read: 0 ``neighbors``, 1
+        ``out_neighbors``, -1 ``in_neighbors``.  Neighbors come in that
+        list's first-seen order, paired with the edge's relation label,
+        or with the tuple of labels (list order) of parallel edges; such
+        tuples are interned, one per distinct label sequence.
+
+        Rows are packed on first read and kept until a mutation touches
+        the node; a store-backed graph fills them from its adjacency
+        columns (:meth:`_row_entries`).
+        """
+        if orientation not in (0, 1, -1):
+            raise ValueError(
+                f"orientation must be 0, 1 or -1, got {orientation!r}")
+        key = 3 * self._check_node(node_id) + 1 + orientation
+        start = self._row_at.get(key)
+        if start is None:
+            with self._rows_lock:
+                start = self._row_at.get(key)
+                if start is None:
+                    start = self._pack_row(
+                        key, self._row_entries(node_id, orientation))
+        rows = self._rows
+        end = start + 1 + 2 * rows[start]
+        return list(zip(rows[start + 1:end:2],
+                        map(self._labels.__getitem__, rows[start + 2:end:2])))
+
+    def _row_entries(
+        self, node_id: int, orientation: int
+    ) -> Iterable[Tuple[int, str]]:
+        """``(neighbor, relation label)`` per entry of the *orientation*
+        list (see :meth:`grouped_relations`), in list order."""
+        entries = (self._adj, self._out, self._in)[orientation][node_id]
+        edges = self._edges
+        return ((nbr, edges[eid][2].relation) for nbr, eid in entries)
+
+    def _pack_row(self, key: int, entries: Iterable[Tuple[int, str]]) -> int:
+        """Append one grouped row to the arena and return its offset; the
+        caller holds ``_rows_lock``.  The offset is published last, so an
+        unlocked reader never sees a partial row."""
+        grouped: Dict[int, List[str]] = {}
+        for nbr, label in entries:
+            grouped.setdefault(nbr, []).append(label)
+        label_ids = self._label_ids
+        row = array("I", (len(grouped),))
+        for nbr, labels in grouped.items():
+            label = labels[0] if len(labels) == 1 else tuple(labels)
+            lid = label_ids.get(label)
+            if lid is None:
+                lid = label_ids[label] = len(self._labels)
+                self._labels.append(label)
+            row.append(nbr)
+            row.append(lid)
+        start = len(self._rows)
+        self._rows.extend(row)
+        self._row_at[key] = start
+        return start
 
     def degree(self, node_id: int) -> int:
         """Undirected degree of *node_id*."""

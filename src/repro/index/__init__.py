@@ -7,13 +7,15 @@ shortlist scan with array-backed kernels:
 
 * :class:`Vocabulary` -- token interning (dense int ids + IDF),
 * :class:`PostingIndex` -- ``token_id -> array('I')`` inverted index,
-* :class:`CSRAdjacency` -- packed ``indptr``/``indices``/relation-id
-  adjacency for the leaf fetch,
 * :class:`NodeFeatures` -- per-node description features feeding
 * :class:`QueryPlan` -- per-query score upper bounds (WAND-style), and
 * :class:`GraphIndex` -- the bundle: journal-driven incremental
   maintenance plus the upper-bound-pruned candidate generator, which
   returns results byte-identical to the linear scan.
+
+Adjacency is not indexed here: the graph itself serves the leaf fetch's
+relation-grouped rows
+(:meth:`~repro.graph.knowledge_graph.KnowledgeGraph.grouped_relations`).
 
 Attach to a scorer with :func:`attach_index`; route selection is the
 ``use_index`` mode (``auto`` | ``on`` | ``off``) exposed on the
@@ -21,7 +23,6 @@ Attach to a scorer with :func:`attach_index`; route selection is the
 """
 
 from repro.index.bounds import QueryPlan
-from repro.index.csr import CSRAdjacency
 from repro.index.features import NodeFeatures
 from repro.index.graph_index import (
     MODES,
@@ -34,7 +35,6 @@ from repro.index.postings import PostingIndex
 from repro.index.vocab import NO_TOKEN, Vocabulary
 
 __all__ = [
-    "CSRAdjacency",
     "GraphIndex",
     "MODES",
     "NO_TOKEN",

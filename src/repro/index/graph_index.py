@@ -2,16 +2,17 @@
 generation.
 
 One instance per :class:`~repro.graph.knowledge_graph.KnowledgeGraph`
-bundles the four array-backed structures of :mod:`repro.index` --
+bundles the three array-backed structures of :mod:`repro.index` --
 
 * :class:`~repro.index.vocab.Vocabulary` (token interning + IDF),
-* :class:`~repro.index.postings.PostingIndex` (inverted index),
-* :class:`~repro.index.csr.CSRAdjacency` (packed adjacency), and
+* :class:`~repro.index.postings.PostingIndex` (inverted index), and
 * :class:`~repro.index.features.NodeFeatures` (bound features)
 
 -- and keeps them synchronized with the graph through the delta journal
-(:meth:`refresh`): node adds append, removals tombstone, edge mutations
-dirty CSR rows, and compaction/rebuild thresholds bound the garbage.
+(:meth:`refresh`): node adds append, removals tombstone, and a
+compaction threshold bounds the garbage.  Edges are not indexed; the
+graph itself serves relation-grouped adjacency
+(:meth:`~repro.graph.knowledge_graph.KnowledgeGraph.grouped_relations`).
 
 :meth:`candidates` is the WAND-style generator that replaces the linear
 shortlist scan in ``repro.core.candidates`` when the candidate route
@@ -44,7 +45,6 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 from repro import obs
 from repro.core.candidates import expanded_query_tokens
 from repro.index.bounds import QueryPlan
-from repro.index.csr import CSRAdjacency
 from repro.index.features import NodeFeatures
 from repro.index.postings import PostingIndex
 from repro.index.vocab import Vocabulary
@@ -93,7 +93,6 @@ class GraphIndex:
         self.graph = graph
         self.mode = mode
         self.vocab = Vocabulary()
-        self.csr = CSRAdjacency()
         #: Cumulative generator counters (mirrored as obs counters).
         self.postings_scanned = 0
         self.pruned = 0
@@ -106,7 +105,6 @@ class GraphIndex:
         graph = self.graph
         self.postings = PostingIndex.build(graph, self.vocab)
         self.features = NodeFeatures.build(graph, self.vocab)
-        self.csr.build(graph)
         self.vocab.idf_stale = True
         self._version = graph.version
 
@@ -116,11 +114,10 @@ class GraphIndex:
         Walks the per-mutation :class:`~repro.dynamic.journal.Delta`
         entries (the merged summary erases membership detail once
         ``stats_changed`` is set, which node mutations always set):
-        added nodes are appended to postings/features, removed nodes
-        tombstoned, edge mutations mark CSR rows dirty (relabels --
-        journalled without endpoints -- dirty the whole CSR).  Falls
-        back to a full rebuild when the journal no longer covers the
-        gap.  Returns True when anything changed.
+        added nodes are appended to postings/features and removed nodes
+        tombstoned; edge mutations and attribute updates touch nothing
+        indexed.  Falls back to a full rebuild when the journal no
+        longer covers the gap.  Returns True when anything changed.
         """
         graph = self.graph
         if graph.version == self._version:
@@ -131,7 +128,6 @@ class GraphIndex:
             return True
         postings = self.postings
         features = self.features
-        csr = self.csr
         vocab = self.vocab
         stats = False
         for delta in graph.journal.entries():
@@ -151,21 +147,11 @@ class GraphIndex:
             elif kind == "remove_node":
                 # ``nodes`` = the removed node plus its former neighbors.
                 # Which is which can only be read off the *current* graph:
-                # survivors had a degree change (CSR row stale), the rest
-                # are gone (tombstone; idempotent for neighbors removed
-                # by a later delta).
+                # the gone ones are tombstoned (idempotent for neighbors
+                # removed by a later delta).
                 for nid in delta.nodes:
                     if nid not in graph:
                         postings.kill(nid)
-                csr.mark_dirty(delta.nodes)
-            elif kind in ("add_edge", "remove_edge"):
-                csr.mark_dirty(delta.nodes)
-            elif kind == "update_edge":
-                # Relabels journal relations only (by design: candidate
-                # lists survive them), so no row targeting is possible.
-                csr.mark_all_dirty()
-            # update_node_attrs: name/type/keywords are immutable and
-            # attrs are unindexed -- nothing to do.
         if stats:
             vocab.idf_stale = True
             self._plans.clear()
@@ -174,20 +160,8 @@ class GraphIndex:
         features.grow(slots)
         if postings.should_compact():
             postings.compact()
-        if csr.should_rebuild(slots):
-            csr.build(graph)
         self._version = graph.version
         return True
-
-    def synced(self) -> bool:
-        """True when the index matches the graph's current version.
-
-        Readers that consult the packed arrays directly (the stark leaf
-        fetch) must check this per access: a stale index has stale dirty
-        sets, so even the row-fallback logic cannot be trusted until
-        :meth:`refresh` runs.
-        """
-        return self._version == self.graph.version
 
     # -- candidate generation -------------------------------------------
     def _plan_for(self, scorer, desc) -> QueryPlan:
@@ -285,11 +259,7 @@ class GraphIndex:
     # -- introspection ---------------------------------------------------
     def nbytes(self) -> int:
         """Approximate footprint of the packed structures in bytes."""
-        return (
-            self.postings.entry_count() * 4
-            + len(self.postings.alive)
-            + self.csr.nbytes()
-        )
+        return self.postings.entry_count() * 4 + len(self.postings.alive)
 
     def __repr__(self) -> str:
         return (

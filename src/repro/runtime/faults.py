@@ -248,6 +248,13 @@ class FaultyGraph:
             "graph.in_neighbors", self._graph.in_neighbors(node_id)
         )
 
+    def grouped_relations(self, node_id: int, orientation: int = 0):
+        # A grouped row is a read of the list it groups: it passes that
+        # list's fault point first.
+        (self.neighbors, self.out_neighbors,
+         self.in_neighbors)[orientation](node_id)
+        return self._graph.grouped_relations(node_id, orientation)
+
     def __contains__(self, node_id: object) -> bool:
         return node_id in self._graph
 

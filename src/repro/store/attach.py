@@ -16,7 +16,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Tuple, Union
 
-from repro.index.csr import CSRAdjacency
 from repro.index.features import FEATURE_COLUMNS, NodeFeatures
 from repro.index.graph_index import MODES, GraphIndex
 from repro.index.postings import PostingIndex
@@ -58,8 +57,6 @@ class MmapGraphIndex(GraphIndex):
         self.postings.alive = bytearray()
         self._plans = {}
         self.vocab.idf = None
-        self.csr.indptr = self.csr.indices = self.csr.rels = None
-        self.csr.dirs = None
         for attr, _code in FEATURE_COLUMNS:
             setattr(self.features, attr, None)
         reader = self._reader
@@ -139,14 +136,6 @@ def attach_mmap_index(
         postings.live_nodes = meta.node_slots - meta.removed_nodes
         postings.dead_nodes = 0
 
-        csr = CSRAdjacency()
-        csr.indptr = reader.section("csr.indptr")
-        csr.indices = reader.section("csr.indices")
-        csr.rels = reader.section("csr.rels")
-        csr.dirs = reader.section("csr.dirs")
-        csr.rel_strings = reader.strings("rel", counts["rels"]).materialize()
-        csr.rel_ids = {rel: rid for rid, rel in enumerate(csr.rel_strings)}
-
         features = NodeFeatures()
         for attr, _code in FEATURE_COLUMNS:
             setattr(features, attr, reader.section(f"feat.{attr}"))
@@ -159,7 +148,6 @@ def attach_mmap_index(
     index.mode = mode
     index.vocab = vocab
     index.postings = postings
-    index.csr = csr
     index.features = features
     index.postings_scanned = 0
     index.pruned = 0

@@ -40,8 +40,7 @@ string tables -- string *i* is ``blob[offs[i]:offs[i+1]]``)::
     csr.dirs      [B]   1 = edge leaves v (dir filtering reproduces the
                         out/in neighbor lists)
     csr.eids      [I]   edge ids (the live adjacency stores
-                        ``(neighbor, edge_id)`` tuples; CSR alone drops
-                        the edge id, so readers need this column back)
+                        ``(neighbor, edge_id)`` tuples)
     feat.<name>         the 14 :class:`~repro.index.features.NodeFeatures`
                         columns
     pool.blob/offs      features string pool (types, initials)
@@ -191,10 +190,11 @@ def _build_sections(graph) -> List[Tuple[str, int, bytes]]:
     for token in vocab.strings:
         vocab_blob.add(token)
 
-    # CSR adjacency *with edge ids*: the in-memory CSRAdjacency drops
-    # them, but a reader reconstructing ``graph.neighbors(v)`` needs the
-    # ``(neighbor, edge_id)`` tuples back.  Row order equals the live
-    # adjacency order; the direction flag recovers the out/in lists.
+    # CSR adjacency: row order equals the live adjacency order and the
+    # direction flag recovers the out/in lists.  A mapped graph reads its
+    # ``(neighbor, edge_id)`` rows off indices + eids, and its
+    # relation-grouped rows (``grouped_relations``) off indices + rels +
+    # dirs, without materializing an edge.
     rel_ids: Dict[str, int] = {}
     rel_blob = _Blob()
 

@@ -198,10 +198,12 @@ _SENTINEL = object()
 
 
 class _LazyAdj:
-    """One adjacency list family (undirected / out / in) over the CSR
-    columns.  All three share the same views; the direction flag filters
-    the row, reproducing the live graph's out/in ordering exactly (see
-    :class:`repro.index.csr.CSRAdjacency`)."""
+    """One adjacency list family (undirected / out / in) over the
+    ``csr.*`` columns.  All three share the same views; a row lists v's
+    edges in ``graph.neighbors(v)`` order and the direction flag filters
+    it, reproducing the live graph's out/in ordering exactly (the graph
+    appends to all three lists together and removals keep relative
+    order)."""
 
     __slots__ = ("_indptr", "_indices", "_dirs", "_eids", "_kind",
                  "_base", "_cache", "_extra")
@@ -501,6 +503,23 @@ class MmapKnowledgeGraph(KnowledgeGraph):
 
     def token_dfs(self) -> Iterator[Tuple[str, int]]:
         return self._token_index.dfs()
+
+    def _row_entries(self, node_id: int, orientation: int):
+        # Until the overlay takes its first mutation, the csr.* columns
+        # are the adjacency: read labels off them without materializing
+        # the row or any EdgeData.
+        if self.version != self.base_version:
+            return super()._row_entries(node_id, orientation)
+        store = self._store
+        start, end = store.section("csr.indptr")[node_id:node_id + 2]
+        keys = self._edges._rels
+        entries = zip(store.section("csr.indices")[start:end],
+                      store.section("csr.rels")[start:end],
+                      store.section("csr.dirs")[start:end])
+        if not orientation:
+            return ((nbr, keys[rid]) for nbr, rid, _out in entries)
+        want = 1 if orientation > 0 else 0
+        return ((nbr, keys[rid]) for nbr, rid, out in entries if out == want)
 
     # -- store plumbing -------------------------------------------------
     @property

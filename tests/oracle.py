@@ -83,6 +83,28 @@ def run_algorithm(
     raise ValueError(f"unknown algorithm {name!r}; choose from {ALGORITHMS}")
 
 
+def reference_grouped_relations(graph, v: int, orientation: int = 0):
+    """``graph.grouped_relations(v, orientation)`` by its definition: the
+    orientation's neighbor list grouped by neighbor in first-seen order,
+    with one label, or a tuple of the labels of parallel edges."""
+    entries = {0: graph.neighbors, 1: graph.out_neighbors,
+               -1: graph.in_neighbors}[orientation](v)
+    grouped: Dict[int, List[str]] = {}
+    for nbr, eid in entries:
+        grouped.setdefault(nbr, []).append(graph.edge(eid)[2].relation)
+    return [(nbr, labels[0] if len(labels) == 1 else tuple(labels))
+            for nbr, labels in grouped.items()]
+
+
+def assert_grouped_relations(graph) -> None:
+    """Every live row of every orientation equals its reference."""
+    for v in graph.nodes():
+        for orientation in (0, 1, -1):
+            assert graph.grouped_relations(v, orientation) == (
+                reference_grouped_relations(graph, v, orientation)
+            ), (v, orientation)
+
+
 def assert_same_results(got, expected) -> None:
     """Exact (assignment, score) equality between two engine runs."""
     assert (

@@ -159,13 +159,16 @@ class TestRoute:
         index.mode = "on"
         assert self.route(other, limit=5).index is None
 
-    def test_live_index_is_the_csr_gate(self):
+    def test_live_index_is_the_route_gate(self):
         scorer = ScoringFunction(GRAPH, CONFIG)
         assert live_index(scorer) is None
+        assert self.route(scorer, limit=5).index is None
         index = attach_index(scorer, mode="auto")
-        assert live_index(scorer) is index  # adjacency needs no cutoff
+        assert live_index(scorer) is index  # live whatever the cutoff
+        assert self.route(scorer, limit=5).index is index
         index.mode = "off"
         assert live_index(scorer) is None
+        assert self.route(scorer, limit=5).index is None
 
     def test_cache_skipped_by_budget_and_scope(self):
         scorer = ScoringFunction(GRAPH, CONFIG)

@@ -1,5 +1,10 @@
 """Hypothesis differential tests: random mutate/search interleavings must
-match a from-scratch rebuild byte-for-byte (the dynamic-update oracle)."""
+match a from-scratch rebuild byte-for-byte (the dynamic-update oracle).
+
+The graph's relation-grouped rows (``grouped_relations``, the star leaf
+fetch's one adjacency read) are checked against their definition after
+every mutation batch: in memory, and on a store-backed graph first from
+its columns and then through its overlay."""
 
 from __future__ import annotations
 
@@ -15,7 +20,7 @@ from repro.perf import attach_cache
 from repro.query.parser import parse_query
 
 from tests.conftest import build_random_graph
-from tests.oracle import assert_same_results
+from tests.oracle import assert_grouped_relations, assert_same_results
 
 _TYPES = ("actor", "director", "film", "award", "place")
 _RELATIONS = ("acted_in", "directed", "won", "born_in", "married_to")
@@ -71,6 +76,14 @@ def _random_mutation(rng, graph):
             rng.choice(_RELATIONS)]
 
 
+def _relabel(rng, graph):
+    """An ``update_edge`` record that really changes a relation label."""
+    eid, _src, _dst = rng.choice(list(graph.edges()))
+    current = graph.edge(eid)[2].relation
+    return ["update_edge", eid,
+            rng.choice([r for r in _RELATIONS if r != current])]
+
+
 class TestMutateSearchOracle:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
@@ -90,6 +103,12 @@ class TestMutateSearchOracle:
                 record = _random_mutation(rng, live)
                 apply_operation(live, record)
                 applied.append(record)
+            record = _relabel(rng, live)
+            apply_operation(live, record)
+            applied.append(record)
+            # Rows packed in earlier rounds survive unless a mutation
+            # touched their node.
+            assert_grouped_relations(live)
             engine.scorer.refresh()
             got = engine.search(query, 5)
 
@@ -123,6 +142,15 @@ class TestMutateSearchOracle:
             Star(loaded, d=1).search(query, 5),
             Star(fresh, d=1).search(query, 5),
         )
+
+        # Rows filled from the store's columns, then the overlay's: a
+        # relabel, a parallel edge and one more random mutation.
+        assert_grouped_relations(loaded)
+        _eid, src, dst = next(loaded.edges())
+        for record in (_relabel(rng, loaded), ["add_edge", dst, src, "won"],
+                       _random_mutation(rng, loaded)):
+            apply_operation(loaded, record)
+            assert_grouped_relations(loaded)
 
 
 class TestDisjointMutationSurvival:

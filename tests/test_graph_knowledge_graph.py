@@ -1,11 +1,19 @@
 """Unit tests for the core knowledge-graph structure."""
 
+import gc
+import random
+import sys
+import threading
+
 import pytest
 
 from repro.errors import GraphError
-from repro.graph import KnowledgeGraph
+from repro.graph import KnowledgeGraph, dbpedia_like
 from repro.graph.knowledge_graph import subgraph_view
 from repro.textutil import tokenize
+
+from tests.conftest import build_random_graph
+from tests.oracle import reference_grouped_relations
 
 
 class TestTokenize:
@@ -294,3 +302,97 @@ class TestSubtypeClosureImmutability:
         view = loaded.nodes_of_subtype("person")
         assert isinstance(view, frozenset)
         assert view == g.nodes_of_subtype("person")
+
+
+class TestGroupedRelations:
+    """The packed, relation-grouped neighbor rows (their mutate ≡
+    rebuild check is ``tests/test_dynamic_property.py``'s)."""
+
+    def test_parallel_edges_group_in_list_order(self):
+        g = KnowledgeGraph()
+        a, b, c = g.add_node("A"), g.add_node("B"), g.add_node("C")
+        g.add_edge(a, b, "r1")
+        g.add_edge(a, c, "r3")
+        g.add_edge(b, a, "r2")
+        assert g.grouped_relations(a) == [(b, ("r1", "r2")), (c, "r3")]
+        assert g.grouped_relations(a, 1) == [(b, "r1"), (c, "r3")]
+        assert g.grouped_relations(a, -1) == [(b, "r2")]
+        with pytest.raises(ValueError):
+            g.grouped_relations(a, 2)
+        with pytest.raises(GraphError):
+            g.grouped_relations(99)
+
+    def test_threads_share_one_pack(self):
+        g = build_random_graph(seed=5, num_nodes=300, num_edges=1200)
+        expected = {(v, o): reference_grouped_relations(g, v, o)
+                    for v in g.nodes() for o in (0, 1, -1)}
+        keys = list(expected)
+        mismatches = []
+
+        def read_all(seed):
+            order = keys[:]
+            random.Random(seed).shuffle(order)
+            for v, o in order:
+                if g.grouped_relations(v, o) != expected[v, o]:
+                    mismatches.append((v, o))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read_all, args=(seed,))
+                       for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+        # One packed copy of each row, however many threads asked.
+        assert len(g._rows) == sum(1 + 2 * len(row)
+                                   for row in expected.values())
+
+    def test_hub_churn_keeps_the_arena_bounded(self):
+        g = build_random_graph(seed=9, num_nodes=60, num_edges=200)
+        hub = g.add_node("hub")
+        for leaf in range(50):
+            g.add_edge(hub, leaf, "likes")
+        for v in g.nodes():
+            g.grouped_relations(v)
+        for cycle in range(1000):
+            eid = g.add_edge(hub, cycle % 50, "new")
+            g.grouped_relations(hub)
+            g.remove_edge(eid)
+            g.grouped_relations(hub, cycle % 3 - 1)
+            live = len(g._rows) - g._rows_dead
+            assert len(g._rows) <= 2 * live
+        for v in g.nodes():
+            for o in (0, 1, -1):
+                assert g.grouped_relations(v, o) == (
+                    reference_grouped_relations(g, v, o))
+
+    def test_packing_adds_no_per_row_objects(self):
+        # A per-row Python object would put every packed row in front of
+        # the garbage collector (a full collection over them once showed
+        # up in a first answer).  Tracked objects may grow by the interned
+        # parallel-label tuples only, and those hold strings, so one
+        # collection untracks them.
+        g = dbpedia_like(0.5, 7)
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            for v in g.nodes():
+                for o in (0, 1, -1):
+                    g.grouped_relations(v, o)
+            packed = len(gc.get_objects())
+        finally:
+            gc.enable()
+        gc.collect()
+        after = len(gc.get_objects())
+        rows = len(g._row_at)
+        tuples = sum(1 for label in g._labels if isinstance(label, tuple))
+        assert rows == 3 * g.num_nodes
+        assert packed - before <= tuples + 8 < rows // 10
+        assert after - before <= 8

@@ -6,9 +6,10 @@ WAND-style upper-bound pruning) returns lists **byte-identical** to the
 seed's linear shortlist scan -- across random graphs, query shapes,
 cutoffs, scoring configs, and graph mutations maintained through the
 delta journal.  Hypothesis drives the differential; unit tests pin the
-individual kernels (vocabulary, postings, CSR, features, footprint) and
-the attach/routing surface (the route table itself is
-``tests/test_candidate_pipeline.py``'s).
+individual kernels (vocabulary, postings, features, footprint) and the
+attach/routing surface (the route table itself is
+``tests/test_candidate_pipeline.py``'s).  The graph's relation-grouped
+rows are checked by ``tests/test_dynamic_property.py``.
 """
 
 from __future__ import annotations
@@ -339,28 +340,6 @@ class TestKernels:
         postings.add_node(graph.num_node_slots, frozenset(("brad",)), vocab)
         assert list(postings.posting(tid)).count(graph.num_node_slots) == 1
 
-    def test_csr_grouped_relations_parity(self):
-        graph = build_movie_graph()
-        index = GraphIndex(graph, mode="on")
-        for directed in (False, True):
-            for v in graph.nodes():
-                packed = index.csr.grouped_relations(graph, v, directed)
-                # Force the live-graph fallback for the same node.
-                index.csr.dirty.add(v)
-                fallback = index.csr.grouped_relations(graph, v, directed)
-                index.csr.dirty.discard(v)
-                assert packed == fallback
-                assert list(packed[0]) == list(fallback[0])  # same order
-
-    def test_csr_rebuild_threshold(self):
-        graph = build_movie_graph()
-        index = GraphIndex(graph, mode="on")
-        assert not index.csr.should_rebuild(graph.num_node_slots)
-        index.csr.mark_all_dirty()
-        assert index.csr.should_rebuild(graph.num_node_slots)
-        index.csr.build(graph)
-        assert not index.csr.all_dirty and not index.csr.dirty
-
     def test_node_footprint_iterates_arrays_and_closure(self):
         from array import array
 
@@ -406,9 +385,8 @@ class TestRefresh:
     def test_refresh_noop_when_synced(self):
         graph = build_movie_graph()
         index = GraphIndex(graph, mode="on")
-        assert index.synced()
         assert index.refresh() is False
         graph.add_node("someone new", "actor")
-        assert not index.synced()
         assert index.refresh() is True
-        assert index.synced()
+        assert index._version == graph.version
+        assert index.refresh() is False
