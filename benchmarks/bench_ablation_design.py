@@ -1,23 +1,21 @@
 """Ablations for the design choices DESIGN.md calls out.
 
-Not a paper artifact; quantifies three internal decisions:
+Not a paper artifact; quantifies internal decisions:
 
 1. **Proposition 3 pruning** (Section V-A): stark's leaf lists pruned to
    ``k + s - 1`` entries (valid in the non-injective model) vs unpruned.
-2. **Section V-C hybrid alternative**: the TA-guided two-stage search vs
-   stark and stard, at d = 1 and d = 2 (the paper left this to "future
-   study").
-3. **Message passing (stard) vs eager traversal (stark-d)** lattice work:
+2. **Message passing (stard) vs eager traversal (stark-d)** lattice work:
    how many pivots each evaluates exactly, the mechanism behind Fig. 12.
+3. **Vertex-centric propagation** and **directed matching**: what
+   partitioning and edge orientation cost.
 """
 
-from repro.core import HybridStarSearch, StarDSearch, StarKSearch
+from repro.core import StarDSearch, StarKSearch
 from repro.eval import (
     benchmark_graph,
     benchmark_scorer,
     format_ms,
     print_table,
-    time_algorithm,
 )
 from repro.query import StarQuery, star_workload
 
@@ -43,18 +41,6 @@ def run_prop3_ablation():
         elapsed = time.perf_counter() - start
         rows.append([label, format_ms(elapsed / NUM_QUERIES, is_seconds=True),
                      pops])
-    return rows
-
-
-def run_hybrid_ablation():
-    graph = benchmark_graph("dbpedia")
-    scorer = benchmark_scorer(graph)
-    workload = star_workload(graph, NUM_QUERIES, seed=162)
-    rows = []
-    for d in (1, 2):
-        for name in ("stark", "stard", "hybrid"):
-            result = time_algorithm(name, scorer, workload, K, d=d)
-            rows.append([name, d, format_ms(result.avg_ms)])
     return rows
 
 
@@ -89,53 +75,6 @@ def test_ablation_prop3(benchmark):
     )
     # Pruning never increases the lattice work.
     assert rows[0][2] <= rows[1][2]
-
-
-def test_ablation_hybrid(benchmark):
-    rows = benchmark.pedantic(run_hybrid_ablation, rounds=1, iterations=1)
-    print_table(
-        "Ablation -- Section V-C hybrid vs stark vs stard",
-        ["matcher", "d", "avg runtime"],
-        rows,
-        save_as="ablation_hybrid",
-    )
-    assert len(rows) == 6
-
-
-def run_sketch_ablation():
-    import time
-
-    from repro.graph.sketch import NeighborhoodSketch
-
-    graph = benchmark_graph("dbpedia")
-    scorer = benchmark_scorer(graph)
-    workload = star_workload(graph, NUM_QUERIES, seed=164)
-    sketch = NeighborhoodSketch(graph)
-    rows = []
-    for label, use_sketch in (("sketch on", sketch), ("sketch off", None)):
-        scorer.clear_cache()
-        start = time.perf_counter()
-        pruned = 0
-        for query in workload:
-            matcher = StarKSearch(scorer, sketch=use_sketch)
-            matcher.search(StarQuery.from_query(query), K)
-            pruned += matcher.stats.pivots_sketch_pruned
-        elapsed = time.perf_counter() - start
-        rows.append([label, format_ms(elapsed / NUM_QUERIES, is_seconds=True),
-                     pruned])
-    rows.append(["sketch memory", f"{sketch.memory_bytes() // 1024}KB", "-"])
-    return rows
-
-
-def test_ablation_sketch(benchmark):
-    rows = benchmark.pedantic(run_sketch_ablation, rounds=1, iterations=1)
-    print_table(
-        "Ablation -- [2]'s neighborhood sketch (stark, d=1)",
-        ["variant", "avg runtime / size", "pivots pruned"],
-        rows,
-        save_as="ablation_sketch",
-    )
-    assert len(rows) == 3
 
 
 def run_vertex_engine_ablation():

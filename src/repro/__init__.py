@@ -21,7 +21,6 @@ from repro import obs
 from repro.obs import STAT_KEYS, EngineStats, MetricsRegistry, Tracer
 from repro.baselines import BeliefPropagation, GraphTA, brute_force_topk
 from repro.core import (
-    HybridStarSearch,
     Match,
     SearchOptions,
     Star,
@@ -88,7 +87,6 @@ __all__ = [
     "FaultSpec",
     "GraphError",
     "GraphTA",
-    "HybridStarSearch",
     "InjectedFaultError",
     "KnowledgeGraph",
     "Match",

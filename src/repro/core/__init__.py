@@ -5,13 +5,11 @@
 * :class:`StarJoin` -- procedure ``starjoin`` + alpha-scheme (Section VI-A).
 * :class:`Star` -- the full framework (Fig. 4).
 * :class:`SearchOptions` -- the engine's knobs, declared once.
-* :class:`HybridStarSearch` -- the Section V-C alternative.
 * :func:`tune_parameters` -- Section VI-C's offline grid search.
 """
 
 from repro.core.candidates import node_candidates, shortlist
 from repro.core.framework import Star
-from repro.core.hybrid import HybridStarSearch
 from repro.core.lattice import LeafEntry, PivotMatchGenerator, make_leaf_list
 from repro.core.matches import (
     Match,
@@ -34,7 +32,6 @@ from repro.core.topk import (
 from repro.core.tuning import TuningResult, aggregate_depth, tune_parameters
 
 __all__ = [
-    "HybridStarSearch",
     "LeafEntry",
     "Match",
     "PivotMatchGenerator",

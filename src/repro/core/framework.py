@@ -110,7 +110,7 @@ class Star:
         k: int,
         budget: Optional[Budget] = None,
     ) -> List[Match]:
-        """Top-k matches of a star query (stark / stard / hybrid)."""
+        """Top-k matches of a star query (stark / stard)."""
         matcher = star_matcher(self.scorer, self.options)
         cache, hits0, misses0 = self._cache_marks()
         try:

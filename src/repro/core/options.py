@@ -20,7 +20,7 @@ from repro.query.decomposition import METHODS
 
 #: Star procedures; all exact, so the choice is purely a performance
 #: decision.  ``auto`` is the paper's routing (Fig. 4).
-ALGORITHMS = ("auto", "stark", "stard", "hybrid")
+ALGORITHMS = ("auto", "stark", "stard")
 #: Shard transports.
 BACKENDS = ("auto", "fork", "serial")
 _TIER_MODES = ("auto", "on", "off")
@@ -114,7 +114,7 @@ class SearchOptions:
                 f"got {self.algorithm!r}"
             )
         if self.directed and self.algorithm not in ("auto", "stark"):
-            # stard/hybrid do not implement edge orientation; silently
+            # stard does not implement edge orientation; silently
             # ignoring it would change results.
             raise SearchError(
                 f"directed matching requires algorithm auto or stark, "

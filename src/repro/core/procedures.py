@@ -1,7 +1,7 @@
 """The one place a star procedure is chosen and constructed.
 
-``stark``, ``stard`` and ``hybrid`` are one lazy Lemma-1 loop
-(:meth:`repro.core.stark.StarKSearch.stream`) under three pivot bounds;
+``stark`` and ``stard`` are one lazy Lemma-1 loop
+(:meth:`repro.core.stark.StarKSearch.stream`) under two pivot bounds;
 every caller that needs a star matcher -- the framework, ``starjoin``'s
 streams, the shard workers, the evaluation harness -- gets it here, from
 the :class:`~repro.core.options.SearchOptions` record it was handed.
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import AbstractSet, Optional
 
-from repro.core.hybrid import HybridStarSearch
 from repro.core.options import ALGORITHMS, SearchOptions
 from repro.core.stard import StarDSearch
 from repro.core.stark import StarKSearch
@@ -40,8 +39,7 @@ def star_matcher(
             candidate_limit=options.candidate_limit, d=options.d,
             directed=options.directed, pivot_scope=pivot_scope,
         )
-    cls = StarDSearch if algorithm == "stard" else HybridStarSearch
-    return cls(
+    return StarDSearch(
         scorer, d=options.d, injective=options.injective,
         candidate_limit=options.candidate_limit, pivot_scope=pivot_scope,
     )

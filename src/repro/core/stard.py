@@ -206,7 +206,7 @@ class StarDSearch(StarKSearch):
             span.annotate(
                 viable=sum(bound is not None for bound in bounds)
             )
-        return pivot_cands, bounds, provider, None
+        return pivot_cands, bounds, provider
 
     def search(
         self, star: StarQuery, k: int, budget: Optional[Budget] = None

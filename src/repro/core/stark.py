@@ -3,19 +3,22 @@
 Steps (Fig. 5):
 
 1. identify candidate pivot matches online (scored + thresholded);
-2. find the top-1 match pivoted at each candidate by scanning its
-   neighbors and assembling the best leaf assignments;
-3. keep the matches in a priority queue; repeatedly pop the global best,
-   emit it, and generate the next-best match for that pivot via the
-   cursor lattice (:mod:`repro.core.lattice`).
+2. read each candidate's neighbor rows once and keep the leaf candidates
+   among its neighbors; the best entry of each leaf list bounds the
+   top-1 match pivoted there (exactly, unless injectivity makes two
+   leaves want one node), and a pivot with an empty list has no match;
+3. keep top-1 matches in a priority queue, building a pivot's lattice
+   generator only while its bound beats every queued match; repeatedly
+   pop the global best, emit it, and generate the next-best match for
+   that pivot via the cursor lattice (:mod:`repro.core.lattice`).
 
-Steps 2 and 3 are :meth:`StarKSearch.stream`, the one lazy Lemma-1 loop
-of the code base.  ``stard`` (Section V-B) and the Section V-C hybrid are
-the same loop given an upper bound per pivot, which lets step 2 skip
-pivots that cannot beat a match already found; ``stark`` gives none and
-evaluates them all.  The loop also holds the one copy of the budget
-contract: a charge per pivot, the anytime minimum-progress floor, the
-rescue pass, and drain-after-trip.
+Step 3 is :meth:`StarKSearch.stream`, the one lazy Lemma-1 loop of the
+code base.  ``stard`` (Section V-B) runs the same loop under its
+message-passing bound at ``d >= 2``; ``stark`` at ``d >= 2`` has no
+bound and evaluates every candidate.  The loop also holds the one copy
+of the budget contract: a node charged per pivot read (by step 2 at
+``d == 1``, at evaluation otherwise), the anytime minimum-progress
+floor, the rescue pass, and drain-after-trip.
 
 The stream of emitted matches is monotone non-increasing in score -- the
 property ``starjoin`` relies on (Section VI).  Proposition 3 pruning is
@@ -56,15 +59,15 @@ from repro.runtime.faults import SUBSTRATE_ERRORS
 from repro.similarity.scoring import ScoringFunction
 
 #: Type of a per-pivot leaf-candidate provider: given the pivot data node,
-#: return one raw-entry list per leaf position.
+#: return one raw-entry list per leaf position (or stop at the first
+#: empty one: the pivot has no match).
 LeafProvider = Callable[[int], List[List[Tuple[float, int, float, float, int]]]]
 
 #: What a procedure's set-up hands the shared loop: scored pivot
-#: candidates, optionally one upper bound per candidate, the leaf
-#: provider, and the sketch's leaf signatures (or None).
+#: candidates, optionally one upper bound per candidate, and the leaf
+#: provider.
 PivotPlan = Tuple[
     List[Tuple[int, float]], Optional[List[Optional[float]]], LeafProvider,
-    Optional[list],
 ]
 
 #: After an anytime budget trips mid-scan, keep trying pivots (visited by
@@ -87,8 +90,8 @@ class SearchStats:
     """
 
     __slots__ = ("pivots_considered", "pivots_evaluated", "pivots_with_match",
-                 "matches_emitted", "lattice_pops", "pivots_sketch_pruned",
-                 "nodes_traversed", "messages_propagated")
+                 "matches_emitted", "lattice_pops", "nodes_traversed",
+                 "messages_propagated")
 
     def __init__(self) -> None:
         for name in self.__slots__:
@@ -111,11 +114,6 @@ class StarKSearch:
         d: search bound; for ``d >= 2`` every pivot candidate pays an
             eager d-hop traversal, which is exactly the expensive regime
             Exp-1 shows ``stard`` avoiding (Section V-B's motivation).
-        sketch: a prebuilt :class:`repro.graph.sketch.NeighborhoodSketch`,
-            or True to build one -- prunes pivots whose neighborhood
-            provably contains no candidate for some leaf ([2]'s graph
-            sketch accelerator; only consulted at d = 1, where leaf
-            matches must be direct neighbors).  Results never change.
         directed: enforce query-edge orientation (RDF/SPARQL-style);
             requires ``d == 1`` (see ``edge_match``).
         pivot_scope: optional node-id set the pivot may match within --
@@ -143,7 +141,6 @@ class StarKSearch:
         candidate_limit: Optional[int] = None,
         prop3: Optional[bool] = None,
         d: int = 1,
-        sketch=None,
         directed: bool = False,
         pivot_scope: Optional[AbstractSet[int]] = None,
     ) -> None:
@@ -158,11 +155,6 @@ class StarKSearch:
         self.prop3 = (not injective) if prop3 is None else prop3
         self.d = d
         self.directed = directed
-        if sketch is True:
-            from repro.graph.sketch import NeighborhoodSketch
-
-            sketch = NeighborhoodSketch(scorer.graph)
-        self.sketch = sketch
         self.pivot_scope = pivot_scope
         self.stats = SearchStats()
         self.last_report: Optional[SearchReport] = None
@@ -211,7 +203,9 @@ class StarKSearch:
         edge_threshold = scorer.config.edge_threshold
         # Per-leaf direction: +1 = edge points pivot -> leaf, -1 = leaf ->
         # pivot, 0 = orientation ignored (undirected matching) -- the
-        # orientation argument of grouped_relations.
+        # orientation argument of grouped_relations.  The last element
+        # memoises F_E per label (or parallel-edge label tuple) for that
+        # query edge.
         leaf_info = [
             (
                 leaf_scores,
@@ -219,31 +213,37 @@ class StarKSearch:
                 node_weights.get(leaf.id, 1.0),
                 (0 if not self.directed
                  else (1 if edge.src == star.pivot.id else -1)),
+                {},
             )
             for (leaf, edge), leaf_scores in zip(star.leaves, leaf_maps)
         ]
 
         def provide(pivot_node: int) -> List[List[Tuple[float, int, float, float, int]]]:
             # No injectivity filter: add_edge rejects self-loops, and the
-            # lattice skips a leaf equal to the pivot anyway.
-            rows: Dict[int, List[Tuple[int, object]]] = {}
+            # lattice skips a leaf equal to the pivot anyway.  The first
+            # empty list ends the read: the pivot has no match.
+            rows: Dict[int, Dict[int, object]] = {}
             lists: List[List[Tuple[float, int, float, float, int]]] = []
-            for leaf_scores, edge_desc, weight, orientation in leaf_info:
+            for leaf_scores, edge_desc, weight, orientation, memo in leaf_info:
                 row = rows.get(orientation)
                 if row is None:
-                    row = rows[orientation] = grouped_relations(
-                        pivot_node, orientation)
+                    row = rows[orientation] = dict(grouped_relations(
+                        pivot_node, orientation))
                 entries: List[Tuple[float, int, float, float, int]] = []
-                for nbr, labels in row:
-                    node_score = leaf_scores.get(nbr)
-                    if node_score is None:
-                        continue
-                    edge_score = _label_score(scorer, edge_desc, labels)
+                for nbr in row.keys() & leaf_scores.keys():
+                    labels = row[nbr]
+                    edge_score = memo.get(labels)
+                    if edge_score is None:
+                        edge_score = memo[labels] = _label_score(
+                            scorer, edge_desc, labels)
                     if edge_score < edge_threshold:
                         continue
-                    combined = weight * node_score + edge_score
-                    entries.append((combined, nbr, node_score, edge_score, 1))
+                    node_score = leaf_scores[nbr]
+                    entries.append((weight * node_score + edge_score, nbr,
+                                    node_score, edge_score, 1))
                 lists.append(entries)
+                if not entries:
+                    break
             return lists
 
         return provide
@@ -430,38 +430,71 @@ class StarKSearch:
         weights: Mapping[int, float],
         budget: Optional[Budget],
     ) -> PivotPlan:
-        """``(pivot candidates, bounds, leaf provider, sketch signatures)``.
+        """``(pivot candidates, bounds, leaf provider)``.
 
         *bounds* is what tells the procedures apart (see :meth:`stream`):
         None, or one admissible upper bound on the pivot's top-1 score
         per candidate (None for a pivot that provably has no match).
+        ``stark`` bounds every pivot at ``d == 1``
+        (:meth:`_read_pivots`) and none at ``d >= 2``.
         """
         with obs.trace("stark.candidates"):
             pivot_cands = self._pivot_candidates(star, budget=budget)
-        with obs.trace("stark.leaf_fetch", leaves=len(star.leaves)):
+        with obs.trace("stark.leaf_fetch", leaves=len(star.leaves)) as span:
             leaf_maps = leaf_candidate_maps(self.scorer, star, budget=budget)
-        signatures = None
-        if self.sketch is not None and self.d == 1:
-            signatures = [
-                self.sketch.candidate_signature(leaf_scores)
-                for leaf_scores in leaf_maps
-            ]
-        return (
-            pivot_cands,
-            self._bounds(star, weights, pivot_cands, leaf_maps),
-            self._leaf_provider(star, weights, leaf_maps, self.d),
-            signatures,
-        )
+            provider = self._leaf_provider(star, weights, leaf_maps, self.d)
+            if self.d > 1:
+                return pivot_cands, None, provider
+            bounds, read = self._read_pivots(
+                star, weights, pivot_cands, provider, budget)
+            span.annotate(viable=len(read))
+        return pivot_cands, bounds, read.pop
 
-    def _bounds(
+    def _read_pivots(
         self,
         star: StarQuery,
         weights: Mapping[int, float],
         pivot_cands: List[Tuple[int, float]],
-        leaf_maps: List[Dict[int, float]],
-    ) -> Optional[List[Optional[float]]]:
-        """Section V-A: no bound -- every candidate pivot is evaluated."""
-        return None
+        provider: LeafProvider,
+        budget: Optional[Budget],
+    ) -> Tuple[List[Optional[float]], Dict[int, list]]:
+        """The ``d == 1`` bound pass: every pivot's rows read once.
+
+        A pivot's bound is its weighted ``F_N`` plus the best combined
+        score of each leaf list, summed in the order a generator scores
+        its first cursor -- so it *is* the pivot's top-1 unless two
+        leaves' best entries are one node (injectivity only removes
+        matches, Prop. 3 only prunes lists).  A pivot with an empty list
+        gets None.  The lists read are returned by pivot, for the loop's
+        provider, so no pivot is read twice.
+
+        Each read charges one node, in candidate order; a trip stops the
+        reading and leaves the rest unbounded.  A substrate fault on one
+        pivot is recorded under an anytime budget (that pivot alone is
+        skipped) and raised otherwise.
+        """
+        anytime = budget is not None and budget.anytime
+        pivot_weight = weights.get(star.pivot.id, 1.0)
+        bounds: List[Optional[float]] = [None] * len(pivot_cands)
+        read: Dict[int, list] = {}
+        for index, (pivot_node, pivot_score) in enumerate(pivot_cands):
+            if budget is not None and budget.charge_nodes():
+                break
+            try:
+                lists = provider(pivot_node)
+            except SUBSTRATE_ERRORS as exc:
+                if not anytime:
+                    raise
+                budget.record_fault(f"pivot {pivot_node}: {exc}")
+                continue
+            if lists and not lists[-1]:
+                continue
+            bound = pivot_weight * pivot_score
+            for entries in lists:
+                bound += max(entries)[0]
+            bounds[index] = bound
+            read[pivot_node] = lists
+        return bounds, read
 
     # ------------------------------------------------------------------
     # Public API
@@ -475,15 +508,15 @@ class StarKSearch:
     ) -> Iterator[Match]:
         """Yield matches of *star* in non-increasing score order.
 
-        Lemma 1 realized as a lazy scheme, shared by all three star
+        Lemma 1 realized as a lazy scheme, shared by both star
         procedures: an evaluated pivot contributes its top-1 match to a
         priority queue; popping the global best and replacing it with
         that pivot's next-best match yields the exact ranking.  A pivot
-        is evaluated (sketch check, generator, top-1) only while its
-        upper bound beats the best queued match, pivots taken by
-        decreasing bound and candidate order among equals.  Without
-        bounds (``stark``) that is every candidate, in candidate order,
-        before the first emission.
+        is evaluated (generator, top-1) only while its upper bound beats
+        the best queued match, pivots taken by decreasing bound and
+        candidate order among equals.  Without bounds (``stark`` at
+        ``d >= 2``) that is every candidate, in candidate order, before
+        the first emission.
 
         With an anytime *budget*, a trip stops evaluating new pivots
         (after the minimum-progress floor) and the queue is drained
@@ -497,9 +530,7 @@ class StarKSearch:
         budget_on = budget is not None
         anytime = budget_on and budget.anytime
         try:
-            pivot_cands, bounds, provider, signatures = self._plan(
-                star, weights, budget
-            )
+            pivot_cands, bounds, provider = self._plan(star, weights, budget)
         except SUBSTRATE_ERRORS as exc:
             if not anytime:
                 raise
@@ -516,6 +547,10 @@ class StarKSearch:
             bounds = [-neg for neg, _index in ranked]
         total = len(visit)
         build = self.build_generator
+        # At d == 1 the plan's read pass charged each pivot already;
+        # evaluation then only asks whether the budget has tripped.
+        if budget_on:
+            charge = budget.check if self.d == 1 else budget.charge_nodes
 
         queue: List[Tuple[float, int, Match, PivotMatchGenerator]] = []
         serial = 0  # push order: the tie-break among equal scores
@@ -533,7 +568,7 @@ class StarKSearch:
                             bounds[pos] <= -queue[0][0] + 1e-12
                         ):
                             break
-                        if budget_on and budget.charge_nodes() and (
+                        if budget_on and charge() and (
                             queue
                             or stats.pivots_evaluated >= _MIN_PIVOTS_AFTER_TRIP
                         ):
@@ -541,12 +576,6 @@ class StarKSearch:
                             break
                         pivot_node, pivot_score = visit[pos]
                         stats.pivots_evaluated += 1
-                        if signatures is not None and (
-                            not self.sketch.pivot_may_match(
-                                pivot_node, signatures)
-                        ):
-                            stats.pivots_sketch_pruned += 1
-                            continue
                         try:
                             gen = build(
                                 star, pivot_node, pivot_score, weights,

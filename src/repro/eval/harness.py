@@ -25,7 +25,7 @@ from repro.runtime.budget import Budget
 from repro.similarity.scoring import ScoringFunction
 
 #: Matcher names accepted by :func:`make_matcher`.
-ALGORITHMS = ("stark", "stard", "graphta", "bp", "hybrid")
+ALGORITHMS = ("stark", "stard", "graphta", "bp")
 
 
 @dataclass
@@ -63,14 +63,14 @@ def make_matcher(
 ) -> Callable[[Query, int], list]:
     """Build a ``search(query, k)`` callable for the named algorithm.
 
-    ``stark``/``stard``/``hybrid`` accept star-shaped queries (converted
+    ``stark``/``stard`` accept star-shaped queries (converted
     internally); ``graphta``/``bp`` take general queries directly.
 
     Raises:
         SearchError: for unknown algorithm names.
     """
     name = name.lower()
-    if name in ("stark", "stard", "hybrid"):
+    if name in ("stark", "stard"):
         options = SearchOptions(
             algorithm=name, d=d, candidate_limit=candidate_limit
         )

@@ -18,18 +18,15 @@ from repro.graph.io import load_graph, save_graph
 from repro.graph.knowledge_graph import EdgeData, KnowledgeGraph, NodeData
 from repro.graph.sampling import bfs_expand, bfs_sample
 from repro.graph.schema import NodeTypeSpec, RelationSpec, Schema
-from repro.graph.sketch import BloomSignature, NeighborhoodSketch
 from repro.graph.statistics import GraphStatistics, summarize
 from repro.graph.traversal import bounded_bfs_layers, nodes_within
 
 __all__ = [
     "AttributeStore",
-    "BloomSignature",
     "EdgeData",
     "GeneratorConfig",
     "GraphStatistics",
     "KnowledgeGraph",
-    "NeighborhoodSketch",
     "NodeData",
     "NodeTypeSpec",
     "RelationSpec",

@@ -164,7 +164,7 @@ class KnowledgeGraph:
         # ``stats_changed`` decisions need the exact value).
         self._max_degree_dirty = False
         #: Structural version: bumped on every mutation so derived
-        #: structures (scorers, sketches, caches) can detect staleness.
+        #: structures (scorers, caches) can detect staleness.
         self.version = 0
         #: Bounded delta log: what each version bump touched (node ids,
         #: tokens, types, relations, global-stat drift).  Consumers diff

@@ -21,7 +21,6 @@ STAT_KEYS = (
     "pivots_considered",
     "pivots_evaluated",
     "pivots_with_match",
-    "pivots_sketch_pruned",
     "matches_emitted",
     "lattice_pops",
     "nodes_traversed",
@@ -42,6 +41,10 @@ class EngineStats:
     from :meth:`as_dict`, which stays numeric-only so snapshots from many
     queries (possibly different engines) merge by addition.
 
+    ``pivots_evaluated`` counts the pivots whose lattice generator was
+    built; at ``d == 1`` a pivot whose bound cannot beat a queued match,
+    or that has no match at all, is considered but never evaluated.
+
     ``joins_attempted`` counts the candidate pairs the rank join
     examined: a newly fetched star match against one earlier match of
     another star, taken from the hash bucket of a joint node they share
@@ -59,7 +62,6 @@ class EngineStats:
     pivots_considered: int = 0
     pivots_evaluated: int = 0
     pivots_with_match: int = 0
-    pivots_sketch_pruned: int = 0
     matches_emitted: int = 0
     lattice_pops: int = 0
     nodes_traversed: int = 0

@@ -76,9 +76,6 @@ CASES = {
         ["-d", "2", "--algorithm", "stark"],
         {"starjoin.join", "stark.pivot_search"},
         {"stard.propagate", "stard.pivot_eval"}),
-    "general-hybrid": (
-        GENERAL, {"algorithm": "hybrid"}, ["--algorithm", "hybrid"],
-        {"starjoin.join", "hybrid.pivot_eval"}, {"stark.pivot_search"}),
     "star-stard-d2": (
         QUERY, {"d": 2, "algorithm": "stard"},
         ["-d", "2", "--algorithm", "stard"],
@@ -87,9 +84,6 @@ CASES = {
         QUERY, {"d": 2, "algorithm": "stark"},
         ["-d", "2", "--algorithm", "stark"],
         {"stark.pivot_search"}, {"stard.propagate", "stard.pivot_eval"}),
-    "star-hybrid": (
-        QUERY, {"algorithm": "hybrid"}, ["--algorithm", "hybrid"],
-        {"hybrid.pivot_eval"}, {"stark.pivot_search"}),
 }
 
 

@@ -1,9 +1,9 @@
-"""Tests for the STAR framework facade, hybrid search and tuning."""
+"""Tests for the STAR framework facade, stark's pivot bound and tuning."""
 
 import pytest
 
 from repro.baselines import brute_force_star, brute_force_topk
-from repro.core import HybridStarSearch, Star, tune_parameters
+from repro.core import Star, tune_parameters
 from repro.core.tuning import aggregate_depth
 from repro.errors import DecompositionError, SearchError
 from repro.query import StarQuery, complex_workload, star_query, star_workload
@@ -61,56 +61,31 @@ class TestFramework:
             Star(yago_graph, scorer=yago_scorer, d=0)
 
 
-class TestHybrid:
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_matches_oracle(self, yago_scorer, yago_graph, d):
-        for query in star_workload(yago_graph, 6, seed=54):
-            star = StarQuery.from_query(query)
-            got = HybridStarSearch(yago_scorer, d=d).search(star, 5)
-            want = brute_force_star(yago_scorer, star, 5, d=d)
-            assert [m.score for m in got] == pytest.approx(
-                [m.score for m in want]
-            ), query.name
+class TestPivotBound:
+    """stark's d=1 bound: a pivot is evaluated only while its bound can
+    beat a queued match (the Lemma-1 loop ``stard`` runs at d >= 2)."""
 
-    def test_never_evaluates_more_than_stark(self, yago_scorer, yago_graph):
+    def test_bound_skips_pivots_stark_evaluates(self, yago_scorer,
+                                                yago_graph):
         from repro.core import StarKSearch
 
+        skipped = 0
         for query in star_workload(yago_graph, 6, seed=55):
             star = StarQuery.from_query(query)
-            hybrid = HybridStarSearch(yago_scorer)
-            hybrid.search(star, 3)
-            baseline = StarKSearch(yago_scorer)
-            baseline.search(star, 3)
-            assert hybrid.stats.pivots_evaluated <= baseline.stats.pivots_considered
-
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_bound_skips_pivots_stark_evaluates(self, d):
-        """The streaming rule prunes where the old k-th-top-1 stop test
-        never fired (2 of 19 pivots on the third query, both d)."""
-        from repro.core import StarKSearch
-        from repro.graph import dbpedia_like
-
-        graph = dbpedia_like(scale=0.3, seed=7)
-        scorer = ScoringFunction(graph)
-        saved = 0
-        for query in star_workload(graph, 6, seed=23)[:3]:
-            star = StarQuery.from_query(query)
-            hybrid = HybridStarSearch(scorer, d=d)
-            got = hybrid.search(star, 5)
-            baseline = StarKSearch(scorer, d=d)
-            baseline.search(star, 5)
-            want = brute_force_star(scorer, star, 5, d=d)
+            matcher = StarKSearch(yago_scorer)
+            got = matcher.search(star, 3)
+            want = brute_force_star(yago_scorer, star, 3)
             assert [m.score for m in got] == pytest.approx(
-                [m.score for m in want]
-            ), query.name
-            skipped = (baseline.stats.pivots_evaluated
-                       - hybrid.stats.pivots_evaluated)
-            assert skipped >= 0
-            saved += skipped
-        assert saved > 0
+                [m.score for m in want]), query.name
+            stats = matcher.stats
+            assert stats.pivots_evaluated <= stats.pivots_considered
+            skipped += stats.pivots_considered - stats.pivots_evaluated
+        assert skipped > 0
 
     def test_cutoff_skips_low_score_pivots(self):
-        """When pivot scores are spread out, stage 1 stops early."""
+        """When pivot scores are spread out, the weak pivots' bounds
+        never beat the exact pivot's match."""
+        from repro.core import StarKSearch
         from repro.graph import KnowledgeGraph
 
         g = KnowledgeGraph(name="spread")
@@ -124,19 +99,11 @@ class TestHybrid:
         scorer = ScoringFunction(g)
         star = star_query("Brad Pitt", [("acted_in", "Troy")],
                           pivot_type="actor")
-        hybrid = HybridStarSearch(scorer)
-        matches = hybrid.search(star, 1)
+        matcher = StarKSearch(scorer)
+        matches = matcher.search(star, 1)
         assert matches and matches[0].assignment[0] == exact
-        assert hybrid.stats.pivots_evaluated < 31
-
-    def test_k_validation(self, yago_scorer):
-        star = star_query("Brad", [("acted_in", "?")])
-        with pytest.raises(SearchError):
-            HybridStarSearch(yago_scorer).search(star, 0)
-
-    def test_invalid_d(self, yago_scorer):
-        with pytest.raises(SearchError):
-            HybridStarSearch(yago_scorer, d=0)
+        assert matcher.stats.pivots_considered == 31
+        assert matcher.stats.pivots_evaluated < 31
 
 
 class TestTuning:

@@ -32,7 +32,6 @@ from repro.errors import (
 )
 from repro.eval.harness import disjoint_edge_stream
 from repro.graph import KnowledgeGraph, load_graph, save_graph
-from repro.graph.sketch import NeighborhoodSketch
 from repro.perf import attach_cache
 from repro.query.parser import parse_query
 from repro.similarity.scoring import ScoringFunction
@@ -567,17 +566,6 @@ class TestOps:
 # Tombstone-aware auxiliary structures
 # ----------------------------------------------------------------------
 class TestTombstoneAwareness:
-    def test_sketch_aligned_with_ids_after_removal(self):
-        g = build_movie_graph()
-        g.remove_node(2)
-        sketch = NeighborhoodSketch(g)
-        last = g.num_node_slots - 1
-        # signature_of indexes by id; every live id must be addressable.
-        for node_id in g.nodes():
-            sketch.signature_of(node_id)
-        assert sketch.signature_of(2) == 0  # removed slot: empty signature
-        assert last in g
-
     def test_workload_generation_on_mutated_graph(self):
         from repro.query.workload import star_workload
 

@@ -83,7 +83,7 @@ class TestUnifiedSchema:
         assert stats["pivots_considered"] >= stats["pivots_with_match"]
 
     @pytest.mark.parametrize("d", [1, 2])
-    @pytest.mark.parametrize("algorithm", ["stark", "stard", "hybrid"])
+    @pytest.mark.parametrize("algorithm", ["stark", "stard"])
     def test_pivot_counters_are_the_run_s_own(self, scorer, algorithm, d):
         """One stats object per run: at d >= 2 stard used to publish
         ``pivots_considered`` and ``lattice_pops`` of an inner stark that

@@ -1,13 +1,13 @@
 """Property tests: every matcher agrees on every random input.
 
 The strongest correctness statement in the suite: on arbitrary random
-graphs and queries, stark, stard, hybrid, graphTA (all exact) return
+graphs and queries, stark, stard, graphTA (all exact) return
 score-identical top-k lists to the brute-force oracle, and BP does so on
 acyclic queries.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.baselines import (
     BeliefPropagation,
@@ -15,7 +15,7 @@ from repro.baselines import (
     brute_force_star,
     brute_force_topk,
 )
-from repro.core import HybridStarSearch, StarDSearch, StarKSearch, Star
+from repro.core import StarDSearch, StarKSearch, Star
 from repro.query import Query, StarQuery, star_query
 from repro.similarity import ScoringFunction
 
@@ -58,33 +58,53 @@ class TestStarMatchersAgree:
         want = rounded(brute_force_star(scorer, star, k, d=d))
         assert rounded(StarKSearch(scorer, d=d).search(star, k)) == want
         assert rounded(StarDSearch(scorer, d=d).search(star, k)) == want
-        assert rounded(HybridStarSearch(scorer, d=d).search(star, k)) == want
 
 
     @given(
         seed=st.integers(min_value=0, max_value=60),
         size_choice=st.integers(min_value=0, max_value=2),
-        d=st.integers(min_value=1, max_value=2),
+        k=st.integers(min_value=1, max_value=6),
+        injective=st.booleans(),
+        directed=st.booleans(),
         node_weights=st.lists(
             st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0, 1.5]),
             min_size=4, max_size=4),
     )
+    @example(seed=0, size_choice=0, k=3, injective=True, directed=False,
+             node_weights=[1.5] * 4)  # a weight > 1 on the leaf part
     @settings(max_examples=40, deadline=None)
-    def test_hybrid_bound_admissible_under_node_weights(
-        self, seed, size_choice, d, node_weights
+    def test_stark_d1_bound_admissible_under_node_weights(
+        self, seed, size_choice, k, injective, directed, node_weights
     ):
         """starjoin hands its streams alpha-scheme weights; a bound that
-        ignored them would skip pivots the weighted ranking needs."""
+        ignored them, or the orientation, would skip pivots the ranking
+        needs, and a None bound on a matchable pivot would lose it."""
         import itertools
 
         scorer = scorer_for(seed)
         star = star_of(size_choice)
         weights = dict(zip(sorted(star.node_ids()), node_weights))
-        want = StarKSearch(scorer, d=d).stream(star, node_weights=weights)
-        got = HybridStarSearch(scorer, d=d).stream(
-            star, node_weights=weights)
-        assert rounded(itertools.islice(got, 8)) == rounded(
-            itertools.islice(want, 8))
+        modes = {"injective": injective, "directed": directed}
+        best, ranked = {}, []
+        for m in brute_force_star(scorer, star, 10 ** 6, **modes):
+            score = sum(weights[q] * s for q, s in m.node_scores.items()) \
+                + sum(m.edge_scores.values())
+            pivot = m.assignment[star.pivot.id]
+            best[pivot] = max(best.get(pivot, score), score)
+            ranked.append(round(score, 9))
+        pivots, bounds, _provider = StarKSearch(scorer, **modes)._plan(
+            star, weights, None)
+        assert set(best) <= {pivot for pivot, _score in pivots}
+        for (pivot, _score), bound in zip(pivots, bounds):
+            if bound is None:
+                assert pivot not in best
+            elif pivot in best:
+                assert bound >= best[pivot] - 1e-9
+        got = StarKSearch(scorer, **modes).stream(star, node_weights=weights)
+        assert rounded(itertools.islice(got, 8)) == sorted(
+            ranked, reverse=True)[:8]
+        assert rounded(StarKSearch(scorer, **modes).search(star, k)) == \
+            rounded(brute_force_star(scorer, star, k, **modes))
 
 
 class TestGeneralMatchersAgree:

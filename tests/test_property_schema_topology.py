@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines import GraphTA, brute_force_star, brute_force_topk
-from repro.core import HybridStarSearch, Star, StarDSearch, StarKSearch
+from repro.core import Star, StarDSearch, StarKSearch
 from repro.graph.schema import Schema
 from repro.query import Query, StarQuery, star_query
 from repro.similarity import ScoringFunction
@@ -54,8 +54,6 @@ class TestCitationTopology:
                 StarKSearch(scorer, d=d).search(star, k)] == want
         assert [round(m.score, 9) for m in
                 StarDSearch(scorer, d=d).search(star, k)] == want
-        assert [round(m.score, 9) for m in
-                HybridStarSearch(scorer, d=d).search(star, k)] == want
 
     @given(seed=st.integers(min_value=0, max_value=15))
     @settings(max_examples=10, deadline=None)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines import BeliefPropagation, GraphTA, brute_force_topk
-from repro.core import HybridStarSearch, Star, StarDSearch, StarKSearch
+from repro.core import Star, StarDSearch, StarKSearch
 from repro.errors import (
     DataCorruptionError,
     InjectedFaultError,
@@ -180,8 +180,6 @@ class TestFaultInjection:
     PROCEDURES = (
         lambda s: StarKSearch(s),
         lambda s: StarDSearch(s, d=2),
-        lambda s: HybridStarSearch(s),
-        lambda s: HybridStarSearch(s, d=2),
     )
 
     def _star(self):

@@ -6,19 +6,20 @@ from hypothesis import strategies as st
 
 from repro.baselines import BeliefPropagation, GraphTA, brute_force_star
 from repro.core import (
-    HybridStarSearch,
     Star,
     StarDSearch,
     StarJoin,
     StarKSearch,
 )
 from repro.core.rankmerge import ScoredPool
+from repro.core.stark import _MIN_PIVOTS_AFTER_TRIP
 from repro.errors import (
     BudgetExceededError,
+    InjectedFaultError,
     SearchError,
     SearchTimeoutError,
 )
-from repro.query import Query, decompose, star_query
+from repro.query import Query, StarQuery, decompose, star_query, star_workload
 from repro.runtime import (
     MAX_DEGRADE_LEVEL,
     MODES,
@@ -28,9 +29,13 @@ from repro.runtime import (
     REASON_NODES,
     SLO_CLASSES,
     Budget,
+    FaultSpec,
     SearchReport,
     derive_budget_spec,
+    faulty,
 )
+from repro.runtime.faults import FaultInjector, FaultyScorer
+from repro.similarity import ScoringFunction
 
 from tests.join_oracle import ReferenceJoin
 
@@ -162,7 +167,6 @@ def _star():
 PROCEDURES = [
     (StarKSearch, 1, "stark"), (StarKSearch, 2, "stark"),
     (StarDSearch, 2, "stard"),
-    (HybridStarSearch, 1, "hybrid"), (HybridStarSearch, 2, "hybrid"),
 ]
 
 
@@ -284,16 +288,6 @@ class TestEngineBudgets:
         with pytest.raises(SearchTimeoutError):
             matcher.search(_star(), 3, budget=Budget(deadline_ms=0))
 
-    def test_hybrid_budget_paths(self, movie_scorer):
-        matcher = HybridStarSearch(movie_scorer)
-        budget = Budget(max_nodes=1, anytime=True)
-        got = matcher.search(_star(), 3, budget=budget)
-        assert not matcher.last_report.completed
-        scores = [m.score for m in got]
-        assert scores == sorted(scores, reverse=True)
-        with pytest.raises(BudgetExceededError):
-            matcher.search(_star(), 3, budget=Budget(max_nodes=1))
-
     def test_framework_star_query(self, movie_graph, movie_scorer):
         engine = Star(movie_graph, scorer=movie_scorer)
         budget = Budget(deadline_ms=0, anytime=True)
@@ -367,6 +361,77 @@ class TestEngineBudgets:
         assert [m.score for m in got] == pytest.approx(
             [m.score for m in exact]
         )
+
+
+def _yago_stars(yago_graph):
+    return [StarQuery.from_query(query)
+            for query in star_workload(yago_graph, 6, seed=54)]
+
+
+class TestD1ReadPass:
+    """At d=1 the plan reads every pivot's rows once to bound it: the
+    node charge, the trip and the fault contract move there."""
+
+    #: ``budget.nodes_visited`` of an untripped run per star, as the
+    #: loop charged it when every pivot was evaluated.
+    NODES_VISITED = [281, 180, 214, 172, 183, 515]
+
+    @pytest.mark.parametrize("cls", [StarKSearch, StarDSearch])
+    def test_untripped_run_charges_what_the_loop_charged(
+        self, yago_graph, cls
+    ):
+        visited = []
+        for star in _yago_stars(yago_graph):
+            matcher = cls(ScoringFunction(yago_graph), d=1)
+            budget = Budget(max_nodes=10 ** 9, anytime=True)
+            matcher.search(star, 5, budget=budget)
+            assert matcher.last_report.completed
+            visited.append(budget.nodes_visited)
+        assert visited == self.NODES_VISITED
+
+    def test_anytime_trip_is_flagged_and_answers(self, yago_graph):
+        star = _yago_stars(yago_graph)[3]
+        scorer = ScoringFunction(yago_graph)
+        full = Budget(max_nodes=10 ** 9, anytime=True)
+        exact = StarKSearch(scorer).search(star, 5, budget=full)
+        pivots = StarKSearch(scorer)._pivot_candidates(star)
+        assert len(pivots) > 2 * _MIN_PIVOTS_AFTER_TRIP
+        # One cap trips while candidates are scored, one halfway
+        # through the read pass.
+        for max_nodes in (len(pivots) - 1,
+                          full.nodes_visited - len(pivots) // 2):
+            injector = FaultInjector([])  # counts the row reads
+            matcher = StarKSearch(FaultyScorer(scorer, injector))
+            budget = Budget(max_nodes=max_nodes, anytime=True)
+            got = matcher.search(star, 5, budget=budget)
+            assert matcher.last_report.reason == REASON_NODES
+            assert got
+            scores = [m.score for m in got]
+            assert scores == sorted(scores, reverse=True)
+            assert scores[0] <= exact[0].score + 1e-9
+        # The trip stopped the reading: the pivots charged were read.
+        assert injector.calls["graph.neighbors"] == \
+            len(pivots) - len(pivots) // 2
+
+    def test_row_fault_skips_that_pivot_only(self, yago_graph):
+        star = _yago_stars(yago_graph)[3]
+        scorer = ScoringFunction(yago_graph)
+        pivots = StarKSearch(scorer)._pivot_candidates(star)
+        # d=1 reads adjacency only in the pass, one row per pivot in
+        # candidate order: call #1 is the second pivot's.
+        lost = pivots[1][0]
+        spec = FaultSpec("graph.neighbors", at_call=1)
+        matcher = StarKSearch(faulty(scorer, [spec]))
+        got = matcher.search(star, 5, budget=Budget(anytime=True))
+        report = matcher.last_report
+        assert report.reason == REASON_FAULT
+        assert len(report.faults) == 1 and str(lost) in report.faults[0]
+        scope = set(yago_graph.nodes()) - {lost}
+        want = StarKSearch(scorer, pivot_scope=scope).search(star, 5)
+        assert [(m.score, m.key()) for m in got] == [
+            (m.score, m.key()) for m in want]
+        with pytest.raises(InjectedFaultError):
+            StarKSearch(faulty(scorer, [spec])).search(star, 5)
 
 
 @pytest.fixture(scope="module")

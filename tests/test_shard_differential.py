@@ -3,7 +3,7 @@
 The headline invariant of ``repro.shard``: for every star query,
 :class:`~repro.shard.ShardedEngine` returns the same top-k as the
 single-process :class:`~repro.core.framework.Star` -- across random
-graphs, every star procedure (``ALGORITHMS``, hybrid included), shard
+graphs, every star procedure (``ALGORITHMS``), shard
 counts 1..8, d in {1, 2}, and after graph mutations (which trigger an
 automatic re-partition).  The comparison is tie-tolerant in the
 oracle's style (rank-by-rank score equality plus assignment validity at

@@ -305,9 +305,7 @@ STARS = [
     star_query("Brad", [("?", "?"), ("directed", "?"), ("?", "?")]),
 ]
 
-#: hybrid implements no pivot/leaf scopes, so it has no sharded cell
-CELLS = [("stard", None), ("stard", 2), ("stark", None), ("stark", 2),
-         ("hybrid", None)]
+CELLS = [("stard", None), ("stard", 2), ("stark", None), ("stark", 2)]
 
 
 @pytest.mark.parametrize("algorithm,shards", CELLS)
