@@ -88,9 +88,10 @@ class NgramEmbedder:
     ) -> array:
         """L2-normalized ``array('f')`` vector for one description.
 
-        Descriptions with no extractable features (empty / pure
-        punctuation names) embed to the zero vector; callers treat a
-        zero norm as "no semantic signal" and skip the probe.
+        A description with no extractable features (a blank name and
+        no type or keywords) embeds to the zero vector: "no semantic
+        signal", which :meth:`repro.ann.lsh.BandIndex.probe` answers
+        with no neighbours before reading a bucket.
 
         Accumulation happens in float64 and rounds to float32 once at
         the end, so the query side and the stored float32 columns see

@@ -10,6 +10,19 @@ ranks the union by exact cosine against the stored columns.
 Everything here is deterministic: hyperplanes come from a seeded
 ``random.Random``, bucket tables are built by ascending node id, and
 probe results sort by ``(-cosine, node_id)``.
+
+Dot products run over the query side's non-zero *lanes* only
+(:func:`lanes`): a description embeds to a dozen or two of the 64
+lanes.  Skipping a zero lane is bit-identical to adding its term: the
+term is a signed zero, adding a signed zero to a running double leaves
+it unchanged, and the sum starts at ``+0.0`` and never becomes
+``-0.0`` (round-to-nearest turns an exact cancellation into ``+0.0``),
+so every sign test and cosine reads the same bits as the dense loop.
+The other factor must be finite (a zero lane times an infinity is a
+NaN); planes are Gaussian draws and stored vectors are normalised.
+Summation stays a plain left-to-right loop in ascending lane order --
+``sum()`` of floats is compensated from Python 3.12 on and BLAS
+reorders, either of which would change the bits.
 """
 
 from __future__ import annotations
@@ -39,9 +52,20 @@ def hyperplanes(dim: int, bands: int, band_bits: int,
     ]
 
 
+def lanes(vec: Sequence[float]) -> List[Tuple[int, float]]:
+    """``(lane, value)`` of every non-zero lane of *vec*, ascending."""
+    return [(i, v) for i, v in enumerate(vec) if v]
+
+
 def signatures(vec: Sequence[float], planes: List[List[float]],
                bands: int, band_bits: int) -> List[int]:
     """Per-band sign-bit signatures of one vector (ints in [0, 2^bits))."""
+    return _lane_signatures(lanes(vec), planes, bands, band_bits)
+
+
+def _lane_signatures(nonzero: List[Tuple[int, float]],
+                     planes: List[List[float]], bands: int,
+                     band_bits: int) -> List[int]:
     sigs: List[int] = []
     p = 0
     for _ in range(bands):
@@ -50,7 +74,7 @@ def signatures(vec: Sequence[float], planes: List[List[float]],
             plane = planes[p]
             p += 1
             dot = 0.0
-            for i, v in enumerate(vec):
+            for i, v in nonzero:
                 dot += v * plane[i]
             sig = (sig << 1) | (1 if dot >= 0.0 else 0)
         sigs.append(sig)
@@ -143,14 +167,18 @@ class BandIndex:
         dict lookups, not a second pass over the data).  Candidates are
         then ranked by exact cosine over the stored columns and
         truncated to *limit*.  Only strictly positive cosines return:
-        a non-positive angle carries no paraphrase evidence.
+        a non-positive angle carries no paraphrase evidence -- so the
+        zero vector (a description with no features) returns ``[]``
+        before any bucket is read.
 
         Returns ``[(cos, slot), ...]`` sorted by ``(-cos, slot)``.
         """
-        if self.slots == 0 or limit <= 0:
+        nonzero = lanes(qvec)
+        if self.slots == 0 or limit <= 0 or not nonzero:
             return []
         tables = self._ensure_tables()
-        qsigs = self.signatures_of(qvec)
+        qsigs = _lane_signatures(nonzero, self.planes, self.bands,
+                                 self.band_bits)
         hit_slots: set = set()
         for b, sig in enumerate(qsigs):
             table = tables[b]
@@ -170,7 +198,7 @@ class BandIndex:
         for slot in hit_slots:
             base = slot * dim
             dot = 0.0
-            for i, q in enumerate(qvec):
+            for i, q in nonzero:
                 dot += q * vecs[base + i]
             if dot > 0.0:
                 ranked.append((dot, slot))

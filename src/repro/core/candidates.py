@@ -59,6 +59,12 @@ def _remember(cache, key, value, scorer, qnode, nodes, tokens) -> None:
               deps=(nodes, tokens, qnode.type))
 
 
+def every_live_node(qnode: QueryNode) -> bool:
+    """Whether *qnode*'s universe is every live node: an untyped
+    wildcard, the one shortlist that reads no index."""
+    return qnode.descriptor.is_wildcard and not qnode.type
+
+
 def shortlist(scorer: ScoringFunction, qnode: QueryNode) -> Set[int]:
     """Index-based shortlist of possibly-matching node ids (no scoring).
 
@@ -70,7 +76,7 @@ def shortlist(scorer: ScoringFunction, qnode: QueryNode) -> Set[int]:
     """
     graph = scorer.graph
     desc = qnode.descriptor
-    if desc.is_wildcard and not qnode.type:
+    if every_live_node(qnode):
         return set(graph.nodes())
     cache = scorer.candidate_cache
     key = None

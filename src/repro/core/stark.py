@@ -4,7 +4,8 @@ Steps (Fig. 5):
 
 1. identify candidate pivot matches online (scored + thresholded);
 2. read each candidate's neighbor rows once and keep the leaf candidates
-   among its neighbors; the best entry of each leaf list bounds the
+   among its neighbors (an untyped ``?`` leaf's are scored right there,
+   not over the whole graph); the best entry of each leaf list bounds the
    top-1 match pivoted there (exactly, unless injectivity makes two
    leaves want one node), and a pivot with an empty list has no match;
 3. keep top-1 matches in a priority queue, building a pivot's lattice
@@ -48,7 +49,7 @@ from typing import (
 )
 
 from repro import obs
-from repro.core.candidates import node_candidates, shortlist
+from repro.core.candidates import every_live_node, node_candidates, shortlist
 from repro.core.lattice import LeafEntry, PivotMatchGenerator, make_leaf_list
 from repro.core.matches import Match
 from repro.core.topk import prop3_prune
@@ -190,9 +191,18 @@ class StarKSearch:
         self,
         star: StarQuery,
         node_weights: Mapping[int, float],
-        leaf_maps: List[Dict[int, float]],
+        leaf_maps: List[Optional[Dict[int, float]]],
         d: int,
     ) -> LeafProvider:
+        """Per-pivot leaf lists from the pivot's own rows (``d == 1``).
+
+        A leaf whose map is None (an untyped wildcard, see
+        :func:`leaf_candidate_maps`) is scored at the row: every
+        neighbour whose edge passes the edge threshold is scored with the
+        memoised ``F_N`` and kept at or above the node threshold -- the
+        entries its map would have given, since a row holds only live
+        nodes.  Its scoring faults reach the caller.
+        """
         if d > 1:
             return bounded_leaf_provider(
                 self.scorer, star, node_weights, d, self.injective,
@@ -200,7 +210,9 @@ class StarKSearch:
             )
         scorer = self.scorer
         grouped_relations = self.graph.grouped_relations
+        score_node = scorer.node_score
         edge_threshold = scorer.config.edge_threshold
+        node_threshold = scorer.config.node_threshold
         # Per-leaf direction: +1 = edge points pivot -> leaf, -1 = leaf ->
         # pivot, 0 = orientation ignored (undirected matching) -- the
         # orientation argument of grouped_relations.  The last element
@@ -209,6 +221,7 @@ class StarKSearch:
         leaf_info = [
             (
                 leaf_scores,
+                leaf.descriptor,
                 edge.descriptor,
                 node_weights.get(leaf.id, 1.0),
                 (0 if not self.directed
@@ -224,23 +237,39 @@ class StarKSearch:
             # empty list ends the read: the pivot has no match.
             rows: Dict[int, Dict[int, object]] = {}
             lists: List[List[Tuple[float, int, float, float, int]]] = []
-            for leaf_scores, edge_desc, weight, orientation, memo in leaf_info:
+            for (leaf_scores, leaf_desc, edge_desc, weight, orientation,
+                 memo) in leaf_info:
                 row = rows.get(orientation)
                 if row is None:
                     row = rows[orientation] = dict(grouped_relations(
                         pivot_node, orientation))
                 entries: List[Tuple[float, int, float, float, int]] = []
-                for nbr in row.keys() & leaf_scores.keys():
-                    labels = row[nbr]
-                    edge_score = memo.get(labels)
-                    if edge_score is None:
-                        edge_score = memo[labels] = _label_score(
-                            scorer, edge_desc, labels)
-                    if edge_score < edge_threshold:
-                        continue
-                    node_score = leaf_scores[nbr]
-                    entries.append((weight * node_score + edge_score, nbr,
-                                    node_score, edge_score, 1))
+                if leaf_scores is None:
+                    # Scored at the row: edge threshold first, so an
+                    # inadmissible edge costs no F_N.
+                    for nbr, labels in row.items():
+                        edge_score = memo.get(labels)
+                        if edge_score is None:
+                            edge_score = memo[labels] = _label_score(
+                                scorer, edge_desc, labels)
+                        if edge_score < edge_threshold:
+                            continue
+                        node_score = score_node(leaf_desc, nbr)
+                        if node_score >= node_threshold:
+                            entries.append((weight * node_score + edge_score,
+                                            nbr, node_score, edge_score, 1))
+                else:
+                    for nbr in row.keys() & leaf_scores.keys():
+                        labels = row[nbr]
+                        edge_score = memo.get(labels)
+                        if edge_score is None:
+                            edge_score = memo[labels] = _label_score(
+                                scorer, edge_desc, labels)
+                        if edge_score < edge_threshold:
+                            continue
+                        node_score = leaf_scores[nbr]
+                        entries.append((weight * node_score + edge_score, nbr,
+                                        node_score, edge_score, 1))
                 lists.append(entries)
                 if not entries:
                     break
@@ -441,7 +470,8 @@ class StarKSearch:
         with obs.trace("stark.candidates"):
             pivot_cands = self._pivot_candidates(star, budget=budget)
         with obs.trace("stark.leaf_fetch", leaves=len(star.leaves)) as span:
-            leaf_maps = leaf_candidate_maps(self.scorer, star, budget=budget)
+            leaf_maps = leaf_candidate_maps(self.scorer, star, budget=budget,
+                                            at_row=self.d == 1)
             provider = self._leaf_provider(star, weights, leaf_maps, self.d)
             if self.d > 1:
                 return pivot_cands, None, provider
@@ -689,23 +719,29 @@ def leaf_candidate_maps(
     scorer: ScoringFunction,
     star: StarQuery,
     budget: Optional[Budget] = None,
-) -> List[Dict[int, float]]:
+    at_row: bool = False,
+) -> List[Optional[Dict[int, float]]]:
     """Admissible candidates (node -> ``F_N``) per leaf position.
 
     The *same* candidate definition every matcher uses (index shortlist +
     threshold, :func:`repro.core.candidates.node_candidates`), so stark,
     stard, graphTA, BP and the brute-force oracle agree on which node may
     match which leaf.  Leaves with identical constraints share one map.
+
+    With *at_row* (the ``d == 1`` provider), an untyped wildcard leaf --
+    whose universe is every live node -- gets None instead of a map, and
+    no :func:`node_candidates` call: the provider scores the few
+    neighbours a pivot's row holds rather than the whole graph.
     """
-    by_constraint: Dict[object, Dict[int, float]] = {}
-    maps: List[Dict[int, float]] = []
+    by_constraint: Dict[object, Optional[Dict[int, float]]] = {}
+    maps: List[Optional[Dict[int, float]]] = []
     for leaf, _edge in star.leaves:
         key = leaf.descriptor.cache_key
-        cached = by_constraint.get(key)
-        if cached is None:
-            cached = dict(node_candidates(scorer, leaf, budget=budget))
-            by_constraint[key] = cached
-        maps.append(cached)
+        if key not in by_constraint:
+            by_constraint[key] = (
+                None if at_row and every_live_node(leaf)
+                else dict(node_candidates(scorer, leaf, budget=budget)))
+        maps.append(by_constraint[key])
     return maps
 
 

@@ -39,14 +39,17 @@ def rounded_scores(matches) -> List[float]:
     return [round(m.score, ROUND) for m in matches]
 
 
-def oracle_matches(scorer, query, d: int = 1, injective: bool = True):
+def oracle_matches(scorer, query, d: int = 1, injective: bool = True,
+                   directed: bool = False):
     """Every admissible match, best first (ties by assignment key)."""
     if isinstance(query, StarQuery):
         # brute_force_star truncates; ask for everything.
         return brute_force_star(
-            scorer, query, k=2_000_000, d=d, injective=injective
+            scorer, query, k=2_000_000, d=d, injective=injective,
+            directed=directed,
         )
-    return brute_force_matches(scorer, query, d=d, injective=injective)
+    return brute_force_matches(scorer, query, d=d, injective=injective,
+                               directed=directed)
 
 
 def run_algorithm(
@@ -142,11 +145,12 @@ def assert_against_oracle(
 
 def assert_matches_meet_oracle(
     got, scorer, query, k: int, d: int = 1, injective: bool = True,
-    label: str = "engine",
+    label: str = "engine", directed: bool = False,
 ):
     """The three checks of :func:`assert_against_oracle` on a result list
     any engine produced; returns the oracle's full enumeration."""
-    full = oracle_matches(scorer, query, d=d, injective=injective)
+    full = oracle_matches(scorer, query, d=d, injective=injective,
+                          directed=directed)
     want = full[:k]
     assert rounded_scores(got) == rounded_scores(want), (
         f"{label} scores diverge from oracle: "

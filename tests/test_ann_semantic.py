@@ -1,6 +1,9 @@
 """Tests for ``repro.ann``: the two-stage semantic candidate tier."""
 
+from array import array
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.ann import (
     DEFAULT_BAND_BITS,
@@ -20,6 +23,7 @@ from repro.ann import (
 )
 from repro.core import Star, node_candidates
 from repro.errors import SearchError
+from repro.graph.generators import dbpedia_like
 from repro.query import Query
 from repro.runtime.budget import Budget
 from repro.similarity import ScoringConfig, ScoringFunction
@@ -305,3 +309,150 @@ class TestMmapTier:
         via_mmap = mmap_tier.augment(mmap_scorer, q, [])
         assert via_mmap[0]
         assert mem_tier.augment(mem_scorer, q, []) == via_mmap
+
+
+# ----------------------------------------------------------------------
+# Sparse lanes: bit-identical to the dense loops they replaced
+# ----------------------------------------------------------------------
+def dense_signatures(vec, planes, bands, band_bits):
+    """Reference: every lane of *vec* against every plane, in order."""
+    sigs = []
+    p = 0
+    for _ in range(bands):
+        sig = 0
+        for _ in range(band_bits):
+            plane = planes[p]
+            p += 1
+            dot = 0.0
+            for i, v in enumerate(vec):
+                dot += v * plane[i]
+            sig = (sig << 1) | (1 if dot >= 0.0 else 0)
+        sigs.append(sig)
+    return sigs
+
+
+def dense_probe(index, qvec, limit, multiprobe=True):
+    """Reference: the probe with a full-width dot product per slot."""
+    if index.slots == 0 or limit <= 0:
+        return []
+    tables = index._ensure_tables()
+    qsigs = dense_signatures(qvec, index.planes, index.bands,
+                             index.band_bits)
+    hit_slots = set()
+    for b, sig in enumerate(qsigs):
+        table = tables[b]
+        bucket = table.get(sig)
+        if bucket:
+            hit_slots.update(bucket)
+        if multiprobe:
+            for bit in range(index.band_bits):
+                bucket = table.get(sig ^ (1 << bit))
+                if bucket:
+                    hit_slots.update(bucket)
+    vecs = index.vecs
+    ranked = []
+    for slot in hit_slots:
+        base = slot * index.dim
+        dot = 0.0
+        for i, q in enumerate(qvec):
+            dot += q * vecs[base + i]
+        if dot > 0.0:
+            ranked.append((dot, slot))
+    ranked.sort(key=lambda t: (-t[0], t[1]))
+    return ranked[:limit]
+
+
+#: float32 lanes: zeros of both signs heavily represented (a description
+#: embeds to a dozen or two of the 64 lanes), unit-range values whose
+#: sums round, and any finite float32.
+LANE = st.one_of(
+    st.just(0.0), st.just(-0.0),
+    st.floats(-1.0, 1.0, width=32),
+    st.floats(width=32, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestSparseLanes:
+    DIM, BANDS, BITS = 8, 3, 3
+
+    @given(vec=st.lists(LANE, min_size=DIM, max_size=DIM),
+           seed=st.integers(-1, 3))
+    # Summed in lane order this is exactly -1.0; summed any other way,
+    # +-0.0 (a sign bit that flips).
+    @example(vec=[1e20, -1e20, -1.0] + [0.0] * 5, seed=-1)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_signatures_equal_dense(self, vec, seed):
+        # Seed -1: all-ones planes, under which lane sums cancel exactly.
+        planes = ([[1.0] * self.DIM] * (self.BANDS * self.BITS)
+                  if seed < 0 else
+                  hyperplanes(self.DIM, self.BANDS, self.BITS, seed))
+        for qvec in (array("f", vec), array("f", [0.0] * self.DIM)):
+            assert signatures(qvec, planes, self.BANDS, self.BITS) == \
+                dense_signatures(qvec, planes, self.BANDS, self.BITS)
+
+    @given(rows=st.lists(st.lists(LANE, min_size=DIM, max_size=DIM),
+                         min_size=1, max_size=12),
+           alive=st.lists(st.booleans(), min_size=12, max_size=12),
+           qvec=st.lists(LANE, min_size=DIM, max_size=DIM),
+           limit=st.integers(0, 6),
+           multiprobe=st.booleans())
+    # A cosine of exactly 1.0 in lane order; 0.0 summed any other way.
+    @example(rows=[[1.0] * DIM], alive=[True] * 12,
+             qvec=[1e20, -1e20, 1.0] + [0.0] * 5, limit=1, multiprobe=True)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_probe_equals_dense(self, rows, alive, qvec, limit, multiprobe):
+        index = BandIndex(self.DIM, self.BANDS, self.BITS, seed=3)
+        vecs = array("f", [x for row in rows for x in row])
+        sigs = array("Q", [
+            sig for row in rows
+            for sig in dense_signatures(array("f", row), index.planes,
+                                        self.BANDS, self.BITS)])
+        index.bind(vecs, sigs, bytearray(alive[:len(rows)]), len(rows))
+        for q in (array("f", qvec), array("f", [0.0] * self.DIM)):
+            got = index.probe(q, limit, multiprobe)
+            assert got == dense_probe(index, q, limit, multiprobe)
+
+    def test_tier_columns_equal_dense_build(self):
+        g = dbpedia_like(0.15, 7)
+        vecs, sigs, alive = build_columns(g)
+        embedder = NgramEmbedder(DEFAULT_DIM)
+        planes = hyperplanes(DEFAULT_DIM, DEFAULT_BANDS, DEFAULT_BAND_BITS,
+                             DEFAULT_SEED)
+        ref_vecs = array("f", bytes(4 * DEFAULT_DIM * g.num_node_slots))
+        ref_sigs = array("Q", bytes(8 * DEFAULT_BANDS * g.num_node_slots))
+        ref_alive = bytearray(g.num_node_slots)
+        for nid in g.nodes():
+            data = g.node(nid)
+            vec = embedder.embed(data.name, data.type, data.keywords)
+            ref_vecs[nid * DEFAULT_DIM:(nid + 1) * DEFAULT_DIM] = vec
+            ref_sigs[nid * DEFAULT_BANDS:(nid + 1) * DEFAULT_BANDS] = array(
+                "Q", dense_signatures(vec, planes, DEFAULT_BANDS,
+                                      DEFAULT_BAND_BITS))
+            ref_alive[nid] = 1
+        assert vecs.tobytes() == ref_vecs.tobytes()
+        assert sigs.tobytes() == ref_sigs.tobytes()
+        assert alive == ref_alive
+
+
+class _Unreadable:
+    """A column that fails the test if anything reads it."""
+
+    def __getitem__(self, index):
+        raise AssertionError(f"column read at {index}")
+
+
+class TestZeroVector:
+    def test_probe_reads_no_bucket(self):
+        index = BandIndex(DEFAULT_DIM)
+        index.bind(_Unreadable(), _Unreadable(), _Unreadable(), 4)
+        zero = NgramEmbedder().embed("", "", ())
+        assert not any(zero)
+        assert index.probe(zero, 10) == []
+        assert index._tables is None
+
+    def test_augment_of_featureless_label_probes_nothing(self):
+        scorer = ScoringFunction(build_movie_graph(), LOW)
+        tier = attach_semantic(scorer, mode="on")
+        assert tier.augment(scorer, qnode("  "), []) == ([], frozenset())
+        assert tier.index._tables is None
+        assert tier.probed == 0
