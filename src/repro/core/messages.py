@@ -17,7 +17,7 @@ the paper's bound.
 
 from __future__ import annotations
 
-from typing import Collection, Dict, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.graph.knowledge_graph import KnowledgeGraph
 from repro.runtime.budget import Budget
@@ -70,47 +70,37 @@ class Top2:
         return f"Top2({self.s1:.3f}@{self.o1}, {self.s2:.3f}@{self.o2})"
 
 
-def pulls_last_round(
-    targets: Optional[Collection[int]], frontier: Mapping[int, Top2]
-) -> bool:
-    """Whether :func:`propagate` pulls its last round at *targets*.
-
-    Pulling costs the targets' degrees, pushing the frontier's; the
-    smaller side is walked.
-    """
-    return targets is not None and len(targets) <= len(frontier)
-
-
 def propagate(
     graph: KnowledgeGraph,
     seeds: Mapping[int, float],
     d: int,
     budget: Optional[Budget] = None,
-    targets: Optional[Collection[int]] = None,
+    adjacent: Optional[Dict[int, List[int]]] = None,
 ) -> List[Dict[int, Top2]]:
     """Run *d* rounds of message propagation from *seeds*.
 
     Args:
         seeds: leaf-match node -> ``F_N`` score (already thresholded).
-        d: number of rounds (the search bound).
+        d: number of rounds.  ``stard`` runs ``d - 1`` here, for a
+            search bound ``d``, and merges ``B[d-1]`` over each pivot
+            candidate's row itself
+            (:meth:`repro.core.stard.StarDSearch._estimates`).
         budget: optional :class:`Budget`; each round charges its message
             count and checks the deadline.  After an anytime trip the
             remaining rounds are returned as *empty* layers (shape is
             preserved), which makes the downstream pivot estimates
             under-estimates -- the stard stream then degrades to a
             flagged best-so-far answer instead of an exact one.
-        targets: the only nodes ``B[d]`` will be read at (stard's pivot
-            candidates).  When they are no more than ``B[d-1]`` holds,
-            the last round is *pulled*: each target merges ``B[d-1]``
-            over its own neighbours and no other node gets an entry.
-            Adjacency is symmetric and a :class:`Top2` does not depend
-            on merge order, so ``B[d][v]`` is the pushed one for every
-            target ``v``.
+        adjacent: an empty dict, filled by round 1 -- the one walk of
+            every seed's edges -- with, per node, the seeds adjacent to
+            it (once per edge): the inverted adjacency the d-bounded
+            leaf provider reads its last hop from
+            (:func:`repro.core.stark.bounded_leaf_provider`).  Complete
+            only when round 1 ran.
 
     Returns:
         ``B`` with ``B[h][v]`` = top-2 seed scores reachable from ``v`` by
-        a walk of exactly ``h`` hops (``B[0]`` = the seeds themselves);
-        ``B[d]`` covers *targets* only when they were given.
+        a walk of exactly ``h`` hops (``B[0]`` = the seeds themselves).
     """
     layers: List[Dict[int, Top2]] = []
     current: Dict[int, Top2] = {}
@@ -120,21 +110,26 @@ def propagate(
     for round_ in range(1, d + 1):
         if budget is not None and budget.check():
             break
-        previous = layers[-1]
         nxt: Dict[int, Top2] = {}
-        if round_ == d and pulls_last_round(targets, previous):
-            for node in targets:
-                merged: Optional[Top2] = None
+        if round_ == 1:
+            # The walk of every seed's edges.  A seed's message is its own
+            # singleton, offered as is; a node first reached here starts
+            # its inverted-adjacency list.
+            inverting = adjacent is not None
+            for node, score in seeds.items():
                 for nbr, _eid in graph.neighbors(node):
-                    top2 = previous.get(nbr)
-                    if top2 is None:
+                    existing = nxt.get(nbr)
+                    if existing is None:
+                        nxt[nbr] = Top2(score, node)
+                        if inverting:
+                            adjacent[nbr] = [node]
                         continue
-                    if merged is None:
-                        merged = nxt[node] = top2.copy()
-                    elif top2.s1 > merged.s2:  # else neither slot can change
-                        merged.merge(top2)
+                    if score > existing.s2:  # else neither slot can change
+                        existing.offer(score, node)
+                    if inverting:
+                        adjacent[nbr].append(node)
         else:
-            for node, top2 in previous.items():
+            for node, top2 in layers[-1].items():
                 for nbr, _eid in graph.neighbors(node):
                     existing = nxt.get(nbr)
                     if existing is None:
@@ -149,34 +144,25 @@ def propagate(
     return layers
 
 
-def estimate_leaf_bound(
-    layers: List[Dict[int, Top2]],
-    pivot: int,
-    d: int,
-    edge_upper_bound,
-    edge_threshold: float,
-    exclude_pivot: bool,
+def pull(
+    layer: Mapping[int, Top2], neighbours: Iterable[int], banned: Optional[int]
 ) -> Optional[float]:
-    """Upper bound on a leaf's (node + edge) contribution at *pivot*.
+    """One propagation round read at one node *v*: the best score of
+    ``layer`` merged over *v*'s *neighbours* whose origin is not
+    *banned* (None = no ban).
 
-    ``max over h in 1..d of (best F_N at walk distance h, pivot excluded
-    as origin under injective matching) + edge bound for h``.  Hop counts
-    whose edge bound already fails the edge threshold are skipped.
-    Returns None when the leaf is unreachable within *d* hops.
+    With ``layer = B[h]`` this is ``B[h+1][v].best_excluding(banned)``
+    as the pushed round gives it -- adjacency is symmetric, a neighbour
+    merged twice (parallel edges) changes nothing, and the best origin
+    over a merge is the best over its parts -- except that ``-inf``
+    stands for a merge holding only *banned*'s own messages.  None means
+    no neighbour holds a message: the round leaves *v* no entry.
+    ``stard`` pulls its last round this way at each pivot candidate's
+    row.
     """
-    banned = pivot if exclude_pivot else None
     best: Optional[float] = None
-    for hops in range(1, d + 1):
-        bound = edge_upper_bound(hops)
-        if bound < edge_threshold:
-            continue
-        top2 = layers[hops].get(pivot)
-        if top2 is None:
-            continue
-        node_bound = top2.best_excluding(banned)
-        if node_bound is None:
-            continue
-        total = node_bound + bound
-        if best is None or total > best:
-            best = total
+    for top2 in filter(None, map(layer.get, neighbours)):
+        score = top2.s1 if top2.o1 != banned else top2.s2
+        if best is None or score > best:
+            best = score
     return best

@@ -5,11 +5,16 @@ match of *every* pivot candidate -- an eager d-hop traversal per pivot
 (what ``stark`` with ``d >= 2`` does).  ``stard`` avoids it:
 
 1. **Message passing** (:mod:`repro.core.messages`): every leaf match
-   seeds a message carrying its ``F_N``; ``d`` propagation rounds give,
-   per node and hop count, the best (top-2, to survive the ping-pong
-   effect) leaf scores reachable by a walk of that length.
-2. **Pivot estimates**: combining the propagated scores with the monotone
-   edge-path bound yields an *upper bound* on each pivot's top-1 match.
+   seeds a message carrying its ``F_N``; ``d - 1`` propagation rounds
+   give, per node and hop count, the best (top-2, to survive the
+   ping-pong effect) leaf scores reachable by a walk of that length.
+   Round 1 -- the one walk of the leaf candidates' edges -- also inverts
+   them for the exact phase's last hop.
+2. **Pivot estimates**: each pivot candidate's grouped row is read once.
+   It gives every leaf an exact hop-1 term (its best direct neighbour in
+   the leaf map, relation-aware ``F_E`` included) and the last round,
+   pulled at the pivot; with the pushed rounds and the monotone
+   edge-path bound that is an *upper bound* on the pivot's top-1 match.
 3. **Lazy exact phase**: the shared Lemma-1 loop
    (:meth:`repro.core.stark.StarKSearch.stream`) run with those bounds --
    pivots are visited in decreasing estimate order and one is traversed
@@ -23,20 +28,15 @@ This module is steps 1 and 2.  At ``d == 1`` stard degrades to ``stark``
 
 from __future__ import annotations
 
-from typing import AbstractSet, Collection, Dict, List, Mapping, Optional
+from typing import AbstractSet, Dict, List, Mapping, Optional, Tuple
 
 from repro import obs
-from repro.core.candidates import node_candidates
 from repro.core.matches import Match
-from repro.core.messages import (
-    Top2,
-    estimate_leaf_bound,
-    propagate,
-    pulls_last_round,
-)
+from repro.core.messages import Top2, propagate, pull
 from repro.core.stark import (
     PivotPlan,
     StarKSearch,
+    _label_score,
     bounded_leaf_provider,
     leaf_candidate_maps,
 )
@@ -53,7 +53,8 @@ class StarDSearch(StarKSearch):
         scorer: shared :class:`ScoringFunction`.
         d: search bound (>= 1); 1 runs as ``stark``.
         injective: enforce one-to-one matching.
-        candidate_limit: optional pivot/leaf candidate cutoff.
+        candidate_limit: optional pivot candidate cutoff; the leaf maps
+            (and so the propagation seeds) are never cut.
         pivot_scope: optional pivot restriction (a shard's owned
             pivots), as for :class:`~repro.core.stark.StarKSearch`.
             Propagation seeds are never scoped, so every owned pivot's
@@ -84,92 +85,165 @@ class StarDSearch(StarKSearch):
     def _propagate_leaves(
         self,
         star: StarQuery,
+        leaf_maps: List[Dict[int, float]],
         budget: Optional[Budget] = None,
-        leaf_maps: Optional[List[Dict[int, float]]] = None,
-        targets: Optional[Collection[int]] = None,
-    ) -> Dict[object, List[Dict[int, Top2]]]:
-        """Phase 1: one propagation per *distinct* leaf constraint.
+    ) -> Tuple[Dict[int, List[Dict[int, Top2]]], Dict[int, Dict[int, List[int]]]]:
+        """Phase 1: ``d - 1`` rounds per *distinct* leaf map.
 
-        Distinctness is by canonical descriptor content
-        (``Descriptor.cache_key``), so two leaves carrying the same
-        constraint -- common in template queries -- share one
-        propagation instead of paying it twice.
+        The seeds are the leaf maps themselves -- the candidates the exact
+        phase looks for -- whatever the ``candidate_limit``, which cuts
+        pivots only.  Leaves carrying one constraint share one map
+        (:func:`repro.core.stark.leaf_candidate_maps`) and so one
+        propagation.  Round 1 walks the map's edges once, and that walk
+        also inverts them for the provider's last hop
+        (:func:`repro.core.messages.propagate`); round ``d`` is pulled
+        at each pivot candidate's row by :meth:`_estimates`.
 
-        *leaf_maps* (one per leaf position, as ``_plan`` built them) are
-        the seeds unless a ``candidate_limit`` is set: a cutoff forces
-        truncated seeds.  *targets* are the pivot candidates, the only
-        nodes the last layer is read at
-        (:func:`repro.core.messages.propagate`).
-
-        Under an anytime budget, a substrate fault during one leaf's
-        propagation leaves that leaf with empty layers (its pivot
-        estimates vanish) and the run continues, flagged.
+        Returns ``B[0 .. d-1]`` by ``id(leaf map)``, and the inverted
+        adjacencies by ``id(leaf map)`` for the maps whose walk ran to
+        completion under the budget (the provider inverts any other
+        itself).  Under an anytime budget, a substrate fault during one
+        map's propagation leaves it with empty layers (its hop >= 2
+        terms vanish) and the run continues, flagged.
         """
         anytime = budget is not None and budget.anytime
-        results: Dict[object, List[Dict[int, Top2]]] = {}
-        for position, (leaf, _edge) in enumerate(star.leaves):
-            desc = leaf.descriptor.cache_key
-            if desc in results:
+        rounds = self.d - 1
+        layers_by_map: Dict[int, List[Dict[int, Top2]]] = {}
+        last_hop: Dict[int, Dict[int, List[int]]] = {}
+        for (leaf, _edge), seeds in zip(star.leaves, leaf_maps):
+            if id(seeds) in layers_by_map:
                 continue
             with obs.trace("stard.propagate", leaf=leaf.id,
-                           rounds=self.d) as span:
-                pulled = 0
+                           rounds=rounds) as span:
+                adjacent: Dict[int, List[int]] = {}
                 try:
-                    if leaf_maps is not None and self.candidate_limit is None:
-                        seeds = leaf_maps[position]
-                    else:
-                        seeds = dict(node_candidates(
-                            self.scorer, leaf, limit=self.candidate_limit,
-                            budget=budget,
-                        ))
-                    layers = propagate(self.graph, seeds, self.d,
-                                       budget=budget, targets=targets)
-                    if pulls_last_round(targets, layers[-2]):
-                        pulled = len(layers[-1])
+                    layers = propagate(self.graph, seeds, rounds,
+                                       budget=budget, adjacent=adjacent)
                 except SUBSTRATE_ERRORS as exc:
                     if not anytime:
                         raise
                     budget.record_fault(
                         f"propagation for leaf {leaf.id}: {exc}"
                     )
-                    layers = [{} for _ in range(self.d + 1)]
+                    layers = [{} for _ in range(rounds + 1)]
+                else:
+                    if budget is None or not budget.exhausted:
+                        last_hop[id(seeds)] = adjacent
                 messages = sum(len(layer) for layer in layers)
                 self.stats.messages_propagated += messages
-                span.annotate(messages=messages, pulled=pulled)
-            results[desc] = layers
-        return results
+                span.annotate(messages=messages)
+            layers_by_map[id(seeds)] = layers
+        return layers_by_map, last_hop
 
-    def _pivot_estimate(
+    def _estimates(
         self,
         star: StarQuery,
-        pivot_node: int,
-        pivot_score: float,
-        node_weights: Mapping[int, float],
-        leaf_layers: Dict[object, List[Dict[int, Top2]]],
-    ) -> Optional[float]:
-        """Upper bound on the best match pivoted at *pivot_node*."""
+        weights: Mapping[int, float],
+        pivot_cands: List[Tuple[int, float]],
+        leaf_maps: List[Dict[int, float]],
+        leaf_layers: Dict[int, List[Dict[int, Top2]]],
+        budget: Optional[Budget],
+    ) -> List[Optional[float]]:
+        """Phase 2: every pivot candidate bounded from one row read.
+
+        A pivot's estimate is its weighted ``F_N`` plus, per leaf, the
+        larger of two terms read off its ``grouped_relations`` row:
+
+        * the exact hop-1 term -- the best ``w * F_N + F_E`` over the row's
+          neighbours in the leaf map whose ``F_E`` (memoised per query
+          edge and label) passes the edge threshold: the best hop-1
+          entry the provider would list;
+        * for each hop ``h >= 2`` whose decay passes the edge threshold,
+          ``max(w, 1) * (B[h]`` best excluding the pivot under injective
+          matching ``+ lambda^(h-1))``.  ``B[d]`` at the pivot is
+          ``B[d-1]`` merged over the same row -- the last propagation
+          round, pulled here; the best origin over a merge is the best
+          over its parts.
+
+        A leaf with neither term leaves the pivot without an estimate
+        (None): it has no match.  The pulled round's messages -- per
+        distinct map, the pivots whose row reaches ``B[d-1]`` -- are
+        counted and charged after the pass, as a propagation round is.
+        A substrate fault on one pivot's row is recorded under an anytime
+        budget (that pivot alone gets None) and raised otherwise.
+        """
         scorer = self.scorer
-        total = node_weights.get(star.pivot.id, 1.0) * pivot_score
-        for leaf, _edge in star.leaves:
-            bound = estimate_leaf_bound(
-                leaf_layers[leaf.descriptor.cache_key],
-                pivot_node,
-                self.d,
-                scorer.edge_upper_bound,
-                scorer.config.edge_threshold,
-                exclude_pivot=self.injective,
-            )
-            if bound is None:
-                return None
-            weight = node_weights.get(leaf.id, 1.0)
-            # bound = node_part + edge_part with node weight 1; reweigh the
-            # node part conservatively: weight <= 1 shrinks, > 1 grows.
-            if weight != 1.0:
-                # node part is at most the whole bound; scaling the whole
-                # bound by max(weight, 1) keeps it an upper bound.
-                bound = bound * max(weight, 1.0)
-            total += bound
-        return total
+        grouped_relations = self.graph.grouped_relations
+        edge_threshold = scorer.config.edge_threshold
+        decay = scorer.path.decay
+        injective = self.injective
+        anytime = budget is not None and budget.anytime
+        d = self.d
+        # Hop d scores the pure decay; below the threshold it is no term.
+        decay_d = decay(d)
+        pulled_term = decay_d >= edge_threshold
+        # Per distinct map: its scores, B[d-1] to pull, and the pushed
+        # layers B[2 .. d-1] whose decay passes the threshold.
+        maps = {}
+        for leaf_scores in leaf_maps:
+            layers = leaf_layers[id(leaf_scores)]
+            maps[id(leaf_scores)] = (leaf_scores, layers[d - 1], [
+                (layers[hops], decay(hops)) for hops in range(2, d)
+                if decay(hops) >= edge_threshold
+            ])
+        pulled = dict.fromkeys(maps, 0)
+        leaves = [
+            (id(leaf_scores), leaf_scores, edge.descriptor,
+             weights.get(leaf.id, 1.0), {})
+            for (leaf, edge), leaf_scores in zip(star.leaves, leaf_maps)
+        ]
+        no_term = float("-inf")
+        pivot_weight = weights.get(star.pivot.id, 1.0)
+        bounds: List[Optional[float]] = []
+        for pivot_node, pivot_score in pivot_cands:
+            banned = pivot_node if injective else None
+            try:
+                row = dict(grouped_relations(pivot_node))
+                read = {}
+                for key, (leaf_scores, previous, pushed) in maps.items():
+                    far = no_term  # best F_N + decay at a hop >= 2
+                    node_bound = pull(previous, row, banned)
+                    if node_bound is not None:
+                        pulled[key] += 1
+                        if pulled_term:
+                            far = node_bound + decay_d
+                    for layer, edge_score in pushed:
+                        top2 = layer.get(pivot_node)
+                        if top2 is None:
+                            continue
+                        node_bound = top2.best_excluding(banned)
+                        if node_bound is not None and (
+                                node_bound + edge_score > far):
+                            far = node_bound + edge_score
+                    read[key] = row.keys() & leaf_scores.keys(), far
+                bound: Optional[float] = pivot_weight * pivot_score
+                for key, leaf_scores, edge_desc, weight, memo in leaves:
+                    hits, far = read[key]
+                    best = max(weight, 1.0) * far
+                    for nbr in hits:
+                        labels = row[nbr]
+                        edge_score = memo.get(labels)
+                        if edge_score is None:
+                            edge_score = memo[labels] = _label_score(
+                                scorer, edge_desc, labels)
+                        combined = weight * leaf_scores[nbr] + edge_score
+                        if edge_score >= edge_threshold and combined > best:
+                            best = combined
+                    if best == no_term:
+                        bound = None
+                        break
+                    bound += best
+            except SUBSTRATE_ERRORS as exc:
+                if not anytime:
+                    raise
+                budget.record_fault(f"pivot {pivot_node}: {exc}")
+                bound = None
+            bounds.append(bound)
+        for key, count in pulled.items():
+            self.stats.messages_propagated += count
+            if budget is not None:
+                budget.charge_messages(count)
+        return bounds
 
     # ------------------------------------------------------------------
     def _plan(
@@ -178,8 +252,8 @@ class StarDSearch(StarKSearch):
         weights: Mapping[int, float],
         budget: Optional[Budget],
     ) -> PivotPlan:
-        """Propagate towards the pivot candidates, then bound each of
-        them by its estimate.
+        """Propagate from the leaf maps, then bound every pivot
+        candidate by its estimate.
 
         The leaf maps are scored once, under the budget: they seed the
         propagation and are the candidates the exact phase looks for.
@@ -188,23 +262,20 @@ class StarDSearch(StarKSearch):
             return super()._plan(star, weights, budget)
         pivot_cands = self._pivot_candidates(star, budget=budget)
         leaf_maps = leaf_candidate_maps(self.scorer, star, budget=budget)
-        leaf_layers = self._propagate_leaves(
-            star, budget=budget, leaf_maps=leaf_maps,
-            targets=[pivot_node for pivot_node, _score in pivot_cands],
-        )
+        leaf_layers, last_hop = self._propagate_leaves(
+            star, leaf_maps, budget=budget)
         provider = bounded_leaf_provider(
             self.scorer, star, weights, self.d, self.injective,
             leaf_maps=leaf_maps, traversal_stats=self.stats,
+            last_hop=last_hop,
         )
         with obs.trace("stard.estimates", pivots=len(pivot_cands)) as span:
-            bounds = [
-                self._pivot_estimate(
-                    star, pivot_node, pivot_score, weights, leaf_layers
-                )
-                for pivot_node, pivot_score in pivot_cands
-            ]
+            propagated = self.stats.messages_propagated
+            bounds = self._estimates(
+                star, weights, pivot_cands, leaf_maps, leaf_layers, budget)
             span.annotate(
-                viable=sum(bound is not None for bound in bounds)
+                viable=sum(bound is not None for bound in bounds),
+                pulled=self.stats.messages_propagated - propagated,
             )
         return pivot_cands, bounds, provider
 

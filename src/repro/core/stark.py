@@ -753,24 +753,28 @@ def bounded_leaf_provider(
     injective: bool,
     leaf_maps: Optional[List[Dict[int, float]]] = None,
     traversal_stats=None,
+    last_hop: Optional[Mapping[int, Dict[int, List[int]]]] = None,
 ) -> LeafProvider:
     """Leaf candidates within *d* hops of a pivot (d-bounded matching).
 
     An edge matches the *shortest* qualifying path: a candidate ``w`` at
-    BFS distance ``h`` scores relation-aware ``F_E`` at ``h == 1`` and the
-    pure decay ``lambda^(h-1)`` otherwise (see
-    :mod:`repro.similarity.path_score`).  Shared by ``stark`` with
-    ``d >= 2`` (eager traversal per pivot) and by ``stard``'s exact
-    per-pivot phase (lazy, estimate-ordered).
+    BFS distance ``h`` scores relation-aware ``F_E`` at ``h == 1`` (memoised
+    per query edge and label) and the pure decay ``lambda^(h-1)``
+    otherwise (see :mod:`repro.similarity.path_score`).  Shared by
+    ``stark`` with ``d >= 2`` (eager traversal per pivot) and by
+    ``stard``'s exact per-pivot phase (lazy, estimate-ordered).
 
     Interior path nodes may be anything, so hops ``1 .. d-1`` are a BFS
     over the full adjacency; only leaf candidates matter at hop ``d``, so
     that hop is read off an inverted adjacency ``v -> leaf candidates
-    adjacent to v`` (built on first use, once per distinct leaf map of
-    this provider, i.e. of one query): the candidates next to the
-    ``d-1`` frontier that the BFS has not seen are exactly those at
-    shortest distance ``d``.  The pivot is at distance 0, so it is never
-    its own leaf, injective or not.
+    adjacent to v``: the candidates next to the ``d-1`` frontier that the
+    BFS has not seen are exactly those at shortest distance ``d``.
+    *last_hop* maps ``id(leaf map)`` to that adjacency as
+    :func:`repro.core.messages.propagate` built it while walking the
+    map's edges; a map without one is inverted here on first use, once
+    per distinct leaf map of this provider (i.e. of one query).  The
+    pivot is at distance 0, so it is never its own leaf, injective or
+    not.
     """
     from repro.graph.traversal import bounded_bfs_layers
 
@@ -781,23 +785,15 @@ def bounded_leaf_provider(
     if leaf_maps is None:
         leaf_maps = leaf_candidate_maps(scorer, star)
     leaf_info = [
-        (leaf_scores, edge.descriptor, node_weights.get(leaf.id, 1.0))
+        (leaf_scores, edge.descriptor, node_weights.get(leaf.id, 1.0), {})
         for (leaf, edge), leaf_scores in zip(star.leaves, leaf_maps)
     ]
+    decay = scorer.path.decay
     # A hop-d path scores the pure decay: below the edge threshold no
     # candidate at that distance can match.
-    decay_d = scorer.path.decay(d)
+    decay_d = decay(d)
     last_hop_matches = decay_d >= edge_threshold
-    inverted: Dict[int, Dict[int, List[int]]] = {}  # by id(leaf map)
-
-    def candidates_next_to(leaf_scores: Dict[int, float]) -> Dict[int, List[int]]:
-        adjacent = inverted.get(id(leaf_scores))
-        if adjacent is None:
-            adjacent = inverted[id(leaf_scores)] = {}
-            for w in leaf_scores:
-                for nbr, _eid in graph.neighbors(w):
-                    adjacent.setdefault(nbr, []).append(w)
-        return adjacent
+    inverted: Dict[int, Dict[int, List[int]]] = dict(last_hop or {})
 
     def provide(pivot_node: int) -> List[List[Tuple[float, int, float, float, int]]]:
         layers = bounded_bfs_layers(graph, pivot_node, d - 1)
@@ -809,33 +805,45 @@ def bounded_leaf_provider(
         direct_relations = dict(graph.grouped_relations(pivot_node))
         at_d_by_map: Dict[int, Set[int]] = {}
         lists: List[List[Tuple[float, int, float, float, int]]] = []
-        for leaf_scores, edge_desc, weight in leaf_info:
+        for leaf_scores, edge_desc, weight, memo in leaf_info:
             at_d = at_d_by_map.get(id(leaf_scores))
             if at_d is None:
                 at_d = set()
                 if last_hop_matches:
-                    adjacent = candidates_next_to(leaf_scores)
+                    adjacent = inverted.get(id(leaf_scores))
+                    if adjacent is None:
+                        adjacent = inverted[id(leaf_scores)] = {}
+                        for w in leaf_scores:
+                            for nbr, _eid in graph.neighbors(w):
+                                adjacent.setdefault(nbr, []).append(w)
                     for v in layers[-1]:
                         at_d.update(adjacent.get(v, ()))
                     at_d -= seen
                 at_d_by_map[id(leaf_scores)] = at_d
                 traversed += len(at_d)
             entries: List[Tuple[float, int, float, float, int]] = []
-            for hops in range(1, d):
-                decay = scorer.path.decay(hops)
-                for w in layers[hops]:
-                    node_score = leaf_scores.get(w)
-                    if node_score is None:
-                        continue
-                    if hops == 1:
-                        edge_score = _label_score(
-                            scorer, edge_desc, direct_relations[w])
-                    else:
-                        edge_score = decay
-                    if edge_score < edge_threshold:
-                        continue
-                    combined = weight * node_score + edge_score
-                    entries.append((combined, w, node_score, edge_score, hops))
+            for w in layers[1]:
+                node_score = leaf_scores.get(w)
+                if node_score is None:
+                    continue
+                labels = direct_relations[w]
+                edge_score = memo.get(labels)
+                if edge_score is None:
+                    edge_score = memo[labels] = _label_score(
+                        scorer, edge_desc, labels)
+                if edge_score >= edge_threshold:
+                    entries.append((weight * node_score + edge_score, w,
+                                    node_score, edge_score, 1))
+            for hops in range(2, d):
+                edge_score = decay(hops)
+                if edge_score < edge_threshold:
+                    break  # the decay only falls with the hop count
+                entries.extend([
+                    (weight * node_score + edge_score, w, node_score,
+                     edge_score, hops)
+                    for w in layers[hops]
+                    if (node_score := leaf_scores.get(w)) is not None
+                ])
             entries.extend([
                 (weight * (node_score := leaf_scores[w]) + decay_d, w,
                  node_score, decay_d, d)

@@ -55,7 +55,8 @@ class EngineStats:
     At ``d >= 2``, ``nodes_traversed`` counts per evaluated pivot the
     nodes of its (d-1)-hop BFS plus the leaf candidates reached at hop
     d, and ``messages_propagated`` the entries of the seed and pushed
-    layers plus the pivot candidates the last round was pulled at.
+    layers plus, per distinct leaf map, the pivot candidates whose row
+    the last round was pulled at with a message.
     """
 
     algorithm: str = ""

@@ -184,7 +184,7 @@ class TestTraceCommand:
         out = capsys.readouterr().out
         assert "stard.search" in out
         assert "stard.propagate" in out
-        # which direction the last round ran (0 = pushed)
+        # the propagated messages, and the last round's, pulled at the rows
         assert "messages=" in out and "pulled=" in out
 
     def test_trace_jsonl_and_metrics_out(self, saved_graph, tmp_path,

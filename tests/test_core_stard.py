@@ -6,10 +6,11 @@ import pytest
 
 from repro.baselines import brute_force_star
 from repro.core import StarDSearch, StarKSearch, is_monotone_non_increasing
-from repro.core.messages import Top2, estimate_leaf_bound, propagate
+from repro.core.messages import Top2, propagate
 from repro.errors import SearchError
 from repro.graph import KnowledgeGraph
 from repro.query import StarQuery, star_query, star_workload
+from repro.similarity import ScoringConfig, ScoringFunction
 
 
 class TestTop2:
@@ -88,49 +89,57 @@ class TestPropagation:
 
 class TestEstimates:
     def test_estimate_is_upper_bound(self, yago_scorer, yago_graph):
-        """Message-passing estimates dominate exact per-pivot top-1 scores."""
-        from repro.core.candidates import node_candidates
+        """Row-pass estimates dominate exact per-pivot top-1 scores."""
+        from repro.core.stark import bounded_leaf_provider
 
         for query in star_workload(yago_graph, 5, seed=31):
             star = StarQuery.from_query(query)
-            matcher = StarDSearch(yago_scorer, d=2)
-            layers = matcher._propagate_leaves(star)
+            pivots, bounds, _provider = StarDSearch(yago_scorer, d=2)._plan(
+                star, {}, None)
             exact = StarKSearch(yago_scorer, d=2)
-            from repro.core.stark import bounded_leaf_provider
-
             provider = bounded_leaf_provider(yago_scorer, star, {}, 2, True)
-            for pivot_node, pivot_score in node_candidates(
-                yago_scorer, star.pivot
-            )[:10]:
-                estimate = matcher._pivot_estimate(
-                    star, pivot_node, pivot_score, {}, layers
-                )
+            for (pivot_node, pivot_score), estimate in zip(pivots, bounds):
                 gen = exact.build_generator(
                     star, pivot_node, pivot_score, {}, provider
                 )
-                if gen is None:
-                    continue
-                first = gen.next_match()
+                first = None if gen is None else gen.next_match()
                 if first is None:
                     continue
                 assert estimate is not None
                 assert estimate >= first.score - 1e-9
 
-    def test_estimate_leaf_bound_skips_thresholded_hops(self):
+    @staticmethod
+    def path_star(edge_threshold):
+        """person - x - x - film: the film is 3 hops from the person."""
         g = KnowledgeGraph()
-        for i in range(4):
-            g.add_node(f"v{i}")
+        for name, kind in [("Ann", "person"), ("Hub", "x"), ("Mid", "x"),
+                           ("Reel", "film")]:
+            g.add_node(name, kind)
         g.add_edge(0, 1)
         g.add_edge(1, 2)
         g.add_edge(2, 3)
-        layers = propagate(g, {3: 0.9}, d=3)
-        # With a huge edge threshold only direct edges qualify; node 0 only
-        # reaches the seed in 3 hops, so no bound exists.
-        bound = estimate_leaf_bound(
-            layers, 0, 3, lambda h: 1.0 if h == 1 else 0.25 ** (h - 1),
-            edge_threshold=0.9, exclude_pivot=True,
-        )
-        assert bound is None
+        scorer = ScoringFunction(
+            g, ScoringConfig(edge_threshold=edge_threshold))
+        star = star_query("?", [("?", "?")], pivot_type="person",
+                          leaf_types=["film"])
+        return scorer, star
+
+    def test_estimate_leaf_bound_skips_thresholded_hops(self):
+        # With a huge edge threshold only direct edges qualify; the person
+        # only reaches the film in 3 hops, so no bound exists.
+        scorer, star = self.path_star(0.9)
+        pivots, bounds, _provider = StarDSearch(scorer, d=3)._plan(
+            star, {}, None)
+        assert [pivot for pivot, _score in pivots] == [0]
+        assert bounds == [None]
+        # Below the threshold, hop 3 bounds it at its decay.
+        scorer, star = self.path_star(0.05)
+        pivots, bounds, _provider = StarDSearch(scorer, d=3)._plan(
+            star, {}, None)
+        [(_pivot, pivot_score)] = pivots
+        leaf_score = scorer.node_score(star.leaves[0][0].descriptor, 3)
+        assert bounds == [pytest.approx(
+            pivot_score + leaf_score + scorer.path.decay(3))]
 
 
 class TestExactness:

@@ -26,6 +26,7 @@ from repro.runtime import (
     REASON_DEADLINE,
     REASON_FAULT,
     REASON_JOIN_STEPS,
+    REASON_MESSAGES,
     REASON_NODES,
     SLO_CLASSES,
     Budget,
@@ -265,7 +266,6 @@ class TestEngineBudgets:
 
         with monkeypatch.context() as patch:
             patch.setattr(stark, "node_candidates", spy_candidates)
-            patch.setattr(stard, "node_candidates", spy_candidates)
             patch.setattr(stard, "propagate", spy_propagate)
             patch.setattr(stard, "bounded_leaf_provider", spy_provider)
             cold = ScoringFunction(yago_graph)
@@ -432,6 +432,84 @@ class TestD1ReadPass:
             (m.score, m.key()) for m in want]
         with pytest.raises(InjectedFaultError):
             StarKSearch(faulty(scorer, [spec])).search(star, 5)
+
+
+class TestD2RowPass:
+    """At d >= 2 the plan bounds every pivot from one read of its grouped
+    row, which also pulls the last propagation round: messages are
+    charged as a pushed round is, nodes one per evaluated pivot, and a
+    row fault costs that pivot alone."""
+
+    #: ``budget.messages_sent`` of an untripped run per star: the pushed
+    #: rounds' entries, then one message per pivot row that reaches
+    #: ``B[d-1]`` (the pulled last round).
+    MESSAGES = {2: [139, 252, 131, 27, 173, 295],
+                3: [425, 829, 427, 151, 510, 675]}
+    #: ``budget.nodes_visited`` less one per evaluated pivot: the nodes
+    #: charged while the candidates were scored.
+    SCORED = [271, 169, 169, 114, 172, 508]
+    #: Pivots evaluated, one node charged each.
+    EVALUATED = [3, 1, 1, 4, 1, 3]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_untripped_run_charges(self, yago_graph, d):
+        messages, scored, evaluated = [], [], []
+        for star in _yago_stars(yago_graph):
+            matcher = StarDSearch(ScoringFunction(yago_graph), d=d)
+            budget = Budget(max_nodes=10 ** 9, max_messages=10 ** 9,
+                            anytime=True)
+            matcher.search(star, 5, budget=budget)
+            assert matcher.last_report.completed
+            messages.append(budget.messages_sent)
+            scored.append(budget.nodes_visited
+                          - matcher.stats.pivots_evaluated)
+            evaluated.append(matcher.stats.pivots_evaluated)
+        assert messages == self.MESSAGES[d]
+        assert scored == self.SCORED
+        assert evaluated == self.EVALUATED
+
+    def test_pulled_round_is_charged_after_the_pass(self, yago_graph):
+        star = _yago_stars(yago_graph)[0]
+        scorer = ScoringFunction(yago_graph)
+        exact = StarDSearch(scorer, d=2).search(star, 5)
+        cap = self.MESSAGES[2][0] - 1  # trips on the pulled round's charge
+        with pytest.raises(BudgetExceededError):
+            StarDSearch(scorer, d=2).search(
+                star, 5, budget=Budget(max_messages=cap))
+        matcher = StarDSearch(scorer, d=2)
+        got = matcher.search(star, 5,
+                             budget=Budget(max_messages=cap, anytime=True))
+        assert matcher.last_report.reason == REASON_MESSAGES
+        assert got
+        scores = [m.score for m in got]
+        assert scores == sorted(scores, reverse=True)
+        assert scores[0] <= exact[0].score + 1e-9
+
+    def test_row_fault_skips_that_pivot_only(self, yago_graph, monkeypatch):
+        star = _yago_stars(yago_graph)[2]
+        scorer = ScoringFunction(yago_graph)
+        exact = StarDSearch(scorer, d=2).search(star, 5)
+        lost = exact[0].assignment[star.pivot.id]
+        rows = yago_graph.grouped_relations
+
+        def faulty_rows(node_id, orientation=0):
+            if node_id == lost:
+                raise InjectedFaultError(f"row of {node_id}")
+            return rows(node_id, orientation)
+
+        monkeypatch.setattr(yago_graph, "grouped_relations", faulty_rows)
+        matcher = StarDSearch(scorer, d=2)
+        got = matcher.search(star, 5, budget=Budget(anytime=True))
+        report = matcher.last_report
+        assert report.reason == REASON_FAULT
+        assert len(report.faults) == 1 and str(lost) in report.faults[0]
+        scope = set(yago_graph.nodes()) - {lost}
+        want = StarDSearch(scorer, d=2, pivot_scope=scope).search(star, 5)
+        assert [(m.score, m.key()) for m in got] == [
+            (m.score, m.key()) for m in want]
+        assert [m.key() for m in got] != [m.key() for m in exact]
+        with pytest.raises(InjectedFaultError):
+            StarDSearch(scorer, d=2).search(star, 5)
 
 
 @pytest.fixture(scope="module")

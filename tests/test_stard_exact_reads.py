@@ -3,10 +3,11 @@
 Three exact shortcuts of the d-bounded path are checked against
 references written here, independent of the code under test:
 
-(i)   the last propagation round *pulled* at the pivot candidates equals
-      the pushed round wherever it is read;
+(i)   the last propagation round *pulled* at a pivot candidate's row
+      equals the pushed round wherever it is read;
 (ii)  the leaf provider's last hop, walked over a leaf-candidate-restricted
-      adjacency, finds exactly the candidates at shortest distance d;
+      adjacency (inverted by propagation's first round or by the provider
+      itself), finds exactly the candidates at shortest distance d;
 (iii) leaf lists cut to their best ``k + s`` entries yield the same first
       ``k`` matches per pivot, ties and assignments included;
 (iv)  end to end, every d=2 procedure still meets the brute-force oracle.
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.lattice import PivotMatchGenerator, make_leaf_list
-from repro.core.messages import Top2, propagate
+from repro.core.messages import Top2, propagate, pull
 from repro.core.stark import SearchStats, bounded_leaf_provider
 from repro.graph.traversal import nodes_within
 from repro.perf.parallel import build_engine
@@ -31,7 +32,7 @@ PROFILE = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 # ---------------------------------------------------------------------------
-# (i) pull == push at the read set
+# (i) pull == push where it is read
 # ---------------------------------------------------------------------------
 class Adjacency:
     """The part of a graph ``propagate`` reads; unlike
@@ -65,10 +66,21 @@ def pushed_layers(graph, seeds, d):
 
 
 def read_out(top2, node):
-    """Everything ``estimate_leaf_bound`` can read of a node's entry."""
+    """Everything an estimate can read of a node's entry."""
     if top2 is None:
         return None
     return top2.s1, top2.best_excluding(node), top2.best_excluding(None)
+
+
+def pulled_read_out(layer, graph, node):
+    """:func:`read_out` of the round pulled at *node* (``-inf`` is a
+    merge holding only *node*'s own messages)."""
+    neighbours = [nbr for nbr, _eid in graph.neighbors(node)]
+    best = pull(layer, neighbours, None)
+    if best is None:
+        return None
+    excluding = pull(layer, neighbours, node)
+    return best, None if excluding == float("-inf") else excluding, best
 
 
 @st.composite
@@ -91,26 +103,16 @@ class TestPulledLastRound:
     def test_pull_equals_push_where_it_is_read(self, case, d):
         graph, n, seeds, targets = case
         want = pushed_layers(graph, seeds, d)
-        got = propagate(graph, seeds, d, targets=targets)
-        assert len(got) == d + 1
+        got = propagate(graph, seeds, d - 1)
+        assert len(got) == d
         for hops in range(d):
             assert got[hops].keys() == want[hops].keys()
-        for hops in range(d + 1):
-            for node in (targets if hops == d else range(n)):
+            for node in range(n):
                 assert read_out(got[hops].get(node), node) == \
                     read_out(want[hops].get(node), node)
-
-    def test_pull_walks_the_smaller_side(self):
-        # a hub seed with 6 spokes: pushing round 2 would write to the
-        # hub from every spoke; one spoke target pulls a single entry
-        graph = Adjacency(7, [(0, leaf) for leaf in range(1, 7)])
-        pulled = propagate(graph, {0: 0.9}, 2, targets=[3])
-        assert pulled[2] == {}  # spoke 3's only neighbour is the hub
-        pulled = propagate(graph, {1: 0.9, 2: 0.4}, 2, targets=[3])
-        assert list(pulled[2]) == [3] and pulled[2][3].s1 == 0.9
-        # more targets than B[d-1] holds: the round is pushed
-        pushed = propagate(graph, {1: 0.9}, 2, targets=[2, 3])
-        assert set(pushed[2]) == set(range(1, 7))
+        for node in targets:
+            assert pulled_read_out(got[d - 1], graph, node) == \
+                read_out(want[d].get(node), node)
 
     def test_no_targets_pushes_every_round(self):
         graph = Adjacency(3, [(0, 1), (1, 2)])
@@ -191,16 +193,7 @@ class TestRestrictedLastHop:
     @PROFILE
     def test_entries_equal_the_distance_reference(self, case, d, injective):
         scorer, leaf_maps, weights, pivot = case
-        stats = SearchStats()
-        provide = bounded_leaf_provider(
-            scorer, STAR, weights, d, injective, leaf_maps=leaf_maps,
-            traversal_stats=stats)
         want = reference_lists(scorer, STAR, weights, d, leaf_maps, pivot)
-        for _again in range(2):  # the inverted adjacency is reused
-            got = provide(pivot)
-            assert [len(entries) for entries in got] == \
-                [len(entries) for entries in want]
-            assert [set(entries) for entries in got] == want
         # the counter: inner-BFS nodes + last-hop candidates reached,
         # once per distinct leaf map
         distance = nodes_within(scorer.graph, pivot, d)
@@ -211,7 +204,23 @@ class TestRestrictedLastHop:
             reached += sum(distance.get(w) == d
                            for leaf_scores in distinct.values()
                            for w in leaf_scores)
-        assert stats.nodes_traversed == 2 * reached
+        # the adjacency inverted by the provider, and by propagation
+        propagated = {}
+        for leaf_scores in leaf_maps:
+            if id(leaf_scores) not in propagated:
+                propagate(scorer.graph, leaf_scores, 1,
+                          adjacent=propagated.setdefault(id(leaf_scores), {}))
+        for last_hop in (None, propagated):
+            stats = SearchStats()
+            provide = bounded_leaf_provider(
+                scorer, STAR, weights, d, injective, leaf_maps=leaf_maps,
+                traversal_stats=stats, last_hop=last_hop)
+            for _again in range(2):  # the inverted adjacency is reused
+                got = provide(pivot)
+                assert [len(entries) for entries in got] == \
+                    [len(entries) for entries in want]
+                assert [set(entries) for entries in got] == want
+            assert stats.nodes_traversed == 2 * reached
 
     def test_last_hop_below_the_edge_threshold_is_not_walked(self):
         scorer = scorer_for(3, 0.6)
