@@ -117,10 +117,7 @@ class Star:
             return matcher.search(star, k, budget=budget)
         finally:
             self.last_report = matcher.last_report
-            stats = obs.EngineStats(
-                algorithm=matcher.name, **matcher.stats.as_dict()
-            )
-            self._finish_stats(stats, cache, hits0, misses0)
+            self._finish_stats(matcher.stats, cache, hits0, misses0)
 
     def search(
         self,

@@ -84,7 +84,7 @@ def propagate(
         d: number of rounds.  ``stard`` runs ``d - 1`` here, for a
             search bound ``d``, and merges ``B[d-1]`` over each pivot
             candidate's row itself
-            (:meth:`repro.core.stard.StarDSearch._estimates`).
+            (:meth:`repro.core.stard.StarDSearch._bounding_provider`).
         budget: optional :class:`Budget`; each round charges its message
             count and checks the deadline.  After an anytime trip the
             remaining rounds are returned as *empty* layers (shape is

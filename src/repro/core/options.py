@@ -120,8 +120,10 @@ class SearchOptions:
                 f"directed matching requires algorithm auto or stark, "
                 f"got {self.algorithm!r}"
             )
-        if self.shards is not None and self.shards < 1:
-            raise SearchError(f"shards must be >= 1, got {self.shards}")
+        for name in ("candidate_limit", "shards"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise SearchError(f"{name} must be >= 1, got {value}")
         if self.shard_backend not in BACKENDS:
             raise SearchError(
                 f"unknown shard backend {self.shard_backend!r}; "

@@ -10,11 +10,13 @@ match of *every* pivot candidate -- an eager d-hop traversal per pivot
    ping-pong effect) leaf scores reachable by a walk of that length.
    Round 1 -- the one walk of the leaf candidates' edges -- also inverts
    them for the exact phase's last hop.
-2. **Pivot estimates**: each pivot candidate's grouped row is read once.
-   It gives every leaf an exact hop-1 term (its best direct neighbour in
-   the leaf map, relation-aware ``F_E`` included) and the last round,
-   pulled at the pivot; with the pushed rounds and the monotone
-   edge-path bound that is an *upper bound* on the pivot's top-1 match.
+2. **Pivot estimates**: the one bound pass
+   (:meth:`repro.core.stark.StarKSearch._read_pivots`) reads each pivot
+   candidate's grouped row once.  It gives every leaf its exact hop-1
+   entries (:func:`repro.core.stark.hop_one_reader`, relation-aware
+   ``F_E`` included) and the last round, pulled at the pivot; with the
+   pushed rounds and the monotone edge-path bound that is an *upper
+   bound* on the pivot's top-1 match.
 3. **Lazy exact phase**: the shared Lemma-1 loop
    (:meth:`repro.core.stark.StarKSearch.stream`) run with those bounds --
    pivots are visited in decreasing estimate order and one is traversed
@@ -22,8 +24,8 @@ match of *every* pivot candidate -- an eager d-hop traversal per pivot
    already-generated match, so the stream stays exact while traversing
    only the pivots that matter.
 
-This module is steps 1 and 2.  At ``d == 1`` stard degrades to ``stark``
-(same runtime), as in Fig. 12.
+This module is step 1 and the far terms of step 2.  At ``d == 1`` stard
+degrades to ``stark`` (same runtime), as in Fig. 12.
 """
 
 from __future__ import annotations
@@ -34,10 +36,12 @@ from repro import obs
 from repro.core.matches import Match
 from repro.core.messages import Top2, propagate, pull
 from repro.core.stark import (
+    Entry,
+    LeafProvider,
     PivotPlan,
     StarKSearch,
-    _label_score,
     bounded_leaf_provider,
+    hop_one_reader,
     leaf_candidate_maps,
 )
 from repro.query.model import StarQuery
@@ -97,7 +101,7 @@ class StarDSearch(StarKSearch):
         propagation.  Round 1 walks the map's edges once, and that walk
         also inverts them for the provider's last hop
         (:func:`repro.core.messages.propagate`); round ``d`` is pulled
-        at each pivot candidate's row by :meth:`_estimates`.
+        at each pivot candidate's row by :meth:`_bounding_provider`.
 
         Returns ``B[0 .. d-1]`` by ``id(leaf map)``, and the inverted
         adjacencies by ``id(leaf map)`` for the maps whose walk ran to
@@ -135,115 +139,84 @@ class StarDSearch(StarKSearch):
             layers_by_map[id(seeds)] = layers
         return layers_by_map, last_hop
 
-    def _estimates(
+    def _bounding_provider(
         self,
         star: StarQuery,
         weights: Mapping[int, float],
-        pivot_cands: List[Tuple[int, float]],
         leaf_maps: List[Dict[int, float]],
         leaf_layers: Dict[int, List[Dict[int, Top2]]],
-        budget: Optional[Budget],
-    ) -> List[Optional[float]]:
-        """Phase 2: every pivot candidate bounded from one row read.
+        pulled: Dict[int, int],
+    ) -> LeafProvider:
+        """Phase 2: the bound pass's provider, one row read per pivot.
 
-        A pivot's estimate is its weighted ``F_N`` plus, per leaf, the
-        larger of two terms read off its ``grouped_relations`` row:
+        Per leaf, the row's hop-1 entries (:func:`hop_one_reader`, every
+        leaf read) and one far entry ``(max(w, 1) * far,)``: ``far`` is
+        the best, over the hops ``h >= 2`` whose decay passes the edge
+        threshold, of ``B[h]``'s best origin (not the pivot, under
+        injective matching) plus ``lambda^(h-1)``.  ``B[d]`` is
+        ``B[d-1]`` pulled over the row -- the best origin over a merge is
+        the best over its parts -- and a ``-inf`` pull (only the pivot's
+        own messages) is no term.  A leaf with no entry ends the lists.
 
-        * the exact hop-1 term -- the best ``w * F_N + F_E`` over the row's
-          neighbours in the leaf map whose ``F_E`` (memoised per query
-          edge and label) passes the edge threshold: the best hop-1
-          entry the provider would list;
-        * for each hop ``h >= 2`` whose decay passes the edge threshold,
-          ``max(w, 1) * (B[h]`` best excluding the pivot under injective
-          matching ``+ lambda^(h-1))``.  ``B[d]`` at the pivot is
-          ``B[d-1]`` merged over the same row -- the last propagation
-          round, pulled here; the best origin over a merge is the best
-          over its parts.
-
-        A leaf with neither term leaves the pivot without an estimate
-        (None): it has no match.  The pulled round's messages -- per
-        distinct map, the pivots whose row reaches ``B[d-1]`` -- are
-        counted and charged after the pass, as a propagation round is.
-        A substrate fault on one pivot's row is recorded under an anytime
-        budget (that pivot alone gets None) and raised otherwise.
+        *pulled* counts, per distinct map, the rows that reach ``B[d-1]``:
+        the pulled round's messages, which the caller charges after the
+        pass.
         """
-        scorer = self.scorer
+        decay = self.scorer.path.decay
+        edge_threshold = self.scorer.config.edge_threshold
         grouped_relations = self.graph.grouped_relations
-        edge_threshold = scorer.config.edge_threshold
-        decay = scorer.path.decay
         injective = self.injective
-        anytime = budget is not None and budget.anytime
         d = self.d
         # Hop d scores the pure decay; below the threshold it is no term.
         decay_d = decay(d)
         pulled_term = decay_d >= edge_threshold
-        # Per distinct map: its scores, B[d-1] to pull, and the pushed
-        # layers B[2 .. d-1] whose decay passes the threshold.
+        # Per distinct map: B[d-1] to pull, and the pushed layers
+        # B[2 .. d-1] whose decay passes the threshold.
         maps = {}
         for leaf_scores in leaf_maps:
             layers = leaf_layers[id(leaf_scores)]
-            maps[id(leaf_scores)] = (leaf_scores, layers[d - 1], [
+            maps[id(leaf_scores)] = (layers[d - 1], [
                 (layers[hops], decay(hops)) for hops in range(2, d)
                 if decay(hops) >= edge_threshold
             ])
-        pulled = dict.fromkeys(maps, 0)
-        leaves = [
-            (id(leaf_scores), leaf_scores, edge.descriptor,
-             weights.get(leaf.id, 1.0), {})
-            for (leaf, edge), leaf_scores in zip(star.leaves, leaf_maps)
+            pulled.setdefault(id(leaf_scores), 0)
+        scales = [
+            (id(leaf_scores), max(weights.get(leaf.id, 1.0), 1.0))
+            for (leaf, _edge), leaf_scores in zip(star.leaves, leaf_maps)
         ]
+        read = hop_one_reader(self.scorer, star, weights, leaf_maps)
         no_term = float("-inf")
-        pivot_weight = weights.get(star.pivot.id, 1.0)
-        bounds: List[Optional[float]] = []
-        for pivot_node, pivot_score in pivot_cands:
+
+        def provide(pivot_node: int) -> List[List[Entry]]:
+            row = dict(grouped_relations(pivot_node))
             banned = pivot_node if injective else None
-            try:
-                row = dict(grouped_relations(pivot_node))
-                read = {}
-                for key, (leaf_scores, previous, pushed) in maps.items():
-                    far = no_term  # best F_N + decay at a hop >= 2
-                    node_bound = pull(previous, row, banned)
-                    if node_bound is not None:
-                        pulled[key] += 1
-                        if pulled_term:
-                            far = node_bound + decay_d
-                    for layer, edge_score in pushed:
-                        top2 = layer.get(pivot_node)
-                        if top2 is None:
-                            continue
-                        node_bound = top2.best_excluding(banned)
-                        if node_bound is not None and (
-                                node_bound + edge_score > far):
-                            far = node_bound + edge_score
-                    read[key] = row.keys() & leaf_scores.keys(), far
-                bound: Optional[float] = pivot_weight * pivot_score
-                for key, leaf_scores, edge_desc, weight, memo in leaves:
-                    hits, far = read[key]
-                    best = max(weight, 1.0) * far
-                    for nbr in hits:
-                        labels = row[nbr]
-                        edge_score = memo.get(labels)
-                        if edge_score is None:
-                            edge_score = memo[labels] = _label_score(
-                                scorer, edge_desc, labels)
-                        combined = weight * leaf_scores[nbr] + edge_score
-                        if edge_score >= edge_threshold and combined > best:
-                            best = combined
-                    if best == no_term:
-                        bound = None
-                        break
-                    bound += best
-            except SUBSTRATE_ERRORS as exc:
-                if not anytime:
-                    raise
-                budget.record_fault(f"pivot {pivot_node}: {exc}")
-                bound = None
-            bounds.append(bound)
-        for key, count in pulled.items():
-            self.stats.messages_propagated += count
-            if budget is not None:
-                budget.charge_messages(count)
-        return bounds
+            far = {}
+            for key, (previous, pushed) in maps.items():
+                best = no_term
+                node_bound = pull(previous, row, banned)
+                if node_bound is not None:
+                    pulled[key] += 1
+                    if pulled_term:
+                        best = node_bound + decay_d
+                for layer, edge_score in pushed:
+                    top2 = layer.get(pivot_node)
+                    if top2 is None:
+                        continue
+                    node_bound = top2.best_excluding(banned)
+                    if node_bound is not None and (
+                            node_bound + edge_score > best):
+                        best = node_bound + edge_score
+                far[key] = best
+            lists = read(pivot_node, False, {0: row})
+            for index, (entries, (key, scale)) in enumerate(
+                    zip(lists, scales)):
+                if far[key] > no_term:
+                    entries.append((scale * far[key],))
+                if not entries:
+                    return lists[:index + 1]
+            return lists
+
+        return provide
 
     # ------------------------------------------------------------------
     def _plan(
@@ -270,13 +243,16 @@ class StarDSearch(StarKSearch):
             last_hop=last_hop,
         )
         with obs.trace("stard.estimates", pivots=len(pivot_cands)) as span:
-            propagated = self.stats.messages_propagated
-            bounds = self._estimates(
-                star, weights, pivot_cands, leaf_maps, leaf_layers, budget)
-            span.annotate(
-                viable=sum(bound is not None for bound in bounds),
-                pulled=self.stats.messages_propagated - propagated,
-            )
+            pulled: Dict[int, int] = {}
+            bounds, read = self._read_pivots(
+                star, weights, pivot_cands,
+                self._bounding_provider(star, weights, leaf_maps,
+                                        leaf_layers, pulled), budget)
+            for count in pulled.values():
+                self.stats.messages_propagated += count
+                if budget is not None:
+                    budget.charge_messages(count)
+            span.annotate(viable=len(read), pulled=sum(pulled.values()))
         return pivot_cands, bounds, provider
 
     def search(

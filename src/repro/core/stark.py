@@ -13,13 +13,16 @@ Steps (Fig. 5):
    pop the global best, emit it, and generate the next-best match for
    that pivot via the cursor lattice (:mod:`repro.core.lattice`).
 
-Step 3 is :meth:`StarKSearch.stream`, the one lazy Lemma-1 loop of the
-code base.  ``stard`` (Section V-B) runs the same loop under its
-message-passing bound at ``d >= 2``; ``stark`` at ``d >= 2`` has no
-bound and evaluates every candidate.  The loop also holds the one copy
-of the budget contract: a node charged per pivot read (by step 2 at
-``d == 1``, at evaluation otherwise), the anytime minimum-progress
-floor, the rescue pass, and drain-after-trip.
+Step 2 is :meth:`StarKSearch._read_pivots`, the one bound pass, over
+:func:`hop_one_reader`, the one reader of a pivot's row; step 3 is
+:meth:`StarKSearch.stream`, the one lazy Lemma-1 loop of the code base.
+``stard`` (Section V-B) runs both at ``d >= 2``, its message-passing
+terms appended to the row's leaf lists; ``stark`` at ``d >= 2`` has no
+bound and evaluates every candidate.  The two hold the one copy of the
+budget contract: a node charged per pivot read (by step 2 at ``d == 1``,
+at evaluation otherwise), a trip that stops the bound pass at every
+``d``, the anytime minimum-progress floor, the rescue pass, and
+drain-after-trip.
 
 The stream of emitted matches is monotone non-increasing in score -- the
 property ``starjoin`` relies on (Section VI).  Proposition 3 pruning is
@@ -54,15 +57,19 @@ from repro.core.lattice import LeafEntry, PivotMatchGenerator, make_leaf_list
 from repro.core.matches import Match
 from repro.core.topk import prop3_prune
 from repro.errors import BudgetExceededError, SearchError
+from repro.graph.traversal import bounded_bfs_layers
 from repro.query.model import StarQuery
 from repro.runtime.budget import Budget, SearchReport
 from repro.runtime.faults import SUBSTRATE_ERRORS
 from repro.similarity.scoring import ScoringFunction
 
+#: A raw leaf entry: ``(combined, node, F_N, F_E, hops)``.
+Entry = Tuple[float, int, float, float, int]
+
 #: Type of a per-pivot leaf-candidate provider: given the pivot data node,
 #: return one raw-entry list per leaf position (or stop at the first
 #: empty one: the pivot has no match).
-LeafProvider = Callable[[int], List[List[Tuple[float, int, float, float, int]]]]
+LeafProvider = Callable[[int], List[List[Entry]]]
 
 #: What a procedure's set-up hands the shared loop: scored pivot
 #: candidates, optionally one upper bound per candidate, and the leaf
@@ -81,25 +88,6 @@ _MIN_PIVOTS_AFTER_TRIP = 8
 #: viability checks are free; this caps the expensive part so the rescue
 #: adds a bounded, small latency on top of an already-tripped deadline.
 _RESCUE_WORK_CAP = 400
-
-
-class SearchStats:
-    """Counters one star-search run exposes, whichever procedure ran it.
-
-    ``repro.core.framework`` re-publishes these under the unified
-    :class:`repro.obs.EngineStats` schema; the names match field-for-field.
-    """
-
-    __slots__ = ("pivots_considered", "pivots_evaluated", "pivots_with_match",
-                 "matches_emitted", "lattice_pops", "nodes_traversed",
-                 "messages_propagated")
-
-    def __init__(self) -> None:
-        for name in self.__slots__:
-            setattr(self, name, 0)
-
-    def as_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class StarKSearch:
@@ -157,7 +145,7 @@ class StarKSearch:
         self.d = d
         self.directed = directed
         self.pivot_scope = pivot_scope
-        self.stats = SearchStats()
+        self.stats = obs.EngineStats(self.name)
         self.last_report: Optional[SearchReport] = None
 
     # ------------------------------------------------------------------
@@ -185,99 +173,6 @@ class StarKSearch:
         return cands
 
     # ------------------------------------------------------------------
-    # Leaf candidate collection (d = 1: direct neighbors)
-    # ------------------------------------------------------------------
-    def _leaf_provider(
-        self,
-        star: StarQuery,
-        node_weights: Mapping[int, float],
-        leaf_maps: List[Optional[Dict[int, float]]],
-        d: int,
-    ) -> LeafProvider:
-        """Per-pivot leaf lists from the pivot's own rows (``d == 1``).
-
-        A leaf whose map is None (an untyped wildcard, see
-        :func:`leaf_candidate_maps`) is scored at the row: every
-        neighbour whose edge passes the edge threshold is scored with the
-        memoised ``F_N`` and kept at or above the node threshold -- the
-        entries its map would have given, since a row holds only live
-        nodes.  Its scoring faults reach the caller.
-        """
-        if d > 1:
-            return bounded_leaf_provider(
-                self.scorer, star, node_weights, d, self.injective,
-                leaf_maps=leaf_maps, traversal_stats=self.stats,
-            )
-        scorer = self.scorer
-        grouped_relations = self.graph.grouped_relations
-        score_node = scorer.node_score
-        edge_threshold = scorer.config.edge_threshold
-        node_threshold = scorer.config.node_threshold
-        # Per-leaf direction: +1 = edge points pivot -> leaf, -1 = leaf ->
-        # pivot, 0 = orientation ignored (undirected matching) -- the
-        # orientation argument of grouped_relations.  The last element
-        # memoises F_E per label (or parallel-edge label tuple) for that
-        # query edge.
-        leaf_info = [
-            (
-                leaf_scores,
-                leaf.descriptor,
-                edge.descriptor,
-                node_weights.get(leaf.id, 1.0),
-                (0 if not self.directed
-                 else (1 if edge.src == star.pivot.id else -1)),
-                {},
-            )
-            for (leaf, edge), leaf_scores in zip(star.leaves, leaf_maps)
-        ]
-
-        def provide(pivot_node: int) -> List[List[Tuple[float, int, float, float, int]]]:
-            # No injectivity filter: add_edge rejects self-loops, and the
-            # lattice skips a leaf equal to the pivot anyway.  The first
-            # empty list ends the read: the pivot has no match.
-            rows: Dict[int, Dict[int, object]] = {}
-            lists: List[List[Tuple[float, int, float, float, int]]] = []
-            for (leaf_scores, leaf_desc, edge_desc, weight, orientation,
-                 memo) in leaf_info:
-                row = rows.get(orientation)
-                if row is None:
-                    row = rows[orientation] = dict(grouped_relations(
-                        pivot_node, orientation))
-                entries: List[Tuple[float, int, float, float, int]] = []
-                if leaf_scores is None:
-                    # Scored at the row: edge threshold first, so an
-                    # inadmissible edge costs no F_N.
-                    for nbr, labels in row.items():
-                        edge_score = memo.get(labels)
-                        if edge_score is None:
-                            edge_score = memo[labels] = _label_score(
-                                scorer, edge_desc, labels)
-                        if edge_score < edge_threshold:
-                            continue
-                        node_score = score_node(leaf_desc, nbr)
-                        if node_score >= node_threshold:
-                            entries.append((weight * node_score + edge_score,
-                                            nbr, node_score, edge_score, 1))
-                else:
-                    for nbr in row.keys() & leaf_scores.keys():
-                        labels = row[nbr]
-                        edge_score = memo.get(labels)
-                        if edge_score is None:
-                            edge_score = memo[labels] = _label_score(
-                                scorer, edge_desc, labels)
-                        if edge_score < edge_threshold:
-                            continue
-                        node_score = leaf_scores[nbr]
-                        entries.append((weight * node_score + edge_score, nbr,
-                                        node_score, edge_score, 1))
-                lists.append(entries)
-                if not entries:
-                    break
-            return lists
-
-        return provide
-
-    # ------------------------------------------------------------------
     def _anytime_rescue(
         self,
         star: StarQuery,
@@ -300,8 +195,6 @@ class StarKSearch:
         Deliberately ignores the (already-tripped) budget; scoring calls
         are capped at ``_RESCUE_WORK_CAP`` instead.
         """
-        from repro.graph.traversal import bounded_bfs_layers
-
         scorer = self.scorer
         graph = self.graph
         d = self.rescue_d or self.d
@@ -392,7 +285,13 @@ class StarKSearch:
                 by_key_map[leaf.descriptor.cache_key]
                 for leaf, _edge in star.leaves
             ]
-            provider = self._leaf_provider(star, node_weights, local_maps, d)
+            if d == 1:
+                provider = hop_one_reader(scorer, star, node_weights,
+                                          local_maps, self.directed)
+            else:
+                provider = bounded_leaf_provider(
+                    scorer, star, node_weights, d, self.injective,
+                    leaf_maps=local_maps, traversal_stats=self.stats)
             try:
                 gen = self.build_generator(
                     star, pivot_node, pivot_score, node_weights, provider,
@@ -472,11 +371,14 @@ class StarKSearch:
         with obs.trace("stark.leaf_fetch", leaves=len(star.leaves)) as span:
             leaf_maps = leaf_candidate_maps(self.scorer, star, budget=budget,
                                             at_row=self.d == 1)
-            provider = self._leaf_provider(star, weights, leaf_maps, self.d)
             if self.d > 1:
-                return pivot_cands, None, provider
+                return pivot_cands, None, bounded_leaf_provider(
+                    self.scorer, star, weights, self.d, self.injective,
+                    leaf_maps=leaf_maps, traversal_stats=self.stats)
             bounds, read = self._read_pivots(
-                star, weights, pivot_cands, provider, budget)
+                star, weights, pivot_cands,
+                hop_one_reader(self.scorer, star, weights, leaf_maps,
+                               self.directed), budget)
             span.annotate(viable=len(read))
         return pivot_cands, bounds, read.pop
 
@@ -488,27 +390,32 @@ class StarKSearch:
         provider: LeafProvider,
         budget: Optional[Budget],
     ) -> Tuple[List[Optional[float]], Dict[int, list]]:
-        """The ``d == 1`` bound pass: every pivot's rows read once.
+        """The one bound pass: every pivot's rows read once, at any ``d``.
 
-        A pivot's bound is its weighted ``F_N`` plus the best combined
-        score of each leaf list, summed in the order a generator scores
-        its first cursor -- so it *is* the pivot's top-1 unless two
-        leaves' best entries are one node (injectivity only removes
-        matches, Prop. 3 only prunes lists).  A pivot with an empty list
-        gets None.  The lists read are returned by pivot, for the loop's
-        provider, so no pivot is read twice.
+        A pivot's bound is its weighted ``F_N`` plus the best first
+        element of each leaf list *provider* gives, summed in the order a
+        generator scores its first cursor.  At ``d == 1`` the lists are
+        :func:`hop_one_reader`'s, so the bound *is* the pivot's top-1
+        unless two leaves' best entries are one node (injectivity only
+        removes matches, Prop. 3 only prunes lists); ``stard``'s
+        provider appends a far term per leaf.  A pivot with an empty list
+        gets None.  The lists read are returned by pivot, for the
+        ``d == 1`` loop's provider, so no pivot is read twice.
 
-        Each read charges one node, in candidate order; a trip stops the
+        Each read charges one node at ``d == 1`` (at evaluation
+        otherwise, so the pass only checks the budget); a trip stops the
         reading and leaves the rest unbounded.  A substrate fault on one
         pivot is recorded under an anytime budget (that pivot alone is
         skipped) and raised otherwise.
         """
         anytime = budget is not None and budget.anytime
+        if budget is not None:
+            tripped = budget.charge_nodes if self.d == 1 else budget.check
         pivot_weight = weights.get(star.pivot.id, 1.0)
         bounds: List[Optional[float]] = [None] * len(pivot_cands)
         read: Dict[int, list] = {}
         for index, (pivot_node, pivot_score) in enumerate(pivot_cands):
-            if budget is not None and budget.charge_nodes():
+            if budget is not None and tripped():
                 break
             try:
                 lists = provider(pivot_node)
@@ -556,7 +463,7 @@ class StarKSearch:
         on an anytime budget and re-raised otherwise.
         """
         weights = node_weights or {}
-        stats = self.stats = SearchStats()
+        stats = self.stats = obs.EngineStats(self.name)
         budget_on = budget is not None
         anytime = budget_on and budget.anytime
         try:
@@ -707,14 +614,6 @@ class StarKSearch:
         return self._top_k(star, k, budget)
 
 
-def _label_score(scorer: ScoringFunction, edge_desc, labels) -> float:
-    """Relation-aware ``F_E`` of one ``grouped_relations`` entry: its
-    edge's label, or the best label of its parallel edges (a tuple)."""
-    if labels.__class__ is str:
-        return scorer.relation_score(edge_desc, labels)
-    return max(scorer.relation_score(edge_desc, rel) for rel in labels)
-
-
 def leaf_candidate_maps(
     scorer: ScoringFunction,
     star: StarQuery,
@@ -728,10 +627,10 @@ def leaf_candidate_maps(
     stard, graphTA, BP and the brute-force oracle agree on which node may
     match which leaf.  Leaves with identical constraints share one map.
 
-    With *at_row* (the ``d == 1`` provider), an untyped wildcard leaf --
+    With *at_row* (the ``d == 1`` plan), an untyped wildcard leaf --
     whose universe is every live node -- gets None instead of a map, and
-    no :func:`node_candidates` call: the provider scores the few
-    neighbours a pivot's row holds rather than the whole graph.
+    no :func:`node_candidates` call: :func:`hop_one_reader` scores the
+    few neighbours a pivot's row holds rather than the whole graph.
     """
     by_constraint: Dict[object, Optional[Dict[int, float]]] = {}
     maps: List[Optional[Dict[int, float]]] = []
@@ -743,6 +642,86 @@ def leaf_candidate_maps(
                 else dict(node_candidates(scorer, leaf, budget=budget)))
         maps.append(by_constraint[key])
     return maps
+
+
+def hop_one_reader(
+    scorer: ScoringFunction,
+    star: StarQuery,
+    node_weights: Mapping[int, float],
+    leaf_maps: List[Optional[Dict[int, float]]],
+    directed: bool = False,
+) -> Callable[..., List[List[Entry]]]:
+    """The one reader of a pivot's ``grouped_relations`` row into hop-1
+    leaf entries, for the ``d == 1`` plan, ``stard``'s bound pass and
+    :func:`bounded_leaf_provider`.
+
+    ``read(pivot, stop=True, rows=None)`` lists, per leaf, the row's
+    neighbours in the leaf's map whose ``F_E`` -- relation-aware,
+    memoised per query edge and label (or parallel-edge label tuple) --
+    passes the edge threshold.  A leaf whose map is None (an untyped
+    wildcard, see :func:`leaf_candidate_maps`) is scored at the row
+    instead: edge threshold first, so an inadmissible edge costs no
+    ``F_N``, then the memoised ``F_N`` against the node threshold -- the
+    entries its map would have given, since a row holds only live nodes.
+    With *directed*, each leaf reads the row of its edge's orientation
+    (+1 pivot -> leaf, -1 leaf -> pivot); otherwise orientation 0.
+
+    *rows* maps orientation to a row the caller has read already (and
+    receives those read here).  With *stop*, the first empty list ends
+    the read: the pivot has no match.  No injectivity filter is needed:
+    ``add_edge`` rejects self-loops.  Scoring faults reach the caller.
+    """
+    grouped_relations = scorer.graph.grouped_relations
+    relation_score = scorer.relation_score
+    score_node = scorer.node_score
+    edge_threshold = scorer.config.edge_threshold
+    node_threshold = scorer.config.node_threshold
+    leaf_info = [
+        (leaf_scores, leaf.descriptor, edge.descriptor,
+         node_weights.get(leaf.id, 1.0),
+         0 if not directed else (1 if edge.src == star.pivot.id else -1),
+         {})
+        for (leaf, edge), leaf_scores in zip(star.leaves, leaf_maps)
+    ]
+
+    def read(pivot_node: int, stop: bool = True,
+             rows: Optional[Dict[int, dict]] = None) -> List[List[Entry]]:
+        if rows is None:
+            rows = {}
+        lists: List[List[Entry]] = []
+        for (leaf_scores, leaf_desc, edge_desc, weight, orientation,
+             memo) in leaf_info:
+            row = rows.get(orientation)
+            if row is None:
+                row = rows[orientation] = dict(
+                    grouped_relations(pivot_node, orientation))
+            entries: List[Entry] = []
+            for nbr in (row if leaf_scores is None
+                        else row.keys() & leaf_scores.keys()):
+                labels = row[nbr]
+                edge_score = memo.get(labels)
+                if edge_score is None:
+                    edge_score = memo[labels] = (
+                        relation_score(edge_desc, labels)
+                        if labels.__class__ is str
+                        else max(relation_score(edge_desc, rel)
+                                 for rel in labels))
+                if edge_score < edge_threshold:
+                    continue
+                if leaf_scores is None:
+                    node_score = score_node(leaf_desc, nbr)
+                    if node_score < node_threshold:
+                        continue
+                else:
+                    node_score = leaf_scores[nbr]
+                entries.append((weight * node_score + edge_score, nbr,
+                                node_score, edge_score, 1))
+            lists.append(entries)
+            if stop and not entries:
+                break
+        return lists
+
+    return read
 
 
 def bounded_leaf_provider(
@@ -758,8 +737,8 @@ def bounded_leaf_provider(
     """Leaf candidates within *d* hops of a pivot (d-bounded matching).
 
     An edge matches the *shortest* qualifying path: a candidate ``w`` at
-    BFS distance ``h`` scores relation-aware ``F_E`` at ``h == 1`` (memoised
-    per query edge and label) and the pure decay ``lambda^(h-1)``
+    BFS distance ``h`` scores relation-aware ``F_E`` at ``h == 1`` (the
+    entries of :func:`hop_one_reader`) and the pure decay ``lambda^(h-1)``
     otherwise (see :mod:`repro.similarity.path_score`).  Shared by
     ``stark`` with ``d >= 2`` (eager traversal per pivot) and by
     ``stard``'s exact per-pivot phase (lazy, estimate-ordered).
@@ -776,17 +755,16 @@ def bounded_leaf_provider(
     pivot is at distance 0, so it is never its own leaf, injective or
     not.
     """
-    from repro.graph.traversal import bounded_bfs_layers
-
     if d < 2:
         raise SearchError(f"bounded leaf provider needs d >= 2, got {d}")
     graph = scorer.graph
     edge_threshold = scorer.config.edge_threshold
     if leaf_maps is None:
         leaf_maps = leaf_candidate_maps(scorer, star)
+    read = hop_one_reader(scorer, star, node_weights, leaf_maps)
     leaf_info = [
-        (leaf_scores, edge.descriptor, node_weights.get(leaf.id, 1.0), {})
-        for (leaf, edge), leaf_scores in zip(star.leaves, leaf_maps)
+        (leaf_scores, node_weights.get(leaf.id, 1.0))
+        for (leaf, _edge), leaf_scores in zip(star.leaves, leaf_maps)
     ]
     decay = scorer.path.decay
     # A hop-d path scores the pure decay: below the edge threshold no
@@ -795,17 +773,16 @@ def bounded_leaf_provider(
     last_hop_matches = decay_d >= edge_threshold
     inverted: Dict[int, Dict[int, List[int]]] = dict(last_hop or {})
 
-    def provide(pivot_node: int) -> List[List[Tuple[float, int, float, float, int]]]:
+    def provide(pivot_node: int) -> List[List[Entry]]:
         layers = bounded_bfs_layers(graph, pivot_node, d - 1)
         seen = set().union(*layers)
         # Traversal is this path's dominant cost and produces no scorer
         # calls (leaf scores are map lookups), so it is accounted
         # separately: inner-BFS nodes plus last-hop candidates reached.
         traversed = len(seen)
-        direct_relations = dict(graph.grouped_relations(pivot_node))
+        lists = read(pivot_node, False)
         at_d_by_map: Dict[int, Set[int]] = {}
-        lists: List[List[Tuple[float, int, float, float, int]]] = []
-        for leaf_scores, edge_desc, weight, memo in leaf_info:
+        for entries, (leaf_scores, weight) in zip(lists, leaf_info):
             at_d = at_d_by_map.get(id(leaf_scores))
             if at_d is None:
                 at_d = set()
@@ -821,19 +798,6 @@ def bounded_leaf_provider(
                     at_d -= seen
                 at_d_by_map[id(leaf_scores)] = at_d
                 traversed += len(at_d)
-            entries: List[Tuple[float, int, float, float, int]] = []
-            for w in layers[1]:
-                node_score = leaf_scores.get(w)
-                if node_score is None:
-                    continue
-                labels = direct_relations[w]
-                edge_score = memo.get(labels)
-                if edge_score is None:
-                    edge_score = memo[labels] = _label_score(
-                        scorer, edge_desc, labels)
-                if edge_score >= edge_threshold:
-                    entries.append((weight * node_score + edge_score, w,
-                                    node_score, edge_score, 1))
             for hops in range(2, d):
                 edge_score = decay(hops)
                 if edge_score < edge_threshold:
@@ -849,7 +813,6 @@ def bounded_leaf_provider(
                  node_score, decay_d, d)
                 for w in at_d
             ])
-            lists.append(entries)
         if traversal_stats is not None:
             traversal_stats.nodes_traversed += traversed
         return lists

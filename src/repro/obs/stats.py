@@ -1,10 +1,9 @@
 """The unified :class:`EngineStats` schema every engine reports.
 
 Before this module, ``framework.last_stats`` had a different shape per
-algorithm: stark exposed its ``SearchStats.__slots__`` dict, stard a
-two-key propagation dict, and rank-joined general queries nothing at all
--- so batch merging, benchmarks and dashboards all special-cased the
-algorithm.  ``EngineStats`` fixes the schema: **every** search populates
+algorithm, so batch merging, benchmarks and dashboards all special-cased
+the algorithm.  ``EngineStats`` fixes the schema: **every** search
+(star matchers count straight into one) populates
 the same counters (irrelevant ones stay zero), ``as_dict`` always emits
 the same keys in the same order, and numeric dicts merge by plain
 addition (the batch API's cross-query aggregation).

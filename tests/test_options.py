@@ -67,6 +67,8 @@ RULES = [
     ({"directed": True, "algorithm": "hybrid"}, SearchError,
      "algorithm must be one of ('auto', 'stark', 'stard'), got 'hybrid'"),
     ({"shards": 0}, SearchError, "shards must be >= 1, got 0"),
+    ({"candidate_limit": -1}, SearchError,
+     "candidate_limit must be >= 1, got -1"),
     ({"shard_backend": "threads"}, SearchError,
      "unknown shard backend 'threads'; expected one of "
      "('auto', 'fork', 'serial')"),

@@ -19,7 +19,9 @@ from repro.errors import (
     SearchError,
     SearchTimeoutError,
 )
+from repro.graph.generators import dbpedia_like
 from repro.query import Query, StarQuery, decompose, star_query, star_workload
+from repro.query.parser import parse_query
 from repro.runtime import (
     MAX_DEGRADE_LEVEL,
     MODES,
@@ -437,8 +439,8 @@ class TestD1ReadPass:
 class TestD2RowPass:
     """At d >= 2 the plan bounds every pivot from one read of its grouped
     row, which also pulls the last propagation round: messages are
-    charged as a pushed round is, nodes one per evaluated pivot, and a
-    row fault costs that pivot alone."""
+    charged as a pushed round is, nodes one per evaluated pivot, a trip
+    stops the reading, and a row fault costs that pivot alone."""
 
     #: ``budget.messages_sent`` of an untripped run per star: the pushed
     #: rounds' entries, then one message per pivot row that reaches
@@ -484,6 +486,37 @@ class TestD2RowPass:
         scores = [m.score for m in got]
         assert scores == sorted(scores, reverse=True)
         assert scores[0] <= exact[0].score + 1e-9
+
+    def test_trip_stops_the_row_pass(self, monkeypatch):
+        graph = dbpedia_like(0.5, 7)
+        star = StarQuery.from_query(
+            parse_query("(?f:film) -[acted_in]- (?p:person)"))
+        rows = graph.grouped_relations
+        reads = []
+        # Row reads so far, at each generator built (evaluation, rescue):
+        # the first entry is what the bound pass read.
+        at_build = []
+        build = StarDSearch.build_generator
+
+        def counting_rows(node_id, orientation=0):
+            reads.append(node_id)
+            return rows(node_id, orientation)
+
+        def counting_build(self, *args, **kwargs):
+            at_build.append(len(reads))
+            return build(self, *args, **kwargs)
+
+        monkeypatch.setattr(graph, "grouped_relations", counting_rows)
+        monkeypatch.setattr(StarDSearch, "build_generator", counting_build)
+        matcher = StarDSearch(ScoringFunction(graph), d=2)
+        assert len(matcher._pivot_candidates(star)) > 300
+        # One message trips during propagation, before any row is read.
+        got = matcher.search(star, 5,
+                             budget=Budget(max_messages=1, anytime=True))
+        assert at_build and at_build[0] == 0
+        assert got
+        assert not matcher.last_report.completed
+        assert matcher.last_report.reason == REASON_MESSAGES
 
     def test_row_fault_skips_that_pivot_only(self, yago_graph, monkeypatch):
         star = _yago_stars(yago_graph)[2]

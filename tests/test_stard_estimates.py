@@ -1,13 +1,15 @@
 """``stard``'s pivot estimates at ``d >= 2``: one row read per pivot.
 
 Each estimate is held, pivot by pivot, between two references written
-here, independent of the row pass under test:
+here, independent of the row pass under test, and equals a third:
 
 * below, the pivot's exact top-1 match, built from the d-bounded leaf
   provider -- what the exact phase would evaluate;
 * above, the estimate the row pass replaced: every hop-1 leaf priced at
   the flat ``edge_upper_bound(1) = 1.0``, over fully pushed propagation
-  layers.
+  layers;
+* equal, float for float, the estimate as ``stard`` computed it in a
+  loop of its own, before the bound pass was shared with ``stark``.
 
 End to end, the answers meet the brute-force oracle (``tests/oracle.py``)
 and, under alpha weights, ``stark``'s stream at the same ``d``.
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import StarDSearch, StarKSearch
-from repro.core.messages import propagate
+from repro.core.messages import propagate, pull
 from repro.core.stark import bounded_leaf_provider, leaf_candidate_maps
 from repro.graph.generators import dbpedia_like
 from repro.query import StarQuery, star_query
@@ -89,6 +91,52 @@ def flat_estimates(scorer, star, pivot_cands, weights, d, injective):
     return estimates
 
 
+def row_estimates(scorer, star, pivot_cands, weights, d, injective):
+    """The estimate as ``stard``'s own pivot loop computed it: per leaf,
+    the best of the exact hop-1 term off the pivot's row and
+    ``max(w, 1) * (B[h]`` best ``+ lambda^(h-1))`` for ``h >= 2``, with
+    ``B[d]`` pulled over the row."""
+    edge_threshold = scorer.config.edge_threshold
+    decay = scorer.path.decay
+    maps = leaf_candidate_maps(scorer, star)
+    layers = {id(m): propagate(scorer.graph, m, d - 1) for m in maps}
+    no_term = float("-inf")
+    estimates = []
+    for pivot, pivot_score in pivot_cands:
+        banned = pivot if injective else None
+        row = dict(scorer.graph.grouped_relations(pivot))
+        bound = weights.get(star.pivot.id, 1.0) * pivot_score
+        for (leaf, edge), leaf_scores in zip(star.leaves, maps):
+            far = no_term
+            node_bound = pull(layers[id(leaf_scores)][d - 1], row, banned)
+            if node_bound is not None and decay(d) >= edge_threshold:
+                far = node_bound + decay(d)
+            for hops in range(2, d):
+                top2 = layers[id(leaf_scores)][hops].get(pivot)
+                if decay(hops) < edge_threshold or top2 is None:
+                    continue
+                node_bound = top2.best_excluding(banned)
+                if node_bound is not None and node_bound + decay(hops) > far:
+                    far = node_bound + decay(hops)
+            weight = weights.get(leaf.id, 1.0)
+            best = max(weight, 1.0) * far
+            for nbr in row.keys() & leaf_scores.keys():
+                labels = row[nbr]
+                edge_score = max(
+                    scorer.relation_score(edge.descriptor, rel)
+                    for rel in ((labels,) if isinstance(labels, str)
+                                else labels))
+                combined = weight * leaf_scores[nbr] + edge_score
+                if edge_score >= edge_threshold and combined > best:
+                    best = combined
+            if best == no_term:
+                bound = None
+                break
+            bound += best
+        estimates.append(bound)
+    return estimates
+
+
 def exact_top1(scorer, star, pivot_cands, weights, d, injective):
     """Per pivot candidate: its best match's score, or None."""
     exact = StarKSearch(scorer, d=d, injective=injective)
@@ -117,6 +165,8 @@ class TestEstimateBounds:
         flat = flat_estimates(scorer, star, pivot_cands, weights, d,
                               injective)
         exact = exact_top1(scorer, star, pivot_cands, weights, d, injective)
+        assert bounds == row_estimates(scorer, star, pivot_cands, weights, d,
+                                       injective)
         for bound, above, below in zip(bounds, flat, exact):
             if below is not None:
                 assert bound is not None and bound >= below - 1e-9

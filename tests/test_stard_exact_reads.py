@@ -18,8 +18,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.lattice import PivotMatchGenerator, make_leaf_list
 from repro.core.messages import Top2, propagate, pull
-from repro.core.stark import SearchStats, bounded_leaf_provider
+from repro.core.stark import bounded_leaf_provider
 from repro.graph.traversal import nodes_within
+from repro.obs import EngineStats as SearchStats
 from repro.perf.parallel import build_engine
 from repro.query import star_query
 from repro.similarity import ScoringConfig, ScoringFunction
