@@ -38,10 +38,10 @@ Well-known counter families (all emitted only while enabled):
 * ``candidates.*`` spans -- candidate generation route and volume;
 * ``serve.*`` -- admission, breaker and queue events (``repro.serve``);
 * ``shard.*`` -- sharded execution (``repro.shard``):
-  ``shard.searches``, ``shard.streams_opened``, ``shard.chunks``,
+  ``shard.searches``, ``shard.streams_opened``, ``shard.chunks``
+  (merge-round messages: one per shard, plus one per tied shard),
   ``shard.matches_pulled`` (counters), ``shard.bound_terminated``
-  (streams stopped early by the rank-merge threshold),
-  ``shard.dedup_hits`` (duplicate matches suppressed by the merger),
+  (shard streams cut at k, tie round included, without running dry),
   ``shard.worker_crashes`` / ``shard.inline_fallbacks`` (fault
   recovery), ``shard.fallback_queries`` (non-star or budgeted queries
   served by the single-process engine), plus gauges ``shard.count``

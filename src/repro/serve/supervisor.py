@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.framework import Star
 from repro.core.options import SearchOptions
-from repro.errors import ReproError
+from repro.errors import ReproError, SearchError
 from repro.perf.parallel import build_engine
 from repro.runtime.budget import Budget
 from repro.runtime.faults import FaultSpec, faulty
@@ -44,20 +44,14 @@ class EngineContext:
     :class:`~repro.core.options.SearchOptions`) becomes :attr:`options`
     and is handed to :func:`repro.perf.build_engine`: with ``mmap_store``
     every worker maps the RKGS2 file's index columns after the fork
-    instead of copying index pages through fork CoW; with ``shards`` an
-    ``auto`` shard backend means ``serial`` here -- serve workers are
-    already one process per slot, so per-payload shard scoping (smaller
-    pivot scans) is the win, not nested process pools.
+    instead of copying index pages through fork CoW.
     """
 
     def __init__(self, graph, config=None, engine_opts=None) -> None:
         self.graph = graph
         self.config = config
-        options = SearchOptions.coerce(engine_opts)
-        if options.shards is not None and options.shard_backend == "auto":
-            options = dataclasses.replace(options, shard_backend="serial")
-        self.options = options
-        self.engine = build_engine(graph, options, config)
+        self.options = SearchOptions.coerce(engine_opts)
+        self.engine = build_engine(graph, self.options, config)
         self.scorer = self.engine.scorer
 
     def engine_for(self, fault_specs: Optional[List[dict]]) -> Star:
@@ -195,12 +189,22 @@ class ThreadWorkerPool:
 
 def make_pool(graph, config=None, engine_opts=None, size: int = 2,
               backend: str = "auto", max_requeues: int = 1):
-    """Build the right pool for this platform (fork where available)."""
+    """Build the right pool for this platform (fork where available).
+
+    Raises:
+        SearchError: for an invalid engine option, or for ``shards``:
+            every served query carries a budget, and a budgeted search
+            never runs sharded.
+    """
     if backend not in ("auto", "fork", "thread"):
         raise ReproError(
             f"unknown pool backend {backend!r} (auto, fork or thread)")
     # Here, not in each worker's factory: a bad option fails the caller.
     engine_opts = SearchOptions.coerce(engine_opts)
+    if engine_opts.shards is not None:
+        raise SearchError(
+            "serve does not shard: every served query carries a budget, "
+            "and a budgeted search runs in one process")
     if backend != "thread" and fork_available():
         return TaskPool(
             functools.partial(_engine_handler, graph, config, engine_opts),

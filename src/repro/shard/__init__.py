@@ -10,13 +10,16 @@ This package makes that operational:
   graph for everything else;
 * :mod:`repro.shard.executor` -- :class:`ShardedEngine`: per-shard fork
   workers streaming the matches pivoted at their owned nodes (graph and
-  index inherited through the fork), merged by the HRJN bound machinery
-  shared with ``starjoin`` (:mod:`repro.core.rankmerge`) into an exact
-  global top-k, byte-identical to single-shard execution.
+  index inherited through the fork), merged in two rounds -- each
+  shard's top k, then the ties at the merged k-th score from the shards
+  whose k-th score ties it -- into an exact global top-k, byte-identical
+  to single-shard execution.
 
 Entry points: :class:`ShardedEngine` for library use, ``--shards N`` on
-the CLI, ``shards=`` on :func:`repro.perf.search_many`, and
-``engine_opts={"shards": N}`` on the serve layer.
+``repro search``, ``trace`` and ``batch``, and ``shards=`` on
+:func:`repro.perf.search_many`.  The serve layer does not shard: every
+served query carries a budget, and a budgeted search runs in one
+process, so :func:`repro.serve.make_pool` rejects ``shards``.
 """
 
 from repro.shard.executor import BACKENDS, ShardedEngine

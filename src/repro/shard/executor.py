@@ -1,4 +1,4 @@
-"""Sharded star-search execution: pivot-scoped workers + global rank merge.
+"""Sharded star-search execution: pivot-scoped workers, two-round merge.
 
 ``ShardedEngine`` splits a star query across the shards of a
 :class:`~repro.shard.partition.GraphPartition` and merges the per-shard
@@ -14,24 +14,25 @@ monotone match streams back into one exact global top-k:
   shard's owned nodes, while leaves and propagation read the whole graph
   (exactness argument in :mod:`repro.shard.partition`), so per-shard
   pivot work shrinks roughly linearly in the shard count;
-* the parent treats each shard stream as a rank-join input
-  (:class:`~repro.core.rankmerge.RankMerger`): streams are pulled in
-  chunks, the k-th pooled score is the HRJN threshold, and a shard
-  whose last score can no longer reach the threshold is *stopped*
-  without draining (``shard.bound_terminated``).
+* the parent merges in two rounds, the threshold shape of TPUT (Cao &
+  Wang, PODC 2004).  Round 1 asks every shard for its top k; theta is
+  the k-th best score of their union.  Lemma 1 holds per pivot, so each
+  shard's stream is exact for its own pivots, and a shard whose k-th
+  score beats theta has nothing left that could enter the answer.
+  Round 2 asks only the shards whose k-th score *ties* theta, and that
+  did not run dry, for every further match scoring ``>= theta``.
 
 Results are byte-identical across shard counts and backends: disjoint
-pivot ownership makes shard outputs disjoint, and the merger ranks by
-the canonical ``(-score, match.key())`` order, which no arrival
+pivot ownership makes shard outputs disjoint, and the union is ranked
+by the canonical ``(-score, match.key())`` order, which no arrival
 interleaving can perturb.
 
 Fault tolerance: each shard's worker is a
 :class:`repro.runtime.workers.ForkWorker` (private duplex pipe,
-EOF/broken pipe means death).  A shard stream is stateful, so instead of
-the task pool's re-queue the dead shard's stream is re-run inline in
-the parent (same pivot-scoped matcher, same results -- the merger dedups
-the re-offered half-delivered chunk) and the worker is respawned for the
-next query.
+EOF/broken pipe means death).  A shard dying in either round is
+respawned for the next query, and its whole answer is recomputed in
+the parent (same pivot-scoped matcher, same messages) and replaces
+whatever it delivered before.
 Workers are stopped on :meth:`ShardedEngine.close` and by a
 ``weakref.finalize`` safety net.
 """
@@ -39,6 +40,7 @@ Workers are stopped on :meth:`ShardedEngine.close` and by a
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import os
 import weakref
 from typing import Dict, List, Optional, Tuple, Union
@@ -48,7 +50,6 @@ from repro.core.framework import Star
 from repro.core.matches import Match
 from repro.core.options import BACKENDS, SearchOptions
 from repro.core.procedures import star_matcher
-from repro.core.rankmerge import RankMerger
 from repro.errors import SearchError
 from repro.query.model import Query, StarQuery
 from repro.runtime.budget import Budget, SearchReport
@@ -59,20 +60,54 @@ from repro.similarity.scoring import ScoringConfig, ScoringFunction
 __all__ = ["ShardedEngine", "BACKENDS"]
 
 
-def _pull_chunk(stream, n: int) -> Tuple[List[Match], bool]:
-    """Up to *n* matches off a monotone stream; empty only at the end."""
-    out: List[Match] = []
-    for _ in range(n):
-        match = next(stream, None)
-        if match is None:
-            return out, True
-        out.append(match)
-    return out, False
+def _rank(match: Match):
+    """The canonical order: score descending, ties by match key."""
+    return -match.score, match.key()
+
+
+class _Shard:
+    """One shard's side of the two-round merge, over its pivot-scoped
+    matcher.
+
+    ``("top", star, k)`` opens the shard's stream and answers its first
+    *k* matches; ``("ties", theta)`` answers every further match scoring
+    ``>= theta``.  Either answer is ``(matches, dry)``, *dry* telling
+    whether the stream ran out.  The fork child's loop calls
+    :meth:`handle`; in process (the ``serial`` backend, crash recovery)
+    :meth:`send`/:meth:`recv` stand in for the :class:`ForkWorker` pipe.
+    """
+
+    __slots__ = ("matcher", "_stream", "_reply")
+
+    def __init__(self, matcher) -> None:
+        self.matcher = matcher
+        self._stream = None
+        self._reply = None
+
+    def handle(self, msg) -> Tuple[List[Match], bool]:
+        if msg[0] == "top":
+            _kind, star, k = msg
+            self._stream = self.matcher.stream(star)
+            top = list(itertools.islice(self._stream, k))
+            return top, len(top) < k
+        theta = msg[1]
+        ties: List[Match] = []
+        for match in self._stream:
+            if match.score < theta:
+                return ties, False
+            ties.append(match)
+        return ties, True
+
+    def send(self, msg) -> None:
+        self._reply = self.handle(msg)
+
+    def recv(self) -> Tuple[List[Match], bool]:
+        return self._reply
 
 
 def _shard_worker_main(conn, graph, config, index, tier, partition,
                        options: SearchOptions, shard_id: int) -> None:
-    """One shard's :class:`ForkWorker` target: serve its match stream.
+    """One shard's :class:`ForkWorker` target: answer its merge rounds.
 
     Everything arrives by fork inheritance, *index* and *tier* included:
     whatever the parent's scorer held at spawn (a tier still unbuilt is
@@ -81,8 +116,7 @@ def _shard_worker_main(conn, graph, config, index, tier, partition,
     scorer = ScoringFunction(graph, config)
     scorer.graph_index = index
     scorer.semantic_tier = tier
-    matcher = star_matcher(scorer, options, partition.owned[shard_id])
-    stream = None
+    shard = _Shard(star_matcher(scorer, options, partition.owned[shard_id]))
     while True:
         try:
             msg = conn.recv()
@@ -90,95 +124,11 @@ def _shard_worker_main(conn, graph, config, index, tier, partition,
             break
         if msg is None:
             break
-        kind = msg[0]
-        if kind == "search":
-            star, chunk = msg[1], msg[2]
-            stream = matcher.stream(star)
-            conn.send(_pull_chunk(stream, chunk))
-        elif kind == "more":
-            if stream is None:
-                conn.send(([], True))
-            else:
-                conn.send(_pull_chunk(stream, msg[1]))
-        elif kind == "stop":
-            stream = None
-        elif kind == "crash":
+        if msg[0] == "crash":
             # Test hook: die without cleanup, exactly like a segfault
             # would look from the parent's side of the pipe.
             os._exit(msg[1])
-
-
-class _ShardStream:
-    """Parent-side view of one shard's monotone match stream."""
-
-    __slots__ = ("shard_id", "buffer", "last_score", "exhausted",
-                 "stopped", "requested")
-
-    def __init__(self, shard_id: int) -> None:
-        self.shard_id = shard_id
-        self.buffer: List[Match] = []
-        self.last_score: Optional[float] = None
-        self.exhausted = False
-        self.stopped = False
-        self.requested = False
-
-    @property
-    def live(self) -> bool:
-        return not (self.exhausted or self.stopped)
-
-    def accept(self, matches: List[Match], exhausted: bool) -> None:
-        self.requested = False
-        self.buffer.extend(matches)
-        if matches:
-            self.last_score = matches[-1].score
-        if exhausted:
-            self.exhausted = True
-
-
-class _ForkTransport:
-    def __init__(self, workers: List[ForkWorker]) -> None:
-        self.workers = workers
-
-    def request(self, state: _ShardStream, msg) -> None:
-        self.workers[state.shard_id].send(msg)
-        state.requested = True
-
-    def collect(self, state: _ShardStream) -> None:
-        matches, exhausted = self.workers[state.shard_id].recv()
-        state.accept(matches, exhausted)
-
-    def stop(self, state: _ShardStream) -> None:
-        self.workers[state.shard_id].send(("stop",))
-
-
-class _SerialTransport:
-    """In-process transport: same chunked protocol, no processes.
-
-    Used as the ``serial`` backend, as the per-shard inline fallback
-    after a worker crash, and by differential tests that need sharded
-    semantics without fork overhead.
-    """
-
-    def __init__(self, engine: "ShardedEngine") -> None:
-        self.engine = engine
-        self._streams: Dict[int, object] = {}
-
-    def request(self, state: _ShardStream, msg) -> None:
-        if msg[0] == "search":
-            star, chunk = msg[1], msg[2]
-            matcher = self.engine._local_matcher(state.shard_id)
-            self._streams[state.shard_id] = stream = matcher.stream(star)
-            state.accept(*_pull_chunk(stream, chunk))
-        else:  # ("more", chunk)
-            stream = self._streams[state.shard_id]
-            state.accept(*_pull_chunk(stream, msg[1]))
-        state.requested = False
-
-    def collect(self, state: _ShardStream) -> None:
-        pass  # request() already delivered synchronously
-
-    def stop(self, state: _ShardStream) -> None:
-        self._streams.pop(state.shard_id, None)
+        conn.send(shard.handle(msg))
 
 
 def _stop_workers(workers: List[ForkWorker]) -> None:
@@ -201,9 +151,6 @@ class ShardedEngine:
         backend: the keyword spelling of the ``shard_backend`` option --
             ``auto`` (fork where available, else serial), ``fork``
             (serial fallback where fork is missing) or ``serial``.
-        chunk_size: matches pulled per shard round trip; defaults to
-            each search's ``k`` (the global top-k is contained in the
-            union of per-shard top-k, so one round usually suffices).
         scorer, config, options: as for :class:`Star`.
 
     Keyword options: see :class:`~repro.core.options.SearchOptions`
@@ -218,7 +165,6 @@ class ShardedEngine:
         config: Optional[ScoringConfig] = None,
         *,
         backend: Optional[str] = None,
-        chunk_size: Optional[int] = None,
         options: Optional[SearchOptions] = None,
         **knobs,
     ) -> None:
@@ -227,15 +173,12 @@ class ShardedEngine:
         options = SearchOptions.coerce(options, knobs)
         if options.shards is None:
             options = dataclasses.replace(options, shards=2)
-        if chunk_size is not None and chunk_size < 1:
-            raise SearchError(f"chunk_size must be >= 1, got {chunk_size}")
         self.options = options
         self.engine = Star(graph, scorer=scorer, config=config,
                            options=options)
         self.graph = graph
         self.scorer = self.engine.scorer
         self.num_shards = options.shards
-        self.chunk_size = chunk_size
         self.backend = (
             "fork" if options.shard_backend in ("auto", "fork")
             and fork_available() else "serial"
@@ -244,7 +187,8 @@ class ShardedEngine:
         self.last_stats: Optional[dict] = None
         self.last_engine_stats = None
         #: Per-search sharding telemetry (mirrors the ``shard.*``
-        #: counters); ``None`` until the first sharded search.
+        #: counters); ``None`` before the first sharded search and after
+        #: a search that fell back to the single-process engine.
         self.last_shard_stats: Optional[dict] = None
         self._local_matchers: Dict[int, object] = {}
         self._closed = False
@@ -334,6 +278,7 @@ class ShardedEngine:
                 star = StarQuery.from_query(query)
         if star is None or budget is not None:
             obs.count("shard.fallback_queries")
+            self.last_shard_stats = None
             try:
                 return self.engine.search(query, k, budget=budget)
             finally:
@@ -346,74 +291,52 @@ class ShardedEngine:
 
     # ------------------------------------------------------------------
     def _search_star(self, star: StarQuery, k: int) -> List[Match]:
-        chunk = self.chunk_size or k
-        transport = (
-            _ForkTransport(self._workers) if self.backend == "fork"
-            else _SerialTransport(self)
-        )
-        states = [_ShardStream(i) for i in range(self.num_shards)]
-        merger = RankMerger(k)
+        n = self.num_shards
+        # Each shard's answer so far, and whether its stream ran dry.
+        got: List[List[Match]] = [[] for _ in range(n)]
+        dry = [False] * n
         stats = {
-            "shards": self.num_shards,
-            "streams_opened": self.num_shards,
-            "matches_pulled": [0] * self.num_shards,
+            "shards": n,
+            "streams_opened": n,
             "chunks": 0,
-            "bound_terminated": 0,
-            "dedup_hits": 0,
             "worker_crashes": 0,
             "inline_fallbacks": 0,
         }
         obs.count("shard.searches")
-        obs.count("shard.streams_opened", self.num_shards)
+        obs.count("shard.streams_opened", n)
         # Re-published per search: tracers are usually enabled after the
         # engine was built, and gauges merge by max across snapshots.
-        obs.set_gauge("shard.count", self.num_shards)
+        obs.set_gauge("shard.count", n)
         obs.set_gauge("shard.replication_factor",
                       self._partition.replication_factor)
 
-        with obs.trace("shard.search", shards=self.num_shards, k=k):
-            # Open every stream first (fork workers start concurrently),
-            # then collect -- the send/collect split is the parallelism.
-            for state in states:
-                self._request(transport, state, ("search", star, chunk),
-                              star, chunk, stats)
-            while True:
-                for state in states:
-                    if state.requested:
-                        self._collect(transport, state, star, chunk, stats)
-                for state in states:
-                    for match in state.buffer:
-                        stats["matches_pulled"][state.shard_id] += 1
-                        if not merger.offer(match):
-                            stats["dedup_hits"] += 1
-                    state.buffer.clear()
-                # HRJN bound per shard: the stream is monotone, so its
-                # last delivered score bounds everything still unseen.
-                for state in states:
-                    if state.live and not merger.wants(state.last_score):
-                        state.stopped = True
-                        stats["bound_terminated"] += 1
-                        try:
-                            transport.stop(state)
-                        except WorkerDied:
-                            # Dying after being told to stop loses
-                            # nothing; respawn for the next query.
-                            self._note_crash(state, stats)
-                live = [s for s in states if s.live]
-                if not live:
-                    break
-                for state in live:
-                    self._request(transport, state, ("more", chunk),
-                                  star, chunk, stats)
+        with obs.trace("shard.search", shards=n, k=k):
+            endpoints = self._workers or [
+                _Shard(self._local_matcher(i)) for i in range(n)]
+            top = ("top", star, k)
+            self._round(endpoints, range(n), [top], got, dry, stats)
+            merged = sorted(itertools.chain.from_iterable(got), key=_rank)
+            if len(merged) >= k:
+                # A shard whose k-th score beats theta has nothing left
+                # at theta or above; one whose k-th score ties it may.
+                theta = merged[k - 1].score
+                tied = [i for i in range(n)
+                        if not dry[i] and got[i][-1].score == theta]
+                if tied:
+                    self._round(endpoints, tied, [top, ("ties", theta)],
+                                got, dry, stats)
+                    merged = sorted(itertools.chain.from_iterable(got),
+                                    key=_rank)
 
-        results = merger.results()
+        results = merged[:k]
+        stats["matches_pulled"] = [len(answer) for answer in got]
+        stats["bound_terminated"] = dry.count(False)
+        stats["merged"] = len(results)
         obs.count_many({
             "shard.matches_pulled": sum(stats["matches_pulled"]),
             "shard.chunks": stats["chunks"],
             "shard.bound_terminated": stats["bound_terminated"],
-            "shard.dedup_hits": stats["dedup_hits"],
         })
-        stats["merged"] = len(results)
         self.last_shard_stats = stats
         self.last_report = SearchReport.from_budget("shard", None,
                                                     len(results))
@@ -421,48 +344,42 @@ class ShardedEngine:
         self.last_engine_stats = None
         return results
 
-    def _request(self, transport, state: _ShardStream, msg,
-                 star: StarQuery, chunk: int, stats) -> None:
-        stats["chunks"] += 1
-        try:
-            transport.request(state, msg)
-        except WorkerDied:
-            self._note_crash(state, stats)
-            self._restart_inline(state, star, chunk, stats)
+    def _round(self, endpoints, shard_ids, msgs, got, dry, stats) -> None:
+        """Send ``msgs[-1]`` to every shard in *shard_ids*, then extend
+        each one's answer with its reply.
 
-    def _collect(self, transport, state: _ShardStream, star: StarQuery,
-                 chunk: int, stats) -> None:
-        try:
-            transport.collect(state)
-        except WorkerDied:
-            self._note_crash(state, stats)
-            self._restart_inline(state, star, chunk, stats)
-
-    def _restart_inline(self, state: _ShardStream, star: StarQuery,
-                        chunk: int, stats) -> None:
-        # The chunks already merged from this shard stay valid (the
-        # merger dedups re-offered matches); restart its stream from
-        # the top, inline, to recover the remainder exactly.
-        state.buffer.clear()
-        state.last_score = None
-        state.exhausted = False
-        self._run_inline(state, ("search", star, chunk), stats)
-
-    def _note_crash(self, state: _ShardStream, stats) -> None:
-        stats["worker_crashes"] += 1
-        obs.count("shard.worker_crashes")
-        if self._workers:
-            self._workers[state.shard_id].respawn()
-
-    def _run_inline(self, state: _ShardStream, msg, stats) -> None:
-        """Serve one shard's request in-process after its worker died."""
-        stats["inline_fallbacks"] += 1
-        obs.count("shard.inline_fallbacks")
-        inline = _SerialTransport(self)
-        inline.request(state, msg)
-        stream = inline._streams.get(state.shard_id)
-        while not state.exhausted:
-            state.accept(*_pull_chunk(stream, 1 << 12))
+        All sends go out before the first receive: that split is the
+        parallelism.  A shard whose worker died is answered in process
+        instead, replaying *msgs* from the top, and that answer replaces
+        everything the shard delivered before -- disjoint pivot
+        ownership needs no dedup.
+        """
+        msg = msgs[-1]
+        dead = set()
+        for i in shard_ids:
+            stats["chunks"] += 1
+            try:
+                endpoints[i].send(msg)
+            except WorkerDied:
+                dead.add(i)
+        for i in shard_ids:
+            if i not in dead:
+                try:
+                    matches, dry[i] = endpoints[i].recv()
+                    got[i].extend(matches)
+                    continue
+                except WorkerDied:
+                    pass
+            stats["worker_crashes"] += 1
+            stats["inline_fallbacks"] += 1
+            obs.count_many({"shard.worker_crashes": 1,
+                            "shard.inline_fallbacks": 1})
+            self._workers[i].respawn()
+            shard = _Shard(self._local_matcher(i))
+            got[i] = []
+            for replay in msgs:
+                matches, dry[i] = shard.handle(replay)
+                got[i].extend(matches)
 
     # ------------------------------------------------------------------
     @property

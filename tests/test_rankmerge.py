@@ -1,22 +1,19 @@
-"""Unit tests for the shared rank-merge machinery.
+"""Unit tests for the rank-join machinery.
 
-:mod:`repro.core.rankmerge` backs both the starjoin rank join and the
-sharded execution layer's global merge; these tests pin the pieces the
-shard-count-invariance argument rests on: the ``>=`` boundary-tie rule
-of :meth:`RankMerger.wants`, canonical ``(-score, key)`` ordering, and
-duplicate suppression.
+:mod:`repro.core.rankmerge` backs the starjoin rank join; these tests
+pin its per-stream bookkeeping and its bounded pool's tie rule.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.rankmerge import MonotoneStream, RankMerger, ScoredPool
+from repro.core.rankmerge import MonotoneStream, ScoredPool
 from repro.errors import SearchError
 
 
 class FakeMatch:
-    """Minimal stand-in: the merger only reads ``score`` and ``key()``."""
+    """Minimal stand-in: a stream only reads ``score`` and ``key()``."""
 
     __slots__ = ("score", "_key")
 
@@ -73,62 +70,3 @@ class TestScoredPool:
             pool.offer(score, item)
         assert pool.ranked() == ["a", "b", "c"]
 
-
-class TestRankMerger:
-    def test_k_validated(self):
-        with pytest.raises(SearchError):
-            RankMerger(0)
-
-    def test_dedup_by_key(self):
-        merger = RankMerger(3)
-        assert merger.offer(FakeMatch(0.8, "x"))
-        assert not merger.offer(FakeMatch(0.8, "x"))
-        assert merger.dedup_hits == 1 and merger.offered == 2
-        assert len(merger) == 1
-
-    def test_wants_none_and_underfull(self):
-        merger = RankMerger(2)
-        assert merger.wants(None)
-        merger.offer(FakeMatch(0.9, "a"))
-        assert merger.wants(0.0)  # underfull: everything wanted
-        merger.offer(FakeMatch(0.7, "b"))
-        assert not merger.wants(0.6)
-        assert merger.wants(0.8)
-
-    def test_wants_boundary_tie_keeps_pulling(self):
-        """``bound == theta`` must keep the stream live: a tied match
-        could displace the current k-th under the canonical key order."""
-        merger = RankMerger(2)
-        merger.offer(FakeMatch(0.9, "a"))
-        merger.offer(FakeMatch(0.7, "z"))
-        assert merger.theta() == 0.7
-        assert merger.wants(0.7)
-
-    def test_results_canonical_order_and_truncation(self):
-        merger = RankMerger(2)
-        for match in (FakeMatch(0.5, "z"), FakeMatch(0.5, "a"),
-                      FakeMatch(0.9, "m"), FakeMatch(0.5, "b")):
-            merger.offer(match)
-        results = merger.results()
-        assert [(m.score, m.key()) for m in results] == \
-            [(0.9, "m"), (0.5, "a")]
-
-    def test_order_invariance(self):
-        """The final ranking is a pure function of the offered set."""
-        matches = [FakeMatch(s, k) for s, k in
-                   ((0.3, "c"), (0.9, "a"), (0.3, "b"), (0.9, "d"),
-                    (0.1, "e"))]
-        forward = RankMerger(3)
-        backward = RankMerger(3)
-        for m in matches:
-            forward.offer(m)
-        for m in reversed(matches):
-            backward.offer(m)
-        assert ([(m.score, m.key()) for m in forward.results()]
-                == [(m.score, m.key()) for m in backward.results()])
-
-    def test_theta_counts_distinct_matches_only(self):
-        merger = RankMerger(2)
-        merger.offer(FakeMatch(0.9, "a"))
-        merger.offer(FakeMatch(0.9, "a"))  # duplicate must not fill the pool
-        assert merger.theta() == float("-inf")

@@ -13,7 +13,7 @@ from repro.serve import (
     execute_payload,
     make_pool,
 )
-from repro.errors import ReproError
+from repro.errors import ReproError, SearchError
 
 QUERY = "(Brad:actor) -[acted_in]- (?:film)"
 
@@ -152,6 +152,14 @@ class TestMakePool:
     def test_unknown_backend_rejected(self, movie_graph):
         with pytest.raises(ReproError):
             make_pool(movie_graph, backend="greenlet")
+
+    @pytest.mark.parametrize("backend", ["auto", "thread"])
+    def test_shards_rejected(self, movie_graph, backend):
+        """Every served query carries a budget, and a budgeted search
+        never runs sharded: ``shards`` fails the caller up front."""
+        with pytest.raises(SearchError, match="serve does not shard"):
+            make_pool(movie_graph, engine_opts={"shards": 2},
+                      backend=backend)
 
     def test_size_validation(self, movie_graph):
         with pytest.raises(ValueError):

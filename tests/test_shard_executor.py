@@ -1,9 +1,9 @@
 """Tests for the sharded execution engine (workers, merge, recovery).
 
 Covers the fork backend end to end: pivot-scoped workers over a
-fork-inherited graph and index, every star procedure, chunked pulls
-with bound-based stream termination, duplicate suppression for
-re-offered matches, crash recovery via the inline fallback + respawn,
+fork-inherited graph and index, every star procedure, the two-round
+merge (each shard's top k, then its ties at the merged k-th score),
+crash recovery in either round via an in-process recompute + respawn,
 and that no worker process outlives ``close()``.
 """
 
@@ -15,14 +15,12 @@ from repro import obs
 from repro.core.framework import Star
 from repro.core.options import ALGORITHMS
 from repro.errors import SearchError
+from repro.graph import KnowledgeGraph
 from repro.perf import fork_available
 from repro.query import star_workload
 from repro.query.model import Query, StarQuery
 from repro.runtime.budget import Budget
-from repro.runtime.workers import WorkerDied
 from repro.shard import ShardedEngine
-from repro.shard.executor import _SerialTransport
-from repro.shard.partition import GraphPartition
 from repro.similarity import ScoringFunction
 
 from tests.conftest import build_movie_graph, build_random_graph
@@ -38,8 +36,7 @@ def star_queries(graph, n=4, seed=31):
 
 
 def wildcard_star():
-    """actor -[acted_in]- film, all wildcards: several movie-graph
-    matches, so chunking/dedup paths are guaranteed to see traffic."""
+    """actor -[acted_in]- film, all wildcards."""
     query = Query()
     pivot = query.add_node("?", "actor")
     leaf = query.add_node("?", "film")
@@ -47,10 +44,33 @@ def wildcard_star():
     return query
 
 
+def tie_graph():
+    """Forty look-alike actors: :func:`wildcard_star` scores their
+    matches in three tiers (2, 18 and 28 matches), so k=4 puts the k-th
+    score inside the middle tier, tied on several shards."""
+    graph = KnowledgeGraph(name="ties")
+    for i in range(40):
+        actor = graph.add_node(f"Actor {i}", "actor")
+        graph.add_edge(actor, graph.add_node(f"Film {i}", "film"),
+                       "acted_in")
+        if i % 8 == 0:
+            graph.add_edge(actor, graph.add_node(f"Prize {i}", "award"),
+                           "won")
+        if i % 5 == 1:
+            graph.add_edge(actor, graph.add_node(f"Sequel {i}", "film"),
+                           "acted_in")
+    return graph
+
+
+def canonical(matches):
+    return [(m.key(), m.score)
+            for m in sorted(matches, key=lambda m: (-m.score, m.key()))]
+
+
 def assert_tie_equivalent(got, baseline, query, k):
     """Rank-by-rank score equality with *baseline*, assignments valid.
 
-    The merger's canonical ``(-score, key)`` tie order can differ from
+    The merge's canonical ``(-score, key)`` tie order can differ from
     the single-process engine's arrival order, so equal-score ranks may
     hold different (equally correct) assignments.
     """
@@ -77,41 +97,28 @@ class TestSerialBackend:
                 assert_same_results(engine.search(query, 5),
                                     baseline.search(query, 5))
 
-    def test_small_chunks_terminate_on_bound(self):
-        graph = build_movie_graph()
+    def test_boundary_tie_runs_the_tie_round(self):
+        """Round 2 goes to exactly the shards whose k-th score ties the
+        merged k-th score, and the answer is the canonical top-k."""
+        graph = tie_graph()
         scorer = ScoringFunction(graph)
-        baseline = Star(graph, scorer=scorer)
-        query = wildcard_star()  # several matches: chunking is exercised
-        with ShardedEngine(graph, scorer=scorer, shards=2,
-                           backend="serial", chunk_size=1) as engine:
-            got = engine.search(query, 2)
-            assert len(got) == 2
-            assert_tie_equivalent(got, baseline, query, 2)
-            stats = engine.last_shard_stats
-            # chunk_size=1 forces repeated "more" round trips.
-            assert stats["chunks"] > stats["shards"]
-            assert sum(stats["matches_pulled"]) >= 2
-
-    def test_overlapping_scopes_are_deduplicated(self):
-        """With fully overlapping pivot scopes every match arrives once
-        per shard -- what a crashed shard's inline re-run re-offers; the
-        merger must suppress the duplicates exactly."""
-        graph = build_movie_graph()
-        scorer = ScoringFunction(graph)
-        baseline = Star(graph, scorer=scorer)
-        query = wildcard_star()
-        with ShardedEngine(graph, scorer=scorer, shards=2,
-                           backend="serial") as engine:
-            everything = frozenset(graph.nodes())
-            engine._partition = GraphPartition(
-                2, graph.uid, graph.version, (everything, everything),
-                graph.num_nodes,
-            )
-            engine._local_matchers = {}
-            got = engine.search(query, 5)
-            assert len(got) > 0
-            assert_tie_equivalent(got, baseline, query, 5)
-            assert engine.last_shard_stats["dedup_hits"] > 0
+        query, k = wildcard_star(), 4
+        star = StarQuery.from_query(query)
+        every = Star(graph, scorer=scorer).search(query, 500)
+        theta = canonical(every)[k - 1][1]
+        for shards in range(1, 5):
+            with ShardedEngine(graph, scorer=scorer, shards=shards,
+                               backend="serial") as engine:
+                got = engine.search(query, k)
+                owned = engine.partition.owned
+            assert canonical(got) == canonical(every)[:k]
+            tied = 0
+            for pivots in owned:
+                mine = canonical(m for m in every
+                                 if m.assignment[star.pivot.id] in pivots)
+                tied += len(mine) >= k and mine[k - 1][1] == theta
+            assert tied >= min(2, shards)
+            assert engine.last_shard_stats["chunks"] == shards + tied
 
     def test_fallback_for_general_and_budgeted_queries(self):
         graph = build_movie_graph()
@@ -129,6 +136,8 @@ class TestSerialBackend:
         star = star_queries(graph, n=1)[0]
         with ShardedEngine(graph, scorer=scorer, shards=2,
                            backend="serial") as engine:
+            engine.search(star, 3)
+            assert engine.last_shard_stats is not None
             with obs.capture() as tracer:
                 assert_same_results(engine.search(cycle, 3),
                                     baseline.search(cycle, 3))
@@ -138,6 +147,8 @@ class TestSerialBackend:
             counters = tracer.registry.as_dict()["counters"]
             assert counters["shard.fallback_queries"] == 2
             assert engine.last_report is not None
+            # A fallback search leaves no stale sharding telemetry.
+            assert engine.last_shard_stats is None
 
     def test_validation_and_closed_engine(self):
         graph = build_movie_graph()
@@ -145,7 +156,8 @@ class TestSerialBackend:
             ShardedEngine(graph, shards=0)
         with pytest.raises(SearchError):
             ShardedEngine(graph, backend="threads")
-        with pytest.raises(SearchError):
+        with pytest.raises(SearchError,
+                           match="unknown search option 'chunk_size'"):
             ShardedEngine(graph, chunk_size=0)
         engine = ShardedEngine(graph, shards=2, backend="serial")
         star = star_queries(graph, n=1)[0]
@@ -154,39 +166,6 @@ class TestSerialBackend:
         engine.close()
         with pytest.raises(SearchError, match="closed"):
             engine.search(star, 3)
-
-    def test_mid_stream_crash_restarts_inline(self):
-        """A worker dying on a "more" request must restart that shard's
-        stream inline and still return the exact top-k."""
-        graph = build_random_graph(5)
-        scorer = ScoringFunction(graph)
-        baseline = Star(graph, scorer=scorer)
-
-        class FlakyTransport(_SerialTransport):
-            tripped = False
-
-            def request(self, state, msg):
-                if msg[0] == "more" and not FlakyTransport.tripped:
-                    FlakyTransport.tripped = True
-                    raise WorkerDied(state.shard_id)
-                super().request(state, msg)
-
-        import repro.shard.executor as executor
-
-        with ShardedEngine(graph, scorer=scorer, shards=2,
-                           backend="serial", chunk_size=1) as engine:
-            original = executor._SerialTransport
-            executor._SerialTransport = FlakyTransport
-            try:
-                query = star_queries(graph, n=1)[0]
-                got = engine.search(query, 4)
-            finally:
-                executor._SerialTransport = original
-            assert FlakyTransport.tripped
-            assert_same_results(got, baseline.search(query, 4))
-            stats = engine.last_shard_stats
-            assert stats["worker_crashes"] == 1
-            assert stats["inline_fallbacks"] == 1
 
 
 @needs_fork
@@ -261,6 +240,51 @@ class TestForkBackend:
             # The respawned worker serves the next query normally.
             assert_same_results(engine.search(queries[0], 5),
                                 baseline.search(queries[0], 5))
+            assert engine.last_shard_stats["worker_crashes"] == 0
+
+    def test_crash_between_rounds_recomputes_the_shard(self):
+        """A worker killed after answering round 1 dies on its ``ties``
+        message; the shard's whole answer is recomputed in process."""
+        graph = tie_graph()
+        scorer = ScoringFunction(graph)
+        query, k = wildcard_star(), 4
+        with ShardedEngine(graph, scorer=scorer, shards=2,
+                           backend="fork") as engine:
+            expected = canonical(engine.search(query, k))
+            clean = engine.last_shard_stats
+            assert clean["chunks"] == 4  # both shards tied
+            victims = []
+
+            def killing_send(worker):
+                send = worker.send
+
+                def wrapped(msg):
+                    if msg[0] == "ties" and not victims:
+                        victims.append(worker.proc)
+                        send(("crash", 11))
+                        worker.proc.join(timeout=10.0)
+                    send(msg)
+                return wrapped
+
+            for worker in engine._workers:
+                worker.send = killing_send(worker)
+            try:
+                got = engine.search(query, k)
+            finally:
+                for worker in engine._workers:
+                    del worker.send
+            assert len(victims) == 1 and not victims[0].is_alive()
+            assert canonical(got) == expected
+            stats = engine.last_shard_stats
+            assert stats["worker_crashes"] == 1
+            assert stats["inline_fallbacks"] == 1
+            # The recompute replaced the dead shard's answer: nothing
+            # it delivered in round 1 was gathered twice.
+            assert stats["matches_pulled"] == clean["matches_pulled"]
+            keys = [m.key() for m in got]
+            assert len(keys) == len(set(keys)) == k
+            assert all(worker.proc.is_alive() for worker in engine._workers)
+            assert canonical(engine.search(query, k)) == expected
             assert engine.last_shard_stats["worker_crashes"] == 0
 
     def test_counters_and_gauges_emitted(self):
