@@ -57,6 +57,7 @@ from repro.graph import (
 from repro.perf import build_engine
 from repro.query.parser import parse_query
 from repro.runtime import Budget
+from repro.runtime.workers import POOL_BACKENDS
 from repro.similarity import ScoringConfig
 
 _GENERATORS = {
@@ -72,7 +73,6 @@ _ENGINE_FLAGS = {
     "d": "-d", "alpha": "--alpha", "decomposition_method": "--method",
     "directed": "--directed", "use_index": "--use-index",
     "use_semantic": "--semantic", "algorithm": "--algorithm",
-    "shards": "--shards",
 }
 
 
@@ -196,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--workers", type=int, default=1,
                        help="parallel query execution (fork-based pool)")
     batch.add_argument("--backend", default="auto",
-                       choices=("auto", "fork", "thread", "serial"),
+                       choices=POOL_BACKENDS + ("serial",),
                        help="parallel backend (default: auto)")
     batch.add_argument("--cache", action="store_true",
                        help="enable the cross-query candidate cache")
@@ -257,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=2,
                        help="pool size (= serving concurrency)")
     serve.add_argument("--backend", default="auto",
-                       choices=("auto", "fork", "thread"),
+                       choices=POOL_BACKENDS,
                        help="worker pool backend (default: auto)")
     serve.add_argument("--queue-depth", type=int, default=64,
                        help="admitted-but-waiting requests at which "
@@ -363,14 +363,10 @@ def _run_query(args: argparse.Namespace, graph, query, budget=None,
         graph,
         options_from(args, graph if hasattr(graph, "store_path") else None),
         _scoring_config(args))
-    try:
-        with (obs.capture() if traced else nullcontext()) as tracer:
-            start = time.perf_counter()
-            matches = engine.search(query, args.k, budget=budget)
-            elapsed = time.perf_counter() - start
-    finally:
-        if args.shards is not None:
-            engine.close()
+    with (obs.capture() if traced else nullcontext()) as tracer:
+        start = time.perf_counter()
+        matches = engine.search(query, args.k, budget=budget)
+        elapsed = time.perf_counter() - start
     return engine, matches, elapsed, tracer
 
 
@@ -396,7 +392,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         _write_metrics(args, {
             "command": "search",
             "engine_stats": engine.last_stats,
-            "shard_stats": getattr(engine, "last_shard_stats", None),
             "metrics": tracer.registry.as_dict(),
             "spans": tracer.to_dicts(include_timing=not args.no_timing),
         }, elapsed_ms=round(elapsed * 1000.0, 3))

@@ -21,8 +21,6 @@ from repro.query.decomposition import METHODS
 #: Star procedures; all exact, so the choice is purely a performance
 #: decision.  ``auto`` is the paper's routing (Fig. 4).
 ALGORITHMS = ("auto", "stark", "stard")
-#: Shard transports.
-BACKENDS = ("auto", "fork", "serial")
 _TIER_MODES = ("auto", "on", "off")
 
 
@@ -35,8 +33,8 @@ def _option(default, doc: str, choices=None):
 class SearchOptions:
     """Everything that configures an engine, validated on construction.
 
-    The last three fields route construction (:func:`repro.perf.build_engine`,
-    :class:`repro.shard.ShardedEngine`); a plain ``Star`` ignores them.
+    The last field routes construction (:func:`repro.perf.build_engine`
+    attaches the store's index columns); a plain ``Star`` ignores it.
     Each field's description is its ``metadata["doc"]``.
 
     Raises:
@@ -80,12 +78,6 @@ class SearchOptions:
         None, "an RKGS2 store (path, reader or mmap-backed graph) whose "
         "index columns are attached zero-copy instead of built, unless "
         "use_index is off or the scorer already holds an index")
-    shards: Optional[int] = _option(
-        None, "run star queries sharded across N graph partitions (exact "
-        "merged results); batch runs then take the queries one at a time")
-    shard_backend: str = _option(
-        "auto", "shard transport (auto = fork where available, else "
-        "serial)", BACKENDS)
 
     def __post_init__(self) -> None:
         if self.d < 1:
@@ -120,15 +112,9 @@ class SearchOptions:
                 f"directed matching requires algorithm auto or stark, "
                 f"got {self.algorithm!r}"
             )
-        for name in ("candidate_limit", "shards"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise SearchError(f"{name} must be >= 1, got {value}")
-        if self.shard_backend not in BACKENDS:
+        if self.candidate_limit is not None and self.candidate_limit < 1:
             raise SearchError(
-                f"unknown shard backend {self.shard_backend!r}; "
-                f"expected one of {BACKENDS}"
-            )
+                f"candidate_limit must be >= 1, got {self.candidate_limit}")
 
     @classmethod
     def coerce(

@@ -10,8 +10,8 @@ result*:
   worker pool (thread/serial fallback), merging per-query reports,
   engine counters and cache stats; see :mod:`repro.perf.parallel`.
 * :func:`build_engine` -- the one place engine options (a dict or a
-  :class:`~repro.core.options.SearchOptions`, ``mmap_store`` /
-  ``shards`` routing included) become an engine.
+  :class:`~repro.core.options.SearchOptions`, ``mmap_store`` included)
+  become a :class:`~repro.core.framework.Star`.
 
 The headline invariant, asserted by ``tests/test_perf_parallel.py``:
 cached/parallel runs return byte-identical match lists and scores to
@@ -30,10 +30,9 @@ from repro.perf.parallel import (
     build_engine,
     dispatch_order,
     estimate_query_cost,
-    fork_available,
-    resolve_backend,
     search_many,
 )
+from repro.runtime.workers import fork_available
 
 __all__ = [
     "BatchResult",
@@ -46,6 +45,5 @@ __all__ = [
     "dispatch_order",
     "estimate_query_cost",
     "fork_available",
-    "resolve_backend",
     "search_many",
 ]

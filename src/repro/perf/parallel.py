@@ -1,60 +1,47 @@
 """Parallel query execution: the ``search_many`` batch API.
 
-The seed harness runs strictly serially, yet the ROADMAP's north star is
-serving heavy multi-user traffic as fast as the hardware allows.  This
-module fans a batch of queries over a pool of workers:
+A batch of queries fans out over one pool of workers, which
+:func:`repro.runtime.workers.pool_for` chooses, as it does for serve:
 
 * **fork backend** (default where available, i.e. Linux/macOS CPython):
-  a :class:`repro.runtime.workers.TaskPool`.  The read-only graph,
+  a :class:`~repro.runtime.workers.TaskPool`.  The read-only graph,
   config and workload reach the children as fork-inherited arguments of
   that one pool (copy-on-write memory) -- nothing graph-sized is ever
   pickled, and concurrent batches share no state.  Each worker builds
   its own :class:`~repro.similarity.scoring.ScoringFunction` (scoring
   memos are not shareable across processes) and, optionally, its own
-  :class:`~repro.perf.cache.CandidateCache`.
-* **thread backend**: a thread pool with one engine per worker thread.
-  Correctness-equivalent; throughput-bound by the GIL, but the only pool
-  option on platforms without ``fork``.
-* **serial backend**: plain loop, one engine (``workers <= 1``).
-* **sharded execution** (``shards=N``): the serial loop over a
-  :class:`repro.shard.ShardedEngine`, which splits each star query
-  across N graph shards and merges exactly -- parallelism *within* a
-  query instead of across queries, the right shape for small batches of
-  heavy queries.
+  :class:`~repro.perf.cache.CandidateCache`.  The pool's crash contract
+  holds: a query whose worker dies (OOM kill, a ``crash`` fault spec) is
+  re-queued once, clean, on a replacement, and
+  :attr:`BatchResult.worker_crashes` / :attr:`BatchResult.requeued`
+  count it; a query that kills two workers raises
+  :class:`~repro.errors.WorkerCrashError`.
+* **thread backend**: a :class:`~repro.runtime.workers.ThreadPool`, one
+  engine per thread; GIL-bound, but the only pool without ``fork``.
+* **serial backend**: plain loop, one engine (``workers == 1``).
 
 Pool dispatch is cost-ordered (LPT): tasks are submitted to the shared
 queue heaviest-first by :func:`estimate_query_cost`, so one expensive
 query landing last cannot serialize the tail of the batch while other
 workers idle.  Results are re-ordered by query index regardless.
 
-The fork backend is *supervised* by the pool's crash contract: a worker
-process dying mid-batch (OOM kill, a ``crash`` fault spec, a segfault in
-native code) loses exactly the query it was running, which is re-queued
-once on a replacement worker with crash and one-shot fault specs
-stripped, so a poisoned workload cannot kill its way through the fleet.
-Crashes are recorded in :attr:`BatchResult.worker_crashes` /
-:attr:`BatchResult.requeued`.  Callers always get a complete, ordered
-result set, or :class:`~repro.errors.WorkerCrashError` for a query that
-killed two workers.
-
-Every backend runs the exact same per-query code path, so results are
-byte-identical across backends and worker counts -- the parity suite
-asserts it.  Budgets are passed as *specs* (constructor kwargs) and
-instantiated per query inside the worker; deterministic budgets
-(``max_nodes`` etc.) therefore trip at identical points regardless of the
-backend.  Per-query :class:`~repro.runtime.budget.SearchReport`\\ s,
-engine counters and per-worker cache stats are merged into the
-:class:`BatchResult`.
+Every backend runs the same per-query code path (``_BatchWorker``), so
+results are byte-identical across backends and worker counts -- the
+parity suite asserts it.  Budgets are passed as *specs* (constructor
+kwargs) and instantiated per query inside the worker; deterministic
+budgets (``max_nodes`` etc.) therefore trip at identical points
+regardless of the backend.  Per-query
+:class:`~repro.runtime.budget.SearchReport`\\ s, engine counters and
+per-worker cache stats are merged into the :class:`BatchResult`.
 
 :func:`build_engine` is the one place engine options (a dict, or a
 :class:`~repro.core.options.SearchOptions` record) become a
-:class:`Star` or a sharded engine; the batch workers here, the serve
-workers (:class:`repro.serve.EngineContext`) and the CLI all call it.
+:class:`Star`; the batch workers here, the serve workers
+(:class:`repro.serve.EngineContext`) and the CLI all call it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import os
 import threading
@@ -71,7 +58,7 @@ from repro.perf.cache import CacheStats, CandidateCache, attach_cache
 from repro.query.model import Query, StarQuery
 from repro.runtime.budget import Budget, SearchReport
 from repro.runtime.faults import FaultSpec, faulty
-from repro.runtime.workers import TaskPool, fork_available
+from repro.runtime.workers import pool_for
 from repro.similarity.scoring import ScoringConfig, ScoringFunction
 
 @dataclass
@@ -115,7 +102,7 @@ class BatchResult:
     #: for exact per-batch numbers.
     metrics: Optional[Dict[str, dict]] = None
     #: Query indexes in pool-submission order (LPT: heaviest first);
-    #: None for serial and sharded runs, which have no pool.
+    #: None for serial runs, which have no pool.
     dispatch_order: Optional[List[int]] = None
 
     @property
@@ -153,10 +140,9 @@ class BatchResult:
 
 def build_engine(graph, engine_opts=None,
                  config: Optional[ScoringConfig] = None, scorer=None):
-    """The engine *engine_opts* (a :class:`SearchOptions` or a dict of
-    its fields) describes: a :class:`Star`, or a
-    :class:`repro.shard.ShardedEngine` when ``shards`` is set, with the
-    ``mmap_store``'s index columns attached to the scorer.
+    """The :class:`Star` *engine_opts* (a :class:`SearchOptions` or a
+    dict of its fields) describes, with the ``mmap_store``'s index
+    columns attached to the scorer.
 
     *scorer* defaults to a fresh :class:`ScoringFunction` over *config*.
 
@@ -173,10 +159,6 @@ def build_engine(graph, engine_opts=None,
 
         scorer.graph_index = attach_mmap_index(
             options.mmap_store, graph, mode=options.use_index)
-    if options.shards is not None:
-        from repro.shard import ShardedEngine
-
-        return ShardedEngine(graph, scorer=scorer, options=options)
     return Star(graph, scorer=scorer, options=options)
 
 
@@ -195,28 +177,6 @@ def _batch_engine(graph, config, engine_opts, cache, fault_specs=None,
     return build_engine(graph, engine_opts, scorer=scorer)
 
 
-def _search_one(engine: Star, index: int, query, k: int,
-                budget_spec: Optional[Dict[str, Any]]) -> QueryOutcome:
-    budget = Budget(**budget_spec) if budget_spec is not None else None
-    start = time.perf_counter()
-    try:
-        matches = engine.search(query, k, budget=budget)
-    except BudgetExceededError:  # strict-mode trip counts as empty
-        matches = []
-    elapsed = time.perf_counter() - start
-    return QueryOutcome(
-        index=index,
-        matches=matches,
-        report=engine.last_report,
-        stats=engine.last_stats,
-        elapsed_s=elapsed,
-    )
-
-
-def _worker_token() -> str:
-    return f"{os.getpid()}:{threading.get_ident()}"
-
-
 class _BatchWorker:
     """What one pool worker (a fork child, or a thread) holds: the
     batch's shared inputs plus its own engine.  Engines are never shared
@@ -226,32 +186,41 @@ class _BatchWorker:
     """
 
     def __init__(self, graph, config, engine_opts, cache, queries, k,
-                 budget_spec, own_registry: bool) -> None:
+                 budget_spec, parent_pid: int) -> None:
         self._engine_args = (graph, config, engine_opts, cache)
         self._queries = queries
         self._k = k
         self._budget_spec = budget_spec
         #: Fork children own their (reset) registry and ship snapshots;
         #: threads share the caller's, which the parent snapshots once.
-        self._own_registry = own_registry
-        self._engine: Optional[Star] = None
+        self._own_registry = os.getpid() != parent_pid
+        #: Built on the first clean task; the serial loop sets its own.
+        self.engine: Optional[Star] = None
 
     def _engine_for(self, fault_specs) -> Star:
         if fault_specs:
             # Chaos path: injector call counts are stateful, so faulted
             # engines are never reused across tasks.
             return _batch_engine(*self._engine_args, fault_specs)
-        if self._engine is None:
-            self._engine = _batch_engine(*self._engine_args)
-        return self._engine
+        if self.engine is None:
+            self.engine = _batch_engine(*self._engine_args)
+        return self.engine
 
     def __call__(self, payload: Dict[str, Any]):
         engine = self._engine_for(payload.get("fault_specs"))
         index = payload["index"]
-        outcome = _search_one(engine, index, self._queries[index], self._k,
-                              self._budget_spec)
+        spec = self._budget_spec
+        budget = None if spec is None else Budget(**spec)
+        start = time.perf_counter()
+        try:
+            matches = engine.search(self._queries[index], self._k,
+                                    budget=budget)
+        except BudgetExceededError:  # strict-mode trip counts as empty
+            matches = []
+        outcome = QueryOutcome(index, matches, engine.last_report,
+                               engine.last_stats, time.perf_counter() - start)
         cache = engine.scorer.candidate_cache
-        return (outcome, _worker_token(),
+        return (outcome, f"{os.getpid()}:{threading.get_ident()}",
                 cache.stats.as_dict() if cache is not None else None,
                 obs.snapshot(include_samples=True)
                 if self._own_registry else None)
@@ -294,12 +263,11 @@ def _merge_obs_snapshots(
     return merged.as_dict()
 
 
-def _finalize(outcomes: List[QueryOutcome], workers: int, backend: str,
-              wall_s: float,
-              snapshots: Dict[str, Optional[Dict[str, int]]],
-              metrics: Optional[Dict[str, dict]] = None,
-              worker_crashes: int = 0, requeued: int = 0) -> BatchResult:
-    outcomes.sort(key=lambda outcome: outcome.index)
+def _finalize(rows: List[tuple], workers: int, backend: str,
+              wall_s: float, pool,
+              order: Optional[List[int]]) -> BatchResult:
+    """One :class:`BatchResult` from the workers' rows, in index order."""
+    outcomes = [row[0] for row in rows]
     merged_stats: Dict[str, int] = {}
     budget_exceeded = degraded = faults = 0
     for outcome in outcomes:
@@ -322,10 +290,14 @@ def _finalize(outcomes: List[QueryOutcome], workers: int, backend: str,
         budget_exceeded=budget_exceeded,
         degraded=degraded,
         faults=faults,
-        worker_crashes=worker_crashes,
-        requeued=requeued,
-        cache_stats=_merge_cache_stats(snapshots),
-        metrics=metrics,
+        # a pool the batch never started counts zeros
+        worker_crashes=getattr(pool, "worker_crashes", 0),
+        requeued=getattr(pool, "requeued", 0),
+        dispatch_order=order,
+        cache_stats=_merge_cache_stats(
+            {token: snapshot for _o, token, snapshot, _m in rows}),
+        metrics=_merge_obs_snapshots(
+            {token: metric for _o, token, _s, metric in rows}),
     )
 
 
@@ -371,22 +343,6 @@ def dispatch_order(graph,
     return sorted(range(len(queries)), key=lambda i: (-costs[i], i))
 
 
-def resolve_backend(backend: str, workers: int) -> str:
-    """Normalize a backend request against platform capabilities."""
-    if backend not in ("auto", "fork", "thread", "serial"):
-        raise SearchError(
-            f"unknown backend {backend!r} "
-            "(expected auto, fork, thread or serial)"
-        )
-    if workers <= 1:
-        return "serial"
-    if backend == "auto":
-        return "fork" if fork_available() else "thread"
-    if backend == "fork" and not fork_available():
-        return "thread"
-    return backend
-
-
 def search_many(
     graph,
     queries: Sequence[Union[Query, StarQuery]],
@@ -425,17 +381,15 @@ def search_many(
             ``"crash"`` spec kills worker processes; the supervised fork
             backend detects each death and re-queues that query on a
             replacement worker with crash and one-shot specs stripped.
-        backend: ``auto`` / ``fork`` / ``thread`` / ``serial``;
-            ``auto`` picks fork where available, threads otherwise.
-            A ``fork`` request degrades to threads on non-fork platforms.
+        backend: ``serial``, or a :func:`repro.runtime.workers.pool_for`
+            backend: ``auto`` (fork where available, else threads),
+            ``fork`` (threads where fork is missing) or ``thread``.
+            One worker always runs serially.
         options: a ready :class:`~repro.core.options.SearchOptions`.
 
     Keyword options: see :class:`~repro.core.options.SearchOptions`;
     each worker builds its own engine (index and store attach
     included) from the one record through :func:`build_engine`.
-    ``shards`` is mutually exclusive with ``workers > 1`` and with
-    ``fault_specs``, and its transport follows *backend* unless
-    ``shard_backend`` is set.
 
     The headline invariant: for any fixed inputs, the returned
     ``(assignment, score)`` lists are byte-identical across every
@@ -445,101 +399,45 @@ def search_many(
         raise SearchError(f"k must be positive, got {k}")
     if workers < 1:
         raise SearchError(f"workers must be >= 1, got {workers}")
-    chosen = resolve_backend(backend, workers)
     options = SearchOptions.coerce(options, knobs)
-    shards = options.shards
-    if shards is not None:
-        # Worker parallelism and fault injection are cross-*query*
-        # mechanisms and do not compose with per-query shard fan-out.
-        if workers > 1:
-            raise SearchError(
-                "shards= runs queries serially with per-query shard "
-                "parallelism; it cannot be combined with workers > 1"
-            )
-        if fault_specs:
-            raise SearchError(
-                "fault_specs target per-query worker engines and cannot be "
-                "combined with shards="
-            )
-        if options.shard_backend == "auto":
-            options = dataclasses.replace(
-                options,
-                shard_backend="serial" if backend == "thread" else backend)
-    if scorer is not None and chosen != "serial":
-        raise SearchError(
-            "a pre-built scorer is only usable with workers=1 "
-            "(per-worker scorers are built inside each worker)"
-        )
-    if isinstance(cache, CandidateCache) and chosen != "serial":
-        raise SearchError(
-            "a cache instance is only usable with workers=1; pass "
-            "cache=True to give each worker its own cache"
-        )
     if fault_specs:
         fault_specs = [s.as_dict() if isinstance(s, FaultSpec) else dict(s)
                        for s in fault_specs]
-
     queries = list(queries)
+    new_worker = functools.partial(
+        _BatchWorker, graph, config, options, cache, queries, k,
+        budget_spec, os.getpid())
+    # Built before the serial check, so an unknown backend fails a
+    # one-worker batch too; a pool does nothing until started.
+    pool = None if backend == "serial" else pool_for(
+        new_worker, size=max(1, min(workers, len(queries))),
+        backend=backend)
+    chosen = "serial" if pool is None or workers == 1 else pool.backend
+    if chosen != "serial" and (scorer is not None
+                               or isinstance(cache, CandidateCache)):
+        raise SearchError(
+            "a pre-built scorer or cache instance is only usable with "
+            "workers=1: each pool worker builds its own (cache=True)")
+
     start = time.perf_counter()
     if chosen == "serial":
-        engine = _batch_engine(graph, config, options, cache,
-                               fault_specs, scorer)
+        # One engine for the batch: the caller's scorer and cache, and
+        # any fault specs injected once, into it.
+        worker, order = new_worker(), None
+        worker.engine = _batch_engine(graph, config, options, cache,
+                                      fault_specs, scorer)
+        rows = [worker({"index": i}) for i in range(len(queries))]
+    else:
+        # LPT: heaviest queries hit the shared queue first, so the
+        # batch's tail is cheap work, not a straggler.
+        order = dispatch_order(graph, queries)
+        chaos = {"fault_specs": fault_specs} if fault_specs else {}
+        pool.start()
         try:
-            outcomes = [
-                _search_one(engine, i, query, k, budget_spec)
-                for i, query in enumerate(queries)
-            ]
-        finally:
-            if shards is not None:
-                engine.close()
-        attached = engine.scorer.candidate_cache
-        snapshots = {
-            _worker_token(): attached.stats.as_dict() if attached else None
-        }
-        if shards is not None:
-            workers, chosen = shards, f"shard-{engine.backend}"
-        return _finalize(outcomes, workers, chosen,
-                         time.perf_counter() - start, snapshots,
-                         metrics=obs.snapshot())
-
-    # LPT: heaviest queries hit the shared queue first, so the batch's
-    # tail is cheap work, not a straggler.
-    order = dispatch_order(graph, queries)
-    chaos = {"fault_specs": fault_specs} if fault_specs else {}
-    payloads = [{"index": i, **chaos} for i in range(len(queries))]
-    new_worker = functools.partial(
-        _BatchWorker, graph, config, options, bool(cache), queries, k,
-        budget_spec, chosen == "fork")
-    worker_crashes = requeued = 0
-    if chosen == "fork":
-        pool = TaskPool(
-            new_worker, size=max(1, min(workers, len(queries)))).start()
-        try:
-            futures = {i: pool.submit(payloads[i]) for i in order}
+            futures = {i: pool.submit({"index": i, **chaos}) for i in order}
             rows = [futures[i].result() for i in range(len(queries))]
         finally:
             pool.stop()
-        worker_crashes, requeued = pool.worker_crashes, pool.requeued
-    else:  # thread
-        from concurrent.futures import ThreadPoolExecutor
 
-        local = threading.local()
-
-        def run(payload):
-            if not hasattr(local, "worker"):
-                local.worker = new_worker()
-            return local.worker(payload)
-
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            futures = {i: executor.submit(run, payloads[i]) for i in order}
-            rows = [futures[i].result() for i in range(len(queries))]
-
-    outcomes = [row[0] for row in rows]
-    snapshots = {token: snapshot for _o, token, snapshot, _m in rows}
-    obs_snapshots = {token: metric for _o, token, _s, metric in rows}
-    result = _finalize(outcomes, workers, chosen,
-                       time.perf_counter() - start, snapshots,
-                       metrics=_merge_obs_snapshots(obs_snapshots),
-                       worker_crashes=worker_crashes, requeued=requeued)
-    result.dispatch_order = order
-    return result
+    return _finalize(rows, workers, chosen, time.perf_counter() - start,
+                     pool, order)

@@ -6,9 +6,10 @@
   the scoring and graph-adjacency substrates.
 * :mod:`repro.runtime.slo` -- serving SLO classes and the monotone
   (class, degrade level) -> budget derivation behind degrade-before-shed.
-* :mod:`repro.runtime.workers` -- the one supervised fork-worker
-  runtime (``ForkWorker``, ``TaskPool``) under serve, batch and shard;
-  imported by name, not re-exported here.
+* :mod:`repro.runtime.workers` -- the one worker runtime
+  (``ForkWorker``, ``TaskPool``, ``ThreadPool`` and their chooser
+  ``pool_for``) under serve, batch and shard; imported by name, not
+  re-exported here.
 """
 
 from repro.runtime.budget import (

@@ -1,7 +1,7 @@
-"""The one fork-worker runtime: a supervised child and a task pool.
+"""The one worker runtime: a supervised fork child and two task pools.
 
-Everything multi-process in this package sits on the two pieces here,
-so worker death is detected, accounted and recovered in one place:
+Everything multi-process in this package sits on the pieces here, so
+worker death is detected, accounted and recovered in one place:
 
 * :class:`ForkWorker` -- one daemon ``fork`` child reached over a
   private duplex pipe.  The pipe *is* the death signal: EOF or a broken
@@ -21,16 +21,19 @@ so worker death is detected, accounted and recovered in one place:
   (:func:`strip_transient_faults`), so one poisoned request cannot
   serially kill the fleet; past the limit its future fails with
   :class:`~repro.errors.WorkerCrashError`.
+* :class:`ThreadPool` -- the same interface and stop contract over
+  threads, without crash isolation; :func:`pool_for` chooses between
+  the two for ``repro.serve`` and ``repro.perf.search_many``.
 
-``repro.serve`` (request workers), ``repro.perf.search_many`` (batch
-workers) and ``repro.shard.ShardedEngine`` (one stream worker per
-shard, driven directly over :class:`ForkWorker`) are the three users.
+``repro.shard.ShardedEngine`` (one stream worker per shard) drives
+:class:`ForkWorker` directly.
 """
 
 from __future__ import annotations
 
 import itertools
 import multiprocessing
+import queue
 import socket
 import threading
 from collections import deque
@@ -39,9 +42,10 @@ from multiprocessing import connection
 from typing import Any, Callable, Dict, List, Optional
 
 from repro import obs
-from repro.errors import ReproError, WorkerCrashError
+from repro.errors import ReproError, SearchError, WorkerCrashError
 
-__all__ = ["ForkWorker", "TaskPool", "WorkerDied", "fork_available",
+__all__ = ["POOL_BACKENDS", "ForkWorker", "TaskPool", "ThreadPool",
+           "WorkerDied", "fork_available", "pool_for",
            "strip_transient_faults"]
 
 _JOIN_TIMEOUT_S = 1.0
@@ -157,17 +161,25 @@ class ForkWorker:
         self.reap()
 
 
-def _task_loop(conn, factory: Callable[[], Callable]) -> None:
-    """:class:`TaskPool` child: build the handler, then serve tasks."""
+def _handler_from(factory: Callable[[], Callable]) -> Callable:
+    """``factory()``, or a handler that raises what the factory raised.
+
+    A fork worker dying here would have the pool respawn it forever, so
+    either pool's worker stays up and answers every task with the reason.
+    """
     try:
-        handler = factory()
+        return factory()
     except Exception as exc:
-        # Dying here would have the pool respawn this worker forever.
-        # Stay up and answer every task with the reason instead.
         failure = exc
 
         def handler(_payload):
             raise failure
+        return handler
+
+
+def _task_loop(conn, factory: Callable[[], Callable]) -> None:
+    """:class:`TaskPool` child: build the handler, then serve tasks."""
+    handler = _handler_from(factory)
     while True:
         try:
             msg = conn.recv()
@@ -392,3 +404,112 @@ class TaskPool:
             "crash_failures": self.crash_failures,
             "replacements": self.replacements,
         }
+
+
+class ThreadPool:
+    """:class:`TaskPool`'s interface over ``size`` threads, for platforms
+    without fork.  Each thread calls ``factory()`` on its first task.
+    No crash isolation (a ``crash`` fault takes the process down), so the
+    crash counters stay 0; :meth:`stop` fails every unresolved future,
+    the running ones included, as the fork pool does.
+    """
+
+    backend = "thread"
+    worker_crashes = requeued = crash_failures = replacements = 0
+
+    def __init__(self, factory: Callable[[], Callable],
+                 size: int = 2) -> None:
+        if size < 1:
+            raise ValueError(f"pool size must be >= 1, got {size}")
+        self._factory = factory
+        self.size = size
+        self._lock = threading.Lock()
+        self._tasks: queue.SimpleQueue = queue.SimpleQueue()
+        self._unresolved: set = set()
+        self._threads: List[threading.Thread] = []
+        self._running = False
+        self.tasks_done = 0
+
+    def start(self) -> "ThreadPool":
+        if not self._threads:  # never restarted after stop()
+            self._running = True
+            self._threads = [threading.Thread(target=self._work, daemon=True,
+                                              name=f"thread-pool-{i}")
+                             for i in range(self.size)]
+            for thread in self._threads:
+                thread.start()
+        return self
+
+    def submit(self, payload: Dict[str, Any]) -> Future:
+        """Enqueue one task; thread-safe; resolves with the result."""
+        future: Future = Future()
+        with self._lock:
+            if not self._running:
+                future.set_exception(ReproError("worker pool is not running"))
+                return future
+            self._unresolved.add(future)
+        self._tasks.put((payload, future))
+        return future
+
+    def _work(self) -> None:
+        handler = None
+        for payload, future in iter(self._tasks.get, None):
+            with self._lock:
+                if not (self._running
+                        and future.set_running_or_notify_cancel()):
+                    self._unresolved.discard(future)  # cancelled or failed
+                    continue
+            if handler is None:
+                handler = _handler_from(self._factory)
+            try:
+                result, error = handler(payload), None
+            except Exception as exc:
+                result, error = None, exc
+            with self._lock:
+                self.tasks_done += 1
+                if future not in self._unresolved:  # stop() failed it
+                    continue
+                self._unresolved.discard(future)
+            if error is None:
+                future.set_result(result)
+            else:
+                future.set_exception(error)
+
+    def stop(self) -> None:
+        with self._lock:
+            if not self._running:
+                return
+            self._running = False
+            unresolved, self._unresolved = self._unresolved, set()
+        for _ in self._threads:
+            self._tasks.put(None)
+        for future in unresolved:
+            if not future.cancelled():
+                future.set_exception(ReproError("worker pool stopped"))
+
+    def alive(self) -> int:
+        return sum(1 for thread in self._threads if thread.is_alive())
+
+    stats = TaskPool.stats  # the same keys, read off the class's zeros
+
+
+#: Pool backends: ``auto`` forks where available, else runs threads.
+POOL_BACKENDS = ("auto", "fork", "thread")
+
+
+def pool_for(factory: Callable[[], Callable], size: int = 2,
+             backend: str = "auto", max_requeues: int = 1):
+    """The one place a pool backend is chosen: a :class:`TaskPool` for
+    ``auto`` or ``fork`` where fork is available, else a
+    :class:`ThreadPool`.  The pool is returned unstarted.
+
+    Raises:
+        SearchError: for a backend outside :data:`POOL_BACKENDS`.
+        ValueError: for ``size < 1``.
+    """
+    if backend not in POOL_BACKENDS:
+        raise SearchError(f"unknown pool backend {backend!r}; "
+                          f"expected one of {POOL_BACKENDS}")
+    if backend != "thread" and fork_available():
+        return TaskPool(factory, size=size, max_requeues=max_requeues)
+    return ThreadPool(factory, size=size)

@@ -10,7 +10,8 @@ Layers (each importable and testable on its own):
 * :mod:`repro.serve.scheduler` -- priority gate, retries, hedging;
 * :mod:`repro.serve.supervisor` -- what a pool worker executes, on the
   supervised :class:`repro.runtime.workers.TaskPool` (crash detection,
-  re-queue, replenishment) or the thread fallback;
+  re-queue, replenishment) or its thread fallback
+  :class:`~repro.runtime.workers.ThreadPool`;
 * :mod:`repro.serve.server` -- the application core and the stdlib
   HTTP layer;
 * :mod:`repro.serve.client` -- blocking HTTP client;
@@ -43,7 +44,6 @@ from repro.serve.server import (
 )
 from repro.serve.supervisor import (
     EngineContext,
-    ThreadWorkerPool,
     execute_payload,
     make_pool,
 )
@@ -69,7 +69,6 @@ __all__ = [
     "ServeApp",
     "ServeClient",
     "ServerHandle",
-    "ThreadWorkerPool",
     "TokenBucket",
     "execute_payload",
     "format_result",

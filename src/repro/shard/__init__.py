@@ -15,11 +15,9 @@ This package makes that operational:
   whose k-th score ties it -- into an exact global top-k, byte-identical
   to single-shard execution.
 
-Entry points: :class:`ShardedEngine` for library use, ``--shards N`` on
-``repro search``, ``trace`` and ``batch``, and ``shards=`` on
-:func:`repro.perf.search_many`.  The serve layer does not shard: every
-served query carries a budget, and a budgeted search runs in one
-process, so :func:`repro.serve.make_pool` rejects ``shards``.
+The one entry point is :class:`ShardedEngine`, built by name
+(``ShardedEngine(graph, shards=N, backend=...)``).  Sharding is no
+engine option: no CLI command, batch run or served query shards.
 """
 
 from repro.shard.executor import BACKENDS, ShardedEngine

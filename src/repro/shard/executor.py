@@ -39,7 +39,6 @@ Workers are stopped on :meth:`ShardedEngine.close` and by a
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import os
 import weakref
@@ -48,7 +47,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro import obs
 from repro.core.framework import Star
 from repro.core.matches import Match
-from repro.core.options import BACKENDS, SearchOptions
+from repro.core.options import SearchOptions
 from repro.core.procedures import star_matcher
 from repro.errors import SearchError
 from repro.query.model import Query, StarQuery
@@ -58,6 +57,9 @@ from repro.shard.partition import GraphPartition, partition_graph
 from repro.similarity.scoring import ScoringConfig, ScoringFunction
 
 __all__ = ["ShardedEngine", "BACKENDS"]
+
+#: Shard transports.
+BACKENDS = ("auto", "fork", "serial")
 
 
 def _rank(match: Match):
@@ -148,14 +150,19 @@ class ShardedEngine:
     consistent either way.
 
     Args:
-        backend: the keyword spelling of the ``shard_backend`` option --
-            ``auto`` (fork where available, else serial), ``fork``
-            (serial fallback where fork is missing) or ``serial``.
+        shards: the shard count.
+        backend: the shard transport -- ``auto`` (fork where available,
+            else serial), ``fork`` (serial fallback where fork is
+            missing) or ``serial``.
         scorer, config, options: as for :class:`Star`.
 
-    Keyword options: see :class:`~repro.core.options.SearchOptions`
-    (``shards`` defaults to 2 here); shard matchers and the fallback
-    :class:`Star` are built from the same record.
+    Keyword options: see :class:`~repro.core.options.SearchOptions`;
+    shard matchers and the fallback :class:`Star` are built from the
+    same record.
+
+    Raises:
+        SearchError: for ``shards < 1``, an unknown *backend* or an
+            invalid option.
     """
 
     def __init__(
@@ -164,25 +171,25 @@ class ShardedEngine:
         scorer: Optional[ScoringFunction] = None,
         config: Optional[ScoringConfig] = None,
         *,
-        backend: Optional[str] = None,
+        shards: int = 2,
+        backend: str = "auto",
         options: Optional[SearchOptions] = None,
         **knobs,
     ) -> None:
-        if backend is not None:
-            knobs["shard_backend"] = backend
-        options = SearchOptions.coerce(options, knobs)
-        if options.shards is None:
-            options = dataclasses.replace(options, shards=2)
-        self.options = options
+        if shards < 1:
+            raise SearchError(f"shards must be >= 1, got {shards}")
+        if backend not in BACKENDS:
+            raise SearchError(
+                f"unknown shard backend {backend!r}; "
+                f"expected one of {BACKENDS}")
+        self.options = SearchOptions.coerce(options, knobs)
         self.engine = Star(graph, scorer=scorer, config=config,
-                           options=options)
+                           options=self.options)
         self.graph = graph
         self.scorer = self.engine.scorer
-        self.num_shards = options.shards
-        self.backend = (
-            "fork" if options.shard_backend in ("auto", "fork")
-            and fork_available() else "serial"
-        )
+        self.num_shards = shards
+        self.backend = ("fork" if backend != "serial" and fork_available()
+                        else "serial")
         self.last_report: Optional[SearchReport] = None
         self.last_stats: Optional[dict] = None
         self.last_engine_stats = None

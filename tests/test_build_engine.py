@@ -1,12 +1,13 @@
 """One options dict, one engine builder, four front doors.
 
 ``build_engine`` is the only place an options dict becomes a ``Star``
-or a ``ShardedEngine`` (and the only place a store's index columns get
-attached; the semantic tier is always the in-memory one, built on its
-first out-of-vocabulary probe).  The same dict must therefore rank identically whether
-it arrives through ``build_engine`` itself, a serve ``EngineContext``,
+(and the only place a store's index columns get attached; the semantic
+tier is always the in-memory one, built on its first out-of-vocabulary
+probe).  The same dict must therefore rank identically whether it
+arrives through ``build_engine`` itself, a serve ``EngineContext``,
 ``search_many`` or ``repro search`` -- over an in-memory and an
-mmap-opened graph, single-process and sharded.
+mmap-opened graph.  No door shards: ``ShardedEngine`` is built by name,
+and its parity with ``Star`` is ``test_shard_differential``'s.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from repro.graph import save_graph
 from repro.perf import build_engine, search_many
 from repro.query import parse_query
 from repro.serve import EngineContext, execute_payload
-from repro.shard import ShardedEngine
 from repro.similarity import ScoringFunction
 from repro.store import MmapGraphIndex, open_graph, write_store
 
@@ -66,8 +66,8 @@ def _span_names(tracer):
 
 #: (query, options, the same options as CLI flags, spans the run must
 #: emit, spans it must not) by name.  The pinned procedures must reach
-#: ``starjoin``'s star streams (general query) and the shard matchers
-#: (star query under ``shards``) -- not be replaced by ``auto`` there.
+#: ``starjoin``'s star streams (general query) -- not be replaced by
+#: ``auto`` there.
 CASES = {
     "index-on": (QUERY, {"use_index": "on"}, ["--use-index", "on"],
                  set(), set()),
@@ -87,17 +87,16 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("shards", [None, 2])
 @pytest.mark.parametrize("storage", ["memory", "mmap"])
 def test_same_options_rank_identically_through_every_door(
-        paths, capsys, storage, shards):
-    # The options axis is a loop, not a parameter: the (storage, shards)
-    # cells keep their test ids.
+        paths, capsys, storage):
+    # The options axis is a loop, not a parameter: the storage cells
+    # keep their test ids.
     for case in CASES:
-        _check_every_door(paths, capsys, storage, shards, *CASES[case])
+        _check_every_door(paths, capsys, storage, *CASES[case])
 
 
-def _check_every_door(paths, capsys, storage, shards,
+def _check_every_door(paths, capsys, storage,
                       text, options, flags, must, must_not):
     mmap = storage == "mmap"
     graph = open_graph(paths["mmap"]) if mmap else build_movie_graph()
@@ -106,15 +105,6 @@ def _check_every_door(paths, capsys, storage, shards,
     if mmap:
         # The CLI works this out from the file it is given.
         opts["mmap_store"] = paths["mmap"]
-    if shards is not None:
-        opts["shards"] = shards
-        cli += ["--shards", str(shards)]
-    # A general query under ``shards`` runs on the in-process fallback
-    # engine; a sharded star query is traceable on the serial transport
-    # only (the CLI has no flag for it: its fork workers go unobserved).
-    sharded_star = shards is not None and text is QUERY
-    if sharded_star and must:
-        opts["shard_backend"] = "serial"
     query = parse_query(text.replace(";", "\n"), name="q")
 
     def check_spans(tracer):
@@ -123,19 +113,15 @@ def _check_every_door(paths, capsys, storage, shards,
         assert not must_not & names, (options, sorted(must_not & names))
 
     engine = build_engine(graph, opts)
-    try:
-        assert isinstance(engine, ShardedEngine if shards else Star)
-        assert isinstance(engine.scorer.graph_index, MmapGraphIndex) == mmap
-        tier = engine.scorer.semantic_tier
-        assert type(tier) is SemanticTier
-        with obs.capture() as tracer:
-            direct = engine.search(query, K)
-        # Every label resolves through the token shortlist: nothing
-        # under-fills, so nothing embeds the graph.
-        assert not tier.built
-    finally:
-        if shards is not None:
-            engine.close()
+    assert type(engine) is Star
+    assert isinstance(engine.scorer.graph_index, MmapGraphIndex) == mmap
+    tier = engine.scorer.semantic_tier
+    assert type(tier) is SemanticTier
+    with obs.capture() as tracer:
+        direct = engine.search(query, K)
+    # Every label resolves through the token shortlist: nothing
+    # under-fills, so nothing embeds the graph.
+    assert not tier.built
     check_spans(tracer)
     expected = _ranking(direct)
     assert expected
@@ -155,8 +141,7 @@ def _check_every_door(paths, capsys, storage, shards,
 
     with obs.capture() as tracer:
         rows = _cli_ranking(capsys, cli)
-    if not sharded_star:
-        check_spans(tracer)
+    check_spans(tracer)
     assert rows == [
         (f"{m.score:.3f}",
          "  ".join(f"{q}={graph.describe(v)}"
@@ -172,10 +157,9 @@ def _check_every_door(paths, capsys, storage, shards,
 
 def test_options_dict_is_not_consumed(paths):
     graph = open_graph(paths["mmap"])
-    opts = {"mmap_store": paths["mmap"], "shards": 2,
-            "shard_backend": "serial", "d": 1}
+    opts = {"mmap_store": paths["mmap"], "use_index": "on", "d": 1}
     before = dict(opts)
-    build_engine(graph, opts).close()
+    build_engine(graph, opts)
     assert opts == before
 
 

@@ -350,7 +350,8 @@ class TestEngineOptionGroup:
         fields = {f.name for f in dataclasses.fields(SearchOptions)}
         assert set(cli._ENGINE_FLAGS) <= fields
         expected = set(cli._ENGINE_FLAGS.values())
-        assert {"-d", "--algorithm", "--use-index", "--shards"} <= expected
+        assert {"-d", "--algorithm", "--use-index"} <= expected
+        assert "--shards" not in expected
         commands = cli._build_parser()._subparsers._group_actions[0].choices
         for name in self.COMMANDS:
             on_command = {option
@@ -389,7 +390,12 @@ class TestEngineOptionGroup:
         ["search", "{graph}", "(?m) -[?]- (Brad)", "--experience-out", "e"],
         ["batch", "{graph}", "w.jsonl", "--plan", "learned"],
         ["plan-fit", "exp.jsonl", "model.json"],
-    ], ids=["plan", "plan-model", "experience-out", "batch-plan", "plan-fit"])
+        # sharding is no engine option: ShardedEngine is built by name
+        ["search", "{graph}", "(?m) -[?]- (Brad)", "--shards", "2"],
+        ["trace", "{graph}", "(?m) -[?]- (Brad)", "--shards", "2"],
+        ["batch", "{graph}", "w.jsonl", "--shards", "2"],
+    ], ids=["plan", "plan-model", "experience-out", "batch-plan", "plan-fit",
+            "search-shards", "trace-shards", "batch-shards"])
     def test_planner_flags_and_plan_fit_are_gone(self, saved_graph, capsys,
                                                  argv):
         with pytest.raises(SystemExit) as raised:
@@ -401,6 +407,6 @@ class TestEngineOptionGroup:
     def test_partition_flag_is_gone(self, saved_graph, capsys):
         with pytest.raises(SystemExit) as raised:
             main(["search", saved_graph, "(?m) -[?]- (Brad)",
-                  "--shards", "2", "--partition", "hash"])
+                  "--partition", "hash"])
         assert raised.value.code == 2
         assert "unrecognized arguments: --partition" in capsys.readouterr().err

@@ -12,7 +12,7 @@ import pytest
 from repro import STAT_KEYS, EngineStats, Star, obs, search_many, star_query
 from repro.eval.harness import time_algorithm
 from repro.perf.cache import attach_cache
-from repro.perf.parallel import fork_available
+from repro.runtime.workers import fork_available
 from repro.query import Query
 from repro.similarity import ScoringFunction
 

@@ -21,12 +21,12 @@ from repro.shard import ShardedEngine
 from repro.similarity import ScoringFunction
 
 #: Every option in declaration order, with its default: the search
-#: knobs, then the three that route construction.
+#: knobs, then the one that routes construction.
 SEED_DEFAULTS = {
     "d": 1, "alpha": 0.5, "decomposition_method": "simdec", "lam": 1.0,
     "injective": True, "candidate_limit": None, "directed": False,
     "use_index": "auto", "use_semantic": "auto", "algorithm": "auto",
-    "mmap_store": None, "shards": None, "shard_backend": "auto",
+    "mmap_store": None,
 }
 
 #: Every way a caller can hand options in, as ``door(graph, **knobs)``.
@@ -66,12 +66,13 @@ RULES = [
      "directed matching requires algorithm auto or stark, got 'stard'"),
     ({"directed": True, "algorithm": "hybrid"}, SearchError,
      "algorithm must be one of ('auto', 'stark', 'stard'), got 'hybrid'"),
-    ({"shards": 0}, SearchError, "shards must be >= 1, got 0"),
     ({"candidate_limit": -1}, SearchError,
      "candidate_limit must be >= 1, got -1"),
+    # Sharding is no option: ShardedEngine takes it by name.
+    ({"shards": 0}, SearchError,
+     "unknown search option 'shards'; valid options: d, alpha,"),
     ({"shard_backend": "threads"}, SearchError,
-     "unknown shard backend 'threads'; expected one of "
-     "('auto', 'fork', 'serial')"),
+     "unknown search option 'shard_backend'; valid options: d, alpha,"),
     ({"usee_index": "on"}, SearchError,
      "unknown search option 'usee_index'; valid options: d, alpha,"),
     # The learned planner's two options are gone, not ignored.
@@ -86,13 +87,15 @@ RULES = [
 
 
 #: doors x rules; a misspelt keyword to the dataclass itself is Python's
-#: own TypeError, ``coerce`` is the door that names the key.
+#: own TypeError, ``coerce`` is the door that names the key, and
+#: ``shards`` is a ShardedEngine argument (its own rules are below).
 MATRIX = [
     pytest.param(
         door, knobs, error, message,
         id=door + "-" + ",".join(f"{k}={v}" for k, v in knobs.items()))
     for door in sorted(DOORS) for knobs, error, message in RULES
     if not (door == "SearchOptions" and set(knobs) - set(FIELD_NAMES))
+    and not (door == "ShardedEngine" and "shards" in knobs)
 ]
 
 
@@ -136,15 +139,12 @@ class TestOneValidation:
         for door in ("Star", "ShardedEngine", "search_many", "StarJoin"):
             with pytest.raises(SearchError, match="not both"):
                 DOORS[door](movie_graph, options=record, alpha=0.3)
-        with pytest.raises(SearchError, match="not both"):
-            # ``backend=`` is ShardedEngine's spelling of an option
-            ShardedEngine(movie_graph, options=record, backend="serial")
 
 
 class TestTheRecord:
     def test_fields_and_defaults_are_the_seed_s(self, movie_graph):
         fields = dataclasses.fields(SearchOptions)
-        assert len(fields) == 13
+        assert len(fields) == 11
         assert {f.name: f.default for f in fields} == SEED_DEFAULTS
         assert FIELD_NAMES == tuple(SEED_DEFAULTS)
         assert Star(movie_graph).options == SearchOptions()
@@ -174,15 +174,28 @@ class TestTheRecord:
         join = StarJoin(ScoringFunction(movie_graph), options=record)
         assert join.options is record
 
-    def test_sharded_engine_reads_its_routing_from_the_record(
-            self, movie_graph):
-        with ShardedEngine(movie_graph, backend="serial") as engine:
-            assert engine.options.shards == 2  # the constructor's default
-            assert engine.options.shard_backend == "serial"
-            assert engine.engine.options is engine.options
-        with build_engine(movie_graph, {"shards": 3, "d": 2,
-                                        "shard_backend": "serial"}) as engine:
+    def test_sharded_engine_takes_its_routing_by_name(self, movie_graph):
+        record = SearchOptions(d=2)
+        with ShardedEngine(movie_graph, options=record,
+                           backend="serial") as engine:
+            assert engine.num_shards == 2  # the constructor's default
+            assert engine.backend == "serial"
+            assert engine.options is record
+            assert engine.engine.options is record
+        with ShardedEngine(movie_graph, shards=3, backend="serial",
+                           d=2) as engine:
             assert engine.num_shards == 3
             # every worker reads the whole graph, whatever d is
             assert engine.partition.replication_factor == 3.0
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"shards": 0}, "shards must be >= 1, got 0"),
+        ({"backend": "threads"}, "unknown shard backend 'threads'; "
+                                 "expected one of ('auto', 'fork', 'serial')"),
+    ], ids=["shards=0", "backend=threads"])
+    def test_sharded_engine_validates_its_routing(self, movie_graph,
+                                                  kwargs, message):
+        with pytest.raises(SearchError) as raised:
+            ShardedEngine(movie_graph, **kwargs)
+        assert str(raised.value) == message
 

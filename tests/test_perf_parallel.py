@@ -17,7 +17,6 @@ from repro.perf import (
     BatchResult,
     CandidateCache,
     fork_available,
-    resolve_backend,
     search_many,
 )
 from repro.query import random_subgraph_query, star_workload
@@ -79,14 +78,24 @@ def test_search_many_rejects_unshareable_state(yago_graph, star_queries):
                     cache=CandidateCache(), backend="thread")
 
 
-def test_resolve_backend():
-    assert resolve_backend("auto", 1) == "serial"
-    assert resolve_backend("fork", 1) == "serial"
-    expected = "fork" if fork_available() else "thread"
-    assert resolve_backend("auto", 4) == expected
-    assert resolve_backend("thread", 4) == "thread"
-    with pytest.raises(SearchError):
-        resolve_backend("nope", 2)
+@pytest.mark.parametrize("backend, workers, expected", [
+    ("auto", 1, "serial"),
+    ("fork", 1, "serial"),
+    ("auto", 4, "fork" if fork_available() else "thread"),
+    ("thread", 4, "thread"),
+], ids=["auto-1", "fork-1", "auto-4", "thread-4"])
+def test_search_many_resolves_its_backend(movie_graph, backend, workers,
+                                          expected):
+    queries = star_workload(movie_graph, 2, seed=3)
+    result = search_many(movie_graph, queries, 2, workers=workers,
+                         backend=backend)
+    assert result.backend == expected
+    assert result.workers == workers
+
+
+def test_search_many_rejects_an_unknown_backend(movie_graph):
+    with pytest.raises(SearchError, match="unknown pool backend 'nope'"):
+        search_many(movie_graph, [], 1, workers=2, backend="nope")
 
 
 # ----------------------------------------------------------------------
@@ -358,46 +367,3 @@ def test_skewed_batch_fork_parity_and_lpt_order(movie_graph):
     got = [tuple((m.key(), m.score) for m in row) for row in result.matches]
     assert got == expected
     assert result.dispatch_order[0] == len(queries) - 1
-
-
-# ----------------------------------------------------------------------
-# shards=N batch mode
-
-
-def test_search_many_sharded_invariant_across_shard_counts(yago_graph,
-                                                           star_queries):
-    """shards=N rankings are byte-identical for every shard count (the
-    canonical merge order is shard-oblivious)."""
-    reference = None
-    for shards in (1, 3):
-        result = search_many(yago_graph, star_queries, 5, shards=shards,
-                             backend="serial")
-        got = [tuple((m.key(), m.score) for m in row)
-               for row in result.matches]
-        if reference is None:
-            reference = got
-        else:
-            assert got == reference, f"{shards} shards diverged"
-        assert result.workers == shards
-        assert result.backend == "shard-serial"
-
-
-def test_search_many_sharded_scores_match_serial(yago_graph, star_queries):
-    """Tie-tolerant score parity between shards=N and the plain serial
-    batch (assignments at equal scores may legally differ)."""
-    expected, _ = serial_reference(yago_graph, star_queries, 5)
-    result = search_many(yago_graph, star_queries, 5, shards=2,
-                         backend="serial")
-    for row, want in zip(result.matches, expected):
-        assert ([round(m.score, 9) for m in row]
-                == [round(s, 9) for _key, s in want])
-
-
-def test_search_many_sharded_rejects_bad_combinations(yago_graph,
-                                                      star_queries):
-    with pytest.raises(SearchError, match="workers"):
-        search_many(yago_graph, star_queries, 5, shards=2, workers=2)
-    with pytest.raises(SearchError, match="fault_specs"):
-        search_many(yago_graph, star_queries, 5, shards=2,
-                    fault_specs=[{"site": "scorer.node_score",
-                                  "mode": "raise"}])

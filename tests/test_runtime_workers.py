@@ -1,11 +1,13 @@
-"""The fork-worker runtime, tested on the pool itself (no graph needed).
+"""The worker runtime, tested on the pools themselves (no graph needed).
 
 ``ForkWorker`` is the death-detecting primitive, ``TaskPool`` the crash
 contract every user relies on: a worker killed mid-task loses exactly
 that task, which is re-queued once on a replacement with transient
 faults stripped and fails with ``WorkerCrashError`` past
 ``max_requeues``.  Serve, batch and shard keep one thin recovery test
-each in their own suites.
+each in their own suites.  The backend-independent contract (answers,
+handler errors, start/stop, size) runs on both pools, built through
+the one chooser ``pool_for``.
 """
 
 from __future__ import annotations
@@ -18,16 +20,18 @@ import time
 import pytest
 
 from repro import obs
-from repro.errors import ReproError, WorkerCrashError
+from repro.errors import ReproError, SearchError, WorkerCrashError
 from repro.runtime.workers import (
     ForkWorker,
     TaskPool,
+    ThreadPool,
     WorkerDied,
     fork_available,
+    pool_for,
     strip_transient_faults,
 )
 
-pytestmark = pytest.mark.skipif(
+needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable")
 
 
@@ -81,13 +85,7 @@ def _wait_for(predicate, timeout=10.0):
     return predicate()
 
 
-@pytest.fixture()
-def pool():
-    pool = TaskPool(_factory, size=2).start()
-    yield pool
-    pool.stop()
-
-
+@needs_fork
 class TestForkWorker:
     def test_round_trip_and_inherited_args(self):
         worker = ForkWorker(_echo_loop, ("shard-3",))
@@ -131,16 +129,117 @@ class TestForkWorker:
         assert worker.proc not in multiprocessing.active_children()
 
 
-class TestTaskPool:
+class PoolContract:
+    """What either pool does, whichever backend ``pool_for`` picked."""
+
+    backend = "fork"
+
+    def make(self, factory=_factory, size=2):
+        pool = pool_for(factory, size=size, backend=self.backend)
+        assert pool.backend == self.backend
+        return pool
+
+    @pytest.fixture()
+    def pool(self):
+        pool = self.make().start()
+        yield pool
+        pool.stop()
+
     def test_clean_submits(self, pool):
         futures = [pool.submit({"value": i}) for i in range(8)]
         results = [f.result(timeout=30) for f in futures]
         assert [r["echo"] for r in results] == list(range(8))
         stats = pool.stats()
-        assert stats["backend"] == "fork"
+        assert stats["backend"] == self.backend
         assert stats["tasks_done"] == 8
         assert stats["worker_crashes"] == stats["requeued"] == 0
         assert stats["crash_failures"] == stats["replacements"] == 0
+
+    def test_handler_exception_fails_only_that_future(self, pool):
+        bad = pool.submit({"raise": "no such entity"})
+        good = pool.submit({"value": 5})
+        with pytest.raises(ValueError, match="no such entity"):
+            bad.result(timeout=30)
+        assert good.result(timeout=30)["echo"] == 5
+        assert pool.stats()["worker_crashes"] == 0
+
+    def test_factory_failure_answers_tasks_instead_of_respawning(self):
+        pool = self.make(_broken_factory, size=1).start()
+        try:
+            with pytest.raises(ReproError, match="cannot build"):
+                pool.submit({"value": 1}).result(timeout=30)
+            assert pool.stats()["worker_crashes"] == 0
+            assert pool.alive() == 1
+        finally:
+            pool.stop()
+
+    def test_stop_with_pending_fails_them_and_leaves_no_child(self):
+        pool = self.make(size=1).start()
+        procs = [w.proc for w in getattr(pool, "_workers", ())]
+        running = pool.submit({"sleep": 0.3})
+        queued = [pool.submit({"value": i}) for i in range(3)]
+        time.sleep(0.1)  # the sleeper is on the worker, the rest queued
+        pool.stop()
+        # The running task fails too, on either backend: a thread pool
+        # that cancelled its queue reached the serve scheduler as an
+        # asyncio.CancelledError instead of an error result.
+        for future in [running] + queued:
+            with pytest.raises(ReproError, match="stopped"):
+                future.result(timeout=10)
+        for proc in procs:
+            proc.join(timeout=10)
+            assert not proc.is_alive()
+        assert _wait_for(lambda: pool.alive() == 0)
+        pool.stop()  # idempotent
+        with pytest.raises(ReproError, match="not running"):
+            pool.submit({"value": 1}).result(timeout=5)
+
+    def test_submit_before_start_fails_fast(self):
+        pool = self.make(size=1)
+        with pytest.raises(ReproError, match="not running"):
+            pool.submit({"value": 1}).result(timeout=5)
+
+    def test_size_validation(self):
+        with pytest.raises(ValueError):
+            self.make(size=0)
+
+
+class TestThreadPool(PoolContract):
+    backend = "thread"
+
+    def test_each_thread_builds_its_handler_on_its_first_task(self):
+        built = []
+
+        def factory():
+            built.append(threading.get_ident())
+            return _handle
+
+        pool = self.make(factory, size=3)
+        assert isinstance(pool, ThreadPool)
+        pool.start()
+        try:
+            assert built == []  # nothing is built before a task
+            for future in [pool.submit({"sleep": 0.05, "value": i})
+                           for i in range(12)]:
+                future.result(timeout=30)
+        finally:
+            pool.stop()
+        assert 1 <= len(built) <= 3
+        assert len(set(built)) == len(built)  # once per thread
+
+
+class TestPoolFor:
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(SearchError, match="unknown pool backend"):
+            pool_for(_factory, backend="serial")
+
+    def test_auto_forks_where_it_can(self):
+        expected = TaskPool if fork_available() else ThreadPool
+        assert type(pool_for(_factory, backend="auto")) is expected
+
+
+@needs_fork
+class TestTaskPool(PoolContract):
 
     def test_crash_loses_one_task_requeues_it_clean_and_replenishes(
             self, pool):
@@ -192,50 +291,6 @@ class TestTaskPool:
             assert pool.stats()["requeued"] == 0
         finally:
             pool.stop()
-
-    def test_handler_exception_fails_only_that_future(self, pool):
-        bad = pool.submit({"raise": "no such entity"})
-        good = pool.submit({"value": 5})
-        with pytest.raises(ValueError, match="no such entity"):
-            bad.result(timeout=30)
-        assert good.result(timeout=30)["echo"] == 5
-        assert pool.stats()["worker_crashes"] == 0
-
-    def test_factory_failure_answers_tasks_instead_of_respawning(self):
-        pool = TaskPool(_broken_factory, size=1).start()
-        try:
-            with pytest.raises(ReproError, match="cannot build"):
-                pool.submit({"value": 1}).result(timeout=30)
-            assert pool.stats()["worker_crashes"] == 0
-            assert pool.alive() == 1
-        finally:
-            pool.stop()
-
-    def test_stop_with_pending_fails_them_and_leaves_no_child(self):
-        pool = TaskPool(_factory, size=1).start()
-        procs = [w.proc for w in pool._workers]
-        running = pool.submit({"sleep": 0.3})
-        queued = [pool.submit({"value": i}) for i in range(3)]
-        time.sleep(0.1)  # the sleeper is on the worker, the rest queued
-        pool.stop()
-        for future in [running] + queued:
-            with pytest.raises(ReproError, match="stopped"):
-                future.result(timeout=10)
-        for proc in procs:
-            proc.join(timeout=10)
-            assert not proc.is_alive()
-        pool.stop()  # idempotent
-        with pytest.raises(ReproError, match="not running"):
-            pool.submit({"value": 1}).result(timeout=5)
-
-    def test_submit_before_start_fails_fast(self):
-        pool = TaskPool(_factory, size=1)
-        with pytest.raises(ReproError, match="not running"):
-            pool.submit({"value": 1}).result(timeout=5)
-
-    def test_size_validation(self):
-        with pytest.raises(ValueError):
-            TaskPool(_factory, size=0)
 
     def test_workers_start_with_a_reset_tracer(self):
         """A pool forked under ``obs.capture()`` inherits the tracer;

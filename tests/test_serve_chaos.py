@@ -10,7 +10,7 @@ event visible in ``/statz``.
 
 import pytest
 
-from repro.perf.parallel import fork_available
+from repro.runtime.workers import fork_available
 from repro.serve import ChaosConfig, ServeApp, ServerHandle, format_result
 from repro.serve import run_chaos
 

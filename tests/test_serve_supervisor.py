@@ -7,12 +7,7 @@ import sys
 import pytest
 
 from repro.runtime.workers import TaskPool, fork_available
-from repro.serve import (
-    EngineContext,
-    ThreadWorkerPool,
-    execute_payload,
-    make_pool,
-)
+from repro.serve import EngineContext, execute_payload, make_pool
 from repro.errors import ReproError, SearchError
 
 QUERY = "(Brad:actor) -[acted_in]- (?:film)"
@@ -79,7 +74,7 @@ class TestExecutePayload:
 
 class TestThreadPool:
     def test_submit_and_stats(self, movie_graph):
-        pool = ThreadWorkerPool(movie_graph, size=2).start()
+        pool = make_pool(movie_graph, size=2, backend="thread").start()
         try:
             result = pool.submit({"query": QUERY, "k": 2}).result(timeout=30)
             assert result["ok"] is True
@@ -89,16 +84,16 @@ class TestThreadPool:
             pool.stop()
 
     def test_submit_before_start_fails_fast(self, movie_graph):
-        pool = ThreadWorkerPool(movie_graph, size=1)
+        pool = make_pool(movie_graph, size=1, backend="thread")
         with pytest.raises(ReproError):
             pool.submit({"query": QUERY, "k": 1}).result(timeout=5)
 
 
     def test_tasks_done_counts_every_task_under_contention(
             self, movie_graph):
-        """``tasks_done`` is bumped from N executor threads; an unlocked
+        """``tasks_done`` is bumped from N pool threads; an unlocked
         ``+=`` loses updates that ``/statz`` then reports."""
-        pool = ThreadWorkerPool(movie_graph, size=8).start()
+        pool = make_pool(movie_graph, size=8, backend="thread").start()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -155,9 +150,10 @@ class TestMakePool:
 
     @pytest.mark.parametrize("backend", ["auto", "thread"])
     def test_shards_rejected(self, movie_graph, backend):
-        """Every served query carries a budget, and a budgeted search
-        never runs sharded: ``shards`` fails the caller up front."""
-        with pytest.raises(SearchError, match="serve does not shard"):
+        """Sharding is no engine option: ``shards`` fails the caller up
+        front, like any unknown option."""
+        with pytest.raises(SearchError,
+                           match="unknown search option 'shards'"):
             make_pool(movie_graph, engine_opts={"shards": 2},
                       backend=backend)
 

@@ -23,6 +23,7 @@ from repro.graph.traversal import nodes_within
 from repro.obs import EngineStats as SearchStats
 from repro.perf.parallel import build_engine
 from repro.query import star_query
+from repro.shard import ShardedEngine
 from repro.similarity import ScoringConfig, ScoringFunction
 
 from tests.conftest import build_movie_graph, build_random_graph
@@ -323,9 +324,10 @@ CELLS = [("stard", None), ("stard", 2), ("stark", None), ("stark", 2)]
 def test_d2_procedures_meet_brute_force(algorithm, shards, seed):
     scorer = scorer_for(seed)
     options = {"d": 2, "algorithm": algorithm}
-    if shards is not None:
-        options.update(shards=shards, shard_backend="serial")
-    engine = build_engine(scorer.graph, options, scorer=scorer)
+    engine = (build_engine(scorer.graph, options, scorer=scorer)
+              if shards is None else
+              ShardedEngine(scorer.graph, scorer=scorer, shards=shards,
+                            backend="serial", **options))
     try:
         for star in STARS:
             for k in (1, 5, 20):  # below and above the usual list length
@@ -333,6 +335,5 @@ def test_d2_procedures_meet_brute_force(algorithm, shards, seed):
                     engine.search(star, k), scorer, star, k, d=2,
                     label=f"{algorithm}(k={k}, shards={shards})")
     finally:
-        close = getattr(engine, "close", None)
-        if close is not None:
-            close()
+        if shards is not None:
+            engine.close()

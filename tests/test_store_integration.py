@@ -25,7 +25,6 @@ from repro.perf import build_engine, search_many
 from repro.query import parse_query
 from repro.runtime import FaultSpec
 from repro.serve.supervisor import EngineContext, execute_payload
-from repro.shard import ShardedEngine
 from repro.similarity import ScoringConfig
 from repro.store import MmapGraphIndex, StoreReader, open_graph, write_store
 
@@ -51,19 +50,19 @@ class TestServeContext:
     def test_engine_context_attaches_store(self, store_path, monkeypatch):
         graph = open_graph(store_path)
         ctx = EngineContext(graph, engine_opts={
-            "mmap_store": str(store_path), "use_index": "on", "shards": 2})
-        assert isinstance(ctx.engine, ShardedEngine)
+            "mmap_store": str(store_path), "use_index": "on"})
+        assert type(ctx.engine) is Star
         assert isinstance(ctx.scorer.graph_index, MmapGraphIndex)
 
-        # A chaos request runs on a plain single-process engine over the
-        # shared scorer: the attached index is reused, never re-attached.
+        # A chaos request runs on a fresh engine over the shared scorer:
+        # the attached index is reused, never re-attached.
         def reattached(*args, **kwargs):
             raise AssertionError("the store was attached a second time")
 
         monkeypatch.setattr("repro.store.attach.attach_mmap_index", reattached)
         delay = FaultSpec("scorer.node_score", mode="delay").as_dict()
         chaos = ctx.engine_for([delay])
-        assert type(chaos) is Star
+        assert type(chaos) is Star and chaos is not ctx.engine
         assert chaos.scorer.graph_index is ctx.scorer.graph_index
         chaotic = execute_payload(
             ctx, {"query": QUERY, "k": 2, "fault_specs": [delay]})
