@@ -7,7 +7,9 @@ Steps (Fig. 5):
    among its neighbors (an untyped ``?`` leaf's are scored right there,
    not over the whole graph); the best entry of each leaf list bounds the
    top-1 match pivoted there (exactly, unless injectivity makes two
-   leaves want one node), and a pivot with an empty list has no match;
+   leaves want one node), and a pivot with an empty list has no match --
+   at ``d == 1`` a pivot adjacent to no node of one leaf's map is known
+   to have one before its row is read (:func:`pivot_semijoin`);
 3. keep top-1 matches in a priority queue, building a pivot's lattice
    generator only while its bound beats every queued match; repeatedly
    pop the global best, emit it, and generate the next-best match for
@@ -363,8 +365,9 @@ class StarKSearch:
         *bounds* is what tells the procedures apart (see :meth:`stream`):
         None, or one admissible upper bound on the pivot's top-1 score
         per candidate (None for a pivot that provably has no match).
-        ``stark`` bounds every pivot at ``d == 1``
-        (:meth:`_read_pivots`) and none at ``d >= 2``.
+        ``stark`` bounds every pivot at ``d == 1`` (:meth:`_read_pivots`,
+        reading no row :func:`pivot_semijoin` rules out) and none at
+        ``d >= 2``.
         """
         with obs.trace("stark.candidates"):
             pivot_cands = self._pivot_candidates(star, budget=budget)
@@ -375,11 +378,14 @@ class StarKSearch:
                 return pivot_cands, None, bounded_leaf_provider(
                     self.scorer, star, weights, self.d, self.injective,
                     leaf_maps=leaf_maps, traversal_stats=self.stats)
+            near = pivot_semijoin(self.graph, pivot_cands, leaf_maps)
             bounds, read = self._read_pivots(
                 star, weights, pivot_cands,
                 hop_one_reader(self.scorer, star, weights, leaf_maps,
-                               self.directed), budget)
-            span.annotate(viable=len(read))
+                               self.directed), budget, near)
+            dropped = 0 if near is None else sum(
+                node not in near for node, _s in pivot_cands)
+            span.annotate(viable=len(read), dropped=dropped)
         return pivot_cands, bounds, read.pop
 
     def _read_pivots(
@@ -389,6 +395,7 @@ class StarKSearch:
         pivot_cands: List[Tuple[int, float]],
         provider: LeafProvider,
         budget: Optional[Budget],
+        near: Optional[AbstractSet[int]] = None,
     ) -> Tuple[List[Optional[float]], Dict[int, list]]:
         """The one bound pass: every pivot's rows read once, at any ``d``.
 
@@ -400,13 +407,15 @@ class StarKSearch:
         removes matches, Prop. 3 only prunes lists); ``stard``'s
         provider appends a far term per leaf.  A pivot with an empty list
         gets None.  The lists read are returned by pivot, for the
-        ``d == 1`` loop's provider, so no pivot is read twice.
+        ``d == 1`` loop's provider, so no pivot is read twice.  A pivot
+        outside *near* (see :func:`pivot_semijoin`) would read an empty
+        list, so it is not read and gets None.
 
-        Each read charges one node at ``d == 1`` (at evaluation
-        otherwise, so the pass only checks the budget); a trip stops the
-        reading and leaves the rest unbounded.  A substrate fault on one
-        pivot is recorded under an anytime budget (that pivot alone is
-        skipped) and raised otherwise.
+        Each pivot charges one node at ``d == 1``, read or not (at
+        evaluation otherwise, so the pass only checks the budget); a trip
+        stops the reading and leaves the rest unbounded.  A substrate
+        fault on one pivot is recorded under an anytime budget (that
+        pivot alone is skipped) and raised otherwise.
         """
         anytime = budget is not None and budget.anytime
         if budget is not None:
@@ -417,6 +426,8 @@ class StarKSearch:
         for index, (pivot_node, pivot_score) in enumerate(pivot_cands):
             if budget is not None and tripped():
                 break
+            if near is not None and pivot_node not in near:
+                continue
             try:
                 lists = provider(pivot_node)
             except SUBSTRATE_ERRORS as exc:
@@ -642,6 +653,45 @@ def leaf_candidate_maps(
                 else dict(node_candidates(scorer, leaf, budget=budget)))
         maps.append(by_constraint[key])
     return maps
+
+
+def pivot_semijoin(
+    graph,
+    pivot_cands: List[Tuple[int, float]],
+    leaf_maps: List[Optional[Dict[int, float]]],
+) -> Optional[Set[int]]:
+    """The pivot side of ``pivot ⋉ leaf`` over the adjacency, for the
+    ``d == 1`` row pass: the neighbours of one leaf map's nodes.
+
+    A pivot outside the set has no neighbour in that map, so
+    :func:`hop_one_reader` would give it an empty list for that leaf
+    (directed rows are subsets of the undirected adjacency): reading its
+    row is wasted.  The set is built from whichever side costs less.
+    The map taken is the one whose nodes have the smallest total
+    degree (an untyped leaf's None has no nodes to walk), and only if
+    that total is below the pivot candidates' total degree -- the rows
+    the pass would read otherwise.  None means read every pivot.
+    """
+    degree = graph.degree
+    cost = sum(degree(node) for node, _score in pivot_cands)
+    cheapest: Optional[Dict[int, float]] = None
+    for leaf_map in leaf_maps:
+        if leaf_map is None:
+            continue
+        total = 0
+        for node in leaf_map:
+            total += degree(node)
+            if total >= cost:
+                break  # no cheaper than the cheapest side so far
+        else:
+            cheapest, cost = leaf_map, total
+    if cheapest is None:
+        return None
+    neighbor_ids = graph.neighbor_ids
+    near: Set[int] = set()
+    for node in cheapest:
+        near.update(neighbor_ids(node))
+    return near
 
 
 def hop_one_reader(

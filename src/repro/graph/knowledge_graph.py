@@ -37,7 +37,10 @@ import threading
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set,
+    Tuple,
+)
 
 from repro import obs
 from repro.dynamic.journal import Delta, DeltaJournal, DeltaSummary
@@ -545,6 +548,11 @@ class KnowledgeGraph:
     def neighbors(self, node_id: int) -> List[Tuple[int, int]]:
         """Undirected neighbor list ``[(neighbor_id, edge_id), ...]``."""
         return self._adj[self._check_node(node_id)]
+
+    def neighbor_ids(self, node_id: int) -> Sequence[int]:
+        """The neighbor ids of :meth:`neighbors`, in its order (a
+        neighbor repeats once per parallel edge)."""
+        return [nbr for nbr, _eid in self._adj[self._check_node(node_id)]]
 
     def out_neighbors(self, node_id: int) -> List[Tuple[int, int]]:
         """Directed out-neighbor list."""

@@ -182,7 +182,9 @@ class _BatchWorker:
     batch's shared inputs plus its own engine.  Engines are never shared
     between workers.  Called with a task payload ``{"index": i}`` (plus
     ``fault_specs`` on the chaos path), returns the result row
-    ``(outcome, worker token, cache stats, obs snapshot)``.
+    ``(outcome, worker token, task number, cache stats, obs snapshot)``:
+    the worker's *tasks*-th task, so its cumulative snapshots are ordered
+    by the order it ran them in, not by query index.
     """
 
     def __init__(self, graph, config, engine_opts, cache, queries, k,
@@ -196,6 +198,7 @@ class _BatchWorker:
         self._own_registry = os.getpid() != parent_pid
         #: Built on the first clean task; the serial loop sets its own.
         self.engine: Optional[Star] = None
+        self.tasks = 0
 
     def _engine_for(self, fault_specs) -> Star:
         if fault_specs:
@@ -220,18 +223,31 @@ class _BatchWorker:
         outcome = QueryOutcome(index, matches, engine.last_report,
                                engine.last_stats, time.perf_counter() - start)
         cache = engine.scorer.candidate_cache
+        self.tasks += 1
         return (outcome, f"{os.getpid()}:{threading.get_ident()}",
+                self.tasks,
                 cache.stats.as_dict() if cache is not None else None,
                 obs.snapshot(include_samples=True)
                 if self._own_registry else None)
 
 
+def _last_rows(rows: List[tuple]) -> List[tuple]:
+    """Each worker's row of the last task it ran: the one that holds its
+    final cumulative cache and obs snapshots."""
+    last: Dict[str, tuple] = {}
+    for row in rows:
+        held = last.get(row[1])
+        if held is None or row[2] > held[2]:
+            last[row[1]] = row
+    return list(last.values())
+
+
 def _merge_cache_stats(
-    snapshots: Dict[str, Optional[Dict[str, int]]]
+    snapshots: List[Optional[Dict[str, int]]]
 ) -> Optional[CacheStats]:
-    """Sum the final per-worker snapshots (keyed by worker token)."""
+    """Sum the final per-worker snapshots."""
     merged: Optional[CacheStats] = None
-    for snapshot in snapshots.values():
+    for snapshot in snapshots:
         if snapshot is None:
             continue
         if merged is None:
@@ -241,7 +257,7 @@ def _merge_cache_stats(
 
 
 def _merge_obs_snapshots(
-    obs_snapshots: Dict[str, Optional[Dict[str, dict]]]
+    obs_snapshots: List[Optional[Dict[str, dict]]]
 ) -> Optional[Dict[str, dict]]:
     """Merge fork workers' registry snapshots; fold into the caller's.
 
@@ -251,7 +267,7 @@ def _merge_obs_snapshots(
     into its live registry so ``obs.snapshot()`` after ``search_many``
     reflects the batch regardless of backend.
     """
-    collected = [snap for snap in obs_snapshots.values() if snap is not None]
+    collected = [snap for snap in obs_snapshots if snap is not None]
     if not collected:
         return obs.snapshot()  # thread/serial: shared registry (or None)
     from repro.obs import MetricsRegistry
@@ -268,6 +284,7 @@ def _finalize(rows: List[tuple], workers: int, backend: str,
               order: Optional[List[int]]) -> BatchResult:
     """One :class:`BatchResult` from the workers' rows, in index order."""
     outcomes = [row[0] for row in rows]
+    last = _last_rows(rows)
     merged_stats: Dict[str, int] = {}
     budget_exceeded = degraded = faults = 0
     for outcome in outcomes:
@@ -294,10 +311,8 @@ def _finalize(rows: List[tuple], workers: int, backend: str,
         worker_crashes=getattr(pool, "worker_crashes", 0),
         requeued=getattr(pool, "requeued", 0),
         dispatch_order=order,
-        cache_stats=_merge_cache_stats(
-            {token: snapshot for _o, token, snapshot, _m in rows}),
-        metrics=_merge_obs_snapshots(
-            {token: metric for _o, token, _s, metric in rows}),
+        cache_stats=_merge_cache_stats([row[3] for row in last]),
+        metrics=_merge_obs_snapshots([row[4] for row in last]),
     )
 
 

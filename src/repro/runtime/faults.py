@@ -59,6 +59,7 @@ FAULT_SITES = (
     "graph.neighbors",
     "graph.out_neighbors",
     "graph.in_neighbors",
+    "graph.neighbor_ids",
 )
 
 FAULT_MODES = ("raise", "delay", "corrupt", "crash")
@@ -226,12 +227,15 @@ class FaultyGraph:
     def _adjacency(self, site: str, entries):
         if self._injector.enter(site):
             entries = list(entries) + [(-1, -1)]
-        for node_id, _eid in entries:
+        self._validate(site, (node_id for node_id, _eid in entries))
+        return entries
+
+    def _validate(self, site: str, node_ids) -> None:
+        for node_id in node_ids:
             if node_id not in self._graph:
                 raise DataCorruptionError(
                     f"corrupted adjacency entry {node_id} detected at {site}"
                 )
-        return entries
 
     def neighbors(self, node_id: int):
         return self._adjacency(
@@ -247,6 +251,15 @@ class FaultyGraph:
         return self._adjacency(
             "graph.in_neighbors", self._graph.in_neighbors(node_id)
         )
+
+    def neighbor_ids(self, node_id: int):
+        # Its own site: a walk of id reads (stark's pivot semijoin) does
+        # not shift the call numbering of the row reads after it.
+        ids = self._graph.neighbor_ids(node_id)
+        if self._injector.enter("graph.neighbor_ids"):
+            ids = list(ids) + [-1]
+        self._validate("graph.neighbor_ids", ids)
+        return ids
 
     def grouped_relations(self, node_id: int, orientation: int = 0):
         # A grouped row is a read of the list it groups: it passes that

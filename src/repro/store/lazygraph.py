@@ -25,7 +25,7 @@ and a reader's mapping keeps the inode it opened.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 try:  # pragma: no cover - import-shape compat
     from collections.abc import MutableMapping
@@ -265,6 +265,14 @@ class _LazyAdj:
             return len(row)
         return self._indptr[v + 1] - self._indptr[v]
 
+    def ids(self, v: int) -> Sequence[int]:
+        """Row *v*'s neighbor ids without materializing the row
+        (undirected only): an untouched base row is its ``csr.indices``
+        slice, an overlay row is read off its list."""
+        if v < self._base and v not in self._cache:
+            return self._indices[self._indptr[v]:self._indptr[v + 1]]
+        return [nbr for nbr, _eid in self[v]]
+
 
 class _LazyTokenIndex(MutableMapping):
     """``token -> set of node ids`` over vocab + postings columns.
@@ -465,6 +473,9 @@ class MmapKnowledgeGraph(KnowledgeGraph):
 
     def degree(self, node_id: int) -> int:
         return self._adj.fast_len(self._check_node(node_id))
+
+    def neighbor_ids(self, node_id: int) -> Sequence[int]:
+        return self._adj.ids(self._check_node(node_id))
 
     def _check_node(self, node_id: int) -> int:
         nodes = self._nodes

@@ -15,12 +15,16 @@ from repro.core.framework import Star
 from repro.errors import BudgetExceededError, SearchError
 from repro.perf import (
     BatchResult,
+    CacheStats,
     CandidateCache,
     fork_available,
     search_many,
 )
+from repro.perf import parallel
 from repro.query import random_subgraph_query, star_workload
 from repro.runtime.budget import Budget
+
+from tests.conftest import build_movie_graph
 
 
 def serial_reference(graph, queries, k, budget_spec=None, **opts):
@@ -159,6 +163,37 @@ def test_warm_cache_batch_identical_to_cold(yago_graph, star_queries):
     warm = search_many(yago_graph, star_queries, 5, cache=cache)
     assert warm.result_keys() == cold.result_keys()
     assert warm.cache_stats.hits > cold.cache_stats.hits
+
+
+@pytest.mark.parametrize("backend", [
+    pytest.param("fork", marks=pytest.mark.skipif(
+        not fork_available(), reason="needs fork start method")),
+    "thread",
+])
+def test_cache_stats_sum_each_workers_last_snapshot(monkeypatch, backend):
+    """Cache counters only grow inside a worker, so its final snapshot is
+    its largest: the merged stats are the sum of those, whatever order
+    LPT dispatch ran the queries in."""
+    graph = build_movie_graph()
+    queries = star_workload(graph, 12, seed=5)
+    rows = []
+    finalize = parallel._finalize
+
+    def spy(batch_rows, *args):
+        rows.extend(batch_rows)
+        return finalize(batch_rows, *args)
+
+    monkeypatch.setattr(parallel, "_finalize", spy)
+    result = search_many(graph, queries, 3, workers=2, backend=backend,
+                         cache=True)
+    assert result.backend == backend
+    final: dict = {}
+    for row in rows:
+        snapshot = CacheStats.from_dict(row[3])
+        lookups = snapshot.hits + snapshot.misses
+        final[row[1]] = max(final.get(row[1], 0), lookups)
+    merged = result.cache_stats
+    assert merged.hits + merged.misses == sum(final.values())
 
 
 # ----------------------------------------------------------------------

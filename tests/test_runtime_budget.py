@@ -12,7 +12,7 @@ from repro.core import (
     StarKSearch,
 )
 from repro.core.rankmerge import ScoredPool
-from repro.core.stark import _MIN_PIVOTS_AFTER_TRIP
+from repro.core.stark import _MIN_PIVOTS_AFTER_TRIP, leaf_candidate_maps
 from repro.errors import (
     BudgetExceededError,
     InjectedFaultError,
@@ -411,9 +411,16 @@ class TestD1ReadPass:
             scores = [m.score for m in got]
             assert scores == sorted(scores, reverse=True)
             assert scores[0] <= exact[0].score + 1e-9
-        # The trip stopped the reading: the pivots charged were read.
+        # The trip stopped the reading: of the pivots charged, those
+        # adjacent to a node of the star's one leaf map were read.  The
+        # semijoin walked that map, one id read per node.
+        (leaf_map,) = leaf_candidate_maps(scorer, star, at_row=True)
+        near = {nbr for node in leaf_map
+                for nbr, _eid in yago_graph.neighbors(node)}
+        charged = pivots[:len(pivots) - len(pivots) // 2]
+        assert injector.calls["graph.neighbor_ids"] == len(leaf_map)
         assert injector.calls["graph.neighbors"] == \
-            len(pivots) - len(pivots) // 2
+            sum(node in near for node, _s in charged)
 
     def test_row_fault_skips_that_pivot_only(self, yago_graph):
         star = _yago_stars(yago_graph)[3]
