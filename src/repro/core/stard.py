@@ -253,7 +253,7 @@ class StarDSearch(StarKSearch):
                 if budget is not None:
                     budget.charge_messages(count)
             span.annotate(viable=len(read), pulled=sum(pulled.values()))
-        return pivot_cands, bounds, provider
+        return PivotPlan(pivot_cands, bounds, provider)
 
     def search(
         self, star: StarQuery, k: int, budget: Optional[Budget] = None

@@ -21,6 +21,14 @@ Each complete match is materialized exactly once: a combination is formed
 when its *last-fetched* component arrives (fetch sequence numbers guard
 against double counting).
 
+**Plan, cut, stream.**  Every star is planned before any stream is
+primed, and at ``d == 1`` the plans are cut to each other
+(:func:`joint_semijoin`, a semijoin reduction after Yannakakis, VLDB
+1981): a joint query node keeps only the data nodes every star
+containing it can bind, so no stream emits a match that no partner
+match can join.  HRJN's bound cannot see such matches; without the cut
+they are fetched, hashed and probed for nothing.
+
 The *total search depth* ``D = sum_i |L_i|`` (how deep each star's stream
 was consumed) is the cost metric of Figs. 14(d)/15(b).
 """
@@ -28,7 +36,8 @@ was consumed) is the cost metric of Figs. 14(d)/15(b).
 from __future__ import annotations
 
 from typing import (
-    Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+    AbstractSet, Dict, Iterable, Iterator, List, Mapping, Optional,
+    Sequence, Set, Tuple,
 )
 
 from repro import obs
@@ -36,6 +45,7 @@ from repro.core.matches import Match
 from repro.core.options import SearchOptions
 from repro.core.rankmerge import MonotoneStream, ScoredPool, hrjn_bound
 from repro.core.procedures import star_matcher
+from repro.core.stark import PivotPlan, pivot_bound
 from repro.errors import BudgetExceededError, SearchError
 from repro.query.decomposition import Decomposition
 from repro.query.model import Query, StarQuery
@@ -74,6 +84,116 @@ def alpha_weights(
         for star_idx in star_idxs[1:]:
             weights[star_idx][qid] = rest
     return weights
+
+
+def joint_semijoin(
+    stars: Sequence[StarQuery],
+    plans: Sequence[PivotPlan],
+    weights: Sequence[Mapping[int, float]],
+    joint: AbstractSet[int],
+) -> Tuple[int, int, int]:
+    """Cut ``d == 1`` star *plans*, in place, to the joint values every
+    star can bind; returns ``(rounds, pivots cut, leaf entries cut)``.
+
+    A star's values for joint query node ``q`` are the keys of its
+    plan's ``read`` when ``q`` is its pivot, and otherwise every node of
+    ``q``'s leaf lists across its read pivots.  ``V(q)`` is their
+    intersection over the stars containing ``q``.  Each star drops the
+    leaf entries outside ``V`` and the pivots outside it or left with an
+    empty list, and gets a cut pivot's bound back from
+    :func:`~repro.core.stark.pivot_bound`.  Dropping a pivot can take a
+    value of another joint node with it, so the rounds repeat until no
+    ``V`` shrinks: two on two stars; the fixpoint is sound on longer
+    chains and on cyclic decompositions too.
+
+    Exact: a stream visits only pivots in ``read`` and builds every
+    generator from its lists, so a cut stream is the uncut one minus the
+    matches binding some joint node to a value a partner star cannot
+    take -- matches that never join.  Top scores only fall, so the
+    alpha-scheme bound stays admissible.  Reads no row; charges nothing.
+    """
+    # Each star's joint nodes: (query node, its leaf position), None for
+    # the pivot.  Queries are simple graphs: a node is one leaf at most.
+    slots: List[List[Tuple[int, Optional[int]]]] = []
+    for star in stars:
+        here = [(star.pivot.id, None)] if star.pivot.id in joint else []
+        here += [(leaf.id, position)
+                 for position, (leaf, _edge) in enumerate(star.leaves)
+                 if leaf.id in joint]
+        slots.append(here)
+
+    def values(at: int, position: Optional[int]) -> Set[int]:
+        read = plans[at].read
+        if position is None:
+            return set(read)
+        return {entry[1] for lists in read.values()
+                for entry in lists[position]}
+
+    held = {(qid, at): values(at, position)
+            for at, here in enumerate(slots) for qid, position in here}
+    rounds = pivots_cut = entries_cut = 0
+    while True:
+        rounds += 1
+        cut: Dict[int, Set[int]] = {}
+        for (qid, _at), found in held.items():
+            cut[qid] = cut[qid] & found if qid in cut else found
+        shrunk = sorted({at for (qid, at), found in held.items()
+                         if len(found) > len(cut[qid])})
+        if not shrunk:
+            return rounds, pivots_cut, entries_cut
+        for at in shrunk:
+            pivot_keep = None
+            leaf_keep = []
+            for qid, position in slots[at]:
+                if position is None:
+                    pivot_keep = cut[qid]
+                else:
+                    leaf_keep.append((position, cut[qid]))
+            pivots, entries = _cut_plan(
+                plans[at], pivot_keep, leaf_keep,
+                weights[at].get(stars[at].pivot.id, 1.0))
+            pivots_cut += pivots
+            entries_cut += entries
+            for qid, position in slots[at]:
+                held[qid, at] = values(at, position)
+
+
+def _cut_plan(
+    plan: PivotPlan,
+    pivot_keep: Optional[Set[int]],
+    leaf_keep: List[Tuple[int, Set[int]]],
+    pivot_weight: float,
+) -> Tuple[int, int]:
+    """One star's share of a :func:`joint_semijoin` round: drop the read
+    pivots outside *pivot_keep* (None: the pivot is not joint), the
+    entries at each ``(position, keep)`` of *leaf_keep* outside *keep*,
+    and the pivots a list empties; rebound the narrowed pivots.  Returns
+    ``(pivots cut, entries cut)``."""
+    read, bounds = plan.read, plan.bounds
+    pivots_cut = entries_cut = 0
+    for index, (pivot_node, pivot_score) in enumerate(plan.pivots):
+        lists = read.get(pivot_node)
+        if lists is None:
+            continue
+        dead = pivot_keep is not None and pivot_node not in pivot_keep
+        narrowed = False
+        for position, keep in ([] if dead else leaf_keep):
+            entries = lists[position]
+            kept = [entry for entry in entries if entry[1] in keep]
+            if len(kept) < len(entries):
+                entries_cut += len(entries) - len(kept)
+                lists[position] = kept
+                narrowed = True
+                if not kept:
+                    dead = True
+                    break
+        if dead:
+            del read[pivot_node]
+            bounds[index] = None
+            pivots_cut += 1
+        elif narrowed:
+            bounds[index] = pivot_bound(pivot_weight, pivot_score, lists)
+    return pivots_cut, entries_cut
 
 
 _Entry = Tuple[int, Match]
@@ -173,14 +293,47 @@ class StarJoin:
         self.last_report: Optional[SearchReport] = None
 
     # ------------------------------------------------------------------
-    def _make_stream(
+    def _streams(
         self,
-        star: StarQuery,
-        node_weights: Mapping[int, float],
+        decomposition: Decomposition,
+        weights: Sequence[Mapping[int, float]],
         budget: Optional[Budget] = None,
-    ) -> Iterator[Match]:
-        matcher = star_matcher(self.scorer, self.options)
-        return matcher.stream(star, node_weights, budget=budget)
+    ) -> Optional[List[Iterator[Match]]]:
+        """The one source of star streams: plan every star, cut the plans
+        to each other, stream each star from its plan.
+
+        None when a plan proves its star has no match (the join is
+        empty); the later stars are not planned.  The cut
+        (:func:`joint_semijoin`) runs at ``d == 1`` only -- stard's
+        ``d >= 2`` lists carry far estimates, not bindable values -- and
+        only if the budget has not tripped by the end of planning: a
+        tripped plan read only some pivots, so every plan streams uncut.
+        """
+        stars = decomposition.stars
+        matchers, plans = [], []
+        with obs.trace("starjoin.reduce", stars=len(stars)) as span:
+            for star, star_weights in zip(stars, weights):
+                matcher = star_matcher(self.scorer, self.options)
+                plan = matcher.plan(star, star_weights, budget)
+                # sticky: after the last plan, whether any was cut short
+                tripped = budget is not None and budget.exhausted
+                if plan is None or (plan.proves_empty() and not tripped):
+                    return None
+                matchers.append(matcher)
+                plans.append(plan)
+            rounds = pivots_cut = entries_cut = 0
+            if not tripped and all(plan.read is not None for plan in plans):
+                rounds, pivots_cut, entries_cut = joint_semijoin(
+                    stars, plans, weights, decomposition.joint_nodes())
+                if any(plan.proves_empty() for plan in plans):
+                    return None
+            span.annotate(rounds=rounds, pivots_cut=pivots_cut,
+                          entries_cut=entries_cut)
+        return [
+            matcher.stream(star, star_weights, budget=budget, plan=plan)
+            for matcher, star, star_weights, plan
+            in zip(matchers, stars, weights, plans)
+        ]
 
     # ------------------------------------------------------------------
     def join(
@@ -193,9 +346,9 @@ class StarJoin:
 
         Returns the top-k complete matches in decreasing score order.
 
-        The *budget* is shared with every star's stream, so node visits,
-        messages and the deadline are accounted across the whole join.
-        An anytime trip (in a stream or between join steps) stops
+        The *budget* is shared with every star's plan and stream, so node
+        visits, messages and the deadline are accounted across the whole
+        join.  An anytime trip (in a stream or between join steps) stops
         fetching; the pool built so far is returned, ranked, and
         :attr:`last_report` flags the run as incomplete.
 
@@ -208,30 +361,34 @@ class StarJoin:
             raise SearchError(f"k must be positive, got {k}")
         budget_on = budget is not None
         stars = decomposition.stars
+        weights = alpha_weights(decomposition, self.options.alpha)
+        self.last_depths = [0] * len(stars)
+        self.last_joins_attempted = 0
+        self.last_offered = self.last_probe_misses = 0
         try:
+            sources = self._streams(decomposition, weights, budget)
+            if sources is None:
+                self.last_report = SearchReport.from_budget(
+                    "starjoin", budget, 0)
+                return []
             if len(stars) == 1:
                 with obs.trace("starjoin.single_star", k=k):
-                    stream = self._make_stream(stars[0], {}, budget=budget)
                     results: List[Match] = []
-                    for match in stream:
+                    for match in sources[0]:
                         results.append(match)
                         if len(results) == k:
                             break
                 self.last_depths = [len(results)]
-                self.last_joins_attempted = 0
                 self.last_report = SearchReport.from_budget(
                     "starjoin", budget, len(results)
                 )
                 return results
 
-            weights = alpha_weights(decomposition, self.options.alpha)
             joint = decomposition.joint_nodes()
             streams = [
-                _StarStream(
-                    star, self._make_stream(star, w, budget=budget),
-                    sorted(joint.intersection(star.node_ids())),
-                )
-                for star, w in zip(stars, weights)
+                _StarStream(star, source,
+                            sorted(joint.intersection(star.node_ids())))
+                for star, source in zip(stars, sources)
             ]
 
             # Bounded result pool: the best <= k joins so far, with
@@ -239,8 +396,6 @@ class StarJoin:
             pool = ScoredPool(k)
             theta = pool.theta
             seq = 0
-            self.last_joins_attempted = 0
-            self.last_offered = self.last_probe_misses = 0
 
             try:
                 # Prime every stream: a star with zero matches kills all

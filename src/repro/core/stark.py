@@ -48,6 +48,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Set,
     Tuple,
@@ -73,12 +74,28 @@ Entry = Tuple[float, int, float, float, int]
 #: empty one: the pivot has no match).
 LeafProvider = Callable[[int], List[List[Entry]]]
 
-#: What a procedure's set-up hands the shared loop: scored pivot
-#: candidates, optionally one upper bound per candidate, and the leaf
-#: provider.
-PivotPlan = Tuple[
-    List[Tuple[int, float]], Optional[List[Optional[float]]], LeafProvider,
-]
+
+class PivotPlan(NamedTuple):
+    """What a procedure's set-up hands the shared Lemma-1 loop.
+
+    *pivots* are the scored pivot candidates; *bounds* is None or one
+    upper bound per candidate (None for a pivot with no match);
+    *provider* gives a pivot's leaf lists.  *read* is the ``d == 1``
+    plan's hop-1 lists by viable pivot -- the dict *provider* pops --
+    which starjoin's cross-star cut narrows in place; None at ``d >= 2``.
+    """
+
+    pivots: List[Tuple[int, float]]
+    bounds: Optional[List[Optional[float]]]
+    provider: LeafProvider
+    read: Optional[Dict[int, List[List[Entry]]]] = None
+
+    def proves_empty(self) -> bool:
+        """True when no pivot can have a match: no candidate, or every
+        bound None.  Only a plan its budget did not cut short proves it."""
+        if self.bounds is None:
+            return not self.pivots
+        return all(bound is None for bound in self.bounds)
 
 #: After an anytime budget trips mid-scan, keep trying pivots (visited by
 #: score or bound, so the most promising come first) until one match exists
@@ -354,13 +371,33 @@ class StarKSearch:
     # ------------------------------------------------------------------
     # Set-up: what a procedure decides before the shared loop runs
     # ------------------------------------------------------------------
+    def plan(
+        self,
+        star: StarQuery,
+        node_weights: Optional[Mapping[int, float]] = None,
+        budget: Optional[Budget] = None,
+    ) -> Optional[PivotPlan]:
+        """The set-up :meth:`stream` runs first, on fresh :attr:`stats`.
+
+        None when a substrate fault stopped it under an anytime budget
+        (recorded there: the star has no match); raised otherwise.
+        """
+        self.stats = obs.EngineStats(self.name)
+        try:
+            return self._plan(star, node_weights or {}, budget)
+        except SUBSTRATE_ERRORS as exc:
+            if budget is None or not budget.anytime:
+                raise
+            budget.record_fault(f"{self.name} candidate setup: {exc}")
+            return None
+
     def _plan(
         self,
         star: StarQuery,
         weights: Mapping[int, float],
         budget: Optional[Budget],
     ) -> PivotPlan:
-        """``(pivot candidates, bounds, leaf provider)``.
+        """Pivot candidates, bounds and leaf provider.
 
         *bounds* is what tells the procedures apart (see :meth:`stream`):
         None, or one admissible upper bound on the pivot's top-1 score
@@ -375,9 +412,9 @@ class StarKSearch:
             leaf_maps = leaf_candidate_maps(self.scorer, star, budget=budget,
                                             at_row=self.d == 1)
             if self.d > 1:
-                return pivot_cands, None, bounded_leaf_provider(
+                return PivotPlan(pivot_cands, None, bounded_leaf_provider(
                     self.scorer, star, weights, self.d, self.injective,
-                    leaf_maps=leaf_maps, traversal_stats=self.stats)
+                    leaf_maps=leaf_maps, traversal_stats=self.stats))
             near = pivot_semijoin(self.graph, pivot_cands, leaf_maps)
             bounds, read = self._read_pivots(
                 star, weights, pivot_cands,
@@ -386,7 +423,7 @@ class StarKSearch:
             dropped = 0 if near is None else sum(
                 node not in near for node, _s in pivot_cands)
             span.annotate(viable=len(read), dropped=dropped)
-        return pivot_cands, bounds, read.pop
+        return PivotPlan(pivot_cands, bounds, read.pop, read)
 
     def _read_pivots(
         self,
@@ -399,9 +436,8 @@ class StarKSearch:
     ) -> Tuple[List[Optional[float]], Dict[int, list]]:
         """The one bound pass: every pivot's rows read once, at any ``d``.
 
-        A pivot's bound is its weighted ``F_N`` plus the best first
-        element of each leaf list *provider* gives, summed in the order a
-        generator scores its first cursor.  At ``d == 1`` the lists are
+        A pivot's bound is :func:`pivot_bound` over the leaf lists
+        *provider* gives.  At ``d == 1`` the lists are
         :func:`hop_one_reader`'s, so the bound *is* the pivot's top-1
         unless two leaves' best entries are one node (injectivity only
         removes matches, Prop. 3 only prunes lists); ``stard``'s
@@ -437,10 +473,7 @@ class StarKSearch:
                 continue
             if lists and not lists[-1]:
                 continue
-            bound = pivot_weight * pivot_score
-            for entries in lists:
-                bound += max(entries)[0]
-            bounds[index] = bound
+            bounds[index] = pivot_bound(pivot_weight, pivot_score, lists)
             read[pivot_node] = lists
         return bounds, read
 
@@ -453,6 +486,7 @@ class StarKSearch:
         node_weights: Optional[Mapping[int, float]] = None,
         prune_k: Optional[int] = None,
         budget: Optional[Budget] = None,
+        plan: Optional[PivotPlan] = None,
     ) -> Iterator[Match]:
         """Yield matches of *star* in non-increasing score order.
 
@@ -472,18 +506,20 @@ class StarKSearch:
         the stream is best-so-far rather than exact -- the caller's
         :class:`SearchReport` flags it.  Substrate faults are recorded
         on an anytime budget and re-raised otherwise.
+
+        A *plan* this matcher's :meth:`plan` made for the same star and
+        weights (starjoin's, narrowed by its cross-star cut) is streamed
+        as given; without one the stream plans first.
         """
         weights = node_weights or {}
-        stats = self.stats = obs.EngineStats(self.name)
         budget_on = budget is not None
         anytime = budget_on and budget.anytime
-        try:
-            pivot_cands, bounds, provider = self._plan(star, weights, budget)
-        except SUBSTRATE_ERRORS as exc:
-            if not anytime:
-                raise
-            budget.record_fault(f"{self.name} candidate setup: {exc}")
-            return
+        if plan is None:
+            plan = self.plan(star, weights, budget)
+            if plan is None:
+                return
+        pivot_cands, bounds, provider, _read = plan
+        stats = self.stats
         stats.pivots_considered = len(pivot_cands)
         visit = pivot_cands
         if bounds is not None:
@@ -653,6 +689,18 @@ def leaf_candidate_maps(
                 else dict(node_candidates(scorer, leaf, budget=budget)))
         maps.append(by_constraint[key])
     return maps
+
+
+def pivot_bound(
+    pivot_weight: float, pivot_score: float, lists: List[List[Entry]]
+) -> float:
+    """A pivot's bound from its leaf lists: weighted ``F_N`` plus the best
+    first element of each list, summed in the order a generator scores
+    its first cursor (see :meth:`StarKSearch._read_pivots`)."""
+    bound = pivot_weight * pivot_score
+    for entries in lists:
+        bound += max(entries)[0]
+    return bound
 
 
 def pivot_semijoin(

@@ -184,7 +184,9 @@ class _BatchWorker:
     ``fault_specs`` on the chaos path), returns the result row
     ``(outcome, worker token, task number, cache stats, obs snapshot)``:
     the worker's *tasks*-th task, so its cumulative snapshots are ordered
-    by the order it ran them in, not by query index.
+    by the order it ran them in, not by query index.  On the chaos path
+    each task's engine (and cache) is its own, so the cache stats are
+    the worker's engine's plus the running sum over its task engines.
     """
 
     def __init__(self, graph, config, engine_opts, cache, queries, k,
@@ -199,6 +201,8 @@ class _BatchWorker:
         #: Built on the first clean task; the serial loop sets its own.
         self.engine: Optional[Star] = None
         self.tasks = 0
+        #: Cache counters of the chaos path's per-task engines, summed.
+        self.task_cache_stats = CacheStats()
 
     def _engine_for(self, fault_specs) -> Star:
         if fault_specs:
@@ -223,10 +227,17 @@ class _BatchWorker:
         outcome = QueryOutcome(index, matches, engine.last_report,
                                engine.last_stats, time.perf_counter() - start)
         cache = engine.scorer.candidate_cache
+        stats = None
+        if cache is not None:
+            if engine is not self.engine:
+                self.task_cache_stats.merge(cache.stats)
+            stats = CacheStats().merge(self.task_cache_stats)
+            if self.engine is not None:
+                stats.merge(self.engine.scorer.candidate_cache.stats)
         self.tasks += 1
         return (outcome, f"{os.getpid()}:{threading.get_ident()}",
                 self.tasks,
-                cache.stats.as_dict() if cache is not None else None,
+                stats.as_dict() if stats is not None else None,
                 obs.snapshot(include_samples=True)
                 if self._own_registry else None)
 

@@ -65,14 +65,16 @@ class _ReferenceStream(MonotoneStream):
 class ReferenceJoin:
     """Nested-loop rank join over the engine's own star streams.
 
-    Streams come from :meth:`StarJoin._make_stream`, so both joins
+    Streams come from :meth:`StarJoin._streams`, the engine's one stream
+    source (plans cut to each other at ``d == 1``), so both joins
     consume identical monotone inputs; everything downstream of the
     streams is the reference's own.
     """
 
     def __init__(self, scorer, d: int = 1, alpha: float = 0.5,
-                 injective: bool = True) -> None:
-        self.engine = StarJoin(scorer, d=d, alpha=alpha, injective=injective)
+                 injective: bool = True, **knobs) -> None:
+        self.engine = StarJoin(scorer, d=d, alpha=alpha, injective=injective,
+                               **knobs)
         self.alpha = alpha
         self.injective = injective
         self.last_depths: List[int] = []
@@ -84,14 +86,15 @@ class ReferenceJoin:
         stars = decomposition.stars
         assert len(stars) > 1, "the reference covers the multi-star path"
         weights = alpha_weights(decomposition, self.alpha)
-        streams = [
-            _ReferenceStream(self.engine._make_stream(star, w))
-            for star, w in zip(stars, weights)
-        ]
-        pool = ScoredPool(k)
-        seq = 0
         self.last_joins_attempted = 0
         self.offered = []
+        sources = self.engine._streams(decomposition, weights)
+        if sources is None:  # a star with no match: nothing is fetched
+            self.last_depths = [0] * len(stars)
+            return []
+        streams = [_ReferenceStream(source) for source in sources]
+        pool = ScoredPool(k)
+        seq = 0
 
         def offer(match: Match) -> None:
             self.offered.append(match)

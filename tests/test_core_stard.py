@@ -94,7 +94,7 @@ class TestEstimates:
 
         for query in star_workload(yago_graph, 5, seed=31):
             star = StarQuery.from_query(query)
-            pivots, bounds, _provider = StarDSearch(yago_scorer, d=2)._plan(
+            pivots, bounds, _provider, _read = StarDSearch(yago_scorer, d=2)._plan(
                 star, {}, None)
             exact = StarKSearch(yago_scorer, d=2)
             provider = bounded_leaf_provider(yago_scorer, star, {}, 2, True)
@@ -128,13 +128,13 @@ class TestEstimates:
         # With a huge edge threshold only direct edges qualify; the person
         # only reaches the film in 3 hops, so no bound exists.
         scorer, star = self.path_star(0.9)
-        pivots, bounds, _provider = StarDSearch(scorer, d=3)._plan(
+        pivots, bounds, _provider, _read = StarDSearch(scorer, d=3)._plan(
             star, {}, None)
         assert [pivot for pivot, _score in pivots] == [0]
         assert bounds == [None]
         # Below the threshold, hop 3 bounds it at its decay.
         scorer, star = self.path_star(0.05)
-        pivots, bounds, _provider = StarDSearch(scorer, d=3)._plan(
+        pivots, bounds, _provider, _read = StarDSearch(scorer, d=3)._plan(
             star, {}, None)
         [(_pivot, pivot_score)] = pivots
         leaf_score = scorer.node_score(star.leaves[0][0].descriptor, 3)

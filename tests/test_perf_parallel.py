@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.framework import Star
+from repro.core.options import SearchOptions
 from repro.errors import BudgetExceededError, SearchError
 from repro.perf import (
     BatchResult,
@@ -22,6 +23,7 @@ from repro.perf import (
 )
 from repro.perf import parallel
 from repro.query import random_subgraph_query, star_workload
+from repro.runtime import FaultSpec
 from repro.runtime.budget import Budget
 
 from tests.conftest import build_movie_graph
@@ -194,6 +196,33 @@ def test_cache_stats_sum_each_workers_last_snapshot(monkeypatch, backend):
         final[row[1]] = max(final.get(row[1], 0), lookups)
     merged = result.cache_stats
     assert merged.hits + merged.misses == sum(final.values())
+
+
+@pytest.mark.parametrize("backend", [
+    pytest.param("fork", marks=pytest.mark.skipif(
+        not fork_available(), reason="needs fork start method")),
+    "thread",
+])
+def test_chaos_path_cache_stats_sum_every_task_engine(backend):
+    """On the chaos path every task runs on its own faulted engine and
+    cache: the merged stats count every task's lookups, not only each
+    worker's last task's."""
+    graph = build_movie_graph()
+    queries = star_workload(graph, 12, seed=5)
+    # a spec that never fires: the tasks take the chaos path, unharmed
+    specs = [FaultSpec("scorer.node_score", at_call=10**6)]
+    lookups = 0
+    for query in queries:
+        engine = parallel._batch_engine(graph, None, SearchOptions(), True,
+                                        [spec.as_dict() for spec in specs])
+        engine.search(query, 5)
+        stats = engine.scorer.candidate_cache.stats
+        lookups += stats.hits + stats.misses
+    result = search_many(graph, queries, 5, workers=2, backend=backend,
+                         cache=True, fault_specs=specs)
+    assert result.backend == backend
+    merged = result.cache_stats
+    assert merged.hits + merged.misses == lookups
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import StarKSearch
 from repro.core.stark import (
-    hop_one_reader, leaf_candidate_maps, pivot_semijoin,
+    PivotPlan, hop_one_reader, leaf_candidate_maps, pivot_semijoin,
 )
 from repro.errors import DataCorruptionError, InjectedFaultError
 from repro.graph import KnowledgeGraph
@@ -43,7 +43,7 @@ class ReadEveryStarK(StarKSearch):
             star, weights, pivot_cands,
             hop_one_reader(self.scorer, star, weights, leaf_maps,
                            self.directed), budget)
-        return pivot_cands, bounds, read.pop
+        return PivotPlan(pivot_cands, bounds, read.pop, read)
 
 
 #: Named and typed leaves (small maps), an untyped ``?`` leaf (no map),
@@ -107,8 +107,8 @@ def mutate(graph, scorer, star, seed: int) -> None:
 
 def plan_of(search, star):
     """The plan's candidates, bounds and leaf lists by pivot read."""
-    pivots, bounds, provide = search._plan(star, {}, None)
-    return pivots, bounds, provide.__self__
+    plan = search._plan(star, {}, None)
+    return plan.pivots, plan.bounds, plan.read
 
 
 def counters(search) -> List[int]:

@@ -92,7 +92,7 @@ class TestStarMatchersAgree:
             pivot = m.assignment[star.pivot.id]
             best[pivot] = max(best.get(pivot, score), score)
             ranked.append(round(score, 9))
-        pivots, bounds, _provider = StarKSearch(scorer, **modes)._plan(
+        pivots, bounds, _provider, _read = StarKSearch(scorer, **modes)._plan(
             star, weights, None)
         assert set(best) <= {pivot for pivot, _score in pivots}
         for (pivot, _score), bound in zip(pivots, bounds):

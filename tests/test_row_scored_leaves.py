@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import StarDSearch, StarKSearch
 from repro.core import stark as stark_module
 from repro.core.candidates import shortlist
-from repro.core.stark import leaf_candidate_maps
+from repro.core.stark import PivotPlan, leaf_candidate_maps
 from repro.errors import InjectedFaultError
 from repro.graph.generators import dbpedia_like
 from repro.query import star_query
@@ -82,7 +82,7 @@ class MapBacked:
         provider = map_backed_provider(self, star, weights, leaf_maps)
         bounds, read = self._read_pivots(star, weights, pivot_cands,
                                          provider, budget)
-        return pivot_cands, bounds, read.pop
+        return PivotPlan(pivot_cands, bounds, read.pop, read)
 
 
 class MapBackedStarK(MapBacked, StarKSearch):
@@ -139,10 +139,10 @@ def star_of(choice: int):
 def read_lists(search, star):
     """The d=1 plan's candidates, bounds and every pivot's leaf lists
     (as sorted entries: the lattice sorts them anyway)."""
-    pivots, bounds, provide = search._plan(star, {}, None)
+    plan = search._plan(star, {}, None)
     lists = {pivot: [sorted(entries) for entries in read]
-             for pivot, read in provide.__self__.items()}
-    return pivots, bounds, lists
+             for pivot, read in plan.read.items()}
+    return plan.pivots, plan.bounds, lists
 
 
 def counters(search) -> List[int]:

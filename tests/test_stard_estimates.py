@@ -160,7 +160,7 @@ class TestEstimateBounds:
             self, seed, threshold, star, d, injective, weights):
         scorer = scorer_for(seed, threshold)
         matcher = StarDSearch(scorer, d=d, injective=injective)
-        pivot_cands, bounds, _provider = matcher._plan(star, weights, None)
+        pivot_cands, bounds, _provider, _read = matcher._plan(star, weights, None)
         assert len(bounds) == len(pivot_cands)
         flat = flat_estimates(scorer, star, pivot_cands, weights, d,
                               injective)
@@ -209,7 +209,7 @@ class TestExactHopOne:
         the pivot's exact top-1."""
         scorer = ScoringFunction(yago_graph, ScoringConfig(edge_threshold=0.6))
         star = star_query("?", [("acted_in", "?")], pivot_type="actor")
-        pivots, bounds, _provider = StarDSearch(scorer, d=2)._plan(
+        pivots, bounds, _provider, _read = StarDSearch(scorer, d=2)._plan(
             star, {}, None)
         exact = exact_top1(scorer, star, pivots, {}, 2, True)
         assert any(score is not None for score in exact)

@@ -193,10 +193,11 @@ class TestHandBuiltShapes:
         d = query.add_node("?")
         for src, dst in ((a, b), (b, c), (c, d), (d, a)):
             query.add_edge(src, dst)
-        # the matchless star second: the first is fetched, then dropped
+        # the matchless star second: its plan proves it empty before any
+        # stream is primed, so not even the first star is fetched
         decomposition = stars_at(query, [a, c])
         engine, _ = assert_same_join(movie_scorer, decomposition, 3)
-        assert engine.last_depths == [1, 0]
+        assert engine.last_depths == [0, 0]
         assert engine.last_joins_attempted == 0
 
 
