@@ -54,7 +54,6 @@ from repro.graph import (
     summarize,
     yago2_like,
 )
-from repro.perf import build_engine
 from repro.query.parser import parse_query
 from repro.runtime import Budget
 from repro.runtime.workers import POOL_BACKENDS
@@ -359,10 +358,10 @@ def _run_query(args: argparse.Namespace, graph, query, budget=None,
     """Build the engine the flags describe and search *query* on it once,
     under a tracer when *traced*; ``(engine, matches, seconds, tracer)``."""
     # A store-backed graph shares its own mapping with the engine.
-    engine = build_engine(
-        graph,
-        options_from(args, graph if hasattr(graph, "store_path") else None),
-        _scoring_config(args))
+    engine = Star(
+        graph, config=_scoring_config(args),
+        options=options_from(
+            args, graph if hasattr(graph, "store_path") else None))
     with (obs.capture() if traced else nullcontext()) as tracer:
         start = time.perf_counter()
         matches = engine.search(query, args.k, budget=budget)

@@ -40,8 +40,9 @@ class Star:
         options: a ready :class:`~repro.core.options.SearchOptions`.
 
     Keyword options: see :class:`~repro.core.options.SearchOptions`.
-    The validated record is :attr:`options`; its routing fields are
-    :func:`repro.perf.build_engine`'s to act on and are ignored here.
+    The validated record is :attr:`options`.  With ``mmap_store`` the
+    store's index columns are attached to the scorer instead of built
+    (unless ``use_index`` is off or the scorer already holds an index).
     """
 
     def __init__(
@@ -56,17 +57,20 @@ class Star:
         options = self.options = SearchOptions.coerce(options, knobs)
         self.graph = graph
         self.scorer = scorer or ScoringFunction(graph, config)
-        # ``auto`` only ever routes calls that carry a candidate cutoff,
-        # so without one there is nothing to build; ``on`` always builds.
-        wants_index = options.use_index == "on" or (
-            options.use_index == "auto"
-            and options.candidate_limit is not None
-        )
-        if wants_index and getattr(
-                self.scorer, "graph_index", None) is None:
-            from repro.index import attach_index
+        # Without a store, ``auto`` builds an index only for calls that
+        # carry a candidate cutoff; ``on`` always builds one.
+        if getattr(self.scorer, "graph_index", None) is None:
+            if options.mmap_store is not None and options.use_index != "off":
+                from repro.store.attach import attach_mmap_index
 
-            attach_index(self.scorer, mode=options.use_index)
+                self.scorer.graph_index = attach_mmap_index(
+                    options.mmap_store, graph, mode=options.use_index)
+            elif options.use_index == "on" or (
+                    options.use_index == "auto"
+                    and options.candidate_limit is not None):
+                from repro.index import attach_index
+
+                attach_index(self.scorer, mode=options.use_index)
         # The tier itself is lazy (the graph embeds on first engagement),
         # so attaching under ``auto``/``on`` costs nothing until a query
         # actually under-fills the token shortlist.

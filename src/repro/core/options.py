@@ -2,9 +2,9 @@
 
 The one place the parameters of Framework STAR (Fig. 4) and of the
 layers around it are named, defaulted and validated.  Every front door
--- ``Star``, ``ShardedEngine``, ``search_many``, ``build_engine``, the
-serve workers, the CLI -- turns what it was given into one record
-through :meth:`SearchOptions.coerce` and hands the record itself down.
+-- ``Star``, ``ShardedEngine``, ``search_many``, the serve workers, the
+CLI -- turns what it was given into one record through
+:meth:`SearchOptions.coerce` and hands the record itself down.
 It is frozen and hashable: a variant is
 ``dataclasses.replace(engine.options, **overrides)``, never a mutation.
 """
@@ -33,9 +33,8 @@ def _option(default, doc: str, choices=None):
 class SearchOptions:
     """Everything that configures an engine, validated on construction.
 
-    The last field routes construction (:func:`repro.perf.build_engine`
-    attaches the store's index columns); a plain ``Star`` ignores it.
-    Each field's description is its ``metadata["doc"]``.
+    The last field routes construction: ``Star`` attaches the store's
+    index columns.  Each field's description is its ``metadata["doc"]``.
 
     Raises:
         SearchError / DecompositionError: for an invalid value or

@@ -716,23 +716,19 @@ def pivot_semijoin(
     (directed rows are subsets of the undirected adjacency): reading its
     row is wasted.  The set is built from whichever side costs less.
     The map taken is the one whose nodes have the smallest total
-    degree (an untyped leaf's None has no nodes to walk), and only if
-    that total is below the pivot candidates' total degree -- the rows
-    the pass would read otherwise.  None means read every pivot.
+    degree (the first on a tie; an untyped leaf's None has no nodes to
+    walk), and only if that total is below the pivot candidates' total
+    degree -- the rows the pass would read otherwise.  None means read
+    every pivot.
     """
-    degree = graph.degree
-    cost = sum(degree(node) for node, _score in pivot_cands)
+    total_degree = graph.total_degree
+    cost = total_degree(node for node, _score in pivot_cands)
     cheapest: Optional[Dict[int, float]] = None
     for leaf_map in leaf_maps:
-        if leaf_map is None:
-            continue
-        total = 0
-        for node in leaf_map:
-            total += degree(node)
-            if total >= cost:
-                break  # no cheaper than the cheapest side so far
-        else:
-            cheapest, cost = leaf_map, total
+        if leaf_map is not None:
+            total = total_degree(leaf_map)
+            if total < cost:
+                cheapest, cost = leaf_map, total
     if cheapest is None:
         return None
     neighbor_ids = graph.neighbor_ids

@@ -320,8 +320,6 @@ def _decode(body: bytes):
     # order of survivors, so this reproduces the live graph's lists
     # exactly (engines iterate neighbor lists in order).
     adj: List[List[Tuple[int, int]]] = [[] for _ in range(node_slots)]
-    out: List[List[Tuple[int, int]]] = [[] for _ in range(node_slots)]
-    inc: List[List[Tuple[int, int]]] = [[] for _ in range(node_slots)]
     for edge_id, record in enumerate(edges):
         if record is None:
             continue
@@ -333,16 +331,12 @@ def _decode(body: bytes):
                 offset=reader.offset)
         adj[src].append((dst, edge_id))
         adj[dst].append((src, edge_id))
-        out[src].append((dst, edge_id))
-        inc[dst].append((src, edge_id))
 
     graph._nodes = nodes
     graph._edges = edges
     graph._removed_nodes = removed_nodes
     graph._removed_edges = removed_edges
     graph._adj = adj
-    graph._out = out
-    graph._in = inc
     graph._token_index = token_index
     graph._type_index = type_index
     graph._relations = relations

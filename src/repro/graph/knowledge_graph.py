@@ -92,7 +92,9 @@ class EdgeData:
 
     Attributes:
         relation: relation label, e.g. ``"acted_in"``.
-        attrs: arbitrary attribute/value pairs.
+        attrs: arbitrary attribute/value pairs.  Never mutated in place:
+            a graph shares one record among its attribute-free edges of
+            one relation (see :meth:`KnowledgeGraph.add_edge`).
     """
 
     relation: str = ""
@@ -129,12 +131,13 @@ class KnowledgeGraph:
         # candidate lists -- stay valid names for the surviving elements.
         self._nodes: List[Optional[NodeData]] = []
         self._edges: List[Optional[Tuple[int, int, EdgeData]]] = []
+        # relation -> the one EdgeData its attribute-free edges share.
+        self._plain_edges: Dict[str, EdgeData] = {}
         self._removed_nodes = 0
         self._removed_edges = 0
-        # Undirected adjacency: v -> list of (neighbor, edge_id).
+        # Undirected adjacency: v -> list of (neighbor, edge_id), the one
+        # list per node; directed reads filter it by the edge's source.
         self._adj: List[List[Tuple[int, int]]] = []
-        self._out: List[List[Tuple[int, int]]] = []
-        self._in: List[List[Tuple[int, int]]] = []
         # Relation-grouped rows (see grouped_relations), packed on first
         # read: one arena holding, per row, its pair count and then
         # (neighbor, label id) pairs; ``_row_at`` maps a row key to its
@@ -218,8 +221,6 @@ class KnowledgeGraph:
         node_id = len(self._nodes)
         self._nodes.append(data)
         self._adj.append([])
-        self._out.append([])
-        self._in.append([])
         for token in data.tokens():
             self._token_index.setdefault(token, set()).add(node_id)
         if type:
@@ -236,6 +237,9 @@ class KnowledgeGraph:
     def add_edge(self, src: int, dst: int, relation: str = "", **attrs: Any) -> int:
         """Add a directed edge ``src -> dst`` and return its id.
 
+        Attribute-free edges of one relation share one :class:`EdgeData`:
+        less memory, and fewer objects for a full garbage collection.
+
         Raises:
             GraphError: if either endpoint is not a node of this graph, or
                 if ``src == dst`` (self-loops carry no matching semantics in
@@ -246,15 +250,13 @@ class KnowledgeGraph:
         if src == dst:
             raise GraphError(f"self-loop on node {src} is not allowed")
         self._resolve_max_degree()
-        data = EdgeData(relation=relation, attrs=attrs)
+        data = self._edge_data(relation, attrs)
         edge_id = len(self._edges)
         if relation:
             self._relations[relation] = self._relations.get(relation, 0) + 1
         self._edges.append((src, dst, data))
         self._adj[src].append((dst, edge_id))
         self._adj[dst].append((src, edge_id))
-        self._out[src].append((dst, edge_id))
-        self._in[dst].append((src, edge_id))
         self._drop_rows(src, dst)
         new_max = max(len(self._adj[src]), len(self._adj[dst]))
         # Endpoint degrees changed (their descriptors / degree priors are
@@ -324,8 +326,6 @@ class KnowledgeGraph:
             if edata.relation:
                 removed_relations.add(edata.relation)
         self._adj[node_id] = []
-        self._out[node_id] = []
-        self._in[node_id] = []
         for token in data.tokens():
             postings = self._token_index.get(token)
             if postings is not None:
@@ -400,7 +400,7 @@ class KnowledgeGraph:
                 self._relations[new_relation] = (
                     self._relations.get(new_relation, 0) + 1
                 )
-        new_data = EdgeData(relation=new_relation, attrs=merged)
+        new_data = self._edge_data(new_relation, merged)
         self._edges[edge_id] = (src, dst, new_data)
         if new_relation != data.relation:
             self._drop_rows(src, dst)
@@ -408,6 +408,16 @@ class KnowledgeGraph:
         return new_data
 
     # -- mutation internals --------------------------------------------
+    def _edge_data(self, relation: str, attrs: Dict[str, Any]) -> EdgeData:
+        """A new record for an edge with *attrs*, else *relation*'s
+        shared one."""
+        if attrs:
+            return EdgeData(relation=relation, attrs=attrs)
+        data = self._plain_edges.get(relation)
+        if data is None:
+            data = self._plain_edges[relation] = EdgeData(relation=relation)
+        return data
+
     def _detach_edge(
         self, edge_id: int, src: int, dst: int, data: EdgeData
     ) -> None:
@@ -416,8 +426,6 @@ class KnowledgeGraph:
         self._removed_edges += 1
         self._adj[src].remove((dst, edge_id))
         self._adj[dst].remove((src, edge_id))
-        self._out[src].remove((dst, edge_id))
-        self._in[dst].remove((src, edge_id))
         self._drop_rows(src, dst)
         if data.relation:
             self._relation_decref(data.relation)
@@ -555,12 +563,24 @@ class KnowledgeGraph:
         return [nbr for nbr, _eid in self._adj[self._check_node(node_id)]]
 
     def out_neighbors(self, node_id: int) -> List[Tuple[int, int]]:
-        """Directed out-neighbor list."""
-        return self._out[self._check_node(node_id)]
+        """The entries of :meth:`neighbors` whose edge leaves *node_id*,
+        in its order."""
+        return self._directed(self._check_node(node_id), 1)
 
     def in_neighbors(self, node_id: int) -> List[Tuple[int, int]]:
-        """Directed in-neighbor list."""
-        return self._in[self._check_node(node_id)]
+        """The entries of :meth:`neighbors` whose edge enters *node_id*,
+        in its order."""
+        return self._directed(self._check_node(node_id), -1)
+
+    def _directed(self, node_id: int, orientation: int) \
+            -> List[Tuple[int, int]]:
+        """The entries of ``_adj[node_id]`` whose edge leaves
+        (*orientation* 1) or enters (-1) *node_id*.  Self-loops are
+        rejected, so each entry is one or the other."""
+        edges = self._edges
+        leaves = orientation > 0
+        return [(nbr, eid) for nbr, eid in self._adj[node_id]
+                if (edges[eid][0] == node_id) == leaves]
 
     def grouped_relations(
         self, node_id: int, orientation: int = 0
@@ -598,7 +618,8 @@ class KnowledgeGraph:
     ) -> Iterable[Tuple[int, str]]:
         """``(neighbor, relation label)`` per entry of the *orientation*
         list (see :meth:`grouped_relations`), in list order."""
-        entries = (self._adj, self._out, self._in)[orientation][node_id]
+        entries = (self._directed(node_id, orientation) if orientation
+                   else self._adj[node_id])
         edges = self._edges
         return ((nbr, edges[eid][2].relation) for nbr, eid in entries)
 
@@ -627,6 +648,11 @@ class KnowledgeGraph:
     def degree(self, node_id: int) -> int:
         """Undirected degree of *node_id*."""
         return len(self._adj[self._check_node(node_id)])
+
+    def total_degree(self, node_ids: Iterable[int]) -> int:
+        """The sum of :meth:`degree` over *node_ids*, which must be live
+        (they are not checked), in one pass."""
+        return sum(map(len, map(self._adj.__getitem__, node_ids)))
 
     def nodes(self) -> Iterator[int]:
         """Iterate over live node ids (tombstones skipped)."""

@@ -9,9 +9,6 @@ result*:
 * :func:`search_many` -- batch query execution over a supervised fork
   worker pool (thread/serial fallback), merging per-query reports,
   engine counters and cache stats; see :mod:`repro.perf.parallel`.
-* :func:`build_engine` -- the one place engine options (a dict or a
-  :class:`~repro.core.options.SearchOptions`, ``mmap_store`` included)
-  become a :class:`~repro.core.framework.Star`.
 
 The headline invariant, asserted by ``tests/test_perf_parallel.py``:
 cached/parallel runs return byte-identical match lists and scores to
@@ -27,7 +24,6 @@ from repro.perf.cache import (
 from repro.perf.parallel import (
     BatchResult,
     QueryOutcome,
-    build_engine,
     dispatch_order,
     estimate_query_cost,
     search_many,
@@ -40,7 +36,6 @@ __all__ = [
     "CandidateCache",
     "QueryOutcome",
     "attach_cache",
-    "build_engine",
     "detach_cache",
     "dispatch_order",
     "estimate_query_cost",

@@ -34,10 +34,9 @@ regardless of the backend.  Per-query
 :class:`~repro.runtime.budget.SearchReport`\\ s, engine counters and
 per-worker cache stats are merged into the :class:`BatchResult`.
 
-:func:`build_engine` is the one place engine options (a dict, or a
-:class:`~repro.core.options.SearchOptions` record) become a
-:class:`Star`; the batch workers here, the serve workers
-(:class:`repro.serve.EngineContext`) and the CLI all call it.
+Each worker's engine is a :class:`Star` built from the batch's one
+:class:`~repro.core.options.SearchOptions` record, as serve's workers
+(:class:`repro.serve.EngineContext`) and the CLI build theirs.
 """
 
 from __future__ import annotations
@@ -138,30 +137,6 @@ class BatchResult:
         return line
 
 
-def build_engine(graph, engine_opts=None,
-                 config: Optional[ScoringConfig] = None, scorer=None):
-    """The :class:`Star` *engine_opts* (a :class:`SearchOptions` or a
-    dict of its fields) describes, with the ``mmap_store``'s index
-    columns attached to the scorer.
-
-    *scorer* defaults to a fresh :class:`ScoringFunction` over *config*.
-
-    Raises:
-        SearchError / DecompositionError: for an unknown or invalid
-            option.
-    """
-    options = SearchOptions.coerce(engine_opts)
-    if scorer is None:
-        scorer = ScoringFunction(graph, config)
-    if options.mmap_store is not None and options.use_index != "off" \
-            and getattr(scorer, "graph_index", None) is None:
-        from repro.store.attach import attach_mmap_index
-
-        scorer.graph_index = attach_mmap_index(
-            options.mmap_store, graph, mode=options.use_index)
-    return Star(graph, scorer=scorer, options=options)
-
-
 def _batch_engine(graph, config, engine_opts, cache, fault_specs=None,
                   scorer=None):
     """One batch worker's engine: scorer, its cache, its faults."""
@@ -174,7 +149,7 @@ def _batch_engine(graph, config, engine_opts, cache, fault_specs=None,
     if fault_specs:
         scorer = faulty(
             scorer, specs=[FaultSpec.from_dict(s) for s in fault_specs])
-    return build_engine(graph, engine_opts, scorer=scorer)
+    return Star(graph, scorer=scorer, options=engine_opts)
 
 
 class _BatchWorker:
@@ -414,8 +389,8 @@ def search_many(
         options: a ready :class:`~repro.core.options.SearchOptions`.
 
     Keyword options: see :class:`~repro.core.options.SearchOptions`;
-    each worker builds its own engine (index and store attach
-    included) from the one record through :func:`build_engine`.
+    each worker builds its own :class:`Star` (index and store attach
+    included) from the one record.
 
     The headline invariant: for any fixed inputs, the returned
     ``(assignment, score)`` lists are byte-identical across every

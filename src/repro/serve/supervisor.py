@@ -30,7 +30,6 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.core.framework import Star
 from repro.core.options import SearchOptions
 from repro.errors import ReproError
-from repro.perf.parallel import build_engine
 from repro.runtime.budget import Budget
 from repro.runtime.faults import FaultSpec, faulty
 from repro.runtime.workers import pool_for
@@ -41,16 +40,16 @@ class EngineContext:
 
     ``engine_opts`` (a dict, or a ready
     :class:`~repro.core.options.SearchOptions`) becomes :attr:`options`
-    and is handed to :func:`repro.perf.build_engine`: with ``mmap_store``
-    every worker maps the RKGS2 file's index columns after the fork
-    instead of copying index pages through fork CoW.
+    and the :class:`Star` built from it: with ``mmap_store`` every
+    worker maps the RKGS2 file's index columns after the fork instead
+    of copying index pages through fork CoW.
     """
 
     def __init__(self, graph, config=None, engine_opts=None) -> None:
         self.graph = graph
         self.config = config
         self.options = SearchOptions.coerce(engine_opts)
-        self.engine = build_engine(graph, self.options, config)
+        self.engine = Star(graph, config=config, options=self.options)
         self.scorer = self.engine.scorer
 
     def engine_for(self, fault_specs: Optional[List[dict]]) -> Star:

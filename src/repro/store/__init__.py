@@ -3,13 +3,12 @@
 Write with :func:`write_store` (= :meth:`KnowledgeGraph.save`, ``repro
 compact``; the target is replaced atomically), open with
 :meth:`KnowledgeGraph.open_mmap` / :func:`open_graph`, and attach the
-index kernels with :func:`attach_mmap_index` (engines built from an
-options dict get them through ``mmap_store=`` on
-:func:`repro.perf.build_engine`).  The store carries no semantic-tier
-columns: :class:`repro.ann.SemanticTier` embeds the graph in memory on
-its first probe.  See :mod:`repro.store.format` for the on-disk layout
-and :mod:`repro.store.lazygraph` for the copy-on-write overlay
-semantics.
+index kernels with :func:`attach_mmap_index` (an engine gets them
+through ``Star(graph, mmap_store=...)``).  The store carries no
+semantic-tier columns: :class:`repro.ann.SemanticTier` embeds the graph
+in memory on its first probe.  See :mod:`repro.store.format` for the
+on-disk layout and :mod:`repro.store.lazygraph` for the copy-on-write
+overlay semantics.
 """
 
 from repro.store.attach import MmapGraphIndex, attach_mmap_index

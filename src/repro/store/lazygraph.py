@@ -198,22 +198,17 @@ _SENTINEL = object()
 
 
 class _LazyAdj:
-    """One adjacency list family (undirected / out / in) over the
-    ``csr.*`` columns.  All three share the same views; a row lists v's
-    edges in ``graph.neighbors(v)`` order and the direction flag filters
-    it, reproducing the live graph's out/in ordering exactly (the graph
-    appends to all three lists together and removals keep relative
-    order)."""
+    """The adjacency list (``graph._adj``) over the ``csr.*`` columns: a
+    row lists v's ``(neighbor, edge id)`` entries in
+    ``graph.neighbors(v)`` order."""
 
-    __slots__ = ("_indptr", "_indices", "_dirs", "_eids", "_kind",
-                 "_base", "_cache", "_extra")
+    __slots__ = ("_indptr", "_indices", "_eids", "_base", "_cache",
+                 "_extra")
 
-    def __init__(self, reader: StoreReader, kind: str) -> None:
+    def __init__(self, reader: StoreReader) -> None:
         self._indptr = reader.section("csr.indptr")
         self._indices = reader.section("csr.indices")
-        self._dirs = reader.section("csr.dirs")
         self._eids = reader.section("csr.eids")
-        self._kind = kind
         self._base = reader.meta.node_slots
         self._cache: Dict[int, List[Tuple[int, int]]] = {}
         self._extra: List[List[Tuple[int, int]]] = []
@@ -223,13 +218,7 @@ class _LazyAdj:
 
     def _materialize(self, v: int) -> List[Tuple[int, int]]:
         start, end = self._indptr[v], self._indptr[v + 1]
-        indices, eids = self._indices, self._eids
-        if self._kind == "und":
-            return [(indices[i], eids[i]) for i in range(start, end)]
-        want = 1 if self._kind == "out" else 0
-        dirs = self._dirs
-        return [(indices[i], eids[i]) for i in range(start, end)
-                if dirs[i] == want]
+        return list(zip(self._indices[start:end], self._eids[start:end]))
 
     def __getitem__(self, v: int) -> List[Tuple[int, int]]:
         if v >= self._base:
@@ -256,22 +245,24 @@ class _LazyAdj:
         for v in range(len(self)):
             yield self[v]
 
+    def touched(self, v: int) -> bool:
+        """Whether row *v* lives in the overlay (materialized or added);
+        an untouched row is still its ``csr.*`` slices."""
+        return v >= self._base or v in self._cache
+
     def fast_len(self, v: int) -> int:
-        """Row length without materializing the row (undirected only)."""
-        if v >= self._base:
-            return len(self._extra[v - self._base])
-        row = self._cache.get(v)
-        if row is not None:
-            return len(row)
+        """Row length without materializing the row."""
+        if self.touched(v):
+            return len(self[v])
         return self._indptr[v + 1] - self._indptr[v]
 
     def ids(self, v: int) -> Sequence[int]:
-        """Row *v*'s neighbor ids without materializing the row
-        (undirected only): an untouched base row is its ``csr.indices``
-        slice, an overlay row is read off its list."""
-        if v < self._base and v not in self._cache:
-            return self._indices[self._indptr[v]:self._indptr[v + 1]]
-        return [nbr for nbr, _eid in self[v]]
+        """Row *v*'s neighbor ids without materializing the row: an
+        untouched base row is its ``csr.indices`` slice, an overlay row
+        is read off its list."""
+        if self.touched(v):
+            return [nbr for nbr, _eid in self[v]]
+        return self._indices[self._indptr[v]:self._indptr[v + 1]]
 
 
 class _LazyTokenIndex(MutableMapping):
@@ -474,6 +465,9 @@ class MmapKnowledgeGraph(KnowledgeGraph):
     def degree(self, node_id: int) -> int:
         return self._adj.fast_len(self._check_node(node_id))
 
+    def total_degree(self, node_ids) -> int:
+        return sum(map(self._adj.fast_len, node_ids))
+
     def neighbor_ids(self, node_id: int) -> Sequence[int]:
         return self._adj.ids(self._check_node(node_id))
 
@@ -514,6 +508,19 @@ class MmapKnowledgeGraph(KnowledgeGraph):
 
     def token_dfs(self) -> Iterator[Tuple[str, int]]:
         return self._token_index.dfs()
+
+    def _directed(self, node_id: int, orientation: int):
+        # An edge's ends never change, so an untouched row's csr.dirs
+        # flags still give its direction: no row, no EdgeData.
+        if self._adj.touched(node_id):
+            return super()._directed(node_id, orientation)
+        store = self._store
+        start, end = store.section("csr.indptr")[node_id:node_id + 2]
+        want = 1 if orientation > 0 else 0
+        return [(nbr, eid) for nbr, eid, out in zip(
+                    store.section("csr.indices")[start:end],
+                    store.section("csr.eids")[start:end],
+                    store.section("csr.dirs")[start:end]) if out == want]
 
     def _row_entries(self, node_id: int, orientation: int):
         # Until the overlay takes its first mutation, the csr.* columns
@@ -570,9 +577,7 @@ def open_graph(path, *, verify: bool = False) -> MmapKnowledgeGraph:
                                 journal_limit=meta.journal_limit)
         graph._nodes = _LazyNodes(reader, type_keys)
         graph._edges = _LazyEdges(reader, rel_keys)
-        graph._adj = _LazyAdj(reader, "und")
-        graph._out = _LazyAdj(reader, "out")
-        graph._in = _LazyAdj(reader, "in")
+        graph._adj = _LazyAdj(reader)
         graph._token_index = _LazyTokenIndex(reader)
         graph._type_index = _LazyTypeIndex(reader, type_keys)
         graph._relations = dict(meta.relations)

@@ -1,13 +1,13 @@
-"""One options dict, one engine builder, four front doors.
+"""One options dict, one engine constructor, four front doors.
 
-``build_engine`` is the only place an options dict becomes a ``Star``
-(and the only place a store's index columns get attached; the semantic
-tier is always the in-memory one, built on its first out-of-vocabulary
-probe).  The same dict must therefore rank identically whether it
-arrives through ``build_engine`` itself, a serve ``EngineContext``,
-``search_many`` or ``repro search`` -- over an in-memory and an
-mmap-opened graph.  No door shards: ``ShardedEngine`` is built by name,
-and its parity with ``Star`` is ``test_shard_differential``'s.
+``Star`` is the only place an options dict becomes an engine (and the
+only place a store's index columns get attached; the semantic tier is
+always the in-memory one, built on its first out-of-vocabulary probe).
+The same dict must therefore rank identically whether it arrives
+through ``Star`` itself, a serve ``EngineContext``, ``search_many`` or
+``repro search`` -- over an in-memory and an mmap-opened graph.  No
+door shards: ``ShardedEngine`` is built by name, and its parity with
+``Star`` is ``test_shard_differential``'s.
 """
 
 from __future__ import annotations
@@ -21,8 +21,10 @@ from repro.ann import SemanticTier
 from repro.cli import main
 from repro.core.framework import Star
 from repro.graph import save_graph
-from repro.perf import build_engine, search_many
+from repro.index import GraphIndex
+from repro.perf import search_many
 from repro.query import parse_query
+from repro.runtime import FaultSpec
 from repro.serve import EngineContext, execute_payload
 from repro.similarity import ScoringFunction
 from repro.store import MmapGraphIndex, open_graph, write_store
@@ -112,8 +114,7 @@ def _check_every_door(paths, capsys, storage,
         assert must <= names, (options, sorted(names))
         assert not must_not & names, (options, sorted(must_not & names))
 
-    engine = build_engine(graph, opts)
-    assert type(engine) is Star
+    engine = Star(graph, options=opts)
     assert isinstance(engine.scorer.graph_index, MmapGraphIndex) == mmap
     tier = engine.scorer.semantic_tier
     assert type(tier) is SemanticTier
@@ -159,7 +160,7 @@ def test_options_dict_is_not_consumed(paths):
     graph = open_graph(paths["mmap"])
     opts = {"mmap_store": paths["mmap"], "use_index": "on", "d": 1}
     before = dict(opts)
-    build_engine(graph, opts)
+    Star(graph, options=opts)
     assert opts == before
 
 
@@ -170,6 +171,35 @@ def test_a_scorer_that_already_holds_an_index_keeps_it(paths):
     graph = open_graph(paths["mmap"])
     scorer = ScoringFunction(graph)
     built = attach_index(scorer, mode="on")
-    engine = build_engine(graph, {"mmap_store": paths["mmap"],
-                                  "use_index": "on"}, scorer=scorer)
+    engine = Star(graph, scorer=scorer, mmap_store=paths["mmap"],
+                  use_index="on")
     assert engine.scorer.graph_index is built
+
+
+@pytest.mark.parametrize("use_index", ["auto", "on"])
+def test_star_attaches_the_store_s_index_columns(paths, use_index):
+    """Keyword options reach the same attach as an options dict: the
+    store's columns, not an index built afresh or none at all."""
+    graph = open_graph(paths["mmap"])
+    engine = Star(graph, mmap_store=paths["mmap"], use_index=use_index)
+    assert isinstance(engine.scorer.graph_index, MmapGraphIndex)
+    assert engine.scorer.graph_index.mode == use_index
+
+
+def test_no_store_index_when_the_index_is_off(paths):
+    graph = open_graph(paths["mmap"])
+    engine = Star(graph, mmap_store=paths["mmap"], use_index="off")
+    assert engine.scorer.graph_index is None
+    built = Star(graph, use_index="on").scorer.graph_index
+    assert type(built) is GraphIndex
+
+
+def test_chaos_engine_reuses_the_shared_store_index(paths):
+    graph = open_graph(paths["mmap"])
+    ctx = EngineContext(graph, engine_opts={"mmap_store": paths["mmap"]})
+    shared = ctx.scorer.graph_index
+    assert isinstance(shared, MmapGraphIndex)
+    chaos = ctx.engine_for(
+        [FaultSpec("scorer.node_score", at_call=10**6).as_dict()])
+    assert chaos is not ctx.engine
+    assert chaos.scorer.graph_index is shared

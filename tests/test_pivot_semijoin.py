@@ -117,13 +117,31 @@ def counters(search) -> List[int]:
             stats.lattice_pops]
 
 
+def reference_semijoin(graph, pivot_cands, leaf_maps):
+    """The side-choosing rule, one ``degree`` call per node: the first
+    leaf map whose total degree is the smallest, and below the pivots'
+    total, gives the neighbour set; otherwise None."""
+    cost = sum(graph.degree(node) for node, _score in pivot_cands)
+    cheapest = None
+    for leaf_map in leaf_maps:
+        if leaf_map is None:
+            continue
+        total = sum(graph.degree(node) for node in leaf_map)
+        if total < cost:
+            cheapest, cost = leaf_map, total
+    if cheapest is None:
+        return None
+    return {nbr for node in cheapest for nbr, _eid in graph.neighbors(node)}
+
+
 def assert_dropped_pivots_read_empty(search, star) -> int:
-    """Every pivot outside the semijoin reads an empty leaf list; returns
-    how many were dropped."""
+    """The semijoin set is the reference rule's, and every pivot outside
+    it reads an empty leaf list; returns how many were dropped."""
     scorer = search.scorer
     pivots = search._pivot_candidates(star)
     leaf_maps = leaf_candidate_maps(scorer, star, at_row=True)
     near = pivot_semijoin(search.graph, pivots, leaf_maps)
+    assert near == reference_semijoin(search.graph, pivots, leaf_maps)
     if near is None:
         return 0
     read = hop_one_reader(scorer, star, {}, leaf_maps, search.directed)
@@ -238,6 +256,22 @@ def test_the_cheaper_side_is_walked():
     assert pivot_semijoin(graph, [(hub, 1.0)], [leaf_map]) is None
     pivots = [(node, 1.0) for node in range(1, 6)] + [(hub, 1.0)]
     assert pivot_semijoin(graph, pivots, [None, {hub: 1.0}]) == {1, 2, 3, 4, 5}
+
+
+def test_the_first_of_equally_cheap_maps_is_walked():
+    """Ties go to the earlier leaf map; a map exactly as costly as the
+    pivots is not walked."""
+    graph = KnowledgeGraph()
+    hubs = [graph.add_node(f"Hub {i}", "film") for i in range(2)]
+    for hub in hubs:
+        for i in range(3):
+            graph.add_edge(hub, graph.add_node(f"Brad {hub}{i}", "actor"),
+                           "acted_in")
+    first, second = ({hub: 1.0} for hub in hubs)
+    pivots = [(node, 1.0) for node in graph.nodes() if node not in hubs]
+    assert pivot_semijoin(graph, pivots, [first, second]) == {2, 3, 4}
+    assert pivot_semijoin(graph, pivots, [second, first]) == {5, 6, 7}
+    assert pivot_semijoin(graph, pivots[:3], [first]) is None
     assert pivot_semijoin(graph, pivots, [None]) is None
 
 
@@ -288,8 +322,7 @@ class TestMmapGuard:
             near = pivot_semijoin(
                 graph, pivots, leaf_candidate_maps(scorer, star, at_row=True))
             search.search(star, 3)
-            for adjacency in (graph._adj, graph._out, graph._in):
-                assert not adjacency._cache
+            assert not graph._adj._cache
             read = {node for node, _s in pivots
                     if near is None or node in near}
             assert {key // 3 for key in graph._row_at} == read

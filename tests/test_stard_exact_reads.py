@@ -16,12 +16,12 @@ references written here, independent of the code under test:
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.framework import Star
 from repro.core.lattice import PivotMatchGenerator, make_leaf_list
 from repro.core.messages import Top2, propagate, pull
 from repro.core.stark import bounded_leaf_provider
 from repro.graph.traversal import nodes_within
 from repro.obs import EngineStats as SearchStats
-from repro.perf.parallel import build_engine
 from repro.query import star_query
 from repro.shard import ShardedEngine
 from repro.similarity import ScoringConfig, ScoringFunction
@@ -324,7 +324,7 @@ CELLS = [("stard", None), ("stard", 2), ("stark", None), ("stark", 2)]
 def test_d2_procedures_meet_brute_force(algorithm, shards, seed):
     scorer = scorer_for(seed)
     options = {"d": 2, "algorithm": algorithm}
-    engine = (build_engine(scorer.graph, options, scorer=scorer)
+    engine = (Star(scorer.graph, scorer=scorer, **options)
               if shards is None else
               ShardedEngine(scorer.graph, scorer=scorer, shards=shards,
                             backend="serial", **options))

@@ -21,7 +21,7 @@ from repro.core.framework import Star
 from repro.dynamic import load_any
 from repro.errors import DatasetError
 from repro.graph import KnowledgeGraph, dbpedia_like, save_graph
-from repro.perf import build_engine, search_many
+from repro.perf import search_many
 from repro.query import parse_query
 from repro.runtime import FaultSpec
 from repro.serve.supervisor import EngineContext, execute_payload
@@ -156,10 +156,10 @@ class TestCli:
         engines = []
 
         def recording(*args, **kwargs):
-            engines.append(build_engine(*args, **kwargs))
+            engines.append(Star(*args, **kwargs))
             return engines[-1]
 
-        monkeypatch.setattr(cli, "build_engine", recording)
+        monkeypatch.setattr(cli, "Star", recording)
         json_path = tmp_path / "graph.kg"
         save_graph(build_movie_graph(), json_path)
         for path, attached in ((RKGS1_FIXTURE, False), (json_path, False),
@@ -279,8 +279,7 @@ class TestFormat2:
         want = _ranking(Star(build_mutated_movie_graph()).search(query, 3))
         assert want
         assert _ranking(Star(graph).search(query, 3)) == want
-        engine = build_engine(graph, {"mmap_store": graph,
-                                      "use_index": "on"})
+        engine = Star(graph, mmap_store=graph, use_index="on")
         assert isinstance(engine.scorer.graph_index, MmapGraphIndex)
         assert _ranking(engine.search(query, 3)) == want
 
@@ -326,7 +325,7 @@ class TestMutatedStore:
         config = ScoringConfig(node_threshold=0.1)
         path = _write(dbpedia_like(0.15, 7), tmp_path / "g.rkgs2")
         mapped = KnowledgeGraph.open_mmap(path)
-        engine = build_engine(mapped, {"mmap_store": mapped}, config=config)
+        engine = Star(mapped, config=config, mmap_store=mapped)
         memory = dbpedia_like(0.15, 7)
         for graph in (mapped, memory):
             graph.add_node("Late Arrival", "person")
