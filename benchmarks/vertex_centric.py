@@ -12,7 +12,7 @@ sequential -- the point is the *program structure*: the engine partitions
 vertices across simulated workers and accounts cross-partition message
 traffic, so the communication volume a distributed deployment would pay
 is measurable.  ``propagate_vertex_centric`` is verified equivalent to
-the direct propagation in :mod:`repro.core.messages`.
+the array kernels of :mod:`repro.core.messages`.
 
 No engine path runs it (sharded search splits pivots over workers that
 each read the whole graph), so it lives here, beside its one caller,
@@ -23,12 +23,36 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Generic, Hashable, List, Mapping, Optional, Tuple, TypeVar
 
-from repro.core.messages import Top2
 from repro.errors import SearchError
 from repro.graph.knowledge_graph import KnowledgeGraph
 
 Message = TypeVar("Message")
 State = TypeVar("State")
+
+
+class Top2:
+    """One vertex's two best ``(score, origin)`` messages with distinct
+    origins (``s2 = -inf``, ``o2 = -1`` until there is a runner-up)."""
+
+    __slots__ = ("s1", "o1", "s2", "o2")
+
+    def __init__(self, score: float, origin: int) -> None:
+        self.s1 = score
+        self.o1 = origin
+        self.s2 = float("-inf")
+        self.o2 = -1
+
+    def offer(self, score: float, origin: int) -> None:
+        """Merge one message into the top-2."""
+        if origin == self.o1:
+            if score > self.s1:
+                self.s1 = score
+            return
+        if score > self.s1:
+            self.s2, self.o2 = self.s1, self.o1
+            self.s1, self.o1 = score, origin
+        elif score > self.s2:
+            self.s2, self.o2 = score, origin
 
 
 class VertexProgram(Generic[State, Message]):
@@ -201,9 +225,9 @@ def propagate_vertex_centric(
 ) -> Tuple[List[Dict[int, Top2]], PregelEngine]:
     """Run stard's propagation on the Pregel engine.
 
-    Returns ``(layers, engine)`` where ``layers[h][v]`` matches
-    :func:`repro.core.messages.propagate` exactly, and *engine* carries
-    the communication accounting.
+    Returns ``(layers, engine)`` where ``layers[h][v]`` holds the scores
+    :func:`repro.core.messages.propagate`'s layer ``h`` holds at ``v``,
+    and *engine* carries the communication accounting.
     """
     engine = PregelEngine(graph, num_workers=num_workers)
     program = StardPropagation(seeds, d)

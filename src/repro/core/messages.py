@@ -8,161 +8,163 @@ paper's fix for the ping-pong effect: when the best origin is the pivot
 itself (or must be excluded), the runner-up is still available, so top-1
 estimates never silently vanish.
 
-``B[h][v]`` after propagation holds the best (top-2) leaf-match scores
-reachable from ``v`` by a walk of exactly ``h`` hops; combined with the
-monotone edge-path bound this yields the per-pivot upper bounds stard
+``B[h]`` after propagation holds, per node ``v``, the best (top-2) leaf-match
+scores reachable from ``v`` by a walk of exactly ``h`` hops; combined with
+the monotone edge-path bound this yields the per-pivot upper bounds stard
 sorts by.  Space is ``O(d |V|)`` per distinct leaf constraint, matching
 the paper's bound.
+
+Both kernels are array passes over the graph's id columns
+(:meth:`~repro.graph.knowledge_graph.KnowledgeGraph.columns`): a round is
+one top-2 scatter-max (:func:`propagate`), and the round read at a set of
+nodes is one gather-max over their rows (:func:`pull`).  Max, gather and
+one addition per term are exact, so every score is the float the
+per-node walk gives.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import List, Mapping, NamedTuple, Optional, Tuple
 
-from repro.graph.knowledge_graph import KnowledgeGraph
+import numpy as np
+
+from repro.graph.columns import Columns
 from repro.runtime.budget import Budget
 
+_NO_SCORE = -np.inf
 
-class Top2:
-    """The two best (score, origin) pairs with distinct origins."""
 
-    __slots__ = ("s1", "o1", "s2", "o2")
+class Layer(NamedTuple):
+    """``B[h]`` over the graph's node slots: per node the best message
+    ``(s1, o1)`` and the best one from another origin ``(s2, o2)``;
+    ``-inf`` and ``-1`` where there is none."""
 
-    def __init__(self, score: float, origin: int) -> None:
-        self.s1 = score
-        self.o1 = origin
-        self.s2 = float("-inf")
-        self.o2 = -1
+    s1: np.ndarray
+    o1: np.ndarray
+    s2: np.ndarray
+    o2: np.ndarray
 
-    def offer(self, score: float, origin: int) -> None:
-        """Merge a candidate message into the top-2."""
-        if origin == self.o1:
-            if score > self.s1:
-                self.s1 = score
-            return
-        if score > self.s1:
-            self.s2, self.o2 = self.s1, self.o1
-            self.s1, self.o1 = score, origin
-        elif score > self.s2 and origin != self.o1:
-            self.s2, self.o2 = score, origin
+    @classmethod
+    def empty(cls, slots: int) -> "Layer":
+        """A layer in which no node holds a message."""
+        return cls(np.full(slots, _NO_SCORE), np.full(slots, -1),
+                   np.full(slots, _NO_SCORE), np.full(slots, -1))
 
-    def copy(self) -> "Top2":
-        """An independent top-2 holding the same two messages."""
-        clone = Top2(self.s1, self.o1)
-        clone.s2, clone.o2 = self.s2, self.o2
-        return clone
+    def reached(self) -> np.ndarray:
+        """The nodes holding a message, ascending."""
+        return np.flatnonzero(self.o1 >= 0)
 
-    def merge(self, other: "Top2") -> None:
-        """Merge another node's top-2 (one propagation step)."""
-        self.offer(other.s1, other.o1)
-        if other.o2 >= 0:
-            self.offer(other.s2, other.o2)
+    def count(self) -> int:
+        """How many nodes hold a message."""
+        return int(np.count_nonzero(self.o1 >= 0))
 
-    def best_excluding(self, banned: Optional[int]) -> Optional[float]:
-        """Best score whose origin differs from *banned* (None = no ban)."""
-        if banned is None or self.o1 != banned:
-            return self.s1
-        if self.o2 >= 0:
-            return self.s2
-        return None
+    def best_excluding(self, nodes: np.ndarray,
+                       injective: bool) -> np.ndarray:
+        """Per node of *nodes*, its best score whose origin is not the
+        node itself (any origin unless *injective*); ``-inf`` for none."""
+        best = self.s1[nodes]
+        if injective:
+            best = np.where(self.o1[nodes] == nodes, self.s2[nodes], best)
+        return best
 
-    def __repr__(self) -> str:
-        return f"Top2({self.s1:.3f}@{self.o1}, {self.s2:.3f}@{self.o2})"
+
+def _top2(slots: int, targets: np.ndarray, scores: np.ndarray,
+          origins: np.ndarray) -> Layer:
+    """The layer the messages ``(scores, origins)`` sent to *targets*
+    leave: per target the best, then the best of the other origins."""
+    s1 = np.full(slots, _NO_SCORE)
+    np.maximum.at(s1, targets, scores)
+    o1 = np.full(slots, -1)
+    won = scores == s1[targets]
+    o1[targets[won]] = origins[won]  # one winner per target, any on a tie
+    rest = origins != o1[targets]
+    targets, scores, origins = targets[rest], scores[rest], origins[rest]
+    s2 = np.full(slots, _NO_SCORE)
+    np.maximum.at(s2, targets, scores)
+    o2 = np.full(slots, -1)
+    won = scores == s2[targets]
+    o2[targets[won]] = origins[won]
+    return Layer(s1, o1, s2, o2)
 
 
 def propagate(
-    graph: KnowledgeGraph,
+    graph,
     seeds: Mapping[int, float],
     d: int,
     budget: Optional[Budget] = None,
-    adjacent: Optional[Dict[int, List[int]]] = None,
-) -> List[Dict[int, Top2]]:
+) -> List[Layer]:
     """Run *d* rounds of message propagation from *seeds*.
 
     Args:
+        graph: a graph, read through its id columns (``columns()``).
         seeds: leaf-match node -> ``F_N`` score (already thresholded).
         d: number of rounds.  ``stard`` runs ``d - 1`` here, for a
-            search bound ``d``, and merges ``B[d-1]`` over each pivot
-            candidate's row itself
-            (:meth:`repro.core.stard.StarDSearch._bounding_provider`).
+            search bound ``d``, and reads ``B[d]`` off ``B[d-1]`` with
+            :func:`pull` at its pivot candidates.
         budget: optional :class:`Budget`; each round charges its message
             count and checks the deadline.  After an anytime trip the
             remaining rounds are returned as *empty* layers (shape is
             preserved), which makes the downstream pivot estimates
             under-estimates -- the stard stream then degrades to a
             flagged best-so-far answer instead of an exact one.
-        adjacent: an empty dict, filled by round 1 -- the one walk of
-            every seed's edges -- with, per node, the seeds adjacent to
-            it (once per edge): the inverted adjacency the d-bounded
-            leaf provider reads its last hop from
-            (:func:`repro.core.stark.bounded_leaf_provider`).  Complete
-            only when round 1 ran.
 
     Returns:
-        ``B`` with ``B[h][v]`` = top-2 seed scores reachable from ``v`` by
-        a walk of exactly ``h`` hops (``B[0]`` = the seeds themselves).
+        ``B`` with ``B[h]`` = top-2 seed scores reachable from each node
+        by a walk of exactly ``h`` hops (``B[0]`` = the seeds themselves).
+        Round 1 sends each seed's own message along its rows; every later
+        round sends both messages of every node reached.
     """
-    layers: List[Dict[int, Top2]] = []
-    current: Dict[int, Top2] = {}
-    for node, score in seeds.items():
-        current[node] = Top2(score, node)
-    layers.append(current)
-    for round_ in range(1, d + 1):
+    columns = graph.columns()
+    slots = columns.num_slots
+    nodes = np.fromiter(seeds.keys(), dtype=np.int64, count=len(seeds))
+    scores = np.fromiter(seeds.values(), dtype=np.float64, count=len(seeds))
+    first = Layer.empty(slots)
+    first.s1[nodes] = scores
+    first.o1[nodes] = nodes
+    layers = [first]
+    origins = nodes
+    for _round in range(d):
         if budget is not None and budget.check():
             break
-        nxt: Dict[int, Top2] = {}
-        if round_ == 1:
-            # The walk of every seed's edges.  A seed's message is its own
-            # singleton, offered as is; a node first reached here starts
-            # its inverted-adjacency list.
-            inverting = adjacent is not None
-            for node, score in seeds.items():
-                for nbr, _eid in graph.neighbors(node):
-                    existing = nxt.get(nbr)
-                    if existing is None:
-                        nxt[nbr] = Top2(score, node)
-                        if inverting:
-                            adjacent[nbr] = [node]
-                        continue
-                    if score > existing.s2:  # else neither slot can change
-                        existing.offer(score, node)
-                    if inverting:
-                        adjacent[nbr].append(node)
-        else:
-            for node, top2 in layers[-1].items():
-                for nbr, _eid in graph.neighbors(node):
-                    existing = nxt.get(nbr)
-                    if existing is None:
-                        nxt[nbr] = top2.copy()
-                    elif top2.s1 > existing.s2:
-                        existing.merge(top2)
-        layers.append(nxt)
-        if budget is not None and budget.charge_messages(len(nxt)):
+        targets, lengths = columns.rows(nodes)
+        layer = _top2(slots, targets, np.repeat(scores, lengths),
+                      np.repeat(origins, lengths))
+        layers.append(layer)
+        if budget is not None and budget.charge_messages(layer.count()):
             break
+        reached = layer.reached()
+        second = reached[layer.o2[reached] >= 0]
+        nodes = np.concatenate((reached, second))
+        scores = np.concatenate((layer.s1[reached], layer.s2[second]))
+        origins = np.concatenate((layer.o1[reached], layer.o2[second]))
     while len(layers) < d + 1:
-        layers.append({})
+        layers.append(Layer.empty(slots))
     return layers
 
 
-def pull(
-    layer: Mapping[int, Top2], neighbours: Iterable[int], banned: Optional[int]
-) -> Optional[float]:
-    """One propagation round read at one node *v*: the best score of
-    ``layer`` merged over *v*'s *neighbours* whose origin is not
-    *banned* (None = no ban).
+def pull(columns: Columns, layer: Layer, nodes: np.ndarray,
+         injective: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """One more round of *layer*, read at each of *nodes* only.
 
-    With ``layer = B[h]`` this is ``B[h+1][v].best_excluding(banned)``
-    as the pushed round gives it -- adjacency is symmetric, a neighbour
-    merged twice (parallel edges) changes nothing, and the best origin
-    over a merge is the best over its parts -- except that ``-inf``
-    stands for a merge holding only *banned*'s own messages.  None means
-    no neighbour holds a message: the round leaves *v* no entry.
-    ``stard`` pulls its last round this way at each pivot candidate's
-    row.
+    Per node ``v`` of *nodes*: the best score of ``layer`` over ``v``'s
+    row whose origin is not ``v`` under *injective*, and whether any
+    neighbour holds a message at all.  That is what the pushed round
+    would give at ``v`` -- adjacency is symmetric, a neighbour repeated
+    (parallel edges) changes no max, and the best origin over a merge is
+    the best over its parts -- except that ``-inf`` with the flag set
+    stands for a merge holding only ``v``'s own messages.  ``stard``
+    pulls its last round this way, once for all its pivot candidates.
     """
-    best: Optional[float] = None
-    for top2 in filter(None, map(layer.get, neighbours)):
-        score = top2.s1 if top2.o1 != banned else top2.s2
-        if best is None or score > best:
-            best = score
-    return best
+    ids, lengths = columns.rows(nodes)
+    scores = layer.s1[ids]
+    if injective:
+        owners = np.repeat(nodes, lengths)
+        scores = np.where(layer.o1[ids] == owners, layer.s2[ids], scores)
+    best = np.full(len(nodes), _NO_SCORE)
+    reached = np.zeros(len(nodes), dtype=bool)
+    read = lengths > 0
+    if read.any():
+        starts = (np.cumsum(lengths) - lengths)[read]
+        best[read] = np.maximum.reduceat(scores, starts)
+        reached[read] = np.logical_or.reduceat(layer.o1[ids] >= 0, starts)
+    return best, reached

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from itertools import chain, repeat
 from typing import (
     AbstractSet,
     Callable,
@@ -53,6 +54,8 @@ from typing import (
     Set,
     Tuple,
 )
+
+import numpy as np
 
 from repro import obs
 from repro.core.candidates import every_live_node, node_candidates, shortlist
@@ -749,7 +752,7 @@ def hop_one_reader(
     leaf entries, for the ``d == 1`` plan, ``stard``'s bound pass and
     :func:`bounded_leaf_provider`.
 
-    ``read(pivot, stop=True, rows=None)`` lists, per leaf, the row's
+    ``read(pivot, stop=True)`` lists, per leaf, the row's
     neighbours in the leaf's map whose ``F_E`` -- relation-aware,
     memoised per query edge and label (or parallel-edge label tuple) --
     passes the edge threshold.  A leaf whose map is None (an untyped
@@ -760,10 +763,10 @@ def hop_one_reader(
     With *directed*, each leaf reads the row of its edge's orientation
     (+1 pivot -> leaf, -1 leaf -> pivot); otherwise orientation 0.
 
-    *rows* maps orientation to a row the caller has read already (and
-    receives those read here).  With *stop*, the first empty list ends
-    the read: the pivot has no match.  No injectivity filter is needed:
-    ``add_edge`` rejects self-loops.  Scoring faults reach the caller.
+    Each orientation's row is read once per call.  With *stop*, the
+    first empty list ends the read: the pivot has no match.  No
+    injectivity filter is needed: ``add_edge`` rejects self-loops.
+    Scoring faults reach the caller.
     """
     grouped_relations = scorer.graph.grouped_relations
     relation_score = scorer.relation_score
@@ -778,10 +781,8 @@ def hop_one_reader(
         for (leaf, edge), leaf_scores in zip(star.leaves, leaf_maps)
     ]
 
-    def read(pivot_node: int, stop: bool = True,
-             rows: Optional[Dict[int, dict]] = None) -> List[List[Entry]]:
-        if rows is None:
-            rows = {}
+    def read(pivot_node: int, stop: bool = True) -> List[List[Entry]]:
+        rows: Dict[int, dict] = {}
         lists: List[List[Entry]] = []
         for (leaf_scores, leaf_desc, edge_desc, weight, orientation,
              memo) in leaf_info:
@@ -818,6 +819,28 @@ def hop_one_reader(
     return read
 
 
+def _adjacent_in(
+    columns, leaf_scores: Mapping[int, float],
+) -> Dict[int, List[int]]:
+    """``v -> the nodes of the leaf map adjacent to v`` (once per edge),
+    for the last hop: the map's id-column rows turned around in one bulk
+    pass (:meth:`Columns.restricted_to`), keyed by the rows that are not
+    empty.
+
+    A dict of lists, so that a pivot's frontier is read with no numpy
+    call: ``stark`` at ``d >= 2`` reads a frontier per pivot candidate,
+    tens of nodes at ``d == 2``, where numpy's per-call cost outweighs
+    the read.
+    """
+    turned = columns.restricted_to(np.fromiter(
+        leaf_scores, dtype=np.int64, count=len(leaf_scores)))
+    indptr = turned.indptr
+    rows = np.flatnonzero(indptr[1:] != indptr[:-1])
+    indices = turned.indices.tolist()
+    return dict(zip(rows.tolist(), map(indices.__getitem__, map(
+        slice, indptr[rows].tolist(), indptr[rows + 1].tolist()))))
+
+
 def bounded_leaf_provider(
     scorer: ScoringFunction,
     star: StarQuery,
@@ -826,7 +849,6 @@ def bounded_leaf_provider(
     injective: bool,
     leaf_maps: Optional[List[Dict[int, float]]] = None,
     traversal_stats=None,
-    last_hop: Optional[Mapping[int, Dict[int, List[int]]]] = None,
 ) -> LeafProvider:
     """Leaf candidates within *d* hops of a pivot (d-bounded matching).
 
@@ -838,16 +860,12 @@ def bounded_leaf_provider(
     ``stard``'s exact per-pivot phase (lazy, estimate-ordered).
 
     Interior path nodes may be anything, so hops ``1 .. d-1`` are a BFS
-    over the full adjacency; only leaf candidates matter at hop ``d``, so
-    that hop is read off an inverted adjacency ``v -> leaf candidates
-    adjacent to v``: the candidates next to the ``d-1`` frontier that the
-    BFS has not seen are exactly those at shortest distance ``d``.
-    *last_hop* maps ``id(leaf map)`` to that adjacency as
-    :func:`repro.core.messages.propagate` built it while walking the
-    map's edges; a map without one is inverted here on first use, once
-    per distinct leaf map of this provider (i.e. of one query).  The
-    pivot is at distance 0, so it is never its own leaf, injective or
-    not.
+    over the full adjacency; only leaf candidates matter at hop ``d``:
+    the candidates next to the ``d-1`` frontier that the BFS has not seen
+    are exactly those at shortest distance ``d``.  That semijoin reads
+    the map's rows turned around (:func:`_adjacent_in`, made once per
+    distinct leaf map of this provider, i.e. of one query).  The pivot
+    is at distance 0, so it is never its own leaf, injective or not.
     """
     if d < 2:
         raise SearchError(f"bounded leaf provider needs d >= 2, got {d}")
@@ -865,7 +883,7 @@ def bounded_leaf_provider(
     # candidate at that distance can match.
     decay_d = decay(d)
     last_hop_matches = decay_d >= edge_threshold
-    inverted: Dict[int, Dict[int, List[int]]] = dict(last_hop or {})
+    adjacent_in: Dict[int, Dict[int, List[int]]] = {}
 
     def provide(pivot_node: int) -> List[List[Entry]]:
         layers = bounded_bfs_layers(graph, pivot_node, d - 1)
@@ -881,14 +899,12 @@ def bounded_leaf_provider(
             if at_d is None:
                 at_d = set()
                 if last_hop_matches:
-                    adjacent = inverted.get(id(leaf_scores))
+                    adjacent = adjacent_in.get(id(leaf_scores))
                     if adjacent is None:
-                        adjacent = inverted[id(leaf_scores)] = {}
-                        for w in leaf_scores:
-                            for nbr, _eid in graph.neighbors(w):
-                                adjacent.setdefault(nbr, []).append(w)
-                    for v in layers[-1]:
-                        at_d.update(adjacent.get(v, ()))
+                        adjacent = adjacent_in[id(leaf_scores)] = \
+                            _adjacent_in(graph.columns(), leaf_scores)
+                    at_d = set(chain.from_iterable(
+                        map(adjacent.get, layers[-1], repeat(()))))
                     at_d -= seen
                 at_d_by_map[id(leaf_scores)] = at_d
                 traversed += len(at_d)

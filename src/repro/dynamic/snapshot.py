@@ -337,6 +337,7 @@ def _decode(body: bytes):
     graph._removed_nodes = removed_nodes
     graph._removed_edges = removed_edges
     graph._adj = adj
+    graph._fill_endpoints()
     graph._token_index = token_index
     graph._type_index = type_index
     graph._relations = relations

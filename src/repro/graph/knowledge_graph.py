@@ -11,6 +11,8 @@ structure with the access paths every algorithm in the library needs:
   orientation for callers that want it),
 * relation-grouped neighbour rows (:meth:`KnowledgeGraph.grouped_relations`)
   for the leaf fetch of the star procedures,
+* id-only CSR columns of the adjacency (:meth:`KnowledgeGraph.columns`)
+  for the array kernels of ``stard``'s message passing,
 * an inverted token index (name tokens, keywords, type names) used for
   online candidate generation -- the paper computes match scores online and
   uses keyword indices only to shortlist candidates,
@@ -45,6 +47,7 @@ from typing import (
 from repro import obs
 from repro.dynamic.journal import Delta, DeltaJournal, DeltaSummary
 from repro.errors import GraphError
+from repro.graph.columns import Columns, from_endpoints
 from repro.textutil import tokenize, tokenize_tuple  # re-exported: index and queries share it
 
 _EMPTY: FrozenSet = frozenset()
@@ -138,6 +141,13 @@ class KnowledgeGraph:
         # Undirected adjacency: v -> list of (neighbor, edge_id), the one
         # list per node; directed reads filter it by the edge's source.
         self._adj: List[List[Tuple[int, int]]] = []
+        # Flat endpoint column: ``src, dst`` per edge slot, ``-1, -1``
+        # once removed; the id-only CSR columns are built from it (see
+        # columns) and dropped when a node or edge comes or goes.  None
+        # on a store-backed graph, whose columns come from its csr.*
+        # sections.
+        self._ends: Optional[array] = array("i")
+        self._columns: Optional[Columns] = None
         # Relation-grouped rows (see grouped_relations), packed on first
         # read: one arena holding, per row, its pair count and then
         # (neighbor, label id) pairs; ``_row_at`` maps a row key to its
@@ -221,6 +231,7 @@ class KnowledgeGraph:
         node_id = len(self._nodes)
         self._nodes.append(data)
         self._adj.append([])
+        self._columns = None
         for token in data.tokens():
             self._token_index.setdefault(token, set()).add(node_id)
         if type:
@@ -255,8 +266,13 @@ class KnowledgeGraph:
         if relation:
             self._relations[relation] = self._relations.get(relation, 0) + 1
         self._edges.append((src, dst, data))
+        ends = self._ends
+        if ends is not None:
+            ends.append(src)
+            ends.append(dst)
         self._adj[src].append((dst, edge_id))
         self._adj[dst].append((src, edge_id))
+        self._columns = None
         self._drop_rows(src, dst)
         new_max = max(len(self._adj[src]), len(self._adj[dst]))
         # Endpoint degrees changed (their descriptors / degree priors are
@@ -424,8 +440,12 @@ class KnowledgeGraph:
         """Unlink one live edge from every adjacency structure."""
         self._edges[edge_id] = None
         self._removed_edges += 1
+        ends = self._ends
+        if ends is not None:
+            ends[2 * edge_id] = ends[2 * edge_id + 1] = -1
         self._adj[src].remove((dst, edge_id))
         self._adj[dst].remove((src, edge_id))
+        self._columns = None
         self._drop_rows(src, dst)
         if data.relation:
             self._relation_decref(data.relation)
@@ -644,6 +664,30 @@ class KnowledgeGraph:
         self._rows.extend(row)
         self._row_at[key] = start
         return start
+
+    def columns(self) -> Columns:
+        """Read-only id-only CSR columns of the adjacency: row ``v`` is
+        :meth:`neighbor_ids` of ``v`` (see :mod:`repro.graph.columns`).
+        Built in one bulk pass on the first call after a node or edge was
+        added or removed (an attribute or relation update keeps them);
+        rows of removed nodes are empty."""
+        columns = self._columns
+        if columns is None:
+            columns = self._columns = self._build_columns()
+        return columns
+
+    def _build_columns(self) -> Columns:
+        return from_endpoints(self._ends, len(self._nodes))
+
+    def _fill_endpoints(self) -> None:
+        """Rebuild the endpoint column from the edge records, for an
+        importer that filled ``_edges`` itself."""
+        ends = array("i", [-1]) * (2 * len(self._edges))
+        for edge_id, record in enumerate(self._edges):
+            if record is not None:
+                ends[2 * edge_id] = record[0]
+                ends[2 * edge_id + 1] = record[1]
+        self._ends = ends
 
     def degree(self, node_id: int) -> int:
         """Undirected degree of *node_id*."""

@@ -261,6 +261,14 @@ class FaultyGraph:
         self._validate("graph.neighbor_ids", ids)
         return ids
 
+    def columns(self):
+        # The id columns are the undirected lists read in bulk: one read
+        # passes their fault point once, and a corrupted one is caught.
+        if self._injector.enter("graph.neighbors"):
+            raise DataCorruptionError(
+                "corrupted adjacency columns detected at graph.neighbors")
+        return self._graph.columns()
+
     def grouped_relations(self, node_id: int, orientation: int = 0):
         # A grouped row is a read of the list it groups: it passes that
         # list's fault point first.

@@ -25,15 +25,20 @@ and a reader's mapping keeps the inode it opened.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 try:  # pragma: no cover - import-shape compat
     from collections.abc import MutableMapping
 except ImportError:  # pragma: no cover
     from collections import MutableMapping  # type: ignore
 
+import numpy as np
+
 from repro.dynamic.journal import DeltaJournal
 from repro.errors import GraphError
+from repro.graph.columns import Columns
 from repro.graph.knowledge_graph import EdgeData, KnowledgeGraph, NodeData
 from repro.store.format import NO_ID, StoreReader
 
@@ -203,7 +208,7 @@ class _LazyAdj:
     ``graph.neighbors(v)`` order."""
 
     __slots__ = ("_indptr", "_indices", "_eids", "_base", "_cache",
-                 "_extra")
+                 "_extra", "_changed")
 
     def __init__(self, reader: StoreReader) -> None:
         self._indptr = reader.section("csr.indptr")
@@ -212,6 +217,9 @@ class _LazyAdj:
         self._base = reader.meta.node_slots
         self._cache: Dict[int, List[Tuple[int, int]]] = {}
         self._extra: List[List[Tuple[int, int]]] = []
+        # Base rows an edge was added to, removed from or relabelled in
+        # (see MmapKnowledgeGraph._drop_rows); a row only read is not one.
+        self._changed: Set[int] = set()
 
     def __len__(self) -> int:
         return self._base + len(self._extra)
@@ -255,6 +263,45 @@ class _LazyAdj:
         if self.touched(v):
             return len(self[v])
         return self._indptr[v + 1] - self._indptr[v]
+
+    def change(self, nodes: Iterable[int]) -> None:
+        """Take the rows of *nodes* off base: an edge was added to,
+        removed from or relabelled in each."""
+        self._changed.update(v for v in nodes if v < self._base)
+
+    def on_base(self, v: int) -> bool:
+        """Whether row *v* still equals its ``csr.*`` slices, edge ids
+        and labels included."""
+        return v < self._base and v not in self._changed
+
+    def id_columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``indptr`` / ``indices`` of every row's neighbor ids (see
+        :mod:`repro.graph.columns`): the ``csr.*`` sections themselves
+        while every row is on base, else their slices between the rows
+        that are not, those rows spliced in."""
+        base_indptr = np.frombuffer(self._indptr, dtype=np.uint32)
+        base_indices = np.frombuffer(self._indices, dtype=np.uint32)
+        if not self._changed and not self._extra:
+            return base_indptr, base_indices
+        overlay = sorted(self._changed)
+        lengths = np.concatenate((
+            np.diff(base_indptr).astype(np.int64),
+            np.array([len(row) for row in self._extra], dtype=np.int64)))
+        for v in overlay:
+            lengths[v] = len(self[v])
+        indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        indices = np.empty(indptr[-1], dtype=np.uint32)
+        done = 0  # the rows before this one are in place
+        for v in overlay + [self._base]:
+            indices[indptr[done]:indptr[v]] = \
+                base_indices[base_indptr[done]:base_indptr[v]]
+            done = v + 1
+        for v in overlay + list(range(self._base, len(self))):
+            indices[indptr[v]:indptr[v + 1]] = [nbr for nbr, _eid in self[v]]
+        indptr.flags.writeable = False
+        indices.flags.writeable = False
+        return indptr, indices
 
     def ids(self, v: int) -> Sequence[int]:
         """Row *v*'s neighbor ids without materializing the row: an
@@ -509,6 +556,12 @@ class MmapKnowledgeGraph(KnowledgeGraph):
     def token_dfs(self) -> Iterator[Tuple[str, int]]:
         return self._token_index.dfs()
 
+    def _drop_rows(self, *nodes: int) -> None:
+        # Every edge added, removed or relabelled passes here with both
+        # ends: those rows no longer read as their csr.* slices.
+        self._adj.change(nodes)
+        super()._drop_rows(*nodes)
+
     def _directed(self, node_id: int, orientation: int):
         # An edge's ends never change, so an untouched row's csr.dirs
         # flags still give its direction: no row, no EdgeData.
@@ -523,10 +576,9 @@ class MmapKnowledgeGraph(KnowledgeGraph):
                     store.section("csr.dirs")[start:end]) if out == want]
 
     def _row_entries(self, node_id: int, orientation: int):
-        # Until the overlay takes its first mutation, the csr.* columns
-        # are the adjacency: read labels off them without materializing
-        # the row or any EdgeData.
-        if self.version != self.base_version:
+        # A row on base reads its labels off csr.rels: no row, no
+        # EdgeData.
+        if not self._adj.on_base(node_id):
             return super()._row_entries(node_id, orientation)
         store = self._store
         start, end = store.section("csr.indptr")[node_id:node_id + 2]
@@ -538,6 +590,9 @@ class MmapKnowledgeGraph(KnowledgeGraph):
             return ((nbr, keys[rid]) for nbr, rid, _out in entries)
         want = 1 if orientation > 0 else 0
         return ((nbr, keys[rid]) for nbr, rid, out in entries if out == want)
+
+    def _build_columns(self) -> Columns:
+        return Columns(*self._adj.id_columns())
 
     # -- store plumbing -------------------------------------------------
     @property
@@ -578,6 +633,7 @@ def open_graph(path, *, verify: bool = False) -> MmapKnowledgeGraph:
         graph._nodes = _LazyNodes(reader, type_keys)
         graph._edges = _LazyEdges(reader, rel_keys)
         graph._adj = _LazyAdj(reader)
+        graph._ends = None
         graph._token_index = _LazyTokenIndex(reader)
         graph._type_index = _LazyTypeIndex(reader, type_keys)
         graph._relations = dict(meta.relations)

@@ -6,11 +6,13 @@ import pytest
 
 from repro.baselines import brute_force_star
 from repro.core import StarDSearch, StarKSearch, is_monotone_non_increasing
-from repro.core.messages import Top2, propagate
+from repro.core.messages import propagate
 from repro.errors import SearchError
 from repro.graph import KnowledgeGraph
 from repro.query import StarQuery, star_query, star_workload
 from repro.similarity import ScoringConfig, ScoringFunction
+
+from tests.test_message_kernels import Top2, as_top2
 
 
 class TestTop2:
@@ -58,7 +60,7 @@ class TestPropagation:
 
     def test_walk_distance_semantics(self):
         g = self.path_graph(5)
-        layers = propagate(g, {0: 0.9}, d=3)
+        layers = [as_top2(layer) for layer in propagate(g, {0: 0.9}, d=3)]
         assert layers[0][0].s1 == 0.9
         assert layers[1][1].s1 == 0.9
         assert layers[2][2].s1 == 0.9
@@ -69,7 +71,8 @@ class TestPropagation:
 
     def test_multiple_seeds_max_wins(self):
         g = self.path_graph(3)
-        layers = propagate(g, {0: 0.5, 2: 0.9}, d=1)
+        layers = [as_top2(layer)
+                  for layer in propagate(g, {0: 0.5, 2: 0.9}, d=1)]
         # Node 1 hears both seeds; best first, runner-up kept.
         top2 = layers[1][1]
         assert (top2.s1, top2.o1) == (0.9, 2)
@@ -79,12 +82,13 @@ class TestPropagation:
         """B[h] never exceeds |V| entries (paper: O(d|V|) space)."""
         g = self.path_graph(30)
         layers = propagate(g, {i: 0.5 for i in range(0, 30, 3)}, d=4)
-        assert all(len(layer) <= g.num_nodes for layer in layers)
+        assert all(len(layer.s1) == g.num_node_slots for layer in layers)
+        assert all(layer.count() <= g.num_nodes for layer in layers)
 
     def test_empty_seeds(self):
         g = self.path_graph(3)
         layers = propagate(g, {}, d=2)
-        assert all(not layer for layer in layers)
+        assert all(layer.count() == 0 for layer in layers)
 
 
 class TestEstimates:

@@ -13,6 +13,8 @@ from repro.core.messages import propagate
 from repro.errors import SearchError
 from repro.graph import KnowledgeGraph
 
+from tests.test_message_kernels import as_top2
+
 
 def path_graph(n):
     g = KnowledgeGraph()
@@ -84,7 +86,7 @@ class TestEquivalenceWithDirectPropagation:
     def test_path_graph(self, d):
         g = path_graph(7)
         seeds = {0: 0.9, 3: 0.5, 6: 0.7}
-        direct = propagate(g, seeds, d)
+        direct = [as_top2(layer) for layer in propagate(g, seeds, d)]
         vc, _engine = propagate_vertex_centric(g, seeds, d)
         for hop in range(d + 1):
             assert set(direct[hop]) == set(vc[hop]), hop
@@ -102,7 +104,7 @@ class TestEquivalenceWithDirectPropagation:
         seeds = dict(node_candidates(yago_scorer, leaf))
         if not seeds:
             pytest.skip("no seeds for this workload query")
-        direct = propagate(yago_graph, seeds, 2)
+        direct = [as_top2(layer) for layer in propagate(yago_graph, seeds, 2)]
         vc, engine = propagate_vertex_centric(yago_graph, seeds, 2)
         for hop in range(3):
             assert set(direct[hop]) == set(vc[hop])

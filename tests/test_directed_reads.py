@@ -190,3 +190,78 @@ def test_untouched_store_reads_materialise_nothing(tmp_path):
         assert not mapped._adj._cache
     finally:
         mapped.close()
+
+
+def test_rows_on_base_after_overlay_mutations_materialise_nothing(
+        tmp_path):
+    """Grouped rows come off the ``csr.*`` columns, building no edge
+    record, for every row no edge was added to or removed from: one
+    merely read into the overlay, and every row after an ``add_node`` or
+    after an ``add_edge`` elsewhere; a search then reads the same answers
+    as the in-memory graph with those mutations."""
+    from repro.core.framework import Star
+    from repro.query import star_query
+
+    graph = build_random_graph(3, 20, 40)
+    write_store(graph, tmp_path / "g.rkgs2")
+    mapped = open_graph(tmp_path / "g.rkgs2")
+    try:
+        # at the base version, a row read into the overlay is no mutation
+        mapped.neighbors(0)
+        mapped.grouped_relations(0, 0)
+        assert not mapped._edges._cache
+        for target in (graph, mapped):
+            fresh = target.add_node("Fresh Node", "film")
+        model = ThreeLists(graph)
+        assert mapped._adj.touched(0) and mapped._adj.on_base(0)
+        for node in graph.nodes():
+            assert (mapped.grouped_relations(node, 0)
+                    == model.grouped(node, 0))
+        assert not mapped._edges._cache
+        for target in (graph, mapped):
+            target.add_edge(fresh, 1, "acted_in")
+        model = ThreeLists(graph)
+        assert [node for node in graph.nodes()
+                if not mapped._adj.on_base(node)] == [1, fresh]
+        for node in graph.nodes():
+            assert (mapped.grouped_relations(node, 0)
+                    == model.grouped(node, 0))
+            assert mapped.columns().indices[
+                mapped.columns().indptr[node]:
+                mapped.columns().indptr[node + 1]].tolist() == \
+                graph.neighbor_ids(node)
+        # only row 1's edges were built, for its own grouped read
+        assert set(mapped._edges._cache) <= {
+            eid for _nbr, eid in graph.neighbors(1)}
+        star = star_query("?", [("acted_in", "?"), ("won", "?")],
+                          pivot_type="actor")
+        for d in (1, 2):
+            want = [(m.score, m.key()) for m in Star(graph, d=d).search(
+                star, 5)]
+            got = [(m.score, m.key()) for m in Star(mapped, d=d).search(
+                star, 5)]
+            assert got == want and want
+    finally:
+        mapped.close()
+
+
+def test_a_relabel_reaches_the_grouped_rows_of_both_ends(tmp_path):
+    """``update_edge`` takes both ends' rows off base, so their next
+    grouped read -- the first read of either row -- carries the new
+    label rather than the ``csr.rels`` entry."""
+    graph = build_random_graph(4, 20, 40)
+    write_store(graph, tmp_path / "g.rkgs2")
+    mapped = open_graph(tmp_path / "g.rkgs2")
+    try:
+        eid, src, dst = next(iter(graph.edges()))
+        relation = next(r for r in RELATIONS
+                        if r != graph.edge(eid)[2].relation)
+        for target in (graph, mapped):
+            target.update_edge(eid, relation)
+        model = ThreeLists(graph)
+        for node in (src, dst):
+            for orientation in (0, 1, -1):
+                assert (mapped.grouped_relations(node, orientation)
+                        == model.grouped(node, orientation))
+    finally:
+        mapped.close()

@@ -295,6 +295,9 @@ class TestFaultInjection:
         got = matcher.search(self._star(), 3, budget=budget)
         assert matcher.last_report.degraded
         assert isinstance(got, list)
+        # the id columns propagation reads pass the same fault point
+        assert any(fault.startswith("propagation for leaf")
+                   for fault in budget.faults)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_seeded_sweep_only_structured_errors(self, movie_scorer, seed):

@@ -11,6 +11,9 @@ here, independent of the row pass under test, and equals a third:
 * equal, float for float, the estimate as ``stard`` computed it in a
   loop of its own, before the bound pass was shared with ``stark``.
 
+The references propagate with the per-node walk
+(``tests/test_message_kernels.py``), not the array kernels under test.
+
 End to end, the answers meet the brute-force oracle (``tests/oracle.py``)
 and, under alpha weights, ``stark``'s stream at the same ``d``.
 """
@@ -21,7 +24,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import StarDSearch, StarKSearch
-from repro.core.messages import propagate, pull
 from repro.core.stark import bounded_leaf_provider, leaf_candidate_maps
 from repro.graph.generators import dbpedia_like
 from repro.query import StarQuery, star_query
@@ -30,6 +32,7 @@ from repro.similarity import ScoringConfig, ScoringFunction
 
 from tests.conftest import build_random_graph
 from tests.oracle import assert_matches_meet_oracle, rounded_scores
+from tests.test_message_kernels import reference_propagate, reference_pull
 
 #: One fixed profile: the same examples on every run.
 PROFILE = settings(max_examples=40, deadline=None, derandomize=True)
@@ -67,7 +70,7 @@ def flat_estimates(scorer, star, pivot_cands, weights, d, injective):
     ``max(w, 1)``, with ``edge_upper_bound(1) = 1.0``."""
     threshold = scorer.config.edge_threshold
     maps = leaf_candidate_maps(scorer, star)
-    pushed = {id(m): propagate(scorer.graph, m, d) for m in maps}
+    pushed = {id(m): reference_propagate(scorer.graph, m, d) for m in maps}
     estimates = []
     for pivot, pivot_score in pivot_cands:
         total = weights.get(star.pivot.id, 1.0) * pivot_score
@@ -99,7 +102,8 @@ def row_estimates(scorer, star, pivot_cands, weights, d, injective):
     edge_threshold = scorer.config.edge_threshold
     decay = scorer.path.decay
     maps = leaf_candidate_maps(scorer, star)
-    layers = {id(m): propagate(scorer.graph, m, d - 1) for m in maps}
+    layers = {id(m): reference_propagate(scorer.graph, m, d - 1)
+              for m in maps}
     no_term = float("-inf")
     estimates = []
     for pivot, pivot_score in pivot_cands:
@@ -108,7 +112,8 @@ def row_estimates(scorer, star, pivot_cands, weights, d, injective):
         bound = weights.get(star.pivot.id, 1.0) * pivot_score
         for (leaf, edge), leaf_scores in zip(star.leaves, maps):
             far = no_term
-            node_bound = pull(layers[id(leaf_scores)][d - 1], row, banned)
+            node_bound = reference_pull(layers[id(leaf_scores)][d - 1], row,
+                                        banned)
             if node_bound is not None and decay(d) >= edge_threshold:
                 far = node_bound + decay(d)
             for hops in range(2, d):

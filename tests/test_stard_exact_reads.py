@@ -5,9 +5,9 @@ references written here, independent of the code under test:
 
 (i)   the last propagation round *pulled* at a pivot candidate's row
       equals the pushed round wherever it is read;
-(ii)  the leaf provider's last hop, walked over a leaf-candidate-restricted
-      adjacency (inverted by propagation's first round or by the provider
-      itself), finds exactly the candidates at shortest distance d;
+(ii)  the leaf provider's last hop, read off the frontier's rows through
+      a mask of the leaf map, finds exactly the candidates at shortest
+      distance d;
 (iii) leaf lists cut to their best ``k + s`` entries yield the same first
       ``k`` matches per pivot, ties and assignments included;
 (iv)  end to end, every d=2 procedure still meets the brute-force oracle.
@@ -18,8 +18,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.framework import Star
 from repro.core.lattice import PivotMatchGenerator, make_leaf_list
-from repro.core.messages import Top2, propagate, pull
+import numpy as np
+
+from repro.core.messages import propagate, pull
 from repro.core.stark import bounded_leaf_provider
+from repro.graph.columns import Columns
 from repro.graph.traversal import nodes_within
 from repro.obs import EngineStats as SearchStats
 from repro.query import star_query
@@ -28,6 +31,7 @@ from repro.similarity import ScoringConfig, ScoringFunction
 
 from tests.conftest import build_movie_graph, build_random_graph
 from tests.oracle import assert_matches_meet_oracle
+from tests.test_message_kernels import Top2, as_top2
 
 #: One fixed profile: the same examples on every run.
 PROFILE = settings(max_examples=60, deadline=None, derandomize=True)
@@ -37,8 +41,8 @@ PROFILE = settings(max_examples=60, deadline=None, derandomize=True)
 # (i) pull == push where it is read
 # ---------------------------------------------------------------------------
 class Adjacency:
-    """The part of a graph ``propagate`` reads; unlike
-    :class:`KnowledgeGraph` it accepts self-loops."""
+    """The part of a graph the kernels read -- neighbour lists and their
+    id columns; unlike :class:`KnowledgeGraph` it accepts self-loops."""
 
     def __init__(self, num_nodes, edges):
         self.adj = [[] for _ in range(num_nodes)]
@@ -49,6 +53,13 @@ class Adjacency:
 
     def neighbors(self, node):
         return self.adj[node]
+
+    def columns(self):
+        lengths = [len(row) for row in self.adj]
+        indptr = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+        indices = np.array([nbr for row in self.adj for nbr, _eid in row],
+                           dtype=np.int64)
+        return Columns(indptr, indices)
 
 
 def pushed_layers(graph, seeds, d):
@@ -77,12 +88,13 @@ def read_out(top2, node):
 def pulled_read_out(layer, graph, node):
     """:func:`read_out` of the round pulled at *node* (``-inf`` is a
     merge holding only *node*'s own messages)."""
-    neighbours = [nbr for nbr, _eid in graph.neighbors(node)]
-    best = pull(layer, neighbours, None)
-    if best is None:
+    at = np.array([node])
+    best, reached = pull(graph.columns(), layer, at, False)
+    if not reached[0]:
         return None
-    excluding = pull(layer, neighbours, node)
-    return best, None if excluding == float("-inf") else excluding, best
+    excluding = pull(graph.columns(), layer, at, True)[0][0]
+    return (best[0], None if excluding == float("-inf") else excluding,
+            best[0])
 
 
 @st.composite
@@ -105,7 +117,8 @@ class TestPulledLastRound:
     def test_pull_equals_push_where_it_is_read(self, case, d):
         graph, n, seeds, targets = case
         want = pushed_layers(graph, seeds, d)
-        got = propagate(graph, seeds, d - 1)
+        layers = propagate(graph, seeds, d - 1)
+        got = [as_top2(layer) for layer in layers]
         assert len(got) == d
         for hops in range(d):
             assert got[hops].keys() == want[hops].keys()
@@ -113,12 +126,12 @@ class TestPulledLastRound:
                 assert read_out(got[hops].get(node), node) == \
                     read_out(want[hops].get(node), node)
         for node in targets:
-            assert pulled_read_out(got[d - 1], graph, node) == \
+            assert pulled_read_out(layers[d - 1], graph, node) == \
                 read_out(want[d].get(node), node)
 
     def test_no_targets_pushes_every_round(self):
         graph = Adjacency(3, [(0, 1), (1, 2)])
-        assert set(propagate(graph, {0: 0.9}, 2)[2]) == {0, 2}
+        assert set(propagate(graph, {0: 0.9}, 2)[2].reached()) == {0, 2}
 
 
 # ---------------------------------------------------------------------------
@@ -206,23 +219,16 @@ class TestRestrictedLastHop:
             reached += sum(distance.get(w) == d
                            for leaf_scores in distinct.values()
                            for w in leaf_scores)
-        # the adjacency inverted by the provider, and by propagation
-        propagated = {}
-        for leaf_scores in leaf_maps:
-            if id(leaf_scores) not in propagated:
-                propagate(scorer.graph, leaf_scores, 1,
-                          adjacent=propagated.setdefault(id(leaf_scores), {}))
-        for last_hop in (None, propagated):
-            stats = SearchStats()
-            provide = bounded_leaf_provider(
-                scorer, STAR, weights, d, injective, leaf_maps=leaf_maps,
-                traversal_stats=stats, last_hop=last_hop)
-            for _again in range(2):  # the inverted adjacency is reused
-                got = provide(pivot)
-                assert [len(entries) for entries in got] == \
-                    [len(entries) for entries in want]
-                assert [set(entries) for entries in got] == want
-            assert stats.nodes_traversed == 2 * reached
+        stats = SearchStats()
+        provide = bounded_leaf_provider(
+            scorer, STAR, weights, d, injective, leaf_maps=leaf_maps,
+            traversal_stats=stats)
+        for _again in range(2):  # the leaf maps' masks are reused
+            got = provide(pivot)
+            assert [len(entries) for entries in got] == \
+                [len(entries) for entries in want]
+            assert [set(entries) for entries in got] == want
+        assert stats.nodes_traversed == 2 * reached
 
     def test_last_hop_below_the_edge_threshold_is_not_walked(self):
         scorer = scorer_for(3, 0.6)
