@@ -10,19 +10,22 @@ match of *every* pivot candidate -- an eager d-hop traversal per pivot
    ping-pong effect) leaf scores reachable by a walk of that length.
    Each round is one array pass over the graph's id columns, and round
    ``d`` is pulled over every pivot candidate's row in one gather.
-2. **Pivot estimates**: the one bound pass
-   (:meth:`repro.core.stark.StarKSearch._read_pivots`) reads each pivot
-   candidate's grouped row once.  It gives every leaf its exact hop-1
-   entries (:func:`repro.core.stark.hop_one_reader`, relation-aware
-   ``F_E`` included) and the pivot's far term from step 1; with the
-   monotone edge-path bound that is an *upper bound* on the pivot's
-   top-1 match.
+2. **Pivot estimates**: every pivot candidate's column bound
+   (:func:`repro.core.stark.column_bounds`) takes, per leaf, the larger
+   of its best hop-1 term off the id columns and its far term from step
+   1, in one array pass that reads no row.  A pivot whose column bound
+   reaches the head of the shared loop's queue has its grouped row read
+   once (:meth:`StarDSearch._bounding_provider`): every leaf's exact
+   hop-1 entries (:func:`repro.core.stark.hop_one_reader`,
+   relation-aware ``F_E`` included) beside the far term give its row
+   bound.  With the monotone edge-path bound both are *upper bounds* on
+   the pivot's top-1 match.
 3. **Lazy exact phase**: the shared Lemma-1 loop
    (:meth:`repro.core.stark.StarKSearch.stream`) run with those bounds --
-   pivots are visited in decreasing estimate order and one is traversed
-   (exact bounded BFS) only when its estimate beats every
-   already-generated match, so the stream stays exact while traversing
-   only the pivots that matter.
+   pivots are visited in decreasing estimate order, and one has its row
+   read, then is traversed (exact bounded BFS), only while its estimate
+   beats every already-generated match, so the stream stays exact while
+   reading and traversing only the pivots that matter.
 
 This module is step 1 and the far terms of step 2.  At ``d == 1`` stard
 degrades to ``stark`` (same runtime), as in Fig. 12.
@@ -43,8 +46,10 @@ from repro.core.stark import (
     PivotPlan,
     StarKSearch,
     bounded_leaf_provider,
+    column_bounds,
     hop_one_reader,
     leaf_candidate_maps,
+    row_bounder,
 )
 from repro.query.model import StarQuery
 from repro.runtime.budget import Budget
@@ -94,7 +99,7 @@ class StarDSearch(StarKSearch):
         leaf_maps: List[Dict[int, float]],
         pivots: np.ndarray,
         budget: Optional[Budget] = None,
-    ) -> Dict[int, Tuple[List[float], List[bool]]]:
+    ) -> Dict[int, Tuple[np.ndarray, List[bool]]]:
         """Phase 1: per *distinct* leaf map, propagation and the far term
         of every pivot candidate (*pivots*, in candidate order).
 
@@ -114,7 +119,7 @@ class StarDSearch(StarKSearch):
 
         Returns, by ``id(leaf map)``, the far terms and whether each
         pivot's row reaches ``B[d-1]`` at all (the pulled round's
-        messages; the bound pass charges those of the rows it reads).
+        messages; a row read for a bound charges its own).
         Under an anytime budget, a substrate fault while one map
         propagates leaves it no far terms (its hop >= 2 terms vanish)
         and the run continues, flagged.
@@ -129,7 +134,7 @@ class StarDSearch(StarKSearch):
         pushed = [hops for hops in range(2, d)
                   if decay(hops) >= edge_threshold]
         no_terms = np.full(len(pivots), -np.inf)
-        terms: Dict[int, Tuple[List[float], List[bool]]] = {}
+        terms: Dict[int, Tuple[np.ndarray, List[bool]]] = {}
         for (leaf, _edge), seeds in zip(star.leaves, leaf_maps):
             if id(seeds) in terms:
                 continue
@@ -157,7 +162,7 @@ class StarDSearch(StarKSearch):
                 messages = sum(layer.count() for layer in layers)
                 self.stats.messages_propagated += messages
                 span.annotate(messages=messages)
-            terms[id(seeds)] = (far.tolist(), reached.tolist())
+            terms[id(seeds)] = (far, reached.tolist())
         return terms
 
     def _bounding_provider(
@@ -166,39 +171,41 @@ class StarDSearch(StarKSearch):
         weights: Mapping[int, float],
         leaf_maps: List[Dict[int, float]],
         pivot_cands: List[Tuple[int, float]],
-        terms: Dict[int, Tuple[List[float], List[bool]]],
-        pulled: Dict[int, int],
+        terms: Dict[int, Tuple[np.ndarray, List[bool]]],
+        budget: Optional[Budget],
     ) -> LeafProvider:
-        """Phase 2: the bound pass's provider, one row read per pivot.
+        """Phase 2's row read, one per pivot whose column bound reached
+        the head of the queue.
 
         Per leaf, the row's hop-1 entries (:func:`hop_one_reader`, every
         leaf read) and one far entry ``(max(w, 1) * far,)`` from
         :meth:`_far_terms`.  A leaf with no entry ends the lists.
 
-        *pulled* counts, per distinct map, the rows read that reach
-        ``B[d-1]``: the pulled round's messages, which the caller charges
-        after the pass.
+        A read charges the pulled round's messages it holds: one per
+        distinct map whose ``B[d-1]`` the row reaches.
         """
         position = {node: index
                     for index, (node, _score) in enumerate(pivot_cands)}
-        for key in terms:
-            pulled.setdefault(key, 0)
         scales = [
             (id(leaf_scores), max(weights.get(leaf.id, 1.0), 1.0))
             for (leaf, _edge), leaf_scores in zip(star.leaves, leaf_maps)
         ]
-        read = hop_one_reader(self.scorer, star, weights, leaf_maps)
+        far_of = {key: far.tolist() for key, (far, _reached) in terms.items()}
+        read = hop_one_reader(self.scorer, star, weights, leaf_maps,
+                              stats=self.stats)
         no_term = float("-inf")
 
         def provide(pivot_node: int) -> List[List[Entry]]:
             lists = read(pivot_node, False)
             index = position[pivot_node]
-            for key, (_far, reached) in terms.items():
-                if reached[index]:
-                    pulled[key] += 1
+            pulled = sum(reached[index] for _far, reached in terms.values())
+            if pulled:
+                self.stats.messages_propagated += pulled
+                if budget is not None:
+                    budget.charge_messages(pulled)
             for at, (entries, (key, scale)) in enumerate(
                     zip(lists, scales)):
-                far = terms[key][0][index]
+                far = far_of[key][index]
                 if far > no_term:
                     entries.append((scale * far,))
                 if not entries:
@@ -215,7 +222,7 @@ class StarDSearch(StarKSearch):
         budget: Optional[Budget],
     ) -> PivotPlan:
         """Propagate from the leaf maps, then bound every pivot
-        candidate by its estimate.
+        candidate by its column estimate; no row is read here.
 
         The leaf maps are scored once, under the budget: they seed the
         propagation and are the candidates the exact phase looks for.
@@ -232,18 +239,19 @@ class StarDSearch(StarKSearch):
             leaf_maps=leaf_maps, traversal_stats=self.stats,
         )
         with obs.trace("stard.estimates", pivots=len(pivot_cands)) as span:
-            pulled: Dict[int, int] = {}
-            bounds, read = self._read_pivots(
-                star, weights, pivot_cands,
+            scales = [max(weights.get(leaf.id, 1.0), 1.0)
+                      for leaf, _edge in star.leaves]
+            bounds = column_bounds(
+                self.scorer, star, weights, pivot_cands, leaf_maps,
+                far=[scale * terms[id(leaf_scores)][0]
+                     for scale, leaf_scores in zip(scales, leaf_maps)])
+            reader = row_bounder(
+                pivot_cands, weights.get(star.pivot.id, 1.0),
                 self._bounding_provider(star, weights, leaf_maps,
-                                        pivot_cands, terms, pulled),
-                budget)
-            for count in pulled.values():
-                self.stats.messages_propagated += count
-                if budget is not None:
-                    budget.charge_messages(count)
-            span.annotate(viable=len(read), pulled=sum(pulled.values()))
-        return PivotPlan(pivot_cands, bounds, provider)
+                                        pivot_cands, terms, budget))
+            span.annotate(viable=sum(bound is not None for bound in bounds),
+                          rows_read=self.stats.rows_read)
+        return PivotPlan(pivot_cands, bounds, provider, reader)
 
     def search(
         self, star: StarQuery, k: int, budget: Optional[Budget] = None

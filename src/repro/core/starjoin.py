@@ -22,12 +22,13 @@ when its *last-fetched* component arrives (fetch sequence numbers guard
 against double counting).
 
 **Plan, cut, stream.**  Every star is planned before any stream is
-primed, and at ``d == 1`` the plans are cut to each other
-(:func:`joint_semijoin`, a semijoin reduction after Yannakakis, VLDB
-1981): a joint query node keeps only the data nodes every star
-containing it can bind, so no stream emits a match that no partner
-match can join.  HRJN's bound cannot see such matches; without the cut
-they are fetched, hashed and probed for nothing.
+primed, and at ``d == 1`` the plans are cut to each other over id sets
+before any row is read (:func:`joint_semijoin`, a semijoin reduction
+after Yannakakis, VLDB 1981): a joint query node keeps only the data
+nodes every star containing it can bind, so no stream emits a match
+that no partner match can join.  HRJN's bound cannot see such
+matches; without the cut they are fetched, hashed and probed for
+nothing.
 
 The *total search depth* ``D = sum_i |L_i|`` (how deep each star's stream
 was consumed) is the cost metric of Figs. 14(d)/15(b).
@@ -45,11 +46,12 @@ from repro.core.matches import Match
 from repro.core.options import SearchOptions
 from repro.core.rankmerge import MonotoneStream, ScoredPool, hrjn_bound
 from repro.core.procedures import star_matcher
-from repro.core.stark import PivotPlan, pivot_bound
+from repro.core.stark import PivotPlan, StarKSearch, leaf_values
 from repro.errors import BudgetExceededError, SearchError
 from repro.query.decomposition import Decomposition
 from repro.query.model import Query, StarQuery
 from repro.runtime.budget import Budget, SearchReport
+from repro.runtime.faults import SUBSTRATE_ERRORS
 from repro.similarity.scoring import ScoringFunction
 
 
@@ -88,29 +90,38 @@ def alpha_weights(
 
 def joint_semijoin(
     stars: Sequence[StarQuery],
-    plans: Sequence[PivotPlan],
+    matchers: Sequence[StarKSearch],
+    plans: List[PivotPlan],
     weights: Sequence[Mapping[int, float]],
     joint: AbstractSet[int],
 ) -> Tuple[int, int, int]:
-    """Cut ``d == 1`` star *plans*, in place, to the joint values every
-    star can bind; returns ``(rounds, pivots cut, leaf entries cut)``.
+    """Cut ``d == 1`` star *plans* to the joint values every star can
+    bind, replacing them in the list; returns ``(rounds, pivots cut,
+    leaf values cut)``.  Reads no row and charges nothing: the cut runs
+    over id sets, before any stream reads a row.
 
-    A star's values for joint query node ``q`` are the keys of its
-    plan's ``read`` when ``q`` is its pivot, and otherwise every node of
-    ``q``'s leaf lists across its read pivots.  ``V(q)`` is their
-    intersection over the stars containing ``q``.  Each star drops the
-    leaf entries outside ``V`` and the pivots outside it or left with an
-    empty list, and gets a cut pivot's bound back from
-    :func:`~repro.core.stark.pivot_bound`.  Dropping a pivot can take a
-    value of another joint node with it, so the rounds repeat until no
-    ``V`` shrinks: two on two stars; the fixpoint is sound on longer
-    chains and on cyclic decompositions too.
+    A star's values for joint query node ``q`` are its pivots with a
+    column bound when ``q`` is its pivot, and otherwise the nodes of
+    ``q``'s leaf map in the column entries of those pivots whose
+    relation passes the edge threshold (one gather,
+    :func:`~repro.core.stark.leaf_values`).  ``V(q)`` is their
+    intersection over the stars containing ``q``.  Each star whose
+    values exceed some ``V`` is planned again
+    (:meth:`~repro.core.stark.StarKSearch.row_plan`) with its pivots
+    and per-position copies of its joint leaves' maps narrowed to
+    ``V``, which re-gathers its column bounds: a pivot left with no
+    column neighbour in a narrowed map drops out.  Dropping a pivot can
+    take a value of another joint node with it, so the rounds repeat
+    until no ``V`` shrinks: two on two stars; the fixpoint is sound on
+    longer chains and on cyclic decompositions too.
 
-    Exact: a stream visits only pivots in ``read`` and builds every
-    generator from its lists, so a cut stream is the uncut one minus the
-    matches binding some joint node to a value a partner star cannot
-    take -- matches that never join.  Top scores only fall, so the
-    alpha-scheme bound stays admissible.  Reads no row; charges nothing.
+    Exact: a plan's reads keep only leaf candidates in its maps, so a
+    cut stream is the uncut one minus the matches binding some joint
+    node to a value a partner star cannot take -- matches that never
+    join.  Top scores only fall, so the alpha-scheme bound stays
+    admissible.  The columns ignore orientation, so under directed
+    matching the values are supersets of what the rows would give: the
+    cut is sound there, and may be weaker than a cut over rows read.
     """
     # Each star's joint nodes: (query node, its leaf position), None for
     # the pivot.  Queries are simple graphs: a node is one leaf at most.
@@ -122,16 +133,22 @@ def joint_semijoin(
                  if leaf.id in joint]
         slots.append(here)
 
-    def values(at: int, position: Optional[int]) -> Set[int]:
-        read = plans[at].read
-        if position is None:
-            return set(read)
-        return {entry[1] for lists in read.values()
-                for entry in lists[position]}
+    def bounded(at: int) -> Set[int]:
+        plan = plans[at]
+        return {node for (node, _score), bound
+                in zip(plan.pivots, plan.bounds) if bound is not None}
 
-    held = {(qid, at): values(at, position)
-            for at, here in enumerate(slots) for qid, position in here}
-    rounds = pivots_cut = entries_cut = 0
+    def values(at: int) -> Dict[int, Set[int]]:
+        pivots = bounded(at)
+        return {qid: pivots if position is None else leaf_values(
+                    matchers[at].scorer, stars[at].leaves[position][1],
+                    plans[at].leaf_maps[position], pivots)
+                for qid, position in slots[at]}
+
+    held = {(qid, at): found for at in range(len(stars))
+            for qid, found in values(at).items()}
+    first = {key: len(found) for key, found in held.items()}
+    rounds = pivots_cut = 0
     while True:
         rounds += 1
         cut: Dict[int, Set[int]] = {}
@@ -140,60 +157,32 @@ def joint_semijoin(
         shrunk = sorted({at for (qid, at), found in held.items()
                          if len(found) > len(cut[qid])})
         if not shrunk:
-            return rounds, pivots_cut, entries_cut
+            values_cut = sum(
+                first[qid, at] - len(held[qid, at])
+                for at, here in enumerate(slots)
+                for qid, position in here if position is not None)
+            return rounds, pivots_cut, values_cut
         for at in shrunk:
-            pivot_keep = None
-            leaf_keep = []
+            plan = plans[at]
+            alive = bounded(at)
+            before = len(alive)
+            leaf_maps = list(plan.leaf_maps)
             for qid, position in slots[at]:
+                keep = cut[qid]
                 if position is None:
-                    pivot_keep = cut[qid]
-                else:
-                    leaf_keep.append((position, cut[qid]))
-            pivots, entries = _cut_plan(
-                plans[at], pivot_keep, leaf_keep,
-                weights[at].get(stars[at].pivot.id, 1.0))
-            pivots_cut += pivots
-            entries_cut += entries
-            for qid, position in slots[at]:
-                held[qid, at] = values(at, position)
-
-
-def _cut_plan(
-    plan: PivotPlan,
-    pivot_keep: Optional[Set[int]],
-    leaf_keep: List[Tuple[int, Set[int]]],
-    pivot_weight: float,
-) -> Tuple[int, int]:
-    """One star's share of a :func:`joint_semijoin` round: drop the read
-    pivots outside *pivot_keep* (None: the pivot is not joint), the
-    entries at each ``(position, keep)`` of *leaf_keep* outside *keep*,
-    and the pivots a list empties; rebound the narrowed pivots.  Returns
-    ``(pivots cut, entries cut)``."""
-    read, bounds = plan.read, plan.bounds
-    pivots_cut = entries_cut = 0
-    for index, (pivot_node, pivot_score) in enumerate(plan.pivots):
-        lists = read.get(pivot_node)
-        if lists is None:
-            continue
-        dead = pivot_keep is not None and pivot_node not in pivot_keep
-        narrowed = False
-        for position, keep in ([] if dead else leaf_keep):
-            entries = lists[position]
-            kept = [entry for entry in entries if entry[1] in keep]
-            if len(kept) < len(entries):
-                entries_cut += len(entries) - len(kept)
-                lists[position] = kept
-                narrowed = True
-                if not kept:
-                    dead = True
-                    break
-        if dead:
-            del read[pivot_node]
-            bounds[index] = None
-            pivots_cut += 1
-        elif narrowed:
-            bounds[index] = pivot_bound(pivot_weight, pivot_score, lists)
-    return pivots_cut, entries_cut
+                    alive &= keep
+                    continue
+                leaf_map = leaf_maps[position]
+                leaf_maps[position] = (
+                    set(keep) if leaf_map is None
+                    else {node: score for node, score in leaf_map.items()
+                          if node in keep} if isinstance(leaf_map, dict)
+                    else leaf_map & keep)
+            plans[at] = matchers[at].row_plan(
+                stars[at], weights[at], plan.pivots, leaf_maps, alive)
+            pivots_cut += before - len(bounded(at))
+            for qid, found in values(at).items():
+                held[qid, at] = found
 
 
 _Entry = Tuple[int, Match]
@@ -304,10 +293,13 @@ class StarJoin:
 
         None when a plan proves its star has no match (the join is
         empty); the later stars are not planned.  The cut
-        (:func:`joint_semijoin`) runs at ``d == 1`` only -- stard's
-        ``d >= 2`` lists carry far estimates, not bindable values -- and
-        only if the budget has not tripped by the end of planning: a
-        tripped plan read only some pivots, so every plan streams uncut.
+        (:func:`joint_semijoin`) runs at ``d == 1`` only -- a joint value
+        at ``d >= 2`` needs d-hop reach, which the columns' rows do not
+        give -- and only if the budget has not tripped by the end of
+        planning: a tripped plan scored only some candidates, so every
+        plan streams uncut.  A substrate fault in the cut is recorded
+        under an anytime budget, and the plans stream as cut so far
+        (each narrowing is sound on its own); it is raised otherwise.
         """
         stars = decomposition.stars
         matchers, plans = [], []
@@ -321,14 +313,21 @@ class StarJoin:
                     return None
                 matchers.append(matcher)
                 plans.append(plan)
-            rounds = pivots_cut = entries_cut = 0
-            if not tripped and all(plan.read is not None for plan in plans):
-                rounds, pivots_cut, entries_cut = joint_semijoin(
-                    stars, plans, weights, decomposition.joint_nodes())
+            rounds = pivots_cut = values_cut = 0
+            if not tripped and all(plan.leaf_maps is not None
+                                   for plan in plans):
+                try:
+                    rounds, pivots_cut, values_cut = joint_semijoin(
+                        stars, matchers, plans, weights,
+                        decomposition.joint_nodes())
+                except SUBSTRATE_ERRORS as exc:
+                    if budget is None or not budget.anytime:
+                        raise
+                    budget.record_fault(f"starjoin cut: {exc}")
                 if any(plan.proves_empty() for plan in plans):
                     return None
             span.annotate(rounds=rounds, pivots_cut=pivots_cut,
-                          entries_cut=entries_cut)
+                          values_cut=values_cut)
         return [
             matcher.stream(star, star_weights, budget=budget, plan=plan)
             for matcher, star, star_weights, plan

@@ -22,6 +22,7 @@ STAT_KEYS = (
     "pivots_with_match",
     "matches_emitted",
     "lattice_pops",
+    "rows_read",
     "nodes_traversed",
     "messages_propagated",
     "joins_attempted",
@@ -51,11 +52,16 @@ class EngineStats:
     total search depth ``D = sum_i |L_i|``, set on every exit of a join,
     a strict budget trip included.
 
+    ``rows_read`` counts the pivot rows read into leaf lists
+    (:func:`repro.core.stark.hop_one_reader`): at ``d == 1`` one per
+    pivot whose column bound reached the head of the pivot queue, at
+    ``d >= 2`` those and one per evaluated pivot, plus the rescue's.
+
     At ``d >= 2``, ``nodes_traversed`` counts per evaluated pivot the
     nodes of its (d-1)-hop BFS plus the leaf candidates reached at hop
     d, and ``messages_propagated`` the entries of the seed and pushed
-    layers plus, per distinct leaf map, the pivot candidates whose row
-    the last round was pulled at with a message.
+    layers plus, per distinct leaf map, the pivots whose row was read
+    for its bound and holds a message of the last round.
     """
 
     algorithm: str = ""
@@ -64,6 +70,7 @@ class EngineStats:
     pivots_with_match: int = 0
     matches_emitted: int = 0
     lattice_pops: int = 0
+    rows_read: int = 0
     nodes_traversed: int = 0
     messages_propagated: int = 0
     joins_attempted: int = 0

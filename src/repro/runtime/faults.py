@@ -59,7 +59,6 @@ FAULT_SITES = (
     "graph.neighbors",
     "graph.out_neighbors",
     "graph.in_neighbors",
-    "graph.neighbor_ids",
 )
 
 FAULT_MODES = ("raise", "delay", "corrupt", "crash")
@@ -251,15 +250,6 @@ class FaultyGraph:
         return self._adjacency(
             "graph.in_neighbors", self._graph.in_neighbors(node_id)
         )
-
-    def neighbor_ids(self, node_id: int):
-        # Its own site: a walk of id reads (stark's pivot semijoin) does
-        # not shift the call numbering of the row reads after it.
-        ids = self._graph.neighbor_ids(node_id)
-        if self._injector.enter("graph.neighbor_ids"):
-            ids = list(ids) + [-1]
-        self._validate("graph.neighbor_ids", ids)
-        return ids
 
     def columns(self):
         # The id columns are the undirected lists read in bulk: one read

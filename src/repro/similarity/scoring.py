@@ -17,9 +17,12 @@ algorithm pays for a score exactly once per query.
 from __future__ import annotations
 
 import hashlib
+import math
 
 from dataclasses import dataclass, field, replace
 from typing import Dict, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ScoringError
 from repro.graph.knowledge_graph import KnowledgeGraph
@@ -237,6 +240,7 @@ class ScoringFunction:
         # hoisted corpus statistics (IDF, degree normalizer), so every
         # path that replaces the corpus must drop them.
         self._evaluators: Dict[DescriptorKey, BoundMeasure] = {}
+        self._edge_evaluators: Dict[DescriptorKey, BoundMeasure] = {}
         # Memos are keyed on descriptor *content* (interned, pre-hashed
         # DescriptorKey), so equal constraints from different query
         # objects -- the norm in template-generated workloads -- share
@@ -244,6 +248,7 @@ class ScoringFunction:
         self._node_cache: Dict[Tuple[DescriptorKey, int], float] = {}
         self._edge_cache: Dict[Tuple[DescriptorKey, str], float] = {}
         self._relation_descriptors: Dict[str, Descriptor] = {}
+        self._relation_vectors: Dict[DescriptorKey, np.ndarray] = {}
         self.node_score_calls = 0
         self.edge_score_calls = 0
         self._fingerprint: Optional[str] = None
@@ -320,12 +325,38 @@ class ScoringFunction:
         if data is None:
             data = Descriptor(relation)
             self._relation_descriptors[relation] = data
-        evaluate = bind_measures(
-            EDGE_FUNCTIONS, self.edge_weights, query, self.corpus
-        )
+        evaluate = self._edge_evaluators.get(query.cache_key)
+        if evaluate is None:
+            if len(self._edge_evaluators) >= _EVALUATORS_MAX:
+                self._edge_evaluators.clear()
+            evaluate = self._edge_evaluators[query.cache_key] = bind_measures(
+                EDGE_FUNCTIONS, self.edge_weights, query, self.corpus)
         score = min(1.0, max(0.0, evaluate(data)))
         self._edge_cache[key] = score
         return score
+
+    def relation_scores(self, query: Descriptor,
+                        relations: np.ndarray) -> np.ndarray:
+        """:meth:`relation_score` of *query* for each relation id in
+        *relations* -- ids of the graph's columns, named by
+        :meth:`KnowledgeGraph.relation_names` -- as one array.  Kept per
+        query, one slot per id, each scored the first time it is asked
+        for (so a query pays only for the relations its rows hold);
+        memoised until a label is rescored (:meth:`refresh`)."""
+        key = query.cache_key
+        scores = self._relation_vectors.get(key)
+        names = self.graph.relation_names()
+        if scores is None or len(scores) < len(names):
+            grown = np.full(len(names), np.nan)
+            if scores is not None:
+                grown[:len(scores)] = scores
+            scores = self._relation_vectors[key] = grown
+        found = scores[relations]
+        if math.isnan(found.sum()):  # some id not scored yet
+            for rid in set(relations[np.isnan(found)].tolist()):
+                scores[rid] = self.relation_score(query, names[rid])
+            found = scores[relations]
+        return found
 
     def edge_score(
         self, query: Descriptor, best_relation_score: float, hops: int
@@ -361,7 +392,9 @@ class ScoringFunction:
         measurements)."""
         self._node_cache.clear()
         self._edge_cache.clear()
+        self._relation_vectors.clear()
         self._evaluators.clear()
+        self._edge_evaluators.clear()
 
     def refresh(self) -> bool:
         """Resynchronize memoized state after graph mutations.
@@ -408,6 +441,7 @@ class ScoringFunction:
                 }
                 for relation in relations:
                     self._relation_descriptors.pop(relation, None)
+                self._relation_vectors.clear()
         self._graph_version = graph.version
         return True
 

@@ -25,6 +25,7 @@ and a reader's mapping keeps the inode it opened.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import (
     Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
 )
@@ -207,13 +208,14 @@ class _LazyAdj:
     row lists v's ``(neighbor, edge id)`` entries in
     ``graph.neighbors(v)`` order."""
 
-    __slots__ = ("_indptr", "_indices", "_eids", "_base", "_cache",
-                 "_extra", "_changed")
+    __slots__ = ("_indptr", "_indices", "_eids", "_rels", "_base",
+                 "_cache", "_extra", "_changed")
 
     def __init__(self, reader: StoreReader) -> None:
         self._indptr = reader.section("csr.indptr")
         self._indices = reader.section("csr.indices")
         self._eids = reader.section("csr.eids")
+        self._rels = reader.section("csr.rels")
         self._base = reader.meta.node_slots
         self._cache: Dict[int, List[Tuple[int, int]]] = {}
         self._extra: List[List[Tuple[int, int]]] = []
@@ -274,34 +276,18 @@ class _LazyAdj:
         and labels included."""
         return v < self._base and v not in self._changed
 
-    def id_columns(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``indptr`` / ``indices`` of every row's neighbor ids (see
-        :mod:`repro.graph.columns`): the ``csr.*`` sections themselves
-        while every row is on base, else their slices between the rows
-        that are not, those rows spliced in."""
-        base_indptr = np.frombuffer(self._indptr, dtype=np.uint32)
-        base_indices = np.frombuffer(self._indices, dtype=np.uint32)
-        if not self._changed and not self._extra:
-            return base_indptr, base_indices
-        overlay = sorted(self._changed)
-        lengths = np.concatenate((
-            np.diff(base_indptr).astype(np.int64),
-            np.array([len(row) for row in self._extra], dtype=np.int64)))
-        for v in overlay:
-            lengths[v] = len(self[v])
-        indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        indices = np.empty(indptr[-1], dtype=np.uint32)
-        done = 0  # the rows before this one are in place
-        for v in overlay + [self._base]:
-            indices[indptr[done]:indptr[v]] = \
-                base_indices[base_indptr[done]:base_indptr[v]]
-            done = v + 1
-        for v in overlay + list(range(self._base, len(self))):
-            indices[indptr[v]:indptr[v + 1]] = [nbr for nbr, _eid in self[v]]
-        indptr.flags.writeable = False
-        indices.flags.writeable = False
-        return indptr, indices
+    def base_columns(self) -> Columns:
+        """The columns of the base rows (see :mod:`repro.graph.columns`):
+        the ``csr.indptr`` / ``csr.indices`` / ``csr.rels`` sections
+        themselves."""
+        return Columns(np.frombuffer(self._indptr, dtype=np.uint32),
+                       np.frombuffer(self._indices, dtype=np.uint32),
+                       np.frombuffer(self._rels, dtype=np.uint32))
+
+    def off_base(self) -> Iterator[int]:
+        """The rows that no longer equal their ``csr.*`` slices, and the
+        rows added past them."""
+        return chain(self._changed, range(self._base, len(self)))
 
     def ids(self, v: int) -> Sequence[int]:
         """Row *v*'s neighbor ids without materializing the row: an
@@ -512,9 +498,6 @@ class MmapKnowledgeGraph(KnowledgeGraph):
     def degree(self, node_id: int) -> int:
         return self._adj.fast_len(self._check_node(node_id))
 
-    def total_degree(self, node_ids) -> int:
-        return sum(map(self._adj.fast_len, node_ids))
-
     def neighbor_ids(self, node_id: int) -> Sequence[int]:
         return self._adj.ids(self._check_node(node_id))
 
@@ -592,7 +575,11 @@ class MmapKnowledgeGraph(KnowledgeGraph):
         return ((nbr, keys[rid]) for nbr, rid, out in entries if out == want)
 
     def _build_columns(self) -> Columns:
-        return Columns(*self._adj.id_columns())
+        # csr.rels holds ids into the store's relation table, which is
+        # where this graph's relation ids start (see open_graph)
+        adj = self._adj
+        return adj.base_columns().spliced(
+            {v: self._column_row(v) for v in adj.off_base()}, len(adj))
 
     # -- store plumbing -------------------------------------------------
     @property
@@ -633,7 +620,9 @@ def open_graph(path, *, verify: bool = False) -> MmapKnowledgeGraph:
         graph._nodes = _LazyNodes(reader, type_keys)
         graph._edges = _LazyEdges(reader, rel_keys)
         graph._adj = _LazyAdj(reader)
-        graph._ends = None
+        graph._ends = graph._edge_relations = None
+        graph._relation_names = list(rel_keys)
+        graph._relation_ids = {key: rid for rid, key in enumerate(rel_keys)}
         graph._token_index = _LazyTokenIndex(reader)
         graph._type_index = _LazyTypeIndex(reader, type_keys)
         graph._relations = dict(meta.relations)

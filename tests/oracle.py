@@ -18,7 +18,7 @@ available to any future engine configuration::
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.baselines.brute_force import brute_force_matches, brute_force_star
 from repro.core.framework import Star
@@ -106,6 +106,21 @@ def assert_grouped_relations(graph) -> None:
             assert graph.grouped_relations(v, orientation) == (
                 reference_grouped_relations(graph, v, orientation)
             ), (v, orientation)
+
+
+def row_bounds(plan) -> List[Optional[float]]:
+    """Every candidate's row bound, read off its row by *plan*'s reader
+    (what the lazy loop refines a column bound to), each checked to be
+    at most its column bound, and None wherever the column bound is."""
+    rows = []
+    for index, column in enumerate(plan.bounds):
+        row = plan.reader(index)
+        if column is None:
+            assert row is None, plan.pivots[index]
+        else:
+            assert row is None or row <= column, plan.pivots[index]
+        rows.append(row)
+    return rows
 
 
 def assert_same_results(got, expected) -> None:

@@ -184,8 +184,9 @@ class TestTraceCommand:
         out = capsys.readouterr().out
         assert "stard.search" in out
         assert "stard.propagate" in out
-        # the propagated messages, and the last round's, pulled at the rows
-        assert "messages=" in out and "pulled=" in out
+        # the propagated messages, and the rows read (each charges the
+        # last round's messages pulled at it)
+        assert "messages=" in out and "rows_read=" in out
 
     def test_trace_jsonl_and_metrics_out(self, saved_graph, tmp_path,
                                          capsys):

@@ -12,6 +12,7 @@ from repro.graph import KnowledgeGraph
 from repro.query import StarQuery, star_query, star_workload
 from repro.similarity import ScoringConfig, ScoringFunction
 
+from tests.oracle import row_bounds
 from tests.test_message_kernels import Top2, as_top2
 
 
@@ -98,8 +99,8 @@ class TestEstimates:
 
         for query in star_workload(yago_graph, 5, seed=31):
             star = StarQuery.from_query(query)
-            pivots, bounds, _provider, _read = StarDSearch(yago_scorer, d=2)._plan(
-                star, {}, None)
+            plan = StarDSearch(yago_scorer, d=2)._plan(star, {}, None)
+            pivots, bounds = plan.pivots, row_bounds(plan)
             exact = StarKSearch(yago_scorer, d=2)
             provider = bounded_leaf_provider(yago_scorer, star, {}, 2, True)
             for (pivot_node, pivot_score), estimate in zip(pivots, bounds):
@@ -132,18 +133,20 @@ class TestEstimates:
         # With a huge edge threshold only direct edges qualify; the person
         # only reaches the film in 3 hops, so no bound exists.
         scorer, star = self.path_star(0.9)
-        pivots, bounds, _provider, _read = StarDSearch(scorer, d=3)._plan(
-            star, {}, None)
-        assert [pivot for pivot, _score in pivots] == [0]
-        assert bounds == [None]
-        # Below the threshold, hop 3 bounds it at its decay.
+        plan = StarDSearch(scorer, d=3)._plan(star, {}, None)
+        assert [pivot for pivot, _score in plan.pivots] == [0]
+        assert plan.bounds == [None]
+        assert row_bounds(plan) == [None]
+        # Below the threshold, hop 3 bounds it at its decay, off the
+        # columns and off the row alike.
         scorer, star = self.path_star(0.05)
-        pivots, bounds, _provider, _read = StarDSearch(scorer, d=3)._plan(
-            star, {}, None)
-        [(_pivot, pivot_score)] = pivots
+        plan = StarDSearch(scorer, d=3)._plan(star, {}, None)
+        [(_pivot, pivot_score)] = plan.pivots
         leaf_score = scorer.node_score(star.leaves[0][0].descriptor, 3)
-        assert bounds == [pytest.approx(
+        want = [pytest.approx(
             pivot_score + leaf_score + scorer.path.decay(3))]
+        assert plan.bounds == want
+        assert row_bounds(plan) == want
 
 
 class TestExactness:

@@ -388,6 +388,6 @@ def test_the_cut_is_traced_and_tracing_changes_nothing():
              if span.name == "starjoin.reduce"]
     assert len(spans) == 1
     attrs = spans[0].attrs
-    assert (attrs["rounds"], attrs["pivots_cut"], attrs["entries_cut"]) \
+    assert (attrs["rounds"], attrs["pivots_cut"], attrs["values_cut"]) \
         == counts[0]
     assert attrs["stars"] == 3 and counts[0][0] >= 2 and counts[0][1] > 0

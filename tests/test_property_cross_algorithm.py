@@ -20,6 +20,7 @@ from repro.query import Query, StarQuery, star_query
 from repro.similarity import ScoringFunction
 
 from tests.conftest import build_random_graph
+from tests.oracle import row_bounds
 
 # Deterministic scorer cache (hypothesis re-runs with the same seeds).
 _SCORERS = {}
@@ -92,14 +93,15 @@ class TestStarMatchersAgree:
             pivot = m.assignment[star.pivot.id]
             best[pivot] = max(best.get(pivot, score), score)
             ranked.append(round(score, 9))
-        pivots, bounds, _provider, _read = StarKSearch(scorer, **modes)._plan(
-            star, weights, None)
+        plan = StarKSearch(scorer, **modes)._plan(star, weights, None)
+        pivots, bounds = plan.pivots, plan.bounds
+        rows = row_bounds(plan)
         assert set(best) <= {pivot for pivot, _score in pivots}
-        for (pivot, _score), bound in zip(pivots, bounds):
-            if bound is None:
+        for (pivot, _score), bound, row in zip(pivots, bounds, rows):
+            if row is None:
                 assert pivot not in best
             elif pivot in best:
-                assert bound >= best[pivot] - 1e-9
+                assert row >= best[pivot] - 1e-9
         got = StarKSearch(scorer, **modes).stream(star, node_weights=weights)
         assert rounded(itertools.islice(got, 8)) == sorted(
             ranked, reverse=True)[:8]

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import StarDSearch, StarKSearch
 from repro.core import stark as stark_module
 from repro.core.candidates import shortlist
-from repro.core.stark import PivotPlan, leaf_candidate_maps
+from repro.core.stark import PivotPlan, leaf_candidate_maps, pivot_bound
 from repro.errors import InjectedFaultError
 from repro.graph.generators import dbpedia_like
 from repro.query import star_query
@@ -73,16 +73,26 @@ def map_backed_provider(search, star, weights, leaf_maps):
 
 
 class MapBacked:
-    """Mixin: the ``d == 1`` plan over map-backed leaves only."""
+    """Mixin: the ``d == 1`` plan over map-backed leaves only, every
+    pivot's row read up front; the row bounds stand in for the column
+    bounds, so the loop's reads are lookups."""
 
     def _plan(self, star, weights, budget):
         pivot_cands = self._pivot_candidates(star, budget=budget)
         leaf_maps = leaf_candidate_maps(self.scorer, star, budget=budget)
         assert all(leaf_map is not None for leaf_map in leaf_maps)
         provider = map_backed_provider(self, star, weights, leaf_maps)
-        bounds, read = self._read_pivots(star, weights, pivot_cands,
-                                         provider, budget)
-        return PivotPlan(pivot_cands, bounds, read.pop, read)
+        pivot_weight = weights.get(star.pivot.id, 1.0)
+        bounds, read = [], {}
+        for pivot_node, pivot_score in pivot_cands:
+            lists = provider(pivot_node)
+            if lists and not lists[-1]:
+                bounds.append(None)
+                continue
+            read[pivot_node] = lists
+            bounds.append(pivot_bound(pivot_weight, pivot_score, lists))
+        return PivotPlan(pivot_cands, bounds, read.pop, bounds.__getitem__,
+                         leaf_maps)
 
 
 class MapBackedStarK(MapBacked, StarKSearch):
@@ -137,12 +147,15 @@ def star_of(choice: int):
 
 
 def read_lists(search, star):
-    """The d=1 plan's candidates, bounds and every pivot's leaf lists
-    (as sorted entries: the lattice sorts them anyway)."""
+    """The d=1 plan's candidates, row bounds and every bounded pivot's
+    leaf lists (as sorted entries: the lattice sorts them anyway), every
+    row read through the plan's reader."""
     plan = search._plan(star, {}, None)
-    lists = {pivot: [sorted(entries) for entries in read]
-             for pivot, read in plan.read.items()}
-    return plan.pivots, plan.bounds, lists
+    bounds = [plan.reader(index) for index in range(len(plan.pivots))]
+    lists = {pivot: [sorted(entries) for entries in plan.provider(pivot)]
+             for (pivot, _score), bound in zip(plan.pivots, bounds)
+             if bound is not None}
+    return plan.pivots, bounds, lists
 
 
 def counters(search) -> List[int]:
@@ -283,11 +296,14 @@ class TestBudgetAndFaults:
         assert_same_results(got, want)
         assert counters(search) == [4, 3, 3]
         # One charge per scored pivot candidate (9 shortlisted, 4
-        # admitted), one per pivot read, none for the leaf.
+        # admitted), one per row read -- the three pivots whose column
+        # bound beat the queue head -- none for the leaf.
         assert len(shortlist(scorer, self.STAR.pivot)) == 9
-        assert budget.nodes_visited == 9 + 4
-        # The map-backed plan also charged every live node for the leaf.
-        assert reference_budget.nodes_visited == 9 + 4 + 30
+        assert budget.nodes_visited == 9 + search.stats.rows_read == 9 + 3
+        # The map-backed plan also charged every live node for the leaf;
+        # it read its rows up front, and its loop charged a lookup per
+        # pivot whose row bound beat the queue head.
+        assert reference_budget.nodes_visited == 9 + 30 + 3
 
     @pytest.mark.parametrize("make", [
         lambda s: StarKSearch(s), lambda s: StarDSearch(s, d=1)])

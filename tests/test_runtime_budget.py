@@ -12,7 +12,7 @@ from repro.core import (
     StarKSearch,
 )
 from repro.core.rankmerge import ScoredPool
-from repro.core.stark import _MIN_PIVOTS_AFTER_TRIP, leaf_candidate_maps
+from repro.core.stark import _MIN_PIVOTS_AFTER_TRIP
 from repro.errors import (
     BudgetExceededError,
     InjectedFaultError,
@@ -371,25 +371,40 @@ def _yago_stars(yago_graph):
 
 
 class TestD1ReadPass:
-    """At d=1 the plan reads every pivot's rows once to bound it: the
-    node charge, the trip and the fault contract move there."""
+    """At d=1 the plan bounds every pivot off the id columns, and the
+    loop reads a pivot's row only when its column bound reaches the head
+    of the queue: the node charge, the trip and the fault contract sit
+    at the row read."""
 
-    #: ``budget.nodes_visited`` of an untripped run per star, as the
-    #: loop charged it when every pivot was evaluated.
-    NODES_VISITED = [281, 180, 214, 172, 183, 515]
+    #: ``budget.nodes_visited`` of an untripped run per star, less one
+    #: per row read: the nodes charged while the candidates were scored.
+    SCORED = [271, 169, 169, 114, 172, 508]
+    #: Rows read per star, one node charged each.
+    ROWS = [2, 1, 5, 4, 1, 3]
 
     @pytest.mark.parametrize("cls", [StarKSearch, StarDSearch])
     def test_untripped_run_charges_what_the_loop_charged(
         self, yago_graph, cls
     ):
-        visited = []
+        scored, rows = [], []
         for star in _yago_stars(yago_graph):
             matcher = cls(ScoringFunction(yago_graph), d=1)
             budget = Budget(max_nodes=10 ** 9, anytime=True)
             matcher.search(star, 5, budget=budget)
             assert matcher.last_report.completed
-            visited.append(budget.nodes_visited)
-        assert visited == self.NODES_VISITED
+            scored.append(budget.nodes_visited - matcher.stats.rows_read)
+            rows.append(matcher.stats.rows_read)
+        assert scored == self.SCORED
+        assert rows == self.ROWS
+
+    @staticmethod
+    def column_order(scorer, star):
+        """The pivot candidates by decreasing column bound, candidate
+        order among equals: the order the loop reads rows in."""
+        plan = StarKSearch(scorer)._plan(star, {}, None)
+        return [plan.pivots[index][0] for _neg, index in sorted(
+            (-bound, index) for index, bound in enumerate(plan.bounds)
+            if bound is not None)]
 
     def test_anytime_trip_is_flagged_and_answers(self, yago_graph):
         star = _yago_stars(yago_graph)[3]
@@ -398,11 +413,12 @@ class TestD1ReadPass:
         exact = StarKSearch(scorer).search(star, 5, budget=full)
         pivots = StarKSearch(scorer)._pivot_candidates(star)
         assert len(pivots) > 2 * _MIN_PIVOTS_AFTER_TRIP
+        read = self.ROWS[3]
+        assert full.nodes_visited == self.SCORED[3] + read
         # One cap trips while candidates are scored, one halfway
-        # through the read pass.
-        for max_nodes in (len(pivots) - 1,
-                          full.nodes_visited - len(pivots) // 2):
-            injector = FaultInjector([])  # counts the row reads
+        # through the rows the untripped run reads.
+        for max_nodes in (len(pivots) - 1, self.SCORED[3] + read // 2):
+            injector = FaultInjector([])  # counts the adjacency reads
             matcher = StarKSearch(FaultyScorer(scorer, injector))
             budget = Budget(max_nodes=max_nodes, anytime=True)
             got = matcher.search(star, 5, budget=budget)
@@ -411,30 +427,72 @@ class TestD1ReadPass:
             scores = [m.score for m in got]
             assert scores == sorted(scores, reverse=True)
             assert scores[0] <= exact[0].score + 1e-9
-        # The trip stopped the reading: of the pivots charged, those
-        # adjacent to a node of the star's one leaf map were read.  The
-        # semijoin walked that map, one id read per node.
-        (leaf_map,) = leaf_candidate_maps(scorer, star, at_row=True)
-        near = {nbr for node in leaf_map
-                for nbr, _eid in yago_graph.neighbors(node)}
-        charged = pivots[:len(pivots) - len(pivots) // 2]
-        assert injector.calls["graph.neighbor_ids"] == len(leaf_map)
-        assert injector.calls["graph.neighbors"] == \
-            sum(node in near for node, _s in charged)
+        # The trip stopped the reading: the columns were read once, then
+        # the rows of as many pivots as the cap left nodes for, one node
+        # each (the charge that tripped read nothing).
+        assert matcher.stats.rows_read == read // 2
+        assert injector.calls["graph.neighbors"] == 1 + read // 2
+        assert budget.nodes_visited == max_nodes + 1
+
+    def test_a_trip_reads_the_best_column_bounded_rows(
+        self, yago_graph, monkeypatch
+    ):
+        """Under a tripping node budget the rows read are those of the
+        best column-bounded pivots, in bound order: a deadline trip
+        returns the best-bounded prefix, not the candidate-order one."""
+        scorer = ScoringFunction(yago_graph)
+        rows = yago_graph.grouped_relations
+        reads = []
+
+        def counting_rows(node_id, orientation=0):
+            reads.append(node_id)
+            return rows(node_id, orientation)
+
+        # rows read by the time the rescue starts, if it does
+        rescued = []
+        rescue = StarKSearch._anytime_rescue
+
+        def counting_rescue(self, *args):
+            rescued.append(len(reads))
+            return rescue(self, *args)
+
+        monkeypatch.setattr(yago_graph, "grouped_relations", counting_rows)
+        monkeypatch.setattr(StarKSearch, "_anytime_rescue", counting_rescue)
+        tripped = 0
+        for at, star in enumerate(_yago_stars(yago_graph)):
+            order = self.column_order(scorer, star)
+            for cap in range(self.ROWS[at] + 1):
+                del reads[:], rescued[:]
+                matcher = StarKSearch(scorer)
+                budget = Budget(max_nodes=self.SCORED[at] + cap,
+                                anytime=True)
+                got = matcher.search(star, 5, budget=budget)
+                assert reads[:cap] == order[:cap]
+                # past those, only the rescue reads rows
+                assert rescued in ([], [cap])
+                if len(reads) > cap:
+                    assert rescued == [cap]
+                if cap < self.ROWS[at]:
+                    assert matcher.last_report.reason == REASON_NODES
+                    tripped += bool(got)
+                else:
+                    assert matcher.last_report.completed
+                    assert not rescued and len(reads) == cap
+        assert tripped >= 5
 
     def test_row_fault_skips_that_pivot_only(self, yago_graph):
         star = _yago_stars(yago_graph)[3]
         scorer = ScoringFunction(yago_graph)
-        pivots = StarKSearch(scorer)._pivot_candidates(star)
-        # d=1 reads adjacency only in the pass, one row per pivot in
-        # candidate order: call #1 is the second pivot's.
-        lost = pivots[1][0]
-        spec = FaultSpec("graph.neighbors", at_call=1)
+        # The columns are call #0 of the adjacency fault point; rows are
+        # read in column-bound order after them: call #2 is the second.
+        lost = self.column_order(scorer, star)[1]
+        spec = FaultSpec("graph.neighbors", at_call=2)
         matcher = StarKSearch(faulty(scorer, [spec]))
         got = matcher.search(star, 5, budget=Budget(anytime=True))
         report = matcher.last_report
         assert report.reason == REASON_FAULT
-        assert len(report.faults) == 1 and str(lost) in report.faults[0]
+        assert report.faults == [
+            f"pivot {lost}: injected fault at graph.neighbors call #2"]
         scope = set(yago_graph.nodes()) - {lost}
         want = StarKSearch(scorer, pivot_scope=scope).search(star, 5)
         assert [(m.score, m.key()) for m in got] == [
@@ -444,25 +502,29 @@ class TestD1ReadPass:
 
 
 class TestD2RowPass:
-    """At d >= 2 the plan bounds every pivot from one read of its grouped
-    row, which also pulls the last propagation round: messages are
-    charged as a pushed round is, nodes one per evaluated pivot, a trip
+    """At d >= 2 the plan bounds every pivot off the id columns and the
+    pulled last propagation round; a pivot whose column bound reaches
+    the head of the queue has its grouped row read for its row bound.
+    Messages are charged as a pushed round is, and a row read charges
+    the pulled messages it holds; nodes one per evaluated pivot; a trip
     stops the reading, and a row fault costs that pivot alone."""
 
     #: ``budget.messages_sent`` of an untripped run per star: the pushed
-    #: rounds' entries, then one message per pivot row that reaches
+    #: rounds' entries, then one message per row read that reaches
     #: ``B[d-1]`` (the pulled last round).
-    MESSAGES = {2: [139, 252, 131, 27, 173, 295],
-                3: [425, 829, 427, 151, 510, 675]}
+    MESSAGES = {2: [136, 246, 109, 23, 166, 292],
+                3: [420, 819, 392, 121, 502, 672]}
     #: ``budget.nodes_visited`` less one per evaluated pivot: the nodes
     #: charged while the candidates were scored.
     SCORED = [271, 169, 169, 114, 172, 508]
     #: Pivots evaluated, one node charged each.
     EVALUATED = [3, 1, 1, 4, 1, 3]
+    #: Rows read for a row bound (each evaluation reads its row again).
+    BOUND_READS = [3, 1, 1, 4, 1, 3]
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_untripped_run_charges(self, yago_graph, d):
-        messages, scored, evaluated = [], [], []
+        messages, scored, evaluated, reads = [], [], [], []
         for star in _yago_stars(yago_graph):
             matcher = StarDSearch(ScoringFunction(yago_graph), d=d)
             budget = Budget(max_nodes=10 ** 9, max_messages=10 ** 9,
@@ -473,9 +535,12 @@ class TestD2RowPass:
             scored.append(budget.nodes_visited
                           - matcher.stats.pivots_evaluated)
             evaluated.append(matcher.stats.pivots_evaluated)
+            reads.append(matcher.stats.rows_read
+                         - matcher.stats.pivots_evaluated)
         assert messages == self.MESSAGES[d]
         assert scored == self.SCORED
         assert evaluated == self.EVALUATED
+        assert reads == self.BOUND_READS
 
     def test_pulled_round_is_charged_after_the_pass(self, yago_graph):
         star = _yago_stars(yago_graph)[0]

@@ -1,7 +1,9 @@
-"""``stard``'s pivot estimates at ``d >= 2``: one row read per pivot.
+"""``stard``'s pivot estimates at ``d >= 2``: a column bound per pivot,
+refined to a row bound by one read of its row.
 
-Each estimate is held, pivot by pivot, between two references written
-here, independent of the row pass under test, and equals a third:
+Each row bound is at most its column bound and is held, pivot by pivot,
+between two references written here, independent of the row read under
+test, and equals a third (the column bound stays below the upper one):
 
 * below, the pivot's exact top-1 match, built from the d-bounded leaf
   provider -- what the exact phase would evaluate;
@@ -9,7 +11,7 @@ here, independent of the row pass under test, and equals a third:
   the flat ``edge_upper_bound(1) = 1.0``, over fully pushed propagation
   layers;
 * equal, float for float, the estimate as ``stard`` computed it in a
-  loop of its own, before the bound pass was shared with ``stark``.
+  loop of its own, before the row read was shared with ``stark``.
 
 The references propagate with the per-node walk
 (``tests/test_message_kernels.py``), not the array kernels under test.
@@ -31,7 +33,9 @@ from repro.query.parser import parse_query
 from repro.similarity import ScoringConfig, ScoringFunction
 
 from tests.conftest import build_random_graph
-from tests.oracle import assert_matches_meet_oracle, rounded_scores
+from tests.oracle import (
+    assert_matches_meet_oracle, rounded_scores, row_bounds,
+)
 from tests.test_message_kernels import reference_propagate, reference_pull
 
 #: One fixed profile: the same examples on every run.
@@ -165,18 +169,22 @@ class TestEstimateBounds:
             self, seed, threshold, star, d, injective, weights):
         scorer = scorer_for(seed, threshold)
         matcher = StarDSearch(scorer, d=d, injective=injective)
-        pivot_cands, bounds, _provider, _read = matcher._plan(star, weights, None)
-        assert len(bounds) == len(pivot_cands)
+        plan = matcher._plan(star, weights, None)
+        pivot_cands, columns = plan.pivots, plan.bounds
+        assert len(columns) == len(pivot_cands)
+        bounds = row_bounds(plan)  # each at most its column bound
         flat = flat_estimates(scorer, star, pivot_cands, weights, d,
                               injective)
         exact = exact_top1(scorer, star, pivot_cands, weights, d, injective)
         assert bounds == row_estimates(scorer, star, pivot_cands, weights, d,
                                        injective)
-        for bound, above, below in zip(bounds, flat, exact):
+        for bound, column, above, below in zip(bounds, columns, flat, exact):
             if below is not None:
                 assert bound is not None and bound >= below - 1e-9
             if bound is not None:
                 assert above is not None and bound <= above + 1e-12
+            if column is not None:
+                assert above is not None and column <= above + 1e-12
 
     @given(seed=st.integers(min_value=0, max_value=12),
            threshold=st.sampled_from(THRESHOLDS),
@@ -214,8 +222,8 @@ class TestExactHopOne:
         the pivot's exact top-1."""
         scorer = ScoringFunction(yago_graph, ScoringConfig(edge_threshold=0.6))
         star = star_query("?", [("acted_in", "?")], pivot_type="actor")
-        pivots, bounds, _provider, _read = StarDSearch(scorer, d=2)._plan(
-            star, {}, None)
+        plan = StarDSearch(scorer, d=2)._plan(star, {}, None)
+        pivots, bounds = plan.pivots, row_bounds(plan)
         exact = exact_top1(scorer, star, pivots, {}, 2, True)
         assert any(score is not None for score in exact)
         assert bounds == [None if score is None else pytest.approx(score)
