@@ -173,13 +173,16 @@ class StarDSearch(StarKSearch):
         pivot_cands: List[Tuple[int, float]],
         terms: Dict[int, Tuple[np.ndarray, List[bool]]],
         budget: Optional[Budget],
+        hop_one: Dict[int, List[List[Entry]]],
     ) -> LeafProvider:
         """Phase 2's row read, one per pivot whose column bound reached
         the head of the queue.
 
         Per leaf, the row's hop-1 entries (:func:`hop_one_reader`, every
         leaf read) and one far entry ``(max(w, 1) * far,)`` from
-        :meth:`_far_terms`.  A leaf with no entry ends the lists.
+        :meth:`_far_terms`.  A leaf with no entry ends the lists.  The
+        hop-1 lists, without the far entries, are kept by pivot in
+        *hop_one* for evaluation, so no pivot's row is read twice.
 
         A read charges the pulled round's messages it holds: one per
         distinct map whose ``B[d-1]`` the row reaches.
@@ -196,21 +199,22 @@ class StarDSearch(StarKSearch):
         no_term = float("-inf")
 
         def provide(pivot_node: int) -> List[List[Entry]]:
-            lists = read(pivot_node, False)
+            lists = hop_one[pivot_node] = read(pivot_node, False)
             index = position[pivot_node]
             pulled = sum(reached[index] for _far, reached in terms.values())
             if pulled:
                 self.stats.messages_propagated += pulled
                 if budget is not None:
                     budget.charge_messages(pulled)
-            for at, (entries, (key, scale)) in enumerate(
-                    zip(lists, scales)):
+            bounding = []
+            for entries, (key, scale) in zip(lists, scales):
                 far = far_of[key][index]
                 if far > no_term:
-                    entries.append((scale * far,))
+                    entries = entries + [(scale * far,)]
+                bounding.append(entries)
                 if not entries:
-                    return lists[:at + 1]
-            return lists
+                    break
+            return bounding
 
         return provide
 
@@ -234,9 +238,11 @@ class StarDSearch(StarKSearch):
         pivots = np.fromiter((node for node, _score in pivot_cands),
                              dtype=np.int64, count=len(pivot_cands))
         terms = self._far_terms(star, leaf_maps, pivots, budget=budget)
+        hop_one: Dict[int, List[List[Entry]]] = {}
         provider = bounded_leaf_provider(
             self.scorer, star, weights, self.d, self.injective,
             leaf_maps=leaf_maps, traversal_stats=self.stats,
+            hop_one=hop_one,
         )
         with obs.trace("stard.estimates", pivots=len(pivot_cands)) as span:
             scales = [max(weights.get(leaf.id, 1.0), 1.0)
@@ -248,7 +254,8 @@ class StarDSearch(StarKSearch):
             reader = row_bounder(
                 pivot_cands, weights.get(star.pivot.id, 1.0),
                 self._bounding_provider(star, weights, leaf_maps,
-                                        pivot_cands, terms, budget))
+                                        pivot_cands, terms, budget,
+                                        hop_one))
             span.annotate(viable=sum(bound is not None for bound in bounds),
                           rows_read=self.stats.rows_read)
         return PivotPlan(pivot_cands, bounds, provider, reader)

@@ -1033,6 +1033,7 @@ def bounded_leaf_provider(
     injective: bool,
     leaf_maps: Optional[List[Dict[int, float]]] = None,
     traversal_stats=None,
+    hop_one: Optional[Dict[int, List[List[Entry]]]] = None,
 ) -> LeafProvider:
     """Leaf candidates within *d* hops of a pivot (d-bounded matching).
 
@@ -1050,6 +1051,10 @@ def bounded_leaf_provider(
     the map's rows turned around (:func:`_adjacent_in`, made once per
     distinct leaf map of this provider, i.e. of one query).  The pivot
     is at distance 0, so it is never its own leaf, injective or not.
+
+    *hop_one* holds, by pivot, hop-1 lists a row read already gave
+    (``stard``'s bound read): a pivot found there is taken out and its
+    row is not read again.
     """
     if d < 2:
         raise SearchError(f"bounded leaf provider needs d >= 2, got {d}")
@@ -1077,7 +1082,9 @@ def bounded_leaf_provider(
         # calls (leaf scores are map lookups), so it is accounted
         # separately: inner-BFS nodes plus last-hop candidates reached.
         traversed = len(seen)
-        lists = read(pivot_node, False)
+        lists = hop_one.pop(pivot_node, None) if hop_one else None
+        if lists is None:
+            lists = read(pivot_node, False)
         at_d_by_map: Dict[int, Set[int]] = {}
         for entries, (leaf_scores, weight) in zip(lists, leaf_info):
             at_d = at_d_by_map.get(id(leaf_scores))

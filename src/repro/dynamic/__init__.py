@@ -24,7 +24,7 @@ without discarding state a mutation cannot have affected:
   file onto a graph (:mod:`repro.dynamic.ops`); surfaced as
   ``repro apply-delta``, which may write onto its own input store.
 
-Correctness contract (anchored by ``tests/test_dynamic_property.py``):
+Correctness contract (anchored by ``tests/test_matrix.py``):
 after any mutation sequence, search results are byte-identical to a
 graph rebuilt from scratch by replaying the same sequence.
 """

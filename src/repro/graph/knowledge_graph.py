@@ -40,8 +40,7 @@ import threading
 from array import array
 from dataclasses import dataclass, field
 from typing import (
-    Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set,
-    Tuple,
+    Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple,
 )
 
 from repro import obs
@@ -594,11 +593,6 @@ class KnowledgeGraph:
         """Undirected neighbor list ``[(neighbor_id, edge_id), ...]``."""
         return self._adj[self._check_node(node_id)]
 
-    def neighbor_ids(self, node_id: int) -> Sequence[int]:
-        """The neighbor ids of :meth:`neighbors`, in its order (a
-        neighbor repeats once per parallel edge)."""
-        return [nbr for nbr, _eid in self._adj[self._check_node(node_id)]]
-
     def out_neighbors(self, node_id: int) -> List[Tuple[int, int]]:
         """The entries of :meth:`neighbors` whose edge leaves *node_id*,
         in its order."""
@@ -710,14 +704,14 @@ class KnowledgeGraph:
             self._changed_rows.update(rows)
 
     def columns(self) -> Columns:
-        """Read-only CSR columns of the adjacency: row ``v`` is
-        :meth:`neighbor_ids` of ``v``, each entry with its edge's
-        relation id (see :mod:`repro.graph.columns`).  Built in one bulk
-        pass on the first call.  On a later call after nodes or edges
-        came or went or an edge changed relation, the rows they touched
-        are spliced into the last columns, unless those rows hold more
-        than 1/_SPLICE_COST of the entries; an attribute update keeps the
-        columns.  Rows of removed nodes are empty."""
+        """Read-only CSR columns of the adjacency: row ``v`` is the
+        neighbor ids of :meth:`neighbors` ``(v)`` in its order, each entry
+        with its edge's relation id (see :mod:`repro.graph.columns`).
+        Built in one bulk pass on the first call.  On a later call after
+        nodes or edges came or went or an edge changed relation, the rows
+        they touched are spliced into the last columns, unless those rows
+        hold more than 1/_SPLICE_COST of the entries; an attribute update
+        keeps the columns.  Rows of removed nodes are empty."""
         columns = self._columns
         if columns is None or self._changed_rows:
             with self._rows_lock:

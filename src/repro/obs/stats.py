@@ -53,9 +53,10 @@ class EngineStats:
     a strict budget trip included.
 
     ``rows_read`` counts the pivot rows read into leaf lists
-    (:func:`repro.core.stark.hop_one_reader`): at ``d == 1`` one per
-    pivot whose column bound reached the head of the pivot queue, at
-    ``d >= 2`` those and one per evaluated pivot, plus the rescue's.
+    (:func:`repro.core.stark.hop_one_reader`): one per pivot whose
+    column bound reached the head of the pivot queue (its evaluation
+    reuses the lists), one per evaluated pivot for ``stark`` at
+    ``d >= 2``, which bounds none, plus the rescue's.
 
     At ``d >= 2``, ``nodes_traversed`` counts per evaluated pivot the
     nodes of its (d-1)-hop BFS plus the leaf candidates reached at hop

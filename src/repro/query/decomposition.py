@@ -91,7 +91,10 @@ class NodeStatisticsSampler:
         graph = scorer.graph
         n = graph.num_nodes
         k = min(n, sample_size)
-        self._sample = self._rng.sample(range(n), k) if n else []
+        # the live ids: after a node removal, range(n) holds tombstones
+        live = (range(n) if graph.num_node_slots == n
+                else list(graph.nodes()))
+        self._sample = self._rng.sample(live, k) if n else []
         self._scale = n / max(1, k)
 
     def stats(self, node: QueryNode) -> Tuple[float, float, float]:

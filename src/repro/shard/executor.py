@@ -283,6 +283,8 @@ class ShardedEngine:
             query.validate()
             if query.is_star():
                 star = StarQuery.from_query(query)
+        if self._partition.graph_version != self.graph.version:
+            self.refresh()
         if star is None or budget is not None:
             obs.count("shard.fallback_queries")
             self.last_shard_stats = None
@@ -292,8 +294,6 @@ class ShardedEngine:
                 self.last_report = self.engine.last_report
                 self.last_stats = self.engine.last_stats
                 self.last_engine_stats = self.engine.last_engine_stats
-        if self._partition.graph_version != self.graph.version:
-            self.refresh()
         return self._search_star(star, k)
 
     # ------------------------------------------------------------------

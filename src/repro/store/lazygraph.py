@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from itertools import chain
 from typing import (
-    Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+    Dict, Iterable, Iterator, List, Optional, Set, Tuple,
 )
 
 try:  # pragma: no cover - import-shape compat
@@ -289,14 +289,6 @@ class _LazyAdj:
         rows added past them."""
         return chain(self._changed, range(self._base, len(self)))
 
-    def ids(self, v: int) -> Sequence[int]:
-        """Row *v*'s neighbor ids without materializing the row: an
-        untouched base row is its ``csr.indices`` slice, an overlay row
-        is read off its list."""
-        if self.touched(v):
-            return [nbr for nbr, _eid in self[v]]
-        return self._indices[self._indptr[v]:self._indptr[v + 1]]
-
 
 class _LazyTokenIndex(MutableMapping):
     """``token -> set of node ids`` over vocab + postings columns.
@@ -497,9 +489,6 @@ class MmapKnowledgeGraph(KnowledgeGraph):
 
     def degree(self, node_id: int) -> int:
         return self._adj.fast_len(self._check_node(node_id))
-
-    def neighbor_ids(self, node_id: int) -> Sequence[int]:
-        return self._adj.ids(self._check_node(node_id))
 
     def _check_node(self, node_id: int) -> int:
         nodes = self._nodes

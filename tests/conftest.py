@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import random
 from pathlib import Path
 
 import pytest
 
 from repro.graph import KnowledgeGraph, dbpedia_like, yago2_like
+from repro.query import Query, StarQuery, star_query
 from repro.similarity import ScoringConfig, ScoringFunction
 
 
@@ -85,6 +87,47 @@ def build_random_graph(seed: int, num_nodes: int = 30, num_edges: int = 60) -> K
         g.add_edge(a, b, rng.choice(relations))
         made += 1
     return g
+
+
+@functools.lru_cache(maxsize=None)
+def scorer_for(seed, graph=build_random_graph, **config) -> ScoringFunction:
+    """The session's one scorer over ``graph(seed)`` under
+    ``ScoringConfig(**config)``: Hypothesis re-runs the same seeds, so
+    each graph is built once.  Callers must not mutate its graph."""
+    return ScoringFunction(graph(seed), ScoringConfig(**config))
+
+
+#: Stars over :func:`build_random_graph`'s names, as ``(pivot label,
+#: pivot type, [(relation, leaf label, leaf type), ...])``: an untyped
+#: ``?`` leaf alone, beside a named leaf, and a three-leaf star with an
+#: untyped relation.
+STARS = (
+    ("Brad", "actor", [("acted_in", "?", "")]),
+    ("Brad", "actor", [("acted_in", "Troy", ""), ("won", "?", "")]),
+    ("Brad", "actor", [("?", "Brad", ""), ("directed", "?", ""),
+                       ("born_in", "Venice", "")]),
+)
+
+
+def star_of(choice: int, stars=STARS) -> StarQuery:
+    """Star *choice* of the table *stars* (see :data:`STARS`)."""
+    pivot, pivot_type, leaves = stars[choice]
+    return star_query(pivot, [(rel, label) for rel, label, _t in leaves],
+                      pivot_type=pivot_type,
+                      leaf_types=[t for _r, _l, t in leaves])
+
+
+def triangle_query() -> Query:
+    """A cyclic general query: an actor, a film they acted in, and a
+    third node next to both."""
+    query = Query(name="tri")
+    a = query.add_node("Brad", type="actor")
+    b = query.add_node("?", type="film")
+    c = query.add_node("?")
+    query.add_edge(a, b, "acted_in")
+    query.add_edge(b, c, "?")
+    query.add_edge(a, c, "?")
+    return query
 
 
 @pytest.fixture(scope="session")

@@ -7,8 +7,8 @@ full enumeration with exactly that score -- so engines that break score
 ties differently from the oracle's ``(-score, key)`` order still pass,
 while any wrong score, invalid assignment or duplicate emission fails.
 
-Used by ``tests/test_oracle_differential.py`` (Hypothesis fuzzing) and
-available to any future engine configuration::
+Used by ``tests/test_matrix.py`` (the configuration matrix) and
+available to any engine configuration::
 
     from tests.oracle import assert_against_oracle
 
@@ -84,6 +84,12 @@ def run_algorithm(
         decomposition = decompose(query, method=method, scorer=scorer)
         return engine.search(query, k, decomposition=decomposition)
     raise ValueError(f"unknown algorithm {name!r}; choose from {ALGORITHMS}")
+
+
+def neighbor_ids(graph, v: int) -> List[int]:
+    """The neighbor ids of ``graph.neighbors(v)``, in its order: row
+    ``v`` of ``graph.columns()`` by its definition."""
+    return [nbr for nbr, _eid in graph.neighbors(v)]
 
 
 def reference_grouped_relations(graph, v: int, orientation: int = 0):
@@ -166,6 +172,13 @@ def assert_matches_meet_oracle(
     any engine produced; returns the oracle's full enumeration."""
     full = oracle_matches(scorer, query, d=d, injective=injective,
                           directed=directed)
+    assert_meets(got, full, k, label)
+    return full
+
+
+def assert_meets(got, full, k: int, label: str = "engine") -> None:
+    """The three checks of :func:`assert_against_oracle` against *full*,
+    the oracle's enumeration (:func:`oracle_matches`)."""
     want = full[:k]
     assert rounded_scores(got) == rounded_scores(want), (
         f"{label} scores diverge from oracle: "
@@ -182,4 +195,3 @@ def assert_matches_meet_oracle(
         )
     keys = [m.key() for m in got]
     assert len(keys) == len(set(keys)), f"{label} emitted a duplicate match"
-    return full

@@ -7,7 +7,7 @@ The same dict must therefore rank identically whether it arrives
 through ``Star`` itself, a serve ``EngineContext``, ``search_many`` or
 ``repro search`` -- over an in-memory and an mmap-opened graph.  No
 door shards: ``ShardedEngine`` is built by name, and its parity with
-``Star`` is ``test_shard_differential``'s.
+``Star`` is ``test_matrix``'s engine axis.
 """
 
 from __future__ import annotations

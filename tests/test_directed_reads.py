@@ -22,6 +22,7 @@ from repro.dynamic.snapshot import load_snapshot
 from repro.store import open_graph, write_store
 
 from tests.conftest import build_random_graph
+from tests.oracle import neighbor_ids
 
 RKGS1_FIXTURE = Path(__file__).parent / "data" / "movies_v1.kgs"
 RELATIONS = ["acted_in", "directed", "won", "born_in", "married_to"]
@@ -229,7 +230,7 @@ def test_rows_on_base_after_overlay_mutations_materialise_nothing(
             assert mapped.columns().indices[
                 mapped.columns().indptr[node]:
                 mapped.columns().indptr[node + 1]].tolist() == \
-                graph.neighbor_ids(node)
+                neighbor_ids(graph, node)
         # only row 1's edges were built, for its own grouped read
         assert set(mapped._edges._cache) <= {
             eid for _nbr, eid in graph.neighbors(1)}

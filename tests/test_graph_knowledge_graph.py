@@ -306,7 +306,7 @@ class TestSubtypeClosureImmutability:
 
 class TestGroupedRelations:
     """The packed, relation-grouped neighbor rows (their mutate ≡
-    rebuild check is ``tests/test_dynamic_property.py``'s)."""
+    rebuild check is ``tests/test_matrix.py``'s storage axis)."""
 
     def test_parallel_edges_group_in_list_order(self):
         g = KnowledgeGraph()

@@ -16,7 +16,7 @@ from repro.runtime.workers import fork_available
 from repro.query import Query
 from repro.similarity import ScoringFunction
 
-from tests.conftest import build_random_graph
+from tests.conftest import build_random_graph, triangle_query
 
 
 @pytest.fixture()
@@ -42,17 +42,6 @@ def _star_as_query():
     return query
 
 
-def _triangle():
-    query = Query(name="tri")
-    a = query.add_node("Brad", type="actor")
-    b = query.add_node("?", type="film")
-    c = query.add_node("?")
-    query.add_edge(a, b, "acted_in")
-    query.add_edge(b, c, "?")
-    query.add_edge(a, c, "?")
-    return query
-
-
 class TestUnifiedSchema:
     """Regression: every algorithm exposes the same last_stats keys."""
 
@@ -61,7 +50,7 @@ class TestUnifiedSchema:
         for label, engine, query in [
             ("stark", Star(scorer.graph, scorer=scorer, d=1), _star()),
             ("stard", Star(scorer.graph, scorer=scorer, d=2), _star()),
-            ("starjoin", Star(scorer.graph, scorer=scorer), _triangle()),
+            ("starjoin", Star(scorer.graph, scorer=scorer), triangle_query()),
         ]:
             engine.search(query, 3)
             shapes[label] = tuple(engine.last_stats)
@@ -107,7 +96,7 @@ class TestUnifiedSchema:
 
     def test_starjoin_populates_join_counters(self, scorer):
         engine = Star(scorer.graph, scorer=scorer)
-        matches = engine.search(_triangle(), 3)
+        matches = engine.search(triangle_query(), 3)
         if matches:
             assert engine.last_stats["joins_attempted"] > 0
 

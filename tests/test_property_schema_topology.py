@@ -13,26 +13,22 @@ from repro.baselines import GraphTA, brute_force_star, brute_force_topk
 from repro.core import Star, StarDSearch, StarKSearch
 from repro.graph.schema import Schema
 from repro.query import Query, StarQuery, star_query
-from repro.similarity import ScoringFunction
 
-_SCORERS = {}
+from tests.conftest import scorer_for
 
 
-def citation_scorer(seed: int) -> ScoringFunction:
-    if seed not in _SCORERS:
-        schema = Schema(name=f"citations-{seed}")
-        schema.add_node_type("author", share=0.35, name_style="person")
-        schema.add_node_type("paper", share=0.45, name_style="title")
-        schema.add_node_type("venue", share=0.1, name_style="org")
-        schema.add_node_type("topic", share=0.1, name_style="generic")
-        schema.add_relation("wrote", "author", "paper", weight=3.0)
-        schema.add_relation("cites", "paper", "paper", weight=2.0)
-        schema.add_relation("published_at", "paper", "venue", weight=1.0)
-        schema.add_relation("about", "paper", "topic", weight=1.0)
-        schema.add_relation("advises", "author", "author", weight=0.5)
-        graph = schema.generate(num_nodes=250, avg_degree=5.0, seed=seed)
-        _SCORERS[seed] = ScoringFunction(graph)
-    return _SCORERS[seed]
+def citation_graph(seed: int):
+    schema = Schema(name=f"citations-{seed}")
+    schema.add_node_type("author", share=0.35, name_style="person")
+    schema.add_node_type("paper", share=0.45, name_style="title")
+    schema.add_node_type("venue", share=0.1, name_style="org")
+    schema.add_node_type("topic", share=0.1, name_style="generic")
+    schema.add_relation("wrote", "author", "paper", weight=3.0)
+    schema.add_relation("cites", "paper", "paper", weight=2.0)
+    schema.add_relation("published_at", "paper", "venue", weight=1.0)
+    schema.add_relation("about", "paper", "topic", weight=1.0)
+    schema.add_relation("advises", "author", "author", weight=0.5)
+    return schema.generate(num_nodes=250, avg_degree=5.0, seed=seed)
 
 
 class TestCitationTopology:
@@ -43,7 +39,7 @@ class TestCitationTopology:
     )
     @settings(max_examples=20, deadline=None)
     def test_star_matchers_agree(self, seed, k, d):
-        scorer = citation_scorer(seed)
+        scorer = scorer_for(seed, graph=citation_graph)
         star = star_query(
             "?", [("wrote", "?"), ("advises", "?")],
             pivot_type="author", leaf_types=["paper", "author"],
@@ -58,7 +54,7 @@ class TestCitationTopology:
     @given(seed=st.integers(min_value=0, max_value=15))
     @settings(max_examples=10, deadline=None)
     def test_cyclic_join_agrees(self, seed):
-        scorer = citation_scorer(seed)
+        scorer = scorer_for(seed, graph=citation_graph)
         # paper cites paper; both share a venue: a triangle pattern.
         query = Query(name="cite-triangle")
         a = query.add_node("?", type="paper")

@@ -5,6 +5,9 @@ import pytest
 from repro.errors import DecompositionError
 from repro.query import METHODS, Query, decompose
 from repro.query.decomposition import NodeStatisticsSampler, _assign_edges
+from repro.similarity import ScoringFunction
+
+from tests.conftest import build_random_graph, triangle_query
 
 
 def cycle_query(n: int) -> Query:
@@ -123,6 +126,15 @@ class TestSampler:
         top1, mean, est = sampler.stats(q.nodes[0])
         assert 0.0 <= mean <= top1 <= 1.0
         assert est >= 1.0
+
+    @pytest.mark.parametrize("method", ["simtop", "simdec"])
+    def test_samples_live_nodes_after_removals(self, method):
+        graph = build_random_graph(0)
+        for node in (0, 3, 7):
+            graph.remove_node(node)
+        decomposition = decompose(triangle_query(), method=method,
+                                  scorer=ScoringFunction(graph))
+        assert decomposition.stars
 
     def test_stats_cached(self, yago_scorer):
         q = Query()

@@ -9,7 +9,7 @@ answers, same pivots considered and evaluated, same lattice pops.
 """
 
 import itertools
-from typing import Dict, List
+from typing import List
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +25,7 @@ from repro.runtime import Budget, FaultSpec, faulty
 from repro.similarity import ScoringConfig, ScoringFunction
 from repro.store import open_graph, write_store
 
-from tests.conftest import build_random_graph
+from tests.conftest import build_random_graph, scorer_for, star_of
 from tests.oracle import (
     ROUND,
     assert_matches_meet_oracle,
@@ -123,27 +123,9 @@ STARS = (
                    ("acted_in", "Pitt", "")]),
 )
 
-_SCORERS: Dict[tuple, ScoringFunction] = {}
-
 #: Node thresholds: the default, and one above part of the ``?`` scores
 #: (0.4 plus a log-degree prior), so the row filter has work to do.
 THRESHOLDS = (ScoringConfig().node_threshold, 0.5)
-
-
-def scorer_for(seed: int, node_threshold: float = THRESHOLDS[0]):
-    key = (seed, node_threshold)
-    if key not in _SCORERS:
-        _SCORERS[key] = ScoringFunction(
-            build_random_graph(seed),
-            ScoringConfig(node_threshold=node_threshold))
-    return _SCORERS[key]
-
-
-def star_of(choice: int):
-    pivot, pivot_type, leaves = STARS[choice]
-    return star_query(pivot, [(rel, label) for rel, label, _t in leaves],
-                      pivot_type=pivot_type,
-                      leaf_types=[t for _r, _l, t in leaves])
 
 
 def read_lists(search, star):
@@ -178,8 +160,8 @@ class TestAgainstOracleAndReference:
     def test_top_k(self, seed, choice, k, algorithm, injective, directed,
                    threshold):
         directed = directed and algorithm == "stark"
-        scorer = scorer_for(seed, threshold)
-        star = star_of(choice)
+        scorer = scorer_for(seed, node_threshold=threshold)
+        star = star_of(choice, STARS)
         search, reference = engines(algorithm, scorer, injective, directed)
         assert read_lists(search, star) == read_lists(reference, star)
         got = search.search(star, k)
@@ -211,8 +193,8 @@ class TestAgainstOracleAndReference:
                                    threshold):
         """starjoin streams stars under alpha-scheme node weights."""
         directed = directed and algorithm == "stark"
-        scorer = scorer_for(seed, threshold)
-        star = star_of(choice)
+        scorer = scorer_for(seed, node_threshold=threshold)
+        star = star_of(choice, STARS)
         weights = dict(zip(sorted(star.node_ids()), node_weights))
         search, reference = engines(algorithm, scorer, injective, directed)
         got = list(itertools.islice(
@@ -233,7 +215,7 @@ class TestAgainstOracleAndReference:
 
 
 class TestNoMapForTheWildcard:
-    STAR = star_of(2)  # an untyped and a typed wildcard leaf
+    STAR = star_of(2, STARS)  # an untyped and a typed wildcard leaf
 
     def scored_qnodes(self, monkeypatch, search):
         seen = []
@@ -266,7 +248,7 @@ class TestNoMapForTheWildcard:
             graph.remove_node(node)
         scorer = ScoringFunction(graph)
         for choice in range(len(STARS)):
-            star = star_of(choice)
+            star = star_of(choice, STARS)
             got = StarKSearch(scorer).search(star, 5)
             assert_matches_meet_oracle(got, scorer, star, 5)
 

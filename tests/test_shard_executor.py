@@ -150,6 +150,30 @@ class TestSerialBackend:
             # A fallback search leaves no stale sharding telemetry.
             assert engine.last_shard_stats is None
 
+    def test_fallback_resynchronizes_after_mutation(self):
+        """A budgeted or general search after a mutation refreshes the
+        engine as a sharded one does, instead of failing on a stale
+        scorer."""
+        graph = build_random_graph(2)
+        cycle = Query()
+        a = cycle.add_node("Brad", "actor")
+        b = cycle.add_node("?", "film")
+        c = cycle.add_node("?")
+        cycle.add_edge(a, b, "acted_in")
+        cycle.add_edge(b, c)
+        cycle.add_edge(a, c)
+        star = star_queries(graph, n=1)[0]
+        with ShardedEngine(graph, shards=2, backend="serial") as engine:
+            engine.search(star, 3)
+            graph.remove_node(next(iter(graph.nodes())))
+            assert_same_results(
+                engine.search(star, 3, budget=Budget(max_nodes=10 ** 6)),
+                Star(graph).search(star, 3))
+            graph.add_node("Brad Late", "actor")
+            assert_same_results(engine.search(cycle, 3),
+                                Star(graph).search(cycle, 3))
+            assert engine.partition.graph_version == graph.version
+
     def test_validation_and_closed_engine(self):
         graph = build_movie_graph()
         with pytest.raises(SearchError):

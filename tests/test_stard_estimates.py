@@ -32,7 +32,7 @@ from repro.query import StarQuery, star_query
 from repro.query.parser import parse_query
 from repro.similarity import ScoringConfig, ScoringFunction
 
-from tests.conftest import build_random_graph
+from tests.conftest import scorer_for
 from tests.oracle import (
     assert_matches_meet_oracle, rounded_scores, row_bounds,
 )
@@ -55,18 +55,6 @@ STARS = [
 
 #: Alpha-scheme node weights by query-node id (pivot 0, leaves 1..).
 WEIGHTS = [{}, {0: 0.5, 1: 2.0, 2: 0.7, 3: 1.5}]
-
-_SCORERS = {}
-
-
-def scorer_for(seed, edge_threshold):
-    key = (seed, edge_threshold)
-    if key not in _SCORERS:
-        _SCORERS[key] = ScoringFunction(
-            build_random_graph(seed),
-            ScoringConfig(edge_threshold=edge_threshold))
-    return _SCORERS[key]
-
 
 def flat_estimates(scorer, star, pivot_cands, weights, d, injective):
     """The estimate before the row pass: ``max over h of (B[h] best at
@@ -167,7 +155,7 @@ class TestEstimateBounds:
     @PROFILE
     def test_between_exact_top1_and_the_flat_estimate(
             self, seed, threshold, star, d, injective, weights):
-        scorer = scorer_for(seed, threshold)
+        scorer = scorer_for(seed, edge_threshold=threshold)
         matcher = StarDSearch(scorer, d=d, injective=injective)
         plan = matcher._plan(star, weights, None)
         pivot_cands, columns = plan.pivots, plan.bounds
@@ -193,7 +181,7 @@ class TestEstimateBounds:
     @PROFILE
     def test_answers_meet_the_oracle(self, seed, threshold, star, d,
                                      injective):
-        scorer = scorer_for(seed, threshold)
+        scorer = scorer_for(seed, edge_threshold=threshold)
         for k in (1, 7):
             got = StarDSearch(scorer, d=d, injective=injective).search(star, k)
             assert_matches_meet_oracle(
@@ -205,7 +193,7 @@ class TestEstimateBounds:
            injective=st.booleans())
     @PROFILE
     def test_weighted_stream_equals_stark(self, seed, star, d, injective):
-        scorer = scorer_for(seed, 0.05)
+        scorer = scorer_for(seed, edge_threshold=0.05)
         weights = WEIGHTS[1]
         streams = [
             list(itertools.islice(

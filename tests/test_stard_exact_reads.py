@@ -22,14 +22,14 @@ import numpy as np
 
 from repro.core.messages import propagate, pull
 from repro.core.stark import bounded_leaf_provider
+from repro.graph import KnowledgeGraph
 from repro.graph.columns import Columns
 from repro.graph.traversal import nodes_within
 from repro.obs import EngineStats as SearchStats
 from repro.query import star_query
 from repro.shard import ShardedEngine
-from repro.similarity import ScoringConfig, ScoringFunction
 
-from tests.conftest import build_movie_graph, build_random_graph
+from tests.conftest import build_movie_graph, build_random_graph, scorer_for
 from tests.oracle import assert_matches_meet_oracle
 from tests.test_message_kernels import Top2, as_top2
 
@@ -137,17 +137,14 @@ class TestPulledLastRound:
 # ---------------------------------------------------------------------------
 # (ii) last hop == shortest distance d
 # ---------------------------------------------------------------------------
-_SCORERS = {}
+def movie_or_random(seed) -> KnowledgeGraph:
+    """The movie graph for seed None, else a random graph."""
+    return build_movie_graph() if seed is None else build_random_graph(seed)
 
 
-def scorer_for(seed, edge_threshold=0.05):
-    key = (seed, edge_threshold)
-    if key not in _SCORERS:
-        graph = (build_movie_graph() if seed is None
-                 else build_random_graph(seed))
-        _SCORERS[key] = ScoringFunction(
-            graph, ScoringConfig(edge_threshold=edge_threshold))
-    return _SCORERS[key]
+def scorer_of(seed, edge_threshold=0.05):
+    return scorer_for(seed, graph=movie_or_random,
+                      edge_threshold=edge_threshold)
 
 
 STAR = star_query(
@@ -186,7 +183,7 @@ def leaf_map_cases(draw):
     seed = draw(st.integers(min_value=0, max_value=12))
     # path_lambda is 0.5: 0.3 cuts hop 3, 0.6 cuts hop 2 as well
     threshold = draw(st.sampled_from([0.05, 0.3, 0.6]))
-    scorer = scorer_for(seed, threshold)
+    scorer = scorer_of(seed, threshold)
     nodes = sorted(scorer.graph.nodes())
     score = st.sampled_from([0.4, 0.7, 1.0])
     one_map = st.one_of(
@@ -231,7 +228,7 @@ class TestRestrictedLastHop:
         assert stats.nodes_traversed == 2 * reached
 
     def test_last_hop_below_the_edge_threshold_is_not_walked(self):
-        scorer = scorer_for(3, 0.6)
+        scorer = scorer_of(3, 0.6)
         everyone = {node: 1.0 for node in scorer.graph.nodes()}
         stats = SearchStats()
         provide = bounded_leaf_provider(
@@ -328,7 +325,7 @@ CELLS = [("stard", None), ("stard", 2), ("stark", None), ("stark", 2)]
 @pytest.mark.parametrize("algorithm,shards", CELLS)
 @pytest.mark.parametrize("seed", [None, 1, 4])
 def test_d2_procedures_meet_brute_force(algorithm, shards, seed):
-    scorer = scorer_for(seed)
+    scorer = scorer_of(seed)
     options = {"d": 2, "algorithm": algorithm}
     engine = (Star(scorer.graph, scorer=scorer, **options)
               if shards is None else

@@ -8,6 +8,7 @@ combinations in the same order: identical ranked lists (score and
 assignment), identical per-star depths, never more join attempts.
 """
 
+import functools
 from contextlib import contextmanager
 from unittest import mock
 
@@ -24,9 +25,8 @@ from repro.graph import dbpedia_like
 from repro.query import Query, complex_workload, decompose
 from repro.query.decomposition import METHODS, Decomposition
 from repro.query.model import StarQuery
-from repro.similarity import ScoringFunction
 
-from tests.conftest import build_random_graph
+from tests.conftest import build_random_graph, scorer_for
 from tests.join_oracle import ReferenceJoin, reference_merge
 from tests.oracle import assert_against_oracle, oracle_matches, rounded_scores
 
@@ -274,14 +274,10 @@ def recording():
         yield log
 
 
-_SCORERS = {}
-
-
-def scorer_for(seed: int) -> ScoringFunction:
-    if seed not in _SCORERS:
-        _SCORERS[seed] = ScoringFunction(
-            build_random_graph(seed, num_nodes=14, num_edges=30))
-    return _SCORERS[seed]
+#: The random graphs these tests join over: small, so brute force is
+#: cheap on every shape.
+small_graph = functools.partial(build_random_graph, num_nodes=14,
+                                num_edges=30)
 
 
 SHAPES = {
@@ -306,7 +302,7 @@ class TestJoinProperties:
     def test_exact_monotone_theta_and_single_offer(
         self, seed, shape, method, alpha, injective, k, anchored
     ):
-        scorer = scorer_for(seed)
+        scorer = scorer_for(seed, graph=small_graph)
         build, size = SHAPES[shape]
         # all-wildcard queries tie almost everywhere; an anchor spreads
         # the scores so the bounds have work to do
