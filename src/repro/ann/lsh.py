@@ -8,8 +8,9 @@ band bucket (plus 1-bit-flip multiprobe neighbors for recall), and
 ranks the union by exact cosine against the stored columns.
 
 Everything here is deterministic: hyperplanes come from a seeded
-``random.Random``, bucket tables are built by ascending node id, and
-probe results sort by ``(-cosine, node_id)``.
+``random.Random`` (drawn on first use, in one fixed order), bucket
+tables are built by ascending node id, and probe results sort by
+``(-cosine, node_id)``.
 
 Dot products run over the query side's non-zero *lanes* only
 (:func:`lanes`): a description embeds to a dozen or two of the 64
@@ -103,7 +104,7 @@ class BandIndex:
     ties) is a pure function of the column contents.
     """
 
-    __slots__ = ("dim", "bands", "band_bits", "seed", "planes",
+    __slots__ = ("dim", "bands", "band_bits", "seed", "_planes",
                  "vecs", "sigs", "alive", "slots", "_tables")
 
     def __init__(self, dim: int, bands: int = DEFAULT_BANDS,
@@ -116,12 +117,21 @@ class BandIndex:
         self.bands = bands
         self.band_bits = band_bits
         self.seed = seed
-        self.planes = hyperplanes(dim, bands, band_bits, seed)
+        self._planes: Optional[List[List[float]]] = None
         self.vecs: Sequence[float] = ()
         self.sigs: Sequence[int] = ()
         self.alive: Sequence[int] = ()
         self.slots = 0
         self._tables: Optional[List[Dict[int, List[int]]]] = None
+
+    @property
+    def planes(self) -> List[List[float]]:
+        """The hyperplanes, drawn on first use: an index that never
+        signs a vector (a tier that never engages) draws none."""
+        if self._planes is None:
+            self._planes = hyperplanes(self.dim, self.bands,
+                                       self.band_bits, self.seed)
+        return self._planes
 
     # ------------------------------------------------------------------
     def bind(self, vecs: Sequence[float], sigs: Sequence[int],

@@ -51,12 +51,14 @@ def expanded_query_tokens(desc) -> FrozenSet[str]:
     return frozenset(expanded)
 
 
-def _remember(cache, key, value, scorer, qnode, nodes, tokens) -> None:
+def _remember(cache, key, value, scorer, qnode, nodes, tokens,
+              cost=None) -> None:
     """The one write into the candidate cache: *value* stamped with the
     graph version and the ``(nodes, tokens, query type)`` footprint a
-    delta must miss for the entry to survive (see ``repro.perf.cache``)."""
+    delta must miss for the entry to survive, plus the node visits a
+    budgeted hit pays (see ``repro.perf.cache``)."""
     cache.put(key, value, graph=scorer.graph,
-              deps=(nodes, tokens, qnode.type))
+              deps=(nodes, tokens, qnode.type), cost=cost)
 
 
 def every_live_node(qnode: QueryNode) -> bool:
@@ -136,7 +138,7 @@ def candidate_route(scorer: ScoringFunction, desc, limit: Optional[int],
     and the reason for each rule: docs/architecture.md)."""
     bypass = "a shard's owned pivots" if scope is not None else (
         "budgeted" if budget is not None else "")
-    cache = None if bypass else scorer.candidate_cache
+    cache = None if scope is not None else scorer.candidate_cache
     index = None
     if bypass:
         universe = f"shortlist ({bypass})"
@@ -222,9 +224,14 @@ def node_candidates(
     desc = qnode.descriptor
     route = candidate_route(scorer, desc, limit, budget, scope)
     cache = route.cache
+    visited = budget.nodes_visited if budget is not None else 0
+    faults = len(budget.faults) if budget is not None else 0
     if cache is not None:
+        # A budgeted hit pays what the cold scan would have charged, or
+        # is a miss when that does not fit, and the scan trips.
         key = cache.candidate_key(scorer, qnode, limit)
-        hit = cache.get(key, graph=scorer.graph)
+        hit = cache.get(key, graph=scorer.graph, pay=(
+            None if budget is None else budget.try_charge_nodes))
         if hit is not None:
             return list(hit)
     index = route.index
@@ -254,21 +261,23 @@ def node_candidates(
 
     probed: FrozenSet[int] = frozenset()
     if route.wants_tier(budget, admits):
-        # The probe skips the whole universe, scored above -- unless a
-        # budget trip may have left its tail unscored.
+        # The probe skips the whole universe, scored above: the tier
+        # never runs on a tripped budget, so no tail is left unscored.
         extra, probed = route.tier.augment(
-            scorer, qnode, scored, budget=budget,
-            exclude=footprint if budget is None else None)
+            scorer, qnode, scored, budget=budget, exclude=footprint)
         scored.extend(extra if scope is None
                       else [pair for pair in extra if pair[0] in scope])
     scored.sort(key=lambda t: (-t[1], t[0]))
     if limit is not None and len(scored) > limit:
         del scored[limit:]
-    if cache is not None:
+    if cache is not None and (budget is None or (
+            not budget.exhausted and len(budget.faults) == faults)):
         # The footprint covers every shortlisted node, not only the
         # admitted ones (a delta may lift one above threshold), plus
-        # every probed node.
+        # every probed node.  The cost is what this scan charged its
+        # budget (unknown without one: the first budgeted call rescans).
         _remember(cache, key, tuple(scored), scorer, qnode,
                   frozenset(footprint) | probed if probed else footprint,
-                  expanded_query_tokens(desc))
+                  expanded_query_tokens(desc),
+                  None if budget is None else budget.nodes_visited - visited)
     return scored

@@ -29,6 +29,22 @@ from repro.similarity.scoring import ScoringConfig, ScoringFunction
 __all__ = ["Star"]
 
 
+def _store_index(options: SearchOptions, graph):
+    """The ``mmap_store``'s index columns attached to *graph*, or None:
+    no store, ``use_index`` off, or *graph* opened from that store and
+    written since (overlay writes), which builds as if it had no
+    store."""
+    if options.mmap_store is None or options.use_index == "off":
+        return None
+    from repro.store.attach import StaleStoreError, attach_mmap_index
+
+    try:
+        return attach_mmap_index(options.mmap_store, graph,
+                                 mode=options.use_index)
+    except StaleStoreError:
+        return None
+
+
 class Star:
     """The STAR top-k knowledge-graph search engine.
 
@@ -42,7 +58,9 @@ class Star:
     Keyword options: see :class:`~repro.core.options.SearchOptions`.
     The validated record is :attr:`options`.  With ``mmap_store`` the
     store's index columns are attached to the scorer instead of built
-    (unless ``use_index`` is off or the scorer already holds an index).
+    (unless ``use_index`` is off or the scorer already holds an index);
+    a graph opened from that store and written since (overlay writes)
+    gets the index it would get without a store.
     """
 
     def __init__(
@@ -60,11 +78,9 @@ class Star:
         # Without a store, ``auto`` builds an index only for calls that
         # carry a candidate cutoff; ``on`` always builds one.
         if getattr(self.scorer, "graph_index", None) is None:
-            if options.mmap_store is not None and options.use_index != "off":
-                from repro.store.attach import attach_mmap_index
-
-                self.scorer.graph_index = attach_mmap_index(
-                    options.mmap_store, graph, mode=options.use_index)
+            mapped = _store_index(options, graph)
+            if mapped is not None:
+                self.scorer.graph_index = mapped
             elif options.use_index == "on" or (
                     options.use_index == "auto"
                     and options.candidate_limit is not None):
@@ -82,15 +98,21 @@ class Star:
         self.last_decomposition: Optional[Decomposition] = None
         self.last_join: Optional[StarJoin] = None
         self.last_report: Optional[SearchReport] = None
-        #: Unified counter snapshot of the last search under the
-        #: :class:`repro.obs.EngineStats` schema -- the *same keys* for
-        #: stark, stard and rank-joined general queries (irrelevant
-        #: counters stay zero).  The batch API (``repro.perf.search_many``)
-        #: merges these across queries by addition.  None before the
-        #: first search.
-        self.last_stats: Optional[dict] = None
-        #: The typed form of :attr:`last_stats` (carries ``algorithm``).
+        #: The last search's counters (carries ``algorithm``); None
+        #: before the first search.
         self.last_engine_stats: Optional[obs.EngineStats] = None
+
+    @property
+    def last_stats(self) -> Optional[dict]:
+        """Unified counter snapshot of the last search under the
+        :class:`repro.obs.EngineStats` schema -- the *same keys* for
+        stark, stard and rank-joined general queries (irrelevant
+        counters stay zero).  The batch API (``repro.perf.search_many``)
+        merges these across queries by addition.  None before the first
+        search; built on each read, so a search that nobody asks about
+        pays nothing for it."""
+        stats = self.last_engine_stats
+        return None if stats is None else stats.as_dict()
 
     # ------------------------------------------------------------------
     def _cache_marks(self):
@@ -106,7 +128,6 @@ class Star:
             stats.cache_hits = cache.stats.hits - hits0
             stats.cache_misses = cache.stats.misses - misses0
         self.last_engine_stats = stats
-        self.last_stats = stats.as_dict()
 
     def search_star(
         self,
@@ -153,10 +174,12 @@ class Star:
         if isinstance(query, StarQuery):
             return self.search_star(query, k, budget)
         query.validate()
-        if decomposition is None and query.is_star():
+        center = query.star_center() if decomposition is None else None
+        if center is not None:
             self.last_decomposition = None
             self.last_join = None
-            return self.search_star(StarQuery.from_query(query), k, budget)
+            return self.search_star(StarQuery.around(query, center), k,
+                                    budget)
         if decomposition is None:
             method = self.options.decomposition_method
             with obs.trace("framework.decompose", method=method):

@@ -50,9 +50,20 @@ Correctness contract (asserted by the parity suite):
 * a cache hit returns a defensive copy of a list computed by the exact
   uncached code path -- byte-identical scores and ordering;
 * which calls read and write scored entries is the candidate route's
-  decision (docs/architecture.md, "Candidate pipeline"); unscored
-  *shortlist* entries serve every call, and a hit returns the identical
-  set object, preserving the order anytime truncation depends on;
+  decision (docs/architecture.md, "Candidate pipeline"): every call
+  without a shard scope, budgeted or not;
+* a budgeted hit observes what the cold scan would have: the entry
+  records the node visits its budgeted scan charged (shortlist scored
+  plus tier reranks), the hit charges them in one go, and when they do
+  not fit under the budget's node cap (or it has tripped) the hit is a
+  miss and the scan trips where it would have anyway; an entry written
+  without a budget records no count, so the first budgeted call
+  rescans and rewrites it;
+* only complete lists are written: a call whose budget tripped or
+  recorded a fault during it leaves the cache as it was;
+* unscored *shortlist* entries serve every call, and a hit returns the
+  identical set object, preserving the order anytime truncation
+  depends on;
 * a detached cache (``scorer.candidate_cache is None``, the default) is
   a single ``is None`` test on the hot path -- the seed behavior.
 """
@@ -62,7 +73,7 @@ from __future__ import annotations
 import sys
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro import obs
 
@@ -134,16 +145,19 @@ class _Entry:
     stay short).  ``deps`` is ``(nodes, tokens, qtype)``: the candidate
     node footprint, the synonym/abbreviation-expanded query tokens, and
     the query type whose subtype closure fed the shortlist.  ``None``
-    for either means "unknown -- never try to prove survival".
+    for either means "unknown -- never try to prove survival".  ``cost``
+    is the node visits a budgeted cold computation of the payload
+    charges (``None``: unknown, so the entry serves no budget).
     """
 
-    __slots__ = ("payload", "version", "deps")
+    __slots__ = ("payload", "version", "deps", "cost")
 
     def __init__(self, payload, version: Optional[int],
-                 deps: Optional[Tuple]) -> None:
+                 deps: Optional[Tuple], cost: Optional[int] = None) -> None:
         self.payload = payload
         self.version = version
         self.deps = deps
+        self.cost = cost
 
 
 class CandidateCache:
@@ -186,25 +200,33 @@ class CandidateCache:
                 qnode.descriptor.cache_key, None)
 
     # ------------------------------------------------------------------
-    def get(self, key: Tuple, graph=None):
+    def get(self, key: Tuple, graph=None,
+            pay: Optional[Callable[[int], bool]] = None):
         """Cached payload for *key* (marks it most recently used).
 
         When *graph* is supplied and the entry carries a version, the
         entry is first revalidated against the graph's delta journal;
         an entry the deltas may have affected is dropped and counted as
         an invalidation + miss.
+
+        With *pay* (a budgeted caller), a hit must be paid for: *pay*
+        gets the entry's recorded cost and returns whether it charged
+        it.  An entry without a cost, or one *pay* refuses, is a miss
+        and stays cached.
         """
         entry = self._data.get(key)
-        if entry is None:
+        if entry is None or (
+                graph is not None and entry.version is not None
+                and entry.version != graph.version
+                and not self._revalidate(entry, graph)):
+            if entry is not None:
+                self._drop(key, entry)
+                self.stats.invalidations += 1
+                obs.count("dynamic.invalidations")
             self.stats.misses += 1
             obs.count("cache.misses")
             return None
-        if (graph is not None and entry.version is not None
-                and entry.version != graph.version
-                and not self._revalidate(entry, graph)):
-            self._drop(key, entry)
-            self.stats.invalidations += 1
-            obs.count("dynamic.invalidations")
+        if pay is not None and (entry.cost is None or not pay(entry.cost)):
             self.stats.misses += 1
             obs.count("cache.misses")
             return None
@@ -247,8 +269,8 @@ class CandidateCache:
 
         return any(ontology.is_subtype(t, dep_type) for t in touched_types)
 
-    def put(self, key: Tuple, value, graph=None, deps: Optional[Tuple] = None
-            ) -> None:
+    def put(self, key: Tuple, value, graph=None, deps: Optional[Tuple] = None,
+            cost: Optional[int] = None) -> None:
         """Insert an (immutable) payload, evicting LRU entries as needed.
 
         Args:
@@ -258,13 +280,15 @@ class CandidateCache:
                 served as-is forever, freshness is the caller's problem.
             deps: ``(candidate node ids, expanded query tokens, query
                 type)`` dependency footprint for fine-grained survival.
+            cost: node visits a budgeted caller pays for a hit (see
+                :meth:`get`); None serves unbudgeted callers only.
         """
         old = self._data.pop(key, None)
         if old is not None:
             self.stats.bytes -= self._payload_bytes(old.payload)
             self.stats.entries -= 1
         version = graph.version if graph is not None else None
-        self._data[key] = _Entry(value, version, deps)
+        self._data[key] = _Entry(value, version, deps, cost)
         self.stats.inserts += 1
         obs.count("cache.inserts")
         self.stats.entries += 1

@@ -56,7 +56,7 @@ from repro.errors import BudgetExceededError, SearchError
 from repro.perf.cache import CacheStats, CandidateCache, attach_cache
 from repro.query.model import Query, StarQuery
 from repro.runtime.budget import Budget, SearchReport
-from repro.runtime.faults import FaultSpec, faulty
+from repro.runtime.faults import FaultSpec, chaos_scorer
 from repro.runtime.workers import pool_for
 from repro.similarity.scoring import ScoringConfig, ScoringFunction
 
@@ -139,16 +139,18 @@ class BatchResult:
 
 def _batch_engine(graph, config, engine_opts, cache, fault_specs=None,
                   scorer=None):
-    """One batch worker's engine: scorer, its cache, its faults."""
+    """One batch worker's engine: scorer, its cache, its faults.  A
+    faulted engine gets a cache of its own (when *cache* asks for one),
+    never the caller's instance or the one *scorer* holds."""
     if scorer is None:
         scorer = ScoringFunction(graph, config)
-    if isinstance(cache, CandidateCache):
+    if fault_specs:
+        scorer = chaos_scorer(scorer, fault_specs,
+                              CandidateCache() if cache else None)
+    elif isinstance(cache, CandidateCache):
         attach_cache(scorer, cache)
     elif cache:
         attach_cache(scorer)
-    if fault_specs:
-        scorer = faulty(
-            scorer, specs=[FaultSpec.from_dict(s) for s in fault_specs])
     return Star(graph, scorer=scorer, options=engine_opts)
 
 

@@ -252,6 +252,15 @@ class StarQuery:
         center = pivot_id if pivot_id is not None else query.star_center()
         if center is None:
             raise QueryError("query is not star-shaped")
+        return cls.around(query, center)
+
+    @classmethod
+    def around(cls, query: Query, center: int) -> "StarQuery":
+        """An already validated *query* as the star around node *center*.
+
+        Raises:
+            QueryError: if *center* is not incident to every edge.
+        """
         leaves: List[Tuple[QueryNode, QueryEdge]] = []
         for edge in query.edges:
             if center not in (edge.src, edge.dst):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import BudgetExceededError, SearchError, SearchTimeoutError
 
@@ -167,6 +167,21 @@ class Budget:
             return self._trip(REASON_NODES, timeout=False)
         return self.check()
 
+    def try_charge_nodes(self, n: int) -> bool:
+        """Charge *n* node visits at once if they fit under the node cap.
+
+        False, charging nothing, when the budget has tripped or the cap
+        would trip inside the *n*; the caller then does the work visit
+        by visit, and the cap trips where it would have anyway.  A
+        deadline is checked as in :meth:`charge_nodes`.
+        """
+        if self.exceeded_reason is not None or (
+                self.max_nodes is not None
+                and self.nodes_visited + n > self.max_nodes):
+            return False
+        self.charge_nodes(n)
+        return True
+
     def charge_messages(self, n: int = 1) -> bool:
         """Charge *n* propagated messages; True when tripped."""
         if self.exceeded_reason is not None:
@@ -217,6 +232,12 @@ class SearchReport:
     def degraded(self) -> bool:
         """True when results are best-so-far rather than exact."""
         return not self.completed
+
+    def as_dict(self) -> Dict[str, Any]:
+        """The report as plain data: :func:`dataclasses.asdict`'s result
+        without its recursive walk (``faults`` is the one container
+        field; a new nested field must be copied here too)."""
+        return dict(vars(self), faults=list(self.faults))
 
     @classmethod
     def from_budget(

@@ -328,3 +328,19 @@ def faulty(
         else FaultInjector.from_seed(seed, **seed_kwargs)
     )
     return FaultyScorer(scorer, injector)
+
+
+def chaos_scorer(scorer, fault_specs: Sequence[dict],
+                 cache=None) -> FaultyScorer:
+    """*scorer* wrapped with the faults *fault_specs* plan (their
+    :meth:`FaultSpec.as_dict` forms) for one chaos engine.
+
+    The proxy reads *cache* (None: no candidate cache) instead of the
+    cache *scorer* holds: a hit on a cache that outlives the proxy would
+    answer from earlier, clean scans and skip the scoring the faults
+    target.
+    """
+    proxy = faulty(scorer, specs=[FaultSpec.from_dict(s)
+                                  for s in fault_specs])
+    proxy.candidate_cache = cache
+    return proxy

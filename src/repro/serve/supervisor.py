@@ -22,7 +22,6 @@ documented, not defended).
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import traceback
 from typing import Any, Callable, Dict, List, Optional
@@ -30,8 +29,10 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.core.framework import Star
 from repro.core.options import SearchOptions
 from repro.errors import ReproError
+from repro.perf.cache import attach_cache
+from repro.query.parser import parse_query
 from repro.runtime.budget import Budget
-from repro.runtime.faults import FaultSpec, faulty
+from repro.runtime.faults import chaos_scorer
 from repro.runtime.workers import pool_for
 
 
@@ -42,7 +43,9 @@ class EngineContext:
     :class:`~repro.core.options.SearchOptions`) becomes :attr:`options`
     and the :class:`Star` built from it: with ``mmap_store`` every
     worker maps the RKGS2 file's index columns after the fork instead
-    of copying index pages through fork CoW.
+    of copying index pages through fork CoW.  The engine's scorer holds
+    the worker's :class:`~repro.perf.cache.CandidateCache`, so a request
+    repeating a constraint reuses its scored candidates, budget and all.
     """
 
     def __init__(self, graph, config=None, engine_opts=None) -> None:
@@ -51,6 +54,7 @@ class EngineContext:
         self.options = SearchOptions.coerce(engine_opts)
         self.engine = Star(graph, config=config, options=self.options)
         self.scorer = self.engine.scorer
+        attach_cache(self.scorer)
 
     def engine_for(self, fault_specs: Optional[List[dict]]) -> Star:
         """The shared engine, or a faulty-wrapped one for chaos requests.
@@ -58,13 +62,25 @@ class EngineContext:
         Injector call counts are stateful, so a chaos request gets a
         fresh :class:`Star` over a faulty-wrapped scorer.  The wrapped
         scorer is the shared one: what it holds (an mmap-attached
-        index) is reused.
+        index) is reused -- except the candidate cache, which it neither
+        reads (a hit would skip the faults it plans) nor writes.
         """
         if not fault_specs:
             return self.engine
-        specs = [FaultSpec.from_dict(s) for s in fault_specs]
-        return Star(self.graph, scorer=faulty(self.scorer, specs=specs),
+        return Star(self.graph, scorer=chaos_scorer(self.scorer, fault_specs),
                     options=self.options)
+
+
+def _wire_matches(matches) -> List[Dict[str, Any]]:
+    """*matches* as response dicts: the assignment keyed by query-node
+    id (a string, in id order) and the score.  Every match of one query
+    assigns the same query nodes, so the key order is worked out once."""
+    if not matches:
+        return []
+    keys = [(str(q), q) for q in sorted(matches[0].assignment)]
+    return [{"assignment": {key: m.assignment[q] for key, q in keys},
+             "score": m.score}
+            for m in matches]
 
 
 def execute_payload(ctx: EngineContext, payload: Dict[str, Any]) \
@@ -77,8 +93,6 @@ def execute_payload(ctx: EngineContext, payload: Dict[str, Any]) \
     the process here -- that is the supervised failure the pool exists
     to recover from.
     """
-    from repro.query.parser import parse_query
-
     try:
         engine = ctx.engine_for(payload.get("fault_specs"))
         query = parse_query(payload["query"].replace(";", "\n"),
@@ -89,14 +103,8 @@ def execute_payload(ctx: EngineContext, payload: Dict[str, Any]) \
         report = engine.last_report
         return {
             "ok": True,
-            "matches": [
-                {"assignment": {str(q): v
-                                for q, v in sorted(m.assignment.items())},
-                 "score": m.score}
-                for m in matches
-            ],
-            "report": (dataclasses.asdict(report)
-                       if report is not None else None),
+            "matches": _wire_matches(matches),
+            "report": report.as_dict() if report is not None else None,
             "degraded": bool(report is not None and report.degraded),
         }
     except ReproError as exc:

@@ -13,6 +13,7 @@ orders) and refuses maintenance past its pinned version.
 
 from __future__ import annotations
 
+import os
 from contextlib import contextmanager
 from typing import Iterator, Tuple, Union
 
@@ -23,7 +24,13 @@ from repro.index.vocab import Vocabulary
 from repro.store.format import StoreReader
 from repro.store.lazygraph import MmapKnowledgeGraph
 
-__all__ = ["MmapGraphIndex", "attach_mmap_index"]
+__all__ = ["MmapGraphIndex", "StaleStoreError", "attach_mmap_index"]
+
+
+class StaleStoreError(ValueError):
+    """The graph is the store's own, opened from it and written since
+    (overlay writes): the store's columns describe the graph as it was
+    at the open, and an index must be built from the graph instead."""
 
 
 class MmapGraphIndex(GraphIndex):
@@ -66,6 +73,17 @@ class MmapGraphIndex(GraphIndex):
                 reader.close()
 
 
+def _overlay_of(graph, reader: StoreReader) -> bool:
+    """True when *graph* was opened from *reader*'s file at the version
+    the file holds: its later versions are overlay writes."""
+    if not isinstance(graph, MmapKnowledgeGraph):
+        return False
+    own = graph._store
+    return graph.base_version == reader.meta.version and (
+        own is reader
+        or os.path.realpath(own.path) == os.path.realpath(reader.path))
+
+
 @contextmanager
 def _store_of(source, graph) -> Iterator[Tuple[StoreReader, bool]]:
     """Resolve *source* (see :func:`attach_mmap_index`) to ``(reader,
@@ -83,7 +101,8 @@ def _store_of(source, graph) -> Iterator[Tuple[StoreReader, bool]]:
                 f"store {reader.path} holds graph {meta.name!r}, "
                 f"not {graph.name!r}")
         if graph.version != meta.version:
-            raise ValueError(
+            raise (StaleStoreError if _overlay_of(graph, reader)
+                   else ValueError)(
                 f"store {reader.path} was compacted at graph version "
                 f"{meta.version}, but the graph is at {graph.version}")
         if graph.num_node_slots != meta.node_slots:
@@ -113,6 +132,11 @@ def attach_mmap_index(
             exact version the store was compacted from; a fork-inherited
             or freshly opened graph of the same file is the normal case.
         mode: ``use_index`` routing mode for the attached index.
+
+    Raises:
+        StaleStoreError: the graph was opened from this store and has
+            overlay writes since (a :class:`ValueError`, like every
+            other mismatch).
     """
     if mode not in MODES:
         raise ValueError(

@@ -24,7 +24,7 @@ from repro.ann import (
 from repro.core import Star, node_candidates
 from repro.errors import SearchError
 from repro.graph.generators import dbpedia_like
-from repro.query import Query
+from repro.query import Query, parse_query
 from repro.runtime.budget import Budget
 from repro.similarity import ScoringConfig, ScoringFunction
 from repro.store import open_graph, write_store
@@ -85,6 +85,21 @@ class TestBandIndex:
         c = hyperplanes(16, 2, 4, seed=8)
         assert a == b
         assert a != c
+
+    def test_planes_drawn_on_first_use(self):
+        index = BandIndex(DEFAULT_DIM)
+        assert index._planes is None
+        vec = NgramEmbedder().embed("Boyhood", "film", ())
+        sigs = index.signatures_of(vec)
+        planes = hyperplanes(DEFAULT_DIM, DEFAULT_BANDS, DEFAULT_BAND_BITS,
+                             DEFAULT_SEED)
+        assert index.planes is index.planes == planes
+        assert sigs == signatures(vec, planes, DEFAULT_BANDS,
+                                  DEFAULT_BAND_BITS)
+        # An engine whose tier never engages draws none.
+        engine = Star(build_movie_graph())
+        engine.search(parse_query("(Brad:actor) -[?]- (?:film)"), 2)
+        assert engine.scorer.semantic_tier.index._planes is None
 
     def test_signature_range(self):
         planes = hyperplanes(DEFAULT_DIM, DEFAULT_BANDS, DEFAULT_BAND_BITS,

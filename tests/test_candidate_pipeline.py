@@ -12,6 +12,9 @@ the shortlist loop) -> semantic tier -> sort and cut -> cache put, and
   a reference that scores the expanded-token + subtype shortlist with a
   fresh scorer (plus a keyword-only node whose shortlist is short and
   partly below threshold).
+* ``TestBudgetedHits`` holds what a budget observes on a warm cache: a
+  hit charges what the cold scan charged, a cap below that returns the
+  cold partial, and no tripped or faulted partial is ever written.
 * ``TestScopedTier`` holds the scoped-call contract (the unscoped result
   filtered to the scope, ANN extras included), sharded engines included.
 """
@@ -32,10 +35,12 @@ from repro.core.candidates import (
     live_index,
     node_candidates,
 )
+from repro.errors import BudgetExceededError
 from repro.index import attach_index
 from repro.perf import attach_cache, fork_available
 from repro.query import parse_query
 from repro.query.model import QueryNode
+from repro.runtime import FaultSpec, faulty
 from repro.runtime.budget import Budget
 from repro.shard import ShardedEngine
 from repro.similarity import ScoringConfig, ScoringFunction
@@ -170,11 +175,17 @@ class TestRoute:
         assert live_index(scorer) is None
         assert self.route(scorer, limit=5).index is None
 
-    def test_cache_skipped_by_budget_and_scope(self):
+    def test_cache_skipped_by_scope_alone(self):
         scorer = ScoringFunction(GRAPH, CONFIG)
         cache = attach_cache(scorer)
+        attach_index(scorer, mode="on")
         assert self.route(scorer).cache is cache
-        assert self.route(scorer, budget=Budget(max_nodes=10)).cache is None
+        for budget in (Budget(max_nodes=10), Budget(anytime=True)):
+            route = self.route(scorer, limit=3, budget=budget)
+            # A budget keeps the cache but still skips the index.
+            assert route.cache is cache and route.index is None
+            assert self.route(scorer, budget=budget,
+                              scope=SCOPE).cache is None
         assert self.route(scorer, scope=SCOPE).cache is None
 
     def test_tier_off_never_engages(self):
@@ -217,7 +228,9 @@ class TestRoute:
         assert self.route(scorer, limit=3).reason == (
             "cache, index (auto), tier auto")
         assert self.route(scorer, budget=Budget()).reason == (
-            "no cache, shortlist (budgeted), tier auto")
+            "cache, shortlist (budgeted), tier auto")
+        assert self.route(scorer, budget=Budget(), scope=SCOPE).reason == (
+            "no cache, shortlist (a shard's owned pivots), tier auto")
 
 
 # ----------------------------------------------------------------------
@@ -244,10 +257,17 @@ def check_cell(cell, got, budget, scorer, span, qnode, ref, limit,
     assert (scorer.graph_index is not None
             and scorer.graph_index.evaluated > 0) == (
                 indexed and bool(ref)), cell
-    # Scored-list cache entries: written by plain calls only.
-    entries = ([k for k in scorer.candidate_cache._data if k[0] == "cand"]
-               if cache else [])
-    assert len(entries) == int(cache and budget is None and scope is None), cell
+    # Scored-list cache entries: written by every unscoped call that
+    # finished untripped, holding the list returned and, for a budget,
+    # the node visits it charged (no count without one).
+    entries = ([e for k, e in scorer.candidate_cache._data.items()
+                if k[0] == "cand"] if cache else [])
+    complete = budget is None or not budget.exhausted
+    assert len(entries) == int(cache and scope is None and complete), cell
+    if entries:
+        assert entries[0].payload == tuple(got), cell
+        assert entries[0].cost == (
+            None if budget is None else budget.nodes_visited), cell
     # Shortlisted pairs against the reference; extras only from the tier.
     shortlisted = universe(qnode)
     in_scope = [p for p in ref if scope is None or p[0] in scope]
@@ -292,26 +312,143 @@ def test_cell(index, tier):
                     cache, index, tier, qnode, limit, budget_kind, scope)
                 check_cell(cell, got, budget, scorer, span, qnode, ref,
                            limit, budget_kind, scope, index, tier, cache)
-                if cache and budget is None and scope is None:
-                    # The second call is a hit and serves the same list.
+                if cache and scope is None and (
+                        budget is None or not budget.exhausted):
+                    # The second call, under a fresh budget of the same
+                    # kind, is a hit: the same list, the same charge.
                     hits = scorer.candidate_cache.stats.hits
-                    assert node_candidates(scorer, qnode, limit=limit) == got
+                    again = BUDGETS[budget_kind]()
+                    assert node_candidates(scorer, qnode, limit=limit,
+                                           budget=again) == got, cell
                     assert scorer.candidate_cache.stats.hits == hits + 1
+                    if budget is not None:
+                        assert again.nodes_visited == budget.nodes_visited
+                        assert not again.exhausted, cell
                 results.append(got)
             assert results[0] == results[1], cell  # the cache is invisible
-            # One candidate list per (tier, budget): whatever the index,
-            # cutoff or scope, a call returns the shortlist route's full
-            # list filtered to its scope and cut.  The one exception: a
-            # budgeted ``on`` tier probes past non-admitted nodes, so a
-            # scoped slice may rerank differently.
-            if budget_kind == "tripping" or (
-                    budget_kind == "generous" and tier == "on"
-                    and scope is not None):
+            # One candidate list per tier: whatever the index, cutoff,
+            # scope or budget that never trips, a call returns the
+            # unbudgeted shortlist route's full list filtered to its
+            # scope and cut.
+            if budget_kind == "tripping":
                 continue
-            whole = run_cell(False, "none", tier, qnode, None, budget_kind,
+            whole = run_cell(False, "none", tier, qnode, None, "none",
                              None)[0]
             assert got == [p for p in whole
                            if scope is None or p[0] in scope][:limit], cell
+
+
+# ----------------------------------------------------------------------
+# A budget on a warm cache observes what it observes on a cold one
+# ----------------------------------------------------------------------
+def cand_entries(scorer):
+    return {k: e for k, e in scorer.candidate_cache._data.items()
+            if k[0] == "cand"}
+
+
+@pytest.mark.parametrize("tier", ["none", "auto", "on"])
+class TestBudgetedHits:
+    def cold(self, tier, qnode, budget, limit=None):
+        """The call on a fresh scorer with an empty cache."""
+        scorer = make_scorer(True, "none", tier)
+        return node_candidates(scorer, qnode, limit=limit, budget=budget)
+
+    def test_warm_hit_charges_what_the_cold_call_charged(self, tier):
+        for qnode in QNODES.values():
+            for limit in (None, 3):
+                cold_budget = Budget(max_nodes=10 ** 6, anytime=True)
+                cold = self.cold(tier, qnode, cold_budget, limit)
+                scorer = make_scorer(True, "none", tier)
+                first = Budget(max_nodes=10 ** 6, anytime=True)
+                assert node_candidates(scorer, qnode, limit=limit,
+                                       budget=first) == cold
+                assert first.nodes_visited == cold_budget.nodes_visited
+                calls = scorer.node_score_calls
+                warm_budget = Budget(max_nodes=10 ** 6, anytime=True)
+                warm = node_candidates(scorer, qnode, limit=limit,
+                                       budget=warm_budget)
+                assert warm == cold
+                assert scorer.node_score_calls == calls  # nothing scored
+                assert warm_budget.nodes_visited == cold_budget.nodes_visited
+                assert not warm_budget.exhausted
+
+    def test_cap_below_the_charge_returns_the_cold_partial(self, tier):
+        for qnode in QNODES.values():
+            scorer = make_scorer(True, "none", tier)
+            full = node_candidates(scorer, qnode, budget=Budget())
+            (key, entry), = cand_entries(scorer).items()
+            for anytime in (True, False):
+                for cap in sorted({c for c in (0, 1, TRIP_AT,
+                                               entry.cost // 2,
+                                               entry.cost - 1)
+                                   if 0 <= c < entry.cost}):
+                    cold_budget = Budget(max_nodes=cap, anytime=anytime)
+                    warm_budget = Budget(max_nodes=cap, anytime=anytime)
+                    if not anytime:
+                        with pytest.raises(BudgetExceededError):
+                            self.cold(tier, qnode, cold_budget)
+                        with pytest.raises(BudgetExceededError):
+                            node_candidates(scorer, qnode,
+                                            budget=warm_budget)
+                    else:
+                        assert node_candidates(
+                            scorer, qnode, budget=warm_budget) == self.cold(
+                                tier, qnode, cold_budget)
+                    assert warm_budget.exhausted and cold_budget.exhausted
+                    assert (warm_budget.nodes_visited
+                            == cold_budget.nodes_visited)
+                    # The complete entry is still the one held.
+                    assert cand_entries(scorer) == {key: entry}
+                    assert entry.payload == tuple(full)
+            # A cap the charge just fits serves the hit, untripped.
+            exact = Budget(max_nodes=entry.cost)
+            assert node_candidates(scorer, qnode, budget=exact) == full
+            assert exact.nodes_visited == entry.cost and not exact.exhausted
+
+    def test_tripped_or_faulted_partials_are_never_written(self, tier):
+        qnode = QNODES["typed_wildcard"]
+        scorer = make_scorer(True, "none", tier)
+        budget = Budget(max_nodes=TRIP_AT, anytime=True)
+        node_candidates(scorer, qnode, budget=budget)
+        assert budget.exhausted and not cand_entries(scorer)
+        # A budget that tripped before the call writes nothing either.
+        node_candidates(scorer, qnode, budget=budget)
+        assert not cand_entries(scorer)
+        # A recorded fault under a budget that never trips: not written.
+        chaos = faulty(scorer, specs=[
+            FaultSpec("scorer.node_score", mode="raise", at_call=3)])
+        budget = Budget(anytime=True)
+        partial = node_candidates(chaos, qnode, budget=budget)
+        assert budget.faults and not budget.exhausted
+        assert not cand_entries(scorer)
+        # The next complete call writes the whole list.
+        full = node_candidates(scorer, qnode, budget=Budget(anytime=True))
+        assert len(full) == len(partial) + 1
+        assert [e.payload for e in cand_entries(scorer).values()] == [
+            tuple(full)]
+
+    @pytest.mark.parametrize("index", ["none", "on"])
+    def test_unbudgeted_entry_is_paid_for_once_rescanned(self, tier, index):
+        qnode = QNODES["in_vocabulary"]
+        scorer = make_scorer(True, index, tier)
+        unbudgeted = node_candidates(scorer, qnode, limit=3)
+        (key, entry), = cand_entries(scorer).items()
+        # No budget counted the visits (the index's bound walk scores
+        # no shortlist at all), so a budget misses and rescans, and the
+        # rescan records what it charged.
+        assert entry.cost is None
+        misses = scorer.candidate_cache.stats.misses
+        cold = Budget(anytime=True)
+        assert node_candidates(scorer, qnode, limit=3,
+                               budget=cold) == unbudgeted
+        assert scorer.candidate_cache.stats.misses > misses
+        assert cand_entries(scorer)[key].cost == cold.nodes_visited > 0
+        warm = Budget(anytime=True)
+        hits = scorer.candidate_cache.stats.hits
+        assert node_candidates(scorer, qnode, limit=3,
+                               budget=warm) == unbudgeted
+        assert scorer.candidate_cache.stats.hits == hits + 1
+        assert warm.nodes_visited == cold.nodes_visited
 
 
 # ----------------------------------------------------------------------

@@ -6,11 +6,13 @@ cell is a :class:`SearchOptions` made by ``dataclasses.replace`` from
 the case's base options (``algorithm``, ``use_index``, and ``alpha`` /
 ``decomposition_method`` for general queries), plus how the search is
 served: storage, engine (``Star``, or a serial ``ShardedEngine`` of 1-8
-shards), traced or not, under a generous budget or none.  The base
+shards), traced or not, under a generous budget or none, on a candidate
+cache warmed by the same search or not.  The base
 options carry the axes that change the answer set: ``d`` 1-3,
 ``injective``, ``directed`` (d = 1) and ``candidate_limit``.  The first
 cell is the anchor (``auto``, index off, in memory, a ``Star``,
-untraced, no budget); every other cell moves one to three axes off it.
+untraced, no budget, cold); every other cell moves one to three axes
+off it.
 
 Storage is the graph a cell searches:
 
@@ -19,7 +21,9 @@ Storage is the graph a cell searches:
   holds a candidate cache and searches before each, refreshed after
   each (mutate == rebuild: the answers must be ``memory``'s);
 * ``mmap``: ``memory`` compacted to a store and mapped;
-* ``overlay``: the base graph's store, mutated through its overlay.
+* ``overlay``: the base graph's store, mutated through its overlay;
+  like ``mmap`` it is its engine's ``mmap_store``, whose index columns
+  stop serving once the overlay has written past them.
 
 Every cell is checked
 
@@ -152,6 +156,7 @@ class Cell(NamedTuple):
     shards: int  # 0: a Star
     traced: bool
     budget: bool
+    warm: bool
 
     def family(self, general: bool) -> tuple:
         """Cells of one family return the same answers in the same tie
@@ -170,7 +175,8 @@ class Cell(NamedTuple):
         options = self.options
         return (f"{options.algorithm}/{options.use_index}/{self.storage}/"
                 f"shards={self.shards}/traced={self.traced}/"
-                f"budget={self.budget}/alpha={options.alpha}/"
+                f"budget={self.budget}/warm={self.warm}/"
+                f"alpha={options.alpha}/"
                 f"{options.decomposition_method}")
 
 
@@ -214,7 +220,7 @@ def cases(draw) -> Case:
     # Each other cell moves one to three axes off it, so every cell
     # meets it, and axes meet each other in pairs and triples.
     reference = Cell(dataclasses.replace(base, use_index="off"), "memory",
-                     0, False, False)
+                     0, False, False, False)
     axes = {
         "algorithm": st.sampled_from(
             ("stark",) if directed else ("stark", "stard")),
@@ -223,6 +229,7 @@ def cases(draw) -> Case:
         "shards": st.integers(min_value=1, max_value=8),
         "traced": st.just(True),
         "budget": st.just(True),
+        "warm": st.just(True),
     }
     if general:
         axes["alpha"] = st.sampled_from((0.1, 0.9))
@@ -235,6 +242,9 @@ def cases(draw) -> Case:
         if "shards" in moved and "storage" not in moved:
             # a ShardedEngine resynchronizes itself after mutations
             moved["storage"] = draw(st.sampled_from(STORAGES))
+        if "warm" in moved and "budget" not in moved:
+            # what a warm cache must not change is what a budget observes
+            moved["budget"] = draw(st.booleans())
         options = dataclasses.replace(reference.options, **{
             axis: moved.pop(axis) for axis in list(moved)
             if axis not in Cell._fields})
@@ -282,7 +292,7 @@ class Graphs:
 
 def engine_for(graph, cell: Cell):
     options = cell.options
-    if cell.storage == "mmap":  # the store's index columns, attached
+    if cell.storage in ("mmap", "overlay"):  # the store's index columns
         options = dataclasses.replace(options, mmap_store=graph)
     if cell.shards:
         return ShardedEngine(graph, shards=cell.shards, backend="serial",
@@ -308,6 +318,13 @@ def serve(case: Case, graphs: Graphs, cell: Cell):
     else:
         engine = engine_for(graphs.mapped(cell.storage), cell)
     budget = Budget(**GENEROUS) if cell.budget else None
+    if cell.warm:
+        # The same search first, on the engine's cache: the searched one
+        # must then answer and charge as that cold one did.
+        if engine.scorer.candidate_cache is None:
+            attach_cache(engine.scorer)
+        cold = Budget(**GENEROUS) if cell.budget else None
+        engine.search(case.query, case.k, budget=cold)
     if cell.traced:
         with obs.capture() as tracer:
             got = engine.search(case.query, case.k, budget=budget)
@@ -316,6 +333,11 @@ def serve(case: Case, graphs: Graphs, cell: Cell):
         got = engine.search(case.query, case.k, budget=budget)
     if budget is not None:
         assert engine.last_report.completed
+        if cell.warm:
+            assert (budget.nodes_visited, budget.messages_sent,
+                    budget.join_steps) == (cold.nodes_visited,
+                                           cold.messages_sent,
+                                           cold.join_steps)
     if cell.shards:  # partitioned at the graph's current version
         assert engine.partition.graph_version == engine.graph.version
     return engine, got

@@ -230,26 +230,32 @@ def test_wildcard_shortlist_not_cached():
 
 
 # ----------------------------------------------------------------------
-# Budget bypass: budgeted calls never touch the scored-candidate entries
+# Budgets: a scored entry serves them paid for, a partial is never one
 
 
 def cand_entries(cache: CandidateCache):
     return [key for key in cache._data if key[0] == "cand"]
 
 
-def test_budgeted_call_bypasses_scored_entries():
+def test_budgeted_call_pays_for_scored_entries():
+    node = qnode("Brad", "actor")
+    cold = Budget(max_nodes=1000)
+    expect = node_candidates(fresh_scorer(), node, budget=cold)
     scorer = fresh_scorer()
     cache = attach_cache(scorer)
-    node = qnode("Brad", "actor")
-    node_candidates(scorer, node)  # warm entry
-    cand_before = list(cand_entries(cache))
+    node_candidates(scorer, node, budget=Budget(max_nodes=1000))  # warm
+    entries = {key: cache._data[key] for key in cand_entries(cache)}
+    calls, hits = scorer.node_score_calls, cache.stats.hits
     budget = Budget(max_nodes=1000)
     budgeted = node_candidates(scorer, node, budget=budget)
-    # Nodes were re-scored and charged -- the warm scored list was NOT
-    # served -- and no scored entry was added or replaced.
-    assert budget.nodes_visited > 0
-    assert cand_entries(cache) == cand_before
-    assert budgeted == node_candidates(scorer, node)
+    # The warm scored list was served -- a hit, nothing re-scored --
+    # and charged what the cold call charged; no scored entry was added
+    # or replaced.
+    assert cache.stats.hits == hits + 1
+    assert scorer.node_score_calls == calls
+    assert budget.nodes_visited == cold.nodes_visited > 0
+    assert {key: cache._data[key] for key in cand_entries(cache)} == entries
+    assert budgeted == expect == node_candidates(scorer, node)
 
 
 def test_degraded_partial_never_poisons_cache():

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.candidates import node_candidates
 from repro.core.framework import Star
 from repro.core.options import SearchOptions
 from repro.errors import BudgetExceededError, SearchError
@@ -269,12 +270,47 @@ def test_budgeted_runs_do_not_poison_cache(yago_graph, star_queries):
                          budget_spec=dict(BUDGET))
     assert first.result_keys() == expected
     assert second.result_keys() == expected  # warm == cold under budgets
-    # No scored (partial) candidate list was ever cached.
-    assert all(key[0] != "cand" for key in cache._data)
+    # Warm calls charged what cold ones did, trip for trip.
+    assert [(o.report.nodes_visited, o.report.reason)
+            for o in second.outcomes] == [
+        (o.report.nodes_visited, o.report.reason) for o in first.outcomes]
+    assert second.cache_stats.hits > 0
+    # Every scored list cached is complete: the unbudgeted call's own.
+    scorer = Star(yago_graph).scorer
+    written = set()
+    for query in star_queries:
+        for qnode in query.nodes:
+            key = cache.candidate_key(scorer, qnode, None)
+            if key in cache:
+                written.add(key)
+                assert cache._data[key].payload == tuple(
+                    node_candidates(scorer, qnode))
+    assert written == {key for key in cache._data if key[0] == "cand"}
+    assert written
     # And an unbudgeted run afterwards still matches its own reference.
     unbudgeted, _ = serial_reference(yago_graph, star_queries, 5, d=1)
     after = search_many(yago_graph, star_queries, 5, cache=cache)
     assert after.result_keys() == unbudgeted
+
+
+def test_budgeted_chaos_batch_keeps_off_the_callers_cache(yago_graph,
+                                                          star_queries):
+    """A faulted batch scores on a cache of its own: on the caller's
+    warm cache every query would answer from clean entries and skip the
+    scoring its faults target."""
+    generous = {"max_nodes": 10 ** 6, "anytime": True}
+    cache = CandidateCache()
+    search_many(yago_graph, star_queries, 5, cache=cache,
+                budget_spec=generous)
+    warm = cache.stats.as_dict()
+    assert warm["inserts"] > 0
+    chaos = search_many(
+        yago_graph, star_queries, 5, cache=cache, budget_spec=generous,
+        fault_specs=[{"site": "scorer.node_score", "mode": "raise",
+                      "repeat": True}])
+    assert all(o.report.faults for o in chaos.outcomes)
+    assert chaos.degraded == len(star_queries)
+    assert cache.stats.as_dict() == warm
 
 
 # ----------------------------------------------------------------------

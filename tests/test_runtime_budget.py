@@ -20,6 +20,7 @@ from repro.errors import (
     SearchTimeoutError,
 )
 from repro.graph.generators import dbpedia_like
+from repro.perf import attach_cache
 from repro.query import Query, StarQuery, decompose, star_query, star_workload
 from repro.query.parser import parse_query
 from repro.runtime import (
@@ -663,6 +664,20 @@ class TestAnytimeProperty:
             assert report.reason is not None
         kth = exact[-1].score if len(exact) == self.K else float("-inf")
         assert report.degraded or all(s >= kth - 1e-9 for s in scores)
+        # On a warm candidate cache the run is the same run: the same
+        # matches, charges and trip.
+        warm_scorer = ScoringFunction(movie_scorer.graph)
+        attach_cache(warm_scorer)
+        cls(warm_scorer, d=d).search(star, self.K)
+        warm = cls(warm_scorer, d=d)
+        warm_budget = Budget(max_nodes=max_nodes, anytime=True)
+        assert [(m.key(), m.score) for m in warm.search(
+            star, self.K, budget=warm_budget)] == [
+                (m.key(), m.score) for m in got]
+        assert warm_scorer.candidate_cache.stats.hits > 0
+        assert (warm.last_report.nodes_visited, warm.last_report.reason,
+                warm.last_report.completed) == (
+                    report.nodes_visited, report.reason, report.completed)
 
 
     @given(max_join_steps=st.integers(min_value=0, max_value=450))

@@ -2,6 +2,7 @@
 serve pool recovers a killed worker with the exact answer.  The crash
 contract itself is tested on the pool (``test_runtime_workers.py``)."""
 
+import dataclasses
 import sys
 
 import pytest
@@ -70,6 +71,44 @@ class TestExecutePayload:
         })
         assert result["ok"] is True
         assert result["degraded"] is True
+
+    def test_repeated_budgeted_request_reads_the_worker_cache(
+            self, movie_graph):
+        ctx = EngineContext(movie_graph)
+        payload = {"query": QUERY, "k": 2,
+                   "budget_spec": {"max_nodes": 10 ** 6, "anytime": True}}
+        cold = execute_payload(ctx, payload)
+        cache = ctx.scorer.candidate_cache
+        hits, inserts = cache.stats.hits, cache.stats.inserts
+        assert inserts > 0
+        warm = execute_payload(ctx, payload)
+        assert warm["matches"] == cold["matches"]
+        assert cache.stats.hits > hits and cache.stats.inserts == inserts
+        # A hit charges what the cold scan charged.
+        assert (warm["report"]["nodes_visited"]
+                == cold["report"]["nodes_visited"])
+        assert warm["report"]["completed"] is True
+        assert warm["report"] == dataclasses.asdict(ctx.engine.last_report)
+
+    def test_chaos_request_on_a_warm_worker_fires_its_fault(
+            self, movie_graph):
+        ctx = EngineContext(movie_graph)
+        anytime = {"deadline_ms": 1000.0, "anytime": True}
+        clean = {"query": QUERY, "k": 2, "budget_spec": anytime}
+        expected = execute_payload(ctx, clean)
+        stats = ctx.scorer.candidate_cache.stats.as_dict()
+        assert stats["inserts"] > 0
+        fault = [{"site": "scorer.node_score", "mode": "raise"}]
+        result = execute_payload(ctx, dict(clean, fault_specs=fault))
+        assert result["ok"] is True and result["degraded"] is True
+        assert result["report"]["faults"]
+        strict = execute_payload(ctx, dict(
+            clean, budget_spec={"deadline_ms": 1000.0, "anytime": False},
+            fault_specs=[dict(fault[0], repeat=True)]))
+        assert strict["error_kind"] == "InjectedFaultError"
+        # The chaos engines neither read nor wrote the worker's cache.
+        assert ctx.scorer.candidate_cache.stats.as_dict() == stats
+        assert execute_payload(ctx, clean)["matches"] == expected["matches"]
 
 
 class TestThreadPool:
@@ -141,6 +180,17 @@ class TestForkPool:
         assert stats["worker_crashes"] == 1
         assert stats["requeued"] == 1
         assert stats["replacements"] == 1
+
+    def test_crash_fires_on_warm_workers(self, pool):
+        clean = {"query": QUERY, "k": 2,
+                 "budget_spec": {"deadline_ms": 1000.0, "anytime": True}}
+        for future in [pool.submit(clean) for _ in range(6)]:
+            assert future.result(timeout=30)["ok"] is True
+        crash = dict(clean, fault_specs=[
+            {"site": "scorer.node_score", "mode": "crash"}])
+        result = pool.submit(crash).result(timeout=30)
+        assert result["ok"] is True
+        assert pool.stats()["worker_crashes"] == 1
 
 
 class TestMakePool:

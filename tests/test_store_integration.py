@@ -26,7 +26,8 @@ from repro.query import parse_query
 from repro.runtime import FaultSpec
 from repro.serve.supervisor import EngineContext, execute_payload
 from repro.similarity import ScoringConfig
-from repro.store import MmapGraphIndex, StoreReader, open_graph, write_store
+from repro.store import (MmapGraphIndex, StaleStoreError, StoreReader,
+                         open_graph, write_store)
 
 from tests.conftest import (RKGS1_FIXTURE, RKGS2_V2_FIXTURE,
                             build_movie_graph, build_mutated_movie_graph)
@@ -241,8 +242,39 @@ class TestAttachContracts:
 
         other = build_movie_graph()
         other.add_node("Extra", "film")  # version drift vs the store
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as caught:
             attach_mmap_index(str(store_path), other)
+        # Not the store's own graph: a stale store is a caller's error,
+        # and the engine does not quietly build its index instead.
+        assert not isinstance(caught.value, StaleStoreError)
+        with pytest.raises(ValueError, match="compacted at") as caught:
+            Star(other, mmap_store=str(store_path), use_index="on")
+        assert not isinstance(caught.value, StaleStoreError)
+
+    def test_engine_past_the_store_builds_its_index(self, store_path):
+        """Overlay writes move the graph past its store's columns: the
+        engine builds its index from the graph, as without a store."""
+        from repro.store import attach_mmap_index
+
+        graph = open_graph(store_path)
+        assert isinstance(Star(graph, mmap_store=graph, use_index="on")
+                          .scorer.graph_index, MmapGraphIndex)
+        graph.update_node_attrs(0, year=1999)
+        with pytest.raises(StaleStoreError, match="compacted at"):
+            attach_mmap_index(graph, graph, mode="on")
+        reference = build_movie_graph()
+        reference.update_node_attrs(0, year=1999)
+        expected = _ranking(Star(reference, use_index="on").search(
+            parse_query(QUERY, name="q"), 3))
+        for source in (graph, str(store_path)):
+            engine = Star(graph, mmap_store=source, use_index="on")
+            index = engine.scorer.graph_index
+            assert type(index) is not MmapGraphIndex and index.graph is graph
+            assert _ranking(engine.search(
+                parse_query(QUERY, name="q"), 3)) == expected
+        # Without a cutoff ``auto`` builds none, as without a store.
+        assert Star(graph, mmap_store=graph).scorer.graph_index is None
+        graph.close()
 
     def test_graph_constructor_blocked(self):
         from repro.store.lazygraph import MmapKnowledgeGraph
